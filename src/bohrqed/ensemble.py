@@ -6,20 +6,22 @@ radius; a quadtree/octree refinement handles position-dependent radii.
 Every point of the box must lie within ``c`` local radii of some roundel
 boundary, boundary points shared by several roundels are owned by the
 lexicographically smallest center, and as radii shrink the boundary set
-fills the box.  Driving the orbit equations while the bare mass and
-charge scale inversely with the radius produces the limit power laws
-measured by :func:`scaling_sweep`.
+fills the box.  Ownership, overlap and coverage are found in O(N) through
+a uniform cell list (Allen & Tildesley, *Computer Simulation of Liquids*,
+ch. 5) whose cell side is the largest roundel diameter.  Driving the
+orbit equations while the bare mass and charge scale inversely with the
+radius produces the limit power laws measured by :func:`scaling_sweep`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import LorentzTransform
 from .bohr import BohrInput, solve_bohr
 from .fitting import PowerFit, fit_loglog
 
@@ -46,6 +48,9 @@ __all__ = [
 _OVERLAP_TOL = 1e-12
 _BOUNDARY_TOL = 1e-9
 _MAX_DEPTH = 16
+# cell-list cells are this much wider than the largest diameter, so no
+# pair one diameter apart lands two cells apart through rounding
+_CELL_SLACK = 1e-9
 
 
 class InfeasibleCoverage(ValueError):
@@ -62,7 +67,6 @@ class Roundel:
     center: tuple[float, ...]  # spatial (x1, x2) or (x1, x2, x3)
     R: float
     f: float = 0.0
-    frame: LorentzTransform = field(default_factory=LorentzTransform.identity)
 
     def __post_init__(self):
         if self.R <= 0:
@@ -114,71 +118,93 @@ def _check_kind(kind: str) -> int:
     raise ValueError(f"unknown ensemble kind {kind!r}")
 
 
-def _circle_points(center, R, count):
-    angles = 2.0 * math.pi * np.arange(count) / count
-    pts = np.tile(np.asarray(center, dtype=float), (count, 1))
-    pts[:, 0] += R * np.cos(angles)
-    pts[:, 1] += R * np.sin(angles)
-    return pts
+def _centers_radii(roundels: Sequence[Roundel]) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([r.center for r in roundels], dtype=float),
+            np.array([r.R for r in roundels], dtype=float))
 
 
-def _sphere_points(center, R, count, seed):
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    offset = (seed * golden) % (2.0 * math.pi)
+def _boundary_samples(centers: np.ndarray, radii: np.ndarray, kind: str,
+                      count: int, seed: int) -> np.ndarray:
+    """``count`` boundary points of every roundel, roundel after roundel.
+
+    Circles get uniformly spaced angles from 0; spheres get a golden-angle
+    (Fibonacci) set whose longitude origin the seed rotates.
+    """
     k = np.arange(count)
-    zu = 1.0 - 2.0 * (k + 0.5) / count
-    ring = np.sqrt(np.maximum(0.0, 1.0 - zu * zu))
-    lon = offset + golden * k
-    pts = np.tile(np.asarray(center, dtype=float), (count, 1))
-    pts[:, 0] += R * ring * np.cos(lon)
-    pts[:, 1] += R * ring * np.sin(lon)
-    pts[:, 2] += R * zu
-    return pts
+    R = radii[:, None]
+    if kind == "pure":
+        angles = 2.0 * math.pi * k / count
+        offsets = (R * np.cos(angles), R * np.sin(angles))
+    else:
+        golden = math.pi * (3.0 - math.sqrt(5.0))
+        zu = 1.0 - 2.0 * (k + 0.5) / count
+        ring = np.sqrt(np.maximum(0.0, 1.0 - zu * zu))
+        lon = (seed * golden) % (2.0 * math.pi) + golden * k
+        offsets = (R * ring * np.cos(lon), R * ring * np.sin(lon), R * zu)
+    pts = centers[:, None, :] + np.stack(offsets, axis=-1)
+    return pts.reshape(-1, centers.shape[1])
 
 
-def _sample_boundary(roundels: Sequence[Roundel], kind: str,
-                     samples: int, seed: int) -> tuple[BoundaryPoint, ...]:
-    pts = np.concatenate([
-        _circle_points(r.center, r.R, samples) if kind == "pure"
-        else _sphere_points(r.center, r.R, samples, seed)
-        for r in roundels])
-    owners = _owners_of(pts, roundels)
-    return tuple(BoundaryPoint(point=tuple(p), owner=int(o), region=0)
-                 for p, o in zip(pts, owners))
+def _distance(p: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum((p - c) ** 2, axis=-1))
 
 
-def _lex_ranks(roundels: Sequence[Roundel]) -> np.ndarray:
-    """Rank of each roundel under lexicographic center order."""
-    centers = np.array([r.center for r in roundels])
-    order = np.lexsort(centers.T[::-1])
-    ranks = np.empty(len(roundels), dtype=int)
-    ranks[order] = np.arange(len(roundels))
-    return ranks
+def _cell_pairs(points: np.ndarray, centers: np.ndarray, radii: np.ndarray):
+    """Candidate (point, roundel) index pairs from a uniform cell list.
+
+    Centers are binned into cubes of side ``2*max(R)`` plus the slack; each
+    batch pairs every point with the roundels of one of the 3**d cubes
+    around its own.
+    """
+    cell = 2.0 * radii.max() * (1.0 + _CELL_SLACK)
+    lo = centers.min(axis=0)
+    # past 2**20 cubes along an axis two cubes may share a key: more candidates
+    stride = np.int64(1 << 21) ** np.arange(centers.shape[1])
+    home = np.floor((centers - lo) / cell).astype(np.int64) @ stride
+    probe = np.floor((points - lo) / cell).astype(np.int64) @ stride
+    order = np.argsort(home, kind="stable")
+    keys, first, count = np.unique(home[order], return_index=True,
+                                   return_counts=True)
+    for step in itertools.product((-1, 0, 1), repeat=centers.shape[1]):
+        key = probe + np.dot(step, stride)
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        n = np.where(keys[at] == key, count[at], 0)
+        skip = np.cumsum(n) - n - first[at]  # batch slot -> sorted slot
+        yield (np.repeat(np.arange(len(points)), n),
+               order[np.arange(n.sum()) - np.repeat(skip, n)])
 
 
-def _owners_of(points: np.ndarray, roundels: Sequence[Roundel],
-               chunk: int = 2048) -> np.ndarray:
+def _least(points: np.ndarray, centers: np.ndarray, radii: np.ndarray,
+           score: Callable, bound: Callable) -> np.ndarray:
+    """Least ``score(i, j, d)`` per point i over every roundel j at distance d.
+
+    A point whose least candidate score exceeds ``bound(far)``, a lower bound
+    on the score of any roundel farther than ``far``, is scored against all.
+    """
+    least = np.full(len(points), np.inf)
+    for pi, ri in _cell_pairs(points, centers, radii):
+        np.minimum.at(least, pi, score(pi, ri, _distance(points[pi], centers[ri])))
+    # under a million cubes across, binning rounds by far less than the
+    # slack, so every roundel outside a point's stencil is farther than this
+    far = 2.0 * radii.max() * (1.0 + _CELL_SLACK / 2)
+    for i in np.flatnonzero(~(least <= bound(far))):
+        least[i] = score(i, np.arange(len(centers)), _distance(points[i], centers)).min()
+    return least
+
+
+def _owners_of(points: np.ndarray, roundels: Sequence[Roundel]) -> np.ndarray:
     """Owning roundel id per point; ties go to the smallest center."""
-    centers = np.array([r.center for r in roundels])
-    radii = np.array([r.R for r in roundels])
-    ids = np.array([r.id for r in roundels])
-    ranks = _lex_ranks(roundels)
-    owners = np.empty(len(points), dtype=int)
-    for start in range(0, len(points), chunk):
-        block = points[start:start + chunk]
-        d = np.sqrt(np.sum((block[:, None, :] - centers[None, :, :]) ** 2,
-                           axis=-1))
-        on = np.abs(d - radii[None, :]) <= _BOUNDARY_TOL
-        if not on.any(axis=1).all():
-            bad = block[~on.any(axis=1)][0]
-            raise NotOnBoundary(f"point {tuple(bad)} lies on no roundel boundary")
-        ranked = np.where(on, ranks[None, :], np.iinfo(int).max)
-        owners[start:start + chunk] = ids[np.argmin(ranked, axis=1)]
-    return owners
-
-
-def _dist(a, b) -> float:
-    return math.dist(a, b)
+    centers, radii = _centers_radii(roundels)
+    by_rank = np.lexsort(centers.T[::-1])  # roundel index in center order
+    rank = np.argsort(by_rank).astype(float)
+    # a boundary through the point is within max(R) + tol: never widen
+    best = _least(points, centers, radii, lambda i, j, d: np.where(
+        np.abs(d - radii[j]) <= _BOUNDARY_TOL, rank[j], np.inf),
+        lambda far: np.inf)
+    if np.isinf(best).any():
+        bad = points[np.isinf(best)][0]
+        raise NotOnBoundary(f"point {tuple(bad)} lies on no roundel boundary")
+    return np.array([r.id for r in roundels])[by_rank[best.astype(int)]]
 
 
 def tile(domain: Sequence[tuple[float, float]],
@@ -224,7 +250,9 @@ def tile(domain: Sequence[tuple[float, float]],
     roundels = tuple(Roundel(id=i, center=tuple(ctr), R=h, f=charge)
                      for i, (ctr, h) in enumerate(cells))
     region = Region(id=0, roundel_ids=frozenset(r.id for r in roundels))
-    boundary = _sample_boundary(roundels, kind, boundary_samples, seed)
+    pts = _boundary_samples(*_centers_radii(roundels), kind, boundary_samples, seed)
+    boundary = tuple(BoundaryPoint(point=tuple(p), owner=o, region=0) for p, o
+                     in zip(pts.tolist(), _owners_of(pts, roundels).tolist()))
     ens = Ensemble(roundels=roundels, regions=(region,), kind=kind, c=c,
                    boundary=boundary, domain=domain)
     if verify:
@@ -240,13 +268,12 @@ def tile(domain: Sequence[tuple[float, float]],
 
 
 def _grid_cells(domain, R, dim):
-    counts = []
-    for lo, hi in domain:
-        n = int(math.floor((hi - lo) / (2.0 * R) + 1e-9))
-        counts.append(max(n, 1))
-    axes = [lo + R + 2.0 * R * np.arange(n) for (lo, _), n in zip(domain, counts)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    centers = np.stack([g.ravel() for g in grids], axis=-1)
+    counts = [int(math.floor((hi - lo) / (2.0 * R) + 1e-9)) for lo, hi in domain]
+    if min(counts) < 1:
+        raise InfeasibleCoverage(
+            f"a roundel of radius {R} does not fit in the domain {domain}")
+    centers = _mesh([lo + R + 2.0 * R * np.arange(n)
+                     for (lo, _), n in zip(domain, counts)])
     return [(tuple(ctr), R) for ctr in centers]
 
 
@@ -275,13 +302,18 @@ def _refine_cells(domain, radius_field, dim):
 
 
 def _split_cell(center, h, dim):
-    center = np.asarray(center, dtype=float)
-    half = h / 2.0
-    out = []
-    for signs in np.ndindex(*(2,) * dim):
-        offset = np.array([half if s else -half for s in signs])
-        out.append((tuple(center + offset), half))
-    return out
+    center, half = np.asarray(center, dtype=float), h / 2.0
+    return [(tuple(center + np.array([half if s else -half for s in signs])), half)
+            for signs in np.ndindex(*(2,) * dim)]
+
+
+def _mesh(axes) -> np.ndarray:
+    """Every point of the grid spanned by ``axes``, one per row."""
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
+def _box_samples(domain, samples_per_axis: int) -> np.ndarray:
+    return _mesh([np.linspace(lo, hi, samples_per_axis) for lo, hi in domain])
 
 
 def verify_ensemble(ensemble: Ensemble, samples_per_axis: int = 17) -> dict:
@@ -290,49 +322,27 @@ def verify_ensemble(ensemble: Ensemble, samples_per_axis: int = 17) -> dict:
     Returns ``max_overlap`` (positive means interiors intersect) and
     ``max_coverage_ratio`` (the least c that would cover the sampled box).
     """
-    centers = np.array([r.center for r in ensemble.roundels])
-    radii = np.array([r.R for r in ensemble.roundels])
-    n = len(centers)
-    max_overlap = -math.inf
-    chunk = 1024
-    for start in range(0, n, chunk):
-        cb, rb = centers[start:start + chunk], radii[start:start + chunk]
-        dist = np.sqrt(np.sum((cb[:, None, :] - centers[None, :, :]) ** 2,
-                              axis=-1))
-        gap = (rb[:, None] + radii[None, :]) - dist
-        rows = np.arange(start, min(start + chunk, n))
-        gap[rows - start, rows] = -np.inf
-        max_overlap = max(max_overlap, float(gap.max()))
-    if n == 1:
-        max_overlap = 0.0
-
-    axes = [np.linspace(lo, hi, samples_per_axis) for lo, hi in ensemble.domain]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    max_cov = 0.0
-    for start in range(0, len(pts), chunk):
-        block = pts[start:start + chunk]
-        d = np.sqrt(np.sum((block[:, None, :] - centers[None, :, :]) ** 2,
-                           axis=-1))
-        ratio = np.abs(d - radii[None, :]) / radii[None, :]
-        max_cov = max(max_cov, float(ratio.min(axis=1).max()))
-    return {"max_overlap": max_overlap, "max_coverage_ratio": max_cov}
+    centers, radii = _centers_radii(ensemble.roundels)
+    clearance = _least(
+        centers, centers, radii,
+        lambda i, j, d: np.where(i == j, np.inf, d - (radii[i] + radii[j])),
+        lambda far: far - (radii + radii.max()))
+    # 0 - x rather than -x, so that a touching pair reads 0.0, not -0.0
+    max_overlap = float((0.0 - clearance).max()) if len(centers) > 1 else 0.0
+    ratio = _least(_box_samples(ensemble.domain, samples_per_axis), centers, radii,
+                   lambda i, j, d: np.abs(d - radii[j]) / radii[j],
+                   lambda far: far / radii.max() - 1.0)
+    return {"max_overlap": max_overlap,
+            "max_coverage_ratio": float(ratio.max(initial=0.0))}
 
 
 def boundary_fill_distance(ensemble: Ensemble, samples_per_axis: int = 33) -> float:
     """Greatest distance from a sampled box point to the union of boundaries."""
-    centers = np.array([r.center for r in ensemble.roundels])
-    radii = np.array([r.R for r in ensemble.roundels])
-    axes = [np.linspace(lo, hi, samples_per_axis) for lo, hi in ensemble.domain]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    worst = 0.0
-    for start in range(0, len(pts), 1024):
-        block = pts[start:start + 1024]
-        d = np.sqrt(np.sum((block[:, None, :] - centers[None, :, :]) ** 2,
-                           axis=-1))
-        worst = max(worst, float(np.abs(d - radii[None, :]).min(axis=1).max()))
-    return worst
+    centers, radii = _centers_radii(ensemble.roundels)
+    gap = _least(_box_samples(ensemble.domain, samples_per_axis), centers, radii,
+                 lambda i, j, d: np.abs(d - radii[j]),
+                 lambda far: far - radii.max())
+    return float(gap.max(initial=0.0))
 
 
 def assign_boundary_point(point, candidates: Sequence[Roundel]) -> int:
@@ -345,7 +355,7 @@ def assign_boundary_point(point, candidates: Sequence[Roundel]) -> int:
         raise ValueError("need at least one candidate roundel")
     point = tuple(float(p) for p in point)
     for r in candidates:
-        if abs(_dist(point, r.center) - r.R) > _BOUNDARY_TOL:
+        if abs(math.dist(point, r.center) - r.R) > _BOUNDARY_TOL:
             raise NotOnBoundary(
                 f"point {point} is off the boundary of roundel {r.id}")
     return min(candidates, key=lambda r: r.center).id
@@ -361,24 +371,16 @@ def partition_regions(ensemble: Ensemble, regions_per_axis: int) -> Ensemble:
         raise ValueError("regions_per_axis must be >= 1")
     los = np.array([lo for lo, _ in ensemble.domain])
     his = np.array([hi for _, hi in ensemble.domain])
-    span = his - los
-
-    def region_index(point) -> int:
-        frac = (np.asarray(point) - los) / span
-        cell = np.clip((frac * regions_per_axis).astype(int), 0,
-                       regions_per_axis - 1)
-        flat = 0
-        for c in cell:
-            flat = flat * regions_per_axis + int(c)
-        return flat
-
-    assignment = {r.id: region_index(r.center) for r in ensemble.roundels}
+    frac = (_centers_radii(ensemble.roundels)[0] - los) / (his - los)
+    cell = np.clip((frac * regions_per_axis).astype(int), 0, regions_per_axis - 1)
+    flat = np.ravel_multi_index(cell.T, (regions_per_axis,) * len(los))
+    assignment = dict(zip((r.id for r in ensemble.roundels), flat.tolist()))
     grouped: dict[int, set[int]] = {}
     for rid, region in assignment.items():
         grouped.setdefault(region, set()).add(rid)
     regions = tuple(Region(id=region, roundel_ids=frozenset(ids))
                     for region, ids in sorted(grouped.items()))
-    boundary = tuple(replace(bp, region=assignment[bp.owner])
+    boundary = tuple(BoundaryPoint(bp.point, bp.owner, assignment[bp.owner])
                      for bp in ensemble.boundary)
     return replace(ensemble, regions=regions, boundary=boundary)
 
@@ -474,6 +476,7 @@ def scaling_sweep(template: BohrInput, radii: Sequence[float], T: float,
 
     expected = dict(SCALING_EXPONENTS)
     expected["nl"] = -float(dim)
+    expected["eBa"] = 1.0 - dim  # eBa = nl*f ~ R**-dim * R
     slopes = {}
     rv = np.array([r.R for r in rows])
     for name in expected:

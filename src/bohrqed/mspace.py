@@ -11,11 +11,9 @@ field constant on an orbit circle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .algebra import LorentzTransform
 
 __all__ = [
     "LPoint",
@@ -104,7 +102,6 @@ class RoundelSpec:
     center: LPoint
     R: float
     kind: str = "pure"  # "pure" | "superposition"
-    frame: LorentzTransform = field(default_factory=LorentzTransform.identity)
 
     def __post_init__(self):
         if self.R <= 0:

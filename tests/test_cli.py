@@ -106,6 +106,14 @@ class TestTile:
         assert rc == 3
         assert "domain error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["pure", "superposition"])
+    def test_radius_wider_than_side_exit_3(self, tmp_path, capsys, kind):
+        rc = main(["tile", "--out", str(tmp_path), "--kind", kind,
+                   "--radius", "0.6"])
+        assert rc == 3
+        assert "InfeasibleCoverage" in capsys.readouterr().err
+        assert not (tmp_path / "boundary_points.csv").exists()
+
     def test_seeded_boundary_deterministic(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bohrqed.bohr import BohrInput, solve_bohr
 from bohrqed.ensemble import (
+    Ensemble,
     InfeasibleCoverage,
     NotOnBoundary,
+    Region,
     Roundel,
+    _boundary_samples,
+    _owners_of,
     assign_boundary_point,
     boundary_fill_distance,
     count_interactions,
@@ -58,6 +63,14 @@ class TestTile:
         stats = verify_ensemble(ens)
         assert stats["max_overlap"] <= 1e-12
         assert stats["max_coverage_ratio"] <= ens.c
+
+    def test_radius_wider_than_domain_is_infeasible(self):
+        with pytest.raises(InfeasibleCoverage):
+            tile([(0, 1)] * 2, 0.6)
+        with pytest.raises(InfeasibleCoverage):
+            tile([(0.0, 2.0), (0.0, 1.0)], 0.6)
+        with pytest.raises(InfeasibleCoverage):
+            tile(UNIT_CUBE, 0.75, kind="superposition")
 
     def test_radius_field_needs_square_domain(self):
         with pytest.raises(ValueError):
@@ -199,6 +212,15 @@ class TestScalingSweep:
                 expected, abs=0.02), name
         assert not res.low_confidence
 
+    def test_superposition_expected_exponents(self):
+        template = BohrInput(e=1.0, f=-0.01, n=1, m=1.0)
+        radii = np.geomspace(1e-3, 1e-1, 9)
+        res = scaling_sweep(template, radii, T=10.0, kind="superposition")
+        for name, expected in res.expected.items():
+            assert res.slopes[name].slope == pytest.approx(
+                expected, abs=0.02), name
+        assert not res.low_confidence
+
     def test_superposition_interaction_slope(self):
         template = BohrInput(e=1.0, f=-0.01, n=1, m=1.0)
         radii = np.geomspace(1e-3, 1e-1, 7)
@@ -242,3 +264,171 @@ def test_randomized_tilings_hold_invariants():
         stats = verify_ensemble(ens, samples_per_axis=9)
         assert stats["max_overlap"] <= 1e-12
         assert stats["max_coverage_ratio"] <= ens.c
+
+
+# ---------------------------------------------------------------------------
+# The cell-list geometry against the all-pairs search it replaced
+# ---------------------------------------------------------------------------
+
+def _all_pairs_owners(points, roundels, chunk=2048):
+    centers = np.array([r.center for r in roundels])
+    radii = np.array([r.R for r in roundels])
+    ids = np.array([r.id for r in roundels])
+    order = np.lexsort(centers.T[::-1])
+    ranks = np.empty(len(roundels), dtype=int)
+    ranks[order] = np.arange(len(roundels))
+    owners = np.empty(len(points), dtype=int)
+    for start in range(0, len(points), chunk):
+        block = points[start:start + chunk]
+        d = np.sqrt(np.sum((block[:, None, :] - centers[None, :, :]) ** 2,
+                           axis=-1))
+        on = np.abs(d - radii[None, :]) <= 1e-9
+        assert on.any(axis=1).all()
+        ranked = np.where(on, ranks[None, :], np.iinfo(int).max)
+        owners[start:start + chunk] = ids[np.argmin(ranked, axis=1)]
+    return owners
+
+
+def _box_points(domain, samples_per_axis):
+    axes = [np.linspace(lo, hi, samples_per_axis) for lo, hi in domain]
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def _all_pairs_verify(ensemble, samples_per_axis=17, chunk=1024):
+    centers = np.array([r.center for r in ensemble.roundels])
+    radii = np.array([r.R for r in ensemble.roundels])
+    n = len(centers)
+    max_overlap = -math.inf
+    for start in range(0, n, chunk):
+        cb, rb = centers[start:start + chunk], radii[start:start + chunk]
+        dist = np.sqrt(np.sum((cb[:, None, :] - centers[None, :, :]) ** 2,
+                              axis=-1))
+        gap = (rb[:, None] + radii[None, :]) - dist
+        rows = np.arange(start, min(start + chunk, n))
+        gap[rows - start, rows] = -np.inf
+        max_overlap = max(max_overlap, float(gap.max()))
+    if n == 1:
+        max_overlap = 0.0
+    pts = _box_points(ensemble.domain, samples_per_axis)
+    max_cov = 0.0
+    for start in range(0, len(pts), chunk):
+        block = pts[start:start + chunk]
+        d = np.sqrt(np.sum((block[:, None, :] - centers[None, :, :]) ** 2,
+                           axis=-1))
+        ratio = np.abs(d - radii[None, :]) / radii[None, :]
+        max_cov = max(max_cov, float(ratio.min(axis=1).max()))
+    return {"max_overlap": max_overlap, "max_coverage_ratio": max_cov}
+
+
+def _all_pairs_fill(ensemble, samples_per_axis=33):
+    centers = np.array([r.center for r in ensemble.roundels])
+    radii = np.array([r.R for r in ensemble.roundels])
+    pts = _box_points(ensemble.domain, samples_per_axis)
+    d = np.sqrt(np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=-1))
+    return float(np.abs(d - radii[None, :]).min(axis=1).max())
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def assert_matches_all_pairs(ens, samples_per_axis=17):
+    points = np.array([bp.point for bp in ens.boundary])
+    if len(points):
+        assert ([bp.owner for bp in ens.boundary]
+                == _all_pairs_owners(points, ens.roundels).tolist())
+    got = verify_ensemble(ens, samples_per_axis)
+    want = _all_pairs_verify(ens, samples_per_axis)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert _same_bits(got[key], want[key]), (key, got[key], want[key])
+    assert _same_bits(boundary_fill_distance(ens, samples_per_axis),
+                      _all_pairs_fill(ens, samples_per_axis))
+
+
+class TestCellListOracle:
+    @pytest.mark.parametrize("kind,R", [
+        ("pure", 0.25), ("pure", 0.05), ("pure", 0.02),
+        ("superposition", 0.25), ("superposition", 1.0 / 12.0)])
+    def test_grid_tilings(self, kind, R):
+        dim = 2 if kind == "pure" else 3
+        assert_matches_all_pairs(tile([(0.0, 1.0)] * dim, R, kind=kind, seed=3,
+                                      verify=False))
+
+    @pytest.mark.parametrize("R", [0.007, 0.3, 0.45])
+    def test_non_dividing_radii(self, R):
+        # strips the roundels leave uncovered along the far walls; the one
+        # sample per roundel sits where it touches its right neighbour
+        assert_matches_all_pairs(tile(UNIT_SQUARE, R, boundary_samples=1,
+                                      verify=False))
+
+    def test_non_dividing_superposition(self):
+        assert_matches_all_pairs(tile(UNIT_CUBE, 0.07, kind="superposition",
+                                      verify=False), samples_per_axis=9)
+
+    @pytest.mark.parametrize("field", [
+        lambda p: 0.08 + 0.2 * p[0],
+        lambda p: 0.01 + 0.3 * p[0] * p[1],  # clipped to max_ratio = 4
+    ])
+    def test_quadtree(self, field):
+        ens = tile(UNIT_SQUARE, field, verify=False)
+        radii = {r.R for r in ens.roundels}
+        assert 1 < max(radii) / min(radii) <= 4.0
+        assert_matches_all_pairs(ens)
+
+    def test_octree(self):
+        ens = tile(UNIT_CUBE, lambda p: 0.05 + 0.2 * p[2], kind="superposition",
+                   seed=2, verify=False)
+        assert_matches_all_pairs(ens, samples_per_axis=9)
+
+    @pytest.mark.parametrize("kind", ["pure", "superposition"])
+    def test_single_roundel(self, kind):
+        dim = 2 if kind == "pure" else 3
+        ens = tile([(0.0, 1.0)] * dim, 0.5, kind=kind, verify=False)
+        assert len(ens.roundels) == 1
+        assert_matches_all_pairs(ens)
+
+    def test_partitioned(self):
+        ens = partition_regions(tile(UNIT_SQUARE, 0.03, verify=False), 3)
+        assert len(ens.regions) == 9
+        assert_matches_all_pairs(ens)
+
+    def test_off_origin_rectangle(self):
+        assert_matches_all_pairs(tile([(-3.0, -1.0), (2.0, 4.5)], 0.13,
+                                      verify=False))
+
+    @given(kind=st.sampled_from(["pure", "superposition"]),
+           side=st.floats(0.1, 10.0),
+           per_axis=st.integers(1, 10),
+           shrink=st.floats(0.6, 1.0),
+           seed=st.integers(0, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_random_radii_and_sides(self, kind, side, per_axis, shrink, seed):
+        dim = 2 if kind == "pure" else 3
+        if dim == 3:
+            per_axis = min(per_axis, 5)
+        R = side / (2.0 * per_axis) * shrink
+        ens = tile([(0.0, side)] * dim, R, kind=kind, seed=seed,
+                   boundary_samples=4, verify=False)
+        assert_matches_all_pairs(ens, samples_per_axis=9)
+
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 40),
+           dim=st.sampled_from([2, 3]), spread=st.floats(0.5, 50.0))
+    @settings(max_examples=40, deadline=None)
+    def test_scattered_roundels(self, seed, count, dim, spread):
+        # overlapping, isolated and far-flung roundels: most sample points
+        # have no candidate nearby, so the search widens to every roundel
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(0.0, spread, (count, dim))
+        radii = rng.uniform(0.02, 1.0, count)
+        roundels = tuple(Roundel(id=i, center=tuple(c), R=float(R))
+                         for i, (c, R) in enumerate(zip(centers, radii)))
+        ens = Ensemble(roundels=roundels,
+                       regions=(Region(id=0, roundel_ids=frozenset(range(count))),),
+                       kind="pure" if dim == 2 else "superposition", c=1.0,
+                       boundary=(), domain=((0.0, spread),) * dim)
+        assert_matches_all_pairs(ens, samples_per_axis=7)
+        points = _boundary_samples(centers, radii, ens.kind, 6, seed % 7)
+        assert (_owners_of(points, roundels).tolist()
+                == _all_pairs_owners(points, roundels).tolist())

@@ -44,9 +44,6 @@ __all__ = [
     "bq_to_vec4",
 ]
 
-_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class Biquaternion:
     """Quaternion with complex coefficients of ``1, i1, i2, i3``."""
@@ -123,9 +120,6 @@ class Biquaternion:
 
     def vector_part(self) -> "Biquaternion":
         return Biquaternion(0, self.x, self.y, self.z)
-
-    def isclose(self, other: "Biquaternion", tol: float = _TOL) -> bool:
-        return (self - _coerce(other)).frobenius() <= tol
 
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z], dtype=complex)
@@ -295,9 +289,6 @@ class LorentzTransform:
         ga = self.g.as_array()
         gd = self.g.dagger().as_array()
         return bq_mul_arr(bq_mul_arr(ga, values), gd)
-
-    def is_identity(self, tol: float = _TOL) -> bool:
-        return self.g.isclose(ONE, tol) or self.g.isclose(-ONE, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,18 +41,3 @@ def fit_loglog(xs, ys) -> PowerFit:
     return PowerFit(slope=float(slope), intercept=float(intercept),
                     n_points=len(xs), span_decades=span, low_confidence=low)
 
-
-def observed_order(spacings, residuals) -> float:
-    """Convergence order: slope of residual against spacing in log-log."""
-    fit = fit_loglog(spacings, residuals)
-    return fit.slope
-
-
-def pairwise_orders(spacings, residuals) -> list[float]:
-    """log2 refinement ratios for successive spacing halvings."""
-    out = []
-    for i in range(len(spacings) - 1):
-        hr = spacings[i] / spacings[i + 1]
-        rr = residuals[i] / residuals[i + 1]
-        out.append(math.log(rr) / math.log(hr))
-    return out

@@ -12,7 +12,9 @@ available for convergence studies.
 Field values are biquaternions stored as ``(*extent, 4)`` complex
 arrays; wave functions are reflector pairs ``(phi1, phi2)``.  The
 first-order operator is ``D = i d0 + i1 d1 + i2 d2 + i3 d3`` and ``D‡``
-flips the sign of the spatial basis elements.
+flips the sign of the spatial basis elements.  Residuals are computed
+on interior arrays (the sites with a full stencil) by one difference
+kernel; basis units act by signed permutation (times ``i`` on time).
 """
 
 from __future__ import annotations
@@ -103,6 +105,19 @@ class HypercubicLattice:
                            indexing="ij")
 
 
+def _field_values(values, lattice: HypercubicLattice, name: str) -> np.ndarray:
+    """A read-only complex copy of ``values``, which must be finite and of
+    shape ``(*extent, 4)``: fields are immutable snapshots."""
+    vals = np.array(values, dtype=complex)
+    if vals.shape != lattice.extent + (4,):
+        raise ValueError(f"{name} shape {vals.shape} does not match lattice "
+                         f"extent {lattice.extent} + (4,)")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"{name} values must be finite")
+    vals.setflags(write=False)
+    return vals
+
+
 @dataclass(frozen=True, eq=False)
 class LatticeField:
     """Biquaternion-valued field: ``values`` has shape ``(*extent, 4)``."""
@@ -112,15 +127,8 @@ class LatticeField:
     label: str = "field"
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=complex)
-        if vals.shape != self.lattice.extent + (4,):
-            raise ValueError(
-                f"values shape {vals.shape} does not match lattice extent "
-                f"{self.lattice.extent} + (4,)")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
-        vals.setflags(write=False)  # fields are immutable snapshots
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values",
+                           _field_values(self.values, self.lattice, "field"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,11 +141,8 @@ class ReflectorField:
 
     def __post_init__(self):
         for name in ("phi1", "phi2"):
-            vals = np.array(getattr(self, name), dtype=complex)
-            if vals.shape != self.lattice.extent + (4,):
-                raise ValueError(f"{name} shape does not match lattice")
-            vals.setflags(write=False)
-            object.__setattr__(self, name, vals)
+            object.__setattr__(self, name, _field_values(
+                getattr(self, name), self.lattice, name))
 
 
 @dataclass(frozen=True)
@@ -202,15 +207,9 @@ def build_lattices(a: float, R_k: float, extent, Z: LorentzTransform,
                               frame="compromise")
     lat_p = HypercubicLattice(spacing=a, extent=lat_k.extent, origin=origin,
                               frame="snapshot")
-    center = tuple(e // 2 for e in lat_k.extent)
-    neighbors = []
-    for axis in range(4):
-        for step in (-1, +1):
-            idx = list(center)
-            idx[axis] += step
-            if not 0 <= idx[axis] < lat_k.extent[axis]:
-                raise BoundarySite("center site must have all axis neighbors")
-            neighbors.append(tuple(idx))
+    center = tuple(e // 2 for e in lat_k.extent)  # extents >= 3: all neighbors exist
+    neighbors = [tuple(c + step * (ax == axis) for ax, c in enumerate(center))
+                 for axis in range(4) for step in (-1, +1)]
     binding = RegionBinding(region_id=region_id, R_k=R_k, a=a, Z=Z,
                             lattice_k=lat_k, lattice_p=lat_p,
                             center_index=center,
@@ -222,42 +221,103 @@ def build_lattices(a: float, R_k: float, extent, Z: LorentzTransform,
 # Discrete differentials
 # ---------------------------------------------------------------------------
 
-def _slices(axis: int, sel: slice) -> tuple:
-    idx = [slice(None)] * 5
-    idx[axis] = sel
-    return tuple(idx)
+#: Sites without a full stencil at the low and high end of every axis.
+_FIRST_ORDER = {"backward": (1, 0), "forward": (0, 1), "central": (1, 1)}
+_WAVE_ORDER = {"composed": (1, 1), "onesided": (2, 0)}
+_MODES = {**_FIRST_ORDER, **_WAVE_ORDER}
 
 
-def _first_diff(values: np.ndarray, axis: int, step: float,
-                mode: str) -> np.ndarray:
-    """Sitewise first difference; entries without a stencil are NaN."""
-    out = np.full_like(values, np.nan + 0j)
-    if mode == "backward":
-        out[_slices(axis, slice(1, None))] = (
-            values[_slices(axis, slice(1, None))]
-            - values[_slices(axis, slice(None, -1))]) / step
-    elif mode == "forward":
-        out[_slices(axis, slice(None, -1))] = (
-            values[_slices(axis, slice(1, None))]
-            - values[_slices(axis, slice(None, -1))]) / step
-    elif mode == "central":
-        out[_slices(axis, slice(1, -1))] = (
-            values[_slices(axis, slice(2, None))]
-            - values[_slices(axis, slice(None, -2))]) / (2.0 * step)
-    else:
+def _interior(shape, mode: str, modes=_MODES) -> tuple[slice, ...]:
+    """The box of sites where ``mode``, one of ``modes``, has a full stencil."""
+    if mode not in modes:
         raise ValueError(f"unknown difference mode {mode!r}")
-    return out
+    lo, hi = modes[mode]
+    return tuple(slice(lo, n - hi) for n in shape[:4])
 
 
-def _margins(mode: str) -> tuple[int, int]:
-    return {"backward": (1, 0), "forward": (0, 1), "central": (1, 1),
-            "composed": (1, 1), "onesided": (2, 0)}[mode]
+def _shifted(box: tuple[slice, ...], axis: int, offset: int) -> tuple[slice, ...]:
+    moved = slice(box[axis].start + offset, box[axis].stop + offset)
+    return box[:axis] + (moved,) + box[axis + 1:]
 
 
 def interior_view(values: np.ndarray, mode: str) -> np.ndarray:
-    lo, hi = _margins(mode)
-    idx = tuple(slice(lo, values.shape[ax] - hi) for ax in range(4))
-    return values[idx]
+    return values[_interior(values.shape, mode)]
+
+
+def _stencil(values: np.ndarray, axis: int, step: float, mode: str,
+             box) -> np.ndarray:
+    """The ``mode`` difference along ``axis`` on ``box``, reading only the
+    box and its shifts along ``axis``; ``composed`` is backward then
+    forward (the 3-point stencil), ``onesided`` backward twice."""
+    def at(offset):
+        return values[_shifted(box, axis, offset)]
+
+    if mode == "backward":
+        return (at(0) - at(-1)) / step
+    if mode == "forward":
+        return (at(1) - at(0)) / step
+    if mode == "central":
+        return (at(1) - at(-1)) / (2.0 * step)
+    if mode == "composed":
+        return (at(1) - 2.0 * at(0) + at(-1)) / step ** 2
+    return (at(0) - 2.0 * at(-1) + at(-2)) / step ** 2  # onesided
+
+
+def _left_mul(c: Biquaternion, b: np.ndarray) -> list:
+    """The four components of ``c * b`` for a constant ``c``.
+
+    Term for term as :func:`bq_mul_arr`, whose component k sums over the
+    components i of ``c`` in turn, each times ``b[..., i ^ k]`` with the
+    signed coefficient ``(c * unit[i ^ k])[k]``.  Zero coefficients are
+    skipped and ±1 become an add or a subtract, so a basis unit acts by
+    signed permutation (times ``1j`` for ``I0``) and every value equals
+    ``bq_mul_arr``'s up to the sign of zero.
+    """
+    columns = [(c * unit).as_array() for unit in (Biquaternion(1), *BASIS[1:])]
+    comps = []
+    for k in range(4):
+        acc = None
+        for i in range(4):
+            coef, part = columns[i ^ k][k], b[..., i ^ k]
+            if coef == 0:
+                continue
+            term, add = (part, coef == 1) if coef in (1, -1) else (coef * part, True)
+            if acc is None:
+                acc = term if add else -term
+            else:
+                acc = acc + term if add else acc - term
+        comps.append(0 if acc is None else acc)  # 0: c has no such term
+    return comps
+
+
+def _dirac(values: np.ndarray, step: float, mode: str, box, dagger: bool = False,
+           basis: Sequence[Biquaternion] | None = None) -> np.ndarray:
+    """``sum_mu basis[mu] * d_mu values`` on ``box``, axis terms in order."""
+    basis = [b.quat_conj() if dagger else b for b in BASIS] if basis is None else basis
+    out = np.zeros(values[box].shape, dtype=complex)
+    for mu in range(4):
+        diff = _stencil(values, mu, step, mode, box)
+        for k, comp in enumerate(_left_mul(basis[mu], diff)):
+            out[..., k] += comp
+    return out
+
+
+def _wave(values: np.ndarray, step: float, mode: str, box) -> np.ndarray:
+    """``-d0² + d1² + d2² + d3²`` of ``values`` on ``box``."""
+    out = -_stencil(values, 0, step, mode, box)
+    for mu in range(1, 4):
+        out += _stencil(values, mu, step, mode, box)
+    return out
+
+
+def _site_box(site, extent, mode: str, axes) -> tuple[slice, ...]:
+    """The box of ``site``, which needs the stencil's neighbors along ``axes``."""
+    inner = _interior(extent, mode, _FIRST_ORDER)
+    site = tuple(int(s) for s in site)
+    for ax, (s, n) in enumerate(zip(site, extent, strict=True)):
+        if s not in range(n)[inner[ax] if ax in axes else slice(None)]:
+            raise BoundarySite(f"site {site} lacks axis-{ax} neighbors ({mode})")
+    return tuple(slice(s, s + 1) for s in site)
 
 
 def discrete_partial(field: LatticeField, site, mu: int,
@@ -267,13 +327,9 @@ def discrete_partial(field: LatticeField, site, mu: int,
     Backward by default: ``(A_k - A_{k-mu}) / (2*spacing)``; a central
     mode is available for convergence studies.
     """
-    site = tuple(int(s) for s in site)
-    lo, hi = _margins(mode)
-    if not (lo <= site[mu] < field.lattice.extent[mu] - hi):
-        raise BoundarySite(
-            f"site {site} lacks the axis-{mu} neighbor for mode {mode!r}")
-    diff = _first_diff(field.values, mu, field.lattice.step, mode)
-    return Biquaternion.from_array(diff[site])
+    box = _site_box(site, field.lattice.extent, mode, axes=(mu,))
+    diff = _stencil(field.values, mu, field.lattice.step, mode, box)
+    return Biquaternion.from_array(diff[0, 0, 0, 0])
 
 
 def dirac_apply_values(values: np.ndarray, lattice: HypercubicLattice,
@@ -281,54 +337,32 @@ def dirac_apply_values(values: np.ndarray, lattice: HypercubicLattice,
                        basis: Sequence[Biquaternion] | None = None,
                        ) -> np.ndarray:
     """Apply ``D`` (or ``D‡``) to raw field values; NaN outside the stencil."""
-    if basis is None:
-        basis = [BASIS[mu].quat_conj() if dagger else BASIS[mu]
-                 for mu in range(4)]
-    out = np.zeros(values.shape, dtype=complex)
-    for mu in range(4):
-        diff = _first_diff(values, mu, lattice.step, mode)
-        out = out + bq_mul_arr(basis[mu].as_array(), diff)
+    box = _interior(values.shape, mode, _FIRST_ORDER)
+    out = np.full(values.shape, np.nan + 0j)
+    out[box] = _dirac(values, lattice.step, mode, box, dagger, basis)
     return out
 
 
 def discrete_dirac_apply(field: LatticeField, site, mode: str = "backward",
                          dagger: bool = False) -> Biquaternion:
     """``sum_mu i_mu * d_mu`` of the field at one site."""
-    site = tuple(int(s) for s in site)
-    lo, hi = _margins(mode)
-    for mu in range(4):
-        if not (lo <= site[mu] < field.lattice.extent[mu] - hi):
-            raise BoundarySite(f"site {site} is not interior for mode {mode!r}")
-    applied = dirac_apply_values(field.values, field.lattice, dagger=dagger,
-                                 mode=mode)
-    return Biquaternion.from_array(applied[site])
+    box = _site_box(site, field.lattice.extent, mode, axes=range(4))
+    applied = _dirac(field.values, field.lattice.step, mode, box, dagger)
+    return Biquaternion.from_array(applied[0, 0, 0, 0])
 
 
 def wave_apply(values: np.ndarray, lattice: HypercubicLattice,
                mode: str = "composed") -> np.ndarray:
-    """The scalar second-order operator ``-d0² + d1² + d2² + d3²``.
+    """The scalar second-order operator ``-d0² + d1² + d2² + d3²``; NaN
+    outside the stencil.
 
     ``composed`` pairs a backward with a forward difference per axis
     (the 3-point stencil); ``onesided`` repeats the backward difference,
     which is the fully one-sided variant.
     """
-    h2 = lattice.step ** 2
-    out = np.zeros(values.shape, dtype=complex)
-    for mu in range(4):
-        second = np.full_like(values, np.nan + 0j)
-        if mode == "composed":
-            second[_slices(mu, slice(1, -1))] = (
-                values[_slices(mu, slice(2, None))]
-                - 2.0 * values[_slices(mu, slice(1, -1))]
-                + values[_slices(mu, slice(None, -2))]) / h2
-        elif mode == "onesided":
-            second[_slices(mu, slice(2, None))] = (
-                values[_slices(mu, slice(2, None))]
-                - 2.0 * values[_slices(mu, slice(1, -1))]
-                + values[_slices(mu, slice(None, -2))]) / h2
-        else:
-            raise ValueError(f"unknown wave mode {mode!r}")
-        out = out + (-second if mu == 0 else second)
+    box = _interior(values.shape, mode, _WAVE_ORDER)
+    out = np.full(values.shape, np.nan + 0j)
+    out[box] = _wave(values, lattice.step, mode, box)
     return out
 
 
@@ -341,9 +375,10 @@ class ResidualReport:
     max_residual: float
     field_scale: float
 
-    @property
-    def relative(self) -> float:
-        return self.max_residual / self.field_scale if self.field_scale else 0.0
+
+def _max_norm(values: np.ndarray) -> float:
+    """Largest sitewise Frobenius magnitude; NaN if any site is NaN."""
+    return float(np.max(bq_frobenius_arr(values)))
 
 
 def photon_residual(A: LatticeField, J: LatticeField, mode: str = "composed",
@@ -358,23 +393,19 @@ def photon_residual(A: LatticeField, J: LatticeField, mode: str = "composed",
     """
     if A.lattice != J.lattice:
         raise ValueError("fields must live on the same lattice")
-    lhs = wave_apply(A.values, A.lattice, mode=mode)
-    rhs = J.values
+    box = _interior(A.values.shape, mode, _WAVE_ORDER)
+    lhs = _wave(A.values, A.lattice.step, mode, box)
+    rhs = J.values[box]
     if collocation == "half-point":
-        shifted = np.zeros_like(rhs)
-        for mu in range(4):
-            back = np.full_like(rhs, np.nan + 0j)
-            back[_slices(mu, slice(1, None))] = rhs[_slices(mu, slice(None, -1))]
-            shifted = shifted + back
+        shifted = sum(J.values[_shifted(box, mu, -1)] for mu in range(4))
         rhs = 0.5 * rhs + 0.5 * (shifted / 4.0)
     elif collocation != "site":
         raise ValueError(f"unknown collocation {collocation!r}")
-    resid = bq_frobenius_arr(interior_view(lhs - rhs, mode))
-    scale = float(np.max(bq_frobenius_arr(interior_view(rhs, mode))))
-    scale = max(scale, float(np.max(bq_frobenius_arr(interior_view(lhs, mode)))), 1e-300)
-    if not np.all(np.isfinite(resid)):
+    worst = _max_norm(lhs - rhs)
+    if not math.isfinite(worst):
         raise FloatingPointError("residual contains non-finite interior values")
-    return ResidualReport(max_residual=float(resid.max()), field_scale=scale)
+    return ResidualReport(max_residual=worst, field_scale=max(
+        _max_norm(rhs), _max_norm(lhs), 1e-300))
 
 
 def _potential_entries(A, lattice) -> tuple[np.ndarray, np.ndarray]:
@@ -398,23 +429,19 @@ def dirac_residual(phi: ReflectorField, A, e: float, mass: MassTerm | float,
     """
     m_k = mass.per_region if isinstance(mass, MassTerm) else float(mass)
     a_upper, a_lower = _potential_entries(A, phi.lattice)
-    lat = phi.lattice
-    d_phi2 = dirac_apply_values(phi.phi2, lat, dagger=False, mode=mode)
-    d_phi1 = dirac_apply_values(phi.phi1, lat, dagger=True, mode=mode)
-    im = np.zeros(4, dtype=complex)
-    im[0] = 1j * m_k
-    r11 = d_phi2 - 1j * e * bq_mul_arr(a_upper, phi.phi2) \
-        - bq_mul_arr(phi.phi1, im)
-    r22 = d_phi1 - 1j * e * bq_mul_arr(a_lower, phi.phi1) \
-        + bq_mul_arr(phi.phi2, im)
-    n11 = bq_frobenius_arr(interior_view(r11, mode))
-    n22 = bq_frobenius_arr(interior_view(r22, mode))
-    if not (np.all(np.isfinite(n11)) and np.all(np.isfinite(n22))):
+    box = _interior(phi.phi1.shape, mode, _FIRST_ORDER)
+    phi1, phi2 = phi.phi1[box], phi.phi2[box]
+    r11 = _dirac(phi.phi2, phi.lattice.step, mode, box)
+    r11 -= 1j * e * bq_mul_arr(a_upper[box], phi2)
+    r11 -= phi1 * (1j * m_k)
+    r22 = _dirac(phi.phi1, phi.lattice.step, mode, box, dagger=True)
+    r22 -= 1j * e * bq_mul_arr(a_lower[box], phi1)
+    r22 += phi2 * (1j * m_k)
+    n11, n22 = _max_norm(r11), _max_norm(r22)
+    if not (math.isfinite(n11) and math.isfinite(n22)):
         raise FloatingPointError("residual contains non-finite interior values")
-    scale = max(float(np.max(bq_frobenius_arr(phi.phi1))),
-                float(np.max(bq_frobenius_arr(phi.phi2))), 1e-300)
-    return ResidualReport(max_residual=max(float(n11.max()), float(n22.max())),
-                          field_scale=scale)
+    return ResidualReport(max_residual=max(n11, n22), field_scale=max(
+        _max_norm(phi.phi1), _max_norm(phi.phi2), 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -512,23 +539,19 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
     ``commutation_residual`` measures that identity relative to the
     operator's own scale.
     """
-    lhs_k = wave_apply(A_k.values, binding.lattice_k, mode=mode)
-    resid_k = lhs_k - J_k.values
-    A_p = transform_field("potential", A_k, binding)
-    J_p = transform_field("current", J_k, binding)
-    lhs_p = wave_apply(A_p.values, binding.lattice_p, mode=mode)
-    resid_p = lhs_p - J_p.values
+    box = _interior(A_k.values.shape, mode, _WAVE_ORDER)
+    resid_k = _wave(A_k.values, binding.lattice_k.step, mode, box)
+    resid_k -= J_k.values[box]
+    # the transported fields live only as long as their interiors are read
+    resid_p = _wave(transform_field("potential", A_k, binding).values,
+                    binding.lattice_p.step, mode, box)
+    scale = max(_max_norm(resid_p), 1e-300)
+    resid_p -= transform_field("current", J_k, binding).values[box]
     factor = (binding.R_k / binding.a) ** 3
-    expected_p = factor * binding.Z.apply_array(resid_k)
-    mismatch = bq_frobenius_arr(interior_view(resid_p - expected_p, mode))
-    scale = max(float(np.max(bq_frobenius_arr(interior_view(lhs_p, mode)))),
-                1e-300)
+    mismatch = _max_norm(resid_p - factor * binding.Z.apply_array(resid_k))
     return EquivalenceReport(
-        lk_residual=float(np.max(bq_frobenius_arr(interior_view(resid_k, mode)))),
-        lp_residual=float(np.max(bq_frobenius_arr(interior_view(resid_p, mode)))),
-        commutation_residual=float(mismatch.max()) / scale,
-        scale_factor=factor,
-    )
+        lk_residual=_max_norm(resid_k), lp_residual=_max_norm(resid_p),
+        commutation_residual=mismatch / scale, scale_factor=factor)
 
 
 # ---------------------------------------------------------------------------
@@ -611,20 +634,14 @@ def limit_sweep(p: float, spacings: Sequence[float], n: int = 1,
 # Text serialization
 # ---------------------------------------------------------------------------
 
-def _fmt_complex(c: complex) -> str:
-    return f"{c.real:.17g}{c.imag:+.17g}j"
-
-
 def write_field(path, obj: LatticeField | ReflectorField) -> None:
     """Flat text format: header, then one line per site with the index
     quadruple and the complex components (4 per biquaternion entry)."""
     lattice = obj.lattice
     if isinstance(obj, ReflectorField):
-        kind = "reflector"
-        flat = np.concatenate([obj.phi1, obj.phi2], axis=-1)
+        kind, flat = "reflector", np.concatenate([obj.phi1, obj.phi2], axis=-1)
     else:
-        kind = "biquaternion"
-        flat = obj.values
+        kind, flat = "biquaternion", obj.values
     lines = [
         "bohrqed-field 1",
         f"kind {kind}",
@@ -633,23 +650,26 @@ def write_field(path, obj: LatticeField | ReflectorField) -> None:
         "origin " + " ".join(f"{o:.17g}" for o in lattice.origin),
         f"frame {lattice.frame}",
     ]
-    comps = flat.reshape(-1, flat.shape[-1])
-    for flat_idx, site in enumerate(np.ndindex(*lattice.extent)):
-        row = " ".join(_fmt_complex(c) for c in comps[flat_idx])
-        lines.append(" ".join(str(i) for i in site) + " " + row)
+    width = flat.shape[-1]
+    row = "%d %d %d %d " + " ".join(["%.17g%+.17gj"] * width)
+    sites = np.indices(lattice.extent).reshape(4, -1).T.tolist()
+    parts = flat.reshape(-1, width).view(float).tolist()  # real, imag, ...
+    lines += [row % (*site, *vals) for site, vals in zip(sites, parts)]
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_field(path) -> LatticeField | ReflectorField:
+    """Inverse of :func:`write_field`; ``ValueError`` on a malformed,
+    truncated or incomplete file, naming the first missing site."""
     with open(path) as fh:
         magic = fh.readline().split()
         if magic[:1] != ["bohrqed-field"]:
             raise ValueError("not a field file")
-        header = {}
-        for _ in range(5):
-            key, _, rest = fh.readline().partition(" ")
-            header[key.strip()] = rest.strip()
+        header = dict(fh.readline().strip().partition(" ")[::2] for _ in range(5))
+        missing = {"kind", "spacing", "extent", "origin", "frame"} - header.keys()
+        if missing:
+            raise ValueError(f"truncated header: no {', '.join(sorted(missing))}")
         extent = tuple(int(t) for t in header["extent"].split())
         lattice = HypercubicLattice(
             spacing=float(header["spacing"]), extent=extent,
@@ -657,13 +677,18 @@ def read_field(path) -> LatticeField | ReflectorField:
             frame=header["frame"])
         kind = header["kind"]
         width = 8 if kind == "reflector" else 4
-        data = np.empty(extent + (width,), dtype=complex)
-        for line in fh:
-            toks = line.split()
-            if not toks:
-                continue
-            idx = tuple(int(t) for t in toks[:4])
-            data[idx] = [complex(t) for t in toks[4:4 + width]]
+        rows = np.dtype([("site", np.intp, (4,)), ("values", complex, (width,))])
+        body = fh.read()
+    # loadtxt raises ValueError on a row with the wrong token count
+    table = (np.loadtxt(body.splitlines(), dtype=rows, ndmin=1) if body.strip()
+             else np.empty(0, dtype=rows))
+    flat = np.ravel_multi_index(table["site"].T, extent)  # ValueError outside
+    count = np.bincount(flat, minlength=math.prod(extent))
+    for bad, problem in ((count > 1, "duplicate"), (count == 0, "missing")):
+        if bad.any():
+            site = tuple(int(i) for i in np.unravel_index(bad.argmax(), extent))
+            raise ValueError(f"{problem} site {site} in {path}")
+    data = table["values"][np.argsort(flat)].reshape(extent + (width,))
     if kind == "reflector":
         return ReflectorField(lattice=lattice, phi1=data[..., :4],
                               phi2=data[..., 4:])

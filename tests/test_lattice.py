@@ -1,16 +1,28 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bohrqed.algebra import Biquaternion, I1, LorentzTransform, bq_frobenius_arr
+from bohrqed.algebra import (
+    BASIS,
+    I0,
+    I1,
+    Biquaternion,
+    LorentzTransform,
+    bq_frobenius_arr,
+    bq_mul_arr,
+)
 from bohrqed.bohr import BohrInput, SupercriticalCoupling, solve_bohr
-from bohrqed.fitting import fit_loglog, pairwise_orders
+from bohrqed.fitting import fit_loglog
 from bohrqed.lattice import (
     BoundarySite,
+    EquivalenceReport,
     HypercubicLattice,
     LatticeField,
     ReflectorField,
+    ResidualReport,
     bohr_phi_field,
     bohr_potential_field,
     build_lattices,
@@ -31,6 +43,13 @@ from bohrqed.lattice import (
 )
 
 ALPHA = 1.0 / 137.035999
+
+
+def pairwise_orders(spacings, residuals) -> list[float]:
+    """log2 refinement ratios for successive spacing halvings."""
+    return [math.log(residuals[i] / residuals[i + 1])
+            / math.log(spacings[i] / spacings[i + 1])
+            for i in range(len(spacings) - 1)]
 
 
 def small_lattice(spacing=0.25, extent=(6, 6, 6, 6)):
@@ -68,6 +87,17 @@ class TestLatticeType:
         lat = small_lattice()
         with pytest.raises(ValueError):
             LatticeField(lat, np.zeros((2, 2, 2, 2, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    @pytest.mark.parametrize("entry", ["phi1", "phi2"])
+    def test_reflector_entries_must_be_finite(self, bad, entry):
+        lat = small_lattice(extent=(3, 3, 3, 3))
+        good = np.zeros(lat.extent + (4,), dtype=complex)
+        broken = good.copy()
+        broken[1, 2, 0, 1, 3] = bad
+        entries = {"phi1": good, "phi2": good, entry: broken}
+        with pytest.raises(ValueError, match="finite"):
+            ReflectorField(lat, **entries)
 
 
 class TestDiscretePartial:
@@ -467,21 +497,22 @@ class TestTransformField:
     def test_derivative_covariance(self, Z):
         # first difference of the transported potential equals the
         # transported difference with the extra R/a factor, axis by axis
-        from bohrqed.lattice import _first_diff
         _, latk, binding = build_lattices(a=0.1, R_k=0.2,
                                           extent=(5, 5, 5, 5), Z=Z)
         f = self.make_field(latk, seed=11)
         fp = transform_field("potential", f, binding)
         for mu in range(4):
-            lhs = _first_diff(fp.values, mu, binding.lattice_p.step, "backward")
+            # a basis with a single unit coefficient picks out d_mu
+            axis = [Biquaternion(int(nu == mu)) for nu in range(4)]
+            lhs = dirac_apply_values(fp.values, binding.lattice_p, basis=axis)
             rhs = transform_field(
                 "derivative",
                 LatticeField(latk, np.nan_to_num(
-                    _first_diff(f.values, mu, latk.step, "backward"))),
+                    dirac_apply_values(f.values, latk, basis=axis))),
                 binding).values
             sel = interior_view(lhs - rhs, "backward")
-            scale = np.nanmax(bq_frobenius_arr(interior_view(lhs, "backward")))
-            assert np.nanmax(bq_frobenius_arr(sel)) < 1e-10 * max(scale, 1.0)
+            scale = np.max(bq_frobenius_arr(interior_view(lhs, "backward")))
+            assert np.max(bq_frobenius_arr(sel)) < 1e-10 * max(scale, 1.0)
 
     @pytest.mark.parametrize("Z", [
         LorentzTransform.identity(),
@@ -641,3 +672,439 @@ class TestSerialization:
         p.write_text("hello\n")
         with pytest.raises(ValueError):
             read_field(p)
+
+    def written_lines(self, tmp_path):
+        lat = HypercubicLattice(spacing=0.25, extent=(3, 3, 3, 3))
+        rng = np.random.default_rng(5)
+        vals = rng.normal(size=lat.extent + (4,)) + 0j
+        path = tmp_path / "field.txt"
+        write_field(path, LatticeField(lat, vals))
+        return path, path.read_text().splitlines()
+
+    def test_truncated_file_names_first_missing_site(self, tmp_path):
+        path, lines = self.written_lines(tmp_path)
+        path.write_text("\n".join(lines[:7]) + "\n")  # header and one row
+        with pytest.raises(ValueError, match=r"missing site \(0, 0, 0, 1\)"):
+            read_field(path)
+
+    def test_missing_interior_site(self, tmp_path):
+        path, lines = self.written_lines(tmp_path)
+        del lines[6 + 40]  # site (1, 1, 1, 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"missing site \(1, 1, 1, 1\)"):
+            read_field(path)
+
+    def test_duplicate_site(self, tmp_path):
+        path, lines = self.written_lines(tmp_path)
+        lines[6 + 5] = lines[6 + 4]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"duplicate site \(0, 0, 1, 1\)"):
+            read_field(path)
+
+    def test_site_outside_extent(self, tmp_path):
+        path, lines = self.written_lines(tmp_path)
+        lines[6] = "3" + lines[6][1:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            read_field(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda row: row.rsplit(" ", 1)[0],  # a value short
+        lambda row: row + " 0+0j",  # a value too many
+        lambda row: row[:len(row) // 2],  # cut mid-row
+    ])
+    def test_wrong_token_count(self, tmp_path, edit):
+        path, lines = self.written_lines(tmp_path)
+        lines[6 + 7] = edit(lines[6 + 7])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError):
+            read_field(path)
+
+    def test_truncated_header(self, tmp_path):
+        path, lines = self.written_lines(tmp_path)
+        path.write_text("\n".join(lines[:3]) + "\n")
+        with pytest.raises(ValueError, match="header"):
+            read_field(path)
+
+
+def _write_field_per_value(path, obj):
+    """The field writer as it was before it was vectorized: one f-string
+    per complex value.  Kept as the byte-level reference."""
+    lattice = obj.lattice
+    if isinstance(obj, ReflectorField):
+        kind, flat = "reflector", np.concatenate([obj.phi1, obj.phi2], axis=-1)
+    else:
+        kind, flat = "biquaternion", obj.values
+    lines = [
+        "bohrqed-field 1",
+        f"kind {kind}",
+        f"spacing {lattice.spacing:.17g}",
+        "extent " + " ".join(str(e) for e in lattice.extent),
+        "origin " + " ".join(f"{o:.17g}" for o in lattice.origin),
+        f"frame {lattice.frame}",
+    ]
+    comps = flat.reshape(-1, flat.shape[-1])
+    for flat_idx, site in enumerate(np.ndindex(*lattice.extent)):
+        row = " ".join(f"{c.real:.17g}{c.imag:+.17g}j" for c in comps[flat_idx])
+        lines.append(" ".join(str(i) for i in site) + " " + row)
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+#: Doubles the text format must carry exactly: signed zeros, subnormals,
+#: the extremes of the normal range and values near 1e+-300.
+EDGE_DOUBLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     2.2250738585072014e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 1e300, -1e-300]),
+    st.floats(min_value=1e-310, max_value=1e-300),
+    st.floats(min_value=-1e300, max_value=-1e290),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestFieldTextRoundTrip:
+    @given(pool=st.lists(EDGE_DOUBLES, min_size=1, max_size=40),
+           seed=st.integers(0, 2**32 - 1), reflector=st.booleans(),
+           extent=st.tuples(*[st.integers(3, 4)] * 4),
+           spacing=st.floats(min_value=1e-300, max_value=1e300),
+           origin=st.tuples(*[EDGE_DOUBLES] * 4))
+    @settings(max_examples=40, deadline=None)
+    def test_bytes_and_values(self, tmp_path_factory, pool, seed, reflector,
+                              extent, spacing, origin):
+        # every real and imaginary part is drawn from the pool
+        lat = HypercubicLattice(spacing=spacing, extent=extent, origin=origin)
+        shape = lat.extent + ((8,) if reflector else (4,))
+        parts = np.random.default_rng(seed).choice(
+            np.array(pool), size=2 * math.prod(shape))
+        vals = parts.view(complex).reshape(shape)
+        obj = (ReflectorField(lat, vals[..., :4], vals[..., 4:]) if reflector
+               else LatticeField(lat, vals))
+        tmp = tmp_path_factory.mktemp("roundtrip")
+        write_field(tmp / "new.txt", obj)
+        _write_field_per_value(tmp / "old.txt", obj)
+        assert (tmp / "new.txt").read_bytes() == (tmp / "old.txt").read_bytes()
+        back = read_field(tmp / "new.txt")
+        assert back.lattice == lat
+        got = (np.concatenate([back.phi1, back.phi2], axis=-1) if reflector
+               else back.values)
+        assert got.tobytes() == vals.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Reference: the full-array stencils the interior kernels replaced.  Every
+# difference is a NaN-padded full array and every basis unit a full Hamilton
+# product; the interior kernels must reproduce their interiors bit for bit.
+# ---------------------------------------------------------------------------
+
+def _ref_slices(axis, sel):
+    idx = [slice(None)] * 5
+    idx[axis] = sel
+    return tuple(idx)
+
+
+def _ref_interior(values, mode):
+    lo, hi = {"backward": (1, 0), "forward": (0, 1), "central": (1, 1),
+              "composed": (1, 1), "onesided": (2, 0)}[mode]
+    return values[tuple(slice(lo, values.shape[ax] - hi) for ax in range(4))]
+
+
+def _ref_first_diff(values, axis, step, mode):
+    out = np.full_like(values, np.nan + 0j)
+    if mode == "backward":
+        out[_ref_slices(axis, slice(1, None))] = (
+            values[_ref_slices(axis, slice(1, None))]
+            - values[_ref_slices(axis, slice(None, -1))]) / step
+    elif mode == "forward":
+        out[_ref_slices(axis, slice(None, -1))] = (
+            values[_ref_slices(axis, slice(1, None))]
+            - values[_ref_slices(axis, slice(None, -1))]) / step
+    elif mode == "central":
+        out[_ref_slices(axis, slice(1, -1))] = (
+            values[_ref_slices(axis, slice(2, None))]
+            - values[_ref_slices(axis, slice(None, -2))]) / (2.0 * step)
+    else:
+        raise ValueError(mode)
+    return out
+
+
+def _ref_dirac_apply(values, lattice, dagger=False, mode="backward", basis=None):
+    if basis is None:
+        basis = [BASIS[mu].quat_conj() if dagger else BASIS[mu]
+                 for mu in range(4)]
+    out = np.zeros(values.shape, dtype=complex)
+    for mu in range(4):
+        diff = _ref_first_diff(values, mu, lattice.step, mode)
+        out = out + bq_mul_arr(basis[mu].as_array(), diff)
+    return out
+
+
+def _ref_wave_apply(values, lattice, mode="composed"):
+    h2 = lattice.step ** 2
+    out = np.zeros(values.shape, dtype=complex)
+    for mu in range(4):
+        second = np.full_like(values, np.nan + 0j)
+        sel = slice(1, -1) if mode == "composed" else slice(2, None)
+        second[_ref_slices(mu, sel)] = (
+            values[_ref_slices(mu, slice(2, None))]
+            - 2.0 * values[_ref_slices(mu, slice(1, -1))]
+            + values[_ref_slices(mu, slice(None, -2))]) / h2
+        out = out + (-second if mu == 0 else second)
+    return out
+
+
+def _ref_photon_residual(A, J, mode="composed", collocation="site"):
+    lhs = _ref_wave_apply(A.values, A.lattice, mode=mode)
+    rhs = J.values
+    if collocation == "half-point":
+        shifted = np.zeros_like(rhs)
+        for mu in range(4):
+            back = np.full_like(rhs, np.nan + 0j)
+            back[_ref_slices(mu, slice(1, None))] = rhs[
+                _ref_slices(mu, slice(None, -1))]
+            shifted = shifted + back
+        rhs = 0.5 * rhs + 0.5 * (shifted / 4.0)
+    resid = bq_frobenius_arr(_ref_interior(lhs - rhs, mode))
+    scale = float(np.max(bq_frobenius_arr(_ref_interior(rhs, mode))))
+    scale = max(scale, float(np.max(bq_frobenius_arr(
+        _ref_interior(lhs, mode)))), 1e-300)
+    return ResidualReport(max_residual=float(resid.max()), field_scale=scale)
+
+
+def _ref_dirac_residual(phi, a_upper, a_lower, e, m_k, mode="backward"):
+    d_phi2 = _ref_dirac_apply(phi.phi2, phi.lattice, dagger=False, mode=mode)
+    d_phi1 = _ref_dirac_apply(phi.phi1, phi.lattice, dagger=True, mode=mode)
+    im = np.zeros(4, dtype=complex)
+    im[0] = 1j * m_k
+    r11 = d_phi2 - 1j * e * bq_mul_arr(a_upper, phi.phi2) \
+        - bq_mul_arr(phi.phi1, im)
+    r22 = d_phi1 - 1j * e * bq_mul_arr(a_lower, phi.phi1) \
+        + bq_mul_arr(phi.phi2, im)
+    n11 = bq_frobenius_arr(_ref_interior(r11, mode))
+    n22 = bq_frobenius_arr(_ref_interior(r22, mode))
+    scale = max(float(np.max(bq_frobenius_arr(phi.phi1))),
+                float(np.max(bq_frobenius_arr(phi.phi2))), 1e-300)
+    return ResidualReport(max_residual=max(float(n11.max()), float(n22.max())),
+                          field_scale=scale)
+
+
+def _ref_equivalence_check(binding, A_k, J_k, mode="composed"):
+    lhs_k = _ref_wave_apply(A_k.values, binding.lattice_k, mode=mode)
+    resid_k = lhs_k - J_k.values
+    A_p = transform_field("potential", A_k, binding)
+    J_p = transform_field("current", J_k, binding)
+    lhs_p = _ref_wave_apply(A_p.values, binding.lattice_p, mode=mode)
+    resid_p = lhs_p - J_p.values
+    factor = (binding.R_k / binding.a) ** 3
+    expected_p = factor * binding.Z.apply_array(resid_k)
+    mismatch = bq_frobenius_arr(_ref_interior(resid_p - expected_p, mode))
+    scale = max(float(np.max(bq_frobenius_arr(_ref_interior(lhs_p, mode)))),
+                1e-300)
+    return EquivalenceReport(
+        lk_residual=float(np.max(bq_frobenius_arr(_ref_interior(resid_k, mode)))),
+        lp_residual=float(np.max(bq_frobenius_arr(_ref_interior(resid_p, mode)))),
+        commutation_residual=float(mismatch.max()) / scale,
+        scale_factor=factor,
+    )
+
+
+def _random_values(rng, lattice, scale=1.0):
+    shape = lattice.extent + (4,)
+    return scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+#: Bases with general, ±1, ±1j and zero coefficients.
+CUSTOM_BASES = {
+    "transformed": [LorentzTransform.from_parts([0.3, -1, 2], 0.77,
+                                                [1, 0.5, -0.2], 0.61).apply(b)
+                    for b in BASIS],
+    "mixed": [I1, -I0, Biquaternion(0.5, -1, 0, 2j), Biquaternion(-1j, 1, -1, 1j)],
+}
+
+
+def _assert_interior_equal(got, want, mode):
+    assert np.array_equal(np.isfinite(got), np.isfinite(want))
+    assert np.array_equal(_ref_interior(got, mode), _ref_interior(want, mode))
+
+
+class TestInteriorStencilOracle:
+    """The interior kernels against the full-array reference, bitwise."""
+
+    lattice = HypercubicLattice(spacing=0.13, extent=(5, 4, 6, 3),
+                                origin=(0.1, -0.3, 0.2, 0.0))
+
+    @pytest.mark.parametrize("dagger", [False, True])
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
+    def test_dirac_apply(self, mode, dagger):
+        vals = _random_values(np.random.default_rng(1), self.lattice)
+        _assert_interior_equal(
+            dirac_apply_values(vals, self.lattice, dagger=dagger, mode=mode),
+            _ref_dirac_apply(vals, self.lattice, dagger=dagger, mode=mode), mode)
+
+    @pytest.mark.parametrize("basis", sorted(CUSTOM_BASES))
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
+    def test_dirac_apply_custom_basis(self, mode, basis):
+        vals = _random_values(np.random.default_rng(2), self.lattice)
+        b = CUSTOM_BASES[basis]
+        _assert_interior_equal(
+            dirac_apply_values(vals, self.lattice, mode=mode, basis=b),
+            _ref_dirac_apply(vals, self.lattice, mode=mode, basis=b), mode)
+
+    @pytest.mark.parametrize("mode", ["composed", "onesided"])
+    def test_wave_apply(self, mode):
+        vals = _random_values(np.random.default_rng(3), self.lattice)
+        _assert_interior_equal(wave_apply(vals, self.lattice, mode=mode),
+                               _ref_wave_apply(vals, self.lattice, mode=mode),
+                               mode)
+
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
+    def test_dirac_residual_general_pair(self, mode):
+        rng = np.random.default_rng(4)
+        lat = self.lattice
+        phi = ReflectorField(lat, _random_values(rng, lat),
+                             _random_values(rng, lat))
+        upper = LatticeField(lat, _random_values(rng, lat, 0.3))
+        lower = LatticeField(lat, _random_values(rng, lat, 0.7))
+        got = dirac_residual(phi, (upper, lower), e=-0.37, mass=1.9, mode=mode)
+        assert got == _ref_dirac_residual(phi, upper.values, lower.values,
+                                          -0.37, 1.9, mode)
+
+    @pytest.mark.parametrize("mode", ["backward", "central"])
+    def test_dirac_residual_constant_potential_and_mass_term(self, mode):
+        state = alpha_state()
+        lat = HypercubicLattice(spacing=0.05, extent=(7, 6, 3, 3))
+        phi = bohr_phi_field(lat, state)
+        pot = Biquaternion(-0.2j, 0.1, 0, 0.03)
+        mass = renormalize_mass(1.3, a=0.1, R_k=0.2)
+        arr = np.broadcast_to(pot.as_array(), lat.extent + (4,))
+        for field in (phi, charge_conjugate_field(phi)):
+            got = dirac_residual(field, pot, e=0.8, mass=mass, mode=mode)
+            assert got == _ref_dirac_residual(field, arr, arr, 0.8,
+                                              mass.per_region, mode)
+
+    @pytest.mark.parametrize("collocation", ["site", "half-point"])
+    @pytest.mark.parametrize("mode", ["composed", "onesided"])
+    def test_photon_residual(self, mode, collocation):
+        rng = np.random.default_rng(5)
+        A = LatticeField(self.lattice, _random_values(rng, self.lattice))
+        J = LatticeField(self.lattice, _random_values(rng, self.lattice, 40.0))
+        assert (photon_residual(A, J, mode=mode, collocation=collocation)
+                == _ref_photon_residual(A, J, mode=mode, collocation=collocation))
+
+    @pytest.mark.parametrize("mode", ["composed", "onesided"])
+    def test_half_point_source_alone(self, mode):
+        # with A = 0 the residual is the largest collocated source value,
+        # so on a lattice of one or a few interior sites every last bit of
+        # the averaged source shows
+        lat = HypercubicLattice(spacing=0.3, extent=(3, 3, 4, 3))
+        zero = LatticeField(lat, np.zeros(lat.extent + (4,), dtype=complex))
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            J = LatticeField(lat, _random_values(rng, lat))
+            assert (photon_residual(zero, J, mode=mode, collocation="half-point")
+                    == _ref_photon_residual(zero, J, mode=mode,
+                                            collocation="half-point"))
+
+    @pytest.mark.parametrize("Z", [
+        LorentzTransform.identity(),
+        LorentzTransform.rotation([0, 0, 1], math.pi / 2),
+        LorentzTransform.from_parts([1, 2, 0.5], 0.4, [0, 1, 1], 0.9),
+    ])
+    @pytest.mark.parametrize("mode", ["composed", "onesided"])
+    def test_equivalence(self, mode, Z):
+        rng = np.random.default_rng(6)
+        _, latk, binding = build_lattices(a=0.1, R_k=0.23, extent=(5, 6, 4, 5),
+                                          Z=Z)
+        A = LatticeField(latk, _random_values(rng, latk))
+        J = LatticeField(latk, _random_values(rng, latk, 10.0))
+        assert (equivalence_check(binding, A, J, mode=mode)
+                == _ref_equivalence_check(binding, A, J, mode=mode))
+
+    @given(extent=st.tuples(*[st.integers(3, 7)] * 4),
+           spacing=st.floats(min_value=1e-3, max_value=10.0),
+           seed=st.integers(0, 2**32 - 1),
+           first=st.sampled_from(["backward", "forward", "central"]),
+           second=st.sampled_from(["composed", "onesided"]),
+           collocation=st.sampled_from(["site", "half-point"]))
+    @settings(max_examples=30, deadline=None)
+    def test_random_lattices(self, extent, spacing, seed, first, second,
+                             collocation):
+        rng = np.random.default_rng(seed)
+        lat = HypercubicLattice(spacing=spacing, extent=extent)
+        vals = _random_values(rng, lat)
+        for dagger in (False, True):
+            _assert_interior_equal(
+                dirac_apply_values(vals, lat, dagger=dagger, mode=first),
+                _ref_dirac_apply(vals, lat, dagger=dagger, mode=first), first)
+        _assert_interior_equal(wave_apply(vals, lat, mode=second),
+                               _ref_wave_apply(vals, lat, mode=second), second)
+        phi = ReflectorField(lat, vals, _random_values(rng, lat))
+        upper = LatticeField(lat, _random_values(rng, lat))
+        lower = LatticeField(lat, _random_values(rng, lat))
+        e, m = rng.normal(), rng.normal()
+        assert (dirac_residual(phi, (upper, lower), e=e, mass=m, mode=first)
+                == _ref_dirac_residual(phi, upper.values, lower.values, e, m,
+                                       first))
+        A, J = LatticeField(lat, vals), LatticeField(lat, phi.phi2)
+        assert (photon_residual(A, J, mode=second, collocation=collocation)
+                == _ref_photon_residual(A, J, mode=second,
+                                        collocation=collocation))
+        _, latk, binding = build_lattices(
+            a=spacing, R_k=spacing * rng.uniform(0.5, 2.0), extent=extent,
+            Z=LorentzTransform.from_parts(rng.normal(size=3), rng.normal(),
+                                          rng.normal(size=3), rng.normal()))
+        A_k, J_k = LatticeField(latk, vals), LatticeField(latk, phi.phi2)
+        assert (equivalence_check(binding, A_k, J_k, mode=second)
+                == _ref_equivalence_check(binding, A_k, J_k, mode=second))
+
+
+class TestSiteLocalStencils:
+    """The one-site entry points against the array API, at every site next
+    to the edge of each mode's interior."""
+
+    lattice = HypercubicLattice(spacing=0.21, extent=(4, 5, 3, 4))
+
+    def edge_sites(self, mode, axes):
+        lo, hi = {"backward": (1, 0), "forward": (0, 1), "central": (1, 1)}[mode]
+        ranges = [sorted({lo, n - hi - 1}) if ax in axes else [0, n - 1]
+                  for ax, n in enumerate(self.lattice.extent)]
+        return list(itertools.product(*ranges))
+
+    @pytest.mark.parametrize("dagger", [False, True])
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
+    def test_dirac_apply_matches_array(self, mode, dagger):
+        f = LatticeField(self.lattice,
+                         _random_values(np.random.default_rng(7), self.lattice))
+        full = dirac_apply_values(f.values, self.lattice, dagger=dagger,
+                                  mode=mode)
+        for site in self.edge_sites(mode, range(4)):
+            got = discrete_dirac_apply(f, site, mode=mode, dagger=dagger)
+            assert np.array_equal(got.as_array(), full[site])
+
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
+    def test_partial_matches_array(self, mode):
+        f = LatticeField(self.lattice,
+                         _random_values(np.random.default_rng(8), self.lattice))
+        for mu in range(4):
+            full = _ref_first_diff(f.values, mu, self.lattice.step, mode)
+            for site in self.edge_sites(mode, (mu,)):
+                got = discrete_partial(f, site, mu=mu, mode=mode)
+                assert np.array_equal(got.as_array(), full[site])
+
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
+    def test_outside_interior_raises(self, mode):
+        f = LatticeField(self.lattice,
+                         np.zeros(self.lattice.extent + (4,), dtype=complex))
+        lo, hi = {"backward": (1, 0), "forward": (0, 1), "central": (1, 1)}[mode]
+        for bad in ([lo - 1, 1, 1, 1], [1, 5 - hi, 1, 1]):
+            with pytest.raises(BoundarySite):
+                discrete_dirac_apply(f, bad, mode=mode)
+            axis = 0 if bad[0] != 1 else 1
+            with pytest.raises(BoundarySite):
+                discrete_partial(f, bad, mu=axis, mode=mode)
+        with pytest.raises(BoundarySite):
+            discrete_partial(f, (1, 1, 3, 1), mu=0, mode=mode)
+        with pytest.raises(ValueError):
+            discrete_partial(f, (1, 1, 1, 1), mu=0, mode="composed")
+        with pytest.raises(ValueError):
+            discrete_dirac_apply(f, (1, 1, 1), mode=mode)

@@ -63,6 +63,8 @@ class BohrInput:
     m: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.e, self.f, self.m, self.n))):
+            raise ValueError(f"e, f, m and n must be finite, got {self}")
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
         if self.m <= 0:
@@ -215,8 +217,16 @@ def local_solve_rho(A: float, e: float, m: float, n: int) -> LocalSolveResult:
     the branch with ``sign(rho) = sign(A)`` is taken (positive root for
     A > 0, negative root for A < 0), which avoids subtractive
     cancellation on either side.  A = 0 yields the degenerate rho = 0
-    result with radius and central charge flagged undefined.
+    result with radius and central charge flagged undefined.  Raises
+    :class:`NonPositiveMass` for ``m < 0`` (``m = 0`` is the massless limit)
+    and ``ValueError`` for non-finite input or a density outside the
+    floating-point range.
     """
+    if not (math.isfinite(A) and math.isfinite(e) and math.isfinite(m)
+            and math.isfinite(n)):  # spelt out: this runs once per grid point
+        raise ValueError(f"A, e, m and n must be finite, got {A}, {e}, {m}, {n}")
+    if m < 0:
+        raise NonPositiveMass(f"m must not be negative, got {m}")
     if e == 0:
         raise ValueError("e must be nonzero (the density equation divides by e**2)")
     if int(n) != n or n < 1:
@@ -228,6 +238,8 @@ def local_solve_rho(A: float, e: float, m: float, n: int) -> LocalSolveResult:
     root = math.sqrt(A * A + 4.0 * m * m / (e * e))
     sign = 1.0 if A > 0 else -1.0
     rho = (A * A * e * e * d / 2.0) * (A + sign * root)
+    if not math.isfinite(rho) or rho == 0:
+        raise ValueError(f"the density at A = {A} overflows or underflows")
     R = math.sqrt(3.0 * A / (4.0 * math.pi * rho))
     f = -A * R
     branch = "positive-root" if A > 0 else "negative-root"

@@ -12,6 +12,7 @@ environment variable, ``out`` key of the config file, ``./bohrqed-out``.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -135,11 +136,15 @@ def write_json(path: Path, payload) -> None:
                     newline="\n")
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            _fmt(v) if isinstance(v, float) else str(v) for v in row))
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """One table from one 1-D sequence (or array) per column: a column whose
+    first value is a float is written with 17 significant digits, any other
+    through ``str``."""
+    columns = [col.tolist() if isinstance(col, np.ndarray) else col
+               for col in columns]
+    first = next(zip(*columns), ())
+    row = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first)
+    lines = [",".join(header), *map(row.__mod__, zip(*columns, strict=True))]
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
@@ -175,10 +180,23 @@ def config_hash(ns: argparse.Namespace) -> str:
     return digest[:16]
 
 
-def _apply_config(ns: argparse.Namespace, cfg: dict[str, str]) -> None:
-    """Config file values fill in options the command line left at default."""
+def _option_names(parser: argparse.ArgumentParser) -> set[str]:
+    """The destination of every option of every subcommand."""
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return {action.dest for sub in commands.values() for action in sub._actions
+            if action.option_strings} - {"help"}
+
+
+def _apply_config(ns: argparse.Namespace, cfg: dict[str, str],
+                  parser: argparse.ArgumentParser) -> None:
+    """Config file values fill in options the command line left at default.
+    Keys of other subcommands are ignored; a key naming no option is an error."""
+    options = _option_names(parser)
     for key, value in cfg.items():
         dest = key.replace("-", "_")
+        if dest not in options:
+            raise ConfigError(f"config key {key} names no option")
         if dest in ("out", "seed", "tolerance_scale"):
             continue  # handled by the common options
         if not hasattr(ns, dest):
@@ -260,41 +278,30 @@ def cmd_solve_bohr(ns, out: Path, report: RunReport) -> None:
 def cmd_local_solve(ns, out: Path, report: RunReport) -> None:
     if ns.a_count < 2:
         raise ConfigError("a-count must be >= 2")
-    grid = list(np.linspace(ns.a_min, ns.a_max, ns.a_count))
-    if ns.include_zero and not any(a == 0 for a in grid):
+    grid = np.linspace(ns.a_min, ns.a_max, ns.a_count).tolist()
+    if ns.include_zero and 0.0 not in grid:
         grid.append(0.0)
     grid.sort()
-    rows = []
-    worst = 0.0
-    sign_violations = 0
-    monotone_violations = 0
-    prev = None
-    for A in grid:
-        res = local_solve_rho(float(A), ns.e, ns.m, ns.n)
-        resid = cubic_residual(res, ns.e, ns.m)
-        worst = max(worst, resid)
-        if not res.degenerate and res.rho * res.A < 0:
-            sign_violations += 1
-        if prev is not None and res.rho < prev - 1e-15:
-            monotone_violations += 1
-        prev = res.rho
-        rows.append([float(A), res.rho,
-                     res.R if not res.degenerate else math.nan,
-                     res.f if not res.degenerate else math.nan,
-                     resid, res.branch or "degenerate"])
+    results = [local_solve_rho(A, ns.e, ns.m, ns.n) for A in grid]
+    residuals = [cubic_residual(res, ns.e, ns.m) for res in results]
+    rho = [res.rho for res in results]
+    sign_violations = sum(not res.degenerate and res.rho * res.A < 0
+                          for res in results)
+    monotone_violations = sum(b < a - 1e-15 for a, b in zip(rho, rho[1:]))
     ts = ns.tolerance_scale
-    report.check("cubic-residual-max", worst, 0.0, 1e-10 * ts, mode="at-most")
+    report.check("cubic-residual-max", max(0.0, *residuals), 0.0, 1e-10 * ts,
+                 mode="at-most")
     report.check("sign-rule-violations", float(sign_violations), 0.0, 0.0)
     report.check("monotonicity-violations", float(monotone_violations), 0.0, 0.0)
+    # a degenerate result already carries NaN for R and f
     write_csv(out / "local_solve.csv",
-              ["A", "rho", "R", "f", "residual", "branch"], rows)
+              ["A", "rho", "R", "f", "residual", "branch"],
+              [grid, rho, [res.R for res in results], [res.f for res in results],
+               residuals, [res.branch or "degenerate" for res in results]])
 
 
 def cmd_tile(ns, out: Path, report: RunReport) -> None:
-    if ns.kind == "pure":
-        domain = [(0.0, ns.side)] * 2
-    else:
-        domain = [(0.0, ns.side)] * 3
+    domain = [(0.0, ns.side)] * (2 if ns.kind == "pure" else 3)
     ens = tile(domain, ns.radius, kind=ns.kind, c=ns.c or None,
                boundary_samples=ns.boundary_samples, seed=ns.seed,
                verify=False)
@@ -304,10 +311,8 @@ def cmd_tile(ns, out: Path, report: RunReport) -> None:
     ts = ns.tolerance_scale
     report.check("non-overlap", stats["max_overlap"], 0.0, 1e-12 * ts,
                  mode="at-most")
-    coverage_ok = stats["max_coverage_ratio"] <= ens.c
-    report.check("coverage-ratio", stats["max_coverage_ratio"], ens.c, 0.0,
-                 mode="at-most")
-    if not coverage_ok:
+    if not report.check("coverage-ratio", stats["max_coverage_ratio"], ens.c,
+                        0.0, mode="at-most"):
         raise InfeasibleCoverage(
             f"coverage needs c >= {stats['max_coverage_ratio']:.6f}")
     write_json(out / "tile_summary.json", {
@@ -319,25 +324,9 @@ def cmd_tile(ns, out: Path, report: RunReport) -> None:
         "interactions": count_interactions(ns.side, ns.radius, ns.kind)
         if ns.side > 2 * ns.radius else 1,
     })
-    dim = ens.dim
-    header = ["owner", "region"] + [f"x{i+1}" for i in range(dim)]
-    rows = [[bp.owner, bp.region, *[float(x) for x in bp.point]]
-            for bp in ens.boundary]
-    write_csv(out / "boundary_points.csv", header, rows)
-
-
-def _dirac_orders(ns, mode: str) -> tuple[list[float], list[float]]:
-    inp = BohrInput(e=ns.e, f=ns.f, n=ns.n, m=ns.m)
-    state = solve_bohr(inp)
-    spacings = sorted(ns.spacings, reverse=True)
-    residuals = []
-    for h in spacings:
-        lat = HypercubicLattice(spacing=h, extent=(ns.extent, ns.extent, 3, 3))
-        phi = bohr_phi_field(lat, state)
-        pot = bohr_potential_field(lat, state)
-        rep = dirac_residual(phi, pot, e=inp.e, mass=inp.m, mode=mode)
-        residuals.append(rep.max_residual)
-    return spacings, residuals
+    header = ["owner", "region"] + [f"x{i+1}" for i in range(ens.dim)]
+    write_csv(out / "boundary_points.csv", header,
+              [ens.owners, ens.boundary_regions, *ens.boundary.T])
 
 
 def cmd_lattice_verify(ns, out: Path, report: RunReport) -> None:
@@ -382,22 +371,25 @@ def cmd_lattice_verify(ns, out: Path, report: RunReport) -> None:
         report.skip("dirac-convergence-order", "needs >= 2 spacings")
         report.skip("photon-convergence-order", "needs >= 2 spacings")
     else:
-        spacings, residuals = _dirac_orders(ns, mode)
-        order = fit_loglog(spacings, residuals).slope
-        report.check("dirac-convergence-order", order, expected_order,
-                     0.1, mode="at-least")
-        ph_res = []
-        for h in sorted(ns.spacings, reverse=True):
+        inp = BohrInput(e=ns.e, f=ns.f, n=ns.n, m=ns.m)
+        state = solve_bohr(inp)
+        spacings = sorted(ns.spacings, reverse=True)
+        dirac_res, photon_res = [], []
+        for h in spacings:
             lat_h = HypercubicLattice(spacing=h, extent=(ns.extent, ns.extent, 3, 3))
+            dirac_res.append(dirac_residual(
+                bohr_phi_field(lat_h, state), bohr_potential_field(lat_h, state),
+                e=inp.e, mass=inp.m, mode=mode).max_residual)
             g = lat_h.coordinate_grids()
             smooth = np.zeros(lat_h.extent + (4,), dtype=complex)
             smooth[..., 0] = np.exp(1j * (0.7 * g[1] - 0.4 * g[0]))
             src = (0.4 ** 2 - 0.7 ** 2) * smooth
-            rep = photon_residual(LatticeField(lat_h, smooth),
-                                  LatticeField(lat_h, src))
-            ph_res.append(rep.max_residual)
-        ph_order = fit_loglog(sorted(ns.spacings, reverse=True), ph_res).slope
-        report.check("photon-convergence-order", ph_order, 2.0, 0.1,
+            photon_res.append(photon_residual(
+                LatticeField(lat_h, smooth), LatticeField(lat_h, src)).max_residual)
+        report.check("dirac-convergence-order", fit_loglog(spacings, dirac_res).slope,
+                     expected_order, 0.1, mode="at-least")
+        report.check("photon-convergence-order",
+                     fit_loglog(spacings, photon_res).slope, 2.0, 0.1,
                      mode="at-least")
 
     # frame equivalence: identity, rotation, rapidity-1 boost
@@ -441,48 +433,36 @@ def cmd_lattice_verify(ns, out: Path, report: RunReport) -> None:
                      mode="at-most")
 
 
-def cmd_scaling_sweep(ns, out: Path, report: RunReport) -> None:
-    ts = ns.tolerance_scale
-    exponents = {}
+def _record_sweep(ns, out: Path, report: RunReport, exponents: dict,
+                  family: str, sweep, header: list[str], points: str) -> None:
+    """Write one sweep's table and check its slopes against the expected."""
+    write_csv(out / f"{family}_sweep.csv", header,
+              [[getattr(row, name) for row in sweep.rows] for name in header])
+    tol = SLOPE_TOL * ns.tolerance_scale
+    for name, fit in sorted(sweep.slopes.items()):
+        expected = sweep.expected[name]
+        report.check(f"{family}-slope-{name}", fit.slope, expected, tol)
+        exponents[f"{family}.{name}"] = {
+            "slope": fit.slope, "expected": expected,
+            "deviation": fit.slope - expected, "tolerance": tol,
+            "low_confidence": fit.low_confidence,
+        }
+    if sweep.low_confidence:
+        report.skip(f"{family}-confidence", "fit flagged low-confidence "
+                    f"(fewer than 3 {points} or span < 2 decades)")
 
+
+def cmd_scaling_sweep(ns, out: Path, report: RunReport) -> None:
+    exponents = {}
     radii = list(np.geomspace(ns.r_min, ns.r_max, ns.r_count))
     template = BohrInput(e=ns.e, f=ns.f, n=ns.n, m=ns.m)
-    rsweep = scaling_sweep(template, radii, T=ns.big_t, kind=ns.kind)
-    write_csv(out / "roundel_sweep.csv",
-              ["R", "mB", "eB", "eBa", "f", "A", "rho", "nl"],
-              [[r.R, r.mB, r.eB, r.eBa, r.f, r.A, r.rho, r.nl]
-               for r in rsweep.rows])
-    for name, fit in sorted(rsweep.slopes.items()):
-        expected = rsweep.expected[name]
-        report.check(f"roundel-slope-{name}", fit.slope, expected,
-                     SLOPE_TOL * ts)
-        exponents[f"roundel.{name}"] = {
-            "slope": fit.slope, "expected": expected,
-            "deviation": fit.slope - expected, "tolerance": SLOPE_TOL * ts,
-            "low_confidence": fit.low_confidence,
-        }
-    if rsweep.low_confidence:
-        report.skip("roundel-confidence", "fit flagged low-confidence "
-                    "(fewer than 3 radii or span < 2 decades)")
-
+    _record_sweep(ns, out, report, exponents, "roundel",
+                  scaling_sweep(template, radii, T=ns.big_t, kind=ns.kind),
+                  ["R", "mB", "eB", "eBa", "f", "A", "rho", "nl"], "radii")
     spacings = list(np.geomspace(ns.a_min, ns.a_max, ns.a_count))
-    lsweep = limit_sweep(ns.p, spacings, n=ns.n, T=ns.big_t)
-    write_csv(out / "lattice_sweep.csv",
-              ["a", "R_k", "J", "A", "f", "eB", "eBa", "M", "nl"],
-              [[r.a, r.R_k, r.J, r.A, r.f, r.eB, r.eBa, r.M, r.nl]
-               for r in lsweep.rows])
-    for name, fit in sorted(lsweep.slopes.items()):
-        expected = lsweep.expected[name]
-        report.check(f"lattice-slope-{name}", fit.slope, expected,
-                     SLOPE_TOL * ts)
-        exponents[f"lattice.{name}"] = {
-            "slope": fit.slope, "expected": expected,
-            "deviation": fit.slope - expected, "tolerance": SLOPE_TOL * ts,
-            "low_confidence": fit.low_confidence,
-        }
-    if lsweep.low_confidence:
-        report.skip("lattice-confidence", "fit flagged low-confidence "
-                    "(fewer than 3 spacings or span < 2 decades)")
+    _record_sweep(ns, out, report, exponents, "lattice",
+                  limit_sweep(ns.p, spacings, n=ns.n, T=ns.big_t),
+                  ["a", "R_k", "J", "A", "f", "eB", "eBa", "M", "nl"], "spacings")
     write_json(out / "exponents.json", exponents)
 
 
@@ -490,7 +470,10 @@ def cmd_scaling_sweep(ns, out: Path, report: RunReport) -> None:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call
+    of :func:`main` in the process: nothing may mutate a parsed default."""
     parser = argparse.ArgumentParser(
         prog="bohrqed",
         description="Bohr-orbit electrodynamics laboratory: solves, tilings, "
@@ -543,6 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "--n", type=int, default=1)
     _add(p, "--m", type=float, default=1.0)
     _add(p, "--extent", type=int, default=16)
+    # a list, because config_hash hashes its repr; every call shares it
     p.add_argument("--spacings", type=float, nargs="+",
                    default=[0.2, 0.1, 0.05, 0.025])
     _add(p, "--rapidity", type=float, default=1.0)
@@ -580,13 +564,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         cfg = load_config(ns.config)
-        _apply_config(ns, cfg)
+        _apply_config(ns, cfg, parser)
         out = resolve_out_dir(ns, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    report = RunReport(ns.command, seed=ns.seed, config_hash=config_hash(ns))
-    try:
+        report = RunReport(ns.command, seed=ns.seed, config_hash=config_hash(ns))
         ns.func(ns, out, report)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -6,7 +6,9 @@ radius; a quadtree/octree refinement handles position-dependent radii.
 Every point of the box must lie within ``c`` local radii of some roundel
 boundary, boundary points shared by several roundels are owned by the
 lexicographically smallest center, and as radii shrink the boundary set
-fills the box.  Ownership, overlap and coverage are found in O(N) through
+fills the box.  The boundary set is held as three read-only arrays: the
+sample points ``(N, d)``, the owning roundel id and the owner's region id
+per point.  Ownership, overlap and coverage are found in O(N) through
 a uniform cell list (Allen & Tildesley, *Computer Simulation of Liquids*,
 ch. 5) whose cell side is the largest roundel diameter.  Driving the
 orbit equations while the bare mass and charge scale inversely with the
@@ -30,7 +32,6 @@ __all__ = [
     "NotOnBoundary",
     "Roundel",
     "Region",
-    "BoundaryPoint",
     "Ensemble",
     "tile",
     "assign_boundary_point",
@@ -83,21 +84,22 @@ class Region:
             raise ValueError("a region must contain at least one roundel")
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    point: tuple[float, ...]
-    owner: int
-    region: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ensemble:
     roundels: tuple[Roundel, ...]
     regions: tuple[Region, ...]
     kind: str  # "pure" | "superposition"
     c: float
-    boundary: tuple[BoundaryPoint, ...]
+    boundary: np.ndarray  # (N, d) sample points
+    owners: np.ndarray  # (N,) id of the roundel owning each point
+    boundary_regions: np.ndarray  # (N,) region id of each point's owner
     domain: tuple[tuple[float, float], ...]
+
+    def __post_init__(self):  # the boundary arrays are read-only views
+        for name in ("boundary", "owners", "boundary_regions"):
+            view = np.asarray(getattr(self, name)).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     @property
     def dim(self) -> int:
@@ -251,10 +253,9 @@ def tile(domain: Sequence[tuple[float, float]],
                      for i, (ctr, h) in enumerate(cells))
     region = Region(id=0, roundel_ids=frozenset(r.id for r in roundels))
     pts = _boundary_samples(*_centers_radii(roundels), kind, boundary_samples, seed)
-    boundary = tuple(BoundaryPoint(point=tuple(p), owner=o, region=0) for p, o
-                     in zip(pts.tolist(), _owners_of(pts, roundels).tolist()))
     ens = Ensemble(roundels=roundels, regions=(region,), kind=kind, c=c,
-                   boundary=boundary, domain=domain)
+                   boundary=pts, owners=_owners_of(pts, roundels),
+                   boundary_regions=np.zeros(len(pts), dtype=int), domain=domain)
     if verify:
         report = verify_ensemble(ens)
         if report["max_overlap"] > _OVERLAP_TOL:
@@ -374,15 +375,18 @@ def partition_regions(ensemble: Ensemble, regions_per_axis: int) -> Ensemble:
     frac = (_centers_radii(ensemble.roundels)[0] - los) / (his - los)
     cell = np.clip((frac * regions_per_axis).astype(int), 0, regions_per_axis - 1)
     flat = np.ravel_multi_index(cell.T, (regions_per_axis,) * len(los))
-    assignment = dict(zip((r.id for r in ensemble.roundels), flat.tolist()))
+    ids = np.array([r.id for r in ensemble.roundels])
     grouped: dict[int, set[int]] = {}
-    for rid, region in assignment.items():
+    for rid, region in zip(ids.tolist(), flat.tolist()):
         grouped.setdefault(region, set()).add(rid)
-    regions = tuple(Region(id=region, roundel_ids=frozenset(ids))
-                    for region, ids in sorted(grouped.items()))
-    boundary = tuple(BoundaryPoint(bp.point, bp.owner, assignment[bp.owner])
-                     for bp in ensemble.boundary)
-    return replace(ensemble, regions=regions, boundary=boundary)
+    regions = tuple(Region(id=region, roundel_ids=frozenset(members))
+                    for region, members in sorted(grouped.items()))
+    by_id = np.argsort(ids)
+    at = np.searchsorted(ids, ensemble.owners, sorter=by_id)
+    owner_at = by_id[np.minimum(at, len(ids) - 1)]
+    if not np.array_equal(ids[owner_at], ensemble.owners):
+        raise KeyError("a boundary point's owner is not a roundel of the ensemble")
+    return replace(ensemble, regions=regions, boundary_regions=flat[owner_at])
 
 
 def count_interactions(T: float, R: float, kind: str) -> int:

@@ -32,8 +32,10 @@ def fit_loglog(xs, ys) -> PowerFit:
         raise ValueError("xs and ys must be 1-d arrays of equal length")
     if len(xs) < 2:
         raise ValueError("need at least two points to fit a slope")
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise ValueError("log-log fit requires positive data")
+    if not (np.all((xs > 0) & (xs < np.inf)) and np.all((ys > 0) & (ys < np.inf))):
+        raise ValueError("log-log fit requires positive finite data")
+    if xs.min() == xs.max():
+        raise ValueError("abscissa has zero span")
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     span = float(np.log10(xs.max() / xs.min()))

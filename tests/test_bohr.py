@@ -65,6 +65,15 @@ class TestSolve:
         with pytest.raises(NonPositiveMass):
             BohrInput(e=1.0, f=-0.1, n=1, m=0.0)
 
+    @pytest.mark.parametrize("field", ["e", "f", "m"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, field, value):
+        # e = nan used to solve to an all-NaN state, m = inf to raise a bare
+        # ZeroDivisionError
+        args = {"e": 1.0, "f": -0.1, "n": 1, "m": 1.0, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            solve_bohr(BohrInput(**args))
+
     def test_zero_coupling_rejected(self):
         with pytest.raises(ValueError):
             solve_bohr(BohrInput(e=0.0, f=1.0, n=1, m=1.0))
@@ -204,6 +213,33 @@ class TestLocalSolve:
     def test_zero_charge_rejected(self):
         with pytest.raises(ValueError):
             local_solve_rho(1.0, 0.0, 1.0, 1)
+
+    @pytest.mark.parametrize("m", [-1.0, -1e-300])
+    def test_negative_mass_rejected(self, m):
+        with pytest.raises(NonPositiveMass):
+            local_solve_rho(1.0, 1.0, m, 1)
+
+    @pytest.mark.parametrize("A,e,m", [
+        (math.nan, 1.0, 1.0),  # used to take the negative-root branch
+        (math.inf, 1.0, 1.0),
+        (1.0, math.nan, 1.0),
+        (1.0, -math.inf, 1.0),
+        (1.0, 1.0, math.nan),
+        (1.0, 1.0, math.inf),
+    ])
+    def test_non_finite_input_rejected(self, A, e, m):
+        with pytest.raises(ValueError, match="finite"):
+            local_solve_rho(A, e, m, 1)
+
+    def test_overflow_rejected(self):
+        # used to return rho = inf, R = 0
+        with pytest.raises(ValueError, match="overflows"):
+            local_solve_rho(1e200, 1.0, 1.0, 1)
+
+    def test_underflow_rejected(self):
+        # A**2 underflows to 0, so rho = 0: used to raise ZeroDivisionError
+        with pytest.raises(ValueError, match="underflows"):
+            local_solve_rho(1e-200, 1.0, 1.0, 1)
 
 
 class TestRoundtrip:

@@ -1,9 +1,12 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bohrqed.cli import main
+from bohrqed.cli import build_parser, main, write_csv
 
 ALPHA = 1.0 / 137.035999
 
@@ -62,6 +65,24 @@ class TestSolveBohr:
         state = json.loads((tmp_path / "bohr_state.json").read_text())
         assert state["input"]["f"] == -0.25
         assert state["input"]["n"] == 2
+
+    def test_misspelt_config_key_exit_2(self, tmp_path, capsys):
+        # a key that names no option of any subcommand used to be ignored
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("radiuss = 0.1\n")
+        rc = main(["tile", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "radiuss" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_other_commands_config_keys_ignored(self, tmp_path):
+        # one file serves several commands: tile's keys do not stop solve-bohr
+        cfg = tmp_path / "shared.cfg"
+        cfg.write_text("radius = 0.1\nregions-per-axis = 2\nf = -0.25\n")
+        rc = main(["solve-bohr", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 0
+        state = json.loads((tmp_path / "bohr_state.json").read_text())
+        assert state["input"]["f"] == -0.25
 
     def test_cli_overrides_config(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -240,3 +261,73 @@ def test_non_numeric_config_value_exit_2(tmp_path, capsys):
     rc = main(["solve-bohr", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_reused_parser_gives_fresh_parser_artifacts(self, tmp_path):
+        # main builds the parser once per process; a default that one call
+        # changed in place would leak into the next call's artifacts
+        calls = [["lattice-verify", "--spacings", "0.2", "0.1"],
+                 ["lattice-verify"], ["lattice-verify"]]
+        for i, argv in enumerate(calls):
+            build_parser.cache_clear()
+            assert main(argv + ["--out", str(tmp_path / f"fresh{i}")]) == 0
+        build_parser.cache_clear()
+        for i, argv in enumerate(calls):
+            assert main(argv + ["--out", str(tmp_path / f"reused{i}")]) == 0
+        for i in range(len(calls)):
+            assert (read_all_outputs(tmp_path / f"reused{i}")
+                    == read_all_outputs(tmp_path / f"fresh{i}"))
+
+
+# ---------------------------------------------------------------------------
+# The columnar CSV writer against the per-value writer it replaced
+# ---------------------------------------------------------------------------
+
+def _write_csv_per_value(path, header, rows):
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
+    path.write_text("\n".join(lines) + "\n", newline="\n")
+
+
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                     -5e-324, 2.2250738585072009e-308, 1e300, -1e300, 1e-300,
+                     -1e-300, 1.7976931348623157e308]),
+    st.floats(min_value=1e-310, max_value=1e-300),
+    st.floats(),
+)
+COLUMNS = {"float": EDGE_FLOATS, "int": st.integers(-2**63, 2**63 - 1),
+           "str": st.text(max_size=8)}
+
+
+@st.composite
+def tables(draw):
+    kinds = draw(st.lists(st.sampled_from(sorted(COLUMNS)), max_size=6))
+    count = draw(st.integers(0, 12))
+    return kinds, [draw(st.lists(COLUMNS[kind], min_size=count, max_size=count))
+                   for kind in kinds]
+
+
+class TestColumnarCsv:
+    @given(table=tables(), as_arrays=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_per_value_writer(self, tmp_path_factory, table,
+                                          as_arrays):
+        kinds, columns = table
+        tmp = tmp_path_factory.mktemp("csv")
+        header = [f"c{i}" for i in range(len(columns))]
+        rows = [list(row) for row in zip(*columns)]
+        if as_arrays:  # numeric columns as arrays, as the tiling passes them
+            columns = [col if kind == "str" else np.array(col, dtype=kind)
+                       for kind, col in zip(kinds, columns)]
+        write_csv(tmp / "new.csv", header, columns)
+        _write_csv_per_value(tmp / "old.csv", header, rows)
+        assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+    def test_empty_table_is_header_only(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ["owner", "region", "x1"],
+                  [np.empty(0, dtype=int), [], np.empty(0)])
+        assert (tmp_path / "t.csv").read_bytes() == b"owner,region,x1\n"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -84,9 +85,9 @@ class TestTile:
     def test_boundary_points_sampled(self):
         ens = tile(UNIT_SQUARE, 0.25, kind="pure", boundary_samples=8)
         assert len(ens.boundary) == 4 * 8
-        for bp in ens.boundary:
-            r = ens.roundels[bp.owner]
-            d = math.dist(bp.point, r.center)
+        for point, owner in zip(ens.boundary.tolist(), ens.owners.tolist()):
+            r = ens.roundels[owner]
+            d = math.dist(point, r.center)
             assert abs(d - r.R) < 1e-9
 
 
@@ -157,8 +158,9 @@ class TestRegions:
 
     def test_boundary_points_follow_owner(self):
         ens = partition_regions(tile(UNIT_SQUARE, 0.25, kind="pure"), 2)
-        for bp in ens.boundary:
-            assert bp.region == ens.region_of(bp.owner)
+        for owner, region in zip(ens.owners.tolist(),
+                                 ens.boundary_regions.tolist()):
+            assert region == ens.region_of(owner)
 
 
 class TestCounts:
@@ -334,9 +336,9 @@ def _same_bits(a: float, b: float) -> bool:
 
 
 def assert_matches_all_pairs(ens, samples_per_axis=17):
-    points = np.array([bp.point for bp in ens.boundary])
+    points = ens.boundary
     if len(points):
-        assert ([bp.owner for bp in ens.boundary]
+        assert (ens.owners.tolist()
                 == _all_pairs_owners(points, ens.roundels).tolist())
     got = verify_ensemble(ens, samples_per_axis)
     want = _all_pairs_verify(ens, samples_per_axis)
@@ -427,8 +429,107 @@ class TestCellListOracle:
         ens = Ensemble(roundels=roundels,
                        regions=(Region(id=0, roundel_ids=frozenset(range(count))),),
                        kind="pure" if dim == 2 else "superposition", c=1.0,
-                       boundary=(), domain=((0.0, spread),) * dim)
+                       boundary=np.empty((0, dim)), owners=np.empty(0, dtype=int),
+                       boundary_regions=np.empty(0, dtype=int),
+                       domain=((0.0, spread),) * dim)
         assert_matches_all_pairs(ens, samples_per_axis=7)
         points = _boundary_samples(centers, radii, ens.kind, 6, seed % 7)
         assert (_owners_of(points, roundels).tolist()
                 == _all_pairs_owners(points, roundels).tolist())
+
+
+# ---------------------------------------------------------------------------
+# The boundary arrays against the per-point objects they replaced
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _BoundaryPoint:
+    point: tuple[float, ...]
+    owner: int
+    region: int
+
+
+def _ref_boundary(roundels, kind, samples, seed):
+    """The tuple ``tile`` used to build: one object per sample, region 0."""
+    centers = np.array([r.center for r in roundels], dtype=float)
+    radii = np.array([r.R for r in roundels], dtype=float)
+    pts = _boundary_samples(centers, radii, kind, samples, seed)
+    return tuple(_BoundaryPoint(point=tuple(p), owner=o, region=0) for p, o
+                 in zip(pts.tolist(), _owners_of(pts, roundels).tolist()))
+
+
+def _ref_partition(roundels, domain, boundary, regions_per_axis):
+    """``partition_regions``' per-object rebuild through an id -> region dict."""
+    los = np.array([lo for lo, _ in domain])
+    his = np.array([hi for _, hi in domain])
+    frac = (np.array([r.center for r in roundels]) - los) / (his - los)
+    cell = np.clip((frac * regions_per_axis).astype(int), 0, regions_per_axis - 1)
+    flat = np.ravel_multi_index(cell.T, (regions_per_axis,) * len(los))
+    assignment = dict(zip((r.id for r in roundels), flat.tolist()))
+    return tuple(_BoundaryPoint(bp.point, bp.owner, assignment[bp.owner])
+                 for bp in boundary)
+
+
+def _as_objects(ens):
+    return tuple(_BoundaryPoint(tuple(p), o, g) for p, o, g in zip(
+        ens.boundary.tolist(), ens.owners.tolist(), ens.boundary_regions.tolist()))
+
+
+class TestBoundaryArrayOracle:
+    @pytest.mark.parametrize("kind,R,samples,seed", [
+        ("pure", 0.25, 8, 0), ("pure", 0.05, 5, 3), ("pure", 0.3, 1, 0),
+        ("superposition", 0.25, 8, 1), ("superposition", 1.0 / 12.0, 6, 4)])
+    @pytest.mark.parametrize("regions", [1, 2, 3])
+    def test_grid_tilings(self, kind, R, samples, seed, regions):
+        dim = 2 if kind == "pure" else 3
+        ens = tile([(0.0, 1.0)] * dim, R, kind=kind, boundary_samples=samples,
+                   seed=seed, verify=False)
+        want = _ref_boundary(ens.roundels, kind, samples, seed)
+        assert _as_objects(ens) == want
+        if regions > 1:
+            parted = partition_regions(ens, regions)
+            assert _as_objects(parted) == _ref_partition(
+                ens.roundels, ens.domain, want, regions)
+            assert np.shares_memory(parted.boundary, ens.boundary)
+
+    def test_quadtree(self):
+        ens = tile(UNIT_SQUARE, lambda p: 0.05 + 0.2 * p[0], boundary_samples=4,
+                   seed=2, verify=False)
+        want = _ref_boundary(ens.roundels, "pure", 4, 2)
+        assert _as_objects(ens) == want
+        assert _as_objects(partition_regions(ens, 4)) == _ref_partition(
+            ens.roundels, ens.domain, want, 4)
+
+    @pytest.mark.parametrize("kind", ["pure", "superposition"])
+    def test_ids_not_a_range(self, kind):
+        # owner -> region must look ids up, not use them as indices
+        dim = 2 if kind == "pure" else 3
+        grid = tile([(0.0, 1.0)] * dim, 0.125, kind=kind, verify=False)
+        ids = 1000 - 7 * np.random.default_rng(5).permutation(len(grid.roundels))
+        roundels = tuple(Roundel(id=int(i), center=r.center, R=r.R)
+                         for i, r in zip(ids, grid.roundels))
+        boundary = _ref_boundary(roundels, kind, 4, 1)
+        pts = np.array([bp.point for bp in boundary])
+        ens = Ensemble(roundels=roundels,
+                       regions=(Region(id=0, roundel_ids=frozenset(ids.tolist())),),
+                       kind=kind, c=1.0, boundary=pts,
+                       owners=_owners_of(pts, roundels),
+                       boundary_regions=np.zeros(len(pts), dtype=int),
+                       domain=grid.domain)
+        assert _as_objects(ens) == boundary
+        assert _as_objects(partition_regions(ens, 3)) == _ref_partition(
+            roundels, grid.domain, boundary, 3)
+
+    def test_unknown_owner_raises(self):
+        ens = tile(UNIT_SQUARE, 0.25, verify=False)
+        for bad in (4, -1, 99):
+            owners = ens.owners.copy()
+            owners[3] = bad
+            with pytest.raises(KeyError):
+                partition_regions(replace(ens, owners=owners), 2)
+
+    def test_arrays_are_read_only(self):
+        ens = partition_regions(tile(UNIT_SQUARE, 0.25), 2)
+        for values in (ens.boundary, ens.owners, ens.boundary_regions):
+            with pytest.raises(ValueError):
+                values[0] = 1

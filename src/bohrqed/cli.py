@@ -5,15 +5,20 @@ significant digits, LF endings; JSON reports with sorted keys) into the
 output directory and prints one line per check.  Exit codes: 0 all
 checks pass, 1 a check failed, 2 configuration error, 3 domain error.
 
-The output directory resolves in order: ``--out`` flag, ``BOHRQED_OUT``
-environment variable, ``out`` key of the config file, ``./bohrqed-out``.
+Every option may also come from a ``--config`` file of ``key = value``
+lines, parsed as flags before the command line's own, which win;
+``true``/``false`` set a bare flag, space-separated values a sequence.
+The output directory resolves in order: ``--out``, ``BOHRQED_OUT``, the
+config file's ``out``, ``./bohrqed-out``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -174,76 +179,62 @@ def load_config(path: str | None) -> dict[str, str]:
 def config_hash(ns: argparse.Namespace) -> str:
     """Digest of the experiment parameters (not the output location)."""
     skip = ("func", "out", "config")
-    items = sorted((k, repr(v)) for k, v in vars(ns).items()
-                   if k not in skip and not k.startswith("_cli_"))
+    items = sorted((k, repr(v)) for k, v in vars(ns).items() if k not in skip)
     digest = hashlib.sha256(repr(items).encode()).hexdigest()
     return digest[:16]
 
 
-def _option_names(parser: argparse.ArgumentParser) -> set[str]:
-    """The destination of every option of every subcommand."""
+def _config_tokens(parser: argparse.ArgumentParser, command: str,
+                   cfg: dict[str, str]) -> list[str]:
+    """The config entries of ``command`` as flag tokens; keys of other
+    subcommands and ``out`` give none, a key naming no option is an error."""
     commands = next(action.choices for action in parser._actions
                     if isinstance(action, argparse._SubParsersAction))
-    return {action.dest for sub in commands.values() for action in sub._actions
-            if action.option_strings} - {"help"}
-
-
-def _apply_config(ns: argparse.Namespace, cfg: dict[str, str],
-                  parser: argparse.ArgumentParser) -> None:
-    """Config file values fill in options the command line left at default.
-    Keys of other subcommands are ignored; a key naming no option is an error."""
-    options = _option_names(parser)
+    known = {action.dest for sub in commands.values() for action in sub._actions
+             if action.option_strings} - {"help"}
+    options = {action.dest: action for action in commands[command]._actions}
+    tokens = []
     for key, value in cfg.items():
         dest = key.replace("-", "_")
-        if dest not in options:
+        if dest not in known:
             raise ConfigError(f"config key {key} names no option")
-        if dest in ("out", "seed", "tolerance_scale"):
-            continue  # handled by the common options
-        if not hasattr(ns, dest):
+        action = options.get(dest)
+        if action is None or dest == "out":
             continue
-        if getattr(ns, f"_cli_{dest}", False):
-            continue  # explicit flag wins
-        current = getattr(ns, dest)
-        if isinstance(current, (list, tuple)):
-            continue  # sequence flags are command-line only
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            if value.lower() in ("1", "true", "yes", "on"):
+                tokens.append(flag)
+        elif action.nargs == "+":
+            tokens += [flag, *value.split()]
+        else:
+            tokens.append(f"{flag}={value}")
+    return tokens
+
+
+def parse_args(argv=None) -> tuple[argparse.Namespace, dict[str, str]]:
+    """Namespace and config entries of one run: the entries are parsed as
+    flags put before the command line's, so they meet the same types and
+    choices, and an explicit flag wins as the last one given."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    ns = parser.parse_args(argv)
+    cfg = load_config(ns.config)
+    if cfg:
+        tokens = _config_tokens(parser, ns.command, cfg)
+        stderr = io.StringIO()  # argparse's message, raised naming the file
         try:
-            if isinstance(current, bool):
-                setattr(ns, dest, value.lower() in ("1", "true", "yes", "on"))
-            elif isinstance(current, int):
-                setattr(ns, dest, int(value))
-            elif isinstance(current, float):
-                setattr(ns, dest, float(value))
-            else:
-                setattr(ns, dest, value)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key}: {exc}") from exc
-
-
-class _TrackedStore(argparse.Action):
-    """Store the value and remember that it came from the command line."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        setattr(namespace, f"_cli_{self.dest}", True)
-
-
-def _add(parser, flag, **kwargs):
-    if kwargs.get("action") is None and not kwargs.get("store_true"):
-        kwargs["action"] = _TrackedStore
-    kwargs.pop("store_true", None)
-    parser.add_argument(flag, **kwargs)
+            with contextlib.redirect_stderr(stderr):
+                ns = parser.parse_args(argv[:1] + tokens + argv[1:])
+        except SystemExit:
+            message = stderr.getvalue().partition(": error: ")[2].strip()
+            raise ConfigError(f"{ns.config}: {message}") from None
+    return ns, cfg
 
 
 def resolve_out_dir(ns: argparse.Namespace, cfg: dict[str, str]) -> Path:
-    if getattr(ns, "out", None):
-        out = ns.out
-    elif os.environ.get("BOHRQED_OUT"):
-        out = os.environ["BOHRQED_OUT"]
-    elif "out" in cfg:
-        out = cfg["out"]
-    else:
-        out = "./bohrqed-out"
-    path = Path(out)
+    path = Path(ns.out or os.environ.get("BOHRQED_OUT") or cfg.get("out")
+                or "./bohrqed-out")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -305,7 +296,7 @@ def cmd_tile(ns, out: Path, report: RunReport) -> None:
     ens = tile(domain, ns.radius, kind=ns.kind, c=ns.c or None,
                boundary_samples=ns.boundary_samples, seed=ns.seed,
                verify=False)
-    if ns.regions_per_axis > 1:
+    if ns.regions_per_axis != 1:
         ens = partition_regions(ens, ns.regions_per_axis)
     stats = verify_ensemble(ens)
     ts = ns.tolerance_scale
@@ -331,6 +322,8 @@ def cmd_tile(ns, out: Path, report: RunReport) -> None:
 
 def cmd_lattice_verify(ns, out: Path, report: RunReport) -> None:
     ts = ns.tolerance_scale
+    inp = BohrInput(e=ns.e, f=ns.f, n=ns.n, m=ns.m)
+    state = solve_bohr(inp)
     mode = "central" if ns.central_differences else "backward"
     expected_order = 2.0 if ns.central_differences else 1.0
 
@@ -371,8 +364,6 @@ def cmd_lattice_verify(ns, out: Path, report: RunReport) -> None:
         report.skip("dirac-convergence-order", "needs >= 2 spacings")
         report.skip("photon-convergence-order", "needs >= 2 spacings")
     else:
-        inp = BohrInput(e=ns.e, f=ns.f, n=ns.n, m=ns.m)
-        state = solve_bohr(inp)
         spacings = sorted(ns.spacings, reverse=True)
         dirac_res, photon_res = [], []
         for h in spacings:
@@ -419,8 +410,6 @@ def cmd_lattice_verify(ns, out: Path, report: RunReport) -> None:
                  1e-14 * ts, mode="at-most")
 
     if ns.conjugate_charge:
-        inp = BohrInput(e=ns.e, f=ns.f, n=ns.n, m=ns.m)
-        state = solve_bohr(inp)
         lat_c = HypercubicLattice(spacing=min(ns.spacings),
                                   extent=(ns.extent, ns.extent, 3, 3))
         phi = bohr_phi_field(lat_c, state)
@@ -481,55 +470,55 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        _add(p, "--config", type=str, default=None, help="key = value file")
-        _add(p, "--seed", type=int, default=0)
-        _add(p, "--out", type=str, default=None, help="output directory")
-        _add(p, "--tolerance-scale", type=float, default=1.0)
+        p.add_argument("--config", type=str, default=None, help="key = value file")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", type=str, default=None, help="output directory")
+        p.add_argument("--tolerance-scale", type=float, default=1.0)
+
+    def orbit(p):
+        p.add_argument("--e", type=float, default=1.0)
+        p.add_argument("--f", type=float, default=-1.0 / 137.035999)
+        p.add_argument("--n", type=int, default=1)
+        p.add_argument("--m", type=float, default=1.0)
 
     p = sub.add_parser("solve-bohr", help="solve one two-body orbit")
     common(p)
-    _add(p, "--e", type=float, default=1.0)
-    _add(p, "--f", type=float, default=-1.0 / 137.035999)
-    _add(p, "--n", type=int, default=1)
-    _add(p, "--m", type=float, default=1.0)
+    orbit(p)
     p.add_argument("--allow-repulsive", action="store_true")
     p.set_defaults(func=cmd_solve_bohr)
 
     p = sub.add_parser("local-solve", help="charge density over a potential grid")
     common(p)
-    _add(p, "--e", type=float, default=1.0)
-    _add(p, "--m", type=float, default=1.0)
-    _add(p, "--n", type=int, default=1)
-    _add(p, "--a-min", type=float, default=-2.0)
-    _add(p, "--a-max", type=float, default=2.0)
-    _add(p, "--a-count", type=int, default=41)
+    p.add_argument("--e", type=float, default=1.0)
+    p.add_argument("--m", type=float, default=1.0)
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--a-min", type=float, default=-2.0)
+    p.add_argument("--a-max", type=float, default=2.0)
+    p.add_argument("--a-count", type=int, default=41)
     p.add_argument("--include-zero", action="store_true")
     p.set_defaults(func=cmd_local_solve)
 
     p = sub.add_parser("tile", help="tile a box with touching roundels")
     common(p)
-    _add(p, "--side", type=float, default=1.0)
-    _add(p, "--radius", type=float, default=0.25)
-    _add(p, "--kind", type=str, default="pure",
-         choices=["pure", "superposition"])
-    _add(p, "--c", type=float, default=0.0,
-         help="coverage slack; 0 means the kind's default")
-    _add(p, "--boundary-samples", type=int, default=8)
-    _add(p, "--regions-per-axis", type=int, default=1)
+    p.add_argument("--side", type=float, default=1.0)
+    p.add_argument("--radius", type=float, default=0.25)
+    p.add_argument("--kind", type=str, default="pure",
+                   choices=["pure", "superposition"])
+    p.add_argument("--c", type=float, default=0.0,
+                   help="coverage slack; 0 means the kind's default")
+    p.add_argument("--boundary-samples", type=int, default=8)
+    p.add_argument("--regions-per-axis", type=int, default=1)
     p.set_defaults(func=cmd_tile)
 
     p = sub.add_parser("lattice-verify",
                        help="discrete operator and frame-equivalence checks")
     common(p)
-    _add(p, "--e", type=float, default=1.0)
-    _add(p, "--f", type=float, default=-1.0 / 137.035999)
-    _add(p, "--n", type=int, default=1)
-    _add(p, "--m", type=float, default=1.0)
-    _add(p, "--extent", type=int, default=16)
+    orbit(p)
+    p.add_argument("--extent", type=int, default=16)
     # a list, because config_hash hashes its repr; every call shares it
     p.add_argument("--spacings", type=float, nargs="+",
                    default=[0.2, 0.1, 0.05, 0.025])
-    _add(p, "--rapidity", type=float, default=1.0)
+    p.add_argument("--rapidity", type=float, default=1.0)
     p.add_argument("--central-differences", action="store_true")
     p.add_argument("--conjugate-charge", action="store_true")
     p.set_defaults(func=cmd_lattice_verify)
@@ -537,37 +526,30 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scaling-sweep",
                        help="roundel and lattice limit power laws")
     common(p)
-    _add(p, "--e", type=float, default=1.0)
-    _add(p, "--f", type=float, default=-1.0 / 137.035999)
-    _add(p, "--n", type=int, default=1)
-    _add(p, "--m", type=float, default=1.0)
-    _add(p, "--kind", type=str, default="pure",
-         choices=["pure", "superposition"])
-    _add(p, "--r-min", type=float, default=1e-3)
-    _add(p, "--r-max", type=float, default=1e-1)
-    _add(p, "--r-count", type=int, default=9)
-    _add(p, "--a-min", type=float, default=1e-3)
-    _add(p, "--a-max", type=float, default=1e-1)
-    _add(p, "--a-count", type=int, default=9)
-    _add(p, "--p", type=float, default=1.0)
-    _add(p, "--big-t", type=float, default=1.0)
+    orbit(p)
+    p.add_argument("--kind", type=str, default="pure",
+                   choices=["pure", "superposition"])
+    p.add_argument("--r-min", type=float, default=1e-3)
+    p.add_argument("--r-max", type=float, default=1e-1)
+    p.add_argument("--r-count", type=int, default=9)
+    p.add_argument("--a-min", type=float, default=1e-3)
+    p.add_argument("--a-max", type=float, default=1e-1)
+    p.add_argument("--a-count", type=int, default=9)
+    p.add_argument("--p", type=float, default=1.0)
+    p.add_argument("--big-t", type=float, default=1.0)
     p.set_defaults(func=cmd_scaling_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_CONFIG if exc.code not in (0, None) else 0
-    try:
-        cfg = load_config(ns.config)
-        _apply_config(ns, cfg, parser)
+        ns, cfg = parse_args(argv)
         out = resolve_out_dir(ns, cfg)
         report = RunReport(ns.command, seed=ns.seed, config_hash=config_hash(ns))
         ns.func(ns, out, report)
+    except SystemExit as exc:
+        return EXIT_CONFIG if exc.code not in (0, None) else 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

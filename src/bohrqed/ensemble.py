@@ -231,16 +231,19 @@ def tile(domain: Sequence[tuple[float, float]],
     domain = tuple((float(lo), float(hi)) for lo, hi in domain)
     if len(domain) != dim:
         raise ValueError(f"{kind} tiling needs a {dim}-d domain")
-    if any(hi <= lo for lo, hi in domain):
-        raise ValueError("domain must have positive extent on every axis")
+    if not all(-math.inf < lo < hi < math.inf for lo, hi in domain):
+        raise ValueError("domain bounds must be finite with positive extent "
+                         f"on every axis, got {domain}")
+    if boundary_samples < 1:
+        raise ValueError(f"boundary_samples must be >= 1, got {boundary_samples}")
     if c is None:
         c = math.sqrt(dim)
 
     if callable(R):
         cells = _refine_cells(domain, R, dim)
     else:
-        if R <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < R < math.inf:
+            raise ValueError(f"radius must be finite and positive, got {R}")
         cells = _grid_cells(domain, float(R), dim)
     radii = np.array([h for _, h in cells])
     while radii.max() / radii.min() > max_ratio:
@@ -289,8 +292,8 @@ def _refine_cells(domain, radius_field, dim):
     while stack:
         center, h, depth = stack.pop()
         want = float(radius_field(np.asarray(center)))
-        if want <= 0:
-            raise ValueError("radius field must be positive everywhere")
+        if not 0 < want < math.inf:
+            raise ValueError(f"radius field must be finite and positive, got {want}")
         if h <= want + 1e-12:
             leaves.append((tuple(center), h))
             continue

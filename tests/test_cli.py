@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from pathlib import Path
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bohrqed.cli import build_parser, main, write_csv
+from bohrqed.cli import (build_parser, config_hash, main, parse_args,
+                         resolve_out_dir, write_csv)
 
 ALPHA = 1.0 / 137.035999
 
@@ -144,6 +146,22 @@ class TestTile:
         assert (out1 / "boundary_points.csv").read_bytes() == \
             (out2 / "boundary_points.csv").read_bytes()
 
+    @pytest.mark.parametrize(("flags", "message"), [
+        (["--radius", "nan"], "radius must be finite and positive, got nan"),
+        (["--radius", "inf"], "radius must be finite and positive, got inf"),
+        (["--side", "nan"], "domain bounds must be finite"),
+        (["--side", "inf"], "domain bounds must be finite"),
+        (["--boundary-samples", "0"], "boundary_samples must be >= 1, got 0"),
+        (["--regions-per-axis", "0"], "regions_per_axis must be >= 1"),
+    ])
+    def test_invalid_input_exit_3(self, tmp_path, capsys, flags, message):
+        # these used to exit 3 on int(nan), crash on int(inf), or run on
+        # without a boundary set or a region split
+        rc = main(["tile", "--out", str(tmp_path), *flags])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "boundary_points.csv").exists()
+
 
 class TestLatticeVerify:
     def test_default_run_passes(self, tmp_path):
@@ -261,6 +279,85 @@ def test_non_numeric_config_value_exit_2(tmp_path, capsys):
     rc = main(["solve-bohr", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+def _options():
+    """(command, option) for every option of every subcommand but --config."""
+    commands = next(action.choices for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return [(name, action) for name, sub in commands.items()
+            for action in sub._actions
+            if action.option_strings and action.dest not in ("help", "config")]
+
+
+def _non_default(action, tmp_path) -> list[str]:
+    """Value tokens of the flag form that parse to a non-default value."""
+    if action.nargs == 0:
+        return []
+    if action.choices:
+        return [next(c for c in action.choices if c != action.default)]
+    if action.nargs == "+":
+        return ["0.3", "0.15"]
+    if action.type is str:
+        return [str(tmp_path / "elsewhere")]
+    return [str(action.default + 1)]
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(("argv", "config", "flags"), [
+        (["local-solve", "--a-count", "8", "--include-zero"],
+         "include-zero = false\n", []),
+        (["lattice-verify", "--extent", "6"], "spacings = 0.1 0.05\n",
+         ["--spacings", "0.1", "0.05"]),
+        (["tile", "--kind", "superposition", "--radius", "0.25"],
+         "seed = 5\ntolerance-scale = 2\n", ["--seed", "5", "--tolerance-scale", "2"]),
+    ], ids=["explicit-store-true-wins", "sequence", "seed-and-tolerance-scale"])
+    def test_config_gives_flag_artifacts(self, tmp_path, argv, config, flags):
+        # each config entry here used to be overridden, ignored or dropped
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        assert main(argv + flags + ["--out", str(tmp_path / "flags")]) == 0
+        assert main(argv + ["--config", str(cfg),
+                            "--out", str(tmp_path / "config")]) == 0
+        assert (read_all_outputs(tmp_path / "config")
+                == read_all_outputs(tmp_path / "flags"))
+
+    def test_choices_apply_to_config_values(self, tmp_path, capsys):
+        # an unknown kind used to reach the tiling and exit 3 as a domain error
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kind = hexagonal\n")
+        rc = main(["tile", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"config error: {cfg}: argument --kind: invalid choice" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_env_beats_config_out(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out = {tmp_path / 'from-config'}\n")
+        monkeypatch.setenv("BOHRQED_OUT", str(tmp_path / "from-env"))
+        assert main(["solve-bohr", "--config", str(cfg)]) == 0
+        assert (tmp_path / "from-env" / "bohr_state.json").exists()
+        assert not (tmp_path / "from-config").exists()
+
+    @pytest.mark.parametrize("option", _options(),
+                             ids=lambda o: f"{o[0]}:{o[1].option_strings[0]}")
+    def test_every_option_from_config(self, tmp_path, monkeypatch, option):
+        command, action = option
+        monkeypatch.delenv("BOHRQED_OUT", raising=False)
+        flag = action.option_strings[0]
+        values = _non_default(action, tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]} = {' '.join(values) or 'true'}\n")
+        by_flag, _ = parse_args([command, flag, *values])
+        by_config, entries = parse_args([command, "--config", str(cfg)])
+        assert getattr(by_flag, action.dest) != action.default
+        assert config_hash(by_config) == config_hash(by_flag)
+        if action.dest == "out":  # resolves after the environment, not in ns
+            assert (resolve_out_dir(by_config, entries)
+                    == resolve_out_dir(by_flag, {}))
+        else:
+            assert vars(by_config) == {**vars(by_flag), "config": str(cfg)}
 
 
 class TestParserReuse:

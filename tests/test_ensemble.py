@@ -77,6 +77,27 @@ class TestTile:
         with pytest.raises(ValueError):
             tile([(0, 1), (0, 2)], lambda p: 0.2, kind="pure")
 
+    @pytest.mark.parametrize(("domain", "R", "named"), [
+        (UNIT_SQUARE, math.nan, "radius must be finite and positive, got nan"),
+        (UNIT_SQUARE, math.inf, "radius must be finite and positive, got inf"),
+        (UNIT_SQUARE, lambda p: math.nan,
+         "radius field must be finite and positive, got nan"),
+        ([(0.0, math.inf), (0.0, 1.0)], 0.25, "got ((0.0, inf), (0.0, 1.0))"),
+        ([(0.0, 1.0), (math.nan, 1.0)], 0.25, "got ((0.0, 1.0), (nan, 1.0))"),
+    ])
+    def test_non_finite_input_named(self, domain, R, named):
+        # int(nan) or int(inf) used to escape from the grid, and a NaN radius
+        # field subdivided to the depth limit
+        with pytest.raises(ValueError) as info:
+            tile(domain, R)
+        assert named in str(info.value)
+        assert not isinstance(info.value, InfeasibleCoverage)
+
+    def test_needs_a_boundary_sample(self):
+        # zero samples used to give an ensemble without a boundary set
+        with pytest.raises(ValueError, match="boundary_samples must be >= 1, got 0"):
+            tile(UNIT_SQUARE, 0.25, boundary_samples=0)
+
     def test_single_region_by_default(self):
         ens = tile(UNIT_SQUARE, 0.25, kind="pure")
         assert len(ens.regions) == 1

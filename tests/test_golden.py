@@ -58,6 +58,13 @@ RUNS = {
 }
 
 
+# the same options from a config file: a sequence and a store_true flag too
+CONFIG_RUNS = {
+    "tile-pure-regions": "radius = 0.05\nregions-per-axis = 3\nseed = 1\n",
+    "lattice-verify": "extent = 6\nspacings = 0.2 0.1\nconjugate-charge = true\n",
+}
+
+
 def artifact_digests(argv, out) -> dict[str, str]:
     assert main(argv + ["--out", str(out)]) == 0
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -68,3 +75,12 @@ def artifact_digests(argv, out) -> dict[str, str]:
 def test_artifacts_match_recorded_digests(tmp_path, name):
     argv, digests = RUNS[name]
     assert artifact_digests(argv, tmp_path) == digests
+
+
+@pytest.mark.parametrize("name", CONFIG_RUNS)
+def test_config_file_runs_match_recorded_digests(tmp_path, name):
+    argv, digests = RUNS[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(CONFIG_RUNS[name])
+    assert artifact_digests([argv[0], "--config", str(cfg)],
+                            tmp_path / "out") == digests

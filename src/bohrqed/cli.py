@@ -215,7 +215,8 @@ def _config_tokens(parser: argparse.ArgumentParser, command: str,
 def parse_args(argv=None) -> tuple[argparse.Namespace, dict[str, str]]:
     """Namespace and config entries of one run: the entries are parsed as
     flags put before the command line's, so they meet the same types and
-    choices, and an explicit flag wins as the last one given."""
+    choices, and an explicit flag wins as the last one given.  A repeated
+    ``--spacings`` value is a :class:`ConfigError`."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     ns = parser.parse_args(argv)
@@ -229,6 +230,10 @@ def parse_args(argv=None) -> tuple[argparse.Namespace, dict[str, str]]:
         except SystemExit:
             message = stderr.getvalue().partition(": error: ")[2].strip()
             raise ConfigError(f"{ns.config}: {message}") from None
+    spacings = getattr(ns, "spacings", [])
+    repeated = [h for h in spacings if spacings.count(h) > 1]
+    if repeated:
+        raise ConfigError(f"--spacings lists {repeated[0]!r} more than once")
     return ns, cfg
 
 

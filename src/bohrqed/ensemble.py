@@ -238,6 +238,8 @@ def tile(domain: Sequence[tuple[float, float]],
         raise ValueError(f"boundary_samples must be >= 1, got {boundary_samples}")
     if c is None:
         c = math.sqrt(dim)
+    elif not math.isfinite(c):
+        raise ValueError(f"coverage slack c must be finite, got {c}")
 
     if callable(R):
         cells = _refine_cells(domain, R, dim)
@@ -395,6 +397,8 @@ def partition_regions(ensemble: Ensemble, regions_per_axis: int) -> Ensemble:
 def count_interactions(T: float, R: float, kind: str) -> int:
     """Local interactions inside a box of side T tiled at radius R."""
     dim = _check_kind(kind)
+    if not math.isfinite(T):
+        raise ValueError(f"box side T must be finite, got {T}")
     if T <= 2.0 * R:
         raise ValueError("box side T must exceed one roundel diameter")
     return int(math.floor((T / (2.0 * R)) ** dim + 1e-9))

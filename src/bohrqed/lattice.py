@@ -15,6 +15,10 @@ first-order operator is ``D = i d0 + i1 d1 + i2 d2 + i3 d3`` and ``D‡``
 flips the sign of the spatial basis elements.  Residuals are computed
 on interior arrays (the sites with a full stencil) by one difference
 kernel; basis units act by signed permutation (times ``i`` on time).
+They stream one axis-0 slab of time slices at a time (as many as fit in
+``_SLAB_BYTES`` of one field, at least one) and report the max of the
+per-slab maxima, the whole-array value bit for bit, with temporaries of
+a few slabs instead of several fields; frame transport is per slab too.
 """
 
 from __future__ import annotations
@@ -112,7 +116,7 @@ def _field_values(values, lattice: HypercubicLattice, name: str) -> np.ndarray:
     if vals.shape != lattice.extent + (4,):
         raise ValueError(f"{name} shape {vals.shape} does not match lattice "
                          f"extent {lattice.extent} + (4,)")
-    if not np.all(np.isfinite(vals)):
+    if not all(np.isfinite(vals[box]).all() for box in _slabs(lattice.extent)):
         raise ValueError(f"{name} values must be finite")
     vals.setflags(write=False)
     return vals
@@ -227,6 +231,21 @@ _WAVE_ORDER = {"composed": (1, 1), "onesided": (2, 0)}
 _MODES = {**_FIRST_ORDER, **_WAVE_ORDER}
 
 
+#: Bytes of one field's slab.  A slab's temporaries are a few times its
+#: size: 256 KiB keeps them near a 2 MiB L2 and under half a 16^4 field.
+_SLAB_BYTES = 1 << 18
+
+
+def _slabs(extent, box=None) -> list[tuple[slice, ...]]:
+    """``box`` (all sites by default) cut along axis 0 into slabs of at most
+    ``_SLAB_BYTES`` of one field on a lattice of ``extent``, or one slice."""
+    box = tuple(slice(0, n) for n in extent[:4]) if box is None else box
+    width = max(1, _SLAB_BYTES // (math.prod(extent[1:4]) * 4 * 16))
+    t0, t1 = box[0].start, box[0].stop
+    return [(slice(t, min(t + width, t1)),) + box[1:]
+            for t in range(t0, t1, width)]
+
+
 def _interior(shape, mode: str, modes=_MODES) -> tuple[slice, ...]:
     """The box of sites where ``mode``, one of ``modes``, has a full stencil."""
     if mode not in modes:
@@ -252,15 +271,16 @@ def _stencil(values: np.ndarray, axis: int, step: float, mode: str,
     def at(offset):
         return values[_shifted(box, axis, offset)]
 
-    if mode == "backward":
-        return (at(0) - at(-1)) / step
-    if mode == "forward":
-        return (at(1) - at(0)) / step
-    if mode == "central":
-        return (at(1) - at(-1)) / (2.0 * step)
-    if mode == "composed":
-        return (at(1) - 2.0 * at(0) + at(-1)) / step ** 2
-    return (at(0) - 2.0 * at(-1) + at(-2)) / step ** 2  # onesided
+    # offsets -lo..hi, in place in the order of (a - b) / h, (a - 2b + c) / h²
+    lo, hi = _MODES[mode]
+    if mode in _WAVE_ORDER:
+        out = at(hi) - 2.0 * at(hi - 1)
+        out += at(hi - 2)
+        out /= step ** 2
+    else:
+        out = at(hi) - at(-lo)
+        out /= (lo + hi) * step
+    return out
 
 
 def _left_mul(c: Biquaternion, b: np.ndarray) -> list:
@@ -296,9 +316,10 @@ def _dirac(values: np.ndarray, step: float, mode: str, box, dagger: bool = False
     basis = [b.quat_conj() if dagger else b for b in BASIS] if basis is None else basis
     out = np.zeros(values[box].shape, dtype=complex)
     for mu in range(4):
-        diff = _stencil(values, mu, step, mode, box)
-        for k, comp in enumerate(_left_mul(basis[mu], diff)):
-            out[..., k] += comp
+        comps = _left_mul(basis[mu], _stencil(values, mu, step, mode, box))
+        for k in range(4):
+            out[..., k] += comps[k]
+        del comps  # one axis's difference alive at a time
     return out
 
 
@@ -337,9 +358,9 @@ def dirac_apply_values(values: np.ndarray, lattice: HypercubicLattice,
                        basis: Sequence[Biquaternion] | None = None,
                        ) -> np.ndarray:
     """Apply ``D`` (or ``D‡``) to raw field values; NaN outside the stencil."""
-    box = _interior(values.shape, mode, _FIRST_ORDER)
     out = np.full(values.shape, np.nan + 0j)
-    out[box] = _dirac(values, lattice.step, mode, box, dagger, basis)
+    for box in _slabs(values.shape, _interior(values.shape, mode, _FIRST_ORDER)):
+        out[box] = _dirac(values, lattice.step, mode, box, dagger, basis)
     return out
 
 
@@ -360,9 +381,9 @@ def wave_apply(values: np.ndarray, lattice: HypercubicLattice,
     (the 3-point stencil); ``onesided`` repeats the backward difference,
     which is the fully one-sided variant.
     """
-    box = _interior(values.shape, mode, _WAVE_ORDER)
     out = np.full(values.shape, np.nan + 0j)
-    out[box] = _wave(values, lattice.step, mode, box)
+    for box in _slabs(values.shape, _interior(values.shape, mode, _WAVE_ORDER)):
+        out[box] = _wave(values, lattice.step, mode, box)
     return out
 
 
@@ -393,29 +414,31 @@ def photon_residual(A: LatticeField, J: LatticeField, mode: str = "composed",
     """
     if A.lattice != J.lattice:
         raise ValueError("fields must live on the same lattice")
-    box = _interior(A.values.shape, mode, _WAVE_ORDER)
-    lhs = _wave(A.values, A.lattice.step, mode, box)
-    rhs = J.values[box]
-    if collocation == "half-point":
-        shifted = sum(J.values[_shifted(box, mu, -1)] for mu in range(4))
-        rhs = 0.5 * rhs + 0.5 * (shifted / 4.0)
-    elif collocation != "site":
+    if collocation not in ("site", "half-point"):
         raise ValueError(f"unknown collocation {collocation!r}")
-    worst = _max_norm(lhs - rhs)
+    rows = []
+    for box in _slabs(A.lattice.extent,
+                      _interior(A.values.shape, mode, _WAVE_ORDER)):
+        lhs = _wave(A.values, A.lattice.step, mode, box)
+        rhs = J.values[box]
+        if collocation == "half-point":
+            shifted = sum(J.values[_shifted(box, mu, -1)] for mu in range(4))
+            rhs = 0.5 * rhs + 0.5 * (shifted / 4.0)
+        rows.append((_max_norm(lhs - rhs), _max_norm(rhs), _max_norm(lhs)))
+    worst, rhs_max, lhs_max = (float(m) for m in np.max(rows, axis=0))
     if not math.isfinite(worst):
         raise FloatingPointError("residual contains non-finite interior values")
-    return ResidualReport(max_residual=worst, field_scale=max(
-        _max_norm(rhs), _max_norm(lhs), 1e-300))
+    return ResidualReport(max_residual=worst,
+                          field_scale=max(rhs_max, lhs_max, 1e-300))
 
 
-def _potential_entries(A, lattice) -> tuple[np.ndarray, np.ndarray]:
+def _potential_entries(A) -> tuple:
     if isinstance(A, LatticeField):
         return A.values, A.values
     if isinstance(A, tuple) and len(A) == 2:
         return A[0].values, A[1].values
     if isinstance(A, Biquaternion):
-        arr = np.broadcast_to(A.as_array(), lattice.extent + (4,))
-        return arr, arr
+        return A, A
     raise TypeError("potential must be a LatticeField, a pair, or a constant")
 
 
@@ -428,20 +451,35 @@ def dirac_residual(phi: ReflectorField, A, e: float, mass: MassTerm | float,
     ``D‡ phi1 - i e A~ phi1 + phi2 (i m) = 0``.
     """
     m_k = mass.per_region if isinstance(mass, MassTerm) else float(mass)
-    a_upper, a_lower = _potential_entries(A, phi.lattice)
-    box = _interior(phi.phi1.shape, mode, _FIRST_ORDER)
-    phi1, phi2 = phi.phi1[box], phi.phi2[box]
-    r11 = _dirac(phi.phi2, phi.lattice.step, mode, box)
-    r11 -= 1j * e * bq_mul_arr(a_upper[box], phi2)
-    r11 -= phi1 * (1j * m_k)
-    r22 = _dirac(phi.phi1, phi.lattice.step, mode, box, dagger=True)
-    r22 -= 1j * e * bq_mul_arr(a_lower[box], phi1)
-    r22 += phi2 * (1j * m_k)
-    n11, n22 = _max_norm(r11), _max_norm(r22)
+    a_upper, a_lower = _potential_entries(A)
+    extent, step = phi.lattice.extent, phi.lattice.step
+
+    def row(box, psi, chi, a, dagger: bool) -> float:
+        """One equation's max on ``box``; ``chi`` is ``psi``'s mass partner."""
+        r = _dirac(psi, step, mode, box, dagger=dagger)
+        if isinstance(a, Biquaternion):  # a constant: no field of it
+            for k, comp in enumerate(_left_mul(a, psi[box])):
+                r[..., k] -= 1j * e * comp
+        else:
+            prod = bq_mul_arr(a[box], psi[box])
+            r -= np.multiply(1j * e, prod, out=prod)
+        mass_term = chi[box] * (1j * m_k)
+        if dagger:
+            r += mass_term
+        else:
+            r -= mass_term
+        return _max_norm(r)
+
+    n11, n22 = (float(m) for m in np.max([
+        (row(box, phi.phi2, phi.phi1, a_upper, False),
+         row(box, phi.phi1, phi.phi2, a_lower, True))
+        for box in _slabs(extent, _interior(extent, mode, _FIRST_ORDER))], axis=0))
     if not (math.isfinite(n11) and math.isfinite(n22)):
         raise FloatingPointError("residual contains non-finite interior values")
-    return ResidualReport(max_residual=max(n11, n22), field_scale=max(
-        _max_norm(phi.phi1), _max_norm(phi.phi2), 1e-300))
+    scale = np.max([(_max_norm(phi.phi1[box]), _max_norm(phi.phi2[box]))
+                    for box in _slabs(extent)])
+    return ResidualReport(max_residual=max(n11, n22),
+                          field_scale=max(float(scale), 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -456,15 +494,13 @@ def bohr_phi_field(lattice: HypercubicLattice, state: BohrState) -> ReflectorFie
     """
     x0 = lattice.axis_coords(0)[:, None]
     s = lattice.axis_coords(1)[None, :]
-    phase = np.exp(1j * (state.mu * s - state.nu * x0))
-    phase4 = np.broadcast_to(phase[:, :, None, None],
-                             lattice.extent).astype(complex)
+    phase = np.exp(1j * (state.mu * s - state.nu * x0))[:, :, None, None]
     phi1 = np.zeros(lattice.extent + (4,), dtype=complex)
-    phi1[..., 0] = phase4
+    phi1[..., 0] = phase
     m = state.input.m
     phi2 = np.zeros_like(phi1)
-    phi2[..., 0] = (1j * state.eta / m) * phase4
-    phi2[..., 1] = (state.mu / m) * phase4
+    phi2[..., 0] = (1j * state.eta / m) * phase
+    phi2[..., 1] = (state.mu / m) * phase
     return ReflectorField(lattice=lattice, phi1=phi1, phi2=phi2)
 
 
@@ -492,6 +528,15 @@ def charge_conjugate_field(phi: ReflectorField) -> ReflectorField:
 # Frame transport between the two lattices
 # ---------------------------------------------------------------------------
 
+def _transport(values: np.ndarray, binding: RegionBinding,
+               power: int) -> np.ndarray:
+    """``(R_k/a)**power`` times ``Z`` acting sitewise on ``values``; the
+    product is scaled in place, the same ufunc as ``factor * product``."""
+    out = binding.Z.apply_array(values)
+    out *= (binding.R_k / binding.a) ** power
+    return out
+
+
 def transform_field(kind: str, field, binding: RegionBinding):
     """Carry a compromise-frame field to the snapshot lattice.
 
@@ -504,18 +549,16 @@ def transform_field(kind: str, field, binding: RegionBinding):
         power = TRANSFORM_EXPONENTS[kind]
     except KeyError:
         raise ValueError(f"unknown transform kind {kind!r}") from None
-    factor = (binding.R_k / binding.a) ** power
-    Z = binding.Z
     if isinstance(field, ReflectorField):
         return ReflectorField(lattice=binding.lattice_p,
-                              phi1=factor * Z.apply_array(field.phi1),
-                              phi2=factor * Z.apply_array(field.phi2))
+                              phi1=_transport(field.phi1, binding, power),
+                              phi2=_transport(field.phi2, binding, power))
     if isinstance(field, LatticeField):
         return LatticeField(lattice=binding.lattice_p,
-                            values=factor * Z.apply_array(field.values),
+                            values=_transport(field.values, binding, power),
                             label=field.label)
     if isinstance(field, Biquaternion):
-        return factor * Z.apply(field)
+        return (binding.R_k / binding.a) ** power * binding.Z.apply(field)
     raise TypeError("field must be a LatticeField, ReflectorField, or Biquaternion")
 
 
@@ -537,21 +580,45 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
     exactly with the discrete second-order operator, so the snapshot
     residual field equals the transported compromise residual field;
     ``commutation_residual`` measures that identity relative to the
-    operator's own scale.
+    operator's own scale.  ``ValueError`` if a transported field is not
+    finite.
     """
-    box = _interior(A_k.values.shape, mode, _WAVE_ORDER)
-    resid_k = _wave(A_k.values, binding.lattice_k.step, mode, box)
-    resid_k -= J_k.values[box]
-    # the transported fields live only as long as their interiors are read
-    resid_p = _wave(transform_field("potential", A_k, binding).values,
-                    binding.lattice_p.step, mode, box)
-    scale = max(_max_norm(resid_p), 1e-300)
-    resid_p -= transform_field("current", J_k, binding).values[box]
-    factor = (binding.R_k / binding.a) ** 3
-    mismatch = _max_norm(resid_p - factor * binding.Z.apply_array(resid_k))
+    def carried(values, kind):
+        out = _transport(values, binding, TRANSFORM_EXPONENTS[kind])
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"transported {kind} values must be finite")
+        return out
+
+    slabs = _slabs(A_k.lattice.extent,
+                   _interior(A_k.values.shape, mode, _WAVE_ORDER))
+    lo, hi = _WAVE_ORDER[mode]
+    # the snapshot potential on slices start.. of the slab and its axis-0
+    # halo; the halo comes over from the last slab, so each slice of A_k is
+    # carried once, up to ``done``
+    window = np.empty((slabs[0][0].stop + hi,) + A_k.values.shape[1:], complex)
+    start = done = 0
+    rows = []
+    for slab in slabs:
+        t0, t1 = slab[0].start, slab[0].stop
+        resid_k = _wave(A_k.values, binding.lattice_k.step, mode, slab)
+        resid_k -= J_k.values[slab]
+        shift, start = t0 - lo - start, t0 - lo
+        window[:done - start] = window[shift:shift + done - start]
+        for t in range(done, t1 + hi):
+            window[t - start] = carried(A_k.values[t], "potential")
+        done = t1 + hi
+        resid_p = _wave(window, binding.lattice_p.step, mode,
+                        (slice(lo, lo + t1 - t0),) + slab[1:])
+        scale = _max_norm(resid_p)
+        resid_p -= carried(J_k.values[slab], "current")
+        lp = _max_norm(resid_p)
+        resid_p -= _transport(resid_k, binding, 3)
+        rows.append((_max_norm(resid_k), lp, _max_norm(resid_p), scale))
+    lk, lp, mismatch, scale = (float(m) for m in np.max(rows, axis=0))
     return EquivalenceReport(
-        lk_residual=_max_norm(resid_k), lp_residual=_max_norm(resid_p),
-        commutation_residual=mismatch / scale, scale_factor=factor)
+        lk_residual=lk, lp_residual=lp,
+        commutation_residual=mismatch / max(scale, 1e-300),
+        scale_factor=(binding.R_k / binding.a) ** 3)
 
 
 # ---------------------------------------------------------------------------
@@ -638,25 +705,28 @@ def write_field(path, obj: LatticeField | ReflectorField) -> None:
     """Flat text format: header, then one line per site with the index
     quadruple and the complex components (4 per biquaternion entry)."""
     lattice = obj.lattice
-    if isinstance(obj, ReflectorField):
-        kind, flat = "reflector", np.concatenate([obj.phi1, obj.phi2], axis=-1)
-    else:
-        kind, flat = "biquaternion", obj.values
-    lines = [
+    reflector = isinstance(obj, ReflectorField)
+    header = [
         "bohrqed-field 1",
-        f"kind {kind}",
+        f"kind {'reflector' if reflector else 'biquaternion'}",
         f"spacing {lattice.spacing:.17g}",
         "extent " + " ".join(str(e) for e in lattice.extent),
         "origin " + " ".join(f"{o:.17g}" for o in lattice.origin),
         f"frame {lattice.frame}",
     ]
-    width = flat.shape[-1]
-    row = "%d %d %d %d " + " ".join(["%.17g%+.17gj"] * width)
-    sites = np.indices(lattice.extent).reshape(4, -1).T.tolist()
-    parts = flat.reshape(-1, width).view(float).tolist()  # real, imag, ...
-    lines += [row % (*site, *vals) for site, vals in zip(sites, parts)]
+    width = 8 if reflector else 4
+    row = "%d %d %d %d " + " ".join(["%.17g%+.17gj"] * width) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(header) + "\n")
+        for box in _slabs(lattice.extent):
+            block = (np.concatenate([obj.phi1[box], obj.phi2[box]], axis=-1)
+                     if reflector else obj.values[box])
+            index = np.indices(block.shape[:4])
+            index[0] += box[0].start
+            sites = index.reshape(4, -1).T.tolist()
+            parts = block.reshape(-1, width).view(float).tolist()  # re, im, ...
+            fh.write("".join([row % (*site, *vals)
+                              for site, vals in zip(sites, parts)]))
 
 
 def read_field(path) -> LatticeField | ReflectorField:

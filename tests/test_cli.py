@@ -153,13 +153,18 @@ class TestTile:
         (["--side", "inf"], "domain bounds must be finite"),
         (["--boundary-samples", "0"], "boundary_samples must be >= 1, got 0"),
         (["--regions-per-axis", "0"], "regions_per_axis must be >= 1"),
+        (["--c", "nan"], "coverage slack c must be finite, got nan"),
+        (["--c", "inf"], "coverage slack c must be finite, got inf"),
     ])
     def test_invalid_input_exit_3(self, tmp_path, capsys, flags, message):
-        # these used to exit 3 on int(nan), crash on int(inf), or run on
-        # without a boundary set or a region split
+        # these used to exit 3 on int(nan), crash on int(inf), run on
+        # without a boundary set or a region split, or report a NaN c as
+        # InfeasibleCoverage
         rc = main(["tile", "--out", str(tmp_path), *flags])
         assert rc == 3
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "InfeasibleCoverage" not in err
         assert not (tmp_path / "boundary_points.csv").exists()
 
 
@@ -182,6 +187,15 @@ class TestLatticeVerify:
             (tmp_path / "lattice_verify_report.json").read_text())
         skipped = [c for c in report["checks"] if c.get("skipped")]
         assert len(skipped) >= 2
+
+    def test_duplicate_spacings_exit_2(self, tmp_path, capsys):
+        # a repeated spacing used to exit 3 with "abscissa has zero span"
+        rc = main(["lattice-verify", "--out", str(tmp_path / "o"),
+                   "--spacings", "0.1", "0.05", "0.1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "config error: --spacings lists 0.1 more than once" in err
+        assert not (tmp_path / "o").exists()
 
     def test_conjugate_charge_flag(self, tmp_path):
         rc = main(["lattice-verify", "--out", str(tmp_path),
@@ -206,6 +220,16 @@ class TestLatticeVerify:
 
 
 class TestScalingSweep:
+    @pytest.mark.parametrize("side", ["nan", "inf"])
+    def test_non_finite_big_t_exit_3(self, tmp_path, capsys, side):
+        # NaN used to exit 3 on int(nan), infinity to crash on int(inf)
+        rc = main(["scaling-sweep", "--out", str(tmp_path), "--big-t", side])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"box side T must be finite, got {side}" in err
+        assert "cannot convert" not in err
+        assert not (tmp_path / "roundel_sweep.csv").exists()
+
     def test_exponent_table(self, tmp_path):
         rc = main(["scaling-sweep", "--out", str(tmp_path)])
         assert rc == 0

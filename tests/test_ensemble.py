@@ -93,6 +93,14 @@ class TestTile:
         assert named in str(info.value)
         assert not isinstance(info.value, InfeasibleCoverage)
 
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    def test_non_finite_c_named(self, c):
+        # NaN used to be reported as InfeasibleCoverage, infinity accepted
+        message = f"coverage slack c must be finite, got {c}"
+        with pytest.raises(ValueError, match=message) as info:
+            tile(UNIT_SQUARE, 0.25, c=c)
+        assert not isinstance(info.value, InfeasibleCoverage)
+
     def test_needs_a_boundary_sample(self):
         # zero samples used to give an ensemble without a boundary set
         with pytest.raises(ValueError, match="boundary_samples must be >= 1, got 0"):
@@ -197,6 +205,12 @@ class TestCounts:
     def test_requires_room(self):
         with pytest.raises(ValueError):
             count_interactions(1.0, 0.5, "pure")
+
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+    def test_non_finite_side_named(self, T):
+        # NaN used to fail in int(nan), +inf to overflow in int(inf)
+        with pytest.raises(ValueError, match=f"box side T must be finite, got {T}"):
+            count_interactions(T, 0.25, "pure")
 
 
 class TestTotalCharge:

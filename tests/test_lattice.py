@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from bohrqed.algebra import (
     bq_mul_arr,
 )
 from bohrqed.bohr import BohrInput, SupercriticalCoupling, solve_bohr
+from bohrqed import lattice as lattice_module
 from bohrqed.fitting import fit_loglog
 from bohrqed.lattice import (
     BoundarySite,
@@ -418,6 +420,31 @@ class TestBohrFieldSampling:
         assert np.allclose(ratio, step_phase, atol=1e-12)
         assert abs(step_phase - 1.0) > 0.01
 
+    def test_bitwise_equal_to_broadcast_copy(self):
+        # reference: the phase broadcast to a 4-D complex copy, then scaled;
+        # scaling the 2-D phase and broadcasting the result is the same
+        state = alpha_state()
+        lat = HypercubicLattice(spacing=0.07, extent=(5, 6, 4, 3),
+                                origin=(0.3, -0.2, 0.0, 0.1))
+        x0 = lat.axis_coords(0)[:, None]
+        s = lat.axis_coords(1)[None, :]
+        phase = np.exp(1j * (state.mu * s - state.nu * x0))
+        phase4 = np.broadcast_to(phase[:, :, None, None],
+                                 lat.extent).astype(complex)
+        m = state.input.m
+        phi = bohr_phi_field(lat, state)
+        assert phi.phi1[..., 0].tobytes() == phase4.tobytes()
+        assert phi.phi2[..., 0].tobytes() == (
+            (1j * state.eta / m) * phase4).tobytes()
+        assert phi.phi2[..., 1].tobytes() == ((state.mu / m) * phase4).tobytes()
+        assert not phi.phi1[..., 1:].any() and not phi.phi2[..., 2:].any()
+
+    def test_peak_memory(self):
+        # the two entries and the copies the field keeps, nothing 4-D more
+        lat = HypercubicLattice(spacing=0.05, extent=(12,) * 4)
+        peak, phi = _traced_peak(lambda: bohr_phi_field(lat, alpha_state()))
+        assert peak <= 4.05 * phi.phi1.nbytes
+
 
 class TestBuildLattices:
     def test_identity_same_spacing_pure_translation(self):
@@ -461,6 +488,25 @@ class TestTransformField:
         vals = rng.normal(size=lat.extent + (4,)) \
             + 1j * rng.normal(size=lat.extent + (4,))
         return LatticeField(lat, vals)
+
+    @pytest.mark.parametrize("kind", sorted(lattice_module.TRANSFORM_EXPONENTS))
+    def test_in_place_scale_bitwise(self, kind):
+        # the product is scaled in place; it must equal factor * product
+        _, latk, binding = build_lattices(
+            a=0.13, R_k=0.29, extent=(4, 3, 5, 3),
+            Z=LorentzTransform.from_parts([1, -2, 0.5], 0.8, [0.3, 1, -1], 0.7))
+        power = lattice_module.TRANSFORM_EXPONENTS[kind]
+        factor = (binding.R_k / binding.a) ** power
+        field = self.make_field(latk, seed=3)
+        phi = ReflectorField(latk, self.make_field(latk, seed=4).values,
+                             self.make_field(latk, seed=5).values)
+        got = transform_field(kind, field, binding)
+        assert got.values.tobytes() == (
+            factor * binding.Z.apply_array(field.values)).tobytes()
+        got = transform_field(kind, phi, binding)
+        for name in ("phi1", "phi2"):
+            assert getattr(got, name).tobytes() == (factor * binding.Z.apply_array(
+                getattr(phi, name))).tobytes()
 
     def test_current_scales_cubed(self):
         _, latk, binding = build_lattices(
@@ -560,6 +606,13 @@ class TestEquivalence:
         A = LatticeField(latk, vals)
         J = LatticeField(latk, np.nan_to_num(wave_apply(vals, latk)))
         return A, J
+
+    @pytest.mark.parametrize("mode", ["backward", "bogus"])
+    def test_unknown_mode_raises(self, mode):
+        _, latk, binding = build_lattices(a=0.1, R_k=0.2, extent=(4, 4, 4, 4),
+                                          Z=LorentzTransform.identity())
+        with pytest.raises(ValueError, match="unknown difference mode"):
+            equivalence_check(binding, *self.exact_pair(latk), mode=mode)
 
     @pytest.mark.parametrize("Z", [
         LorentzTransform.identity(),
@@ -1108,3 +1161,200 @@ class TestSiteLocalStencils:
             discrete_partial(f, (1, 1, 1, 1), mu=0, mode="composed")
         with pytest.raises(ValueError):
             discrete_dirac_apply(f, (1, 1, 1), mode=mode)
+
+
+# ---------------------------------------------------------------------------
+# Slab streaming: the residuals one axis-0 slab at a time, at every slab
+# width, against the whole-array reference above
+# ---------------------------------------------------------------------------
+
+def _traced_peak(fn):
+    """The tracemalloc peak of ``fn()`` in bytes, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def _slice_bytes(extent):
+    """Bytes of one time slice of a biquaternion field."""
+    return math.prod(extent[1:]) * 4 * np.dtype(complex).itemsize
+
+
+class TestSlabOracle:
+    """Every slabbed kernel against the whole-array reference, bitwise, with
+    the slab budget set to each width from one time slice to the extent."""
+
+    lattice = HypercubicLattice(spacing=0.13, extent=(7, 4, 5, 3),
+                                origin=(0.1, -0.3, 0.2, 0.0))
+
+    @pytest.fixture(autouse=True, params=range(1, 8))
+    def width(self, request, monkeypatch):
+        monkeypatch.setattr(lattice_module, "_SLAB_BYTES",
+                            request.param * _slice_bytes(self.lattice.extent))
+        return request.param
+
+    def fields(self, seed, count):
+        rng = np.random.default_rng(seed)
+        return [_random_values(rng, self.lattice) for _ in range(count)]
+
+    def test_slabs_tile_axis_0(self, width):
+        slabs = lattice_module._slabs(self.lattice.extent)
+        starts = [box[0].start for box in slabs]
+        assert starts == list(range(0, 7, width))
+        assert [box[0].stop for box in slabs] == starts[1:] + [7]
+        assert all(box[1:] == (slice(0, 4), slice(0, 5), slice(0, 3))
+                   for box in slabs)
+
+    @pytest.mark.parametrize("dagger", [False, True])
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
+    def test_dirac_apply(self, mode, dagger):
+        (vals,) = self.fields(1, 1)
+        _assert_interior_equal(
+            dirac_apply_values(vals, self.lattice, dagger=dagger, mode=mode),
+            _ref_dirac_apply(vals, self.lattice, dagger=dagger, mode=mode), mode)
+
+    @pytest.mark.parametrize("basis", sorted(CUSTOM_BASES))
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
+    def test_dirac_apply_custom_basis(self, mode, basis):
+        (vals,) = self.fields(2, 1)
+        b = CUSTOM_BASES[basis]
+        _assert_interior_equal(
+            dirac_apply_values(vals, self.lattice, mode=mode, basis=b),
+            _ref_dirac_apply(vals, self.lattice, mode=mode, basis=b), mode)
+
+    @pytest.mark.parametrize("mode", ["composed", "onesided"])
+    def test_wave_apply(self, mode):
+        (vals,) = self.fields(3, 1)
+        _assert_interior_equal(wave_apply(vals, self.lattice, mode=mode),
+                               _ref_wave_apply(vals, self.lattice, mode=mode),
+                               mode)
+
+    @pytest.mark.parametrize("dagger", [False, True])
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
+    def test_dirac_residual_one_row(self, mode, dagger):
+        # with no mass and one zero entry, the residual is the D row (or,
+        # with ``dagger``, the D‡ row) alone
+        vals, upper, lower = self.fields(4, 3)
+        zero = np.zeros_like(vals)
+        phi = ReflectorField(self.lattice, *((vals, zero) if dagger
+                                             else (zero, vals)))
+        pot = (LatticeField(self.lattice, upper), LatticeField(self.lattice, lower))
+        assert (dirac_residual(phi, pot, e=0.61, mass=0.0, mode=mode)
+                == _ref_dirac_residual(phi, upper, lower, 0.61, 0.0, mode))
+
+    @pytest.mark.parametrize("potential", [
+        "field", "pair", Biquaternion(-0.2j, 0.1, 0, 0.03), I1, -I0,
+        Biquaternion(0)])
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
+    def test_dirac_residual_potentials(self, mode, potential):
+        phi1, phi2, upper, lower = self.fields(5, 4)
+        phi = ReflectorField(self.lattice, phi1, phi2)
+        if potential == "field":
+            pot, lower = LatticeField(self.lattice, upper), upper
+        elif potential == "pair":
+            pot = (LatticeField(self.lattice, upper),
+                   LatticeField(self.lattice, lower))
+        else:
+            pot = potential
+            upper = lower = np.broadcast_to(potential.as_array(), phi1.shape)
+        mass = renormalize_mass(1.3, a=0.1, R_k=0.2)
+        for field in (phi, charge_conjugate_field(phi)):
+            assert (dirac_residual(field, pot, e=-0.8, mass=mass, mode=mode)
+                    == _ref_dirac_residual(field, upper, lower, -0.8,
+                                           mass.per_region, mode))
+
+    @pytest.mark.parametrize("collocation", ["site", "half-point"])
+    @pytest.mark.parametrize("mode", ["composed", "onesided"])
+    def test_photon_residual(self, mode, collocation):
+        a_vals, j_vals = self.fields(6, 2)
+        A = LatticeField(self.lattice, a_vals)
+        J = LatticeField(self.lattice, j_vals)
+        assert (photon_residual(A, J, mode=mode, collocation=collocation)
+                == _ref_photon_residual(A, J, mode=mode, collocation=collocation))
+
+    @pytest.mark.parametrize("Z", [
+        LorentzTransform.identity(),
+        LorentzTransform.rotation([0, 0, 1], math.pi / 2),
+        LorentzTransform.boost([1, 0, 0], 0.9),
+    ], ids=["identity", "rotation", "boost"])
+    @pytest.mark.parametrize("mode", ["composed", "onesided"])
+    def test_equivalence(self, mode, Z):
+        _, latk, binding = build_lattices(a=0.1, R_k=0.23,
+                                          extent=self.lattice.extent, Z=Z)
+        a_vals, j_vals = self.fields(7, 2)
+        A, J = LatticeField(latk, a_vals), LatticeField(latk, j_vals)
+        assert (equivalence_check(binding, A, J, mode=mode)
+                == _ref_equivalence_check(binding, A, J, mode=mode))
+
+    @pytest.mark.parametrize("reflector", [False, True])
+    def test_write_field(self, tmp_path, reflector):
+        vals = self.fields(8, 2)
+        obj = (ReflectorField(self.lattice, *vals) if reflector
+               else LatticeField(self.lattice, vals[0]))
+        write_field(tmp_path / "new.txt", obj)
+        _write_field_per_value(tmp_path / "old.txt", obj)
+        new, old = (tmp_path / "new.txt").read_bytes(), (tmp_path / "old.txt").read_bytes()
+        assert new == old
+
+    @pytest.mark.parametrize("residual", ["dirac", "photon"])
+    def test_non_finite_interior_raises(self, residual):
+        # an overflowing axis-0 difference in any one slab is found
+        (base,) = self.fields(9, 1)
+        for t in range(2, 7):
+            vals = base.copy()
+            vals[t - 1, 2, 2, 1, 0], vals[t, 2, 2, 1, 0] = -1e308, 1e308
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(FloatingPointError):
+                if residual == "dirac":
+                    dirac_residual(ReflectorField(self.lattice, base, vals),
+                                   Biquaternion(0.5), e=1.0, mass=1.0)
+                else:
+                    photon_residual(LatticeField(self.lattice, vals),
+                                    LatticeField(self.lattice, base))
+
+    @pytest.mark.parametrize("kind", ["potential", "current"])
+    def test_overflowing_transport_raises(self, kind):
+        # R_k/a > 1 carries a value near the largest double past it; A_k is
+        # carried on every slice, J_k on the interior the residual reads
+        _, latk, binding = build_lattices(a=0.1, R_k=0.23,
+                                          extent=self.lattice.extent,
+                                          Z=LorentzTransform.identity())
+        a_vals, j_vals = self.fields(10, 2)
+        for t in range(7) if kind == "potential" else range(1, 6):
+            vals = (a_vals if kind == "potential" else j_vals).copy()
+            vals[t, 1, 2, 1, 2] = 1.5e308
+            A = LatticeField(latk, vals if kind == "potential" else a_vals)
+            J = LatticeField(latk, vals if kind == "current" else j_vals)
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ValueError, match=f"transported {kind}"):
+                equivalence_check(binding, A, J)
+
+
+class TestSlabMemory:
+    """At the default slab budget the residuals' temporaries stay under half
+    a field; whole-array kernels need about four fields."""
+
+    extent = (16,) * 4
+
+    def test_dirac_residual(self):
+        lat = HypercubicLattice(spacing=0.05, extent=self.extent)
+        rng = np.random.default_rng(11)
+        phi = ReflectorField(lat, _random_values(rng, lat),
+                             _random_values(rng, lat))
+        pot = LatticeField(lat, _random_values(rng, lat))
+        for A in (pot, Biquaternion(-0.3j)):
+            peak, _ = _traced_peak(lambda: dirac_residual(phi, A, e=1.0, mass=1.0))
+            assert peak <= 0.5 * phi.phi1.nbytes
+
+    def test_equivalence_check(self):
+        _, latk, binding = build_lattices(
+            a=0.1, R_k=0.2, extent=self.extent,
+            Z=LorentzTransform.boost([1, 0, 0], 0.7))
+        rng = np.random.default_rng(12)
+        A = LatticeField(latk, _random_values(rng, latk))
+        J = LatticeField(latk, _random_values(rng, latk))
+        peak, _ = _traced_peak(lambda: equivalence_check(binding, A, J))
+        assert peak <= 0.5 * A.values.nbytes

@@ -36,6 +36,7 @@ __all__ = [
     "I3",
     "BASIS",
     "bq_mul_arr",
+    "bq_mul_planes",
     "bq_quat_conj_arr",
     "bq_complex_conj_arr",
     "bq_dagger_arr",
@@ -295,18 +296,32 @@ class LorentzTransform:
 # Vectorized biquaternion arithmetic on (..., 4) complex arrays
 # ---------------------------------------------------------------------------
 
-def bq_mul_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product, broadcasting over leading axes."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out[..., 0] = aw * bw - ax * bx - ay * by - az * bz
-    out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
-    out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
-    out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+#: Signs of the terms ``a[i] * b[i ^ k]`` of component k of a Hamilton product.
+_HAMILTON_SIGNS = ((1, -1, -1, -1), (1, 1, 1, -1), (1, -1, 1, 1), (1, 1, -1, 1))
+
+
+def bq_mul_planes(a, b, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Hamilton product of component planes (first axis; a constant is a
+    ``(4,)`` array) into ``out``, which must not overlap ``a`` or ``b``.
+
+    Component k is ``((t0 ± t1) ± t2) ± t3`` with ``ti = a[i] * b[i ^ k]``,
+    in the scalar product's order; terms after the first go through the
+    scratch plane ``tmp``."""
+    for k, signs in enumerate(_HAMILTON_SIGNS):
+        plane = np.multiply(a[0], b[k], out=out[k, ...])
+        for i in range(1, 4):
+            term = np.multiply(a[i], b[i ^ k], out=tmp)
+            (np.add if signs[i] > 0 else np.subtract)(plane, term, out=plane)
     return out
+
+
+def bq_mul_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hamilton product of ``(..., 4)`` arrays, broadcasting over leading axes."""
+    a = np.moveaxis(np.asarray(a, dtype=complex), -1, 0)
+    b = np.moveaxis(np.asarray(b, dtype=complex), -1, 0)
+    out = np.empty((4,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]), complex)
+    return np.moveaxis(bq_mul_planes(a, b, out, np.empty(out.shape[1:], complex)),
+                       0, -1)
 
 
 def bq_quat_conj_arr(a: np.ndarray) -> np.ndarray:

@@ -9,23 +9,26 @@ operator composes a backward with a forward difference per axis, giving
 the standard 3-point stencil (exact on quadratics).  A central mode is
 available for convergence studies.
 
-Field values are biquaternions stored as ``(*extent, 4)`` complex
-arrays; wave functions are reflector pairs ``(phi1, phi2)``.  The
-first-order operator is ``D = i d0 + i1 d1 + i2 d2 + i3 d3`` and ``D‡``
-flips the sign of the spatial basis elements.  Residuals are computed
-on interior arrays (the sites with a full stencil) by one difference
-kernel; basis units act by signed permutation (times ``i`` on time).
+Field values are biquaternions seen as ``(*extent, 4)`` complex arrays
+and stored component-major: one C-contiguous ``(4, *extent)`` block of
+component planes per entry.  Wave functions are reflector pairs
+``(phi1, phi2)``.  The first-order operator is
+``D = i d0 + i1 d1 + i2 d2 + i3 d3`` and ``D‡`` flips the sign of the
+spatial basis elements.  Residuals are computed on interior arrays (the
+sites with a full stencil) by one difference kernel on the component
+planes; basis units act by signed permutation (times ``i`` on time).
 They stream one axis-0 slab of time slices at a time (as many as fit in
-``_SLAB_BYTES`` of one field, at least one) and report the max of the
-per-slab maxima, the whole-array value bit for bit, with temporaries of
-a few slabs instead of several fields; frame transport is per slab too.
+``_SLAB_BYTES`` of one field, at least one), writing into slab buffers
+allocated once per call, and report the max of the per-slab maxima, the
+whole-array value bit for bit; frame transport is per slab too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,8 +37,7 @@ from .algebra import (
     Biquaternion,
     LorentzTransform,
     bq_complex_conj_arr,
-    bq_frobenius_arr,
-    bq_mul_arr,
+    bq_mul_planes,
 )
 from .bohr import BohrState, SupercriticalCoupling
 from .fitting import PowerFit, fit_loglog
@@ -84,14 +86,18 @@ class HypercubicLattice:
     frame: str = "snapshot"
 
     def __post_init__(self):
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
-        ext = tuple(int(e) for e in (
-            (self.extent,) * 4 if isinstance(self.extent, int) else self.extent))
-        if len(ext) != 4 or any(e < 3 for e in ext):
-            raise ValueError("extent must give >= 3 sites on each of 4 axes")
-        object.__setattr__(self, "extent", ext)
-        object.__setattr__(self, "origin", tuple(float(o) for o in self.origin))
+        if not 0 < self.spacing < math.inf:
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+        ext = [float(e) for e in ((self.extent,) * 4 if np.ndim(self.extent) == 0
+                                  else self.extent)]
+        if len(ext) != 4 or not all(e.is_integer() and e >= 3 for e in ext):
+            raise ValueError(f"extent must give >= 3 whole sites on each of 4 axes, "
+                             f"got {self.extent}")
+        origin = tuple(float(o) for o in self.origin)
+        if len(origin) != 4 or not all(map(math.isfinite, origin)):
+            raise ValueError(f"origin must be 4 finite numbers, got {self.origin}")
+        object.__setattr__(self, "extent", tuple(int(e) for e in ext))
+        object.__setattr__(self, "origin", origin)
 
     @property
     def step(self) -> float:
@@ -109,17 +115,33 @@ class HypercubicLattice:
                            indexing="ij")
 
 
+class _Planes(NamedTuple):
+    """Fresh C-contiguous ``(4, *extent)`` complex planes a field adopts."""
+
+    array: np.ndarray
+
+
+def _planes(values) -> np.ndarray:
+    """The component planes of ``(..., 4)`` values, a view."""
+    return np.moveaxis(values, -1, 0)
+
+
 def _field_values(values, lattice: HypercubicLattice, name: str) -> np.ndarray:
-    """A read-only complex copy of ``values``, which must be finite and of
-    shape ``(*extent, 4)``: fields are immutable snapshots."""
-    vals = np.array(values, dtype=complex)
-    if vals.shape != lattice.extent + (4,):
-        raise ValueError(f"{name} shape {vals.shape} does not match lattice "
-                         f"extent {lattice.extent} + (4,)")
-    if not all(np.isfinite(vals[box]).all() for box in _slabs(lattice.extent)):
+    """Read-only finite values of shape ``(*extent, 4)``, fields being
+    immutable snapshots: one C-contiguous ``(4, *extent)`` block of planes
+    seen through ``np.moveaxis``; ``_Planes`` are adopted, the rest copied."""
+    fresh = isinstance(values, _Planes)
+    planes = values.array if fresh else _planes(np.asarray(values))
+    if planes.shape != (4,) + lattice.extent:
+        raise ValueError(f"{name} shape {planes.shape[1:] + planes.shape[:1]} "
+                         f"does not match lattice extent {lattice.extent} + (4,)")
+    if not fresh:
+        planes = planes.astype(complex, order="C")
+    if not all(np.isfinite(plane[box]).all()  # contiguous: no ufunc buffer
+               for plane in planes for box in _slabs(lattice.extent)):
         raise ValueError(f"{name} values must be finite")
-    vals.setflags(write=False)
-    return vals
+    planes.setflags(write=False)
+    return np.moveaxis(planes, 0, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,6 +186,8 @@ class MassTerm:
 
 
 def renormalize_mass(M_global: float, a: float, R_k: float) -> MassTerm:
+    if not all(map(math.isfinite, (M_global, a, R_k))):
+        raise ValueError(f"mass inputs must be finite, got {(M_global, a, R_k)}")
     if a <= 0 or R_k <= 0:
         raise ValueError("spacings must be positive")
     return MassTerm(global_magnitude=float(M_global), a=float(a), R_k=float(R_k))
@@ -263,71 +287,86 @@ def interior_view(values: np.ndarray, mode: str) -> np.ndarray:
     return values[_interior(values.shape, mode)]
 
 
-def _stencil(values: np.ndarray, axis: int, step: float, mode: str,
-             box) -> np.ndarray:
-    """The ``mode`` difference along ``axis`` on ``box``, reading only the
-    box and its shifts along ``axis``; ``composed`` is backward then
-    forward (the 3-point stencil), ``onesided`` backward twice."""
-    def at(offset):
-        return values[_shifted(box, axis, offset)]
+def _with_buffers(slabs, count: int) -> list:
+    """Each slab with ``count`` complex ``(4, *slab)`` buffers, allocated once
+    at the first slab's shape (no later slab is larger) and cut to each."""
+    bufs = np.empty((count, 4) + tuple(s.stop - s.start for s in slabs[0]), complex)
+    return [(box, bufs[(..., *(slice(0, s.stop - s.start) for s in box))])
+            for box in slabs]
 
-    # offsets -lo..hi, in place in the order of (a - b) / h, (a - 2b + c) / h²
+
+def _stencil(P: np.ndarray, axis: int, step: float, mode: str, box,
+             out: np.ndarray) -> np.ndarray:
+    """The ``mode`` difference along ``axis`` of the planes ``P`` on ``box``
+    into ``out``, reading only the box and its shifts along ``axis``;
+    ``composed`` is backward then forward (the 3-point stencil),
+    ``onesided`` backward twice."""
+    def at(offset):
+        return P[(..., *_shifted(box, axis, offset))]
+
+    # offsets -lo..hi, in the order of (a - b) / h, (a - 2b + c) / h²
     lo, hi = _MODES[mode]
     if mode in _WAVE_ORDER:
-        out = at(hi) - 2.0 * at(hi - 1)
+        np.subtract(at(hi), np.multiply(2.0, at(hi - 1), out=out), out=out)
         out += at(hi - 2)
         out /= step ** 2
     else:
-        out = at(hi) - at(-lo)
+        np.subtract(at(hi), at(-lo), out=out)
         out /= (lo + hi) * step
     return out
 
 
-def _left_mul(c: Biquaternion, b: np.ndarray) -> list:
-    """The four components of ``c * b`` for a constant ``c``.
-
-    Term for term as :func:`bq_mul_arr`, whose component k sums over the
-    components i of ``c`` in turn, each times ``b[..., i ^ k]`` with the
-    signed coefficient ``(c * unit[i ^ k])[k]``.  Zero coefficients are
-    skipped and ±1 become an add or a subtract, so a basis unit acts by
-    signed permutation (times ``1j`` for ``I0``) and every value equals
-    ``bq_mul_arr``'s up to the sign of zero.
-    """
+@functools.lru_cache(maxsize=64)  # bases and constant potentials
+def _rows(c: Biquaternion) -> tuple:
+    """Left multiplication by ``c`` as rows of ``(source, coefficient)``
+    terms: component k of ``c * b`` sums ``coef * b[source]`` over row k in
+    the order of the Hamilton product, zero coefficients dropped.  A basis
+    unit has one ±1 term per row (±1j for ``I0``): a signed permutation."""
     columns = [(c * unit).as_array() for unit in (Biquaternion(1), *BASIS[1:])]
-    comps = []
-    for k in range(4):
-        acc = None
-        for i in range(4):
-            coef, part = columns[i ^ k][k], b[..., i ^ k]
-            if coef == 0:
-                continue
-            term, add = (part, coef == 1) if coef in (1, -1) else (coef * part, True)
-            if acc is None:
-                acc = term if add else -term
-            else:
-                acc = acc + term if add else acc - term
-        comps.append(0 if acc is None else acc)  # 0: c has no such term
-    return comps
+    return tuple(tuple((i ^ k, columns[i ^ k][k]) for i in range(4)
+                       if columns[i ^ k][k] != 0) for k in range(4))
 
 
-def _dirac(values: np.ndarray, step: float, mode: str, box, dagger: bool = False,
-           basis: Sequence[Biquaternion] | None = None) -> np.ndarray:
-    """``sum_mu basis[mu] * d_mu values`` on ``box``, axis terms in order."""
-    basis = [b.quat_conj() if dagger else b for b in BASIS] if basis is None else basis
-    out = np.zeros(values[box].shape, dtype=complex)
-    for mu in range(4):
-        comps = _left_mul(basis[mu], _stencil(values, mu, step, mode, box))
-        for k in range(4):
-            out[..., k] += comps[k]
-        del comps  # one axis's difference alive at a time
+def _row(terms, P: np.ndarray, acc: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """One row of ``_rows`` applied to the planes ``P``, term by term: the
+    plane itself for a lone +1 term, else summed in ``acc``; ``tmp`` holds
+    a scaled term after the first."""
+    (j, coef), *rest = terms
+    out = (P[j] if coef == 1 else np.negative(P[j], out=acc) if coef == -1
+           else np.multiply(coef, P[j], out=acc))
+    for j, coef in rest:
+        if coef in (1, -1):
+            out = (np.add if coef == 1 else np.subtract)(out, P[j], out=acc)
+        else:
+            out = np.add(out, np.multiply(coef, P[j], out=tmp), out=acc)
     return out
 
 
-def _wave(values: np.ndarray, step: float, mode: str, box) -> np.ndarray:
-    """``-d0² + d1² + d2² + d3²`` of ``values`` on ``box``."""
-    out = -_stencil(values, 0, step, mode, box)
+def _dirac(P: np.ndarray, step: float, mode: str, box, bufs, dagger: bool = False,
+           basis: Sequence[Biquaternion] | None = None) -> np.ndarray:
+    """``sum_mu basis[mu] * d_mu P`` on ``box``, axis terms in order, added
+    into the first of ``bufs`` from zero; the other two buffers hold a
+    difference and scratch planes."""
+    basis = [b.quat_conj() if dagger else b for b in BASIS] if basis is None else basis
+    out, diff, scratch = bufs
+    out[...] = 0
+    for mu in range(4):
+        _stencil(P, mu, step, mode, box, diff)
+        for plane, terms in zip(out, _rows(basis[mu])):
+            if len(terms) == 1 and terms[0][1] == -1:  # subtract: no negated copy
+                plane -= diff[terms[0][0]]
+            elif terms:
+                plane += _row(terms, diff, scratch[0], scratch[1])
+    return out
+
+
+def _wave(P: np.ndarray, step: float, mode: str, box, bufs) -> np.ndarray:
+    """``-d0² + d1² + d2² + d3²`` of the planes ``P`` on ``box`` into the
+    first of ``bufs``; the second holds each axis's difference."""
+    out, diff = bufs
+    np.negative(_stencil(P, 0, step, mode, box, out), out=out)
     for mu in range(1, 4):
-        out += _stencil(values, mu, step, mode, box)
+        out += _stencil(P, mu, step, mode, box, diff)
     return out
 
 
@@ -349,8 +388,24 @@ def discrete_partial(field: LatticeField, site, mu: int,
     mode is available for convergence studies.
     """
     box = _site_box(site, field.lattice.extent, mode, axes=(mu,))
-    diff = _stencil(field.values, mu, field.lattice.step, mode, box)
-    return Biquaternion.from_array(diff[0, 0, 0, 0])
+    diff = _stencil(_planes(field.values), mu, field.lattice.step, mode, box,
+                    np.empty((4, 1, 1, 1, 1), complex))
+    return Biquaternion.from_array(diff[:, 0, 0, 0, 0])
+
+
+def _padded(kernel, values, lattice: HypercubicLattice, mode: str, modes,
+            count: int, *args) -> np.ndarray:
+    """``kernel`` applied to raw field values on every slab of ``mode``'s
+    interior, with ``count`` buffers; NaN outside the stencil."""
+    if np.shape(values) != lattice.extent + (4,):
+        raise ValueError(f"values shape {np.shape(values)} does not match "
+                         f"lattice extent {lattice.extent} + (4,)")
+    out = np.full((4,) + lattice.extent, np.nan + 0j)
+    for box, bufs in _with_buffers(_slabs(
+            lattice.extent, _interior(lattice.extent, mode, modes)), count):
+        out[(..., *box)] = kernel(_planes(values), lattice.step, mode, box, bufs,
+                                  *args)
+    return np.moveaxis(out, 0, -1)
 
 
 def dirac_apply_values(values: np.ndarray, lattice: HypercubicLattice,
@@ -358,18 +413,17 @@ def dirac_apply_values(values: np.ndarray, lattice: HypercubicLattice,
                        basis: Sequence[Biquaternion] | None = None,
                        ) -> np.ndarray:
     """Apply ``D`` (or ``D‡``) to raw field values; NaN outside the stencil."""
-    out = np.full(values.shape, np.nan + 0j)
-    for box in _slabs(values.shape, _interior(values.shape, mode, _FIRST_ORDER)):
-        out[box] = _dirac(values, lattice.step, mode, box, dagger, basis)
-    return out
+    return _padded(_dirac, values, lattice, mode, _FIRST_ORDER, 3, dagger, basis)
 
 
 def discrete_dirac_apply(field: LatticeField, site, mode: str = "backward",
                          dagger: bool = False) -> Biquaternion:
     """``sum_mu i_mu * d_mu`` of the field at one site."""
     box = _site_box(site, field.lattice.extent, mode, axes=range(4))
-    applied = _dirac(field.values, field.lattice.step, mode, box, dagger)
-    return Biquaternion.from_array(applied[0, 0, 0, 0])
+    ((_, bufs),) = _with_buffers([box], 3)
+    applied = _dirac(_planes(field.values), field.lattice.step, mode, box, bufs,
+                     dagger)
+    return Biquaternion.from_array(applied[:, 0, 0, 0, 0])
 
 
 def wave_apply(values: np.ndarray, lattice: HypercubicLattice,
@@ -381,10 +435,7 @@ def wave_apply(values: np.ndarray, lattice: HypercubicLattice,
     (the 3-point stencil); ``onesided`` repeats the backward difference,
     which is the fully one-sided variant.
     """
-    out = np.full(values.shape, np.nan + 0j)
-    for box in _slabs(values.shape, _interior(values.shape, mode, _WAVE_ORDER)):
-        out[box] = _wave(values, lattice.step, mode, box)
-    return out
+    return _padded(_wave, values, lattice, mode, _WAVE_ORDER, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +448,15 @@ class ResidualReport:
     field_scale: float
 
 
-def _max_norm(values: np.ndarray) -> float:
-    """Largest sitewise Frobenius magnitude; NaN if any site is NaN."""
-    return float(np.max(bq_frobenius_arr(values)))
+def _max_norm(P: np.ndarray) -> float:
+    """Largest sitewise Frobenius magnitude of the component planes ``P``;
+    NaN if any site is NaN.  The squared magnitudes are summed in place in
+    the order ``((s0 + s1) + s2) + s3``, as ``bq_frobenius_arr`` sums them."""
+    total, part = np.abs(P[0]), np.empty(P.shape[1:])
+    np.square(total, out=total)
+    for plane in P[1:]:
+        total += np.square(np.abs(plane, out=part), out=part)
+    return float(np.sqrt(np.max(total)))
 
 
 def photon_residual(A: LatticeField, J: LatticeField, mode: str = "composed",
@@ -416,15 +473,23 @@ def photon_residual(A: LatticeField, J: LatticeField, mode: str = "composed",
         raise ValueError("fields must live on the same lattice")
     if collocation not in ("site", "half-point"):
         raise ValueError(f"unknown collocation {collocation!r}")
+    a, j = _planes(A.values), _planes(J.values)
     rows = []
-    for box in _slabs(A.lattice.extent,
-                      _interior(A.values.shape, mode, _WAVE_ORDER)):
-        lhs = _wave(A.values, A.lattice.step, mode, box)
-        rhs = J.values[box]
+    for box, (lhs, diff, rhs) in _with_buffers(_slabs(
+            A.lattice.extent, _interior(A.lattice.extent, mode, _WAVE_ORDER)), 3):
+        _wave(a, A.lattice.step, mode, box, (lhs, diff))
         if collocation == "half-point":
-            shifted = sum(J.values[_shifted(box, mu, -1)] for mu in range(4))
-            rhs = 0.5 * rhs + 0.5 * (shifted / 4.0)
-        rows.append((_max_norm(lhs - rhs), _max_norm(rhs), _max_norm(lhs)))
+            shifted = np.add(0, j[(..., *_shifted(box, 0, -1))], out=diff)
+            for mu in range(1, 4):
+                shifted += j[(..., *_shifted(box, mu, -1))]
+            shifted /= 4.0
+            np.add(np.multiply(0.5, j[(..., *box)], out=rhs),
+                   np.multiply(0.5, shifted, out=shifted), out=rhs)
+        else:
+            rhs = j[(..., *box)]
+        scales = _max_norm(rhs), _max_norm(lhs)
+        lhs -= rhs
+        rows.append((_max_norm(lhs), *scales))
     worst, rhs_max, lhs_max = (float(m) for m in np.max(rows, axis=0))
     if not math.isfinite(worst):
         raise FloatingPointError("residual contains non-finite interior values")
@@ -432,14 +497,17 @@ def photon_residual(A: LatticeField, J: LatticeField, mode: str = "composed",
                           field_scale=max(rhs_max, lhs_max, 1e-300))
 
 
-def _potential_entries(A) -> tuple:
-    if isinstance(A, LatticeField):
-        return A.values, A.values
-    if isinstance(A, tuple) and len(A) == 2:
-        return A[0].values, A[1].values
+def _potential_entries(A, lattice: HypercubicLattice) -> tuple:
+    """The potential's upper and lower entries: component planes of a
+    field, or the ``_rows`` of a constant."""
     if isinstance(A, Biquaternion):
-        return A, A
-    raise TypeError("potential must be a LatticeField, a pair, or a constant")
+        return _rows(A), _rows(A)
+    entries = (A, A) if isinstance(A, LatticeField) else A
+    if not (isinstance(entries, tuple) and len(entries) == 2):
+        raise TypeError("potential must be a LatticeField, a pair, or a constant")
+    if any(f.lattice != lattice for f in entries):
+        raise ValueError("potential must live on the wave function's lattice")
+    return tuple(_planes(f.values) for f in entries)
 
 
 def dirac_residual(phi: ReflectorField, A, e: float, mass: MassTerm | float,
@@ -451,19 +519,23 @@ def dirac_residual(phi: ReflectorField, A, e: float, mass: MassTerm | float,
     ``D‡ phi1 - i e A~ phi1 + phi2 (i m) = 0``.
     """
     m_k = mass.per_region if isinstance(mass, MassTerm) else float(mass)
-    a_upper, a_lower = _potential_entries(A)
+    a_upper, a_lower = _potential_entries(A, phi.lattice)
     extent, step = phi.lattice.extent, phi.lattice.step
+    phi1, phi2 = _planes(phi.phi1), _planes(phi.phi2)
 
-    def row(box, psi, chi, a, dagger: bool) -> float:
+    def row(box, bufs, psi, chi, a, dagger: bool) -> float:
         """One equation's max on ``box``; ``chi`` is ``psi``'s mass partner."""
-        r = _dirac(psi, step, mode, box, dagger=dagger)
-        if isinstance(a, Biquaternion):  # a constant: no field of it
-            for k, comp in enumerate(_left_mul(a, psi[box])):
-                r[..., k] -= 1j * e * comp
+        r = _dirac(psi, step, mode, box, bufs, dagger)
+        prod, (acc, tmp) = bufs[1], bufs[2][:2]  # the difference is spent
+        psi = psi[(..., *box)]
+        if isinstance(a, tuple):  # a constant's rows: no field of it
+            for plane, terms in zip(r, a):
+                if terms:
+                    plane -= np.multiply(1j * e, _row(terms, psi, acc, tmp), out=acc)
         else:
-            prod = bq_mul_arr(a[box], psi[box])
-            r -= np.multiply(1j * e, prod, out=prod)
-        mass_term = chi[box] * (1j * m_k)
+            r -= np.multiply(1j * e, bq_mul_planes(a[(..., *box)], psi, prod, acc),
+                             out=prod)
+        mass_term = np.multiply(chi[(..., *box)], 1j * m_k, out=prod)
         if dagger:
             r += mass_term
         else:
@@ -471,12 +543,13 @@ def dirac_residual(phi: ReflectorField, A, e: float, mass: MassTerm | float,
         return _max_norm(r)
 
     n11, n22 = (float(m) for m in np.max([
-        (row(box, phi.phi2, phi.phi1, a_upper, False),
-         row(box, phi.phi1, phi.phi2, a_lower, True))
-        for box in _slabs(extent, _interior(extent, mode, _FIRST_ORDER))], axis=0))
+        (row(box, bufs, phi2, phi1, a_upper, False),
+         row(box, bufs, phi1, phi2, a_lower, True))
+        for box, bufs in _with_buffers(
+            _slabs(extent, _interior(extent, mode, _FIRST_ORDER)), 3)], axis=0))
     if not (math.isfinite(n11) and math.isfinite(n22)):
         raise FloatingPointError("residual contains non-finite interior values")
-    scale = np.max([(_max_norm(phi.phi1[box]), _max_norm(phi.phi2[box]))
+    scale = np.max([(_max_norm(phi1[(..., *box)]), _max_norm(phi2[(..., *box)]))
                     for box in _slabs(extent)])
     return ResidualReport(max_residual=max(n11, n22),
                           field_scale=max(float(scale), 1e-300))
@@ -495,21 +568,21 @@ def bohr_phi_field(lattice: HypercubicLattice, state: BohrState) -> ReflectorFie
     x0 = lattice.axis_coords(0)[:, None]
     s = lattice.axis_coords(1)[None, :]
     phase = np.exp(1j * (state.mu * s - state.nu * x0))[:, :, None, None]
-    phi1 = np.zeros(lattice.extent + (4,), dtype=complex)
-    phi1[..., 0] = phase
+    phi1 = np.zeros((4,) + lattice.extent, dtype=complex)
+    phi1[0] = phase
     m = state.input.m
     phi2 = np.zeros_like(phi1)
-    phi2[..., 0] = (1j * state.eta / m) * phase
-    phi2[..., 1] = (state.mu / m) * phase
-    return ReflectorField(lattice=lattice, phi1=phi1, phi2=phi2)
+    phi2[0] = (1j * state.eta / m) * phase
+    phi2[1] = (state.mu / m) * phase
+    return ReflectorField(lattice=lattice, phi1=_Planes(phi1), phi2=_Planes(phi2))
 
 
 def bohr_potential_field(lattice: HypercubicLattice,
                          state: BohrState) -> LatticeField:
     """Constant orbit-space potential ``A~ = -i f / R`` (scalar entry)."""
-    values = np.zeros(lattice.extent + (4,), dtype=complex)
-    values[..., 0] = -1j * state.input.f / state.R
-    return LatticeField(lattice=lattice, values=values, label="potential")
+    values = np.zeros((4,) + lattice.extent, dtype=complex)
+    values[0] = -1j * state.input.f / state.R
+    return LatticeField(lattice=lattice, values=_Planes(values), label="potential")
 
 
 def charge_conjugate_field(phi: ReflectorField) -> ReflectorField:
@@ -519,20 +592,24 @@ def charge_conjugate_field(phi: ReflectorField) -> ReflectorField:
     complex conjugation; pairing it with ``e -> -e`` leaves the Dirac
     residual magnitudes unchanged.
     """
+    phi1 = bq_complex_conj_arr(_planes(phi.phi2))
     return ReflectorField(lattice=phi.lattice,
-                          phi1=-bq_complex_conj_arr(phi.phi2),
-                          phi2=bq_complex_conj_arr(phi.phi1))
+                          phi1=_Planes(np.negative(phi1, out=phi1)),
+                          phi2=_Planes(bq_complex_conj_arr(_planes(phi.phi1))))
 
 
 # ---------------------------------------------------------------------------
 # Frame transport between the two lattices
 # ---------------------------------------------------------------------------
 
-def _transport(values: np.ndarray, binding: RegionBinding,
-               power: int) -> np.ndarray:
-    """``(R_k/a)**power`` times ``Z`` acting sitewise on ``values``; the
+def _transport(P: np.ndarray, binding: RegionBinding, power: int,
+               out: np.ndarray, mid: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``(R_k/a)**power`` times ``Z`` acting sitewise on the planes ``P``
+    into ``out``, with ``mid`` for ``g P`` and a scratch plane ``tmp``; the
     product is scaled in place, the same ufunc as ``factor * product``."""
-    out = binding.Z.apply_array(values)
+    g = binding.Z.g
+    bq_mul_planes(g.as_array(), P, mid, tmp)
+    bq_mul_planes(mid, g.dagger().as_array(), out, tmp)
     out *= (binding.R_k / binding.a) ** power
     return out
 
@@ -549,14 +626,21 @@ def transform_field(kind: str, field, binding: RegionBinding):
         power = TRANSFORM_EXPONENTS[kind]
     except KeyError:
         raise ValueError(f"unknown transform kind {kind!r}") from None
+
+    def carried(values):
+        P = _planes(values)
+        out = np.empty(P.shape, complex)
+        for box, (mid, scratch) in _with_buffers(_slabs(P.shape[1:]), 2):
+            _transport(P[(..., *box)], binding, power, out[(..., *box)], mid,
+                       scratch[0])
+        return _Planes(out)
+
     if isinstance(field, ReflectorField):
         return ReflectorField(lattice=binding.lattice_p,
-                              phi1=_transport(field.phi1, binding, power),
-                              phi2=_transport(field.phi2, binding, power))
+                              phi1=carried(field.phi1), phi2=carried(field.phi2))
     if isinstance(field, LatticeField):
         return LatticeField(lattice=binding.lattice_p,
-                            values=_transport(field.values, binding, power),
-                            label=field.label)
+                            values=carried(field.values), label=field.label)
     if isinstance(field, Biquaternion):
         return (binding.R_k / binding.a) ** power * binding.Z.apply(field)
     raise TypeError("field must be a LatticeField, ReflectorField, or Biquaternion")
@@ -580,39 +664,47 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
     exactly with the discrete second-order operator, so the snapshot
     residual field equals the transported compromise residual field;
     ``commutation_residual`` measures that identity relative to the
-    operator's own scale.  ``ValueError`` if a transported field is not
-    finite.
+    operator's own scale.  ``ValueError`` if a field is not on
+    ``binding.lattice_k`` or a transported field is not finite.
     """
-    def carried(values, kind):
-        out = _transport(values, binding, TRANSFORM_EXPONENTS[kind])
-        if not np.all(np.isfinite(out)):
-            raise ValueError(f"transported {kind} values must be finite")
-        return out
-
-    slabs = _slabs(A_k.lattice.extent,
-                   _interior(A_k.values.shape, mode, _WAVE_ORDER))
+    if not A_k.lattice == J_k.lattice == binding.lattice_k:
+        raise ValueError("A_k and J_k must live on binding.lattice_k")
+    extent = binding.lattice_k.extent
+    a_k, j_k = _planes(A_k.values), _planes(J_k.values)
+    slabs = _with_buffers(_slabs(extent, _interior(extent, mode, _WAVE_ORDER)), 3)
     lo, hi = _WAVE_ORDER[mode]
     # the snapshot potential on slices start.. of the slab and its axis-0
     # halo; the halo comes over from the last slab, so each slice of A_k is
     # carried once, up to ``done``
-    window = np.empty((slabs[0][0].stop + hi,) + A_k.values.shape[1:], complex)
+    window = np.empty((4, slabs[0][0][0].stop + hi) + extent[1:], complex)
+    # g P for a transport, and a scratch plane, on up to a slab of slices
+    carry = np.empty((5, slabs[0][0][0].stop - lo) + extent[1:], complex)
+
+    def carried(P, out, kind, checked=True):
+        mid = carry[(..., *(slice(0, n) for n in P.shape[1:]))]
+        _transport(P, binding, TRANSFORM_EXPONENTS[kind], out, mid[:4], mid[4])
+        if checked and not np.all(np.isfinite(out)):
+            raise ValueError(f"transported {kind} values must be finite")
+        return out
+
     start = done = 0
     rows = []
-    for slab in slabs:
+    for slab, (resid_k, resid_p, diff) in slabs:
         t0, t1 = slab[0].start, slab[0].stop
-        resid_k = _wave(A_k.values, binding.lattice_k.step, mode, slab)
-        resid_k -= J_k.values[slab]
+        _wave(a_k, binding.lattice_k.step, mode, slab, (resid_k, diff))
+        resid_k -= j_k[(..., *slab)]
         shift, start = t0 - lo - start, t0 - lo
-        window[:done - start] = window[shift:shift + done - start]
+        for t in range(done - start):  # slice by slice: no overlap to buffer
+            window[:, t] = window[:, shift + t]
         for t in range(done, t1 + hi):
-            window[t - start] = carried(A_k.values[t], "potential")
+            carried(a_k[:, t:t + 1], window[:, t - start:t - start + 1], "potential")
         done = t1 + hi
-        resid_p = _wave(window, binding.lattice_p.step, mode,
-                        (slice(lo, lo + t1 - t0),) + slab[1:])
+        _wave(window, binding.lattice_p.step, mode,
+              (slice(lo, lo + t1 - t0),) + slab[1:], (resid_p, diff))
         scale = _max_norm(resid_p)
-        resid_p -= carried(J_k.values[slab], "current")
+        resid_p -= carried(j_k[(..., *slab)], diff, "current")
         lp = _max_norm(resid_p)
-        resid_p -= _transport(resid_k, binding, 3)
+        resid_p -= carried(resid_k, diff, "current", checked=False)
         rows.append((_max_norm(resid_k), lp, _max_norm(resid_p), scale))
     lk, lp, mismatch, scale = (float(m) for m in np.max(rows, axis=0))
     return EquivalenceReport(
@@ -719,8 +811,9 @@ def write_field(path, obj: LatticeField | ReflectorField) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(header) + "\n")
         for box in _slabs(lattice.extent):
-            block = (np.concatenate([obj.phi1[box], obj.phi2[box]], axis=-1)
-                     if reflector else obj.values[box])
+            block = np.ascontiguousarray(  # so that rows view as floats
+                np.concatenate([obj.phi1[box], obj.phi2[box]], axis=-1)
+                if reflector else obj.values[box])
             index = np.indices(block.shape[:4])
             index[0] += box[0].start
             sites = index.reshape(4, -1).T.tolist()
@@ -758,8 +851,10 @@ def read_field(path) -> LatticeField | ReflectorField:
         if bad.any():
             site = tuple(int(i) for i in np.unravel_index(bad.argmax(), extent))
             raise ValueError(f"{problem} site {site} in {path}")
-    data = table["values"][np.argsort(flat)].reshape(extent + (width,))
+    planes = np.empty((width,) + extent, complex)  # sites in order, per component
+    np.take(table["values"].T, np.argsort(flat), axis=1, mode="clip",
+            out=planes.reshape(width, -1))
     if kind == "reflector":
-        return ReflectorField(lattice=lattice, phi1=data[..., :4],
-                              phi2=data[..., 4:])
-    return LatticeField(lattice=lattice, values=data)
+        return ReflectorField(lattice=lattice, phi1=_Planes(planes[:4]),
+                              phi2=_Planes(planes[4:]))
+    return LatticeField(lattice=lattice, values=_Planes(planes))

@@ -18,6 +18,7 @@ from bohrqed.algebra import (
     bq_dagger_arr,
     bq_frobenius_arr,
     bq_mul_arr,
+    bq_mul_planes,
     bq_quat_conj_arr,
     reflector_mul,
     vec4_to_bq,
@@ -266,6 +267,66 @@ class TestArrayOps:
     def test_vec4_roundtrip(self):
         v = np.array([1.5, -2.0, 0.25, 3.0])
         assert np.allclose(np.real(bq_to_vec4(vec4_to_bq(v))), v)
+
+
+def _ref_bq_mul_arr(a, b):
+    """The interleaved Hamilton product that the plane kernel replaced."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out[..., 0] = aw * bw - ax * bx - ay * by - az * bz
+    out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
+    out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
+    out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+    return out
+
+
+def _signed_values(rng, shape):
+    """Random entries with many +0.0 and -0.0 parts."""
+    v = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    v.real[rng.random(shape) < 0.25] = -0.0
+    v.imag[rng.random(shape) < 0.25] = -0.0
+    v[rng.random(shape) < 0.15] = 0.0
+    return v
+
+
+class TestHamiltonPlanes:
+    """The plane kernel and its wrapper against the interleaved formula,
+    site by site and bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("shapes", [
+        ((7, 5, 4), (7, 5, 4)), ((4,), (7, 5, 4)), ((7, 5, 4), (4,)),
+        ((4,), (4,)), ((5, 1, 4), (1, 3, 4))])
+    def test_bitwise(self, shapes):
+        rng = np.random.default_rng(41)
+        a, b = (_signed_values(rng, shape) for shape in shapes)
+        want = _ref_bq_mul_arr(a, b)
+        got = bq_mul_arr(a, b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        planes = np.empty((4,) + want.shape[:-1], dtype=complex)
+        bq_mul_planes(np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0), planes,
+                      np.empty(want.shape[:-1], dtype=complex))
+        assert np.moveaxis(planes, 0, -1).tobytes() == want.tobytes()
+
+    def test_constant_with_signed_zeros(self):
+        # a unit constant's zero coefficients still multiply every entry
+        rng = np.random.default_rng(43)
+        b = _signed_values(rng, (9, 4))
+        for c in (I0, -I1, I2, Biquaternion(-0.0, 0.0, -1j, 0.0)):
+            assert (bq_mul_arr(c.as_array(), b).tobytes()
+                    == _ref_bq_mul_arr(c.as_array(), b).tobytes())
+            assert (bq_mul_arr(b, c.as_array()).tobytes()
+                    == _ref_bq_mul_arr(b, c.as_array()).tobytes())
+
+    def test_apply_array_bitwise(self):
+        rng = np.random.default_rng(47)
+        Z = random_transform(rng)
+        vals = _signed_values(rng, (6, 3, 4))
+        want = _ref_bq_mul_arr(_ref_bq_mul_arr(Z.g.as_array(), vals),
+                               Z.g.dagger().as_array())
+        assert Z.apply_array(vals).tobytes() == want.tobytes()
 
 
 def test_time_basis_element():

@@ -85,6 +85,30 @@ class TestLatticeType:
         lat = HypercubicLattice(spacing=1.0, extent=4)
         assert lat.extent == (4, 4, 4, 4)
 
+    @pytest.mark.parametrize("extent", [4, 4.0, np.int64(4), (4, 4.0, np.int64(4), 4)])
+    def test_integral_extent_accepted(self, extent):
+        lat = HypercubicLattice(spacing=1.0, extent=extent)
+        assert lat.extent == (4, 4, 4, 4)
+        assert all(type(e) is int for e in lat.extent)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"spacing": math.nan}, {"spacing": math.inf}, {"spacing": -math.inf},
+        {"origin": (math.nan, 0.0, 0.0, 0.0)}, {"origin": (0.0, 0.0, math.inf, 0.0)},
+        {"extent": 3.7}, {"extent": (4, 3.7, 4, 4)}, {"extent": (4, 4, math.nan, 4)},
+        {"extent": (4, 4, 4, math.inf)}])
+    def test_non_finite_or_fractional_rejected(self, kwargs):
+        # regression: these were accepted, 3.7 silently becoming 3 sites
+        with pytest.raises(ValueError):
+            HypercubicLattice(**{"spacing": 1.0, "extent": 4, **kwargs})
+
+    @pytest.mark.parametrize("apply", [dirac_apply_values, wave_apply])
+    @pytest.mark.parametrize("shape", [(4, 4, 4, 4), (4, 4, 4, 5, 4), (5, 4, 4, 4, 4)])
+    def test_apply_rejects_wrong_shape(self, apply, shape):
+        # regression: a (4, 4, 4, 4) array returned NaN-padded garbage
+        lat = HypercubicLattice(spacing=0.1, extent=4)
+        with pytest.raises(ValueError, match="shape"):
+            apply(np.ones(shape, dtype=complex), lat)
+
     def test_field_shape_checked(self):
         lat = small_lattice()
         with pytest.raises(ValueError):
@@ -326,6 +350,19 @@ class TestPhotonResidual:
 
 
 class TestDiracResidual:
+    def test_potential_on_other_lattice_raises(self):
+        # regression: a 5^4 potential against a 4^4 phi returned a residual
+        state = alpha_state()
+        lat = HypercubicLattice(spacing=0.1, extent=4)
+        phi = bohr_phi_field(lat, state)
+        same = bohr_potential_field(lat, state)
+        for other in (HypercubicLattice(spacing=0.1, extent=5),
+                      HypercubicLattice(spacing=0.2, extent=4)):
+            pot = bohr_potential_field(other, state)
+            for A in (pot, (same, pot), (pot, same)):
+                with pytest.raises(ValueError, match="lattice"):
+                    dirac_residual(phi, A, e=1.0, mass=1.0)
+
     def test_zero_wavefunction(self):
         lat = HypercubicLattice(spacing=0.1, extent=(6, 6, 3, 3))
         zeros = np.zeros(lat.extent + (4,), dtype=complex)
@@ -440,10 +477,21 @@ class TestBohrFieldSampling:
         assert not phi.phi1[..., 1:].any() and not phi.phi2[..., 2:].any()
 
     def test_peak_memory(self):
-        # the two entries and the copies the field keeps, nothing 4-D more
+        # the two entries, which the field adopts uncopied, nothing 4-D more
         lat = HypercubicLattice(spacing=0.05, extent=(12,) * 4)
         peak, phi = _traced_peak(lambda: bohr_phi_field(lat, alpha_state()))
-        assert peak <= 4.05 * phi.phi1.nbytes
+        assert peak <= 2.05 * phi.phi1.nbytes
+
+    def test_potential_peak_memory(self):
+        lat = HypercubicLattice(spacing=0.05, extent=(12,) * 4)
+        peak, pot = _traced_peak(lambda: bohr_potential_field(lat, alpha_state()))
+        assert peak <= 1.05 * pot.values.nbytes
+
+    def test_charge_conjugate_peak_memory(self):
+        lat = HypercubicLattice(spacing=0.05, extent=(12,) * 4)
+        phi = bohr_phi_field(lat, alpha_state())
+        peak, _ = _traced_peak(lambda: charge_conjugate_field(phi))
+        assert peak <= 2.05 * phi.phi1.nbytes
 
 
 class TestBuildLattices:
@@ -607,6 +655,15 @@ class TestEquivalence:
         J = LatticeField(latk, np.nan_to_num(wave_apply(vals, latk)))
         return A, J
 
+    def test_fields_off_lattice_k_raise(self):
+        lat_p, latk, binding = build_lattices(a=0.1, R_k=0.2, extent=(4, 4, 4, 4),
+                                              Z=LorentzTransform.identity())
+        A, J = self.exact_pair(latk)
+        A_p, J_p = self.exact_pair(lat_p)
+        for pair in ((A_p, J), (A, J_p), (A_p, J_p)):
+            with pytest.raises(ValueError, match="lattice_k"):
+                equivalence_check(binding, *pair)
+
     @pytest.mark.parametrize("mode", ["backward", "bogus"])
     def test_unknown_mode_raises(self, mode):
         _, latk, binding = build_lattices(a=0.1, R_k=0.2, extent=(4, 4, 4, 4),
@@ -658,6 +715,12 @@ class TestMassTerm:
     def test_validation(self):
         with pytest.raises(ValueError):
             renormalize_mass(1.0, a=0.0, R_k=1.0)
+
+    @pytest.mark.parametrize("args", [(math.nan, 0.1, 0.2), (math.inf, 0.1, 0.2),
+                                      (1.0, math.nan, 0.2), (1.0, 0.1, math.inf)])
+    def test_non_finite_rejected(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            renormalize_mass(*args)
 
 
 class TestLimitSweep:
@@ -1358,3 +1421,142 @@ class TestSlabMemory:
         J = LatticeField(latk, _random_values(rng, latk))
         peak, _ = _traced_peak(lambda: equivalence_check(binding, A, J))
         assert peak <= 0.5 * A.values.nbytes
+
+
+# ---------------------------------------------------------------------------
+# Component-major storage and the plane kernels, against the interleaved
+# kernels they replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+def _ref_left_mul_dirac(values, lattice, dagger=False, mode="backward", basis=None):
+    """The interleaved Dirac kernel the plane kernel replaced: each axis's
+    difference is left-multiplied by its basis element term by term (zero
+    coefficients skipped, ±1 as an add or a subtract) and added into a
+    zero-filled sum; NaN outside the stencil."""
+    if basis is None:
+        basis = [b.quat_conj() if dagger else b for b in BASIS]
+    total = np.zeros(_ref_interior(values, mode).shape, dtype=complex)
+    for mu in range(4):
+        diff = _ref_interior(_ref_first_diff(values, mu, lattice.step, mode), mode)
+        columns = [(basis[mu] * unit).as_array()
+                   for unit in (Biquaternion(1), *BASIS[1:])]
+        for k in range(4):
+            acc = None
+            for i in range(4):
+                coef, part = columns[i ^ k][k], diff[..., i ^ k]
+                if coef == 0:
+                    continue
+                term, add = ((part, coef == 1) if coef in (1, -1)
+                             else (coef * part, True))
+                if acc is None:
+                    acc = term if add else -term
+                else:
+                    acc = acc + term if add else acc - term
+            if acc is not None:
+                total[..., k] += acc
+    out = np.full(values.shape, np.nan + 0j)
+    _ref_interior(out, mode)[...] = total
+    return out
+
+
+def _component_major(values):
+    """``values`` stored as C-contiguous component planes, seen as before."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(values, -1, 0)), 0, -1)
+
+
+class TestPlaneKernels:
+    lattice = HypercubicLattice(spacing=0.13, extent=(5, 4, 6, 3),
+                                origin=(0.1, -0.3, 0.2, 0.0))
+
+    def signed_zero_values(self, seed):
+        # a third of the parts are +0.0 or -0.0, so that differences of
+        # neighbours are often signed zeros
+        vals = _random_values(np.random.default_rng(seed), self.lattice)
+        rng = np.random.default_rng(seed + 1)
+        for part in (vals.real, vals.imag):
+            part[rng.random(vals.shape) < 0.35] = 0.0
+            part[rng.random(vals.shape) < 0.35] = -0.0
+        return vals
+
+    @pytest.mark.parametrize("basis", [None, *sorted(CUSTOM_BASES)])
+    @pytest.mark.parametrize("dagger", [False, True])
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
+    def test_dirac_apply_signed_zeros(self, mode, dagger, basis):
+        vals = self.signed_zero_values(31)
+        b = None if basis is None else CUSTOM_BASES[basis]
+        want = _ref_left_mul_dirac(vals, self.lattice, dagger, mode, b)
+        for layout in (vals, _component_major(vals)):
+            got = dirac_apply_values(layout, self.lattice, dagger=dagger,
+                                     mode=mode, basis=b)
+            assert got.tobytes() == want.tobytes()
+
+    def test_max_norm_per_site(self):
+        rng = np.random.default_rng(37)
+        shape = (3, 4, 5, 2, 4)
+        vals = (10.0 ** rng.uniform(-300, 300, size=shape)
+                * np.exp(1j * rng.uniform(0, 2 * np.pi, size=shape)))
+        vals[1, 2, 3, 0, 2] = complex(np.nan, 1.0)
+        with np.errstate(over="ignore", under="ignore"):
+            want = bq_frobenius_arr(vals)
+            for values in (vals, _component_major(vals)):
+                planes = np.moveaxis(values, -1, 0)
+                got = [lattice_module._max_norm(
+                    planes[(slice(None),) + tuple(slice(i, i + 1) for i in site)])
+                    for site in np.ndindex(shape[:-1])]
+                np.testing.assert_array_equal(np.reshape(got, want.shape), want)
+                assert math.isnan(lattice_module._max_norm(planes))
+            vals[1, 2, 3, 0, 2] = 1.0
+            assert (lattice_module._max_norm(np.moveaxis(vals, -1, 0))
+                    == np.max(bq_frobenius_arr(vals)))
+
+    def test_every_constructor_stores_component_planes(self, tmp_path):
+        lat = self.lattice
+        rng = np.random.default_rng(41)
+        vals, other = _random_values(rng, lat), _random_values(rng, lat)
+        _, latk, binding = build_lattices(a=0.1, R_k=0.2, extent=lat.extent,
+                                          Z=LorentzTransform.boost([1, 0, 0], 0.4))
+        phi = ReflectorField(lat, vals, other)
+        field = LatticeField(lat, vals)
+        write_field(tmp_path / "reflector", phi)
+        write_field(tmp_path / "field", field)
+        state = alpha_state()
+        built = {
+            "public": field,
+            "public-reflector": phi,
+            "public-component-major": LatticeField(lat, _component_major(vals)),
+            "internal": LatticeField(lat, lattice_module._Planes(
+                np.ascontiguousarray(np.moveaxis(vals, -1, 0)))),
+            "bohr_phi_field": bohr_phi_field(lat, state),
+            "bohr_potential_field": bohr_potential_field(lat, state),
+            "charge_conjugate_field": charge_conjugate_field(phi),
+            "read_field": read_field(tmp_path / "field"),
+            "read_field-reflector": read_field(tmp_path / "reflector"),
+            "transform_field": transform_field("current", LatticeField(latk, vals),
+                                               binding),
+            "transform_field-reflector": transform_field(
+                "derivative", ReflectorField(latk, vals, other), binding),
+        }
+        for name, f in built.items():
+            entries = ((f.phi1, f.phi2) if isinstance(f, ReflectorField)
+                       else (f.values,))
+            for v in entries:
+                assert v.shape == lat.extent + (4,), name
+                assert v.dtype == complex and not v.flags.writeable, name
+                assert np.moveaxis(v, -1, 0).flags.c_contiguous, name
+        assert np.array_equal(built["read_field"].values, vals)
+        assert np.array_equal(built["read_field-reflector"].phi2, other)
+
+    def test_public_constructor_snapshots_input(self):
+        vals = _random_values(np.random.default_rng(43), self.lattice)
+        for layout in (vals, _component_major(vals)):
+            field = LatticeField(self.lattice, layout)
+            assert not np.shares_memory(field.values, layout)
+            assert field.values.tobytes() == vals.tobytes()
+
+    def test_adopted_planes_are_checked(self):
+        planes = np.zeros((4,) + self.lattice.extent, dtype=complex)
+        with pytest.raises(ValueError, match="shape"):
+            LatticeField(self.lattice, lattice_module._Planes(planes[:, 1:]))
+        planes[2, 1, 1, 1, 1] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            LatticeField(self.lattice, lattice_module._Planes(planes))

@@ -312,8 +312,8 @@ def cmd_tile(ns, out: Path, report: RunReport) -> None:
         raise InfeasibleCoverage(
             f"coverage needs c >= {stats['max_coverage_ratio']:.6f}")
     write_json(out / "tile_summary.json", {
-        "kind": ens.kind, "c": ens.c, "roundels": len(ens.roundels),
-        "regions": len(ens.regions),
+        "kind": ens.kind, "c": ens.c, "roundels": len(ens.ids),
+        "regions": len(set(ens.regions.tolist())),
         "boundary_points": len(ens.boundary),
         "max_overlap": stats["max_overlap"],
         "max_coverage_ratio": stats["max_coverage_ratio"],

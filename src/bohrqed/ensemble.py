@@ -6,9 +6,9 @@ radius; a quadtree/octree refinement handles position-dependent radii.
 Every point of the box must lie within ``c`` local radii of some roundel
 boundary, boundary points shared by several roundels are owned by the
 lexicographically smallest center, and as radii shrink the boundary set
-fills the box.  The boundary set is held as three read-only arrays: the
-sample points ``(N, d)``, the owning roundel id and the owner's region id
-per point.  Ownership, overlap and coverage are found in O(N) through
+fills the box.  An :class:`Ensemble` is read-only arrays, per roundel (id,
+center, radius, charge, region) and per boundary point (point, owning
+roundel, its region).  Ownership, overlap and coverage are found in O(N) through
 a uniform cell list (Allen & Tildesley, *Computer Simulation of Liquids*,
 ch. 5) whose cell side is the largest roundel diameter.  Driving the
 orbit equations while the bare mass and charge scale inversely with the
@@ -26,12 +26,12 @@ import numpy as np
 
 from .bohr import BohrInput, solve_bohr
 from .fitting import PowerFit, fit_loglog
+from .mspace import _boundary_samples
 
 __all__ = [
     "InfeasibleCoverage",
     "NotOnBoundary",
     "Roundel",
-    "Region",
     "Ensemble",
     "tile",
     "assign_boundary_point",
@@ -67,27 +67,21 @@ class Roundel:
     id: int
     center: tuple[float, ...]  # spatial (x1, x2) or (x1, x2, x3)
     R: float
-    f: float = 0.0
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise ValueError("roundel radius must be positive")
-
-
-@dataclass(frozen=True)
-class Region:
-    id: int
-    roundel_ids: frozenset[int]
-
-    def __post_init__(self):
-        if not self.roundel_ids:
-            raise ValueError("a region must contain at least one roundel")
+        if not 0 < self.R < math.inf:
+            raise ValueError(f"roundel radius must be finite and positive, got {self.R}")
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError(f"roundel center must be finite, got {self.center}")
 
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    roundels: tuple[Roundel, ...]
-    regions: tuple[Region, ...]
+    ids: np.ndarray  # (M,) roundel ids
+    centers: np.ndarray  # (M, d) spatial (x1, x2) or (x1, x2, x3)
+    radii: np.ndarray  # (M,)
+    charges: np.ndarray  # (M,)
+    regions: np.ndarray  # (M,) region id of each roundel
     kind: str  # "pure" | "superposition"
     c: float
     boundary: np.ndarray  # (N, d) sample points
@@ -95,21 +89,30 @@ class Ensemble:
     boundary_regions: np.ndarray  # (N,) region id of each point's owner
     domain: tuple[tuple[float, float], ...]
 
-    def __post_init__(self):  # the boundary arrays are read-only views
-        for name in ("boundary", "owners", "boundary_regions"):
+    def __post_init__(self):  # every array is a read-only view
+        for name in ("ids", "centers", "radii", "charges", "regions",
+                     "boundary", "owners", "boundary_regions"):
             view = np.asarray(getattr(self, name)).view()
             view.setflags(write=False)
             object.__setattr__(self, name, view)
+        m, dim = len(self.ids), _check_kind(self.kind)
+        shapes = {a.shape for a in (self.ids, self.radii, self.charges, self.regions)}
+        if shapes != {(m,)} or self.centers.shape != (m, dim):
+            raise ValueError(f"{self.kind} roundel arrays {shapes} mismatch "
+                             f"centers {self.centers.shape}")
+        if not (np.isfinite(self.centers).all() and np.isfinite(self.radii).all()
+                and (self.radii > 0).all()):
+            raise ValueError("roundel centers must be finite, radii finite and positive")
 
     @property
     def dim(self) -> int:
         return 2 if self.kind == "pure" else 3
 
     def region_of(self, roundel_id: int) -> int:
-        for region in self.regions:
-            if roundel_id in region.roundel_ids:
-                return region.id
-        raise KeyError(f"roundel {roundel_id} not in any region")
+        at = np.flatnonzero(self.ids == roundel_id)
+        if not len(at):
+            raise KeyError(f"roundel {roundel_id} not in any region")
+        return int(self.regions[at[0]])
 
 
 def _check_kind(kind: str) -> int:
@@ -118,33 +121,6 @@ def _check_kind(kind: str) -> int:
     if kind == "superposition":
         return 3
     raise ValueError(f"unknown ensemble kind {kind!r}")
-
-
-def _centers_radii(roundels: Sequence[Roundel]) -> tuple[np.ndarray, np.ndarray]:
-    return (np.array([r.center for r in roundels], dtype=float),
-            np.array([r.R for r in roundels], dtype=float))
-
-
-def _boundary_samples(centers: np.ndarray, radii: np.ndarray, kind: str,
-                      count: int, seed: int) -> np.ndarray:
-    """``count`` boundary points of every roundel, roundel after roundel.
-
-    Circles get uniformly spaced angles from 0; spheres get a golden-angle
-    (Fibonacci) set whose longitude origin the seed rotates.
-    """
-    k = np.arange(count)
-    R = radii[:, None]
-    if kind == "pure":
-        angles = 2.0 * math.pi * k / count
-        offsets = (R * np.cos(angles), R * np.sin(angles))
-    else:
-        golden = math.pi * (3.0 - math.sqrt(5.0))
-        zu = 1.0 - 2.0 * (k + 0.5) / count
-        ring = np.sqrt(np.maximum(0.0, 1.0 - zu * zu))
-        lon = (seed * golden) % (2.0 * math.pi) + golden * k
-        offsets = (R * ring * np.cos(lon), R * ring * np.sin(lon), R * zu)
-    pts = centers[:, None, :] + np.stack(offsets, axis=-1)
-    return pts.reshape(-1, centers.shape[1])
 
 
 def _distance(p: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -194,9 +170,9 @@ def _least(points: np.ndarray, centers: np.ndarray, radii: np.ndarray,
     return least
 
 
-def _owners_of(points: np.ndarray, roundels: Sequence[Roundel]) -> np.ndarray:
+def _owners_of(points: np.ndarray, centers: np.ndarray, radii: np.ndarray,
+              ids: np.ndarray) -> np.ndarray:
     """Owning roundel id per point; ties go to the smallest center."""
-    centers, radii = _centers_radii(roundels)
     by_rank = np.lexsort(centers.T[::-1])  # roundel index in center order
     rank = np.argsort(by_rank).astype(float)
     # a boundary through the point is within max(R) + tol: never widen
@@ -206,7 +182,7 @@ def _owners_of(points: np.ndarray, roundels: Sequence[Roundel]) -> np.ndarray:
     if np.isinf(best).any():
         bad = points[np.isinf(best)][0]
         raise NotOnBoundary(f"point {tuple(bad)} lies on no roundel boundary")
-    return np.array([r.id for r in roundels])[by_rank[best.astype(int)]]
+    return ids[by_rank[best.astype(int)]]
 
 
 def tile(domain: Sequence[tuple[float, float]],
@@ -254,12 +230,13 @@ def tile(domain: Sequence[tuple[float, float]],
                   if h > max_ratio * radii.min() else [(center, h)])]
         radii = np.array([h for _, h in cells])
 
-    roundels = tuple(Roundel(id=i, center=tuple(ctr), R=h, f=charge)
-                     for i, (ctr, h) in enumerate(cells))
-    region = Region(id=0, roundel_ids=frozenset(r.id for r in roundels))
-    pts = _boundary_samples(*_centers_radii(roundels), kind, boundary_samples, seed)
-    ens = Ensemble(roundels=roundels, regions=(region,), kind=kind, c=c,
-                   boundary=pts, owners=_owners_of(pts, roundels),
+    centers = np.array([ctr for ctr, _ in cells], dtype=float)
+    ids = np.arange(len(cells))
+    pts = _boundary_samples(centers, radii, kind, boundary_samples, seed)
+    ens = Ensemble(ids=ids, centers=centers, radii=radii,
+                   charges=np.full(len(cells), charge, dtype=float),
+                   regions=np.zeros(len(cells), dtype=int), kind=kind, c=c,
+                   boundary=pts, owners=_owners_of(pts, centers, radii, ids),
                    boundary_regions=np.zeros(len(pts), dtype=int), domain=domain)
     if verify:
         report = verify_ensemble(ens)
@@ -328,7 +305,7 @@ def verify_ensemble(ensemble: Ensemble, samples_per_axis: int = 17) -> dict:
     Returns ``max_overlap`` (positive means interiors intersect) and
     ``max_coverage_ratio`` (the least c that would cover the sampled box).
     """
-    centers, radii = _centers_radii(ensemble.roundels)
+    centers, radii = ensemble.centers, ensemble.radii
     clearance = _least(
         centers, centers, radii,
         lambda i, j, d: np.where(i == j, np.inf, d - (radii[i] + radii[j])),
@@ -344,7 +321,7 @@ def verify_ensemble(ensemble: Ensemble, samples_per_axis: int = 17) -> dict:
 
 def boundary_fill_distance(ensemble: Ensemble, samples_per_axis: int = 33) -> float:
     """Greatest distance from a sampled box point to the union of boundaries."""
-    centers, radii = _centers_radii(ensemble.roundels)
+    centers, radii = ensemble.centers, ensemble.radii
     gap = _least(_box_samples(ensemble.domain, samples_per_axis), centers, radii,
                  lambda i, j, d: np.abs(d - radii[j]),
                  lambda far: far - radii.max())
@@ -361,7 +338,7 @@ def assign_boundary_point(point, candidates: Sequence[Roundel]) -> int:
         raise ValueError("need at least one candidate roundel")
     point = tuple(float(p) for p in point)
     for r in candidates:
-        if abs(math.dist(point, r.center) - r.R) > _BOUNDARY_TOL:
+        if not abs(math.dist(point, r.center) - r.R) <= _BOUNDARY_TOL:  # NaN is off
             raise NotOnBoundary(
                 f"point {point} is off the boundary of roundel {r.id}")
     return min(candidates, key=lambda r: r.center).id
@@ -377,21 +354,16 @@ def partition_regions(ensemble: Ensemble, regions_per_axis: int) -> Ensemble:
         raise ValueError("regions_per_axis must be >= 1")
     los = np.array([lo for lo, _ in ensemble.domain])
     his = np.array([hi for _, hi in ensemble.domain])
-    frac = (_centers_radii(ensemble.roundels)[0] - los) / (his - los)
+    frac = (ensemble.centers - los) / (his - los)
     cell = np.clip((frac * regions_per_axis).astype(int), 0, regions_per_axis - 1)
     flat = np.ravel_multi_index(cell.T, (regions_per_axis,) * len(los))
-    ids = np.array([r.id for r in ensemble.roundels])
-    grouped: dict[int, set[int]] = {}
-    for rid, region in zip(ids.tolist(), flat.tolist()):
-        grouped.setdefault(region, set()).add(rid)
-    regions = tuple(Region(id=region, roundel_ids=frozenset(members))
-                    for region, members in sorted(grouped.items()))
+    ids = ensemble.ids
     by_id = np.argsort(ids)
     at = np.searchsorted(ids, ensemble.owners, sorter=by_id)
     owner_at = by_id[np.minimum(at, len(ids) - 1)]
     if not np.array_equal(ids[owner_at], ensemble.owners):
         raise KeyError("a boundary point's owner is not a roundel of the ensemble")
-    return replace(ensemble, regions=regions, boundary_regions=flat[owner_at])
+    return replace(ensemble, regions=flat, boundary_regions=flat[owner_at])
 
 
 def count_interactions(T: float, R: float, kind: str) -> int:
@@ -406,13 +378,10 @@ def count_interactions(T: float, R: float, kind: str) -> int:
 
 def total_charge(ensemble: Ensemble, region_id: int | None = None) -> float:
     """Sum of roundel charges, optionally restricted to one region."""
-    if region_id is None:
-        return float(sum(r.f for r in ensemble.roundels))
-    for region in ensemble.regions:
-        if region.id == region_id:
-            ids = region.roundel_ids
-            return float(sum(r.f for r in ensemble.roundels if r.id in ids))
-    return 0.0
+    charges = (ensemble.charges if region_id is None
+               else ensemble.charges[ensemble.regions == region_id])
+    # Python's left-to-right sum, which numpy's pairwise sum need not match
+    return float(sum(charges.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -519,6 +519,8 @@ def dirac_residual(phi: ReflectorField, A, e: float, mass: MassTerm | float,
     ``D‡ phi1 - i e A~ phi1 + phi2 (i m) = 0``.
     """
     m_k = mass.per_region if isinstance(mass, MassTerm) else float(mass)
+    if not (math.isfinite(e) and math.isfinite(m_k)):
+        raise ValueError(f"coupling and mass must be finite, got e={e}, mass={m_k}")
     a_upper, a_lower = _potential_entries(A, phi.lattice)
     extent, step = phi.lattice.extent, phi.lattice.step
     phi1, phi2 = _planes(phi.phi1), _planes(phi.phi2)

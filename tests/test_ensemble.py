@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -10,9 +11,7 @@ from bohrqed.ensemble import (
     Ensemble,
     InfeasibleCoverage,
     NotOnBoundary,
-    Region,
     Roundel,
-    _boundary_samples,
     _owners_of,
     assign_boundary_point,
     boundary_fill_distance,
@@ -23,6 +22,7 @@ from bohrqed.ensemble import (
     total_charge,
     verify_ensemble,
 )
+from bohrqed.mspace import _boundary_samples
 
 UNIT_SQUARE = [(0.0, 1.0), (0.0, 1.0)]
 UNIT_CUBE = [(0.0, 1.0)] * 3
@@ -31,14 +31,14 @@ UNIT_CUBE = [(0.0, 1.0)] * 3
 class TestTile:
     def test_unit_square_four_circles(self):
         ens = tile(UNIT_SQUARE, 0.25, kind="pure")
-        centers = sorted(r.center for r in ens.roundels)
+        centers = sorted(map(tuple, ens.centers.tolist()))
         assert centers == [(0.25, 0.25), (0.25, 0.75),
                            (0.75, 0.25), (0.75, 0.75)]
 
     def test_unit_cube_single_sphere(self):
         ens = tile(UNIT_CUBE, 0.5, kind="superposition")
-        assert len(ens.roundels) == 1
-        assert ens.roundels[0].center == (0.5, 0.5, 0.5)
+        assert len(ens.ids) == 1
+        assert ens.centers.tolist() == [[0.5, 0.5, 0.5]]
 
     def test_non_overlap(self):
         ens = tile(UNIT_SQUARE, 0.125, kind="pure")
@@ -58,7 +58,7 @@ class TestTile:
     def test_radius_field_quadtree(self):
         field = lambda p: 0.08 + 0.2 * p[0]  # finer roundels near x1 = 0
         ens = tile(UNIT_SQUARE, field, kind="pure")
-        radii = sorted({r.R for r in ens.roundels})
+        radii = sorted(set(ens.radii.tolist()))
         assert len(radii) > 1
         assert max(radii) / min(radii) <= 4.0
         stats = verify_ensemble(ens)
@@ -108,16 +108,15 @@ class TestTile:
 
     def test_single_region_by_default(self):
         ens = tile(UNIT_SQUARE, 0.25, kind="pure")
-        assert len(ens.regions) == 1
-        assert ens.regions[0].roundel_ids == frozenset(range(4))
+        assert ens.ids.tolist() == [0, 1, 2, 3]
+        assert ens.regions.tolist() == [0, 0, 0, 0]
 
     def test_boundary_points_sampled(self):
         ens = tile(UNIT_SQUARE, 0.25, kind="pure", boundary_samples=8)
         assert len(ens.boundary) == 4 * 8
         for point, owner in zip(ens.boundary.tolist(), ens.owners.tolist()):
-            r = ens.roundels[owner]
-            d = math.dist(point, r.center)
-            assert abs(d - r.R) < 1e-9
+            d = math.dist(point, ens.centers[owner])
+            assert abs(d - ens.radii[owner]) < 1e-9
 
 
 class TestAssignment:
@@ -146,6 +145,25 @@ class TestAssignment:
         with pytest.raises(NotOnBoundary):
             assign_boundary_point((0.5, 0.0), [a])
 
+    @pytest.mark.parametrize("point", [(math.nan, math.nan), (1.0, math.inf)])
+    def test_non_finite_point_named(self, point):
+        # a NaN point used to pass as on every boundary and be owned
+        a = Roundel(id=4, center=(0.0, 0.0), R=1.0)
+        with pytest.raises(NotOnBoundary, match=re.escape(
+                f"point {point} is off the boundary of roundel 4")):
+            assign_boundary_point(point, [a])
+
+    @pytest.mark.parametrize(("center", "R", "named"), [
+        ((0.0, 0.0), math.nan, "radius must be finite and positive, got nan"),
+        ((0.0, 0.0), math.inf, "radius must be finite and positive, got inf"),
+        ((0.0, 0.0), 0.0, "radius must be finite and positive, got 0.0"),
+        ((math.nan, 0.0), 1.0, "center must be finite, got (nan, 0.0)"),
+        ((0.0, 0.0, -math.inf), 1.0, "center must be finite, got (0.0, 0.0, -inf)"),
+    ])
+    def test_roundel_rejects_non_finite(self, center, R, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            Roundel(id=0, center=center, R=R)
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(41)
         for _ in range(100):
@@ -170,20 +188,22 @@ class TestRegions:
     def test_one_region(self):
         ens = tile(UNIT_SQUARE, 0.25, kind="pure")
         out = partition_regions(ens, 1)
-        assert len(out.regions) == 1
+        assert set(out.regions.tolist()) == {0}
 
     def test_two_by_two(self):
         ens = tile(UNIT_SQUARE, 0.25, kind="pure")
         out = partition_regions(ens, 2)
-        assert len(out.regions) == 4
-        for region in out.regions:
-            assert len(region.roundel_ids) == 1
+        regions, members = np.unique(out.regions, return_counts=True)
+        assert len(regions) == 4
+        assert members.tolist() == [1, 1, 1, 1]
 
     def test_every_roundel_exactly_once(self):
         ens = tile(UNIT_SQUARE, 0.125, kind="pure")
         out = partition_regions(ens, 2)
-        seen = [rid for reg in out.regions for rid in reg.roundel_ids]
-        assert sorted(seen) == [r.id for r in ens.roundels]
+        assert out.ids.tolist() == ens.ids.tolist()
+        regions, members = np.unique(out.regions, return_counts=True)
+        assert regions.tolist() == [0, 1, 2, 3]
+        assert members.sum() == len(ens.ids)
 
     def test_boundary_points_follow_owner(self):
         ens = partition_regions(tile(UNIT_SQUARE, 0.25, kind="pure"), 2)
@@ -332,9 +352,16 @@ def _box_points(domain, samples_per_axis):
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
+def _roundels(ensemble):
+    """The ``Roundel`` tuple ensembles used to hold, rebuilt from the arrays."""
+    return tuple(Roundel(id=i, center=tuple(c), R=R) for i, c, R in zip(
+        ensemble.ids.tolist(), ensemble.centers.tolist(), ensemble.radii.tolist()))
+
+
 def _all_pairs_verify(ensemble, samples_per_axis=17, chunk=1024):
-    centers = np.array([r.center for r in ensemble.roundels])
-    radii = np.array([r.R for r in ensemble.roundels])
+    roundels = _roundels(ensemble)
+    centers = np.array([r.center for r in roundels])
+    radii = np.array([r.R for r in roundels])
     n = len(centers)
     max_overlap = -math.inf
     for start in range(0, n, chunk):
@@ -359,8 +386,9 @@ def _all_pairs_verify(ensemble, samples_per_axis=17, chunk=1024):
 
 
 def _all_pairs_fill(ensemble, samples_per_axis=33):
-    centers = np.array([r.center for r in ensemble.roundels])
-    radii = np.array([r.R for r in ensemble.roundels])
+    roundels = _roundels(ensemble)
+    centers = np.array([r.center for r in roundels])
+    radii = np.array([r.R for r in roundels])
     pts = _box_points(ensemble.domain, samples_per_axis)
     d = np.sqrt(np.sum((pts[:, None, :] - centers[None, :, :]) ** 2, axis=-1))
     return float(np.abs(d - radii[None, :]).min(axis=1).max())
@@ -374,7 +402,7 @@ def assert_matches_all_pairs(ens, samples_per_axis=17):
     points = ens.boundary
     if len(points):
         assert (ens.owners.tolist()
-                == _all_pairs_owners(points, ens.roundels).tolist())
+                == _all_pairs_owners(points, _roundels(ens)).tolist())
     got = verify_ensemble(ens, samples_per_axis)
     want = _all_pairs_verify(ens, samples_per_axis)
     assert got.keys() == want.keys()
@@ -410,7 +438,7 @@ class TestCellListOracle:
     ])
     def test_quadtree(self, field):
         ens = tile(UNIT_SQUARE, field, verify=False)
-        radii = {r.R for r in ens.roundels}
+        radii = set(ens.radii.tolist())
         assert 1 < max(radii) / min(radii) <= 4.0
         assert_matches_all_pairs(ens)
 
@@ -423,12 +451,12 @@ class TestCellListOracle:
     def test_single_roundel(self, kind):
         dim = 2 if kind == "pure" else 3
         ens = tile([(0.0, 1.0)] * dim, 0.5, kind=kind, verify=False)
-        assert len(ens.roundels) == 1
+        assert len(ens.ids) == 1
         assert_matches_all_pairs(ens)
 
     def test_partitioned(self):
         ens = partition_regions(tile(UNIT_SQUARE, 0.03, verify=False), 3)
-        assert len(ens.regions) == 9
+        assert len(set(ens.regions.tolist())) == 9
         assert_matches_all_pairs(ens)
 
     def test_off_origin_rectangle(self):
@@ -459,18 +487,16 @@ class TestCellListOracle:
         rng = np.random.default_rng(seed)
         centers = rng.uniform(0.0, spread, (count, dim))
         radii = rng.uniform(0.02, 1.0, count)
-        roundels = tuple(Roundel(id=i, center=tuple(c), R=float(R))
-                         for i, (c, R) in enumerate(zip(centers, radii)))
-        ens = Ensemble(roundels=roundels,
-                       regions=(Region(id=0, roundel_ids=frozenset(range(count))),),
+        ens = Ensemble(ids=np.arange(count), centers=centers, radii=radii,
+                       charges=np.zeros(count), regions=np.zeros(count, dtype=int),
                        kind="pure" if dim == 2 else "superposition", c=1.0,
                        boundary=np.empty((0, dim)), owners=np.empty(0, dtype=int),
                        boundary_regions=np.empty(0, dtype=int),
                        domain=((0.0, spread),) * dim)
         assert_matches_all_pairs(ens, samples_per_axis=7)
         points = _boundary_samples(centers, radii, ens.kind, 6, seed % 7)
-        assert (_owners_of(points, roundels).tolist()
-                == _all_pairs_owners(points, roundels).tolist())
+        assert (_owners_of(points, centers, radii, ens.ids).tolist()
+                == _all_pairs_owners(points, _roundels(ens)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -488,21 +514,41 @@ def _ref_boundary(roundels, kind, samples, seed):
     """The tuple ``tile`` used to build: one object per sample, region 0."""
     centers = np.array([r.center for r in roundels], dtype=float)
     radii = np.array([r.R for r in roundels], dtype=float)
+    ids = np.array([r.id for r in roundels])
     pts = _boundary_samples(centers, radii, kind, samples, seed)
     return tuple(_BoundaryPoint(point=tuple(p), owner=o, region=0) for p, o
-                 in zip(pts.tolist(), _owners_of(pts, roundels).tolist()))
+                 in zip(pts.tolist(), _owners_of(pts, centers, radii, ids).tolist()))
 
 
-def _ref_partition(roundels, domain, boundary, regions_per_axis):
-    """``partition_regions``' per-object rebuild through an id -> region dict."""
+def _ref_assignment(roundels, domain, regions_per_axis):
+    """Roundel id -> region id, the way ``partition_regions`` grouped them."""
     los = np.array([lo for lo, _ in domain])
     his = np.array([hi for _, hi in domain])
     frac = (np.array([r.center for r in roundels]) - los) / (his - los)
     cell = np.clip((frac * regions_per_axis).astype(int), 0, regions_per_axis - 1)
     flat = np.ravel_multi_index(cell.T, (regions_per_axis,) * len(los))
-    assignment = dict(zip((r.id for r in roundels), flat.tolist()))
+    return dict(zip((r.id for r in roundels), flat.tolist()))
+
+
+def _ref_partition(roundels, domain, boundary, regions_per_axis):
+    """``partition_regions``' per-object rebuild through an id -> region dict."""
+    assignment = _ref_assignment(roundels, domain, regions_per_axis)
     return tuple(_BoundaryPoint(bp.point, bp.owner, assignment[bp.owner])
                  for bp in boundary)
+
+
+def _relabelled(grid, seed):
+    """``grid``'s roundels under ids that are not a range, with random charges."""
+    rng = np.random.default_rng(seed)
+    ids = 1000 - 7 * rng.permutation(len(grid.ids))
+    pts = _boundary_samples(grid.centers, grid.radii, grid.kind, 4, 1)
+    return Ensemble(ids=ids, centers=grid.centers, radii=grid.radii,
+                    charges=rng.uniform(-1.0, 1.0, len(ids)),
+                    regions=np.zeros(len(ids), dtype=int), kind=grid.kind, c=1.0,
+                    boundary=pts,
+                    owners=_owners_of(pts, grid.centers, grid.radii, ids),
+                    boundary_regions=np.zeros(len(pts), dtype=int),
+                    domain=grid.domain)
 
 
 def _as_objects(ens):
@@ -519,38 +565,30 @@ class TestBoundaryArrayOracle:
         dim = 2 if kind == "pure" else 3
         ens = tile([(0.0, 1.0)] * dim, R, kind=kind, boundary_samples=samples,
                    seed=seed, verify=False)
-        want = _ref_boundary(ens.roundels, kind, samples, seed)
+        want = _ref_boundary(_roundels(ens), kind, samples, seed)
         assert _as_objects(ens) == want
         if regions > 1:
             parted = partition_regions(ens, regions)
             assert _as_objects(parted) == _ref_partition(
-                ens.roundels, ens.domain, want, regions)
+                _roundels(ens), ens.domain, want, regions)
             assert np.shares_memory(parted.boundary, ens.boundary)
 
     def test_quadtree(self):
         ens = tile(UNIT_SQUARE, lambda p: 0.05 + 0.2 * p[0], boundary_samples=4,
                    seed=2, verify=False)
-        want = _ref_boundary(ens.roundels, "pure", 4, 2)
+        want = _ref_boundary(_roundels(ens), "pure", 4, 2)
         assert _as_objects(ens) == want
         assert _as_objects(partition_regions(ens, 4)) == _ref_partition(
-            ens.roundels, ens.domain, want, 4)
+            _roundels(ens), ens.domain, want, 4)
 
     @pytest.mark.parametrize("kind", ["pure", "superposition"])
     def test_ids_not_a_range(self, kind):
         # owner -> region must look ids up, not use them as indices
         dim = 2 if kind == "pure" else 3
         grid = tile([(0.0, 1.0)] * dim, 0.125, kind=kind, verify=False)
-        ids = 1000 - 7 * np.random.default_rng(5).permutation(len(grid.roundels))
-        roundels = tuple(Roundel(id=int(i), center=r.center, R=r.R)
-                         for i, r in zip(ids, grid.roundels))
+        ens = _relabelled(grid, seed=5)
+        roundels = _roundels(ens)
         boundary = _ref_boundary(roundels, kind, 4, 1)
-        pts = np.array([bp.point for bp in boundary])
-        ens = Ensemble(roundels=roundels,
-                       regions=(Region(id=0, roundel_ids=frozenset(ids.tolist())),),
-                       kind=kind, c=1.0, boundary=pts,
-                       owners=_owners_of(pts, roundels),
-                       boundary_regions=np.zeros(len(pts), dtype=int),
-                       domain=grid.domain)
         assert _as_objects(ens) == boundary
         assert _as_objects(partition_regions(ens, 3)) == _ref_partition(
             roundels, grid.domain, boundary, 3)
@@ -565,6 +603,80 @@ class TestBoundaryArrayOracle:
 
     def test_arrays_are_read_only(self):
         ens = partition_regions(tile(UNIT_SQUARE, 0.25), 2)
-        for values in (ens.boundary, ens.owners, ens.boundary_regions):
+        for values in (ens.ids, ens.centers, ens.radii, ens.charges, ens.regions,
+                       ens.boundary, ens.owners, ens.boundary_regions):
             with pytest.raises(ValueError):
                 values[0] = 1
+
+
+# ---------------------------------------------------------------------------
+# The roundel arrays against the Region objects they replaced
+# ---------------------------------------------------------------------------
+
+def _ref_regions(roundels, assignment):
+    """The ``Region`` tuple as ``(id, roundel_ids)`` pairs, sorted by id."""
+    grouped: dict[int, set[int]] = {}
+    for r in roundels:
+        grouped.setdefault(assignment[r.id], set()).add(r.id)
+    return tuple((region, frozenset(members))
+                 for region, members in sorted(grouped.items()))
+
+
+def _ref_region_of(regions, roundel_id):
+    for region_id, members in regions:
+        if roundel_id in members:
+            return region_id
+    raise KeyError(f"roundel {roundel_id} not in any region")
+
+
+def _ref_total_charge(roundels, charges, regions, region_id=None):
+    """The loop over ``Roundel.f`` charges, with ``charges[i]`` for ``roundels[i].f``."""
+    if region_id is None:
+        return float(sum(charges))
+    for rid, members in regions:
+        if rid == region_id:
+            return float(sum(f for r, f in zip(roundels, charges) if r.id in members))
+    return 0.0
+
+
+_NOT_FINITE = "roundel centers must be finite, radii finite and positive"
+
+
+class TestRegionArrayOracle:
+    @pytest.mark.parametrize("kind,R,per_axis", [
+        ("pure", 0.125, 1), ("pure", 0.125, 2), ("pure", 0.05, 3),
+        ("superposition", 0.125, 3)])
+    def test_ids_not_a_range(self, kind, R, per_axis):
+        dim = 2 if kind == "pure" else 3
+        ens = partition_regions(_relabelled(
+            tile([(0.0, 1.0)] * dim, R, kind=kind, verify=False), seed=11), per_axis)
+        roundels = _roundels(ens)
+        regions = _ref_regions(roundels, _ref_assignment(roundels, ens.domain, per_axis))
+        for r in roundels:
+            assert ens.region_of(r.id) == _ref_region_of(regions, r.id)
+        for missing in (1001, 0, -7):
+            with pytest.raises(KeyError):
+                ens.region_of(missing)
+        for region_id in (None, *range(per_axis**dim), per_axis**dim + 3):
+            assert (total_charge(ens, region_id)
+                    == _ref_total_charge(roundels, ens.charges.tolist(), regions,
+                                         region_id))
+
+    @pytest.mark.parametrize(("change", "named"), [
+        (dict(radii=np.full(3, 0.25)), "mismatch centers (4, 2)"),
+        (dict(charges=np.zeros(5)), "mismatch centers (4, 2)"),
+        (dict(regions=np.zeros((4, 1), dtype=int)), "mismatch centers (4, 2)"),
+        (dict(ids=np.arange(3)), "mismatch centers (4, 2)"),
+        (dict(centers=np.full((4, 3), 0.5)), "pure roundel arrays {(4,)} mismatch"),
+        (dict(kind="hexagonal"), "unknown ensemble kind 'hexagonal'"),
+        (dict(radii=[0.25, 0.0, 0.25, 0.25]), _NOT_FINITE),
+        (dict(radii=[0.25, 0.25, -0.25, 0.25]), _NOT_FINITE),
+        (dict(radii=[0.25, 0.25, 0.25, math.nan]), _NOT_FINITE),
+        (dict(radii=[math.inf] * 4), _NOT_FINITE),
+        (dict(centers=[[0.25, 0.25], [math.nan, 0.75], [0.75, 0.25], [0.75, 0.75]]),
+         _NOT_FINITE),
+    ])
+    def test_ensemble_rejects(self, change, named):
+        ens = tile(UNIT_SQUARE, 0.25, verify=False)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            replace(ens, **change)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from bohrqed.lattice import (
     EquivalenceReport,
     HypercubicLattice,
     LatticeField,
+    MassTerm,
     ReflectorField,
     ResidualReport,
     bohr_phi_field,
@@ -369,6 +371,28 @@ class TestDiracResidual:
         phi = ReflectorField(lat, zeros, zeros)
         rep = dirac_residual(phi, Biquaternion(0), e=1.0, mass=1.0)
         assert rep.max_residual == 0.0
+
+    @pytest.mark.parametrize(("e", "mass", "named"), [
+        (math.nan, 1.0, "e=nan, mass=1.0"),
+        (1.0, math.inf, "e=1.0, mass=inf"),
+        (1.0, MassTerm(global_magnitude=1.0, a=math.nan, R_k=0.3), "mass=nan"),
+        (-math.inf, MassTerm(global_magnitude=math.inf, a=0.3, R_k=0.3),
+         "e=-inf, mass=inf"),
+    ])
+    def test_non_finite_coupling_or_mass_named(self, monkeypatch, e, mass, named):
+        # a full pass used to end in FloatingPointError, and mass = inf
+        # leaked "invalid value encountered in multiply" to stderr
+        state = alpha_state()
+        lat = HypercubicLattice(spacing=0.1, extent=(6, 6, 3, 3))
+        phi = bohr_phi_field(lat, state)
+        pot = bohr_potential_field(lat, state)
+
+        def no_slab(*args):
+            raise AssertionError("a slab ran before the inputs were checked")
+
+        monkeypatch.setattr(lattice_module, "_with_buffers", no_slab)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            dirac_residual(phi, pot, e=e, mass=mass)
 
     def test_closed_form_first_order(self):
         state = alpha_state()

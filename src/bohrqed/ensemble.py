@@ -12,7 +12,8 @@ roundel, its region).  Ownership, overlap and coverage are found in O(N) through
 a uniform cell list (Allen & Tildesley, *Computer Simulation of Liquids*,
 ch. 5) whose cell side is the largest roundel diameter.  Driving the
 orbit equations while the bare mass and charge scale inversely with the
-radius produces the limit power laws measured by :func:`scaling_sweep`.
+radius produces the limit power laws that :func:`scaling_sweep` tabulates
+and fits as a :class:`~bohrqed.fitting.Sweep`.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bohr import BohrInput, solve_bohr
-from .fitting import PowerFit, fit_loglog
+from .bohr import BohrInput
+from .fitting import Sweep, fit_sweep
 from .mspace import _boundary_samples
 
 __all__ = [
@@ -40,8 +41,6 @@ __all__ = [
     "total_charge",
     "verify_ensemble",
     "boundary_fill_distance",
-    "ScalingSweepRow",
-    "ScalingSweepResult",
     "scaling_sweep",
     "SCALING_EXPONENTS",
 ]
@@ -216,26 +215,29 @@ def tile(domain: Sequence[tuple[float, float]],
         c = math.sqrt(dim)
     elif not math.isfinite(c):
         raise ValueError(f"coverage slack c must be finite, got {c}")
+    if not math.isfinite(charge):
+        raise ValueError(f"roundel charge must be finite, got {charge}")
 
     if callable(R):
-        cells = _refine_cells(domain, R, dim)
+        centers, radii = _refine_cells(domain, R, dim)
     else:
         if not 0 < R < math.inf:
             raise ValueError(f"radius must be finite and positive, got {R}")
-        cells = _grid_cells(domain, float(R), dim)
-    radii = np.array([h for _, h in cells])
+        centers, radii = _grid_cells(domain, float(R), dim)
     while radii.max() / radii.min() > max_ratio:
-        cells = [child for center, h in cells for child in
-                 (_split_cell(center, h, dim)
-                  if h > max_ratio * radii.min() else [(center, h)])]
-        radii = np.array([h for _, h in cells])
+        # every cell past the ratio is replaced by its children, in place
+        split = radii > max_ratio * radii.min()
+        children = _split_cells(centers[split], radii[split], dim)
+        counts = np.where(split, 2 ** dim, 1)
+        centers, radii = np.repeat(centers, counts, axis=0), np.repeat(radii, counts)
+        child = np.repeat(split, counts)
+        centers[child], radii[child] = children
 
-    centers = np.array([ctr for ctr, _ in cells], dtype=float)
-    ids = np.arange(len(cells))
+    ids = np.arange(len(radii))
     pts = _boundary_samples(centers, radii, kind, boundary_samples, seed)
     ens = Ensemble(ids=ids, centers=centers, radii=radii,
-                   charges=np.full(len(cells), charge, dtype=float),
-                   regions=np.zeros(len(cells), dtype=int), kind=kind, c=c,
+                   charges=np.full(len(radii), charge, dtype=float),
+                   regions=np.zeros(len(radii), dtype=int), kind=kind, c=c,
                    boundary=pts, owners=_owners_of(pts, centers, radii, ids),
                    boundary_regions=np.zeros(len(pts), dtype=int), domain=domain)
     if verify:
@@ -257,7 +259,7 @@ def _grid_cells(domain, R, dim):
             f"a roundel of radius {R} does not fit in the domain {domain}")
     centers = _mesh([lo + R + 2.0 * R * np.arange(n)
                      for (lo, _), n in zip(domain, counts)])
-    return [(tuple(ctr), R) for ctr in centers]
+    return centers, np.full(len(centers), R)
 
 
 def _refine_cells(domain, radius_field, dim):
@@ -266,28 +268,31 @@ def _refine_cells(domain, radius_field, dim):
         raise ValueError("radius-field tilings require a square/cubic domain")
     root_center = np.array([(lo + hi) / 2.0 for lo, hi in domain])
     root_h = sides[0] / 2.0
-    leaves: list[tuple[tuple, float]] = []
+    leaves = []
     stack = [(root_center, root_h, 0)]
-    while stack:
+    while stack:  # depth first, the last child first
         center, h, depth = stack.pop()
-        want = float(radius_field(np.asarray(center)))
+        want = float(radius_field(center))
         if not 0 < want < math.inf:
             raise ValueError(f"radius field must be finite and positive, got {want}")
         if h <= want + 1e-12:
-            leaves.append((tuple(center), h))
+            leaves.append((center, h))
             continue
         if depth >= _MAX_DEPTH:
             raise InfeasibleCoverage(
                 "radius field demands subdivision beyond the depth limit")
-        stack.extend((np.asarray(ctr), hh, depth + 1)
-                     for ctr, hh in _split_cell(center, h, dim))
-    return leaves
+        stack.extend((ctr, hh, depth + 1)
+                     for ctr, hh in zip(*_split_cells(center[None], np.array([h]), dim)))
+    return np.array([ctr for ctr, _ in leaves]), np.array([h for _, h in leaves])
 
 
-def _split_cell(center, h, dim):
-    center, half = np.asarray(center, dtype=float), h / 2.0
-    return [(tuple(center + np.array([half if s else -half for s in signs])), half)
-            for signs in np.ndindex(*(2,) * dim)]
+def _split_cells(centers, radii, dim):
+    """The 2**dim quadtree/octree children of each cell, cell by cell and
+    within a cell in ``np.ndindex`` order of the axis signs (0 is minus)."""
+    signs = np.array(list(np.ndindex(*(2,) * dim)), dtype=float) * 2.0 - 1.0
+    half = np.repeat(radii / 2.0, len(signs))
+    return (np.repeat(centers, len(signs), axis=0)
+            + np.tile(signs, (len(radii), 1)) * half[:, None], half)
 
 
 def _mesh(axes) -> np.ndarray:
@@ -395,51 +400,22 @@ SCALING_EXPONENTS = {
 }
 
 
-@dataclass(frozen=True)
-class ScalingSweepRow:
-    """Magnitudes of one radius step of the limit sweep."""
-
-    R: float
-    mB: float
-    eB: float
-    eBa: float
-    f: float
-    A: float
-    rho: float
-    nl: int
-
-
-@dataclass(frozen=True)
-class ScalingSweepResult:
-    rows: tuple[ScalingSweepRow, ...]
-    slopes: dict[str, PowerFit]
-    expected: dict[str, float]
-    closure: float  # worst relative deviation of the re-solved orbit radius
-    low_confidence: bool
-
-
 def scaling_sweep(template: BohrInput, radii: Sequence[float], T: float,
-                  kind: str = "pure", reference_R: float = 1.0) -> ScalingSweepResult:
+                  kind: str = "pure", reference_R: float = 1.0) -> Sweep:
     """Shrink the roundels while the orbit equations stay exactly valid.
 
     The bare mass and charge are pinned to ``m*reference_R/R`` and
     ``e*reference_R/R``; the central charge then follows from the orbit
     condition ``|eB*f| = n² / sqrt((mB*R)² + n²)``, which keeps every row
-    sub-critical and the orbital speed radius-independent.  Each row is
-    re-solved through :func:`bohrqed.bohr.solve_bohr` and the recovered
-    radius compared with the imposed one.
+    sub-critical and the orbital speed radius-independent.  The columns are
+    ``R, mB, eB, eBa, f, A, rho, nl``.
     """
     dim = _check_kind(kind)
-    radii = sorted(float(R) for R in radii)
-    if len(radii) < 2:
-        raise ValueError("need at least two radii")
-    if any(R <= 0 for R in radii):
-        raise ValueError("radii must be positive")
+    if template.e == 0:
+        raise ValueError(f"template charge e must be non-zero, got {template.e}")
     n = template.n
-    sign_e = math.copysign(1.0, template.e)
-    rows = []
-    closure = 0.0
-    for R in radii:
+
+    def row(R: float) -> dict:
         mB = template.m * reference_R / R
         eB = abs(template.e) * reference_R / R
         u = n * n / math.sqrt((mB * R) ** 2 + n * n)  # |eB * f|
@@ -447,22 +423,10 @@ def scaling_sweep(template: BohrInput, radii: Sequence[float], T: float,
         A = f / R
         rho = 3.0 * A / (4.0 * math.pi * R * R)
         nl = count_interactions(T, R, kind)
-        eBa = nl * f
-        state = solve_bohr(
-            BohrInput(e=sign_e * eB, f=-sign_e * f, n=n, m=mB))
-        closure = max(closure, abs(state.R - R) / R)
-        rows.append(ScalingSweepRow(R=R, mB=mB, eB=eB, eBa=eBa, f=f,
-                                    A=A, rho=rho, nl=nl))
+        return {"R": R, "mB": mB, "eB": eB, "eBa": nl * f, "f": f, "A": A,
+                "rho": rho, "nl": nl}
 
     expected = dict(SCALING_EXPONENTS)
     expected["nl"] = -float(dim)
     expected["eBa"] = 1.0 - dim  # eBa = nl*f ~ R**-dim * R
-    slopes = {}
-    rv = np.array([r.R for r in rows])
-    for name in expected:
-        vals = np.array([float(getattr(r, name)) for r in rows])
-        slopes[name] = fit_loglog(rv, vals)
-    low = any(fit.low_confidence for fit in slopes.values())
-    return ScalingSweepResult(rows=tuple(rows), slopes=slopes,
-                              expected=expected, closure=closure,
-                              low_confidence=low)
+    return fit_sweep(radii, "radii", row, expected)

@@ -1,12 +1,14 @@
-"""Log-log power-law fits for scaling sweeps."""
+"""Log-log power-law fits and the limit sweeps built on them."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = ["PowerFit", "fit_loglog"]
+__all__ = ["PowerFit", "fit_loglog", "Sweep", "fit_sweep"]
 
 
 @dataclass(frozen=True)
@@ -43,3 +45,38 @@ def fit_loglog(xs, ys) -> PowerFit:
     return PowerFit(slope=float(slope), intercept=float(intercept),
                     n_points=len(xs), span_decades=span, low_confidence=low)
 
+
+@dataclass(frozen=True)
+class Sweep:
+    """One limit sweep: ``columns`` maps each name to its values in table
+    order, the abscissa first; ``slopes`` holds the fit of every
+    ``expected`` column against the abscissa."""
+
+    columns: dict[str, tuple]
+    slopes: dict[str, PowerFit]
+    expected: dict[str, float]
+    low_confidence: bool
+
+
+def fit_sweep(xs: Sequence[float], name: str, row: Callable[[float], dict],
+              expected: dict[str, float]) -> Sweep:
+    """Evaluate ``row`` at every abscissa, ascending, and fit each
+    ``expected`` column's log-log slope against it.
+
+    ``xs`` must hold at least two values, each finite and positive; a
+    :class:`ValueError` names ``name`` and the first one that is not.
+    """
+    xs = [float(x) for x in xs]
+    if len(xs) < 2:
+        raise ValueError(f"need at least two {name}")
+    for x in xs:
+        if not 0 < x < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {x}")
+    xs.sort()
+    rows = [row(x) for x in xs]
+    columns = {key: tuple(r[key] for r in rows) for key in rows[0]}
+    abscissa = np.array(xs)
+    slopes = {key: fit_loglog(abscissa, np.array([float(v) for v in columns[key]]))
+              for key in expected}
+    return Sweep(columns=columns, slopes=slopes, expected=expected,
+                 low_confidence=any(fit.low_confidence for fit in slopes.values()))

@@ -21,6 +21,8 @@ They stream one axis-0 slab of time slices at a time (as many as fit in
 ``_SLAB_BYTES`` of one field, at least one), writing into slab buffers
 allocated once per call, and report the max of the per-slab maxima, the
 whole-array value bit for bit; frame transport is per slab too.
+:func:`limit_sweep` tabulates the bare variables as the spacing shrinks
+and fits their power laws as a :class:`~bohrqed.fitting.Sweep`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .algebra import (
     bq_mul_planes,
 )
 from .bohr import BohrState, SupercriticalCoupling
-from .fitting import PowerFit, fit_loglog
+from .fitting import Sweep, fit_sweep
 
 __all__ = [
     "BoundarySite",
@@ -724,47 +726,23 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
 LIMIT_EXPONENTS = {"A": 2.0, "f": 3.0, "eB": 0.0, "eBa": 0.0, "J": 0.0}
 
 
-@dataclass(frozen=True)
-class LimitSweepRow:
-    a: float
-    R_k: float
-    J: float
-    A: float
-    f: float
-    eB: float
-    eBa: float
-    M: float
-    nl: float
-
-
-@dataclass(frozen=True)
-class LimitSweepResult:
-    rows: tuple[LimitSweepRow, ...]
-    slopes: dict[str, PowerFit]
-    expected: dict[str, float]
-    p: float
-    low_confidence: bool
-
-
 def limit_sweep(p: float, spacings: Sequence[float], n: int = 1,
-                T: float = 1.0, J0: float = 1.0) -> LimitSweepResult:
+                T: float = 1.0, J0: float = 1.0) -> Sweep:
     """Shrink the snapshot spacing with ``R_k = a**p`` and a fixed source.
 
     A unit-order current makes the potential scale like ``a²`` and the
     site charge like ``a³``; normalizing over a cube of side T keeps the
     bare charges finite while the global mass magnitude blows up as
-    ``a**-(3+p)``.  Raises :class:`~bohrqed.bohr.SupercriticalCoupling`
-    if any row's ``|eB * f|`` reaches n.
+    ``a**-(3+p)``.  The columns are ``a, R_k, J, A, f, eB, eBa, M, nl``.
+    Raises :class:`~bohrqed.bohr.SupercriticalCoupling` if any row's
+    ``|eB * f|`` reaches n.
     """
-    if p <= 0:
-        raise ValueError("exponent p must be positive")
-    spacings = sorted(float(a) for a in spacings)
-    if len(spacings) < 2:
-        raise ValueError("need at least two spacings")
-    if any(a <= 0 for a in spacings):
-        raise ValueError("spacings must be positive")
-    rows = []
-    for a in spacings:
+    for label, value in (("exponent p", p), ("box side T", T),
+                         ("source current J0", J0)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{label} must be finite and positive, got {value}")
+
+    def row(a: float) -> dict:
         R_k = a ** p
         A = (4.0 * math.pi / 3.0) * a * a * J0
         f = a * A
@@ -776,19 +754,14 @@ def limit_sweep(p: float, spacings: Sequence[float], n: int = 1,
             raise SupercriticalCoupling(
                 f"|eB*f| = {u} >= n = {n} at spacing a = {a}")
         M = n * n * math.sqrt(1.0 - (u / n) ** 2) / (R_k * u)
-        rows.append(LimitSweepRow(a=a, R_k=R_k, J=J0, A=A, f=f, eB=eB,
-                                  eBa=eBa, M=M, nl=nl))
+        return {"a": a, "R_k": R_k, "J": J0, "A": A, "f": f, "eB": eB,
+                "eBa": eBa, "M": M, "nl": nl}
+
     expected = dict(LIMIT_EXPONENTS)
     expected["M"] = -(3.0 + p)
     expected["R_k"] = p
     expected["nl"] = -3.0
-    av = np.array([r.a for r in rows])
-    slopes = {name: fit_loglog(av, np.array([float(getattr(r, name))
-                                             for r in rows]))
-              for name in expected}
-    low = any(fit.low_confidence for fit in slopes.values())
-    return LimitSweepResult(rows=tuple(rows), slopes=slopes,
-                            expected=expected, p=float(p), low_confidence=low)
+    return fit_sweep(spacings, "spacings", row, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,14 @@ class TestLatticeVerify:
         skipped = [c for c in report["checks"] if c.get("skipped")]
         assert len(skipped) >= 2
 
+    @pytest.mark.parametrize("h", ["-0.1", "nan"])
+    def test_bad_single_spacing_named_exit_3(self, tmp_path, capsys, h):
+        # a lone spacing used to be ignored unless --conjugate-charge read it
+        rc = main(["lattice-verify", "--out", str(tmp_path), "--spacings", h])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"spacing must be positive and finite, got {float(h)}" in err
+
     def test_duplicate_spacings_exit_2(self, tmp_path, capsys):
         # a repeated spacing used to exit 3 with "abscissa has zero span"
         rc = main(["lattice-verify", "--out", str(tmp_path / "o"),
@@ -229,6 +237,27 @@ class TestScalingSweep:
         assert f"box side T must be finite, got {side}" in err
         assert "cannot convert" not in err
         assert not (tmp_path / "roundel_sweep.csv").exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        # infinity used to crash on a ZeroDivisionError, exit 1
+        ("--p", "inf", "exponent p must be finite and positive, got inf"),
+        ("--r-max", "inf", "radii must be finite and positive, got inf"),
+        # these used to exit 3 naming int(nan), the log-log fit or no value
+        ("--r-min", "nan", "radii must be finite and positive, got nan"),
+        ("--a-min", "nan", "spacings must be finite and positive, got nan"),
+        ("--a-max", "inf", "spacings must be finite and positive, got inf"),
+        ("--p", "nan", "exponent p must be finite and positive, got nan"),
+        ("--r-min", "-1", "radii must be finite and positive, got -1.0"),
+        # the bare charge divides by |e|: a ZeroDivisionError, exit 1
+        ("--e", "0", "template charge e must be non-zero, got 0.0"),
+    ])
+    def test_bad_sweep_input_named_exit_3(self, tmp_path, capsys, flag, value,
+                                          message):
+        rc = main(["scaling-sweep", "--out", str(tmp_path), flag, value])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"domain error: {message}\n" == err
+        assert not (tmp_path / "exponents.json").exists()
 
     def test_exponent_table(self, tmp_path):
         rc = main(["scaling-sweep", "--out", str(tmp_path)])

@@ -93,6 +93,13 @@ class TestTile:
         assert named in str(info.value)
         assert not isinstance(info.value, InfeasibleCoverage)
 
+    @pytest.mark.parametrize("charge", [math.nan, math.inf, -math.inf])
+    def test_non_finite_charge_named(self, charge):
+        # NaN used to give an ensemble whose total charge is NaN
+        with pytest.raises(ValueError) as info:
+            tile(UNIT_SQUARE, 0.25, charge=charge)
+        assert str(info.value) == f"roundel charge must be finite, got {charge}"
+
     @pytest.mark.parametrize("c", [math.nan, math.inf])
     def test_non_finite_c_named(self, c):
         # NaN used to be reported as InfeasibleCoverage, infinity accepted
@@ -286,15 +293,35 @@ class TestScalingSweep:
 
     def test_orbit_equations_stay_valid(self):
         template = BohrInput(e=1.0, f=-0.01, n=2, m=0.5)
-        res = scaling_sweep(template, np.geomspace(1e-3, 1e-1, 5), T=10.0)
-        assert res.closure < 1e-12
+        cols = scaling_sweep(template, np.geomspace(1e-3, 1e-1, 5), T=10.0).columns
+        for R, mB, eB, f in zip(cols["R"], cols["mB"], cols["eB"], cols["f"]):
+            state = solve_bohr(BohrInput(e=eB, f=-f, n=2, m=mB))
+            assert abs(state.R - R) / R < 1e-12
 
     def test_speed_is_radius_independent(self):
         template = BohrInput(e=1.0, f=-0.01, n=1, m=1.0)
-        res = scaling_sweep(template, np.geomspace(1e-3, 1e-1, 5), T=10.0)
-        speeds = [solve_bohr(BohrInput(e=r.eB, f=-r.f, n=1, m=r.mB)).v
-                  for r in res.rows]
+        cols = scaling_sweep(template, np.geomspace(1e-3, 1e-1, 5), T=10.0).columns
+        speeds = [solve_bohr(BohrInput(e=eB, f=-f, n=1, m=mB)).v
+                  for mB, eB, f in zip(cols["mB"], cols["eB"], cols["f"])]
         assert np.ptp(speeds) < 1e-12
+
+    @pytest.mark.parametrize("radii,named", [
+        # infinity used to raise ZeroDivisionError, NaN to fail in int(nan)
+        ([0.01, math.inf], "got inf"),
+        ([math.nan, 0.01, 0.1], "got nan"),
+        ([0.01, -0.1, 0.0], "got -0.1"),
+        ([0.01, 0.0], "got 0.0"),
+    ])
+    def test_bad_radius_named(self, radii, named):
+        template = BohrInput(e=1.0, f=-0.01, n=1, m=1.0)
+        with pytest.raises(ValueError) as info:
+            scaling_sweep(template, radii, T=10.0)
+        assert str(info.value) == f"radii must be finite and positive, {named}"
+
+    def test_zero_template_charge_named(self):
+        # the bare charge eB = |e|/R used to divide f by zero
+        with pytest.raises(ValueError, match="template charge e must be non-zero"):
+            scaling_sweep(BohrInput(e=0.0, f=-0.01, n=1, m=1.0), [0.01, 0.1], T=10.0)
 
     def test_two_points_flagged(self):
         template = BohrInput(e=1.0, f=-0.01, n=1, m=1.0)
@@ -304,9 +331,9 @@ class TestScalingSweep:
     def test_rows_all_positive(self):
         template = BohrInput(e=-1.0, f=0.01, n=1, m=1.0)
         res = scaling_sweep(template, np.geomspace(1e-2, 1e-1, 5), T=10.0)
-        for row in res.rows:
-            for name in ("R", "mB", "eB", "eBa", "f", "A", "rho", "nl"):
-                assert getattr(row, name) > 0
+        assert list(res.columns) == ["R", "mB", "eB", "eBa", "f", "A", "rho", "nl"]
+        for name, values in res.columns.items():
+            assert len(values) == 5 and min(values) > 0, name
 
 
 def test_randomized_tilings_hold_invariants():
@@ -680,3 +707,73 @@ class TestRegionArrayOracle:
         ens = tile(UNIT_SQUARE, 0.25, verify=False)
         with pytest.raises(ValueError, match=re.escape(named)):
             replace(ens, **change)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the (center tuple, radius) cell lists that the cell arrays replaced
+# ---------------------------------------------------------------------------
+
+def _ref_split_cell(center, h, dim):
+    center, half = np.asarray(center, dtype=float), h / 2.0
+    return [(tuple(center + np.array([half if s else -half for s in signs])), half)
+            for signs in np.ndindex(*(2,) * dim)]
+
+
+def _ref_cells(domain, R, dim, max_ratio=4.0):
+    """Centers and radii of ``tile``'s roundels, built cell by cell."""
+    if callable(R):
+        cells = []
+        stack = [(np.array([(lo + hi) / 2.0 for lo, hi in domain]),
+                  (domain[0][1] - domain[0][0]) / 2.0)]
+        while stack:
+            center, h = stack.pop()
+            if h <= float(R(np.asarray(center))) + 1e-12:
+                cells.append((tuple(center), h))
+            else:
+                stack.extend((np.asarray(ctr), hh)
+                             for ctr, hh in _ref_split_cell(center, h, dim))
+    else:
+        counts = [int(math.floor((hi - lo) / (2.0 * R) + 1e-9)) for lo, hi in domain]
+        axes = [lo + R + 2.0 * R * np.arange(n) for (lo, _), n in zip(domain, counts)]
+        grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+        cells = [(tuple(ctr), R) for ctr in grid]
+    radii = np.array([h for _, h in cells])
+    while radii.max() / radii.min() > max_ratio:
+        cells = [child for center, h in cells for child in
+                 (_ref_split_cell(center, h, dim)
+                  if h > max_ratio * radii.min() else [(center, h)])]
+        radii = np.array([h for _, h in cells])
+    return np.array([ctr for ctr, _ in cells], dtype=float), radii
+
+
+class TestCellArrayOracle:
+    @pytest.mark.parametrize("kind,domain,R,max_ratio", [
+        ("pure", UNIT_SQUARE, lambda p: 0.08 + 0.2 * p[0], 4.0),
+        ("pure", UNIT_SQUARE, lambda p: 0.01 + 0.3 * p[0] * p[1], 4.0),
+        ("pure", [(-0.5, 1.5), (-1.0, 1.0)], lambda p: 0.02 + 0.1 * abs(p[1]), 2.0),
+        ("pure", UNIT_SQUARE, lambda p: 0.01 + 0.2 * p[0] ** 2, 1.5),
+        ("superposition", UNIT_CUBE, lambda p: 0.05 + 0.2 * p[2], 1.5),
+        ("superposition", UNIT_CUBE, lambda p: 0.04 + 0.1 * p[0] * p[1], 2.0),
+        ("pure", UNIT_SQUARE, 0.07, 4.0),
+        ("superposition", [(0.0, 1.0), (0.0, 2.0), (-1.0, 0.0)], 0.1, 4.0),
+    ])
+    def test_bitwise_equal_to_cell_lists(self, kind, domain, R, max_ratio):
+        dim = 2 if kind == "pure" else 3
+        ens = tile(domain, R, kind=kind, boundary_samples=1, max_ratio=max_ratio,
+                   verify=False)
+        centers, radii = _ref_cells(domain, R, dim, max_ratio)
+        assert ens.centers.dtype == centers.dtype and ens.radii.dtype == radii.dtype
+        assert ens.centers.tobytes() == centers.tobytes()
+        assert ens.radii.tobytes() == radii.tobytes()
+        assert ens.charges.shape == radii.shape
+
+    @settings(max_examples=40, deadline=None)
+    @given(base=st.floats(0.02, 0.1), slope=st.floats(0.0, 0.4),
+           axis=st.integers(0, 1), max_ratio=st.floats(1.2, 8.0))
+    def test_random_radius_fields(self, base, slope, axis, max_ratio):
+        field = lambda p: base + slope * p[axis]  # noqa: E731
+        ens = tile(UNIT_SQUARE, field, max_ratio=max_ratio, boundary_samples=1,
+                   verify=False)
+        centers, radii = _ref_cells(UNIT_SQUARE, field, 2, max_ratio)
+        assert ens.centers.tobytes() == centers.tobytes()
+        assert ens.radii.tobytes() == radii.tobytes()

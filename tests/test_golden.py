@@ -55,6 +55,11 @@ RUNS = {
          "--conjugate-charge"], {
             "lattice_verify_report.json": "4f278e6e9a2f0f957735bb26f14341fb06fc3ce61fda90bd7c5cc9683812a724",
         }),
+    "lattice-verify-central-one-spacing": (
+        ["lattice-verify", "--central-differences", "--spacings", "0.1",
+         "--conjugate-charge"], {
+            "lattice_verify_report.json": "853796fbff83505fa3082de5f9d5846c081b7fc88a02fa659489c25f7c2cba24",
+        }),
 }
 
 

@@ -761,10 +761,10 @@ class TestLimitSweep:
     def test_mass_closes_orbit_at_region_radius(self):
         # the bare mass of each row is exactly the mass whose orbit
         # radius equals R_k for the row's charges
-        res = limit_sweep(1.0, np.geomspace(1e-3, 1e-1, 7))
-        for row in res.rows:
-            state = solve_bohr(BohrInput(e=row.eB, f=-row.f, n=1, m=row.M))
-            assert state.R == pytest.approx(row.R_k, rel=1e-12)
+        cols = limit_sweep(1.0, np.geomspace(1e-3, 1e-1, 7)).columns
+        for R_k, eB, f, M in zip(cols["R_k"], cols["eB"], cols["f"], cols["M"]):
+            state = solve_bohr(BohrInput(e=eB, f=-f, n=1, m=M))
+            assert state.R == pytest.approx(R_k, rel=1e-12)
 
     def test_supercritical_propagates(self):
         with pytest.raises(SupercriticalCoupling):
@@ -779,6 +779,29 @@ class TestLimitSweep:
             limit_sweep(0.0, [0.01, 0.1])
         with pytest.raises(ValueError):
             limit_sweep(1.0, [0.01])
+
+    @pytest.mark.parametrize("kwargs,message", [
+        # zero and infinity used to raise ZeroDivisionError, NaN and
+        # negative values to fail in the log-log fit
+        ({"T": 0.0}, "box side T must be finite and positive, got 0.0"),
+        ({"J0": 0.0}, "source current J0 must be finite and positive, got 0.0"),
+        ({"p": math.inf}, "exponent p must be finite and positive, got inf"),
+        ({"T": math.nan}, "box side T must be finite and positive, got nan"),
+        ({"T": -1.0}, "box side T must be finite and positive, got -1.0"),
+        ({"J0": math.nan},
+         "source current J0 must be finite and positive, got nan"),
+        ({"J0": -2.0},
+         "source current J0 must be finite and positive, got -2.0"),
+        ({"spacings": [0.01, math.inf]},
+         "spacings must be finite and positive, got inf"),
+        ({"spacings": [0.01, math.nan, -1.0]},
+         "spacings must be finite and positive, got nan"),
+    ])
+    def test_bad_input_named(self, kwargs, message):
+        args = {"p": 1.0, "spacings": [0.01, 0.1], **kwargs}
+        with pytest.raises(ValueError) as info:
+            limit_sweep(**args)
+        assert str(info.value) == message
 
 
 class TestSerialization:

@@ -16,12 +16,10 @@ from .bohr import (
     SupercriticalCoupling,
     WaveSample,
     assemble_wavefunction,
-    charge_conjugate,
     local_solve_rho,
     mass_shell_residual,
     roundtrip_consistency,
     solve_bohr,
-    total_energy,
 )
 from .ensemble import (
     Ensemble,
@@ -36,7 +34,6 @@ from .ensemble import (
     total_charge,
 )
 from .lattice import (
-    BoundarySite,
     HypercubicLattice,
     LatticeField,
     MassTerm,

@@ -20,6 +20,7 @@ All values are immutable; all operations are pure functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,7 @@ __all__ = [
     "BASIS",
     "bq_mul_arr",
     "bq_mul_planes",
-    "bq_quat_conj_arr",
     "bq_complex_conj_arr",
-    "bq_dagger_arr",
     "bq_frobenius_arr",
     "vec4_to_bq",
     "bq_to_vec4",
@@ -223,6 +222,8 @@ def _unit_axis(axis) -> np.ndarray:
     v = np.asarray(axis, dtype=float)
     if v.shape != (3,):
         raise ValueError("axis must be a 3-vector")
+    if not np.isfinite(v).all():
+        raise ValueError(f"axis must be finite, got {v.tolist()}")
     n = np.linalg.norm(v)
     if n == 0:
         raise ValueError("axis must be nonzero")
@@ -250,12 +251,16 @@ class LorentzTransform:
     @staticmethod
     def rotation(axis, angle: float) -> "LorentzTransform":
         n = _unit_axis(axis)
+        if not math.isfinite(angle):
+            raise ValueError(f"rotation angle must be finite, got {angle}")
         c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
         return LorentzTransform(Biquaternion(c, s * n[0], s * n[1], s * n[2]))
 
     @staticmethod
     def boost(axis, rapidity: float) -> "LorentzTransform":
         n = _unit_axis(axis)
+        if not math.isfinite(rapidity):
+            raise ValueError(f"rapidity must be finite, got {rapidity}")
         c, s = np.cosh(rapidity / 2.0), np.sinh(rapidity / 2.0)
         return LorentzTransform(
             Biquaternion(c, 1j * s * n[0], 1j * s * n[1], 1j * s * n[2]))
@@ -324,18 +329,8 @@ def bq_mul_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                        0, -1)
 
 
-def bq_quat_conj_arr(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=complex, copy=True)
-    out[..., 1:] *= -1
-    return out
-
-
 def bq_complex_conj_arr(a: np.ndarray) -> np.ndarray:
     return np.conj(np.asarray(a, dtype=complex))
-
-
-def bq_dagger_arr(a: np.ndarray) -> np.ndarray:
-    return bq_quat_conj_arr(bq_complex_conj_arr(a))
 
 
 def bq_frobenius_arr(a: np.ndarray) -> np.ndarray:

@@ -30,13 +30,11 @@ __all__ = [
     "LocalSolveResult",
     "WaveSample",
     "solve_bohr",
-    "total_energy",
     "assemble_wavefunction",
     "mass_shell_residual",
     "local_solve_rho",
     "cubic_residual",
     "roundtrip_consistency",
-    "charge_conjugate",
 ]
 
 
@@ -88,7 +86,8 @@ class BohrState:
 
     ``v``: orbital speed; ``R``: orbit radius; ``mu``: wave number;
     ``nu``: total frequency; ``eta``: kinetic frequency; ``A``: potential
-    magnitude ``|f|/R`` at the orbit; ``E``: total energy (= nu).
+    magnitude ``|f|/R`` at the orbit; ``E``: total energy (= nu), which is
+    ``m*sqrt(1 - (e*f/n)**2)`` for attraction.
     """
 
     v: float
@@ -99,10 +98,6 @@ class BohrState:
     A: float
     E: float
     input: BohrInput
-
-    @property
-    def gamma(self) -> float:
-        return 1.0 / math.sqrt(1.0 - self.v * self.v)
 
     @property
     def potential_energy(self) -> float:
@@ -170,11 +165,6 @@ def solve_bohr(inp: BohrInput, allow_repulsive: bool = False) -> BohrState:
     A = abs(inp.f) / R
     nu = eta + ef / R
     return BohrState(v=v, R=R, mu=mu, nu=nu, eta=eta, A=A, E=nu, input=inp)
-
-
-def total_energy(state: BohrState) -> float:
-    """Total energy; equals ``m*sqrt(1 - (e*f/n)**2)`` for attraction."""
-    return state.E
 
 
 def mass_shell_residual(state: BohrState) -> float:
@@ -272,8 +262,3 @@ def roundtrip_consistency(inp: BohrInput) -> float:
         abs(rec.f - inp.f) / abs(inp.f),
     )
     return max(devs)
-
-
-def charge_conjugate(inp: BohrInput) -> BohrInput:
-    """Flip the sign of the orbiting particle's charge."""
-    return BohrInput(e=-inp.e, f=inp.f, n=inp.n, m=inp.m)

@@ -49,7 +49,6 @@ from .ensemble import (
 )
 from .fitting import fit_loglog
 from .lattice import (
-    BoundarySite,
     HypercubicLattice,
     LatticeField,
     bohr_phi_field,
@@ -67,7 +66,7 @@ from .lattice import (
 )
 
 DOMAIN_ERRORS = (SupercriticalCoupling, NonPositiveMass, InfeasibleCoverage,
-                 NotOnBoundary, BoundarySite)
+                 NotOnBoundary)
 
 EXIT_OK, EXIT_CHECK_FAIL, EXIT_CONFIG, EXIT_DOMAIN = 0, 1, 2, 3
 

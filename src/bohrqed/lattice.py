@@ -45,15 +45,13 @@ from .bohr import BohrState, SupercriticalCoupling
 from .fitting import Sweep, fit_sweep
 
 __all__ = [
-    "BoundarySite",
     "HypercubicLattice",
     "LatticeField",
     "ReflectorField",
     "RegionBinding",
     "MassTerm",
     "build_lattices",
-    "discrete_partial",
-    "discrete_dirac_apply",
+    "dirac_apply_values",
     "wave_apply",
     "photon_residual",
     "dirac_residual",
@@ -71,10 +69,6 @@ __all__ = [
 
 TRANSFORM_EXPONENTS = {"current": 3, "potential": 1, "derivative": 2,
                        "operator": 1}
-
-
-class BoundarySite(ValueError):
-    """Requested stencil has no neighbor inside the lattice."""
 
 
 @dataclass(frozen=True)
@@ -180,7 +174,6 @@ class MassTerm:
     global_magnitude: float
     a: float
     R_k: float
-    frame: str = "compromise"
 
     @property
     def per_region(self) -> float:
@@ -372,29 +365,6 @@ def _wave(P: np.ndarray, step: float, mode: str, box, bufs) -> np.ndarray:
     return out
 
 
-def _site_box(site, extent, mode: str, axes) -> tuple[slice, ...]:
-    """The box of ``site``, which needs the stencil's neighbors along ``axes``."""
-    inner = _interior(extent, mode, _FIRST_ORDER)
-    site = tuple(int(s) for s in site)
-    for ax, (s, n) in enumerate(zip(site, extent, strict=True)):
-        if s not in range(n)[inner[ax] if ax in axes else slice(None)]:
-            raise BoundarySite(f"site {site} lacks axis-{ax} neighbors ({mode})")
-    return tuple(slice(s, s + 1) for s in site)
-
-
-def discrete_partial(field: LatticeField, site, mu: int,
-                     mode: str = "backward") -> Biquaternion:
-    """Discrete partial along axis ``mu`` at one site.
-
-    Backward by default: ``(A_k - A_{k-mu}) / (2*spacing)``; a central
-    mode is available for convergence studies.
-    """
-    box = _site_box(site, field.lattice.extent, mode, axes=(mu,))
-    diff = _stencil(_planes(field.values), mu, field.lattice.step, mode, box,
-                    np.empty((4, 1, 1, 1, 1), complex))
-    return Biquaternion.from_array(diff[:, 0, 0, 0, 0])
-
-
 def _padded(kernel, values, lattice: HypercubicLattice, mode: str, modes,
             count: int, *args) -> np.ndarray:
     """``kernel`` applied to raw field values on every slab of ``mode``'s
@@ -416,16 +386,6 @@ def dirac_apply_values(values: np.ndarray, lattice: HypercubicLattice,
                        ) -> np.ndarray:
     """Apply ``D`` (or ``D‡``) to raw field values; NaN outside the stencil."""
     return _padded(_dirac, values, lattice, mode, _FIRST_ORDER, 3, dagger, basis)
-
-
-def discrete_dirac_apply(field: LatticeField, site, mode: str = "backward",
-                         dagger: bool = False) -> Biquaternion:
-    """``sum_mu i_mu * d_mu`` of the field at one site."""
-    box = _site_box(site, field.lattice.extent, mode, axes=range(4))
-    ((_, bufs),) = _with_buffers([box], 3)
-    applied = _dirac(_planes(field.values), field.lattice.step, mode, box, bufs,
-                     dagger)
-    return Biquaternion.from_array(applied[:, 0, 0, 0, 0])
 
 
 def wave_apply(values: np.ndarray, lattice: HypercubicLattice,
@@ -645,9 +605,7 @@ def transform_field(kind: str, field, binding: RegionBinding):
     if isinstance(field, LatticeField):
         return LatticeField(lattice=binding.lattice_p,
                             values=carried(field.values), label=field.label)
-    if isinstance(field, Biquaternion):
-        return (binding.R_k / binding.a) ** power * binding.Z.apply(field)
-    raise TypeError("field must be a LatticeField, ReflectorField, or Biquaternion")
+    raise TypeError("field must be a LatticeField or ReflectorField")
 
 
 @dataclass(frozen=True)
@@ -669,7 +627,8 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
     residual field equals the transported compromise residual field;
     ``commutation_residual`` measures that identity relative to the
     operator's own scale.  ``ValueError`` if a field is not on
-    ``binding.lattice_k`` or a transported field is not finite.
+    ``binding.lattice_k`` or a transported field is not finite,
+    ``FloatingPointError`` if a residual is not finite.
     """
     if not A_k.lattice == J_k.lattice == binding.lattice_k:
         raise ValueError("A_k and J_k must live on binding.lattice_k")
@@ -711,6 +670,8 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
         resid_p -= carried(resid_k, diff, "current", checked=False)
         rows.append((_max_norm(resid_k), lp, _max_norm(resid_p), scale))
     lk, lp, mismatch, scale = (float(m) for m in np.max(rows, axis=0))
+    if not all(map(math.isfinite, (lk, lp, mismatch))):
+        raise FloatingPointError("residual contains non-finite interior values")
     return EquivalenceReport(
         lk_residual=lk, lp_residual=lp,
         commutation_residual=mismatch / max(scale, 1e-300),
@@ -741,6 +702,8 @@ def limit_sweep(p: float, spacings: Sequence[float], n: int = 1,
                          ("source current J0", J0)):
         if not 0 < value < math.inf:
             raise ValueError(f"{label} must be finite and positive, got {value}")
+    if not (math.isfinite(n) and int(n) == n >= 1):
+        raise ValueError(f"quantum number n must be a positive integer, got {n}")
 
     def row(a: float) -> dict:
         R_k = a ** p

@@ -15,11 +15,10 @@ from bohrqed.algebra import (
     DiagonalMatrix,
     LorentzTransform,
     Reflector,
-    bq_dagger_arr,
+    bq_complex_conj_arr,
     bq_frobenius_arr,
     bq_mul_arr,
     bq_mul_planes,
-    bq_quat_conj_arr,
     reflector_mul,
     vec4_to_bq,
     bq_to_vec4,
@@ -187,6 +186,29 @@ class TestLorentz:
         assert v[1] == pytest.approx(-math.sinh(zeta))
         assert v[2] == pytest.approx(0) and v[3] == pytest.approx(0)
 
+    @pytest.mark.parametrize(("method", "args", "message"), [
+        ("boost", ([1, 0, 0], math.nan), "rapidity must be finite, got nan"),
+        ("boost", ([1, 0, 0], -math.inf), "rapidity must be finite, got -inf"),
+        ("rotation", ([0, 0, 1], math.nan),
+         "rotation angle must be finite, got nan"),
+        ("rotation", ([0, 0, 1], math.inf),
+         "rotation angle must be finite, got inf"),
+        ("rotation", ([0, math.nan, 1], 0.5),
+         "axis must be finite, got [0.0, nan, 1.0]"),
+        ("boost", ([math.inf, 0, 0], 0.5),
+         "axis must be finite, got [inf, 0.0, 0.0]"),
+        ("from_parts", ([0, 0, 1], 0.3, [1, 0, 0], math.nan),
+         "rapidity must be finite, got nan"),
+        ("from_parts", ([0, 0, 1], math.inf, [1, 0, 0], 0.3),
+         "rotation angle must be finite, got inf"),
+    ], ids=["boost-nan", "boost-inf", "rotation-nan", "rotation-inf",
+            "rotation-axis", "boost-axis", "parts-rapidity", "parts-angle"])
+    def test_non_finite_rejected(self, method, args, message):
+        # each used to build a NaN g without complaint
+        with pytest.raises(ValueError) as info:
+            getattr(LorentzTransform, method)(*args)
+        assert str(info.value) == message
+
     def test_roundtrip(self):
         rng = np.random.default_rng(7)
         for _ in range(100):
@@ -246,10 +268,12 @@ class TestArrayOps:
             assert np.allclose(prod[i], want.as_array())
 
     def test_conj_and_dagger(self):
+        # the array conjugation is the scalar one, and with the vector part
+        # negated it is the dagger
         q = Biquaternion(1 + 2j, 3, -1j, 0.5)
-        assert np.allclose(bq_quat_conj_arr(q.as_array()),
-                           q.quat_conj().as_array())
-        assert np.allclose(bq_dagger_arr(q.as_array()), q.dagger().as_array())
+        conj = bq_complex_conj_arr(q.as_array())
+        assert np.array_equal(conj, q.complex_conj().as_array())
+        assert np.array_equal(conj * [1, -1, -1, -1], q.dagger().as_array())
 
     def test_apply_array_matches_apply(self):
         rng = np.random.default_rng(37)

@@ -196,6 +196,16 @@ class TestLatticeVerify:
         err = capsys.readouterr().err
         assert f"spacing must be positive and finite, got {float(h)}" in err
 
+    @pytest.mark.parametrize("rapidity", ["nan", "inf"])
+    def test_non_finite_rapidity_named_exit_3(self, tmp_path, capsys, rapidity):
+        # NaN used to exit 3 with "transported potential values must be finite"
+        rc = main(["lattice-verify", "--out", str(tmp_path), "--spacings", "0.1",
+                   "--rapidity", rapidity])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == f"domain error: rapidity must be finite, got {rapidity}\n"
+        assert not (tmp_path / "lattice_verify_report.json").exists()
+
     def test_duplicate_spacings_exit_2(self, tmp_path, capsys):
         # a repeated spacing used to exit 3 with "abscissa has zero span"
         rc = main(["lattice-verify", "--out", str(tmp_path / "o"),

@@ -20,7 +20,6 @@ from bohrqed.bohr import BohrInput, SupercriticalCoupling, solve_bohr
 from bohrqed import lattice as lattice_module
 from bohrqed.fitting import fit_loglog
 from bohrqed.lattice import (
-    BoundarySite,
     EquivalenceReport,
     HypercubicLattice,
     LatticeField,
@@ -33,8 +32,6 @@ from bohrqed.lattice import (
     charge_conjugate_field,
     dirac_apply_values,
     dirac_residual,
-    discrete_dirac_apply,
-    discrete_partial,
     equivalence_check,
     interior_view,
     limit_sweep,
@@ -65,6 +62,13 @@ def scalar_field(lattice, grid_fn):
     vals = np.zeros(lattice.extent + (4,), dtype=complex)
     vals[..., 0] = grid_fn(grids)
     return LatticeField(lattice, vals)
+
+
+def partial_values(field, mu, mode="backward"):
+    """``d_mu`` of the field at every site: ``dirac_apply_values`` with a
+    basis of one unit coefficient on axis ``mu``; NaN off the stencil."""
+    axis = [Biquaternion(int(nu == mu)) for nu in range(4)]
+    return dirac_apply_values(field.values, field.lattice, mode=mode, basis=axis)
 
 
 def alpha_state():
@@ -132,50 +136,49 @@ class TestDiscretePartial:
     def test_constant_field(self):
         lat = small_lattice()
         f = scalar_field(lat, lambda g: np.full(lat.extent, 3.7))
-        out = discrete_partial(f, (2, 2, 2, 2), mu=1)
-        assert out.frobenius() < 1e-14
+        out = partial_values(f, mu=1)[2, 2, 2, 2]
+        assert bq_frobenius_arr(out) < 1e-14
 
     def test_linear_field_exact(self):
         lat = small_lattice()
         f = scalar_field(lat, lambda g: g[1])
-        out = discrete_partial(f, (2, 3, 2, 2), mu=1)
-        assert out.w == pytest.approx(1.0, abs=1e-13)
+        out = partial_values(f, mu=1)[2, 3, 2, 2]
+        assert out[0] == pytest.approx(1.0, abs=1e-13)
 
     def test_quadratic_backward_bias(self):
         # backward difference of x^2 over step 2h gives 2x - 2h
         lat = small_lattice(spacing=0.25)
         f = scalar_field(lat, lambda g: g[2] ** 2)
-        site = (2, 2, 3, 2)
         x = lat.axis_coords(2)[3]
-        out = discrete_partial(f, site, mu=2)
-        assert out.w == pytest.approx(2 * x - 2 * lat.spacing, rel=1e-12)
+        out = partial_values(f, mu=2)[2, 2, 3, 2]
+        assert out[0] == pytest.approx(2 * x - 2 * lat.spacing, rel=1e-12)
 
     def test_boundary_raises(self):
+        # a site without a backward neighbor has no value: NaN
         lat = small_lattice()
         f = scalar_field(lat, lambda g: g[0])
-        with pytest.raises(BoundarySite):
-            discrete_partial(f, (0, 2, 2, 2), mu=0)
+        assert np.isnan(partial_values(f, mu=0)[0, 2, 2, 2]).all()
 
     def test_central_mode(self):
         lat = small_lattice()
         f = scalar_field(lat, lambda g: g[3] ** 2)
         x = lat.axis_coords(3)[2]
-        out = discrete_partial(f, (2, 2, 2, 2), mu=3, mode="central")
-        assert out.w == pytest.approx(2 * x, rel=1e-12)  # central is exact here
+        out = partial_values(f, mu=3, mode="central")[2, 2, 2, 2]
+        assert out[0] == pytest.approx(2 * x, rel=1e-12)  # central is exact here
 
 
 class TestDiracApply:
     def test_constant_field(self):
         lat = small_lattice()
         f = scalar_field(lat, lambda g: np.full(lat.extent, 2.0 + 1j))
-        out = discrete_dirac_apply(f, (2, 2, 2, 2))
-        assert out.frobenius() < 1e-14
+        out = dirac_apply_values(f.values, lat)[2, 2, 2, 2]
+        assert bq_frobenius_arr(out) < 1e-14
 
     def test_linear_x1_gives_i1(self):
         lat = small_lattice()
         f = scalar_field(lat, lambda g: g[1])
-        out = discrete_dirac_apply(f, (2, 2, 2, 2))
-        assert (out - I1).frobenius() < 1e-13
+        out = dirac_apply_values(f.values, lat)[2, 2, 2, 2]
+        assert bq_frobenius_arr(out - I1.as_array()) < 1e-13
 
     def test_scalar_times_basis_consistency(self):
         # sum_mu i_mu (d_mu of scalar) times a constant basis element
@@ -203,8 +206,8 @@ class TestDiracApply:
     def test_dagger_flips_spatial_basis(self):
         lat = small_lattice()
         f = scalar_field(lat, lambda g: g[1])
-        out = discrete_dirac_apply(f, (2, 2, 2, 2), dagger=True)
-        assert (out + I1).frobenius() < 1e-13
+        out = dirac_apply_values(f.values, lat, dagger=True)[2, 2, 2, 2]
+        assert bq_frobenius_arr(out + I1.as_array()) < 1e-13
 
     def test_plane_wave_converges_to_analytic(self):
         # D on exp(i(mu s - nu x0)) tends to (nu + i mu i1) times the phase
@@ -620,13 +623,10 @@ class TestTransformField:
         f = self.make_field(latk, seed=11)
         fp = transform_field("potential", f, binding)
         for mu in range(4):
-            # a basis with a single unit coefficient picks out d_mu
-            axis = [Biquaternion(int(nu == mu)) for nu in range(4)]
-            lhs = dirac_apply_values(fp.values, binding.lattice_p, basis=axis)
+            lhs = partial_values(fp, mu)
             rhs = transform_field(
                 "derivative",
-                LatticeField(latk, np.nan_to_num(
-                    dirac_apply_values(f.values, latk, basis=axis))),
+                LatticeField(latk, np.nan_to_num(partial_values(f, mu))),
                 binding).values
             sel = interior_view(lhs - rhs, "backward")
             scale = np.max(bq_frobenius_arr(interior_view(lhs, "backward")))
@@ -796,11 +796,19 @@ class TestLimitSweep:
          "spacings must be finite and positive, got inf"),
         ({"spacings": [0.01, math.nan, -1.0]},
          "spacings must be finite and positive, got nan"),
+        # n <= 0 used to raise SupercriticalCoupling, n = 1.5 to run
+        ({"n": 0}, "quantum number n must be a positive integer, got 0"),
+        ({"n": -1}, "quantum number n must be a positive integer, got -1"),
+        ({"n": 1.5}, "quantum number n must be a positive integer, got 1.5"),
+        ({"n": math.nan}, "quantum number n must be a positive integer, got nan"),
+        ({"n": math.inf, "spacings": [0.01, math.nan]},
+         "quantum number n must be a positive integer, got inf"),
     ])
     def test_bad_input_named(self, kwargs, message):
         args = {"p": 1.0, "spacings": [0.01, 0.1], **kwargs}
         with pytest.raises(ValueError) as info:
             limit_sweep(**args)
+        assert type(info.value) is ValueError
         assert str(info.value) == message
 
 
@@ -1222,27 +1230,32 @@ class TestInteriorStencilOracle:
 
 
 class TestSiteLocalStencils:
-    """The one-site entry points against the array API, at every site next
-    to the edge of each mode's interior."""
+    """Per-site values of the array API at every site next to the edge of
+    each mode's interior, against per-site references."""
 
     lattice = HypercubicLattice(spacing=0.21, extent=(4, 5, 3, 4))
 
-    def edge_sites(self, mode, axes):
+    def edge_sites(self, mode):
         lo, hi = {"backward": (1, 0), "forward": (0, 1), "central": (1, 1)}[mode]
-        ranges = [sorted({lo, n - hi - 1}) if ax in axes else [0, n - 1]
-                  for ax, n in enumerate(self.lattice.extent)]
-        return list(itertools.product(*ranges))
+        return list(itertools.product(*(sorted({lo, n - hi - 1})
+                                        for n in self.lattice.extent)))
 
     @pytest.mark.parametrize("dagger", [False, True])
     @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
     def test_dirac_apply_matches_array(self, mode, dagger):
+        # the scalar algebra's sum_mu basis[mu] * d_mu at one site
         f = LatticeField(self.lattice,
                          _random_values(np.random.default_rng(7), self.lattice))
         full = dirac_apply_values(f.values, self.lattice, dagger=dagger,
                                   mode=mode)
-        for site in self.edge_sites(mode, range(4)):
-            got = discrete_dirac_apply(f, site, mode=mode, dagger=dagger)
-            assert np.array_equal(got.as_array(), full[site])
+        basis = [b.quat_conj() if dagger else b for b in BASIS]
+        diffs = [_ref_first_diff(f.values, mu, self.lattice.step, mode)
+                 for mu in range(4)]
+        for site in self.edge_sites(mode):
+            want = sum((b * Biquaternion.from_array(d[site])
+                        for b, d in zip(basis, diffs)), Biquaternion())
+            np.testing.assert_allclose(full[site], want.as_array(),
+                                       rtol=1e-14, atol=1e-14)
 
     @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
     def test_partial_matches_array(self, mode):
@@ -1250,27 +1263,25 @@ class TestSiteLocalStencils:
                          _random_values(np.random.default_rng(8), self.lattice))
         for mu in range(4):
             full = _ref_first_diff(f.values, mu, self.lattice.step, mode)
-            for site in self.edge_sites(mode, (mu,)):
-                got = discrete_partial(f, site, mu=mu, mode=mode)
-                assert np.array_equal(got.as_array(), full[site])
+            got = partial_values(f, mu, mode)
+            for site in self.edge_sites(mode):
+                assert np.array_equal(got[site], full[site])
 
     @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
-    def test_outside_interior_raises(self, mode):
+    def test_outside_interior_is_nan(self, mode):
+        # a site lacking any axis's neighbors has no value, even for a
+        # partial along another axis; a second-order mode is refused
         f = LatticeField(self.lattice,
-                         np.zeros(self.lattice.extent + (4,), dtype=complex))
+                         _random_values(np.random.default_rng(9), self.lattice))
         lo, hi = {"backward": (1, 0), "forward": (0, 1), "central": (1, 1)}[mode]
-        for bad in ([lo - 1, 1, 1, 1], [1, 5 - hi, 1, 1]):
-            with pytest.raises(BoundarySite):
-                discrete_dirac_apply(f, bad, mode=mode)
-            axis = 0 if bad[0] != 1 else 1
-            with pytest.raises(BoundarySite):
-                discrete_partial(f, bad, mu=axis, mode=mode)
-        with pytest.raises(BoundarySite):
-            discrete_partial(f, (1, 1, 3, 1), mu=0, mode=mode)
-        with pytest.raises(ValueError):
-            discrete_partial(f, (1, 1, 1, 1), mu=0, mode="composed")
-        with pytest.raises(ValueError):
-            discrete_dirac_apply(f, (1, 1, 1), mode=mode)
+        outside = np.ones(self.lattice.extent, dtype=bool)
+        outside[tuple(slice(lo, n - hi) for n in self.lattice.extent)] = False
+        for got in (dirac_apply_values(f.values, self.lattice, mode=mode),
+                    *(partial_values(f, mu, mode) for mu in range(4))):
+            assert np.array_equal(np.isnan(got).all(axis=-1), outside)
+            assert np.isfinite(got[~outside]).all()
+        with pytest.raises(ValueError, match="unknown difference mode"):
+            dirac_apply_values(f.values, self.lattice, mode="composed")
 
 
 # ---------------------------------------------------------------------------
@@ -1409,10 +1420,15 @@ class TestSlabOracle:
         new, old = (tmp_path / "new.txt").read_bytes(), (tmp_path / "old.txt").read_bytes()
         assert new == old
 
-    @pytest.mark.parametrize("residual", ["dirac", "photon"])
+    @pytest.mark.parametrize("residual", ["dirac", "photon", "equivalence"])
     def test_non_finite_interior_raises(self, residual):
-        # an overflowing axis-0 difference in any one slab is found
+        # an overflowing axis-0 difference in any one slab is found; the
+        # equivalence residual used to report it as lk = lp = inf with a
+        # commutation residual of 0, which reads as a pass
         (base,) = self.fields(9, 1)
+        _, latk, binding = build_lattices(  # R_k = a: transport stays finite
+            a=self.lattice.spacing, R_k=self.lattice.spacing,
+            extent=self.lattice.extent, Z=LorentzTransform.identity())
         for t in range(2, 7):
             vals = base.copy()
             vals[t - 1, 2, 2, 1, 0], vals[t, 2, 2, 1, 0] = -1e308, 1e308
@@ -1421,9 +1437,12 @@ class TestSlabOracle:
                 if residual == "dirac":
                     dirac_residual(ReflectorField(self.lattice, base, vals),
                                    Biquaternion(0.5), e=1.0, mass=1.0)
-                else:
+                elif residual == "photon":
                     photon_residual(LatticeField(self.lattice, vals),
                                     LatticeField(self.lattice, base))
+                else:
+                    equivalence_check(binding, LatticeField(latk, vals),
+                                      LatticeField(latk, base))
 
     @pytest.mark.parametrize("kind", ["potential", "current"])
     def test_overflowing_transport_raises(self, kind):

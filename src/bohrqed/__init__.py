@@ -1,6 +1,7 @@
 """Numerical laboratory for quaternionic electrodynamics built from
 two-body Bohr orbits, roundel ensembles, and lattice renditions."""
 
+from ._domain import DomainError
 from .algebra import (
     Biquaternion,
     DiagonalMatrix,

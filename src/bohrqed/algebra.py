@@ -21,9 +21,12 @@ All values are immutable; all operations are pure functions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._domain import DomainError, finite, positive
 
 __all__ = [
     "Biquaternion",
@@ -218,15 +221,17 @@ def reflector_mul(a: Reflector, b: Reflector) -> DiagonalMatrix:
 # Lorentz transforms
 # ---------------------------------------------------------------------------
 
+#: Largest |rapidity| whose cosh(rapidity/2) is a finite float.
+_MAX_RAPIDITY = 2.0 * math.acosh(sys.float_info.max)
+
+
 def _unit_axis(axis) -> np.ndarray:
     v = np.asarray(axis, dtype=float)
     if v.shape != (3,):
-        raise ValueError("axis must be a 3-vector")
-    if not np.isfinite(v).all():
-        raise ValueError(f"axis must be finite, got {v.tolist()}")
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise ValueError("axis must be nonzero")
+        raise DomainError(f"axis must be a 3-vector, got {v.tolist()}")
+    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
+        n = np.linalg.norm(v)
+    positive(f"norm of axis {v.tolist()}", n)
     return v / n
 
 
@@ -251,16 +256,17 @@ class LorentzTransform:
     @staticmethod
     def rotation(axis, angle: float) -> "LorentzTransform":
         n = _unit_axis(axis)
-        if not math.isfinite(angle):
-            raise ValueError(f"rotation angle must be finite, got {angle}")
+        finite("rotation angle", angle)
         c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
         return LorentzTransform(Biquaternion(c, s * n[0], s * n[1], s * n[2]))
 
     @staticmethod
     def boost(axis, rapidity: float) -> "LorentzTransform":
         n = _unit_axis(axis)
-        if not math.isfinite(rapidity):
-            raise ValueError(f"rapidity must be finite, got {rapidity}")
+        finite("rapidity", rapidity)
+        if abs(rapidity) > _MAX_RAPIDITY:
+            raise DomainError(f"|rapidity| must be at most {_MAX_RAPIDITY:.6g}, past "
+                              f"which cosh(rapidity/2) overflows, got {rapidity}")
         c, s = np.cosh(rapidity / 2.0), np.sinh(rapidity / 2.0)
         return LorentzTransform(
             Biquaternion(c, 1j * s * n[0], 1j * s * n[1], 1j * s * n[2]))

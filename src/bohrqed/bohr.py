@@ -20,6 +20,7 @@ import math
 import cmath
 from dataclasses import dataclass
 
+from ._domain import DomainError, finite, positive, whole
 from .algebra import Biquaternion
 
 __all__ = [
@@ -38,11 +39,11 @@ __all__ = [
 ]
 
 
-class SupercriticalCoupling(ValueError):
+class SupercriticalCoupling(DomainError):
     """|e*f| >= n: the orbital square root vanishes or turns imaginary."""
 
 
-class NonPositiveMass(ValueError):
+class NonPositiveMass(DomainError):
     """Rest mass must be strictly positive."""
 
 
@@ -61,10 +62,8 @@ class BohrInput:
     m: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.e, self.f, self.m, self.n))):
-            raise ValueError(f"e, f, m and n must be finite, got {self}")
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+        finite("e, f and m", self.e, self.f, self.m)
+        whole("n", self.n, 1)
         if self.m <= 0:
             raise NonPositiveMass(f"m must be positive, got {self.m}")
         if abs(self.e * self.f) >= self.n:
@@ -153,14 +152,17 @@ def solve_bohr(inp: BohrInput, allow_repulsive: bool = False) -> BohrState:
     """
     ef = inp.e * inp.f
     if ef == 0:
-        raise ValueError("coupling e*f must be nonzero")
+        raise DomainError(f"coupling e*f must be nonzero, got {ef}")
     if ef > 0 and not allow_repulsive:
-        raise ValueError(
-            "repulsive coupling (e*f > 0); pass allow_repulsive=True to override")
+        raise DomainError(f"repulsive coupling e*f = {ef} > 0; pass "
+                          "allow_repulsive=True to override")
     v = abs(ef) / inp.n
     gamma = 1.0 / math.sqrt(1.0 - v * v)
     eta = inp.m * gamma
     mu = inp.m * v * gamma
+    # the mass shell squares eta and the radius divides by mu
+    finite(f"(m*gamma)**2 at m = {inp.m}", eta * eta)
+    positive(f"wave number m*v*gamma at m = {inp.m}", mu)
     R = inp.n / mu
     A = abs(inp.f) / R
     nu = eta + ef / R
@@ -209,18 +211,18 @@ def local_solve_rho(A: float, e: float, m: float, n: int) -> LocalSolveResult:
     cancellation on either side.  A = 0 yields the degenerate rho = 0
     result with radius and central charge flagged undefined.  Raises
     :class:`NonPositiveMass` for ``m < 0`` (``m = 0`` is the massless limit)
-    and ``ValueError`` for non-finite input or a density outside the
+    and :class:`DomainError` for non-finite input or a density outside the
     floating-point range.
     """
     if not (math.isfinite(A) and math.isfinite(e) and math.isfinite(m)
             and math.isfinite(n)):  # spelt out: this runs once per grid point
-        raise ValueError(f"A, e, m and n must be finite, got {A}, {e}, {m}, {n}")
+        raise DomainError(f"A, e, m and n must be finite, got {A}, {e}, {m}, {n}")
     if m < 0:
         raise NonPositiveMass(f"m must not be negative, got {m}")
     if e == 0:
-        raise ValueError("e must be nonzero (the density equation divides by e**2)")
+        raise DomainError("e must be nonzero (the density equation divides by e**2)")
     if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+        raise DomainError(f"n must be a positive integer, got {n}")
     d = 3.0 / (4.0 * math.pi * n * n)
     if A == 0:
         return LocalSolveResult(rho=0.0, A=0.0, R=math.nan, f=math.nan,
@@ -229,7 +231,7 @@ def local_solve_rho(A: float, e: float, m: float, n: int) -> LocalSolveResult:
     sign = 1.0 if A > 0 else -1.0
     rho = (A * A * e * e * d / 2.0) * (A + sign * root)
     if not math.isfinite(rho) or rho == 0:
-        raise ValueError(f"the density at A = {A} overflows or underflows")
+        raise DomainError(f"the density at A = {A} overflows or underflows")
     R = math.sqrt(3.0 * A / (4.0 * math.pi * rho))
     f = -A * R
     branch = "positive-root" if A > 0 else "negative-root"

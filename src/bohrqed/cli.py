@@ -3,7 +3,9 @@
 Every command writes deterministic artifacts (CSV tables with 17
 significant digits, LF endings; JSON reports with sorted keys) into the
 output directory and prints one line per check.  Exit codes: 0 all
-checks pass, 1 a check failed, 2 configuration error, 3 domain error.
+checks pass, 1 a check failed, 2 configuration error, 3 domain error (a
+:class:`~bohrqed.DomainError`, and nothing else), 4 internal error (any
+other exception; its traceback goes to stderr).
 
 Every option may also come from a ``--config`` file of ``key = value``
 lines, parsed as flags before the command line's own, which win;
@@ -23,16 +25,16 @@ import json
 import math
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from ._domain import DomainError, finite, positive, whole
 from .algebra import LorentzTransform, bq_frobenius_arr
 from .bohr import (
     BohrInput,
-    NonPositiveMass,
-    SupercriticalCoupling,
     local_solve_rho,
     cubic_residual,
     mass_shell_residual,
@@ -40,7 +42,6 @@ from .bohr import (
 )
 from .ensemble import (
     InfeasibleCoverage,
-    NotOnBoundary,
     count_interactions,
     partition_regions,
     scaling_sweep,
@@ -48,6 +49,7 @@ from .ensemble import (
     verify_ensemble,
 )
 from .fitting import fit_loglog
+from .mspace import kind_dim
 from .lattice import (
     HypercubicLattice,
     LatticeField,
@@ -65,10 +67,7 @@ from .lattice import (
     wave_apply,
 )
 
-DOMAIN_ERRORS = (SupercriticalCoupling, NonPositiveMass, InfeasibleCoverage,
-                 NotOnBoundary)
-
-EXIT_OK, EXIT_CHECK_FAIL, EXIT_CONFIG, EXIT_DOMAIN = 0, 1, 2, 3
+EXIT_OK, EXIT_CHECK_FAIL, EXIT_CONFIG, EXIT_DOMAIN, EXIT_INTERNAL = 0, 1, 2, 3, 4
 
 SLOPE_TOL = 0.02
 
@@ -271,8 +270,8 @@ def cmd_solve_bohr(ns, out: Path, report: RunReport) -> None:
 
 
 def cmd_local_solve(ns, out: Path, report: RunReport) -> None:
-    if ns.a_count < 2:
-        raise ConfigError("a-count must be >= 2")
+    finite("a-min and a-max", ns.a_min, ns.a_max)
+    whole("a-count", ns.a_count, 2)
     grid = np.linspace(ns.a_min, ns.a_max, ns.a_count).tolist()
     if ns.include_zero and 0.0 not in grid:
         grid.append(0.0)
@@ -296,7 +295,7 @@ def cmd_local_solve(ns, out: Path, report: RunReport) -> None:
 
 
 def cmd_tile(ns, out: Path, report: RunReport) -> None:
-    domain = [(0.0, ns.side)] * (2 if ns.kind == "pure" else 3)
+    domain = [(0.0, ns.side)] * kind_dim(ns.kind)
     ens = tile(domain, ns.radius, kind=ns.kind, c=ns.c or None,
                boundary_samples=ns.boundary_samples, seed=ns.seed,
                verify=False)
@@ -439,10 +438,14 @@ def _record_sweep(ns, out: Path, report: RunReport, exponents: dict,
 
 
 def cmd_scaling_sweep(ns, out: Path, report: RunReport) -> None:
-    # an infinite or negative end gives NaN inside, which the sweeps name
-    with np.errstate(invalid="ignore"):
-        radii = np.geomspace(ns.r_min, ns.r_max, ns.r_count)
-        spacings = np.geomspace(ns.a_min, ns.a_max, ns.a_count)
+    positive("radii", ns.r_min)
+    positive("radii", ns.r_max)
+    positive("spacings", ns.a_min)
+    positive("spacings", ns.a_max)
+    whole("r-count", ns.r_count, 2)
+    whole("a-count", ns.a_count, 2)
+    radii = np.geomspace(ns.r_min, ns.r_max, ns.r_count)
+    spacings = np.geomspace(ns.a_min, ns.a_max, ns.a_count)
     exponents = {}
     template = BohrInput(e=ns.e, f=ns.f, n=ns.n, m=ns.m)
     _record_sweep(ns, out, report, exponents, "roundel",
@@ -456,6 +459,14 @@ def cmd_scaling_sweep(ns, out: Path, report: RunReport) -> None:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+def nonnegative(text: str) -> float:
+    """A finite number >= 0: a tolerance scale of 0 asks for exact checks."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -471,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="key = value file")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--tolerance-scale", type=float, default=1.0)
+        p.add_argument("--tolerance-scale", type=nonnegative, default=1.0)
 
     def orbit(p):
         p.add_argument("--e", type=float, default=1.0)
@@ -546,20 +557,22 @@ def main(argv=None) -> int:
         out = resolve_out_dir(ns, cfg)
         report = RunReport(ns.command, seed=ns.seed, config_hash=config_hash(ns))
         ns.func(ns, out, report)
+        report.print_lines()
+        write_json(out / f"{ns.command.replace('-', '_')}_report.json",
+                   report.as_dict())
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DOMAIN_ERRORS as exc:
-        print(f"domain error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except DomainError as exc:
+        named = "" if type(exc) is DomainError else f"{type(exc).__name__}: "
+        print(f"domain error: {named}{exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except ValueError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    report.print_lines()
-    write_json(out / f"{ns.command.replace('-', '_')}_report.json",
-               report.as_dict())
+    except Exception:
+        traceback.print_exc()
+        print("internal error: see the traceback above", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_OK if report.passed else EXIT_CHECK_FAIL
 
 

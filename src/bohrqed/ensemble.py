@@ -20,14 +20,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._domain import DomainError, finite, positive, whole
 from .bohr import BohrInput
 from .fitting import Sweep, fit_sweep
-from .mspace import _boundary_samples
+from .mspace import _boundary_samples, kind_dim
 
 __all__ = [
     "InfeasibleCoverage",
@@ -53,11 +55,11 @@ _MAX_DEPTH = 16
 _CELL_SLACK = 1e-9
 
 
-class InfeasibleCoverage(ValueError):
+class InfeasibleCoverage(DomainError):
     """The requested coverage slack c cannot be met by the tiling."""
 
 
-class NotOnBoundary(ValueError):
+class NotOnBoundary(DomainError):
     """A point handed to the ownership rule is not on every candidate boundary."""
 
 
@@ -68,10 +70,8 @@ class Roundel:
     R: float
 
     def __post_init__(self):
-        if not 0 < self.R < math.inf:
-            raise ValueError(f"roundel radius must be finite and positive, got {self.R}")
-        if not all(map(math.isfinite, self.center)):
-            raise ValueError(f"roundel center must be finite, got {self.center}")
+        positive("roundel radius", self.R)
+        finite("roundel center", *self.center)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,32 +94,24 @@ class Ensemble:
             view = np.asarray(getattr(self, name)).view()
             view.setflags(write=False)
             object.__setattr__(self, name, view)
-        m, dim = len(self.ids), _check_kind(self.kind)
+        m, dim = len(self.ids), kind_dim(self.kind)
         shapes = {a.shape for a in (self.ids, self.radii, self.charges, self.regions)}
         if shapes != {(m,)} or self.centers.shape != (m, dim):
-            raise ValueError(f"{self.kind} roundel arrays {shapes} mismatch "
-                             f"centers {self.centers.shape}")
+            raise DomainError(f"{self.kind} roundel arrays {shapes} mismatch "
+                              f"centers {self.centers.shape}")
         if not (np.isfinite(self.centers).all() and np.isfinite(self.radii).all()
                 and (self.radii > 0).all()):
-            raise ValueError("roundel centers must be finite, radii finite and positive")
+            raise DomainError("roundel centers must be finite, radii finite and positive")
 
     @property
     def dim(self) -> int:
-        return 2 if self.kind == "pure" else 3
+        return kind_dim(self.kind)
 
     def region_of(self, roundel_id: int) -> int:
         at = np.flatnonzero(self.ids == roundel_id)
         if not len(at):
             raise KeyError(f"roundel {roundel_id} not in any region")
         return int(self.regions[at[0]])
-
-
-def _check_kind(kind: str) -> int:
-    if kind == "pure":
-        return 2
-    if kind == "superposition":
-        return 3
-    raise ValueError(f"unknown ensemble kind {kind!r}")
 
 
 def _distance(p: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -202,27 +194,23 @@ def tile(domain: Sequence[tuple[float, float]],
     :class:`InfeasibleCoverage` when the result leaves some sampled point
     farther than ``c`` local radii from every boundary.
     """
-    dim = _check_kind(kind)
+    dim = kind_dim(kind)
     domain = tuple((float(lo), float(hi)) for lo, hi in domain)
     if len(domain) != dim:
-        raise ValueError(f"{kind} tiling needs a {dim}-d domain")
+        raise DomainError(f"{kind} tiling needs a {dim}-d domain, got {domain}")
     if not all(-math.inf < lo < hi < math.inf for lo, hi in domain):
-        raise ValueError("domain bounds must be finite with positive extent "
-                         f"on every axis, got {domain}")
-    if boundary_samples < 1:
-        raise ValueError(f"boundary_samples must be >= 1, got {boundary_samples}")
+        raise DomainError("domain bounds must be finite with positive extent "
+                          f"on every axis, got {domain}")
+    whole("boundary_samples", boundary_samples, 1)
     if c is None:
         c = math.sqrt(dim)
-    elif not math.isfinite(c):
-        raise ValueError(f"coverage slack c must be finite, got {c}")
-    if not math.isfinite(charge):
-        raise ValueError(f"roundel charge must be finite, got {charge}")
+    finite("coverage slack c", c)
+    finite("roundel charge", charge)
 
     if callable(R):
         centers, radii = _refine_cells(domain, R, dim)
     else:
-        if not 0 < R < math.inf:
-            raise ValueError(f"radius must be finite and positive, got {R}")
+        positive("radius", R)
         centers, radii = _grid_cells(domain, float(R), dim)
     while radii.max() / radii.min() > max_ratio:
         # every cell past the ratio is replaced by its children, in place
@@ -253,10 +241,12 @@ def tile(domain: Sequence[tuple[float, float]],
 
 
 def _grid_cells(domain, R, dim):
-    counts = [int(math.floor((hi - lo) / (2.0 * R) + 1e-9)) for lo, hi in domain]
+    counts = np.floor([(hi - lo) / (2.0 * R) + 1e-9 for lo, hi in domain])
     if min(counts) < 1:
         raise InfeasibleCoverage(
             f"a roundel of radius {R} does not fit in the domain {domain}")
+    whole(f"roundel count at radius {R} in {domain}", math.prod(counts.tolist()), 1)
+    counts = [int(n) for n in counts]
     centers = _mesh([lo + R + 2.0 * R * np.arange(n)
                      for (lo, _), n in zip(domain, counts)])
     return centers, np.full(len(centers), R)
@@ -265,7 +255,7 @@ def _grid_cells(domain, R, dim):
 def _refine_cells(domain, radius_field, dim):
     sides = [hi - lo for lo, hi in domain]
     if max(sides) - min(sides) > 1e-9 * max(sides):
-        raise ValueError("radius-field tilings require a square/cubic domain")
+        raise DomainError("radius-field tilings require a square/cubic domain")
     root_center = np.array([(lo + hi) / 2.0 for lo, hi in domain])
     root_h = sides[0] / 2.0
     leaves = []
@@ -273,8 +263,7 @@ def _refine_cells(domain, radius_field, dim):
     while stack:  # depth first, the last child first
         center, h, depth = stack.pop()
         want = float(radius_field(center))
-        if not 0 < want < math.inf:
-            raise ValueError(f"radius field must be finite and positive, got {want}")
+        positive("radius field", want)
         if h <= want + 1e-12:
             leaves.append((center, h))
             continue
@@ -340,7 +329,7 @@ def assign_boundary_point(point, candidates: Sequence[Roundel]) -> int:
     ordering of the candidate list never affects the result.
     """
     if not candidates:
-        raise ValueError("need at least one candidate roundel")
+        raise DomainError("need at least one candidate roundel")
     point = tuple(float(p) for p in point)
     for r in candidates:
         if not abs(math.dist(point, r.center) - r.R) <= _BOUNDARY_TOL:  # NaN is off
@@ -355,9 +344,9 @@ def partition_regions(ensemble: Ensemble, regions_per_axis: int) -> Ensemble:
     Each roundel joins the region containing its center; boundary points
     follow their owning roundel's region.
     """
-    if regions_per_axis < 1:
-        raise ValueError("regions_per_axis must be >= 1")
     los = np.array([lo for lo, _ in ensemble.domain])
+    whole("regions_per_axis", regions_per_axis, 1)
+    whole(f"region count regions_per_axis**{len(los)}", regions_per_axis ** len(los), 1)
     his = np.array([hi for _, hi in ensemble.domain])
     frac = (ensemble.centers - los) / (his - los)
     cell = np.clip((frac * regions_per_axis).astype(int), 0, regions_per_axis - 1)
@@ -373,12 +362,16 @@ def partition_regions(ensemble: Ensemble, regions_per_axis: int) -> Ensemble:
 
 def count_interactions(T: float, R: float, kind: str) -> int:
     """Local interactions inside a box of side T tiled at radius R."""
-    dim = _check_kind(kind)
-    if not math.isfinite(T):
-        raise ValueError(f"box side T must be finite, got {T}")
+    dim = kind_dim(kind)
+    finite("box side T", T)
+    positive("roundel radius R", R)
     if T <= 2.0 * R:
-        raise ValueError("box side T must exceed one roundel diameter")
-    return int(math.floor((T / (2.0 * R)) ** dim + 1e-9))
+        raise DomainError(f"box side T = {T} must exceed one roundel diameter {2 * R}")
+    cells = T / (2.0 * R)
+    if not dim * math.log(cells) < math.log(sys.float_info.max):  # no overflow
+        raise DomainError(f"box side T = {T} holds more roundels of radius "
+                          f"R = {R} than a float counts")
+    return int(math.floor(cells ** dim + 1e-9))
 
 
 def total_charge(ensemble: Ensemble, region_id: int | None = None) -> float:
@@ -410,9 +403,9 @@ def scaling_sweep(template: BohrInput, radii: Sequence[float], T: float,
     sub-critical and the orbital speed radius-independent.  The columns are
     ``R, mB, eB, eBa, f, A, rho, nl``.
     """
-    dim = _check_kind(kind)
+    dim = kind_dim(kind)
     if template.e == 0:
-        raise ValueError(f"template charge e must be non-zero, got {template.e}")
+        raise DomainError(f"template charge e must be non-zero, got {template.e}")
     n = template.n
 
     def row(R: float) -> dict:

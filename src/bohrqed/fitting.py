@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from ._domain import DomainError, positive
 
 __all__ = ["PowerFit", "fit_loglog", "Sweep", "fit_sweep"]
 
@@ -31,13 +32,13 @@ def fit_loglog(xs, ys) -> PowerFit:
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
-        raise ValueError("xs and ys must be 1-d arrays of equal length")
+        raise DomainError("xs and ys must be 1-d arrays of equal length")
     if len(xs) < 2:
-        raise ValueError("need at least two points to fit a slope")
+        raise DomainError(f"need at least two points to fit a slope, got {len(xs)}")
     if not (np.all((xs > 0) & (xs < np.inf)) and np.all((ys > 0) & (ys < np.inf))):
-        raise ValueError("log-log fit requires positive finite data")
+        raise DomainError("log-log fit requires positive finite data")
     if xs.min() == xs.max():
-        raise ValueError("abscissa has zero span")
+        raise DomainError(f"abscissa has zero span, got {xs.min()}")
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     span = float(np.log10(xs.max() / xs.min()))
@@ -64,14 +65,13 @@ def fit_sweep(xs: Sequence[float], name: str, row: Callable[[float], dict],
     ``expected`` column's log-log slope against it.
 
     ``xs`` must hold at least two values, each finite and positive; a
-    :class:`ValueError` names ``name`` and the first one that is not.
+    :class:`~bohrqed.DomainError` names ``name`` and the first one that is not.
     """
     xs = [float(x) for x in xs]
     if len(xs) < 2:
-        raise ValueError(f"need at least two {name}")
+        raise DomainError(f"need at least two {name}")
     for x in xs:
-        if not 0 < x < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {x}")
+        positive(name, x)
     xs.sort()
     rows = [row(x) for x in xs]
     columns = {key: tuple(r[key] for r in rows) for key in rows[0]}

@@ -29,11 +29,13 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ._domain import DomainError, finite, positive, whole
 from .algebra import (
     BASIS,
     Biquaternion,
@@ -82,22 +84,24 @@ class HypercubicLattice:
     frame: str = "snapshot"
 
     def __post_init__(self):
-        if not 0 < self.spacing < math.inf:
-            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
-        ext = [float(e) for e in ((self.extent,) * 4 if np.ndim(self.extent) == 0
-                                  else self.extent)]
-        if len(ext) != 4 or not all(e.is_integer() and e >= 3 for e in ext):
-            raise ValueError(f"extent must give >= 3 whole sites on each of 4 axes, "
-                             f"got {self.extent}")
+        positive("spacing", self.spacing)
+        ext = (self.extent,) * 4 if np.ndim(self.extent) == 0 else tuple(self.extent)
         origin = tuple(float(o) for o in self.origin)
-        if len(origin) != 4 or not all(map(math.isfinite, origin)):
-            raise ValueError(f"origin must be 4 finite numbers, got {self.origin}")
+        if len(ext) != 4 or len(origin) != 4:
+            raise DomainError(f"extent and origin must have 4 axes, got "
+                              f"{self.extent} and {self.origin}")
+        for e in ext:
+            whole("extent", e, 3)
+        finite("origin", *origin)
         object.__setattr__(self, "extent", tuple(int(e) for e in ext))
         object.__setattr__(self, "origin", origin)
 
     @property
     def step(self) -> float:
-        return 2.0 * self.spacing
+        """The site interval; the stencils divide by its square."""
+        step = 2.0 * self.spacing
+        positive(f"(2*spacing)**2 at spacing {self.spacing}", step * step)
+        return step
 
     def axis_coords(self, axis: int) -> np.ndarray:
         return self.origin[axis] + self.step * np.arange(self.extent[axis])
@@ -129,13 +133,13 @@ def _field_values(values, lattice: HypercubicLattice, name: str) -> np.ndarray:
     fresh = isinstance(values, _Planes)
     planes = values.array if fresh else _planes(np.asarray(values))
     if planes.shape != (4,) + lattice.extent:
-        raise ValueError(f"{name} shape {planes.shape[1:] + planes.shape[:1]} "
-                         f"does not match lattice extent {lattice.extent} + (4,)")
+        raise DomainError(f"{name} shape {planes.shape[1:] + planes.shape[:1]} "
+                          f"does not match lattice extent {lattice.extent} + (4,)")
     if not fresh:
         planes = planes.astype(complex, order="C")
     if not all(np.isfinite(plane[box]).all()  # contiguous: no ufunc buffer
                for plane in planes for box in _slabs(lattice.extent)):
-        raise ValueError(f"{name} values must be finite")
+        raise DomainError(f"{name} values must be finite")
     planes.setflags(write=False)
     return np.moveaxis(planes, 0, -1)
 
@@ -181,10 +185,9 @@ class MassTerm:
 
 
 def renormalize_mass(M_global: float, a: float, R_k: float) -> MassTerm:
-    if not all(map(math.isfinite, (M_global, a, R_k))):
-        raise ValueError(f"mass inputs must be finite, got {(M_global, a, R_k)}")
-    if a <= 0 or R_k <= 0:
-        raise ValueError("spacings must be positive")
+    finite("global mass", M_global)
+    positive("spacing a", a)
+    positive("spacing R_k", R_k)
     return MassTerm(global_magnitude=float(M_global), a=float(a), R_k=float(R_k))
 
 
@@ -268,7 +271,7 @@ def _slabs(extent, box=None) -> list[tuple[slice, ...]]:
 def _interior(shape, mode: str, modes=_MODES) -> tuple[slice, ...]:
     """The box of sites where ``mode``, one of ``modes``, has a full stencil."""
     if mode not in modes:
-        raise ValueError(f"unknown difference mode {mode!r}")
+        raise DomainError(f"unknown difference mode {mode!r}")
     lo, hi = modes[mode]
     return tuple(slice(lo, n - hi) for n in shape[:4])
 
@@ -370,8 +373,8 @@ def _padded(kernel, values, lattice: HypercubicLattice, mode: str, modes,
     """``kernel`` applied to raw field values on every slab of ``mode``'s
     interior, with ``count`` buffers; NaN outside the stencil."""
     if np.shape(values) != lattice.extent + (4,):
-        raise ValueError(f"values shape {np.shape(values)} does not match "
-                         f"lattice extent {lattice.extent} + (4,)")
+        raise DomainError(f"values shape {np.shape(values)} does not match "
+                          f"lattice extent {lattice.extent} + (4,)")
     out = np.full((4,) + lattice.extent, np.nan + 0j)
     for box, bufs in _with_buffers(_slabs(
             lattice.extent, _interior(lattice.extent, mode, modes)), count):
@@ -421,6 +424,7 @@ def _max_norm(P: np.ndarray) -> float:
     return float(np.sqrt(np.max(total)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # raised as typed errors
 def photon_residual(A: LatticeField, J: LatticeField, mode: str = "composed",
                     collocation: str = "site") -> ResidualReport:
     """Max interior residual of the lattice photon equation ``DD A = J``.
@@ -432,9 +436,9 @@ def photon_residual(A: LatticeField, J: LatticeField, mode: str = "composed",
     it at sites.
     """
     if A.lattice != J.lattice:
-        raise ValueError("fields must live on the same lattice")
+        raise DomainError("fields must live on the same lattice")
     if collocation not in ("site", "half-point"):
-        raise ValueError(f"unknown collocation {collocation!r}")
+        raise DomainError(f"unknown collocation {collocation!r}")
     a, j = _planes(A.values), _planes(J.values)
     rows = []
     for box, (lhs, diff, rhs) in _with_buffers(_slabs(
@@ -468,10 +472,11 @@ def _potential_entries(A, lattice: HypercubicLattice) -> tuple:
     if not (isinstance(entries, tuple) and len(entries) == 2):
         raise TypeError("potential must be a LatticeField, a pair, or a constant")
     if any(f.lattice != lattice for f in entries):
-        raise ValueError("potential must live on the wave function's lattice")
+        raise DomainError("potential must live on the wave function's lattice")
     return tuple(_planes(f.values) for f in entries)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # raised as typed errors
 def dirac_residual(phi: ReflectorField, A, e: float, mass: MassTerm | float,
                    mode: str = "backward") -> ResidualReport:
     """Max interior residual of ``(D - i e A) Phi = Phi M`` in reflector form.
@@ -481,8 +486,7 @@ def dirac_residual(phi: ReflectorField, A, e: float, mass: MassTerm | float,
     ``D‡ phi1 - i e A~ phi1 + phi2 (i m) = 0``.
     """
     m_k = mass.per_region if isinstance(mass, MassTerm) else float(mass)
-    if not (math.isfinite(e) and math.isfinite(m_k)):
-        raise ValueError(f"coupling and mass must be finite, got e={e}, mass={m_k}")
+    finite("coupling and mass", e=e, mass=m_k)
     a_upper, a_lower = _potential_entries(A, phi.lattice)
     extent, step = phi.lattice.extent, phi.lattice.step
     phi1, phi2 = _planes(phi.phi1), _planes(phi.phi2)
@@ -511,10 +515,10 @@ def dirac_residual(phi: ReflectorField, A, e: float, mass: MassTerm | float,
          row(box, bufs, phi1, phi2, a_lower, True))
         for box, bufs in _with_buffers(
             _slabs(extent, _interior(extent, mode, _FIRST_ORDER)), 3)], axis=0))
-    if not (math.isfinite(n11) and math.isfinite(n22)):
-        raise FloatingPointError("residual contains non-finite interior values")
     scale = np.max([(_max_norm(phi1[(..., *box)]), _max_norm(phi2[(..., *box)]))
                     for box in _slabs(extent)])
+    if not (math.isfinite(n11) and math.isfinite(n22)):
+        raise FloatingPointError("residual contains non-finite interior values")
     return ResidualReport(max_residual=max(n11, n22),
                           field_scale=max(float(scale), 1e-300))
 
@@ -589,7 +593,7 @@ def transform_field(kind: str, field, binding: RegionBinding):
     try:
         power = TRANSFORM_EXPONENTS[kind]
     except KeyError:
-        raise ValueError(f"unknown transform kind {kind!r}") from None
+        raise DomainError(f"unknown transform kind {kind!r}") from None
 
     def carried(values):
         P = _planes(values)
@@ -616,6 +620,7 @@ class EquivalenceReport:
     scale_factor: float
 
 
+@np.errstate(over="ignore", invalid="ignore")  # raised as typed errors
 def equivalence_check(binding: RegionBinding, A_k: LatticeField,
                       J_k: LatticeField, mode: str = "composed",
                       ) -> EquivalenceReport:
@@ -626,12 +631,12 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
     exactly with the discrete second-order operator, so the snapshot
     residual field equals the transported compromise residual field;
     ``commutation_residual`` measures that identity relative to the
-    operator's own scale.  ``ValueError`` if a field is not on
-    ``binding.lattice_k`` or a transported field is not finite,
+    operator's own scale.  :class:`~bohrqed.DomainError` if a field is not
+    on ``binding.lattice_k`` or a transported field is not finite,
     ``FloatingPointError`` if a residual is not finite.
     """
     if not A_k.lattice == J_k.lattice == binding.lattice_k:
-        raise ValueError("A_k and J_k must live on binding.lattice_k")
+        raise DomainError("A_k and J_k must live on binding.lattice_k")
     extent = binding.lattice_k.extent
     a_k, j_k = _planes(A_k.values), _planes(J_k.values)
     slabs = _with_buffers(_slabs(extent, _interior(extent, mode, _WAVE_ORDER)), 3)
@@ -647,7 +652,7 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
         mid = carry[(..., *(slice(0, n) for n in P.shape[1:]))]
         _transport(P, binding, TRANSFORM_EXPONENTS[kind], out, mid[:4], mid[4])
         if checked and not np.all(np.isfinite(out)):
-            raise ValueError(f"transported {kind} values must be finite")
+            raise DomainError(f"transported {kind} values must be finite")
         return out
 
     start = done = 0
@@ -686,6 +691,9 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
 #: (the mass slope additionally subtracts the chosen exponent p).
 LIMIT_EXPONENTS = {"A": 2.0, "f": 3.0, "eB": 0.0, "eBa": 0.0, "J": 0.0}
 
+#: ``a**p`` is a normal float while ``p*log(a)`` lies between these logs.
+_LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max)
+
 
 def limit_sweep(p: float, spacings: Sequence[float], n: int = 1,
                 T: float = 1.0, J0: float = 1.0) -> Sweep:
@@ -698,14 +706,15 @@ def limit_sweep(p: float, spacings: Sequence[float], n: int = 1,
     Raises :class:`~bohrqed.bohr.SupercriticalCoupling` if any row's
     ``|eB * f|`` reaches n.
     """
-    for label, value in (("exponent p", p), ("box side T", T),
-                         ("source current J0", J0)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{label} must be finite and positive, got {value}")
-    if not (math.isfinite(n) and int(n) == n >= 1):
-        raise ValueError(f"quantum number n must be a positive integer, got {n}")
+    positive("exponent p", p)
+    positive("box side T", T)
+    positive("source current J0", J0)
+    whole("quantum number n", n, 1)
 
     def row(a: float) -> dict:
+        if not _LOG_TINY < p * math.log(a) < _LOG_HUGE:
+            raise DomainError(f"R_k = a**p leaves the normal float range at "
+                              f"a = {a}, p = {p}")
         R_k = a ** p
         A = (4.0 * math.pi / 3.0) * a * a * J0
         f = a * A
@@ -766,11 +775,11 @@ def read_field(path) -> LatticeField | ReflectorField:
     with open(path) as fh:
         magic = fh.readline().split()
         if magic[:1] != ["bohrqed-field"]:
-            raise ValueError("not a field file")
+            raise DomainError(f"{path} is not a field file")
         header = dict(fh.readline().strip().partition(" ")[::2] for _ in range(5))
         missing = {"kind", "spacing", "extent", "origin", "frame"} - header.keys()
         if missing:
-            raise ValueError(f"truncated header: no {', '.join(sorted(missing))}")
+            raise DomainError(f"truncated header: no {', '.join(sorted(missing))}")
         extent = tuple(int(t) for t in header["extent"].split())
         lattice = HypercubicLattice(
             spacing=float(header["spacing"]), extent=extent,
@@ -788,7 +797,7 @@ def read_field(path) -> LatticeField | ReflectorField:
     for bad, problem in ((count > 1, "duplicate"), (count == 0, "missing")):
         if bad.any():
             site = tuple(int(i) for i in np.unravel_index(bad.argmax(), extent))
-            raise ValueError(f"{problem} site {site} in {path}")
+            raise DomainError(f"{problem} site {site} in {path}")
     planes = np.empty((width,) + extent, complex)  # sites in order, per component
     np.take(table["values"].T, np.argsort(flat), axis=1, mode="clip",
             out=planes.reshape(width, -1))

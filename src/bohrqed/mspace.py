@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._domain import DomainError, finite, positive, whole
+
 __all__ = [
     "LPoint",
     "MPoint",
@@ -27,6 +29,16 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+
+#: Spatial dimension of each roundel kind: circles and spheres.
+KINDS = {"pure": 2, "superposition": 3}
+
+
+def kind_dim(kind: str) -> int:
+    """The spatial dimension of a roundel ``kind``."""
+    if kind not in KINDS:
+        raise DomainError(f"unknown ensemble kind {kind!r}")
+    return KINDS[kind]
 
 
 def _normalize_angle(angle: float) -> tuple[float, int]:
@@ -51,9 +63,9 @@ class LPoint:
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.x0, self.r, self.theta, self.x3))):
-            raise ValueError(f"L coordinates must be finite, got {self}")
+            raise DomainError(f"L coordinates must be finite, got {self}")
         if self.r < 0:
-            raise ValueError("radial coordinate must be nonnegative")
+            raise DomainError(f"radial coordinate must be nonnegative, got {self.r}")
         reduced, extra = _normalize_angle(self.theta)
         object.__setattr__(self, "theta", reduced)
         object.__setattr__(self, "turns", self.turns + extra)
@@ -80,27 +92,23 @@ class MPoint:
 
     def __post_init__(self):
         if not all(map(math.isfinite, (self.x0, self.s, self.r, self.x3))):
-            raise ValueError(f"M coordinates must be finite, got {self}")
+            raise DomainError(f"M coordinates must be finite, got {self}")
 
 
 def l_to_m(p: LPoint, R: float) -> MPoint:
-    if not 0 < R < math.inf:
-        raise ValueError(f"curve parameter R must be finite and positive, got {R}")
+    positive("curve parameter R", R)
     return MPoint(x0=p.x0, s=R * p.theta, r=p.r, x3=p.x3, turns=p.turns)
 
 
 def m_to_l(p: MPoint, R: float) -> LPoint:
-    if not 0 < R < math.inf:
-        raise ValueError(f"curve parameter R must be finite and positive, got {R}")
+    positive("curve parameter R", R)
     return LPoint(x0=p.x0, r=p.r, theta=p.s / R, x3=p.x3, turns=p.turns)
 
 
 def map_potential(A_L: float, r: float, R: float) -> float:
     """Potential in M corresponding to ``A_L`` at radius ``r`` in L."""
-    if not 0 < R < math.inf:
-        raise ValueError(f"curve parameter R must be finite and positive, got {R}")
-    if not (math.isfinite(A_L) and math.isfinite(r)):
-        raise ValueError(f"potential and radius must be finite, got {A_L}, {r}")
+    positive("curve parameter R", R)
+    finite("potential and radius", A_L, r)
     return A_L * r / R
 
 
@@ -113,10 +121,8 @@ class RoundelSpec:
     kind: str = "pure"  # "pure" | "superposition"
 
     def __post_init__(self):
-        if not 0 < self.R < math.inf:
-            raise ValueError(f"roundel radius must be finite and positive, got {self.R}")
-        if self.kind not in ("pure", "superposition"):
-            raise ValueError(f"unknown roundel kind {self.kind!r}")
+        positive("roundel radius", self.R)
+        kind_dim(self.kind)
 
 
 def _boundary_samples(centers: np.ndarray, radii: np.ndarray, kind: str,
@@ -147,10 +153,9 @@ def boundary_points(spec: RoundelSpec, count: int, seed: int = 0) -> list[LPoint
     2010); the seed rotates the longitude origin so distinct seeds give
     distinct, reproducible sets.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    whole("count", count, 1)
     c = spec.center.to_cartesian()
-    dim = 2 if spec.kind == "pure" else 3
+    dim = KINDS[spec.kind]
     xyz = np.repeat(c[None], count, axis=0)  # a circle keeps the center's x3
     xyz[:, :dim] = _boundary_samples(c[None, :dim], np.array([spec.R]), spec.kind,
                                      count, seed)

@@ -194,9 +194,9 @@ class TestLorentz:
         ("rotation", ([0, 0, 1], math.inf),
          "rotation angle must be finite, got inf"),
         ("rotation", ([0, math.nan, 1], 0.5),
-         "axis must be finite, got [0.0, nan, 1.0]"),
+         "norm of axis [0.0, nan, 1.0] must be finite and positive, got nan"),
         ("boost", ([math.inf, 0, 0], 0.5),
-         "axis must be finite, got [inf, 0.0, 0.0]"),
+         "norm of axis [inf, 0.0, 0.0] must be finite and positive, got inf"),
         ("from_parts", ([0, 0, 1], 0.3, [1, 0, 0], math.nan),
          "rapidity must be finite, got nan"),
         ("from_parts", ([0, 0, 1], math.inf, [1, 0, 0], 0.3),

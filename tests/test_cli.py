@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bohrqed import cli
 from bohrqed.cli import (build_parser, config_hash, main, parse_args,
                          resolve_out_dir, write_csv)
 
@@ -151,8 +152,8 @@ class TestTile:
         (["--radius", "inf"], "radius must be finite and positive, got inf"),
         (["--side", "nan"], "domain bounds must be finite"),
         (["--side", "inf"], "domain bounds must be finite"),
-        (["--boundary-samples", "0"], "boundary_samples must be >= 1, got 0"),
-        (["--regions-per-axis", "0"], "regions_per_axis must be >= 1"),
+        (["--boundary-samples", "0"], "boundary_samples must be a positive integer, got 0"),
+        (["--regions-per-axis", "0"], "regions_per_axis must be a positive integer, got 0"),
         (["--c", "nan"], "coverage slack c must be finite, got nan"),
         (["--c", "inf"], "coverage slack c must be finite, got inf"),
     ])
@@ -194,7 +195,7 @@ class TestLatticeVerify:
         rc = main(["lattice-verify", "--out", str(tmp_path), "--spacings", h])
         assert rc == 3
         err = capsys.readouterr().err
-        assert f"spacing must be positive and finite, got {float(h)}" in err
+        assert f"spacing must be finite and positive, got {float(h)}" in err
 
     @pytest.mark.parametrize("rapidity", ["nan", "inf"])
     def test_non_finite_rapidity_named_exit_3(self, tmp_path, capsys, rapidity):
@@ -438,6 +439,121 @@ class TestParserReuse:
         for i in range(len(calls)):
             assert (read_all_outputs(tmp_path / f"reused{i}")
                     == read_all_outputs(tmp_path / f"fresh{i}"))
+
+
+# ---------------------------------------------------------------------------
+# Exit codes: every input is a pass, a failed check, a configuration error
+# or a domain error; anything else is a defect
+# ---------------------------------------------------------------------------
+
+#: Cheap runs to vary one option of; other commands run from their defaults.
+_BASELINES = {"lattice-verify": ["--extent", "6", "--spacings", "0.2", "0.1"],
+              "scaling-sweep": ["--r-count", "3", "--a-count", "3"]}
+_FLOAT_EDGES = ["nan", "inf", "-inf", "0", "-1", "1e308", str(2**63)]
+_INT_EDGES = ["0", "-1", str(2**63)]
+
+
+def _edge_runs():
+    """(command, flag, value) for every edge value of every valued option."""
+    return [(command, action.option_strings[0], value)
+            for command, action in _options()
+            if action.dest != "out" and action.nargs != 0
+            for value in (_INT_EDGES if action.type is int else _FLOAT_EDGES)]
+
+
+def _argv(command: str, flag: str, value: str) -> list[str]:
+    """The baseline of ``command`` with ``flag`` set to ``value`` alone."""
+    argv, dropped = [command], False
+    for token in _BASELINES.get(command, []):
+        if token.startswith("--"):
+            dropped = token == flag
+        if not dropped:
+            argv.append(token)
+    return argv + [f"{flag}={value}"]  # "=": a "-inf" value is not a flag
+
+
+_TOO_BIG = f"must be at most {2**63 - 1}, got {2**63}"
+
+
+def _error_lines(err: str) -> list[str]:
+    return [line for line in err.splitlines()
+            if line.startswith(("domain error:", "config error:"))]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("run", _edge_runs(), ids="{0[0]}:{0[1]}={0[2]}".format)
+    def test_edge_value_is_a_known_outcome(self, tmp_path, capsys, run):
+        rc = main(_argv(*run) + ["--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc in (0, 1, 2, 3), err
+        assert "Traceback" not in err and "Warning" not in err
+        assert len(_error_lines(err)) <= 1
+
+    @pytest.mark.parametrize("command", ["solve-bohr", "local-solve", "tile",
+                                         "lattice-verify", "scaling-sweep"])
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "-1"])
+    def test_bad_tolerance_scale_exit_2(self, tmp_path, capsys, command, scale):
+        # each used to FAIL every check and exit 1
+        rc = main([command, f"--tolerance-scale={scale}",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"must be finite and >= 0, got {scale!r}" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"tolerance-scale = {scale}\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: {cfg}: argument --tolerance-scale" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_tolerance_scale_parses(self):
+        ns, _ = parse_args(["solve-bohr", "--tolerance-scale", "0"])
+        assert ns.tolerance_scale == 0.0
+
+    @pytest.mark.parametrize(("argv", "named"), [
+        # these crashed with a traceback and exit 1
+        (["solve-bohr", "--m", "1e308"], "m = 1e+308"),
+        (["tile", "--side", "1e308"], "1e+308"),
+        (["scaling-sweep", "--big-t", "1e308"], "T = 1e+308"),
+        (["scaling-sweep", "--p", "1e308"], "p = 1e+308"),
+        (["local-solve", "--a-count", str(2**63)], f"a-count {_TOO_BIG}"),
+        (["scaling-sweep", "--r-count", str(2**63)], f"r-count {_TOO_BIG}"),
+        (["scaling-sweep", "--a-count", str(2**63)], f"a-count {_TOO_BIG}"),
+        (["lattice-verify", "--spacings", "1e300", "0.1"], "spacing 1e+300"),
+        # these leaked warnings before the error
+        (["local-solve", "--a-min", "inf"], "got inf, 2.0"),
+        (["lattice-verify", "--m", "1e308"], "m = 1e+308"),
+        (["lattice-verify", "--spacings", "1e308"], "spacing 1e+308"),
+        # a finite rapidity whose cosh overflows: warnings and an unnamed value
+        (["lattice-verify", "--spacings", "0.1", "--rapidity", "2000"], "got 2000.0"),
+    ])
+    def test_out_of_range_input_named_exit_3(self, tmp_path, capsys, argv, named):
+        rc = main(argv + ["--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        (line,) = err.splitlines()
+        assert line.startswith("domain error: ") and named in line
+
+    def test_other_exception_exit_4_with_traceback(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # a ValueError that is no DomainError used to exit 3 as a domain error
+        def broken(state):
+            raise ValueError("a bug, not an input")
+
+        monkeypatch.setattr(cli, "mass_shell_residual", broken)
+        rc = main(["solve-bohr", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert "Traceback" in err and "ValueError: a bug, not an input" in err
+        assert "domain error" not in err
+        assert err.rstrip().splitlines()[-1].startswith("internal error:")
+
+    def test_domain_error_subclasses_named(self, tmp_path, capsys):
+        assert main(["solve-bohr", "--out", str(tmp_path), "--m", "-1"]) == 3
+        assert capsys.readouterr().err == (
+            "domain error: NonPositiveMass: m must be positive, got -1.0\n")
+        assert main(["solve-bohr", "--out", str(tmp_path), "--e", "0"]) == 3
+        assert capsys.readouterr().err == (
+            "domain error: coupling e*f must be nonzero, got -0.0\n")
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,7 @@ class TestTile:
 
     def test_needs_a_boundary_sample(self):
         # zero samples used to give an ensemble without a boundary set
-        with pytest.raises(ValueError, match="boundary_samples must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="boundary_samples must be a positive integer, got 0"):
             tile(UNIT_SQUARE, 0.25, boundary_samples=0)
 
     def test_single_region_by_default(self):
@@ -164,8 +164,8 @@ class TestAssignment:
         ((0.0, 0.0), math.nan, "radius must be finite and positive, got nan"),
         ((0.0, 0.0), math.inf, "radius must be finite and positive, got inf"),
         ((0.0, 0.0), 0.0, "radius must be finite and positive, got 0.0"),
-        ((math.nan, 0.0), 1.0, "center must be finite, got (nan, 0.0)"),
-        ((0.0, 0.0, -math.inf), 1.0, "center must be finite, got (0.0, 0.0, -inf)"),
+        ((math.nan, 0.0), 1.0, "center must be finite, got nan, 0.0"),
+        ((0.0, 0.0, -math.inf), 1.0, "center must be finite, got 0.0, 0.0, -inf"),
     ])
     def test_roundel_rejects_non_finite(self, center, R, named):
         with pytest.raises(ValueError, match=re.escape(named)):

@@ -41,7 +41,6 @@ __all__ = [
     "BASIS",
     "bq_mul_arr",
     "bq_mul_planes",
-    "bq_complex_conj_arr",
     "bq_frobenius_arr",
     "vec4_to_bq",
     "bq_to_vec4",
@@ -333,10 +332,6 @@ def bq_mul_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.empty((4,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]), complex)
     return np.moveaxis(bq_mul_planes(a, b, out, np.empty(out.shape[1:], complex)),
                        0, -1)
-
-
-def bq_complex_conj_arr(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.asarray(a, dtype=complex))
 
 
 def bq_frobenius_arr(a: np.ndarray) -> np.ndarray:

@@ -410,6 +410,8 @@ def scaling_sweep(template: BohrInput, radii: Sequence[float], T: float,
 
     def row(R: float) -> dict:
         mB = template.m * reference_R / R
+        finite(f"bare mass m*reference_R/R and (mB*R)**2 at m = {template.m}, "
+               f"R = {R}", mB, mB * R * (mB * R))  # ** raises OverflowError
         eB = abs(template.e) * reference_R / R
         u = n * n / math.sqrt((mB * R) ** 2 + n * n)  # |eB * f|
         f = u / eB

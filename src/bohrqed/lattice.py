@@ -40,7 +40,7 @@ from .algebra import (
     BASIS,
     Biquaternion,
     LorentzTransform,
-    bq_complex_conj_arr,
+    bq_frobenius_arr,
     bq_mul_planes,
 )
 from .bohr import BohrState, SupercriticalCoupling
@@ -285,9 +285,11 @@ def interior_view(values: np.ndarray, mode: str) -> np.ndarray:
     return values[_interior(values.shape, mode)]
 
 
-def _with_buffers(slabs, count: int) -> list:
-    """Each slab with ``count`` complex ``(4, *slab)`` buffers, allocated once
-    at the first slab's shape (no later slab is larger) and cut to each."""
+def _walk(extent, count: int, mode: str | None = None, modes=_MODES) -> list:
+    """The slabs of ``mode``'s interior of ``extent`` (all sites for None),
+    each with ``count`` complex ``(4, *slab)`` buffers allocated once at the
+    first slab's shape (no later slab is larger) and cut to each."""
+    slabs = _slabs(extent, None if mode is None else _interior(extent, mode, modes))
     bufs = np.empty((count, 4) + tuple(s.stop - s.start for s in slabs[0]), complex)
     return [(box, bufs[(..., *(slice(0, s.stop - s.start) for s in box))])
             for box in slabs]
@@ -314,7 +316,7 @@ def _stencil(P: np.ndarray, axis: int, step: float, mode: str, box,
     return out
 
 
-@functools.lru_cache(maxsize=64)  # bases and constant potentials
+@functools.lru_cache(maxsize=64)  # bases only
 def _rows(c: Biquaternion) -> tuple:
     """Left multiplication by ``c`` as rows of ``(source, coefficient)``
     terms: component k of ``c * b`` sums ``coef * b[source]`` over row k in
@@ -376,8 +378,7 @@ def _padded(kernel, values, lattice: HypercubicLattice, mode: str, modes,
         raise DomainError(f"values shape {np.shape(values)} does not match "
                           f"lattice extent {lattice.extent} + (4,)")
     out = np.full((4,) + lattice.extent, np.nan + 0j)
-    for box, bufs in _with_buffers(_slabs(
-            lattice.extent, _interior(lattice.extent, mode, modes)), count):
+    for box, bufs in _walk(lattice.extent, count, mode, modes):
         out[(..., *box)] = kernel(_planes(values), lattice.step, mode, box, bufs,
                                   *args)
     return np.moveaxis(out, 0, -1)
@@ -415,13 +416,17 @@ class ResidualReport:
 
 def _max_norm(P: np.ndarray) -> float:
     """Largest sitewise Frobenius magnitude of the component planes ``P``;
-    NaN if any site is NaN.  The squared magnitudes are summed in place in
-    the order ``((s0 + s1) + s2) + s3``, as ``bq_frobenius_arr`` sums them."""
-    total, part = np.abs(P[0]), np.empty(P.shape[1:])
-    np.square(total, out=total)
-    for plane in P[1:]:
-        total += np.square(np.abs(plane, out=part), out=part)
-    return float(np.sqrt(np.max(total)))
+    NaN if any site is NaN."""
+    return float(np.max(bq_frobenius_arr(np.moveaxis(P, 0, -1))))
+
+
+def _maxima(rows, checked: int) -> list[float]:
+    """The column-wise max of the per-slab ``rows``; ``FloatingPointError``
+    if one of the first ``checked`` columns, the residuals, is not finite."""
+    maxima = [float(m) for m in np.max(rows, axis=0)]
+    if not all(map(math.isfinite, maxima[:checked])):
+        raise FloatingPointError("residual contains non-finite interior values")
+    return maxima
 
 
 @np.errstate(over="ignore", invalid="ignore")  # raised as typed errors
@@ -441,8 +446,7 @@ def photon_residual(A: LatticeField, J: LatticeField, mode: str = "composed",
         raise DomainError(f"unknown collocation {collocation!r}")
     a, j = _planes(A.values), _planes(J.values)
     rows = []
-    for box, (lhs, diff, rhs) in _with_buffers(_slabs(
-            A.lattice.extent, _interior(A.lattice.extent, mode, _WAVE_ORDER)), 3):
+    for box, (lhs, diff, rhs) in _walk(A.lattice.extent, 3, mode, _WAVE_ORDER):
         _wave(a, A.lattice.step, mode, box, (lhs, diff))
         if collocation == "half-point":
             shifted = np.add(0, j[(..., *_shifted(box, 0, -1))], out=diff)
@@ -456,30 +460,20 @@ def photon_residual(A: LatticeField, J: LatticeField, mode: str = "composed",
         scales = _max_norm(rhs), _max_norm(lhs)
         lhs -= rhs
         rows.append((_max_norm(lhs), *scales))
-    worst, rhs_max, lhs_max = (float(m) for m in np.max(rows, axis=0))
-    if not math.isfinite(worst):
-        raise FloatingPointError("residual contains non-finite interior values")
+    worst, rhs_max, lhs_max = _maxima(rows, 1)
     return ResidualReport(max_residual=worst,
                           field_scale=max(rhs_max, lhs_max, 1e-300))
 
 
-def _potential_entries(A, lattice: HypercubicLattice) -> tuple:
-    """The potential's upper and lower entries: component planes of a
-    field, or the ``_rows`` of a constant."""
-    if isinstance(A, Biquaternion):
-        return _rows(A), _rows(A)
-    entries = (A, A) if isinstance(A, LatticeField) else A
-    if not (isinstance(entries, tuple) and len(entries) == 2):
-        raise TypeError("potential must be a LatticeField, a pair, or a constant")
-    if any(f.lattice != lattice for f in entries):
-        raise DomainError("potential must live on the wave function's lattice")
-    return tuple(_planes(f.values) for f in entries)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # raised as typed errors
-def dirac_residual(phi: ReflectorField, A, e: float, mass: MassTerm | float,
-                   mode: str = "backward") -> ResidualReport:
+def dirac_residual(phi: ReflectorField, A: LatticeField | Biquaternion, e: float,
+                   mass: MassTerm | float, mode: str = "backward") -> ResidualReport:
     """Max interior residual of ``(D - i e A) Phi = Phi M`` in reflector form.
+
+    The potential ``A`` is a :class:`LatticeField` on ``phi``'s lattice or a
+    constant :class:`~bohrqed.algebra.Biquaternion`, which enters the same
+    plane product as a zero-stride broadcast of its four coefficients, never
+    a field; anything else is a ``TypeError``.
 
     Component equations (anti-diagonal layout, mass ``m~ = -i m``):
     ``D phi2 - i e A~ phi2 - phi1 (i m) = 0`` and
@@ -487,22 +481,23 @@ def dirac_residual(phi: ReflectorField, A, e: float, mass: MassTerm | float,
     """
     m_k = mass.per_region if isinstance(mass, MassTerm) else float(mass)
     finite("coupling and mass", e=e, mass=m_k)
-    a_upper, a_lower = _potential_entries(A, phi.lattice)
     extent, step = phi.lattice.extent, phi.lattice.step
+    if isinstance(A, Biquaternion):
+        a = np.broadcast_to(A.as_array().reshape(4, 1, 1, 1, 1), (4,) + extent)
+    elif not isinstance(A, LatticeField):
+        raise TypeError("potential must be a LatticeField or a constant Biquaternion")
+    elif A.lattice != phi.lattice:
+        raise DomainError("potential must live on the wave function's lattice")
+    else:
+        a = _planes(A.values)
     phi1, phi2 = _planes(phi.phi1), _planes(phi.phi2)
 
-    def row(box, bufs, psi, chi, a, dagger: bool) -> float:
+    def row(box, bufs, psi, chi, dagger: bool) -> float:
         """One equation's max on ``box``; ``chi`` is ``psi``'s mass partner."""
         r = _dirac(psi, step, mode, box, bufs, dagger)
-        prod, (acc, tmp) = bufs[1], bufs[2][:2]  # the difference is spent
-        psi = psi[(..., *box)]
-        if isinstance(a, tuple):  # a constant's rows: no field of it
-            for plane, terms in zip(r, a):
-                if terms:
-                    plane -= np.multiply(1j * e, _row(terms, psi, acc, tmp), out=acc)
-        else:
-            r -= np.multiply(1j * e, bq_mul_planes(a[(..., *box)], psi, prod, acc),
-                             out=prod)
+        prod = bufs[1]  # the difference is spent
+        r -= np.multiply(1j * e, bq_mul_planes(a[(..., *box)], psi[(..., *box)],
+                                               prod, bufs[2][0]), out=prod)
         mass_term = np.multiply(chi[(..., *box)], 1j * m_k, out=prod)
         if dagger:
             r += mass_term
@@ -510,17 +505,13 @@ def dirac_residual(phi: ReflectorField, A, e: float, mass: MassTerm | float,
             r -= mass_term
         return _max_norm(r)
 
-    n11, n22 = (float(m) for m in np.max([
-        (row(box, bufs, phi2, phi1, a_upper, False),
-         row(box, bufs, phi1, phi2, a_lower, True))
-        for box, bufs in _with_buffers(
-            _slabs(extent, _interior(extent, mode, _FIRST_ORDER)), 3)], axis=0))
-    scale = np.max([(_max_norm(phi1[(..., *box)]), _max_norm(phi2[(..., *box)]))
-                    for box in _slabs(extent)])
-    if not (math.isfinite(n11) and math.isfinite(n22)):
-        raise FloatingPointError("residual contains non-finite interior values")
+    n11, n22 = _maxima([(row(box, bufs, phi2, phi1, False),
+                         row(box, bufs, phi1, phi2, True))
+                        for box, bufs in _walk(extent, 3, mode, _FIRST_ORDER)], 2)
+    scale = _maxima([(_max_norm(phi1[(..., *box)]), _max_norm(phi2[(..., *box)]))
+                     for box in _slabs(extent)], 0)
     return ResidualReport(max_residual=max(n11, n22),
-                          field_scale=max(float(scale), 1e-300))
+                          field_scale=max(*scale, 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -560,10 +551,10 @@ def charge_conjugate_field(phi: ReflectorField) -> ReflectorField:
     complex conjugation; pairing it with ``e -> -e`` leaves the Dirac
     residual magnitudes unchanged.
     """
-    phi1 = bq_complex_conj_arr(_planes(phi.phi2))
+    phi1 = np.conj(_planes(phi.phi2))
     return ReflectorField(lattice=phi.lattice,
                           phi1=_Planes(np.negative(phi1, out=phi1)),
-                          phi2=_Planes(bq_complex_conj_arr(_planes(phi.phi1))))
+                          phi2=_Planes(np.conj(_planes(phi.phi1))))
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +589,7 @@ def transform_field(kind: str, field, binding: RegionBinding):
     def carried(values):
         P = _planes(values)
         out = np.empty(P.shape, complex)
-        for box, (mid, scratch) in _with_buffers(_slabs(P.shape[1:]), 2):
+        for box, (mid, scratch) in _walk(P.shape[1:], 2):
             _transport(P[(..., *box)], binding, power, out[(..., *box)], mid,
                        scratch[0])
         return _Planes(out)
@@ -639,7 +630,7 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
         raise DomainError("A_k and J_k must live on binding.lattice_k")
     extent = binding.lattice_k.extent
     a_k, j_k = _planes(A_k.values), _planes(J_k.values)
-    slabs = _with_buffers(_slabs(extent, _interior(extent, mode, _WAVE_ORDER)), 3)
+    slabs = _walk(extent, 3, mode, _WAVE_ORDER)
     lo, hi = _WAVE_ORDER[mode]
     # the snapshot potential on slices start.. of the slab and its axis-0
     # halo; the halo comes over from the last slab, so each slice of A_k is
@@ -674,9 +665,7 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
         lp = _max_norm(resid_p)
         resid_p -= carried(resid_k, diff, "current", checked=False)
         rows.append((_max_norm(resid_k), lp, _max_norm(resid_p), scale))
-    lk, lp, mismatch, scale = (float(m) for m in np.max(rows, axis=0))
-    if not all(map(math.isfinite, (lk, lp, mismatch))):
-        raise FloatingPointError("residual contains non-finite interior values")
+    lk, lp, mismatch, scale = _maxima(rows, 3)
     return EquivalenceReport(
         lk_residual=lk, lp_residual=lp,
         commutation_residual=mismatch / max(scale, 1e-300),

@@ -525,6 +525,16 @@ class TestExitCodes:
         (["lattice-verify", "--spacings", "1e308"], "spacing 1e+308"),
         # a finite rapidity whose cosh overflows: warnings and an unnamed value
         (["lattice-verify", "--spacings", "0.1", "--rapidity", "2000"], "got 2000.0"),
+        # an overflowing bare mass only failed the log-log fit, unnamed, or
+        # raised OverflowError (exit 4)
+        (["scaling-sweep", "--m", "1e308"], "m = 1e+308, R = 0.001"),
+        (["scaling-sweep", "--m", "1e200"], "m = 1e+200, R = 0.001"),
+        # a boost in range whose transported fields overflow: unnamed, or
+        # FloatingPointError (exit 4)
+        (["lattice-verify", "--extent", "6", "--spacings", "0.2", "0.1",
+          "--rapidity", "1000"], "rapidity 1000.0"),
+        (["lattice-verify", "--extent", "6", "--spacings", "0.2", "0.1",
+          "--rapidity", "500"], "rapidity 500.0"),
     ])
     def test_out_of_range_input_named_exit_3(self, tmp_path, capsys, argv, named):
         rc = main(argv + ["--out", str(tmp_path)])

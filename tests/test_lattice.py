@@ -356,7 +356,8 @@ class TestPhotonResidual:
 
 class TestDiracResidual:
     def test_potential_on_other_lattice_raises(self):
-        # regression: a 5^4 potential against a 4^4 phi returned a residual
+        # regression: a 5^4 potential against a 4^4 phi returned a residual;
+        # an (upper, lower) pair is no potential form, on any lattice
         state = alpha_state()
         lat = HypercubicLattice(spacing=0.1, extent=4)
         phi = bohr_phi_field(lat, state)
@@ -364,8 +365,10 @@ class TestDiracResidual:
         for other in (HypercubicLattice(spacing=0.1, extent=5),
                       HypercubicLattice(spacing=0.2, extent=4)):
             pot = bohr_potential_field(other, state)
-            for A in (pot, (same, pot), (pot, same)):
-                with pytest.raises(ValueError, match="lattice"):
+            with pytest.raises(ValueError, match="lattice"):
+                dirac_residual(phi, pot, e=1.0, mass=1.0)
+            for A in ((same, pot), (same, same)):
+                with pytest.raises(TypeError, match="LatticeField or a constant"):
                     dirac_residual(phi, A, e=1.0, mass=1.0)
 
     def test_zero_wavefunction(self):
@@ -393,7 +396,7 @@ class TestDiracResidual:
         def no_slab(*args):
             raise AssertionError("a slab ran before the inputs were checked")
 
-        monkeypatch.setattr(lattice_module, "_with_buffers", no_slab)
+        monkeypatch.setattr(lattice_module, "_walk", no_slab)
         with pytest.raises(ValueError, match=re.escape(named)):
             dirac_residual(phi, pot, e=e, mass=mass)
 
@@ -974,9 +977,13 @@ def _ref_slices(axis, sel):
     return tuple(idx)
 
 
+#: Sites without a full stencil at the low and high end of every axis.
+_MARGINS = {"backward": (1, 0), "forward": (0, 1), "central": (1, 1),
+            "composed": (1, 1), "onesided": (2, 0)}
+
+
 def _ref_interior(values, mode):
-    lo, hi = {"backward": (1, 0), "forward": (0, 1), "central": (1, 1),
-              "composed": (1, 1), "onesided": (2, 0)}[mode]
+    lo, hi = _MARGINS[mode]
     return values[tuple(slice(lo, values.shape[ax] - hi) for ax in range(4))]
 
 
@@ -1042,14 +1049,14 @@ def _ref_photon_residual(A, J, mode="composed", collocation="site"):
     return ResidualReport(max_residual=float(resid.max()), field_scale=scale)
 
 
-def _ref_dirac_residual(phi, a_upper, a_lower, e, m_k, mode="backward"):
+def _ref_dirac_residual(phi, a, e, m_k, mode="backward"):
     d_phi2 = _ref_dirac_apply(phi.phi2, phi.lattice, dagger=False, mode=mode)
     d_phi1 = _ref_dirac_apply(phi.phi1, phi.lattice, dagger=True, mode=mode)
     im = np.zeros(4, dtype=complex)
     im[0] = 1j * m_k
-    r11 = d_phi2 - 1j * e * bq_mul_arr(a_upper, phi.phi2) \
+    r11 = d_phi2 - 1j * e * bq_mul_arr(a, phi.phi2) \
         - bq_mul_arr(phi.phi1, im)
-    r22 = d_phi1 - 1j * e * bq_mul_arr(a_lower, phi.phi1) \
+    r22 = d_phi1 - 1j * e * bq_mul_arr(a, phi.phi1) \
         + bq_mul_arr(phi.phi2, im)
     n11 = bq_frobenius_arr(_ref_interior(r11, mode))
     n22 = bq_frobenius_arr(_ref_interior(r22, mode))
@@ -1128,31 +1135,6 @@ class TestInteriorStencilOracle:
                                _ref_wave_apply(vals, self.lattice, mode=mode),
                                mode)
 
-    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
-    def test_dirac_residual_general_pair(self, mode):
-        rng = np.random.default_rng(4)
-        lat = self.lattice
-        phi = ReflectorField(lat, _random_values(rng, lat),
-                             _random_values(rng, lat))
-        upper = LatticeField(lat, _random_values(rng, lat, 0.3))
-        lower = LatticeField(lat, _random_values(rng, lat, 0.7))
-        got = dirac_residual(phi, (upper, lower), e=-0.37, mass=1.9, mode=mode)
-        assert got == _ref_dirac_residual(phi, upper.values, lower.values,
-                                          -0.37, 1.9, mode)
-
-    @pytest.mark.parametrize("mode", ["backward", "central"])
-    def test_dirac_residual_constant_potential_and_mass_term(self, mode):
-        state = alpha_state()
-        lat = HypercubicLattice(spacing=0.05, extent=(7, 6, 3, 3))
-        phi = bohr_phi_field(lat, state)
-        pot = Biquaternion(-0.2j, 0.1, 0, 0.03)
-        mass = renormalize_mass(1.3, a=0.1, R_k=0.2)
-        arr = np.broadcast_to(pot.as_array(), lat.extent + (4,))
-        for field in (phi, charge_conjugate_field(phi)):
-            got = dirac_residual(field, pot, e=0.8, mass=mass, mode=mode)
-            assert got == _ref_dirac_residual(field, arr, arr, 0.8,
-                                              mass.per_region, mode)
-
     @pytest.mark.parametrize("collocation", ["site", "half-point"])
     @pytest.mark.parametrize("mode", ["composed", "onesided"])
     def test_photon_residual(self, mode, collocation):
@@ -1210,12 +1192,10 @@ class TestInteriorStencilOracle:
         _assert_interior_equal(wave_apply(vals, lat, mode=second),
                                _ref_wave_apply(vals, lat, mode=second), second)
         phi = ReflectorField(lat, vals, _random_values(rng, lat))
-        upper = LatticeField(lat, _random_values(rng, lat))
-        lower = LatticeField(lat, _random_values(rng, lat))
+        pot = LatticeField(lat, _random_values(rng, lat))
         e, m = rng.normal(), rng.normal()
-        assert (dirac_residual(phi, (upper, lower), e=e, mass=m, mode=first)
-                == _ref_dirac_residual(phi, upper.values, lower.values, e, m,
-                                       first))
+        assert (dirac_residual(phi, pot, e=e, mass=m, mode=first)
+                == _ref_dirac_residual(phi, pot.values, e, m, first))
         A, J = LatticeField(lat, vals), LatticeField(lat, phi.phi2)
         assert (photon_residual(A, J, mode=second, collocation=collocation)
                 == _ref_photon_residual(A, J, mode=second,
@@ -1236,7 +1216,7 @@ class TestSiteLocalStencils:
     lattice = HypercubicLattice(spacing=0.21, extent=(4, 5, 3, 4))
 
     def edge_sites(self, mode):
-        lo, hi = {"backward": (1, 0), "forward": (0, 1), "central": (1, 1)}[mode]
+        lo, hi = _MARGINS[mode]
         return list(itertools.product(*(sorted({lo, n - hi - 1})
                                         for n in self.lattice.extent)))
 
@@ -1273,7 +1253,7 @@ class TestSiteLocalStencils:
         # partial along another axis; a second-order mode is refused
         f = LatticeField(self.lattice,
                          _random_values(np.random.default_rng(9), self.lattice))
-        lo, hi = {"backward": (1, 0), "forward": (0, 1), "central": (1, 1)}[mode]
+        lo, hi = _MARGINS[mode]
         outside = np.ones(self.lattice.extent, dtype=bool)
         outside[tuple(slice(lo, n - hi) for n in self.lattice.extent)] = False
         for got in (dirac_apply_values(f.values, self.lattice, mode=mode),
@@ -1358,33 +1338,37 @@ class TestSlabOracle:
     def test_dirac_residual_one_row(self, mode, dagger):
         # with no mass and one zero entry, the residual is the D row (or,
         # with ``dagger``, the D‡ row) alone
-        vals, upper, lower = self.fields(4, 3)
+        vals, potential = self.fields(4, 2)
         zero = np.zeros_like(vals)
         phi = ReflectorField(self.lattice, *((vals, zero) if dagger
                                              else (zero, vals)))
-        pot = (LatticeField(self.lattice, upper), LatticeField(self.lattice, lower))
+        pot = LatticeField(self.lattice, potential)
         assert (dirac_residual(phi, pot, e=0.61, mass=0.0, mode=mode)
-                == _ref_dirac_residual(phi, upper, lower, 0.61, 0.0, mode))
+                == _ref_dirac_residual(phi, potential, 0.61, 0.0, mode))
 
     @pytest.mark.parametrize("potential", [
         "field", "pair", Biquaternion(-0.2j, 0.1, 0, 0.03), I1, -I0,
         Biquaternion(0)])
     @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
     def test_dirac_residual_potentials(self, mode, potential):
-        phi1, phi2, upper, lower = self.fields(5, 4)
+        # a field, or a constant with general, ±1, ±1j and zero coefficients;
+        # an (upper, lower) pair of fields is no potential form
+        phi1, phi2, values = self.fields(5, 3)
         phi = ReflectorField(self.lattice, phi1, phi2)
+        mass = renormalize_mass(1.3, a=0.1, R_k=0.2)
+        if potential == "pair":
+            field = LatticeField(self.lattice, values)
+            with pytest.raises(TypeError):
+                dirac_residual(phi, (field, field), e=-0.8, mass=mass, mode=mode)
+            return
         if potential == "field":
-            pot, lower = LatticeField(self.lattice, upper), upper
-        elif potential == "pair":
-            pot = (LatticeField(self.lattice, upper),
-                   LatticeField(self.lattice, lower))
+            pot = LatticeField(self.lattice, values)
         else:
             pot = potential
-            upper = lower = np.broadcast_to(potential.as_array(), phi1.shape)
-        mass = renormalize_mass(1.3, a=0.1, R_k=0.2)
+            values = np.broadcast_to(potential.as_array(), phi1.shape)
         for field in (phi, charge_conjugate_field(phi)):
             assert (dirac_residual(field, pot, e=-0.8, mass=mass, mode=mode)
-                    == _ref_dirac_residual(field, upper, lower, -0.8,
+                    == _ref_dirac_residual(field, values, -0.8,
                                            mass.per_region, mode))
 
     @pytest.mark.parametrize("collocation", ["site", "half-point"])

@@ -449,7 +449,8 @@ class TestParserReuse:
 #: Cheap runs to vary one option of; other commands run from their defaults.
 _BASELINES = {"lattice-verify": ["--extent", "6", "--spacings", "0.2", "0.1"],
               "scaling-sweep": ["--r-count", "3", "--a-count", "3"]}
-_FLOAT_EDGES = ["nan", "inf", "-inf", "0", "-1", "1e308", str(2**63)]
+_FLOAT_EDGES = ["nan", "inf", "-inf", "0", "-1", "1e-300", "1e100", "1e308",
+                str(2**63)]
 _INT_EDGES = ["0", "-1", str(2**63)]
 
 
@@ -535,6 +536,22 @@ class TestExitCodes:
           "--rapidity", "1000"], "rapidity 1000.0"),
         (["lattice-verify", "--extent", "6", "--spacings", "0.2", "0.1",
           "--rapidity", "500"], "rapidity 500.0"),
+        # an intermediate that underflows to 0 or overflows: a traceback and
+        # exit 4 from ZeroDivisionError or OverflowError
+        (["solve-bohr", "--m", "1e-300"], "m**2 at m = 1e-300"),
+        (["scaling-sweep", "--r-min", "1e-300"], "radii must keep the fitted "
+         "columns finite and positive, got 1e-300"),
+        (["scaling-sweep", "--r-max", "1e-300"], "radii must keep the fitted "
+         "columns finite and positive, got 1e-300"),
+        (["scaling-sweep", "--a-min", "1e-300"], "spacings must keep the "
+         "fitted columns finite and positive, got 1e-300"),
+        (["scaling-sweep", "--a-max", "1e-300"], "spacings must keep the "
+         "fitted columns finite and positive, got 1e-300"),
+        (["local-solve", "--e", "1e-300"], "got e = 1e-300"),
+        (["local-solve", "--a-max", "1e100"], "to a-max 1e+100"),
+        (["local-solve", "--a-min", "-1e100"], "a-min -1e+100 to"),
+        (["local-solve", "--a-min", "1e-120", "--a-max", "1e-100"],
+         "a-min 1e-120 to a-max 1e-100"),
     ])
     def test_out_of_range_input_named_exit_3(self, tmp_path, capsys, argv, named):
         rc = main(argv + ["--out", str(tmp_path)])

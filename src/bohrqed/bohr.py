@@ -160,9 +160,10 @@ def solve_bohr(inp: BohrInput, allow_repulsive: bool = False) -> BohrState:
     gamma = 1.0 / math.sqrt(1.0 - v * v)
     eta = inp.m * gamma
     mu = inp.m * v * gamma
-    # the mass shell squares eta and the radius divides by mu
+    # the mass shell squares eta and divides by m**2; the radius divides by mu
     finite(f"(m*gamma)**2 at m = {inp.m}", eta * eta)
     positive(f"wave number m*v*gamma at m = {inp.m}", mu)
+    positive(f"m**2 at m = {inp.m}", inp.m * inp.m)
     R = inp.n / mu
     A = abs(inp.f) / R
     nu = eta + ef / R
@@ -219,8 +220,9 @@ def local_solve_rho(A: float, e: float, m: float, n: int) -> LocalSolveResult:
         raise DomainError(f"A, e, m and n must be finite, got {A}, {e}, {m}, {n}")
     if m < 0:
         raise NonPositiveMass(f"m must not be negative, got {m}")
-    if e == 0:
-        raise DomainError("e must be nonzero (the density equation divides by e**2)")
+    if e * e == 0:
+        raise DomainError(f"e**2 must be nonzero (the density equation divides by "
+                          f"it), got e = {e}")
     if int(n) != n or n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
     d = 3.0 / (4.0 * math.pi * n * n)
@@ -239,12 +241,19 @@ def local_solve_rho(A: float, e: float, m: float, n: int) -> LocalSolveResult:
 
 
 def cubic_residual(result: LocalSolveResult, e: float, m: float) -> float:
-    """Relative back-substitution residual of the density equation."""
+    """Relative back-substitution residual of the density equation;
+    :class:`DomainError` if its terms leave the floating-point range."""
     if result.degenerate:
         return 0.0
     A, rho, d = result.A, result.rho, result.d
-    terms = (rho * rho / (d * e * e), -(A**3) * rho, -(m * m * d * A**4))
+    try:  # ** raises OverflowError
+        terms = (rho * rho / (d * e * e), -(A**3) * rho, -(m * m * d * A**4))
+    except (OverflowError, ZeroDivisionError):
+        terms = (math.inf,)
     scale = max(abs(t) for t in terms)
+    if not 0 < scale < math.inf:
+        raise DomainError(f"the density equation at A = {A} leaves the "
+                          f"floating-point range, its largest term is {scale}")
     return abs(sum(terms)) / scale
 
 

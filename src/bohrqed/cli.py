@@ -276,8 +276,12 @@ def cmd_local_solve(ns, out: Path, report: RunReport) -> None:
     if ns.include_zero and 0.0 not in grid:
         grid.append(0.0)
     grid.sort()
-    results = [local_solve_rho(A, ns.e, ns.m, ns.n) for A in grid]
-    residuals = [cubic_residual(res, ns.e, ns.m) for res in results]
+    try:
+        results = [local_solve_rho(A, ns.e, ns.m, ns.n) for A in grid]
+        residuals = [cubic_residual(res, ns.e, ns.m) for res in results]
+    except DomainError as err:  # a grid point's A: name the range it is from
+        raise type(err)(f"{err}, on A from a-min {ns.a_min} to a-max {ns.a_max}"
+                        ) from None
     rho = [res.rho for res in results]
     sign_violations = sum(not res.degenerate and res.rho * res.A < 0
                           for res in results)

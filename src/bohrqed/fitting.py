@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -64,8 +65,10 @@ def fit_sweep(xs: Sequence[float], name: str, row: Callable[[float], dict],
     """Evaluate ``row`` at every abscissa, ascending, and fit each
     ``expected`` column's log-log slope against it.
 
-    ``xs`` must hold at least two values, each finite and positive; a
-    :class:`~bohrqed.DomainError` names ``name`` and the first one that is not.
+    ``xs`` must hold at least two values, each finite and positive, and
+    each row's ``expected`` columns must come out so, without a float
+    overflow or zero division; a :class:`~bohrqed.DomainError` names
+    ``name`` and the first value that fails.
     """
     xs = [float(x) for x in xs]
     if len(xs) < 2:
@@ -73,7 +76,15 @@ def fit_sweep(xs: Sequence[float], name: str, row: Callable[[float], dict],
     for x in xs:
         positive(name, x)
     xs.sort()
-    rows = [row(x) for x in xs]
+    rows = []
+    for x in xs:
+        try:
+            rows.append(row(x))
+        except (OverflowError, ZeroDivisionError):
+            rows.append({})  # no column is finite and positive
+        if not all(0 < rows[-1].get(key, 0) < math.inf for key in expected):
+            raise DomainError(f"{name} must keep the fitted columns finite and "
+                              f"positive, got {x}")
     columns = {key: tuple(r[key] for r in rows) for key in rows[0]}
     abscissa = np.array(xs)
     slopes = {key: fit_loglog(abscissa, np.array([float(v) for v in columns[key]]))

@@ -14,13 +14,14 @@ and stored component-major: one C-contiguous ``(4, *extent)`` block of
 component planes per entry.  Wave functions are reflector pairs
 ``(phi1, phi2)``.  The first-order operator is
 ``D = i d0 + i1 d1 + i2 d2 + i3 d3`` and ``D‡`` flips the sign of the
-spatial basis elements.  Residuals are computed on interior arrays (the
-sites with a full stencil) by one difference kernel on the component
-planes; basis units act by signed permutation (times ``i`` on time).
-They stream one axis-0 slab of time slices at a time (as many as fit in
-``_SLAB_BYTES`` of one field, at least one), writing into slab buffers
-allocated once per call, and report the max of the per-slab maxima, the
-whole-array value bit for bit; frame transport is per slab too.
+spatial basis elements.  Residuals stream one axis-0 slab of whole time
+slices at a time (as many as fit in ``_SLAB_BYTES`` of one field, at least
+one) through buffers allocated once per call.  One flat kernel takes each
+difference of contiguous ranges of the component planes, offset by the axis
+stride, times the step's reciprocal; sites at an edge of axes 1-3 read
+wrapped neighbours, and only the reductions read the interior (the sites
+with a full stencil).  Basis units act by signed permutation (times ``i`` on
+time); a report is the max of the per-slab maxima, the whole-array value.
 :func:`limit_sweep` tabulates the bare variables as the spacing shrinks
 and fits their power laws as a :class:`~bohrqed.fitting.Sweep`.
 """
@@ -276,43 +277,52 @@ def _interior(shape, mode: str, modes=_MODES) -> tuple[slice, ...]:
     return tuple(slice(lo, n - hi) for n in shape[:4])
 
 
-def _shifted(box: tuple[slice, ...], axis: int, offset: int) -> tuple[slice, ...]:
-    moved = slice(box[axis].start + offset, box[axis].stop + offset)
-    return box[:axis] + (moved,) + box[axis + 1:]
-
-
 def interior_view(values: np.ndarray, mode: str) -> np.ndarray:
     return values[_interior(values.shape, mode)]
 
 
 def _walk(extent, count: int, mode: str | None = None, modes=_MODES) -> list:
     """The slabs of ``mode``'s interior of ``extent`` (all sites for None),
-    each with ``count`` complex ``(4, *slab)`` buffers allocated once at the
-    first slab's shape (no later slab is larger) and cut to each."""
+    each with ``count`` complex ``(4, *slices)`` buffers of its whole time
+    slices, allocated once for the first (no later one is wider), cut to each."""
     slabs = _slabs(extent, None if mode is None else _interior(extent, mode, modes))
-    bufs = np.empty((count, 4) + tuple(s.stop - s.start for s in slabs[0]), complex)
-    return [(box, bufs[(..., *(slice(0, s.stop - s.start) for s in box))])
-            for box in slabs]
+    first = slabs[0][0]
+    bufs = np.empty((count, 4, first.stop - first.start, *extent[1:]), complex)
+    return [(box, bufs[:, :, :box[0].stop - box[0].start]) for box in slabs]
+
+
+def _inner(P: np.ndarray, box) -> np.ndarray:
+    """The sites of ``box`` in the planes ``P`` of its whole time slices."""
+    return P[(slice(None), slice(None), *box[1:])]
+
+
+def _shift(P: np.ndarray, box, axis: int, offset: int) -> np.ndarray:
+    """The C-contiguous planes ``P`` on the time slices of ``box`` moved
+    ``offset`` sites along ``axis``, one flat range of each plane: a move
+    across an edge of axes 1-3 wraps, into sites outside the interior."""
+    size, n = math.prod(P.shape[2:]), box[0].stop - box[0].start
+    start = box[0].start * size + offset * math.prod(P.shape[axis + 2:])
+    return P.reshape(4, -1)[:, start:start + n * size].reshape((4, n) + P.shape[2:])
 
 
 def _stencil(P: np.ndarray, axis: int, step: float, mode: str, box,
              out: np.ndarray) -> np.ndarray:
-    """The ``mode`` difference along ``axis`` of the planes ``P`` on ``box``
-    into ``out``, reading only the box and its shifts along ``axis``;
-    ``composed`` is backward then forward (the 3-point stencil),
-    ``onesided`` backward twice."""
-    def at(offset):
-        return P[(..., *_shifted(box, axis, offset))]
-
+    """The ``mode`` difference along ``axis`` of the planes ``P`` on ``box``'s
+    time slices into ``out``, each term a ``_shift``; ``composed`` is backward
+    then forward (the 3-point stencil), ``onesided`` backward twice.  Numpy
+    divides by a real ``h`` as ``(re + im*0) * (1/h)`` (Smith's method), so
+    scaling the float view by ``1/h`` differs only in zero signs and NaN."""
+    at = functools.partial(_shift, P, box, axis)
     # offsets -lo..hi, in the order of (a - b) / h, (a - 2b + c) / h²
     lo, hi = _MODES[mode]
     if mode in _WAVE_ORDER:
         np.subtract(at(hi), np.multiply(2.0, at(hi - 1), out=out), out=out)
         out += at(hi - 2)
-        out /= step ** 2
+        scale = 1 / step ** 2
     else:
         np.subtract(at(hi), at(-lo), out=out)
-        out /= (lo + hi) * step
+        scale = 1 / ((lo + hi) * step)
+    np.multiply(out.view(float), scale, out=out.view(float))
     return out
 
 
@@ -370,17 +380,19 @@ def _wave(P: np.ndarray, step: float, mode: str, box, bufs) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values say it
 def _padded(kernel, values, lattice: HypercubicLattice, mode: str, modes,
             count: int, *args) -> np.ndarray:
-    """``kernel`` applied to raw field values on every slab of ``mode``'s
-    interior, with ``count`` buffers; NaN outside the stencil."""
+    """``kernel`` applied to raw field values, as C-contiguous planes, on every
+    slab of ``mode``'s interior, with ``count`` buffers; NaN outside it."""
     if np.shape(values) != lattice.extent + (4,):
         raise DomainError(f"values shape {np.shape(values)} does not match "
                           f"lattice extent {lattice.extent} + (4,)")
+    P = np.ascontiguousarray(_planes(values))
     out = np.full((4,) + lattice.extent, np.nan + 0j)
     for box, bufs in _walk(lattice.extent, count, mode, modes):
-        out[(..., *box)] = kernel(_planes(values), lattice.step, mode, box, bufs,
-                                  *args)
+        out[(..., *box)] = _inner(kernel(P, lattice.step, mode, box, bufs, *args),
+                                  box)
     return np.moveaxis(out, 0, -1)
 
 
@@ -414,10 +426,10 @@ class ResidualReport:
     field_scale: float
 
 
-def _max_norm(P: np.ndarray) -> float:
-    """Largest sitewise Frobenius magnitude of the component planes ``P``;
-    NaN if any site is NaN."""
-    return float(np.max(bq_frobenius_arr(np.moveaxis(P, 0, -1))))
+def _max_norm(P: np.ndarray, box=(slice(None),) * 4) -> float:
+    """Largest sitewise Frobenius magnitude of the component planes ``P`` of
+    ``box``'s time slices on its sites; NaN if any site is NaN."""
+    return float(np.max(bq_frobenius_arr(np.moveaxis(_inner(P, box), 0, -1))))
 
 
 def _maxima(rows, checked: int) -> list[float]:
@@ -449,17 +461,17 @@ def photon_residual(A: LatticeField, J: LatticeField, mode: str = "composed",
     for box, (lhs, diff, rhs) in _walk(A.lattice.extent, 3, mode, _WAVE_ORDER):
         _wave(a, A.lattice.step, mode, box, (lhs, diff))
         if collocation == "half-point":
-            shifted = np.add(0, j[(..., *_shifted(box, 0, -1))], out=diff)
+            shifted = np.add(0, _shift(j, box, 0, -1), out=diff)
             for mu in range(1, 4):
-                shifted += j[(..., *_shifted(box, mu, -1))]
+                shifted += _shift(j, box, mu, -1)
             shifted /= 4.0
-            np.add(np.multiply(0.5, j[(..., *box)], out=rhs),
+            np.add(np.multiply(0.5, j[:, box[0]], out=rhs),
                    np.multiply(0.5, shifted, out=shifted), out=rhs)
         else:
-            rhs = j[(..., *box)]
-        scales = _max_norm(rhs), _max_norm(lhs)
+            rhs = j[:, box[0]]
+        scales = _max_norm(rhs, box), _max_norm(lhs, box)
         lhs -= rhs
-        rows.append((_max_norm(lhs), *scales))
+        rows.append((_max_norm(lhs, box), *scales))
     worst, rhs_max, lhs_max = _maxima(rows, 1)
     return ResidualReport(max_residual=worst,
                           field_scale=max(rhs_max, lhs_max, 1e-300))
@@ -496,20 +508,17 @@ def dirac_residual(phi: ReflectorField, A: LatticeField | Biquaternion, e: float
         """One equation's max on ``box``; ``chi`` is ``psi``'s mass partner."""
         r = _dirac(psi, step, mode, box, bufs, dagger)
         prod = bufs[1]  # the difference is spent
-        r -= np.multiply(1j * e, bq_mul_planes(a[(..., *box)], psi[(..., *box)],
+        r -= np.multiply(1j * e, bq_mul_planes(a[:, box[0]], psi[:, box[0]],
                                                prod, bufs[2][0]), out=prod)
-        mass_term = np.multiply(chi[(..., *box)], 1j * m_k, out=prod)
-        if dagger:
-            r += mass_term
-        else:
-            r -= mass_term
-        return _max_norm(r)
+        mass_term = np.multiply(chi[:, box[0]], 1j * m_k, out=prod)
+        (np.add if dagger else np.subtract)(r, mass_term, out=r)
+        return _max_norm(r, box)
 
     n11, n22 = _maxima([(row(box, bufs, phi2, phi1, False),
                          row(box, bufs, phi1, phi2, True))
                         for box, bufs in _walk(extent, 3, mode, _FIRST_ORDER)], 2)
-    scale = _maxima([(_max_norm(phi1[(..., *box)]), _max_norm(phi2[(..., *box)]))
-                     for box in _slabs(extent)], 0)
+    scale = _maxima([(_max_norm(phi1[:, s[0]], s), _max_norm(phi2[:, s[0]], s))
+                     for s in _slabs(extent)], 0)
     return ResidualReport(max_residual=max(n11, n22),
                           field_scale=max(*scale, 1e-300))
 
@@ -590,8 +599,7 @@ def transform_field(kind: str, field, binding: RegionBinding):
         P = _planes(values)
         out = np.empty(P.shape, complex)
         for box, (mid, scratch) in _walk(P.shape[1:], 2):
-            _transport(P[(..., *box)], binding, power, out[(..., *box)], mid,
-                       scratch[0])
+            _transport(P[:, box[0]], binding, power, out[:, box[0]], mid, scratch[0])
         return _Planes(out)
 
     if isinstance(field, ReflectorField):
@@ -639,10 +647,11 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
     # g P for a transport, and a scratch plane, on up to a slab of slices
     carry = np.empty((5, slabs[0][0][0].stop - lo) + extent[1:], complex)
 
-    def carried(P, out, kind, checked=True):
-        mid = carry[(..., *(slice(0, n) for n in P.shape[1:]))]
+    def carried(P, out, kind, box=(slice(None),) * 4):
+        """``P`` carried into ``out``, finite on ``box``'s axes 1-3 unless None."""
+        mid = carry[:, :P.shape[1]]
         _transport(P, binding, TRANSFORM_EXPONENTS[kind], out, mid[:4], mid[4])
-        if checked and not np.all(np.isfinite(out)):
+        if box is not None and not np.all(np.isfinite(_inner(out, box))):
             raise DomainError(f"transported {kind} values must be finite")
         return out
 
@@ -651,20 +660,21 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
     for slab, (resid_k, resid_p, diff) in slabs:
         t0, t1 = slab[0].start, slab[0].stop
         _wave(a_k, binding.lattice_k.step, mode, slab, (resid_k, diff))
-        resid_k -= j_k[(..., *slab)]
+        resid_k -= j_k[:, slab[0]]
         shift, start = t0 - lo - start, t0 - lo
-        for t in range(done - start):  # slice by slice: no overlap to buffer
-            window[:, t] = window[:, shift + t]
+        for t in range(done - start):  # plane by plane, slice by slice: the
+            for plane in window:          # bounds are disjoint, no copy buffer
+                plane[t] = plane[shift + t]
         for t in range(done, t1 + hi):
             carried(a_k[:, t:t + 1], window[:, t - start:t - start + 1], "potential")
         done = t1 + hi
         _wave(window, binding.lattice_p.step, mode,
               (slice(lo, lo + t1 - t0),) + slab[1:], (resid_p, diff))
-        scale = _max_norm(resid_p)
-        resid_p -= carried(j_k[(..., *slab)], diff, "current")
-        lp = _max_norm(resid_p)
-        resid_p -= carried(resid_k, diff, "current", checked=False)
-        rows.append((_max_norm(resid_k), lp, _max_norm(resid_p), scale))
+        scale = _max_norm(resid_p, slab)
+        resid_p -= carried(j_k[:, slab[0]], diff, "current", slab)
+        lp = _max_norm(resid_p, slab)
+        resid_p -= carried(resid_k, diff, "current", None)
+        rows.append((_max_norm(resid_k, slab), lp, _max_norm(resid_p, slab), scale))
     lk, lp, mismatch, scale = _maxima(rows, 3)
     return EquivalenceReport(
         lk_residual=lk, lp_residual=lp,

@@ -1,10 +1,12 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bohrqed import DomainError
 from bohrqed.bohr import (
     BohrInput,
     NonPositiveMass,
@@ -76,6 +78,13 @@ class TestSolve:
     def test_zero_coupling_rejected(self):
         with pytest.raises(ValueError):
             solve_bohr(BohrInput(e=0.0, f=1.0, n=1, m=1.0))
+
+    def test_mass_squared_underflow_rejected(self):
+        # m**2 underflows to 0: mass_shell_residual used to divide by it
+        with pytest.raises(DomainError, match=r"m\*\*2 at m = 1e-300"):
+            solve_bohr(BohrInput(e=1.0, f=-0.1, n=1, m=1e-300))
+        assert mass_shell_residual(solve_bohr(BohrInput(e=1.0, f=-0.1, n=1,
+                                                        m=1e-150))) < 1e-12
 
     def test_repulsive_needs_override(self):
         inp = BohrInput(e=1.0, f=0.5, n=1, m=1.0)
@@ -239,6 +248,19 @@ class TestLocalSolve:
         # A**2 underflows to 0, so rho = 0: used to raise ZeroDivisionError
         with pytest.raises(ValueError, match="underflows"):
             local_solve_rho(1e-200, 1.0, 1.0, 1)
+
+    def test_charge_squared_underflow_rejected(self):
+        # e*e underflows to 0: used to raise ZeroDivisionError
+        with pytest.raises(DomainError, match="got e = 1e-300"):
+            local_solve_rho(1.0, 1e-300, 1.0, 1)
+
+    @pytest.mark.parametrize("A", [1e100, -1e100, 1e-120, -1e-120])
+    def test_residual_out_of_float_range_rejected(self, A):
+        # A**4 used to raise OverflowError, a zero largest term
+        # ZeroDivisionError; local_solve_rho itself still solves
+        res = local_solve_rho(A, 1.0, 1.0, 1)
+        with pytest.raises(DomainError, match=re.escape(f"equation at A = {A} ")):
+            cubic_residual(res, 1.0, 1.0)
 
 
 class TestRoundtrip:

@@ -1,6 +1,9 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -549,7 +552,7 @@ class TestExitCodes:
          "fitted columns finite and positive, got 1e-300"),
         (["local-solve", "--e", "1e-300"], "got e = 1e-300"),
         (["local-solve", "--a-max", "1e100"], "to a-max 1e+100"),
-        (["local-solve", "--a-min", "-1e100"], "a-min -1e+100 to"),
+        (["local-solve", "--a-min=-1e100"], "a-min -1e+100 to"),
         (["local-solve", "--a-min", "1e-120", "--a-max", "1e-100"],
          "a-min 1e-120 to a-max 1e-100"),
     ])
@@ -573,6 +576,16 @@ class TestExitCodes:
         assert "Traceback" in err and "ValueError: a bug, not an input" in err
         assert "domain error" not in err
         assert err.rstrip().splitlines()[-1].startswith("internal error:")
+
+    def test_module_runs_the_command_line(self):
+        # ``python -m bohrqed`` used to fail: no module bohrqed.__main__
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "bohrqed", "--help"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: bohrqed")
 
     def test_domain_error_subclasses_named(self, tmp_path, capsys):
         assert main(["solve-bohr", "--out", str(tmp_path), "--m", "-1"]) == 3

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bohrqed import DomainError
 from bohrqed.bohr import BohrInput, SupercriticalCoupling
 from bohrqed.ensemble import SCALING_EXPONENTS, count_interactions, scaling_sweep
 from bohrqed.fitting import fit_loglog, fit_sweep
@@ -55,6 +56,25 @@ class TestFitSweep:
         assert sweep.slopes["y"].slope == pytest.approx(3.0, abs=1e-12)
         assert sweep.expected == {"y": 3.0}
         assert not sweep.low_confidence
+
+    @pytest.mark.parametrize("row", [
+        lambda x: {"y": x ** -2.0},  # OverflowError at 1e-300
+        lambda x: {"y": 1.0 / (x * x)},  # ZeroDivisionError at 1e-300
+        lambda x: {"y": x * x},  # 0.0
+        lambda x: {"y": 1e300 / x},  # inf
+        lambda x: {"y": math.nan},
+        lambda x: {},  # no fitted column
+    ])
+    def test_row_out_of_float_range_named(self, row):
+        with pytest.raises(DomainError) as info:
+            fit_sweep([1e-300, 0.1], "points", row, {"y": 1.0})
+        assert str(info.value) == ("points must keep the fitted columns finite "
+                                   "and positive, got 1e-300")
+
+    def test_unfitted_column_may_leave_range(self):
+        sweep = fit_sweep([1e-300, 0.1], "points",
+                          lambda x: {"y": x, "z": x * x}, {"y": 1.0})
+        assert sweep.columns["z"] == (0.0, 0.1 * 0.1)
 
     @pytest.mark.parametrize("xs,message", [
         ([0.1], "need at least two points"),

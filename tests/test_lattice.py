@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -1301,12 +1302,16 @@ class TestSlabOracle:
         rng = np.random.default_rng(seed)
         return [_random_values(rng, self.lattice) for _ in range(count)]
 
+    def site(self, *index):
+        """``index`` on axes 1-3, moved in to the interior of every mode."""
+        return tuple(min(i, n - 2) for i, n in zip(index, self.lattice.extent[1:]))
+
     def test_slabs_tile_axis_0(self, width):
         slabs = lattice_module._slabs(self.lattice.extent)
         starts = [box[0].start for box in slabs]
         assert starts == list(range(0, 7, width))
         assert [box[0].stop for box in slabs] == starts[1:] + [7]
-        assert all(box[1:] == (slice(0, 4), slice(0, 5), slice(0, 3))
+        assert all(box[1:] == tuple(slice(0, n) for n in self.lattice.extent[1:])
                    for box in slabs)
 
     @pytest.mark.parametrize("dagger", [False, True])
@@ -1413,9 +1418,10 @@ class TestSlabOracle:
         _, latk, binding = build_lattices(  # R_k = a: transport stays finite
             a=self.lattice.spacing, R_k=self.lattice.spacing,
             extent=self.lattice.extent, Z=LorentzTransform.identity())
+        site = self.site(2, 2, 1)
         for t in range(2, 7):
             vals = base.copy()
-            vals[t - 1, 2, 2, 1, 0], vals[t, 2, 2, 1, 0] = -1e308, 1e308
+            vals[(t - 1, *site, 0)], vals[(t, *site, 0)] = -1e308, 1e308
             with pytest.raises(FloatingPointError):  # and no warning
                 if residual == "dirac":
                     dirac_residual(ReflectorField(self.lattice, base, vals),
@@ -1437,11 +1443,174 @@ class TestSlabOracle:
         a_vals, j_vals = self.fields(10, 2)
         for t in range(7) if kind == "potential" else range(1, 6):
             vals = (a_vals if kind == "potential" else j_vals).copy()
-            vals[t, 1, 2, 1, 2] = 1.5e308
+            vals[(t, *self.site(1, 2, 1), 2)] = 1.5e308
             A = LatticeField(latk, vals if kind == "potential" else a_vals)
             J = LatticeField(latk, vals if kind == "current" else j_vals)
             with pytest.raises(DomainError, match=f"transported {kind}"):
                 equivalence_check(binding, A, J)
+
+    def test_current_read_on_the_interior_only(self):
+        # the flat kernel carries J_k on whole time slices; an overflowing
+        # value at an edge site of axes 1-3, which no stencil reads, changes
+        # nothing, and the same value inside still raises
+        _, latk, binding = build_lattices(a=0.1, R_k=0.23,
+                                          extent=self.lattice.extent,
+                                          Z=LorentzTransform.identity())
+        a_vals, j_vals = self.fields(10, 2)
+        A = LatticeField(latk, a_vals)
+        want = equivalence_check(binding, A, LatticeField(latk, j_vals))
+        inside = self.site(1, 2, 1)
+        for t, axis, end in itertools.product((1, 3, 5), (0, 1, 2), (0, -1)):
+            edge = list(inside)
+            edge[axis] = end % self.lattice.extent[axis + 1]
+            for site, raises in ((edge, False), (inside, True)):
+                vals = j_vals.copy()
+                vals[(t, *site, 2)] = 1.5e308
+                J = LatticeField(latk, vals)
+                if raises:
+                    with pytest.raises(DomainError, match="transported current"):
+                        equivalence_check(binding, A, J)
+                else:
+                    assert equivalence_check(binding, A, J) == want
+
+
+class TestSlabOracleNarrowAxis1(TestSlabOracle):
+    """The slab oracle with axis 1 three sites wide: a third of every slab
+    is a wrapped edge of axis 1, and the interior one site wide."""
+
+    lattice = HypercubicLattice(spacing=0.13, extent=(7, 3, 5, 4),
+                                origin=(0.1, -0.3, 0.2, 0.0))
+
+
+class TestSlabOracleNarrowAxis2(TestSlabOracle):
+    """The slab oracle with axis 2 three sites wide."""
+
+    lattice = HypercubicLattice(spacing=0.13, extent=(7, 4, 3, 5),
+                                origin=(0.1, -0.3, 0.2, 0.0))
+
+
+class TestSlabOracleNarrowAxes(TestSlabOracle):
+    """The slab oracle with axes 1-3 three sites wide: 26 of the 27 sites of
+    a time slice are edge sites, one is interior to the 3-point stencil."""
+
+    lattice = HypercubicLattice(spacing=0.13, extent=(7, 3, 3, 3),
+                                origin=(0.1, -0.3, 0.2, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# The reciprocal step: the kernels scale each difference by 1/h where the
+# full-array reference divides it by h
+# ---------------------------------------------------------------------------
+
+def _zero_laden(rng, lattice):
+    """Random values with +0.0 or -0.0 in about half the real and half the
+    imaginary parts."""
+    vals = _random_values(rng, lattice)
+    for part in (vals.real, vals.imag):
+        zero = rng.random(part.shape) < 0.5
+        part[zero] = np.copysign(0.0, rng.normal(size=int(zero.sum())))
+    return vals
+
+
+def _reciprocal_differences(got, want, mode):
+    """The parts of ``got`` whose bits differ from ``want``'s on ``mode``'s
+    interior, as counts of zeros of the other sign and of NaNs only
+    ``want`` has; numpy divides by a real ``h`` as ``(re + im*0) * (1/h)``,
+    so these are all a product with ``1/h`` may change.  Any other
+    difference fails."""
+    g, w = (np.stack([x.real, x.imag]) for x in (_ref_interior(got, mode),
+                                                _ref_interior(want, mode)))
+    differ = (g.view(np.int64) != w.view(np.int64)) & ~(np.isnan(g) & np.isnan(w))
+    signed_zero = differ & (g == 0) & (w == 0)
+    smith_nan = differ & np.isnan(w) & ~np.isnan(g)
+    assert not np.any(differ & ~signed_zero & ~smith_nan)
+    return int(signed_zero.sum()), int(smith_nan.sum())
+
+
+def _ref_unit_dirac(values, lattice, mode):
+    """``sum_mu d_mu`` with the unit basis, summed from zero as the kernel
+    sums, each difference divided by the step."""
+    out = np.zeros(values.shape, dtype=complex)
+    for mu in range(4):
+        out = out + _ref_first_diff(values, mu, lattice.step, mode)
+    return out
+
+
+class TestReciprocalStep:
+    """What scaling by the step's reciprocal may change: the sign of a zero
+    part, and a NaN the cross term ``inf*0`` of the division used to give.
+    No residual report changes, and no numpy warning leaks."""
+
+    lattice = HypercubicLattice(spacing=0.37, extent=(6, 5, 4, 5))
+    unit_basis = [Biquaternion(1)] * 4
+
+    def overflowing(self, rng):
+        """Zero-laden values whose axis-0 differences at interior sites
+        overflow in every mode: ``1e308 - (-1e308)``, zero imaginary parts."""
+        vals = _zero_laden(rng, self.lattice)
+        vals[1:3, 2, 2, 2, 1], vals[3, 2, 2, 2, 1] = -1e308 + 0j, 1e308 - 0j
+        return vals
+
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
+    def test_dirac_apply(self, mode):
+        rng = np.random.default_rng(21)
+        finite = _zero_laden(rng, self.lattice)
+        for dagger in (False, True):
+            with np.errstate(all="raise"):  # and so no warning either
+                got = dirac_apply_values(finite, self.lattice, dagger, mode)
+            want = _ref_dirac_apply(finite, self.lattice, dagger, mode)
+            assert _reciprocal_differences(got, want, mode)[1] == 0
+        vals = self.overflowing(rng)
+        with np.errstate(all="raise"):
+            got = dirac_apply_values(vals, self.lattice, mode=mode,
+                                     basis=self.unit_basis)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _ref_unit_dirac(vals, self.lattice, mode)
+        assert _reciprocal_differences(got, want, mode)[1] > 0
+
+    @pytest.mark.parametrize("mode", ["composed", "onesided"])
+    def test_wave_apply(self, mode):
+        rng = np.random.default_rng(22)
+        for vals, nan in ((_zero_laden(rng, self.lattice), False),
+                          (self.overflowing(rng), True)):
+            with np.errstate(all="raise"):
+                got = wave_apply(vals, self.lattice, mode)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = _ref_wave_apply(vals, self.lattice, mode)
+            assert (_reciprocal_differences(got, want, mode)[1] > 0) == nan
+
+    def test_residual_reports_unchanged(self):
+        rng = np.random.default_rng(23)
+        lat = self.lattice
+        phi1, phi2, pot, J = (_zero_laden(rng, lat) for _ in range(4))
+        phi = ReflectorField(lat, phi1, phi2)
+        for mode in ("backward", "forward", "central"):
+            assert (dirac_residual(phi, LatticeField(lat, pot), e=0.7, mass=1.1,
+                                   mode=mode)
+                    == _ref_dirac_residual(phi, pot, 0.7, 1.1, mode))
+        _, latk, binding = build_lattices(a=0.3, R_k=0.37, extent=lat.extent,
+                                          Z=LorentzTransform.boost([0, 1, 0], 0.5))
+        for mode in ("composed", "onesided"):
+            A, source = LatticeField(lat, pot), LatticeField(lat, J)
+            for collocation in ("site", "half-point"):
+                assert (photon_residual(A, source, mode, collocation)
+                        == _ref_photon_residual(A, source, mode, collocation))
+            A_k, J_k = LatticeField(latk, pot), LatticeField(latk, J)
+            assert (equivalence_check(binding, A_k, J_k, mode)
+                    == _ref_equivalence_check(binding, A_k, J_k, mode))
+
+    def test_infinite_value_leaks_no_warning(self):
+        # the division warned "invalid value encountered in divide" at each
+        # axis the inf is differenced along; the wrapped sites next to it,
+        # computed and discarded, must not warn either
+        lat = HypercubicLattice(spacing=0.25, extent=(4,) * 4)
+        vals = np.zeros(lat.extent + (4,), dtype=complex)
+        vals[3, 3, 3, 3, 0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dirac_apply_values(vals, lat)
+        assert np.isinf(got[3, 3, 3, 3]).any()
+        assert np.isnan(got[0]).all() and np.isfinite(got[1, 1, 1, 1]).all()
 
 
 class TestSlabMemory:

@@ -79,12 +79,13 @@ def fit_sweep(xs: Sequence[float], name: str, row: Callable[[float], dict],
     rows = []
     for x in xs:
         try:
-            rows.append(row(x))
+            values = row(x)
         except (OverflowError, ZeroDivisionError):
-            rows.append({})  # no column is finite and positive
-        if not all(0 < rows[-1].get(key, 0) < math.inf for key in expected):
+            values = {}  # no fitted column came out
+        if not all(0 < values.get(key, 0) < math.inf for key in expected):
             raise DomainError(f"{name} must keep the fitted columns finite and "
                               f"positive, got {x}")
+        rows.append(values)
     columns = {key: tuple(r[key] for r in rows) for key in rows[0]}
     abscissa = np.array(xs)
     slopes = {key: fit_loglog(abscissa, np.array([float(v) for v in columns[key]]))

@@ -16,12 +16,12 @@ component planes per entry.  Wave functions are reflector pairs
 ``D = i d0 + i1 d1 + i2 d2 + i3 d3`` and ``D‡`` flips the sign of the
 spatial basis elements.  Residuals stream one axis-0 slab of whole time
 slices at a time (as many as fit in ``_SLAB_BYTES`` of one field, at least
-one) through buffers allocated once per call.  One flat kernel takes each
-difference of contiguous ranges of the component planes, offset by the axis
-stride, times the step's reciprocal; sites at an edge of axes 1-3 read
-wrapped neighbours, and only the reductions read the interior (the sites
-with a full stencil).  Basis units act by signed permutation (times ``i`` on
-time); a report is the max of the per-slab maxima, the whole-array value.
+one) through buffers allocated once per call.  One flat kernel forms each
+difference from contiguous ranges of the component planes offset by the
+axis stride, scaled by the step's reciprocal; sites at an edge of axes 1-3
+read wrapped neighbours, and only reductions read the interior (the sites
+with a full stencil).  Basis units act by signed permutation (times ``i``
+on time); a report, the max of per-slab maxima, is the whole-array value.
 :func:`limit_sweep` tabulates the bare variables as the spacing shrinks
 and fits their power laws as a :class:`~bohrqed.fitting.Sweep`.
 """
@@ -380,7 +380,7 @@ def _wave(P: np.ndarray, step: float, mode: str, box, bufs) -> np.ndarray:
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite values say it
+@np.errstate(over="ignore", invalid="ignore")  # non-finite output says it
 def _padded(kernel, values, lattice: HypercubicLattice, mode: str, modes,
             count: int, *args) -> np.ndarray:
     """``kernel`` applied to raw field values, as C-contiguous planes, on every
@@ -517,8 +517,8 @@ def dirac_residual(phi: ReflectorField, A: LatticeField | Biquaternion, e: float
     n11, n22 = _maxima([(row(box, bufs, phi2, phi1, False),
                          row(box, bufs, phi1, phi2, True))
                         for box, bufs in _walk(extent, 3, mode, _FIRST_ORDER)], 2)
-    scale = _maxima([(_max_norm(phi1[:, s[0]], s), _max_norm(phi2[:, s[0]], s))
-                     for s in _slabs(extent)], 0)
+    scale = _maxima([(_max_norm(phi1[:, box[0]]), _max_norm(phi2[:, box[0]]))
+                     for box in _slabs(extent)], 0)
     return ResidualReport(max_residual=max(n11, n22),
                           field_scale=max(*scale, 1e-300))
 

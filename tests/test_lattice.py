@@ -1460,23 +1460,25 @@ class TestSlabOracle:
         A = LatticeField(latk, a_vals)
         want = equivalence_check(binding, A, LatticeField(latk, j_vals))
         inside = self.site(1, 2, 1)
-        for t, axis, end in itertools.product((1, 3, 5), (0, 1, 2), (0, -1)):
-            edge = list(inside)
-            edge[axis] = end % self.lattice.extent[axis + 1]
-            for site, raises in ((edge, False), (inside, True)):
-                vals = j_vals.copy()
-                vals[(t, *site, 2)] = 1.5e308
-                J = LatticeField(latk, vals)
-                if raises:
-                    with pytest.raises(DomainError, match="transported current"):
-                        equivalence_check(binding, A, J)
-                else:
-                    assert equivalence_check(binding, A, J) == want
+
+        def overflowing(t, site):
+            vals = j_vals.copy()
+            vals[(t, *site, 2)] = 1.5e308
+            return LatticeField(latk, vals)
+
+        for t in (1, 3, 5):
+            for axis, end in itertools.product((0, 1, 2), (0, -1)):
+                edge = list(inside)
+                edge[axis] = end % self.lattice.extent[axis + 1]
+                assert equivalence_check(binding, A, overflowing(t, edge)) == want
+            with pytest.raises(DomainError, match="transported current"):
+                equivalence_check(binding, A, overflowing(t, inside))
 
 
 class TestSlabOracleNarrowAxis1(TestSlabOracle):
-    """The slab oracle with axis 1 three sites wide: a third of every slab
-    is a wrapped edge of axis 1, and the interior one site wide."""
+    """The slab oracle with axis 1 three sites wide: two thirds of every
+    time slice lie on an edge of axis 1, and the 3-point interior is one
+    site wide."""
 
     lattice = HypercubicLattice(spacing=0.13, extent=(7, 3, 5, 4),
                                 origin=(0.1, -0.3, 0.2, 0.0))

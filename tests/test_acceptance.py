@@ -174,7 +174,7 @@ def test_criterion_5_cubic_closure():
         for A in grid:
             e, m, n = 1.3, 0.7, 1
             res = local_solve_rho(float(A), e, m, n)
-            worst_resid = max(worst_resid, cubic_residual(res, e, m))
+            worst_resid = max(worst_resid, cubic_residual(res))
             sign_ok &= res.rho * res.A > 0 and res.f * res.A < 0
             if prev is not None and res.rho <= prev:
                 monotone_ok = False

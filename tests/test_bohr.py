@@ -195,7 +195,7 @@ class TestLocalSolve:
         res = local_solve_rho(1.0, 1.0, 1.0, 1)
         assert res.d == pytest.approx(3.0 / (4.0 * math.pi), rel=1e-15)
         assert res.rho == pytest.approx(FROZEN_RHO_A1, rel=1e-14)
-        assert cubic_residual(res, 1.0, 1.0) < 1e-10
+        assert cubic_residual(res) < 1e-10
 
     def test_sign_rules(self):
         rng = np.random.default_rng(127)
@@ -209,7 +209,7 @@ class TestLocalSolve:
             assert res.rho * res.A > 0
             assert res.f * res.A < 0
             assert res.R > 0
-            assert cubic_residual(res, e, m) < 1e-10
+            assert cubic_residual(res) < 1e-10
 
     def test_monotone_in_A(self):
         # dρ/dA > 0 on both branches, by finite differences
@@ -260,7 +260,33 @@ class TestLocalSolve:
         # ZeroDivisionError; local_solve_rho itself still solves
         res = local_solve_rho(A, 1.0, 1.0, 1)
         with pytest.raises(DomainError, match=re.escape(f"equation at A = {A} ")):
-            cubic_residual(res, 1.0, 1.0)
+            cubic_residual(res)
+
+
+    @pytest.mark.parametrize("A", [1e-78, 1e-80, -1e-80])
+    def test_residual_terms_subnormal_rejected(self, A):
+        # subnormal terms lose their digits: at A = 1e-80 the residual read
+        # 0.00207, a failed check where a domain error belongs
+        res = local_solve_rho(A, 1.0, 1.0, 1)
+        with pytest.raises(DomainError, match=re.escape(f"equation at A = {A} ")):
+            cubic_residual(res)
+
+    @pytest.mark.parametrize("e,m", [(1e-160, 1.0), (1.0, 1e160), (1e-100, 1e100)])
+    def test_mass_over_charge_overflow_named(self, e, m):
+        # 4 m**2 / e**2 overflows: the message used to name only A
+        with pytest.raises(DomainError, match=re.escape(f"e = {e}, m = {m}")):
+            local_solve_rho(-2.0, e, m, 1)
+
+    def test_result_keeps_its_inputs(self):
+        # cubic_residual took e and m apart from the result: a solve at
+        # e = 1 checked with e = inf read 1.64
+        res = local_solve_rho(0.7, 1.3, 0.4, 2)
+        assert (res.A, res.e, res.m) == (0.7, 1.3, 0.4)
+        assert not res.degenerate
+        zero = local_solve_rho(0.0, 1.3, 0.4, 2)
+        assert (zero.degenerate, zero.branch, cubic_residual(zero)) == (True, None, 0.0)
+        with pytest.raises(TypeError):
+            replace(res, degenerate=True)
 
 
 class TestRoundtrip:

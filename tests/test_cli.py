@@ -555,6 +555,11 @@ class TestExitCodes:
         (["local-solve", "--a-min=-1e100"], "a-min -1e+100 to"),
         (["local-solve", "--a-min", "1e-120", "--a-max", "1e-100"],
          "a-min 1e-120 to a-max 1e-100"),
+        # subnormal residual terms failed the residual check (exit 1); an
+        # overflowing 4 m**2 / e**2 named only A
+        (["local-solve", "--a-min", "1e-80", "--a-max", "1e-79", "--a-count", "3"],
+         "equation at A = 1e-80 "),
+        (["local-solve", "--e", "1e-160"], "e = 1e-160, m = 1.0"),
     ])
     def test_out_of_range_input_named_exit_3(self, tmp_path, capsys, argv, named):
         rc = main(argv + ["--out", str(tmp_path)])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bohrqed import DomainError, ensemble as ensemble_module
 from bohrqed.bohr import BohrInput, solve_bohr
 from bohrqed.ensemble import (
     Ensemble,
@@ -107,6 +108,17 @@ class TestTile:
         with pytest.raises(ValueError, match=message) as info:
             tile(UNIT_SQUARE, 0.25, c=c)
         assert not isinstance(info.value, InfeasibleCoverage)
+
+    @pytest.mark.parametrize("max_ratio", [0.5, 1 - 2**-53, 0.0, -math.inf])
+    def test_unreachable_max_ratio_rejected(self, monkeypatch, max_ratio):
+        # below 1 every pass split every cell, 2**d times more, without end
+        def no_split(*args):
+            raise AssertionError("a cell was split before max_ratio was checked")
+
+        monkeypatch.setattr(ensemble_module, "_split_cells", no_split)
+        message = f"max_ratio must be finite and at least 1, got {max_ratio}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            tile(UNIT_SQUARE, 0.25, max_ratio=max_ratio)
 
     def test_needs_a_boundary_sample(self):
         # zero samples used to give an ensemble without a boundary set
@@ -216,7 +228,7 @@ class TestRegions:
         ens = partition_regions(tile(UNIT_SQUARE, 0.25, kind="pure"), 2)
         for owner, region in zip(ens.owners.tolist(),
                                  ens.boundary_regions.tolist()):
-            assert region == ens.region_of(owner)
+            assert [region] == ens.regions[ens.ids == owner].tolist()
 
 
 class TestCounts:
@@ -680,10 +692,10 @@ class TestRegionArrayOracle:
         roundels = _roundels(ens)
         regions = _ref_regions(roundels, _ref_assignment(roundels, ens.domain, per_axis))
         for r in roundels:
-            assert ens.region_of(r.id) == _ref_region_of(regions, r.id)
+            assert (ens.regions[ens.ids == r.id].tolist()
+                    == [_ref_region_of(regions, r.id)])
         for missing in (1001, 0, -7):
-            with pytest.raises(KeyError):
-                ens.region_of(missing)
+            assert ens.regions[ens.ids == missing].tolist() == []
         for region_id in (None, *range(per_axis**dim), per_axis**dim + 3):
             assert (total_charge(ens, region_id)
                     == _ref_total_charge(roundels, ens.charges.tolist(), regions,

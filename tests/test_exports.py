@@ -1,10 +1,160 @@
+import dataclasses
+import inspect
+import math
+
 import pytest
 
-from bohrqed import algebra, bohr, ensemble, fitting, lattice, mspace
+from bohrqed import DomainError, algebra, bohr, ensemble, fitting, lattice, mspace
+
+MODULES = [algebra, bohr, ensemble, fitting, lattice, mspace]
 
 
-@pytest.mark.parametrize("module", [algebra, bohr, ensemble, fitting, lattice,
-                                    mspace], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_all_names_resolve(module):
     # a stale __all__ entry breaks only ``from module import *``
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+# ---------------------------------------------------------------------------
+# The float-input contract: every public function and input class rejects a
+# non-finite float with a DomainError whose message shows the value
+# ---------------------------------------------------------------------------
+
+_STATE = bohr.solve_bohr(bohr.BohrInput(e=1.0, f=-0.5, n=1, m=1.0))
+_LAT = lattice.HypercubicLattice(spacing=0.1, extent=3)
+_L = mspace.LPoint(x0=0.0, r=1.0, theta=0.5, x3=0.0)
+_UNIT_SQUARE = ((0.0, 1.0), (0.0, 1.0))
+_ENSEMBLE = ensemble.tile(_UNIT_SQUARE, 0.25)
+
+#: name -> (callable, fixed arguments, walked float arguments).  Each float
+#: of the walked arguments, inside a tuple or list too, is swapped in turn.
+CONTRACT = {
+    "LorentzTransform.rotation": (
+        algebra.LorentzTransform.rotation, dict(axis=[0, 0, 1]), dict(angle=0.5)),
+    "LorentzTransform.boost": (
+        algebra.LorentzTransform.boost, dict(axis=[1, 0, 0]), dict(rapidity=0.5)),
+    "LorentzTransform.from_parts": (
+        algebra.LorentzTransform.from_parts,
+        dict(rotation_axis=[0, 0, 1], boost_axis=[1, 0, 0]),
+        dict(angle=0.3, rapidity=0.2)),
+    "BohrInput": (bohr.BohrInput, dict(n=1), dict(e=1.0, f=-0.5, m=1.0)),
+    "assemble_wavefunction": (
+        bohr.assemble_wavefunction, dict(state=_STATE), dict(x0=0.2, s=0.3)),
+    "local_solve_rho": (bohr.local_solve_rho, dict(n=1), dict(A=0.5, e=1.0, m=1.0)),
+    "Roundel": (ensemble.Roundel, dict(id=0), dict(center=(0.5, 0.5), R=0.25)),
+    "Ensemble": (
+        ensemble.Ensemble,
+        {f.name: getattr(_ENSEMBLE, f.name) for f in dataclasses.fields(_ENSEMBLE)
+         if f.name not in ("c", "domain")},
+        dict(c=_ENSEMBLE.c, domain=_ENSEMBLE.domain)),
+    "tile": (ensemble.tile, {},
+             dict(domain=_UNIT_SQUARE, R=0.25, c=1.5, charge=0.0, max_ratio=4.0)),
+    "count_interactions": (
+        ensemble.count_interactions, dict(kind="pure"), dict(T=2.0, R=0.5)),
+    "scaling_sweep": (
+        ensemble.scaling_sweep, dict(template=_STATE.input),
+        dict(radii=[0.1, 0.05], T=1.0, reference_R=1.0)),
+    "fit_sweep": (
+        fitting.fit_sweep,
+        dict(name="xs", row=lambda x: {"y": x}, expected={"y": 1.0}),
+        dict(xs=[1.0, 2.0])),
+    "HypercubicLattice": (
+        lattice.HypercubicLattice, dict(extent=3),
+        dict(spacing=0.1, origin=(0.0, 0.0, 0.0, 0.0))),
+    "MassTerm": (lattice.MassTerm, {}, dict(global_magnitude=1.0, a=0.1, R_k=0.2)),
+    "build_lattices": (
+        lattice.build_lattices, dict(extent=3, Z=algebra.LorentzTransform.identity()),
+        dict(a=0.1, R_k=0.2)),
+    "dirac_residual": (
+        lattice.dirac_residual,
+        dict(phi=lattice.bohr_phi_field(_LAT, _STATE),
+             A=lattice.bohr_potential_field(_LAT, _STATE)),
+        dict(e=1.0, mass=1.0)),
+    "renormalize_mass": (
+        lattice.renormalize_mass, {}, dict(M_global=1.0, a=0.1, R_k=0.2)),
+    "limit_sweep": (
+        lattice.limit_sweep, {}, dict(p=1.0, spacings=[0.1, 0.05], T=1.0, J0=1.0)),
+    "LPoint": (mspace.LPoint, {}, dict(x0=0.0, r=1.0, theta=0.5, x3=0.0)),
+    "MPoint": (mspace.MPoint, {}, dict(x0=0.0, s=0.5, r=1.0, x3=0.0)),
+    "RoundelSpec": (mspace.RoundelSpec, dict(center=_L), dict(R=0.25)),
+    "l_to_m": (mspace.l_to_m, dict(p=_L), dict(R=1.0)),
+    "m_to_l": (mspace.m_to_l, dict(p=mspace.l_to_m(_L, 1.0)), dict(R=1.0)),
+    "map_potential": (mspace.map_potential, {}, dict(A_L=0.5, r=1.0, R=1.0)),
+}
+
+#: What the contract skips of the float-annotated parameters: result types
+#: are outputs, ``fit_sweep``'s ``row`` is a callable and its ``expected``
+#: slopes are only stored beside the fits.
+NOT_INPUTS = {"BohrState", "LocalSolveResult", "WaveSample", "PowerFit", "Sweep"}
+NOT_WALKED = {"fit_sweep": {"row", "expected"}}
+
+
+def _float_slots(value, path=()):
+    """The index paths of the floats in ``value``, a float or nested sequence."""
+    if isinstance(value, float):
+        return [path]
+    if isinstance(value, (tuple, list)):
+        return [slot for i, item in enumerate(value)
+                for slot in _float_slots(item, path + (i,))]
+    return []
+
+
+def _swapped(value, path, new):
+    if not path:
+        return new
+    items = list(value)
+    items[path[0]] = _swapped(items[path[0]], path[1:], new)
+    return type(value)(items)
+
+
+def _cases():
+    for name, (_, _, walked) in CONTRACT.items():
+        for key, value in walked.items():
+            for path in _float_slots(value):
+                for bad in (math.nan, math.inf, -math.inf):
+                    where = key + "".join(f"[{i}]" for i in path)
+                    yield pytest.param(name, key, path, bad, id=f"{name}-{where}-{bad}")
+
+
+def _public_float_parameters():
+    """name -> float-annotated parameter names, over every ``__all__`` callable
+    and the public static methods of its classes."""
+    found = {}
+    for module in MODULES:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isclass(obj) and issubclass(obj, Exception):
+                continue
+            targets = [(name, obj)] if callable(obj) else []
+            if inspect.isclass(obj):
+                targets += [(f"{name}.{key}", member.__func__)
+                            for key, member in vars(obj).items()
+                            if isinstance(member, staticmethod)]
+            for target_name, target in targets:
+                params = {p.name for p in inspect.signature(target).parameters.values()
+                          if "float" in str(p.annotation)}
+                if params:
+                    found[target_name] = params
+    return found
+
+
+def test_contract_covers_every_float_parameter():
+    want = {name: params - NOT_WALKED.get(name, set())
+            for name, params in _public_float_parameters().items()
+            if name not in NOT_INPUTS}
+    assert {name: set(walked) for name, (_, _, walked) in CONTRACT.items()} == want
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_contract_baseline_is_valid(name):
+    target, fixed, walked = CONTRACT[name]
+    target(**fixed, **walked)
+
+
+@pytest.mark.parametrize(("name", "key", "path", "bad"), list(_cases()))
+def test_non_finite_float_named(name, key, path, bad):
+    target, fixed, walked = CONTRACT[name]
+    args = dict(walked, **{key: _swapped(walked[key], path, bad)})
+    with pytest.raises(DomainError) as err:
+        target(**fixed, **args)
+    assert str(bad) in str(err.value)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import re
@@ -382,9 +383,8 @@ class TestDiracResidual:
     @pytest.mark.parametrize(("e", "mass", "named"), [
         (math.nan, 1.0, "e=nan, mass=1.0"),
         (1.0, math.inf, "e=1.0, mass=inf"),
-        (1.0, MassTerm(global_magnitude=1.0, a=math.nan, R_k=0.3), "mass=nan"),
-        (-math.inf, MassTerm(global_magnitude=math.inf, a=0.3, R_k=0.3),
-         "e=-inf, mass=inf"),
+        (1.0, -math.inf, "mass=-inf"),
+        (-math.inf, math.nan, "e=-inf, mass=nan"),
     ])
     def test_non_finite_coupling_or_mass_named(self, monkeypatch, e, mass, named):
         # a full pass used to end in FloatingPointError, and mass = inf
@@ -439,7 +439,7 @@ class TestDiracResidual:
         pot = bohr_potential_field(lat, state)
         mt = renormalize_mass(state.input.m, a=0.3, R_k=0.3)
         direct = dirac_residual(phi, pot, e=state.input.e, mass=state.input.m)
-        viamt = dirac_residual(phi, pot, e=state.input.e, mass=mt)
+        viamt = dirac_residual(phi, pot, e=state.input.e, mass=mt.per_region)
         assert viamt.max_residual == pytest.approx(direct.max_residual)
 
     def test_charge_conjugation_invariance(self):
@@ -544,6 +544,15 @@ class TestBuildLattices:
                          - binding.mapped_site(binding.center_index))
         assert np.linalg.norm(mapped_offset) == pytest.approx(0.8)
 
+    def test_spacings_read_from_the_lattices(self):
+        # R_k and a were stored beside the lattices, and a direct
+        # RegionBinding(R_k=nan, ...) was accepted
+        latp, latk, binding = build_lattices(
+            a=0.13, R_k=0.29, extent=(4, 4, 4, 4), Z=LorentzTransform.identity())
+        assert (binding.R_k, binding.a) == (latk.spacing, latp.spacing) == (0.29, 0.13)
+        with pytest.raises(TypeError):
+            dataclasses.replace(binding, R_k=math.nan)
+
     def test_neighbors_inside_region(self):
         _, latk, binding = build_lattices(
             a=0.1, R_k=0.2, extent=(3, 5, 4, 3), Z=LorentzTransform.identity())
@@ -586,6 +595,16 @@ class TestTransformField:
         for name in ("phi1", "phi2"):
             assert getattr(got, name).tobytes() == (factor * binding.Z.apply_array(
                 getattr(phi, name))).tobytes()
+
+    def test_field_off_lattice_k_raises(self):
+        # a field on another lattice used to be carried as if on lattice_k
+        latp, latk, binding = build_lattices(
+            a=0.1, R_k=0.2, extent=(4, 4, 4, 4), Z=LorentzTransform.identity())
+        other = HypercubicLattice(spacing=0.7, extent=latk.extent, frame="compromise")
+        f = self.make_field(other)
+        for field in (f, self.make_field(latp), ReflectorField(other, f.values, f.values)):
+            with pytest.raises(DomainError, match="lattice_k"):
+                transform_field("current", field, binding)
 
     def test_current_scales_cubed(self):
         _, latk, binding = build_lattices(
@@ -1360,7 +1379,7 @@ class TestSlabOracle:
         # an (upper, lower) pair of fields is no potential form
         phi1, phi2, values = self.fields(5, 3)
         phi = ReflectorField(self.lattice, phi1, phi2)
-        mass = renormalize_mass(1.3, a=0.1, R_k=0.2)
+        mass = renormalize_mass(1.3, a=0.1, R_k=0.2).per_region
         if potential == "pair":
             field = LatticeField(self.lattice, values)
             with pytest.raises(TypeError):
@@ -1373,8 +1392,7 @@ class TestSlabOracle:
             values = np.broadcast_to(potential.as_array(), phi1.shape)
         for field in (phi, charge_conjugate_field(phi)):
             assert (dirac_residual(field, pot, e=-0.8, mass=mass, mode=mode)
-                    == _ref_dirac_residual(field, values, -0.8,
-                                           mass.per_region, mode))
+                    == _ref_dirac_residual(field, values, -0.8, mass, mode))
 
     @pytest.mark.parametrize("collocation", ["site", "half-point"])
     @pytest.mark.parametrize("mode", ["composed", "onesided"])

@@ -114,12 +114,6 @@ class Biquaternion:
         return float(np.sqrt(abs(self.w) ** 2 + abs(self.x) ** 2
                              + abs(self.y) ** 2 + abs(self.z) ** 2))
 
-    def inverse(self) -> "Biquaternion":
-        n = self.norm_form()
-        if abs(n) < 1e-300:
-            raise ZeroDivisionError("biquaternion with vanishing norm form")
-        return (1.0 / n) * self.quat_conj()
-
     def vector_part(self) -> "Biquaternion":
         return Biquaternion(0, self.x, self.y, self.z)
 
@@ -162,8 +156,6 @@ class DiagonalMatrix:
     d2: Biquaternion
 
     def __mul__(self, other):
-        if isinstance(other, DiagonalMatrix):
-            return DiagonalMatrix(self.d1 * other.d1, self.d2 * other.d2)
         if isinstance(other, Reflector):
             return Reflector(self.d1 * other.upper, self.d2 * other.lower)
         return NotImplemented
@@ -182,33 +174,10 @@ class Reflector:
     upper: Biquaternion
     lower: Biquaternion
 
-    def __add__(self, other: "Reflector") -> "Reflector":
-        return Reflector(self.upper + other.upper, self.lower + other.lower)
-
-    def __sub__(self, other: "Reflector") -> "Reflector":
-        return Reflector(self.upper - other.upper, self.lower - other.lower)
-
-    def __neg__(self) -> "Reflector":
-        return Reflector(-self.upper, -self.lower)
-
     def __mul__(self, other):
-        if isinstance(other, Reflector):
-            return reflector_mul(self, other)
         if isinstance(other, DiagonalMatrix):
             return Reflector(self.upper * other.d2, self.lower * other.d1)
-        if isinstance(other, (int, float, complex, Biquaternion)):
-            b = _coerce(other)
-            return Reflector(self.upper * b, self.lower * b)
         return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, float, complex, Biquaternion)):
-            b = _coerce(other)
-            return Reflector(b * self.upper, b * self.lower)
-        return NotImplemented
-
-    def frobenius(self) -> float:
-        return float(np.hypot(self.upper.frobenius(), self.lower.frobenius()))
 
 
 def reflector_mul(a: Reflector, b: Reflector) -> DiagonalMatrix:

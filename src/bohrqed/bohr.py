@@ -71,10 +71,6 @@ class BohrInput:
                 f"|e*f| = {abs(self.e * self.f)} >= n = {self.n}")
 
     @property
-    def coupling(self) -> float:
-        return self.e * self.f
-
-    @property
     def attractive(self) -> bool:
         return self.e * self.f < 0
 
@@ -85,8 +81,7 @@ class BohrState:
 
     ``v``: orbital speed; ``R``: orbit radius; ``mu``: wave number;
     ``nu``: total frequency; ``eta``: kinetic frequency; ``A``: potential
-    magnitude ``|f|/R`` at the orbit; ``E``: total energy (= nu), which is
-    ``m*sqrt(1 - (e*f/n)**2)`` for attraction.
+    magnitude ``|f|/R`` at the orbit.
     """
 
     v: float
@@ -95,8 +90,13 @@ class BohrState:
     nu: float
     eta: float
     A: float
-    E: float
     input: BohrInput
+
+    @property
+    def E(self) -> float:
+        """Total energy, the total frequency ``nu``: ``m*sqrt(1 - (e*f/n)**2)``
+        for attraction."""
+        return self.nu
 
     @property
     def potential_energy(self) -> float:
@@ -129,7 +129,7 @@ class LocalSolveResult:
 
     ``branch`` is ``"positive-root"`` for A > 0, ``"negative-root"``
     for A < 0 and ``None`` in the degenerate A = 0 case, where ``R``
-    and ``f`` are undefined (NaN) and ``degenerate`` is set.
+    and ``f`` are undefined (NaN).  ``e`` and ``m`` are the solve's inputs.
     """
 
     rho: float
@@ -138,7 +138,12 @@ class LocalSolveResult:
     f: float
     branch: str | None
     d: float
-    degenerate: bool = False
+    e: float
+    m: float
+
+    @property
+    def degenerate(self) -> bool:
+        return self.branch is None
 
 
 def solve_bohr(inp: BohrInput, allow_repulsive: bool = False) -> BohrState:
@@ -167,7 +172,7 @@ def solve_bohr(inp: BohrInput, allow_repulsive: bool = False) -> BohrState:
     R = inp.n / mu
     A = abs(inp.f) / R
     nu = eta + ef / R
-    return BohrState(v=v, R=R, mu=mu, nu=nu, eta=eta, A=A, E=nu, input=inp)
+    return BohrState(v=v, R=R, mu=mu, nu=nu, eta=eta, A=A, input=inp)
 
 
 def mass_shell_residual(state: BohrState) -> float:
@@ -228,7 +233,7 @@ def local_solve_rho(A: float, e: float, m: float, n: int) -> LocalSolveResult:
     d = 3.0 / (4.0 * math.pi * n * n)
     if A == 0:
         return LocalSolveResult(rho=0.0, A=0.0, R=math.nan, f=math.nan,
-                                branch=None, d=d, degenerate=True)
+                                branch=None, d=d, e=e, m=m)
     root = math.sqrt(A * A + 4.0 * m * m / (e * e))
     sign = 1.0 if A > 0 else -1.0
     rho = (A * A * e * e * d / 2.0) * (A + sign * root)
@@ -237,15 +242,16 @@ def local_solve_rho(A: float, e: float, m: float, n: int) -> LocalSolveResult:
     R = math.sqrt(3.0 * A / (4.0 * math.pi * rho))
     f = -A * R
     branch = "positive-root" if A > 0 else "negative-root"
-    return LocalSolveResult(rho=rho, A=A, R=R, f=f, branch=branch, d=d)
+    return LocalSolveResult(rho=rho, A=A, R=R, f=f, branch=branch, d=d, e=e, m=m)
 
 
-def cubic_residual(result: LocalSolveResult, e: float, m: float) -> float:
-    """Relative back-substitution residual of the density equation;
-    :class:`DomainError` if its terms leave the floating-point range."""
+def cubic_residual(result: LocalSolveResult) -> float:
+    """Relative back-substitution residual of the density equation at the
+    solve's own ``e`` and ``m``; :class:`DomainError` if its terms leave the
+    floating-point range."""
     if result.degenerate:
         return 0.0
-    A, rho, d = result.A, result.rho, result.d
+    A, rho, d, e, m = result.A, result.rho, result.d, result.e, result.m
     try:  # ** raises OverflowError
         terms = (rho * rho / (d * e * e), -(A**3) * rho, -(m * m * d * A**4))
     except (OverflowError, ZeroDivisionError):

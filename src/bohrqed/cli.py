@@ -278,7 +278,7 @@ def cmd_local_solve(ns, out: Path, report: RunReport) -> None:
     grid.sort()
     try:
         results = [local_solve_rho(A, ns.e, ns.m, ns.n) for A in grid]
-        residuals = [cubic_residual(res, ns.e, ns.m) for res in results]
+        residuals = [cubic_residual(res) for res in results]
     except DomainError as err:  # a grid point's A: name the range it is from
         raise type(err)(f"{err}, on A from a-min {ns.a_min} to a-max {ns.a_max}"
                         ) from None

@@ -107,12 +107,6 @@ class Ensemble:
     def dim(self) -> int:
         return kind_dim(self.kind)
 
-    def region_of(self, roundel_id: int) -> int:
-        at = np.flatnonzero(self.ids == roundel_id)
-        if not len(at):
-            raise KeyError(f"roundel {roundel_id} not in any region")
-        return int(self.regions[at[0]])
-
 
 def _distance(p: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum((p - c) ** 2, axis=-1))

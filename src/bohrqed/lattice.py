@@ -197,13 +197,21 @@ class RegionBinding:
     """One region's choice of roundel, compromise frame, and site mapping."""
 
     region_id: int
-    R_k: float
-    a: float
     Z: LorentzTransform
     lattice_k: HypercubicLattice
     lattice_p: HypercubicLattice
     center_index: tuple[int, int, int, int]
     neighbor_indices: tuple[tuple[int, int, int, int], ...]
+
+    @property
+    def R_k(self) -> float:
+        """The compromise half-interval, ``lattice_k.spacing``."""
+        return self.lattice_k.spacing
+
+    @property
+    def a(self) -> float:
+        """The snapshot half-interval, ``lattice_p.spacing``."""
+        return self.lattice_p.spacing
 
     @property
     def scale(self) -> float:
@@ -237,9 +245,8 @@ def build_lattices(a: float, R_k: float, extent, Z: LorentzTransform,
     center = tuple(e // 2 for e in lat_k.extent)  # extents >= 3: all neighbors exist
     neighbors = [tuple(c + step * (ax == axis) for ax, c in enumerate(center))
                  for axis in range(4) for step in (-1, +1)]
-    binding = RegionBinding(region_id=region_id, R_k=R_k, a=a, Z=Z,
-                            lattice_k=lat_k, lattice_p=lat_p,
-                            center_index=center,
+    binding = RegionBinding(region_id=region_id, Z=Z, lattice_k=lat_k,
+                            lattice_p=lat_p, center_index=center,
                             neighbor_indices=tuple(neighbors))
     return lat_p, lat_k, binding
 
@@ -479,7 +486,7 @@ def photon_residual(A: LatticeField, J: LatticeField, mode: str = "composed",
 
 @np.errstate(over="ignore", invalid="ignore")  # raised as typed errors
 def dirac_residual(phi: ReflectorField, A: LatticeField | Biquaternion, e: float,
-                   mass: MassTerm | float, mode: str = "backward") -> ResidualReport:
+                   mass: float, mode: str = "backward") -> ResidualReport:
     """Max interior residual of ``(D - i e A) Phi = Phi M`` in reflector form.
 
     The potential ``A`` is a :class:`LatticeField` on ``phi``'s lattice or a
@@ -487,12 +494,12 @@ def dirac_residual(phi: ReflectorField, A: LatticeField | Biquaternion, e: float
     plane product as a zero-stride broadcast of its four coefficients, never
     a field; anything else is a ``TypeError``.
 
+    ``mass`` is a float; a :class:`MassTerm` enters as its ``per_region``.
     Component equations (anti-diagonal layout, mass ``m~ = -i m``):
     ``D phi2 - i e A~ phi2 - phi1 (i m) = 0`` and
     ``D‡ phi1 - i e A~ phi1 + phi2 (i m) = 0``.
     """
-    m_k = mass.per_region if isinstance(mass, MassTerm) else float(mass)
-    finite("coupling and mass", e=e, mass=m_k)
+    finite("coupling and mass", e=e, mass=mass)
     extent, step = phi.lattice.extent, phi.lattice.step
     if isinstance(A, Biquaternion):
         a = np.broadcast_to(A.as_array().reshape(4, 1, 1, 1, 1), (4,) + extent)
@@ -510,7 +517,7 @@ def dirac_residual(phi: ReflectorField, A: LatticeField | Biquaternion, e: float
         prod = bufs[1]  # the difference is spent
         r -= np.multiply(1j * e, bq_mul_planes(a[:, box[0]], psi[:, box[0]],
                                                prod, bufs[2][0]), out=prod)
-        mass_term = np.multiply(chi[:, box[0]], 1j * m_k, out=prod)
+        mass_term = np.multiply(chi[:, box[0]], 1j * mass, out=prod)
         (np.add if dagger else np.subtract)(r, mass_term, out=r)
         return _max_norm(r, box)
 

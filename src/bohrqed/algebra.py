@@ -304,8 +304,15 @@ def bq_mul_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def bq_frobenius_arr(a: np.ndarray) -> np.ndarray:
-    """Per-site Frobenius magnitude of a ``(..., 4)`` array."""
-    return np.sqrt(np.sum(np.abs(np.asarray(a)) ** 2, axis=-1))
+    """Per-site Frobenius magnitude of a ``(..., 4)`` array: the squared
+    moduli of the four components summed in place, in component order; a
+    scalar for one site."""
+    a = np.asarray(a)
+    out, term = np.empty(a.shape[:-1]), np.empty(a.shape[:-1])
+    np.square(np.abs(a[..., 0], out=out), out=out)
+    for k in range(1, 4):
+        out += np.square(np.abs(a[..., k], out=term), out=term)
+    return np.sqrt(out, out=out)[()]
 
 
 def vec4_to_bq(v: np.ndarray) -> np.ndarray:

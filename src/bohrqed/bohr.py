@@ -16,8 +16,9 @@ Sign conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
-import math
 import cmath
+import math
+import sys
 from dataclasses import dataclass
 
 from ._domain import DomainError, finite, positive, whole
@@ -198,6 +199,7 @@ def assemble_wavefunction(state: BohrState, x0: float, s: float) -> WaveSample:
     constant ``(i*eta + mu*i1)/m`` times the same phase.  The arc axis is
     housed on the ``i1`` basis element.
     """
+    finite("x0 and s", x0=x0, s=s)
     phase = state.mu * s - state.nu * x0
     p1 = cmath.exp(1j * phase)
     m = state.input.m
@@ -217,8 +219,8 @@ def local_solve_rho(A: float, e: float, m: float, n: int) -> LocalSolveResult:
     cancellation on either side.  A = 0 yields the degenerate rho = 0
     result with radius and central charge flagged undefined.  Raises
     :class:`NonPositiveMass` for ``m < 0`` (``m = 0`` is the massless limit)
-    and :class:`DomainError` for non-finite input or a density outside the
-    floating-point range.
+    and :class:`DomainError` for non-finite input, a ``4m²/e²`` or a density
+    outside the floating-point range.
     """
     if not (math.isfinite(A) and math.isfinite(e) and math.isfinite(m)
             and math.isfinite(n)):  # spelt out: this runs once per grid point
@@ -230,11 +232,14 @@ def local_solve_rho(A: float, e: float, m: float, n: int) -> LocalSolveResult:
                           f"it), got e = {e}")
     if int(n) != n or n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
+    q = 4.0 * m * m / (e * e)
+    if not math.isfinite(q):
+        raise DomainError(f"4*m**2/e**2 must be finite, got {q} at e = {e}, m = {m}")
     d = 3.0 / (4.0 * math.pi * n * n)
     if A == 0:
         return LocalSolveResult(rho=0.0, A=0.0, R=math.nan, f=math.nan,
                                 branch=None, d=d, e=e, m=m)
-    root = math.sqrt(A * A + 4.0 * m * m / (e * e))
+    root = math.sqrt(A * A + q)
     sign = 1.0 if A > 0 else -1.0
     rho = (A * A * e * e * d / 2.0) * (A + sign * root)
     if not math.isfinite(rho) or rho == 0:
@@ -247,8 +252,8 @@ def local_solve_rho(A: float, e: float, m: float, n: int) -> LocalSolveResult:
 
 def cubic_residual(result: LocalSolveResult) -> float:
     """Relative back-substitution residual of the density equation at the
-    solve's own ``e`` and ``m``; :class:`DomainError` if its terms leave the
-    floating-point range."""
+    solve's own ``e`` and ``m``; :class:`DomainError` naming ``A`` unless its
+    largest term is a normal float (subnormal terms have lost their digits)."""
     if result.degenerate:
         return 0.0
     A, rho, d, e, m = result.A, result.rho, result.d, result.e, result.m
@@ -257,8 +262,8 @@ def cubic_residual(result: LocalSolveResult) -> float:
     except (OverflowError, ZeroDivisionError):
         terms = (math.inf,)
     scale = max(abs(t) for t in terms)
-    if not 0 < scale < math.inf:
-        raise DomainError(f"the density equation at A = {A} leaves the "
+    if not sys.float_info.min <= scale < math.inf:
+        raise DomainError(f"the density equation at A = {A} leaves the normal "
                           f"floating-point range, its largest term is {scale}")
     return abs(sum(terms)) / scale
 

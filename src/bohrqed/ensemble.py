@@ -102,6 +102,8 @@ class Ensemble:
         if not (np.isfinite(self.centers).all() and np.isfinite(self.radii).all()
                 and (self.radii > 0).all()):
             raise DomainError("roundel centers must be finite, radii finite and positive")
+        finite("coverage slack c", self.c)
+        finite("domain bounds", *(x for axis in self.domain for x in axis))
 
     @property
     def dim(self) -> int:
@@ -184,7 +186,7 @@ def tile(domain: Sequence[tuple[float, float]],
     ``R`` may be a constant radius or a callable radius field evaluated at
     cell centers; the callable case subdivides quadtree/octree style until
     each leaf's inscribed roundel respects the requested local radius,
-    keeping the global radius ratio at most ``max_ratio``.  Raises
+    keeping the global radius ratio at most ``max_ratio`` (at least 1).  Raises
     :class:`InfeasibleCoverage` when the result leaves some sampled point
     farther than ``c`` local radii from every boundary.
     """
@@ -196,9 +198,10 @@ def tile(domain: Sequence[tuple[float, float]],
         raise DomainError("domain bounds must be finite with positive extent "
                           f"on every axis, got {domain}")
     whole("boundary_samples", boundary_samples, 1)
+    if not 1 <= max_ratio < math.inf:  # below 1 the split loop never ends
+        raise DomainError(f"max_ratio must be finite and at least 1, got {max_ratio}")
     if c is None:
         c = math.sqrt(dim)
-    finite("coverage slack c", c)
     finite("roundel charge", charge)
 
     if callable(R):

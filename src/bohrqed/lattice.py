@@ -180,15 +180,17 @@ class MassTerm:
     a: float
     R_k: float
 
+    def __post_init__(self):
+        finite("global mass", self.global_magnitude)
+        positive("spacing a", self.a)
+        positive("spacing R_k", self.R_k)
+
     @property
     def per_region(self) -> float:
         return (self.a / self.R_k) * self.global_magnitude
 
 
 def renormalize_mass(M_global: float, a: float, R_k: float) -> MassTerm:
-    finite("global mass", M_global)
-    positive("spacing a", a)
-    positive("spacing R_k", R_k)
     return MassTerm(global_magnitude=float(M_global), a=float(a), R_k=float(R_k))
 
 
@@ -435,8 +437,10 @@ class ResidualReport:
 
 def _max_norm(P: np.ndarray, box=(slice(None),) * 4) -> float:
     """Largest sitewise Frobenius magnitude of the component planes ``P`` of
-    ``box``'s time slices on its sites; NaN if any site is NaN."""
-    return float(np.max(bq_frobenius_arr(np.moveaxis(_inner(P, box), 0, -1))))
+    ``box``'s time slices on its sites; NaN if any site is NaN.  The norm
+    runs over the whole contiguous slices, the max over the sites."""
+    norms = bq_frobenius_arr(np.moveaxis(P, 0, -1))
+    return float(np.max(norms[(slice(None), *box[1:])]))
 
 
 def _maxima(rows, checked: int) -> list[float]:
@@ -595,8 +599,13 @@ def transform_field(kind: str, field, binding: RegionBinding):
     Values pick up ``(R_k/a)**p`` with p = 3 (current), 1 (potential),
     2 (derivative of a potential), 1 (first-order operator), and are
     rotated/boosted entrywise by ``Z``; reflector fields transform both
-    entries (matrix mode).
+    entries (matrix mode).  :class:`~bohrqed.DomainError` if the field is
+    not on ``binding.lattice_k``.
     """
+    if not isinstance(field, (LatticeField, ReflectorField)):
+        raise TypeError("field must be a LatticeField or ReflectorField")
+    if field.lattice != binding.lattice_k:
+        raise DomainError("the field must live on binding.lattice_k")
     try:
         power = TRANSFORM_EXPONENTS[kind]
     except KeyError:
@@ -612,10 +621,8 @@ def transform_field(kind: str, field, binding: RegionBinding):
     if isinstance(field, ReflectorField):
         return ReflectorField(lattice=binding.lattice_p,
                               phi1=carried(field.phi1), phi2=carried(field.phi2))
-    if isinstance(field, LatticeField):
-        return LatticeField(lattice=binding.lattice_p,
-                            values=carried(field.values), label=field.label)
-    raise TypeError("field must be a LatticeField or ReflectorField")
+    return LatticeField(lattice=binding.lattice_p,
+                        values=carried(field.values), label=field.label)
 
 
 @dataclass(frozen=True)
@@ -658,7 +665,7 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
         """``P`` carried into ``out``, finite on ``box``'s axes 1-3 unless None."""
         mid = carry[:, :P.shape[1]]
         _transport(P, binding, TRANSFORM_EXPONENTS[kind], out, mid[:4], mid[4])
-        if box is not None and not np.all(np.isfinite(_inner(out, box))):
+        if box is not None and not _inner(np.isfinite(out), box).all():
             raise DomainError(f"transported {kind} values must be finite")
         return out
 

@@ -287,6 +287,25 @@ class TestArrayOps:
         q = Biquaternion(3, 4)
         assert bq_frobenius_arr(q.as_array()) == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("shape", [(4,), (7, 4), (3, 5, 2, 4)])
+    def test_frobenius_sums_in_component_order(self, shape):
+        # ((|a0|² + |a1|²) + |a2|²) + |a3|², bit for bit: the order in which
+        # np.sum reduces component-major planes, the layout of lattice fields
+        rng = np.random.default_rng(41)
+        a = (rng.normal(size=shape) * 10.0 ** rng.integers(-150, 150, size=shape)
+             + 1j * rng.normal(size=shape))
+        a.flat[:3] = [np.inf, np.nan, -0.0]
+        planes = np.ascontiguousarray(np.moveaxis(a, -1, 0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = np.abs(a) ** 2
+            want = np.sqrt(((s[..., 0] + s[..., 1]) + s[..., 2]) + s[..., 3])
+            old = np.sqrt(np.sum(np.abs(np.moveaxis(planes, 0, -1)) ** 2, axis=-1))
+            got = [bq_frobenius_arr(a), bq_frobenius_arr(np.moveaxis(planes, 0, -1))]
+        assert np.asarray(old).tobytes() == np.asarray(want).tobytes()
+        for norms in got:
+            assert np.shape(norms) == shape[:-1]
+            assert np.asarray(norms).tobytes() == np.asarray(want).tobytes()
+
     def test_vec4_roundtrip(self):
         v = np.array([1.5, -2.0, 0.25, 3.0])
         assert np.allclose(np.real(bq_to_vec4(vec4_to_bq(v))), v)

@@ -6,7 +6,7 @@ is built on three objects defined here:
 * ``Biquaternion`` -- a quaternion with complex coefficients, basis
   ``1, i1, i2, i3`` with ``i1*i2 = i3`` (right-handed) and ``ik**2 = -1``.
 * ``Reflector`` -- a 2x2 matrix ``X(a, b)`` with quaternion entries on the
-  anti-diagonal only; the product of two reflectors is diagonal.
+  anti-diagonal only; :func:`reflector_mul` of two reflectors is diagonal.
 * ``LorentzTransform`` -- rotations and boosts realized as a sandwich
   ``q -> g q g^dagger`` with ``g`` a unit biquaternion.
 

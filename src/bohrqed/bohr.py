@@ -95,8 +95,7 @@ class BohrState:
 
     @property
     def E(self) -> float:
-        """Total energy, the total frequency ``nu``: ``m*sqrt(1 - (e*f/n)**2)``
-        for attraction."""
+        """Total energy ``nu``: ``m*sqrt(1 - (e*f/n)**2)`` for attraction."""
         return self.nu
 
     @property

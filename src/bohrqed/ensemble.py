@@ -202,6 +202,7 @@ def tile(domain: Sequence[tuple[float, float]],
         raise DomainError(f"max_ratio must be finite and at least 1, got {max_ratio}")
     if c is None:
         c = math.sqrt(dim)
+    finite("coverage slack c", c)  # before the tiling work; Ensemble checks it again
     finite("roundel charge", charge)
 
     if callable(R):

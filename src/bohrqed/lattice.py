@@ -19,9 +19,10 @@ slices at a time (as many as fit in ``_SLAB_BYTES`` of one field, at least
 one) through buffers allocated once per call.  One flat kernel forms each
 difference from contiguous ranges of the component planes offset by the
 axis stride, scaled by the step's reciprocal; sites at an edge of axes 1-3
-read wrapped neighbours, and only reductions read the interior (the sites
-with a full stencil).  Basis units act by signed permutation (times ``i``
-on time); a report, the max of per-slab maxima, is the whole-array value.
+read wrapped neighbours; norms and finiteness tests run over whole slices,
+and only reductions read the interior (the sites with a full stencil).
+Basis units act by signed permutation (times ``i`` on time); a report,
+the max of per-slab maxima, is the whole-array value.
 :func:`limit_sweep` tabulates the bare variables as the spacing shrinks
 and fits their power laws as a :class:`~bohrqed.fitting.Sweep`.
 """

@@ -262,7 +262,6 @@ class TestLocalSolve:
         with pytest.raises(DomainError, match=re.escape(f"equation at A = {A} ")):
             cubic_residual(res)
 
-
     @pytest.mark.parametrize("A", [1e-78, 1e-80, -1e-80])
     def test_residual_terms_subnormal_rejected(self, A):
         # subnormal terms lose their digits: at A = 1e-80 the residual read

@@ -25,7 +25,6 @@ from bohrqed.lattice import (
     EquivalenceReport,
     HypercubicLattice,
     LatticeField,
-    MassTerm,
     ReflectorField,
     ResidualReport,
     bohr_phi_field,

@@ -276,6 +276,7 @@ def cmd_local_solve(ns, out: Path, report: RunReport) -> None:
     if ns.include_zero and 0.0 not in grid:
         grid.append(0.0)
     grid.sort()
+    local_solve_rho(0.0, ns.e, ns.m, ns.n)  # e, m and n alone: no A range
     try:
         results = [local_solve_rho(A, ns.e, ns.m, ns.n) for A in grid]
         residuals = [cubic_residual(res) for res in results]

@@ -392,13 +392,13 @@ SCALING_EXPONENTS = {
 
 
 def scaling_sweep(template: BohrInput, radii: Sequence[float], T: float,
-                  kind: str = "pure", reference_R: float = 1.0) -> Sweep:
+                  kind: str = "pure") -> Sweep:
     """Shrink the roundels while the orbit equations stay exactly valid.
 
-    The bare mass and charge are pinned to ``m*reference_R/R`` and
-    ``e*reference_R/R``; the central charge then follows from the orbit
-    condition ``|eB*f| = n² / sqrt((mB*R)² + n²)``, which keeps every row
-    sub-critical and the orbital speed radius-independent.  The columns are
+    The bare mass and charge are pinned to ``m/R`` and ``e/R``; the central
+    charge then follows from the orbit condition
+    ``|eB*f| = n² / sqrt((mB*R)² + n²)``, which keeps every row sub-critical
+    and the orbital speed radius-independent.  The columns are
     ``R, mB, eB, eBa, f, A, rho, nl``.
     """
     dim = kind_dim(kind)
@@ -407,10 +407,10 @@ def scaling_sweep(template: BohrInput, radii: Sequence[float], T: float,
     n = template.n
 
     def row(R: float) -> dict:
-        mB = template.m * reference_R / R
-        finite(f"bare mass m*reference_R/R and (mB*R)**2 at m = {template.m}, "
-               f"R = {R}", mB, mB * R * (mB * R))  # ** raises OverflowError
-        eB = abs(template.e) * reference_R / R
+        mB = template.m / R
+        finite(f"bare mass m/R and (mB*R)**2 at m = {template.m}, R = {R}",
+               mB, mB * R * (mB * R))  # ** raises OverflowError
+        eB = abs(template.e) / R
         u = n * n / math.sqrt((mB * R) ** 2 + n * n)  # |eB * f|
         f = u / eB
         A = f / R

@@ -568,6 +568,14 @@ class TestExitCodes:
         (line,) = err.splitlines()
         assert line.startswith("domain error: ") and named in line
 
+    @pytest.mark.parametrize("e", ["1e-160", "1e-300"])
+    def test_local_solve_coupling_error_names_no_a_range(self, tmp_path, capsys,
+                                                         e):
+        # e alone is at fault: the A range used to be appended to its error
+        assert main(["local-solve", "--e", e, "--out", str(tmp_path)]) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert f"e = {e}" in line and "a-min" not in line
+
     def test_other_exception_exit_4_with_traceback(self, tmp_path, capsys,
                                                    monkeypatch):
         # a ValueError that is no DomainError used to exit 3 as a domain error

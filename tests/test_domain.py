@@ -8,10 +8,13 @@ import bohrqed
 from bohrqed import (BohrInput, DomainError, HypercubicLattice, InfeasibleCoverage,
                      LatticeField, LorentzTransform, LPoint, NonPositiveMass,
                      NotOnBoundary, RoundelSpec, SupercriticalCoupling,
-                     count_interactions, limit_sweep, photon_residual, solve_bohr,
-                     tile)
+                     assign_boundary_point, build_lattices, count_interactions,
+                     limit_sweep, photon_residual, solve_bohr, tile, transform_field)
+from bohrqed import ensemble
 from bohrqed._domain import finite, positive, whole
+from bohrqed.cli import RunReport
 from bohrqed.ensemble import Ensemble
+from bohrqed.fitting import fit_loglog
 from bohrqed.lattice import bohr_phi_field
 from bohrqed.mspace import KINDS, kind_dim
 
@@ -167,3 +170,75 @@ class TestOverflowingInput:
     def test_orbit_mass_out_of_range(self, m, named):
         with pytest.raises(DomainError, match=re.escape(named)):
             solve_bohr(BohrInput(e=1.0, f=-0.1, n=1, m=m))
+
+
+# ---------------------------------------------------------------------------
+# Input checks that no other test reaches: the exception type and the whole
+# message, which names the input at fault
+# ---------------------------------------------------------------------------
+
+def _zero_field(lattice):
+    return LatticeField(lattice, np.zeros(lattice.extent + (4,), complex))
+
+
+def _overlapping_tile(monkeypatch):
+    """``tile`` on a grid of two radius-0.25 roundels 0.25 apart."""
+    monkeypatch.setattr(ensemble, "_grid_cells", lambda domain, R, dim: (
+        np.array([[0.25, 0.5], [0.5, 0.5]]), np.array([0.25, 0.25])))
+    tile([(0.0, 1.0)] * 2, 0.25)
+
+
+_, _LAT_K, _BINDING = build_lattices(a=0.1, R_k=0.2, extent=3,
+                                     Z=LorentzTransform.identity())
+
+
+@pytest.mark.parametrize(("call", "error", "message"), [
+    pytest.param(lambda mp: photon_residual(
+        _zero_field(HypercubicLattice(spacing=0.1, extent=3)),
+        _zero_field(HypercubicLattice(spacing=0.2, extent=3))),
+        DomainError, "fields must live on the same lattice",
+        id="photon_residual-two-lattices"),
+    pytest.param(lambda mp: transform_field("charge", _zero_field(_LAT_K), _BINDING),
+                 DomainError, "unknown transform kind 'charge'",
+                 id="transform_field-kind"),
+    pytest.param(lambda mp: transform_field("current", np.zeros((3,) * 4 + (4,)),
+                                            _BINDING),
+                 TypeError, "field must be a LatticeField or ReflectorField",
+                 id="transform_field-non-field"),
+    pytest.param(lambda mp: HypercubicLattice(spacing=0.1, extent=(3, 3, 3)),
+                 DomainError, "extent and origin must have 4 axes, got (3, 3, 3) "
+                 "and (0.0, 0.0, 0.0, 0.0)", id="HypercubicLattice-extent"),
+    pytest.param(lambda mp: HypercubicLattice(spacing=0.1, extent=3,
+                                              origin=(0.0, 0.0)),
+                 DomainError, "extent and origin must have 4 axes, got 3 "
+                 "and (0.0, 0.0)", id="HypercubicLattice-origin"),
+    pytest.param(lambda mp: tile([(0.0, 1.0)] * 3, 0.25),
+                 DomainError, "pure tiling needs a 2-d domain, got "
+                 "((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))", id="tile-domain"),
+    pytest.param(_overlapping_tile, InfeasibleCoverage,
+                 "tiling overlaps by 2.500e-01", id="tile-overlap"),
+    pytest.param(lambda mp: assign_boundary_point((0.0, 0.0), []),
+                 DomainError, "need at least one candidate roundel",
+                 id="assign_boundary_point-none"),
+    pytest.param(lambda mp: fit_loglog([1.0, 2.0], [1.0, 2.0, 3.0]),
+                 DomainError, "xs and ys must be 1-d arrays of equal length",
+                 id="fit_loglog-shape"),
+    pytest.param(lambda mp: fit_loglog([[1.0, 2.0]], [[1.0, 2.0]]),
+                 DomainError, "xs and ys must be 1-d arrays of equal length",
+                 id="fit_loglog-2d"),
+    pytest.param(lambda mp: fit_loglog([1.0], [2.0]),
+                 DomainError, "need at least two points to fit a slope, got 1",
+                 id="fit_loglog-size"),
+    pytest.param(lambda mp: LPoint(x0=0.0, r=-1.0, theta=0.0, x3=0.0),
+                 DomainError, "radial coordinate must be nonnegative, got -1.0",
+                 id="LPoint-r"),
+    # a check mode is the program's own choice: a bug, not a domain error
+    pytest.param(lambda mp: RunReport("tile", 0, "").check("c", 1.0, 1.0, 0.0,
+                                                           mode="near"),
+                 ValueError, "unknown check mode 'near'", id="RunReport.check-mode"),
+])
+def test_input_check_names_the_input(monkeypatch, call, error, message):
+    with pytest.raises(Exception) as info:
+        call(monkeypatch)
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -121,14 +121,14 @@ class _LimitRow:
     nl: float
 
 
-def _ref_scaling_sweep(template, radii, T, kind="pure", reference_R=1.0):
+def _ref_scaling_sweep(template, radii, T, kind="pure"):
     dim = 2 if kind == "pure" else 3
     radii = sorted(float(R) for R in radii)
     n = template.n
     rows = []
     for R in radii:
-        mB = template.m * reference_R / R
-        eB = abs(template.e) * reference_R / R
+        mB = template.m / R
+        eB = abs(template.e) / R
         u = n * n / math.sqrt((mB * R) ** 2 + n * n)
         f = u / eB
         A = f / R
@@ -147,12 +147,12 @@ def _ref_scaling_sweep(template, radii, T, kind="pure", reference_R=1.0):
     return rows, slopes, expected, any(f.low_confidence for f in slopes.values())
 
 
-def _ref_limit_sweep(p, spacings, n=1, T=1.0, J0=1.0):
+def _ref_limit_sweep(p, spacings, n=1, T=1.0):
     spacings = sorted(float(a) for a in spacings)
     rows = []
     for a in spacings:
         R_k = a ** p
-        A = (4.0 * math.pi / 3.0) * a * a * J0
+        A = (4.0 * math.pi / 3.0) * a * a
         f = a * A
         nl = (T / (2.0 * a)) ** 3
         eBa = nl * f
@@ -162,7 +162,7 @@ def _ref_limit_sweep(p, spacings, n=1, T=1.0, J0=1.0):
             raise SupercriticalCoupling(
                 f"|eB*f| = {u} >= n = {n} at spacing a = {a}")
         M = n * n * math.sqrt(1.0 - (u / n) ** 2) / (R_k * u)
-        rows.append(_LimitRow(a=a, R_k=R_k, J=J0, A=A, f=f, eB=eB, eBa=eBa,
+        rows.append(_LimitRow(a=a, R_k=R_k, J=1.0, A=A, f=f, eB=eB, eBa=eBa,
                               M=M, nl=nl))
     expected = dict(LIMIT_EXPONENTS)
     expected["M"] = -(3.0 + p)
@@ -220,23 +220,19 @@ class TestSweepOracle:
            n=st.integers(1, 4),
            m=st.floats(1e-3, 100.0),
            radii=_ABSCISSAE,
-           T=st.floats(0.05, 20.0),
-           reference_R=st.sampled_from([1.0, 0.5, 3.0]))
-    def test_scaling_sweep_matches_rows(self, kind, e, f, n, m, radii, T,
-                                        reference_R):
+           T=st.floats(0.05, 20.0))
+    def test_scaling_sweep_matches_rows(self, kind, e, f, n, m, radii, T):
         template = BohrInput(e=e, f=f, n=n, m=m)
-        _assert_same_sweep(
-            _outcome(scaling_sweep, template, radii, T, kind, reference_R),
-            _outcome(_ref_scaling_sweep, template, radii, T, kind, reference_R),
-            _ScalingRow)
+        _assert_same_sweep(_outcome(scaling_sweep, template, radii, T, kind),
+                           _outcome(_ref_scaling_sweep, template, radii, T, kind),
+                           _ScalingRow)
 
     @settings(max_examples=150, deadline=None)
     @given(p=st.floats(0.1, 4.0),
            spacings=_ABSCISSAE,
            n=st.integers(1, 4),
-           T=st.floats(0.05, 20.0),
-           J0=st.floats(1e-3, 10.0))
-    def test_limit_sweep_matches_rows(self, p, spacings, n, T, J0):
-        _assert_same_sweep(_outcome(limit_sweep, p, spacings, n, T, J0),
-                           _outcome(_ref_limit_sweep, p, spacings, n, T, J0),
+           T=st.floats(0.05, 20.0))
+    def test_limit_sweep_matches_rows(self, p, spacings, n, T):
+        _assert_same_sweep(_outcome(limit_sweep, p, spacings, n, T),
+                           _outcome(_ref_limit_sweep, p, spacings, n, T),
                            _LimitRow)

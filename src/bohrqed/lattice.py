@@ -4,11 +4,10 @@ Two hypercubic lattices: a compromise-frame lattice with half-interval
 ``R_k`` (site separation ``2 R_k``) and a snapshot-frame lattice with
 half-interval ``a``, related by a translation, a scaling ``R_k -> a``
 and a Lorentz transform ``Z``.  First derivatives are one-sided
-backward differences over one full site interval (forward and central
-ones are available for convergence studies).  The second-order wave
-operator of ``DD A = J`` composes a backward with a forward difference
-per axis: the one 3-point stencil (exact on quadratics) of the photon
-residual, which reads the source at the sites.
+backward differences over one full site interval; the second-order wave
+operator composes a backward with a forward difference per axis, giving
+the standard 3-point stencil (exact on quadratics).  A central mode is
+available for convergence studies.
 
 Field values are biquaternions seen as ``(*extent, 4)`` complex arrays
 and stored component-major: one C-contiguous ``(4, *extent)`` block of
@@ -24,8 +23,8 @@ read wrapped neighbours; norms and finiteness tests run over whole slices,
 and only reductions read the interior (the sites with a full stencil).
 Basis units act by signed permutation (times ``i`` on time); a report,
 the max of per-slab maxima, is the whole-array value.
-:func:`limit_sweep` tabulates the bare variables of a unit source as the
-spacing shrinks and fits their power laws as a :class:`~bohrqed.fitting.Sweep`.
+:func:`limit_sweep` tabulates the bare variables as the spacing shrinks
+and fits their power laws as a :class:`~bohrqed.fitting.Sweep`.
 """
 
 from __future__ import annotations
@@ -259,10 +258,10 @@ def build_lattices(a: float, R_k: float, extent, Z: LorentzTransform,
 # Discrete differentials
 # ---------------------------------------------------------------------------
 
-#: Sites without a full stencil at the low and high end of every axis, for
-#: the first-order differences and ``composed``, the wave operator's stencil.
+#: Sites without a full stencil at the low and high end of every axis.
 _FIRST_ORDER = {"backward": (1, 0), "forward": (0, 1), "central": (1, 1)}
-_MODES = {**_FIRST_ORDER, "composed": (1, 1)}
+_WAVE_ORDER = {"composed": (1, 1), "onesided": (2, 0)}
+_MODES = {**_FIRST_ORDER, **_WAVE_ORDER}
 
 
 #: Bytes of one field's slab.  A slab's temporaries are a few times its
@@ -320,16 +319,17 @@ def _stencil(P: np.ndarray, axis: int, step: float, mode: str, box,
              out: np.ndarray) -> np.ndarray:
     """The ``mode`` difference along ``axis`` of the planes ``P`` on ``box``'s
     time slices into ``out``, each term a ``_shift``; ``composed`` is backward
-    then forward, the 3-point stencil.  Numpy divides by a real ``h`` as
-    ``(re + im*0) * (1/h)`` (Smith's method), so scaling the float view by
-    ``1/h`` differs only in zero signs and NaN."""
+    then forward (the 3-point stencil), ``onesided`` backward twice.  Numpy
+    divides by a real ``h`` as ``(re + im*0) * (1/h)`` (Smith's method), so
+    scaling the float view by ``1/h`` differs only in zero signs and NaN."""
     at = functools.partial(_shift, P, box, axis)
-    if mode == "composed":  # (a - 2b + c) / h² at offsets +1, 0, -1
-        np.subtract(at(1), np.multiply(2.0, at(0), out=out), out=out)
-        out += at(-1)
+    # offsets -lo..hi, in the order of (a - b) / h, (a - 2b + c) / h²
+    lo, hi = _MODES[mode]
+    if mode in _WAVE_ORDER:
+        np.subtract(at(hi), np.multiply(2.0, at(hi - 1), out=out), out=out)
+        out += at(hi - 2)
         scale = 1 / step ** 2
-    else:  # (a - b) / h at offsets hi, -lo
-        lo, hi = _FIRST_ORDER[mode]
+    else:
         np.subtract(at(hi), at(-lo), out=out)
         scale = 1 / ((lo + hi) * step)
     np.multiply(out.view(float), scale, out=out.view(float))
@@ -362,7 +362,7 @@ def _row(terms, P: np.ndarray, acc: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dirac(P: np.ndarray, step: float, box, bufs, mode: str, dagger: bool = False,
+def _dirac(P: np.ndarray, step: float, mode: str, box, bufs, dagger: bool = False,
            basis: Sequence[Biquaternion] | None = None) -> np.ndarray:
     """``sum_mu basis[mu] * d_mu P`` on ``box``, axis terms in order, added
     into the first of ``bufs`` from zero; the other two buffers hold a
@@ -380,30 +380,29 @@ def _dirac(P: np.ndarray, step: float, box, bufs, mode: str, dagger: bool = Fals
     return out
 
 
-def _wave(P: np.ndarray, step: float, box, bufs) -> np.ndarray:
+def _wave(P: np.ndarray, step: float, mode: str, box, bufs) -> np.ndarray:
     """``-d0² + d1² + d2² + d3²`` of the planes ``P`` on ``box`` into the
-    first of ``bufs``, ``composed`` on each axis; the second holds each
-    axis's difference."""
+    first of ``bufs``; the second holds each axis's difference."""
     out, diff = bufs
-    np.negative(_stencil(P, 0, step, "composed", box, out), out=out)
+    np.negative(_stencil(P, 0, step, mode, box, out), out=out)
     for mu in range(1, 4):
-        out += _stencil(P, mu, step, "composed", box, diff)
+        out += _stencil(P, mu, step, mode, box, diff)
     return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite output says it
 def _padded(kernel, values, lattice: HypercubicLattice, mode: str, modes,
             count: int, *args) -> np.ndarray:
-    """``kernel(planes, step, box, bufs, *args)`` applied to raw field values,
-    as C-contiguous planes, on every slab of ``mode``'s interior, with
-    ``count`` buffers; NaN outside it."""
+    """``kernel`` applied to raw field values, as C-contiguous planes, on every
+    slab of ``mode``'s interior, with ``count`` buffers; NaN outside it."""
     if np.shape(values) != lattice.extent + (4,):
         raise DomainError(f"values shape {np.shape(values)} does not match "
                           f"lattice extent {lattice.extent} + (4,)")
     P = np.ascontiguousarray(_planes(values))
     out = np.full((4,) + lattice.extent, np.nan + 0j)
     for box, bufs in _walk(lattice.extent, count, mode, modes):
-        out[(..., *box)] = _inner(kernel(P, lattice.step, box, bufs, *args), box)
+        out[(..., *box)] = _inner(kernel(P, lattice.step, mode, box, bufs, *args),
+                                  box)
     return np.moveaxis(out, 0, -1)
 
 
@@ -412,15 +411,19 @@ def dirac_apply_values(values: np.ndarray, lattice: HypercubicLattice,
                        basis: Sequence[Biquaternion] | None = None,
                        ) -> np.ndarray:
     """Apply ``D`` (or ``D‡``) to raw field values; NaN outside the stencil."""
-    return _padded(_dirac, values, lattice, mode, _FIRST_ORDER, 3,
-                   mode, dagger, basis)
+    return _padded(_dirac, values, lattice, mode, _FIRST_ORDER, 3, dagger, basis)
 
 
-def wave_apply(values: np.ndarray, lattice: HypercubicLattice) -> np.ndarray:
-    """The scalar second-order operator ``-d0² + d1² + d2² + d3²``, a
-    backward and a forward difference per axis (the 3-point stencil); NaN
-    outside the stencil."""
-    return _padded(_wave, values, lattice, "composed", _MODES, 2)
+def wave_apply(values: np.ndarray, lattice: HypercubicLattice,
+               mode: str = "composed") -> np.ndarray:
+    """The scalar second-order operator ``-d0² + d1² + d2² + d3²``; NaN
+    outside the stencil.
+
+    ``composed`` pairs a backward with a forward difference per axis
+    (the 3-point stencil); ``onesided`` repeats the backward difference,
+    which is the fully one-sided variant.
+    """
+    return _padded(_wave, values, lattice, mode, _WAVE_ORDER, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -451,20 +454,33 @@ def _maxima(rows, checked: int) -> list[float]:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # raised as typed errors
-def photon_residual(A: LatticeField, J: LatticeField) -> ResidualReport:
-    """Max interior residual of the lattice photon equation ``DD A = J``,
-    the 3-point wave stencil of ``A`` against the source at each site.
+def photon_residual(A: LatticeField, J: LatticeField, mode: str = "composed",
+                    collocation: str = "site") -> ResidualReport:
+    """Max interior residual of the lattice photon equation ``DD A = J``.
 
     The operator acts componentwise (products of the operator reflector
     are diagonal and scalar), so the reflector-form and componentwise
-    residuals coincide.
+    residuals coincide.  ``collocation="half-point"`` averages the
+    source over the backward half-interval neighbors instead of reading
+    it at sites.
     """
     if A.lattice != J.lattice:
         raise DomainError("fields must live on the same lattice")
+    if collocation not in ("site", "half-point"):
+        raise DomainError(f"unknown collocation {collocation!r}")
     a, j = _planes(A.values), _planes(J.values)
     rows = []
-    for box, bufs in _walk(A.lattice.extent, 2, "composed"):
-        lhs, rhs = _wave(a, A.lattice.step, box, bufs), j[:, box[0]]
+    for box, (lhs, diff, rhs) in _walk(A.lattice.extent, 3, mode, _WAVE_ORDER):
+        _wave(a, A.lattice.step, mode, box, (lhs, diff))
+        if collocation == "half-point":
+            shifted = np.add(0, _shift(j, box, 0, -1), out=diff)
+            for mu in range(1, 4):
+                shifted += _shift(j, box, mu, -1)
+            shifted /= 4.0
+            np.add(np.multiply(0.5, j[:, box[0]], out=rhs),
+                   np.multiply(0.5, shifted, out=shifted), out=rhs)
+        else:
+            rhs = j[:, box[0]]
         scales = _max_norm(rhs, box), _max_norm(lhs, box)
         lhs -= rhs
         rows.append((_max_norm(lhs, box), *scales))
@@ -502,7 +518,7 @@ def dirac_residual(phi: ReflectorField, A: LatticeField | Biquaternion, e: float
 
     def row(box, bufs, psi, chi, dagger: bool) -> float:
         """One equation's max on ``box``; ``chi`` is ``psi``'s mass partner."""
-        r = _dirac(psi, step, box, bufs, mode, dagger)
+        r = _dirac(psi, step, mode, box, bufs, dagger)
         prod = bufs[1]  # the difference is spent
         r -= np.multiply(1j * e, bq_mul_planes(a[:, box[0]], psi[:, box[0]],
                                                prod, bufs[2][0]), out=prod)
@@ -620,7 +636,8 @@ class EquivalenceReport:
 
 @np.errstate(over="ignore", invalid="ignore")  # raised as typed errors
 def equivalence_check(binding: RegionBinding, A_k: LatticeField,
-                      J_k: LatticeField) -> EquivalenceReport:
+                      J_k: LatticeField, mode: str = "composed",
+                      ) -> EquivalenceReport:
     """The photon equation holds on the snapshot lattice iff it holds on
     the compromise lattice.
 
@@ -636,8 +653,8 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
         raise DomainError("A_k and J_k must live on binding.lattice_k")
     extent = binding.lattice_k.extent
     a_k, j_k = _planes(A_k.values), _planes(J_k.values)
-    slabs = _walk(extent, 3, "composed")
-    lo, hi = _MODES["composed"]
+    slabs = _walk(extent, 3, mode, _WAVE_ORDER)
+    lo, hi = _WAVE_ORDER[mode]
     # the snapshot potential on slices start.. of the slab and its axis-0
     # halo; the halo comes over from the last slab, so each slice of A_k is
     # carried once, up to ``done``
@@ -657,7 +674,7 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
     rows = []
     for slab, (resid_k, resid_p, diff) in slabs:
         t0, t1 = slab[0].start, slab[0].stop
-        _wave(a_k, binding.lattice_k.step, slab, (resid_k, diff))
+        _wave(a_k, binding.lattice_k.step, mode, slab, (resid_k, diff))
         resid_k -= j_k[:, slab[0]]
         shift, start = t0 - lo - start, t0 - lo
         for t in range(done - start):  # plane by plane, slice by slice: the
@@ -666,7 +683,7 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
         for t in range(done, t1 + hi):
             carried(a_k[:, t:t + 1], window[:, t - start:t - start + 1], "potential")
         done = t1 + hi
-        _wave(window, binding.lattice_p.step,
+        _wave(window, binding.lattice_p.step, mode,
               (slice(lo, lo + t1 - t0),) + slab[1:], (resid_p, diff))
         scale = _max_norm(resid_p, slab)
         resid_p -= carried(j_k[:, slab[0]], diff, "current", slab)
@@ -693,10 +710,10 @@ _LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max
 
 
 def limit_sweep(p: float, spacings: Sequence[float], n: int = 1,
-                T: float = 1.0) -> Sweep:
-    """Shrink the snapshot spacing with ``R_k = a**p`` and a fixed unit source.
+                T: float = 1.0, J0: float = 1.0) -> Sweep:
+    """Shrink the snapshot spacing with ``R_k = a**p`` and a fixed source.
 
-    The unit current makes the potential scale like ``a²`` and the
+    A unit-order current makes the potential scale like ``a²`` and the
     site charge like ``a³``; normalizing over a cube of side T keeps the
     bare charges finite while the global mass magnitude blows up as
     ``a**-(3+p)``.  The columns are ``a, R_k, J, A, f, eB, eBa, M, nl``.
@@ -705,6 +722,7 @@ def limit_sweep(p: float, spacings: Sequence[float], n: int = 1,
     """
     positive("exponent p", p)
     positive("box side T", T)
+    positive("source current J0", J0)
     whole("quantum number n", n, 1)
 
     def row(a: float) -> dict:
@@ -712,7 +730,7 @@ def limit_sweep(p: float, spacings: Sequence[float], n: int = 1,
             raise DomainError(f"R_k = a**p leaves the normal float range at "
                               f"a = {a}, p = {p}")
         R_k = a ** p
-        A = (4.0 * math.pi / 3.0) * a * a
+        A = (4.0 * math.pi / 3.0) * a * a * J0
         f = a * A
         nl = (T / (2.0 * a)) ** 3
         eBa = nl * f
@@ -722,7 +740,7 @@ def limit_sweep(p: float, spacings: Sequence[float], n: int = 1,
             raise SupercriticalCoupling(
                 f"|eB*f| = {u} >= n = {n} at spacing a = {a}")
         M = n * n * math.sqrt(1.0 - (u / n) ** 2) / (R_k * u)
-        return {"a": a, "R_k": R_k, "J": 1.0, "A": A, "f": f, "eB": eB,
+        return {"a": a, "R_k": R_k, "J": J0, "A": A, "f": f, "eB": eB,
                 "eBa": eBa, "M": M, "nl": nl}
 
     expected = dict(LIMIT_EXPONENTS)

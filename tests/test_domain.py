@@ -198,6 +198,10 @@ _, _LAT_K, _BINDING = build_lattices(a=0.1, R_k=0.2, extent=3,
         _zero_field(HypercubicLattice(spacing=0.2, extent=3))),
         DomainError, "fields must live on the same lattice",
         id="photon_residual-two-lattices"),
+    pytest.param(lambda mp: photon_residual(_zero_field(_LAT_K), _zero_field(_LAT_K),
+                                            collocation="edge"),
+                 DomainError, "unknown collocation 'edge'",
+                 id="photon_residual-collocation"),
     pytest.param(lambda mp: transform_field("charge", _zero_field(_LAT_K), _BINDING),
                  DomainError, "unknown transform kind 'charge'",
                  id="transform_field-kind"),

@@ -147,12 +147,12 @@ def _ref_scaling_sweep(template, radii, T, kind="pure"):
     return rows, slopes, expected, any(f.low_confidence for f in slopes.values())
 
 
-def _ref_limit_sweep(p, spacings, n=1, T=1.0):
+def _ref_limit_sweep(p, spacings, n=1, T=1.0, J0=1.0):
     spacings = sorted(float(a) for a in spacings)
     rows = []
     for a in spacings:
         R_k = a ** p
-        A = (4.0 * math.pi / 3.0) * a * a
+        A = (4.0 * math.pi / 3.0) * a * a * J0
         f = a * A
         nl = (T / (2.0 * a)) ** 3
         eBa = nl * f
@@ -162,7 +162,7 @@ def _ref_limit_sweep(p, spacings, n=1, T=1.0):
             raise SupercriticalCoupling(
                 f"|eB*f| = {u} >= n = {n} at spacing a = {a}")
         M = n * n * math.sqrt(1.0 - (u / n) ** 2) / (R_k * u)
-        rows.append(_LimitRow(a=a, R_k=R_k, J=1.0, A=A, f=f, eB=eB, eBa=eBa,
+        rows.append(_LimitRow(a=a, R_k=R_k, J=J0, A=A, f=f, eB=eB, eBa=eBa,
                               M=M, nl=nl))
     expected = dict(LIMIT_EXPONENTS)
     expected["M"] = -(3.0 + p)
@@ -231,8 +231,9 @@ class TestSweepOracle:
     @given(p=st.floats(0.1, 4.0),
            spacings=_ABSCISSAE,
            n=st.integers(1, 4),
-           T=st.floats(0.05, 20.0))
-    def test_limit_sweep_matches_rows(self, p, spacings, n, T):
-        _assert_same_sweep(_outcome(limit_sweep, p, spacings, n, T),
-                           _outcome(_ref_limit_sweep, p, spacings, n, T),
+           T=st.floats(0.05, 20.0),
+           J0=st.floats(1e-3, 10.0))
+    def test_limit_sweep_matches_rows(self, p, spacings, n, T, J0):
+        _assert_same_sweep(_outcome(limit_sweep, p, spacings, n, T, J0),
+                           _outcome(_ref_limit_sweep, p, spacings, n, T, J0),
                            _LimitRow)

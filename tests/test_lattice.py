@@ -257,7 +257,7 @@ class TestImmutability:
                         + 1j * grids[2] * grids[3] + 2.0 * grids[3])
         inner = dirac_apply_values(vals, lat, dagger=True, mode="backward")
         outer = dirac_apply_values(inner, lat, dagger=False, mode="forward")
-        direct = wave_apply(vals, lat)
+        direct = wave_apply(vals, lat, mode="composed")
         diff = interior_view(outer - direct, "composed")
         scale = np.nanmax(bq_frobenius_arr(interior_view(direct, "composed")))
         assert np.nanmax(bq_frobenius_arr(diff)) < 1e-12 * max(scale, 1.0)
@@ -268,16 +268,17 @@ class TestImmutability:
 
 
 class TestWaveOperator:
-    def test_exact_on_quadratics(self):
+    @pytest.mark.parametrize("mode", ["composed", "onesided"])
+    def test_exact_on_quadratics(self, mode):
         lat = small_lattice(spacing=0.17)
         grids = lat.coordinate_grids()
         vals = np.zeros(lat.extent + (4,), dtype=complex)
         vals[..., 0] = (2.0 * grids[1] ** 2 - 0.5 * grids[0] ** 2
                         + grids[3] * 1.0 + 4.0)
-        out = wave_apply(vals, lat)
+        out = wave_apply(vals, lat, mode=mode)
         # -d0^2 + d1^2 applied: -(-1.0) + 4.0 = 5.0
         want = 5.0
-        interior = interior_view(out, "composed")
+        interior = interior_view(out, mode)
         assert np.allclose(interior[..., 0], want, atol=1e-11)
 
 
@@ -325,6 +326,33 @@ class TestPhotonResidual:
                                   LatticeField(lat, src))
             residuals.append(rep.max_residual)
         assert fit_loglog(spacings, residuals).slope > 1.9
+
+    def test_onesided_convergence_order_one(self):
+        spacings = [0.2, 0.1, 0.05, 0.025]
+        residuals = []
+        for h in spacings:
+            lat = HypercubicLattice(spacing=h, extent=(12, 12, 3, 3))
+            grids = lat.coordinate_grids()
+            vals = np.zeros(lat.extent + (4,), dtype=complex)
+            vals[..., 0] = np.exp(1j * (0.9 * grids[1] - 0.5 * grids[0]))
+            src = (0.5**2 - 0.9**2) * vals
+            rep = photon_residual(LatticeField(lat, vals),
+                                  LatticeField(lat, src), mode="onesided")
+            residuals.append(rep.max_residual)
+        slope = fit_loglog(spacings, residuals).slope
+        assert 0.9 < slope < 1.5
+
+    def test_half_point_collocation_constant_source(self):
+        lat = small_lattice(spacing=0.2)
+        grids = lat.coordinate_grids()
+        vals = np.zeros(lat.extent + (4,), dtype=complex)
+        vals[..., 0] = 1.5 * grids[2] ** 2
+        src = np.zeros_like(vals)
+        src[..., 0] = 3.0
+        a = photon_residual(LatticeField(lat, vals), LatticeField(lat, src))
+        b = photon_residual(LatticeField(lat, vals), LatticeField(lat, src),
+                            collocation="half-point")
+        assert b.max_residual == pytest.approx(a.max_residual, abs=1e-12)
 
 
 class TestDiracResidual:
@@ -682,6 +710,13 @@ class TestEquivalence:
             with pytest.raises(ValueError, match="lattice_k"):
                 equivalence_check(binding, *pair)
 
+    @pytest.mark.parametrize("mode", ["backward", "bogus"])
+    def test_unknown_mode_raises(self, mode):
+        _, latk, binding = build_lattices(a=0.1, R_k=0.2, extent=(4, 4, 4, 4),
+                                          Z=LorentzTransform.identity())
+        with pytest.raises(ValueError, match="unknown difference mode"):
+            equivalence_check(binding, *self.exact_pair(latk), mode=mode)
+
     @pytest.mark.parametrize("Z", [
         LorentzTransform.identity(),
         LorentzTransform.rotation([0, 0, 1], math.pi / 2),
@@ -755,7 +790,7 @@ class TestLimitSweep:
 
     def test_supercritical_propagates(self):
         with pytest.raises(SupercriticalCoupling):
-            limit_sweep(1.0, [0.5, 1.0], T=10.0)
+            limit_sweep(1.0, [0.5, 1.0], T=10.0, J0=10.0)
 
     def test_two_point_low_confidence(self):
         res = limit_sweep(1.0, [1e-3, 1e-1])
@@ -771,12 +806,14 @@ class TestLimitSweep:
         # zero and infinity used to raise ZeroDivisionError, NaN and
         # negative values to fail in the log-log fit
         ({"T": 0.0}, "box side T must be finite and positive, got 0.0"),
-        ({"p": 0.0}, "exponent p must be finite and positive, got 0.0"),
+        ({"J0": 0.0}, "source current J0 must be finite and positive, got 0.0"),
         ({"p": math.inf}, "exponent p must be finite and positive, got inf"),
         ({"T": math.nan}, "box side T must be finite and positive, got nan"),
         ({"T": -1.0}, "box side T must be finite and positive, got -1.0"),
-        ({"p": math.nan}, "exponent p must be finite and positive, got nan"),
-        ({"p": -2.0}, "exponent p must be finite and positive, got -2.0"),
+        ({"J0": math.nan},
+         "source current J0 must be finite and positive, got nan"),
+        ({"J0": -2.0},
+         "source current J0 must be finite and positive, got -2.0"),
         ({"spacings": [0.01, math.inf]},
          "spacings must be finite and positive, got inf"),
         ({"spacings": [0.01, math.nan, -1.0]},
@@ -961,7 +998,7 @@ def _ref_slices(axis, sel):
 
 #: Sites without a full stencil at the low and high end of every axis.
 _MARGINS = {"backward": (1, 0), "forward": (0, 1), "central": (1, 1),
-            "composed": (1, 1)}
+            "composed": (1, 1), "onesided": (2, 0)}
 
 
 def _ref_interior(values, mode):
@@ -999,12 +1036,13 @@ def _ref_dirac_apply(values, lattice, dagger=False, mode="backward", basis=None)
     return out
 
 
-def _ref_wave_apply(values, lattice):
+def _ref_wave_apply(values, lattice, mode="composed"):
     h2 = lattice.step ** 2
     out = np.zeros(values.shape, dtype=complex)
     for mu in range(4):
         second = np.full_like(values, np.nan + 0j)
-        second[_ref_slices(mu, slice(1, -1))] = (
+        sel = slice(1, -1) if mode == "composed" else slice(2, None)
+        second[_ref_slices(mu, sel)] = (
             values[_ref_slices(mu, slice(2, None))]
             - 2.0 * values[_ref_slices(mu, slice(1, -1))]
             + values[_ref_slices(mu, slice(None, -2))]) / h2
@@ -1012,12 +1050,21 @@ def _ref_wave_apply(values, lattice):
     return out
 
 
-def _ref_photon_residual(A, J):
-    lhs, rhs = _ref_wave_apply(A.values, A.lattice), J.values
-    resid = bq_frobenius_arr(_ref_interior(lhs - rhs, "composed"))
-    scale = float(np.max(bq_frobenius_arr(_ref_interior(rhs, "composed"))))
+def _ref_photon_residual(A, J, mode="composed", collocation="site"):
+    lhs = _ref_wave_apply(A.values, A.lattice, mode=mode)
+    rhs = J.values
+    if collocation == "half-point":
+        shifted = np.zeros_like(rhs)
+        for mu in range(4):
+            back = np.full_like(rhs, np.nan + 0j)
+            back[_ref_slices(mu, slice(1, None))] = rhs[
+                _ref_slices(mu, slice(None, -1))]
+            shifted = shifted + back
+        rhs = 0.5 * rhs + 0.5 * (shifted / 4.0)
+    resid = bq_frobenius_arr(_ref_interior(lhs - rhs, mode))
+    scale = float(np.max(bq_frobenius_arr(_ref_interior(rhs, mode))))
     scale = max(scale, float(np.max(bq_frobenius_arr(
-        _ref_interior(lhs, "composed")))), 1e-300)
+        _ref_interior(lhs, mode)))), 1e-300)
     return ResidualReport(max_residual=float(resid.max()), field_scale=scale)
 
 
@@ -1038,16 +1085,15 @@ def _ref_dirac_residual(phi, a, e, m_k, mode="backward"):
                           field_scale=scale)
 
 
-def _ref_equivalence_check(binding, A_k, J_k):
-    lhs_k = _ref_wave_apply(A_k.values, binding.lattice_k)
+def _ref_equivalence_check(binding, A_k, J_k, mode="composed"):
+    lhs_k = _ref_wave_apply(A_k.values, binding.lattice_k, mode=mode)
     resid_k = lhs_k - J_k.values
     A_p = transform_field("potential", A_k, binding)
     J_p = transform_field("current", J_k, binding)
-    lhs_p = _ref_wave_apply(A_p.values, binding.lattice_p)
+    lhs_p = _ref_wave_apply(A_p.values, binding.lattice_p, mode=mode)
     resid_p = lhs_p - J_p.values
     factor = (binding.R_k / binding.a) ** 3
     expected_p = factor * binding.Z.apply_array(resid_k)
-    mode = "composed"
     mismatch = bq_frobenius_arr(_ref_interior(resid_p - expected_p, mode))
     scale = max(float(np.max(bq_frobenius_arr(_ref_interior(lhs_p, mode)))),
                 1e-300)
@@ -1079,15 +1125,82 @@ def _assert_interior_equal(got, want, mode):
 
 
 class TestInteriorStencilOracle:
-    """The interior kernels against the full-array reference, bitwise, on
-    random lattices; ``TestSlabOracle`` runs each case at every slab width."""
+    """The interior kernels against the full-array reference, bitwise."""
+
+    lattice = HypercubicLattice(spacing=0.13, extent=(5, 4, 6, 3),
+                                origin=(0.1, -0.3, 0.2, 0.0))
+
+    @pytest.mark.parametrize("dagger", [False, True])
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
+    def test_dirac_apply(self, mode, dagger):
+        vals = _random_values(np.random.default_rng(1), self.lattice)
+        _assert_interior_equal(
+            dirac_apply_values(vals, self.lattice, dagger=dagger, mode=mode),
+            _ref_dirac_apply(vals, self.lattice, dagger=dagger, mode=mode), mode)
+
+    @pytest.mark.parametrize("basis", sorted(CUSTOM_BASES))
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
+    def test_dirac_apply_custom_basis(self, mode, basis):
+        vals = _random_values(np.random.default_rng(2), self.lattice)
+        b = CUSTOM_BASES[basis]
+        _assert_interior_equal(
+            dirac_apply_values(vals, self.lattice, mode=mode, basis=b),
+            _ref_dirac_apply(vals, self.lattice, mode=mode, basis=b), mode)
+
+    @pytest.mark.parametrize("mode", ["composed", "onesided"])
+    def test_wave_apply(self, mode):
+        vals = _random_values(np.random.default_rng(3), self.lattice)
+        _assert_interior_equal(wave_apply(vals, self.lattice, mode=mode),
+                               _ref_wave_apply(vals, self.lattice, mode=mode),
+                               mode)
+
+    @pytest.mark.parametrize("collocation", ["site", "half-point"])
+    @pytest.mark.parametrize("mode", ["composed", "onesided"])
+    def test_photon_residual(self, mode, collocation):
+        rng = np.random.default_rng(5)
+        A = LatticeField(self.lattice, _random_values(rng, self.lattice))
+        J = LatticeField(self.lattice, _random_values(rng, self.lattice, 40.0))
+        assert (photon_residual(A, J, mode=mode, collocation=collocation)
+                == _ref_photon_residual(A, J, mode=mode, collocation=collocation))
+
+    @pytest.mark.parametrize("mode", ["composed", "onesided"])
+    def test_half_point_source_alone(self, mode):
+        # with A = 0 the residual is the largest collocated source value,
+        # so on a lattice of one or a few interior sites every last bit of
+        # the averaged source shows
+        lat = HypercubicLattice(spacing=0.3, extent=(3, 3, 4, 3))
+        zero = LatticeField(lat, np.zeros(lat.extent + (4,), dtype=complex))
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            J = LatticeField(lat, _random_values(rng, lat))
+            assert (photon_residual(zero, J, mode=mode, collocation="half-point")
+                    == _ref_photon_residual(zero, J, mode=mode,
+                                            collocation="half-point"))
+
+    @pytest.mark.parametrize("Z", [
+        LorentzTransform.identity(),
+        LorentzTransform.rotation([0, 0, 1], math.pi / 2),
+        LorentzTransform.from_parts([1, 2, 0.5], 0.4, [0, 1, 1], 0.9),
+    ])
+    @pytest.mark.parametrize("mode", ["composed", "onesided"])
+    def test_equivalence(self, mode, Z):
+        rng = np.random.default_rng(6)
+        _, latk, binding = build_lattices(a=0.1, R_k=0.23, extent=(5, 6, 4, 5),
+                                          Z=Z)
+        A = LatticeField(latk, _random_values(rng, latk))
+        J = LatticeField(latk, _random_values(rng, latk, 10.0))
+        assert (equivalence_check(binding, A, J, mode=mode)
+                == _ref_equivalence_check(binding, A, J, mode=mode))
 
     @given(extent=st.tuples(*[st.integers(3, 7)] * 4),
            spacing=st.floats(min_value=1e-3, max_value=10.0),
            seed=st.integers(0, 2**32 - 1),
-           first=st.sampled_from(["backward", "forward", "central"]))
+           first=st.sampled_from(["backward", "forward", "central"]),
+           second=st.sampled_from(["composed", "onesided"]),
+           collocation=st.sampled_from(["site", "half-point"]))
     @settings(max_examples=30, deadline=None)
-    def test_random_lattices(self, extent, spacing, seed, first):
+    def test_random_lattices(self, extent, spacing, seed, first, second,
+                             collocation):
         rng = np.random.default_rng(seed)
         lat = HypercubicLattice(spacing=spacing, extent=extent)
         vals = _random_values(rng, lat)
@@ -1095,22 +1208,24 @@ class TestInteriorStencilOracle:
             _assert_interior_equal(
                 dirac_apply_values(vals, lat, dagger=dagger, mode=first),
                 _ref_dirac_apply(vals, lat, dagger=dagger, mode=first), first)
-        _assert_interior_equal(wave_apply(vals, lat), _ref_wave_apply(vals, lat),
-                               "composed")
+        _assert_interior_equal(wave_apply(vals, lat, mode=second),
+                               _ref_wave_apply(vals, lat, mode=second), second)
         phi = ReflectorField(lat, vals, _random_values(rng, lat))
         pot = LatticeField(lat, _random_values(rng, lat))
         e, m = rng.normal(), rng.normal()
         assert (dirac_residual(phi, pot, e=e, mass=m, mode=first)
                 == _ref_dirac_residual(phi, pot.values, e, m, first))
         A, J = LatticeField(lat, vals), LatticeField(lat, phi.phi2)
-        assert photon_residual(A, J) == _ref_photon_residual(A, J)
+        assert (photon_residual(A, J, mode=second, collocation=collocation)
+                == _ref_photon_residual(A, J, mode=second,
+                                        collocation=collocation))
         _, latk, binding = build_lattices(
             a=spacing, R_k=spacing * rng.uniform(0.5, 2.0), extent=extent,
             Z=LorentzTransform.from_parts(rng.normal(size=3), rng.normal(),
                                           rng.normal(size=3), rng.normal()))
         A_k, J_k = LatticeField(latk, vals), LatticeField(latk, phi.phi2)
-        assert (equivalence_check(binding, A_k, J_k)
-                == _ref_equivalence_check(binding, A_k, J_k))
+        assert (equivalence_check(binding, A_k, J_k, mode=second)
+                == _ref_equivalence_check(binding, A_k, J_k, mode=second))
 
 
 class TestSiteLocalStencils:
@@ -1234,10 +1349,12 @@ class TestSlabOracle:
             dirac_apply_values(vals, self.lattice, mode=mode, basis=b),
             _ref_dirac_apply(vals, self.lattice, mode=mode, basis=b), mode)
 
-    def test_wave_apply(self):
+    @pytest.mark.parametrize("mode", ["composed", "onesided"])
+    def test_wave_apply(self, mode):
         (vals,) = self.fields(3, 1)
-        _assert_interior_equal(wave_apply(vals, self.lattice),
-                               _ref_wave_apply(vals, self.lattice), "composed")
+        _assert_interior_equal(wave_apply(vals, self.lattice, mode=mode),
+                               _ref_wave_apply(vals, self.lattice, mode=mode),
+                               mode)
 
     @pytest.mark.parametrize("dagger", [False, True])
     @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
@@ -1276,24 +1393,28 @@ class TestSlabOracle:
             assert (dirac_residual(field, pot, e=-0.8, mass=mass, mode=mode)
                     == _ref_dirac_residual(field, values, -0.8, mass, mode))
 
-    def test_photon_residual(self):
+    @pytest.mark.parametrize("collocation", ["site", "half-point"])
+    @pytest.mark.parametrize("mode", ["composed", "onesided"])
+    def test_photon_residual(self, mode, collocation):
         a_vals, j_vals = self.fields(6, 2)
         A = LatticeField(self.lattice, a_vals)
         J = LatticeField(self.lattice, j_vals)
-        assert photon_residual(A, J) == _ref_photon_residual(A, J)
+        assert (photon_residual(A, J, mode=mode, collocation=collocation)
+                == _ref_photon_residual(A, J, mode=mode, collocation=collocation))
 
     @pytest.mark.parametrize("Z", [
         LorentzTransform.identity(),
         LorentzTransform.rotation([0, 0, 1], math.pi / 2),
         LorentzTransform.boost([1, 0, 0], 0.9),
-        LorentzTransform.from_parts([1, 2, 0.5], 0.4, [0, 1, 1], 0.9),
-    ], ids=["identity", "rotation", "boost", "mixed"])
-    def test_equivalence(self, Z):
+    ], ids=["identity", "rotation", "boost"])
+    @pytest.mark.parametrize("mode", ["composed", "onesided"])
+    def test_equivalence(self, mode, Z):
         _, latk, binding = build_lattices(a=0.1, R_k=0.23,
                                           extent=self.lattice.extent, Z=Z)
         a_vals, j_vals = self.fields(7, 2)
         A, J = LatticeField(latk, a_vals), LatticeField(latk, j_vals)
-        assert equivalence_check(binding, A, J) == _ref_equivalence_check(binding, A, J)
+        assert (equivalence_check(binding, A, J, mode=mode)
+                == _ref_equivalence_check(binding, A, J, mode=mode))
 
     @pytest.mark.parametrize("reflector", [False, True])
     def test_write_field(self, tmp_path, reflector):
@@ -1466,15 +1587,16 @@ class TestReciprocalStep:
             want = _ref_unit_dirac(vals, self.lattice, mode)
         assert _reciprocal_differences(got, want, mode)[1] > 0
 
-    def test_wave_apply(self):
+    @pytest.mark.parametrize("mode", ["composed", "onesided"])
+    def test_wave_apply(self, mode):
         rng = np.random.default_rng(22)
         for vals, nan in ((_zero_laden(rng, self.lattice), False),
                           (self.overflowing(rng), True)):
             with np.errstate(all="raise"):
-                got = wave_apply(vals, self.lattice)
+                got = wave_apply(vals, self.lattice, mode)
             with np.errstate(over="ignore", invalid="ignore"):
-                want = _ref_wave_apply(vals, self.lattice)
-            assert (_reciprocal_differences(got, want, "composed")[1] > 0) == nan
+                want = _ref_wave_apply(vals, self.lattice, mode)
+            assert (_reciprocal_differences(got, want, mode)[1] > 0) == nan
 
     def test_residual_reports_unchanged(self):
         rng = np.random.default_rng(23)
@@ -1487,11 +1609,14 @@ class TestReciprocalStep:
                     == _ref_dirac_residual(phi, pot, 0.7, 1.1, mode))
         _, latk, binding = build_lattices(a=0.3, R_k=0.37, extent=lat.extent,
                                           Z=LorentzTransform.boost([0, 1, 0], 0.5))
-        A, source = LatticeField(lat, pot), LatticeField(lat, J)
-        assert photon_residual(A, source) == _ref_photon_residual(A, source)
-        A_k, J_k = LatticeField(latk, pot), LatticeField(latk, J)
-        assert (equivalence_check(binding, A_k, J_k)
-                == _ref_equivalence_check(binding, A_k, J_k))
+        for mode in ("composed", "onesided"):
+            A, source = LatticeField(lat, pot), LatticeField(lat, J)
+            for collocation in ("site", "half-point"):
+                assert (photon_residual(A, source, mode, collocation)
+                        == _ref_photon_residual(A, source, mode, collocation))
+            A_k, J_k = LatticeField(latk, pot), LatticeField(latk, J)
+            assert (equivalence_check(binding, A_k, J_k, mode)
+                    == _ref_equivalence_check(binding, A_k, J_k, mode))
 
     def test_infinite_value_leaks_no_warning(self):
         # the division warned "invalid value encountered in divide" at each

@@ -2,8 +2,7 @@
 
 A tiling covers a box with circles (pure state, 2-d) or spheres
 (superposition, 3-d) packed on a square/cubic grid of interval twice the
-radius; a quadtree/octree refinement handles position-dependent radii.
-Every point of the box must lie within ``c`` local radii of some roundel
+radius.  Every point of the box must lie within ``c`` radii of some roundel
 boundary, boundary points shared by several roundels are owned by the
 lexicographically smallest center, and as radii shrink the boundary set
 fills the box.  An :class:`Ensemble` is read-only arrays, per roundel (id,
@@ -49,7 +48,6 @@ __all__ = [
 
 _OVERLAP_TOL = 1e-12
 _BOUNDARY_TOL = 1e-9
-_MAX_DEPTH = 16
 # cell-list cells are this much wider than the largest diameter, so no
 # pair one diameter apart lands two cells apart through rounding
 _CELL_SLACK = 1e-9
@@ -72,6 +70,18 @@ class Roundel:
     def __post_init__(self):
         positive("roundel radius", self.R)
         finite("roundel center", *self.center)
+
+
+def _checked_domain(domain, kind: str) -> tuple[tuple[float, float], ...]:
+    """``domain`` as float pairs: one per axis of ``kind``, finite, lo < hi."""
+    dim = kind_dim(kind)
+    domain = tuple((float(lo), float(hi)) for lo, hi in domain)
+    if len(domain) != dim:
+        raise DomainError(f"{kind} tiling needs a {dim}-d domain, got {domain}")
+    if not all(-math.inf < lo < hi < math.inf for lo, hi in domain):
+        raise DomainError("domain bounds must be finite with positive extent "
+                          f"on every axis, got {domain}")
+    return domain
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +112,14 @@ class Ensemble:
         if not (np.isfinite(self.centers).all() and np.isfinite(self.radii).all()
                 and (self.radii > 0).all()):
             raise DomainError("roundel centers must be finite, radii finite and positive")
+        n = len(self.boundary)
+        shapes = {a.shape for a in (self.owners, self.boundary_regions)}
+        if (shapes != {(n,)} or self.boundary.shape != (n, dim)
+                or not np.isfinite(self.boundary).all()):
+            raise DomainError(f"{self.kind} boundary {self.boundary.shape} and owner arrays "
+                              f"{shapes} must be finite {dim}-d points, one owner each")
         finite("coverage slack c", self.c)
-        finite("domain bounds", *(x for axis in self.domain for x in axis))
+        object.__setattr__(self, "domain", _checked_domain(self.domain, self.kind))
 
     @property
     def dim(self) -> int:
@@ -173,52 +189,28 @@ def _owners_of(points: np.ndarray, centers: np.ndarray, radii: np.ndarray,
 
 
 def tile(domain: Sequence[tuple[float, float]],
-         R: float | Callable[[np.ndarray], float],
+         R: float,
          kind: str = "pure",
          c: float | None = None,
          charge: float = 0.0,
          boundary_samples: int = 8,
          seed: int = 0,
-         max_ratio: float = 4.0,
          verify: bool = True) -> Ensemble:
-    """Tile a box with touching roundels on a square/cubic packing.
+    """Tile a box with touching roundels of radius ``R`` on a square/cubic packing.
 
-    ``R`` may be a constant radius or a callable radius field evaluated at
-    cell centers; the callable case subdivides quadtree/octree style until
-    each leaf's inscribed roundel respects the requested local radius,
-    keeping the global radius ratio at most ``max_ratio`` (at least 1).  Raises
-    :class:`InfeasibleCoverage` when the result leaves some sampled point
-    farther than ``c`` local radii from every boundary.
+    Raises :class:`InfeasibleCoverage` when the result leaves some sampled
+    point farther than ``c`` radii from every boundary.
     """
     dim = kind_dim(kind)
-    domain = tuple((float(lo), float(hi)) for lo, hi in domain)
-    if len(domain) != dim:
-        raise DomainError(f"{kind} tiling needs a {dim}-d domain, got {domain}")
-    if not all(-math.inf < lo < hi < math.inf for lo, hi in domain):
-        raise DomainError("domain bounds must be finite with positive extent "
-                          f"on every axis, got {domain}")
+    domain = _checked_domain(domain, kind)
     whole("boundary_samples", boundary_samples, 1)
-    if not 1 <= max_ratio < math.inf:  # below 1 the split loop never ends
-        raise DomainError(f"max_ratio must be finite and at least 1, got {max_ratio}")
     if c is None:
         c = math.sqrt(dim)
     finite("coverage slack c", c)  # before the tiling work; Ensemble checks it again
     finite("roundel charge", charge)
+    positive("radius", R)
 
-    if callable(R):
-        centers, radii = _refine_cells(domain, R, dim)
-    else:
-        positive("radius", R)
-        centers, radii = _grid_cells(domain, float(R), dim)
-    while radii.max() / radii.min() > max_ratio:
-        # every cell past the ratio is replaced by its children, in place
-        split = radii > max_ratio * radii.min()
-        children = _split_cells(centers[split], radii[split], dim)
-        counts = np.where(split, 2 ** dim, 1)
-        centers, radii = np.repeat(centers, counts, axis=0), np.repeat(radii, counts)
-        child = np.repeat(split, counts)
-        centers[child], radii[child] = children
-
+    centers, radii = _grid_cells(domain, float(R))
     ids = np.arange(len(radii))
     pts = _boundary_samples(centers, radii, kind, boundary_samples, seed)
     ens = Ensemble(ids=ids, centers=centers, radii=radii,
@@ -238,7 +230,7 @@ def tile(domain: Sequence[tuple[float, float]],
     return ens
 
 
-def _grid_cells(domain, R, dim):
+def _grid_cells(domain, R):
     counts = np.floor([(hi - lo) / (2.0 * R) + 1e-9 for lo, hi in domain])
     if min(counts) < 1:
         raise InfeasibleCoverage(
@@ -248,38 +240,6 @@ def _grid_cells(domain, R, dim):
     centers = _mesh([lo + R + 2.0 * R * np.arange(n)
                      for (lo, _), n in zip(domain, counts)])
     return centers, np.full(len(centers), R)
-
-
-def _refine_cells(domain, radius_field, dim):
-    sides = [hi - lo for lo, hi in domain]
-    if max(sides) - min(sides) > 1e-9 * max(sides):
-        raise DomainError("radius-field tilings require a square/cubic domain")
-    root_center = np.array([(lo + hi) / 2.0 for lo, hi in domain])
-    root_h = sides[0] / 2.0
-    leaves = []
-    stack = [(root_center, root_h, 0)]
-    while stack:  # depth first, the last child first
-        center, h, depth = stack.pop()
-        want = float(radius_field(center))
-        positive("radius field", want)
-        if h <= want + 1e-12:
-            leaves.append((center, h))
-            continue
-        if depth >= _MAX_DEPTH:
-            raise InfeasibleCoverage(
-                "radius field demands subdivision beyond the depth limit")
-        stack.extend((ctr, hh, depth + 1)
-                     for ctr, hh in zip(*_split_cells(center[None], np.array([h]), dim)))
-    return np.array([ctr for ctr, _ in leaves]), np.array([h for _, h in leaves])
-
-
-def _split_cells(centers, radii, dim):
-    """The 2**dim quadtree/octree children of each cell, cell by cell and
-    within a cell in ``np.ndindex`` order of the axis signs (0 is minus)."""
-    signs = np.array(list(np.ndindex(*(2,) * dim)), dtype=float) * 2.0 - 1.0
-    half = np.repeat(radii / 2.0, len(signs))
-    return (np.repeat(centers, len(signs), axis=0)
-            + np.tile(signs, (len(radii), 1)) * half[:, None], half)
 
 
 def _mesh(axes) -> np.ndarray:

@@ -95,6 +95,8 @@ class HypercubicLattice:
         for e in ext:
             whole("extent", e, 3)
         finite("origin", *origin)
+        if self.frame not in ("snapshot", "compromise"):
+            raise DomainError(f"unknown lattice frame {self.frame!r}")
         object.__setattr__(self, "extent", tuple(int(e) for e in ext))
         object.__setattr__(self, "origin", origin)
 
@@ -710,10 +712,10 @@ _LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max
 
 
 def limit_sweep(p: float, spacings: Sequence[float], n: int = 1,
-                T: float = 1.0, J0: float = 1.0) -> Sweep:
+                T: float = 1.0) -> Sweep:
     """Shrink the snapshot spacing with ``R_k = a**p`` and a fixed source.
 
-    A unit-order current makes the potential scale like ``a²`` and the
+    A unit source current ``J`` makes the potential scale like ``a²`` and the
     site charge like ``a³``; normalizing over a cube of side T keeps the
     bare charges finite while the global mass magnitude blows up as
     ``a**-(3+p)``.  The columns are ``a, R_k, J, A, f, eB, eBa, M, nl``.
@@ -722,7 +724,6 @@ def limit_sweep(p: float, spacings: Sequence[float], n: int = 1,
     """
     positive("exponent p", p)
     positive("box side T", T)
-    positive("source current J0", J0)
     whole("quantum number n", n, 1)
 
     def row(a: float) -> dict:
@@ -730,7 +731,7 @@ def limit_sweep(p: float, spacings: Sequence[float], n: int = 1,
             raise DomainError(f"R_k = a**p leaves the normal float range at "
                               f"a = {a}, p = {p}")
         R_k = a ** p
-        A = (4.0 * math.pi / 3.0) * a * a * J0
+        A = (4.0 * math.pi / 3.0) * a * a
         f = a * A
         nl = (T / (2.0 * a)) ** 3
         eBa = nl * f
@@ -740,7 +741,7 @@ def limit_sweep(p: float, spacings: Sequence[float], n: int = 1,
             raise SupercriticalCoupling(
                 f"|eB*f| = {u} >= n = {n} at spacing a = {a}")
         M = n * n * math.sqrt(1.0 - (u / n) ** 2) / (R_k * u)
-        return {"a": a, "R_k": R_k, "J": J0, "A": A, "f": f, "eB": eB,
+        return {"a": a, "R_k": R_k, "J": 1.0, "A": A, "f": f, "eB": eB,
                 "eBa": eBa, "M": M, "nl": nl}
 
     expected = dict(LIMIT_EXPONENTS)
@@ -790,6 +791,8 @@ def read_field(path) -> LatticeField | ReflectorField:
         magic = fh.readline().split()
         if magic[:1] != ["bohrqed-field"]:
             raise DomainError(f"{path} is not a field file")
+        if magic[1:] != ["1"]:
+            raise DomainError(f"unknown field format {' '.join(magic[1:])!r} in {path}")
         header = dict(fh.readline().strip().partition(" ")[::2] for _ in range(5))
         missing = {"kind", "spacing", "extent", "origin", "frame"} - header.keys()
         if missing:
@@ -800,6 +803,8 @@ def read_field(path) -> LatticeField | ReflectorField:
             origin=tuple(float(t) for t in header["origin"].split()),
             frame=header["frame"])
         kind = header["kind"]
+        if kind not in ("reflector", "biquaternion"):
+            raise DomainError(f"unknown field kind {kind!r} in {path}")
         width = 8 if kind == "reflector" else 4
         rows = np.dtype([("site", np.intp, (4,)), ("values", complex, (width,))])
         body = fh.read()

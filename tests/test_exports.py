@@ -48,7 +48,7 @@ CONTRACT = {
          if f.name not in ("c", "domain")},
         dict(c=_ENSEMBLE.c, domain=_ENSEMBLE.domain)),
     "tile": (ensemble.tile, {},
-             dict(domain=_UNIT_SQUARE, R=0.25, c=1.5, charge=0.0, max_ratio=4.0)),
+             dict(domain=_UNIT_SQUARE, R=0.25, c=1.5, charge=0.0)),
     "count_interactions": (
         ensemble.count_interactions, dict(kind="pure"), dict(T=2.0, R=0.5)),
     "scaling_sweep": (
@@ -73,7 +73,7 @@ CONTRACT = {
     "renormalize_mass": (
         lattice.renormalize_mass, {}, dict(M_global=1.0, a=0.1, R_k=0.2)),
     "limit_sweep": (
-        lattice.limit_sweep, {}, dict(p=1.0, spacings=[0.1, 0.05], T=1.0, J0=1.0)),
+        lattice.limit_sweep, {}, dict(p=1.0, spacings=[0.1, 0.05], T=1.0)),
     "LPoint": (mspace.LPoint, {}, dict(x0=0.0, r=1.0, theta=0.5, x3=0.0)),
     "MPoint": (mspace.MPoint, {}, dict(x0=0.0, s=0.5, r=1.0, x3=0.0)),
     "RoundelSpec": (mspace.RoundelSpec, dict(center=_L), dict(R=0.25)),

@@ -790,7 +790,7 @@ class TestLimitSweep:
 
     def test_supercritical_propagates(self):
         with pytest.raises(SupercriticalCoupling):
-            limit_sweep(1.0, [0.5, 1.0], T=10.0, J0=10.0)
+            limit_sweep(1.0, [0.5, 1.0], T=10.0)
 
     def test_two_point_low_confidence(self):
         res = limit_sweep(1.0, [1e-3, 1e-1])
@@ -806,14 +806,12 @@ class TestLimitSweep:
         # zero and infinity used to raise ZeroDivisionError, NaN and
         # negative values to fail in the log-log fit
         ({"T": 0.0}, "box side T must be finite and positive, got 0.0"),
-        ({"J0": 0.0}, "source current J0 must be finite and positive, got 0.0"),
+        ({"p": -1.0}, "exponent p must be finite and positive, got -1.0"),
         ({"p": math.inf}, "exponent p must be finite and positive, got inf"),
         ({"T": math.nan}, "box side T must be finite and positive, got nan"),
         ({"T": -1.0}, "box side T must be finite and positive, got -1.0"),
-        ({"J0": math.nan},
-         "source current J0 must be finite and positive, got nan"),
-        ({"J0": -2.0},
-         "source current J0 must be finite and positive, got -2.0"),
+        ({"spacings": [0.0, 0.1]}, "spacings must be finite and positive, got 0.0"),
+        ({"spacings": [0.01, -0.1]}, "spacings must be finite and positive, got -0.1"),
         ({"spacings": [0.01, math.inf]},
          "spacings must be finite and positive, got inf"),
         ({"spacings": [0.01, math.nan, -1.0]},
@@ -917,6 +915,19 @@ class TestSerialization:
         path, lines = self.written_lines(tmp_path)
         path.write_text("\n".join(lines[:3]) + "\n")
         with pytest.raises(ValueError, match="header"):
+            read_field(path)
+
+    @pytest.mark.parametrize(("line", "text", "named"), [
+        (0, "bohrqed-field 7", "unknown field format '7'"),
+        (1, "kind banana", "unknown field kind 'banana'"),
+        (5, "frame banana", "unknown lattice frame 'banana'"),
+    ])
+    def test_unknown_header_value(self, tmp_path, line, text, named):
+        # each used to read, the unknown kind as a biquaternion field
+        path, lines = self.written_lines(tmp_path)
+        lines[line] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError, match=re.escape(named)):
             read_field(path)
 
 

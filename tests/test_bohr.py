@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from bohrqed import DomainError
 from bohrqed.bohr import (
     BohrInput,
+    LocalSolveResult,
     NonPositiveMass,
     SupercriticalCoupling,
     assemble_wavefunction,
@@ -286,6 +288,146 @@ class TestLocalSolve:
         assert (zero.degenerate, zero.branch, cubic_residual(zero)) == (True, None, 0.0)
         with pytest.raises(TypeError):
             replace(res, degenerate=True)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the scalar solve and residual, one grid point at a time
+# ---------------------------------------------------------------------------
+
+def _ref_local_solve_rho(A, e, m, n):
+    """The scalar ``local_solve_rho`` that the array kernel replaced."""
+    if not (math.isfinite(A) and math.isfinite(e) and math.isfinite(m)
+            and math.isfinite(n)):
+        raise DomainError(f"A, e, m and n must be finite, got {A}, {e}, {m}, {n}")
+    if m < 0:
+        raise NonPositiveMass(f"m must not be negative, got {m}")
+    if e * e == 0:
+        raise DomainError(f"e**2 must be nonzero (the density equation divides by "
+                          f"it), got e = {e}")
+    if int(n) != n or n < 1:
+        raise DomainError(f"n must be a positive integer, got {n}")
+    q = 4.0 * m * m / (e * e)
+    if not math.isfinite(q):
+        raise DomainError(f"4*m**2/e**2 must be finite, got {q} at e = {e}, m = {m}")
+    d = 3.0 / (4.0 * math.pi * n * n)
+    if A == 0:
+        return LocalSolveResult(rho=0.0, A=0.0, R=math.nan, f=math.nan,
+                                branch=None, d=d, e=e, m=m)
+    root = math.sqrt(A * A + q)
+    sign = 1.0 if A > 0 else -1.0
+    rho = (A * A * e * e * d / 2.0) * (A + sign * root)
+    if not math.isfinite(rho) or rho == 0:
+        raise DomainError(f"the density at A = {A} overflows or underflows")
+    R = math.sqrt(3.0 * A / (4.0 * math.pi * rho))
+    f = -A * R
+    branch = "positive-root" if A > 0 else "negative-root"
+    return LocalSolveResult(rho=rho, A=A, R=R, f=f, branch=branch, d=d, e=e, m=m)
+
+
+def _ref_cubic_residual(result):
+    """The scalar ``cubic_residual``, summed as ``(t0 + t1) + t2``: ``sum()``
+    of floats is compensated from Python 3.12 on."""
+    if result.degenerate:
+        return 0.0
+    A, rho, d, e, m = result.A, result.rho, result.d, result.e, result.m
+    try:
+        terms = (rho * rho / (d * e * e), -(A**3) * rho, -(m * m * d * A**4))
+    except (OverflowError, ZeroDivisionError):
+        terms = (math.inf,)
+    scale = max(abs(t) for t in terms)
+    if not sys.float_info.min <= scale < math.inf:
+        raise DomainError(f"the density equation at A = {A} leaves the normal "
+                          f"floating-point range, its largest term is {scale}")
+    t0, t1, t2 = terms
+    return abs((t0 + t1) + t2) / scale
+
+
+def _cli_grid(a_min, a_max, count, include_zero):
+    """The potentials ``bohrqed local-solve`` solves at, ascending."""
+    grid = np.linspace(a_min, a_max, count).tolist()
+    if include_zero and 0.0 not in grid:
+        grid.append(0.0)
+    return sorted(grid)
+
+
+def _outcome(solve, residual, grid, e, m, n):
+    """The columns of a point-by-point solve of ``grid``, or the error it
+    raises: every point is solved before any residual is taken."""
+    try:
+        results = [solve(A, e, m, n) for A in grid]
+        residuals = [residual(res) for res in results]
+    except DomainError as err:
+        return type(err), str(err)
+    columns = [[res.rho for res in results], [res.R for res in results],
+               [res.f for res in results], residuals]
+    return ([np.array(col, dtype=float).view(np.int64).tolist() for col in columns],
+            {res.d for res in results})
+
+
+def _scalar_outcome(grid, e, m, n):
+    return _outcome(local_solve_rho, cubic_residual, grid, e, m, n)
+
+
+def _ref_outcome(grid, e, m, n):
+    return _outcome(_ref_local_solve_rho, _ref_cubic_residual, grid, e, m, n)
+
+
+OUTCOMES = [pytest.param(_scalar_outcome, id="scalar")]
+
+#: (grid, e, m, n) whose point-by-point solve fails
+FAILING = {
+    "pow-overflow": ([1e100], 1.0, 1.0, 1),
+    "pow-overflow-negative": ([-1e100], 1.0, 1.0, 1),
+    "subnormal-scale": (_cli_grid(1e-80, 1e-79, 41, False), 1.0, 1.0, 1),
+    "coupling-overflow": (_cli_grid(-2.0, 2.0, 41, False), 1e-160, 1.0, 1),
+    "scale-underflow": ([0.0, 1e50], 1e-20, 1.0, 10**150),
+    "solve-after-residual": ([1e-80, 0.5, 1e100, 1e200, 1e-200], 1.0, 1.0, 1),
+    "nan-after-residual": ([1e100, math.nan], 1.0, 1.0, 1),
+    "negative-mass": ([math.inf, 1.0], 1.0, -1.0, 1),
+}
+
+
+class TestLocalSolveOracle:
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    @pytest.mark.parametrize("grid", [
+        pytest.param(_cli_grid(-2.0, 2.0, 20001, True), id="benchmark-20001"),
+        pytest.param(_cli_grid(-2.0, 2.0, 40, True), id="golden-40"),
+    ])
+    def test_cli_grids_bitwise(self, outcome, grid):
+        want = _ref_outcome(grid, 1.0, 1.0, 1)
+        assert isinstance(want[0], list)
+        assert outcome(grid, 1.0, 1.0, 1) == want
+
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    @given(grid=st.lists(st.floats(-10.0, 10.0)
+                         | st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=30),
+           e=st.floats(-10.0, 10.0).filter(bool), m=st.floats(0.0, 10.0),
+           n=st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_random_grids_bitwise(self, outcome, grid, e, m, n):
+        assert outcome(grid, e, m, n) == _ref_outcome(grid, e, m, n)
+
+    @pytest.mark.parametrize("outcome", OUTCOMES)
+    @pytest.mark.parametrize("case", sorted(FAILING))
+    def test_same_error(self, outcome, case):
+        want = _ref_outcome(*FAILING[case])
+        assert not isinstance(want[0], list)
+        assert outcome(*FAILING[case]) == want
+
+    def test_failing_cases_fail_where_named(self):
+        # each case reaches the check its name says
+        messages = {case: _ref_outcome(*args)[1] for case, args in FAILING.items()}
+        assert messages["pow-overflow"].endswith("its largest term is inf")
+        assert messages["subnormal-scale"].endswith("largest term is 2.386e-321")
+        assert "got inf at e = 1e-160" in messages["coupling-overflow"]
+        assert messages["scale-underflow"] == (
+            "the density equation at A = 1e+50 leaves the normal floating-point "
+            "range, its largest term is inf")
+        assert messages["solve-after-residual"] == (
+            "the density at A = 1e+200 overflows or underflows")
+        assert "got nan, 1.0" in messages["nan-after-residual"]
+        assert messages["negative-mass"].startswith("A, e, m and n must be finite")
 
 
 class TestRoundtrip:

@@ -12,6 +12,12 @@ Sign conventions (fixed once, used everywhere):
   ``nu = eta + U`` sits below the rest mass (a bound state).
 * the real potential variable of the local solve carries the sign of
   ``-f`` (so ``f = -A*R`` recovers the central charge).
+
+The local solve has one array kernel, :func:`local_solve_grid`, whose
+one-point case is :func:`local_solve_rho` with :func:`cubic_residual`.  It
+takes ``A**3`` and ``A**4`` by Python's float power, point by point, and
+sums the residual as ``(t0 + t1) + t2``, so its bits are the same on every
+Python (``sum()`` of floats compensates from 3.12 on).
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from ._domain import DomainError, finite, positive, whole
 from .algebra import Biquaternion
@@ -30,12 +39,14 @@ __all__ = [
     "BohrInput",
     "BohrState",
     "LocalSolveResult",
+    "LocalSolveGrid",
     "WaveSample",
     "solve_bohr",
     "assemble_wavefunction",
     "mass_shell_residual",
     "local_solve_rho",
     "cubic_residual",
+    "local_solve_grid",
     "roundtrip_consistency",
 ]
 
@@ -146,6 +157,18 @@ class LocalSolveResult:
         return self.branch is None
 
 
+@dataclass(frozen=True)
+class LocalSolveGrid:
+    """One entry per grid point; a degenerate point (A = 0) has rho = 0,
+    NaN ``R`` and ``f`` and residual 0.  ``d`` is shared by every point."""
+
+    rho: np.ndarray
+    R: np.ndarray
+    f: np.ndarray
+    residual: np.ndarray
+    d: float
+
+
 def solve_bohr(inp: BohrInput, allow_repulsive: bool = False) -> BohrState:
     """Solve the two orbit equations for the given couplings.
 
@@ -207,6 +230,89 @@ def assemble_wavefunction(state: BohrState, x0: float, s: float) -> WaveSample:
     return WaveSample(phi1=phi1, phi2=phi2, at=(x0, s))
 
 
+def _power(a: float, k: int) -> float:
+    """``a**k`` through Python's float power, inf where it raises
+    OverflowError (``np.power`` need not give the same bits)."""
+    try:
+        return a**k
+    except OverflowError:
+        return math.inf
+
+
+def _solve_columns(A: np.ndarray, e: float, m: float, n: int):
+    """``(rho, R, f, d)`` over the 1-D potentials ``A``; the error names the
+    first failing point, as a point-by-point loop would."""
+    if A.ndim != 1 or not A.size:
+        raise DomainError(f"A must be a non-empty 1-d grid, got shape {A.shape}")
+    a0 = float(A[0])
+    if not (math.isfinite(a0) and math.isfinite(e) and math.isfinite(m)
+            and math.isfinite(n)):
+        raise DomainError(f"A, e, m and n must be finite, got {a0}, {e}, {m}, {n}")
+    if m < 0:
+        raise NonPositiveMass(f"m must not be negative, got {m}")
+    if e * e == 0:
+        raise DomainError(f"e**2 must be nonzero (the density equation divides by "
+                          f"it), got e = {e}")
+    if int(n) != n or n < 1:
+        raise DomainError(f"n must be a positive integer, got {n}")
+    q = 4.0 * m * m / (e * e)
+    if not math.isfinite(q):
+        raise DomainError(f"4*m**2/e**2 must be finite, got {q} at e = {e}, m = {m}")
+    d = 3.0 / (4.0 * math.pi * n * n)
+    with np.errstate(all="ignore"):
+        root = np.sqrt(A * A + q)
+        sign = np.where(A > 0, 1.0, -1.0)
+        rho = (A * A * e * e * d / 2.0) * (A + sign * root)
+        R = np.sqrt(3.0 * A / (4.0 * math.pi * rho))
+        f = -A * R
+    zero = A == 0
+    bad = ~zero & ~(np.isfinite(rho) & (rho != 0))  # a non-finite A fails here too
+    if bad.any():
+        a = float(A[bad.argmax()])
+        if not math.isfinite(a):
+            raise DomainError(f"A, e, m and n must be finite, got {a}, {e}, {m}, {n}")
+        raise DomainError(f"the density at A = {a} overflows or underflows")
+    rho[zero], R[zero], f[zero] = 0.0, math.nan, math.nan
+    return rho, R, f, d
+
+
+def _residual_column(A: np.ndarray, rho: np.ndarray, d: float, e: float,
+                     m: float) -> np.ndarray:
+    """Relative residual of the density equation at each non-zero ``A``
+    (0 at A = 0); the error names the first point whose largest term is not
+    a normal float (subnormal terms have lost their digits)."""
+    points = A.tolist()
+    cube = np.array([_power(a, 3) for a in points])
+    fourth = np.array([_power(a, 4) for a in points])
+    dee = d * e * e
+    with np.errstate(all="ignore"):
+        t0, t1, t2 = rho * rho / dee, -cube * rho, -(m * m * d * fourth)
+        # no term is NaN once the solve succeeded, so this is Python's max
+        scale = np.maximum(np.maximum(abs(t0), abs(t1)), abs(t2))
+        residual = abs((t0 + t1) + t2) / scale
+    # A**4 overflows wherever A**3 does, and a zero dee divides by 0: both
+    # leave an infinite largest term
+    scale[np.isinf(fourth) | (dee == 0)] = math.inf
+    live = A != 0
+    bad = live & ~((sys.float_info.min <= scale) & (scale < math.inf))
+    if bad.any():
+        i = bad.argmax()
+        raise DomainError(f"the density equation at A = {points[i]} leaves the normal "
+                          f"floating-point range, its largest term is {float(scale[i])}")
+    residual[~live] = 0.0
+    return residual
+
+
+def local_solve_grid(A: Sequence[float], e: float, m: float, n: int) -> LocalSolveGrid:
+    """:func:`local_solve_rho` and :func:`cubic_residual` at every potential
+    of the 1-D grid ``A``, bit for bit, in one pass.  Every point is solved
+    before any residual is taken; an error names the first failing A."""
+    A = np.array(A, dtype=float)
+    rho, R, f, d = _solve_columns(A, e, m, n)
+    return LocalSolveGrid(rho=rho, R=R, f=f, residual=_residual_column(A, rho, d, e, m),
+                          d=d)
+
+
 def local_solve_rho(A: float, e: float, m: float, n: int) -> LocalSolveResult:
     """Solve the pointwise equations for the charge density at potential A.
 
@@ -219,52 +325,28 @@ def local_solve_rho(A: float, e: float, m: float, n: int) -> LocalSolveResult:
     result with radius and central charge flagged undefined.  Raises
     :class:`NonPositiveMass` for ``m < 0`` (``m = 0`` is the massless limit)
     and :class:`DomainError` for non-finite input, a ``4m²/e²`` or a density
-    outside the floating-point range.
+    outside the floating-point range.  The one-point case of
+    :func:`local_solve_grid`.
     """
-    if not (math.isfinite(A) and math.isfinite(e) and math.isfinite(m)
-            and math.isfinite(n)):  # spelt out: this runs once per grid point
-        raise DomainError(f"A, e, m and n must be finite, got {A}, {e}, {m}, {n}")
-    if m < 0:
-        raise NonPositiveMass(f"m must not be negative, got {m}")
-    if e * e == 0:
-        raise DomainError(f"e**2 must be nonzero (the density equation divides by "
-                          f"it), got e = {e}")
-    if int(n) != n or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
-    q = 4.0 * m * m / (e * e)
-    if not math.isfinite(q):
-        raise DomainError(f"4*m**2/e**2 must be finite, got {q} at e = {e}, m = {m}")
-    d = 3.0 / (4.0 * math.pi * n * n)
+    (rho,), (R,), (f,), d = _solve_columns(np.array([A], dtype=float), e, m, n)
     if A == 0:
-        return LocalSolveResult(rho=0.0, A=0.0, R=math.nan, f=math.nan,
-                                branch=None, d=d, e=e, m=m)
-    root = math.sqrt(A * A + q)
-    sign = 1.0 if A > 0 else -1.0
-    rho = (A * A * e * e * d / 2.0) * (A + sign * root)
-    if not math.isfinite(rho) or rho == 0:
-        raise DomainError(f"the density at A = {A} overflows or underflows")
-    R = math.sqrt(3.0 * A / (4.0 * math.pi * rho))
-    f = -A * R
-    branch = "positive-root" if A > 0 else "negative-root"
-    return LocalSolveResult(rho=rho, A=A, R=R, f=f, branch=branch, d=d, e=e, m=m)
+        A, branch = 0.0, None
+    else:
+        branch = "positive-root" if A > 0 else "negative-root"
+    return LocalSolveResult(rho=float(rho), A=A, R=float(R), f=float(f),
+                            branch=branch, d=d, e=e, m=m)
 
 
 def cubic_residual(result: LocalSolveResult) -> float:
     """Relative back-substitution residual of the density equation at the
     solve's own ``e`` and ``m``; :class:`DomainError` naming ``A`` unless its
-    largest term is a normal float (subnormal terms have lost their digits)."""
+    largest term is a normal float.  The one-point case of
+    :func:`local_solve_grid`."""
     if result.degenerate:
         return 0.0
-    A, rho, d, e, m = result.A, result.rho, result.d, result.e, result.m
-    try:  # ** raises OverflowError
-        terms = (rho * rho / (d * e * e), -(A**3) * rho, -(m * m * d * A**4))
-    except (OverflowError, ZeroDivisionError):
-        terms = (math.inf,)
-    scale = max(abs(t) for t in terms)
-    if not sys.float_info.min <= scale < math.inf:
-        raise DomainError(f"the density equation at A = {A} leaves the normal "
-                          f"floating-point range, its largest term is {scale}")
-    return abs(sum(terms)) / scale
+    return float(_residual_column(np.array([result.A], dtype=float),
+                                  np.array([result.rho]), result.d, result.e,
+                                  result.m)[0])
 
 
 def roundtrip_consistency(inp: BohrInput) -> float:

@@ -35,8 +35,8 @@ from ._domain import DomainError, finite, positive, whole
 from .algebra import LorentzTransform, bq_frobenius_arr
 from .bohr import (
     BohrInput,
+    local_solve_grid,
     local_solve_rho,
-    cubic_residual,
     mass_shell_residual,
     solve_bohr,
 )
@@ -278,25 +278,24 @@ def cmd_local_solve(ns, out: Path, report: RunReport) -> None:
     grid.sort()
     local_solve_rho(0.0, ns.e, ns.m, ns.n)  # e, m and n alone: no A range
     try:
-        results = [local_solve_rho(A, ns.e, ns.m, ns.n) for A in grid]
-        residuals = [cubic_residual(res) for res in results]
+        solved = local_solve_grid(grid, ns.e, ns.m, ns.n)
     except DomainError as err:  # a grid point's A: name the range it is from
         raise type(err)(f"{err}, on A from a-min {ns.a_min} to a-max {ns.a_max}"
                         ) from None
-    rho = [res.rho for res in results]
-    sign_violations = sum(not res.degenerate and res.rho * res.A < 0
-                          for res in results)
-    monotone_violations = sum(b < a - 1e-15 for a, b in zip(rho, rho[1:]))
+    A, rho = np.array(grid), solved.rho
+    sign_violations = np.count_nonzero((A != 0) & (rho * A < 0))
+    monotone_violations = np.count_nonzero(rho[1:] < rho[:-1] - 1e-15)
     ts = ns.tolerance_scale
-    report.check("cubic-residual-max", max(0.0, *residuals), 0.0, 1e-10 * ts,
-                 mode="at-most")
+    report.check("cubic-residual-max", float(solved.residual.max(initial=0.0)), 0.0,
+                 1e-10 * ts, mode="at-most")
     report.check("sign-rule-violations", float(sign_violations), 0.0, 0.0)
     report.check("monotonicity-violations", float(monotone_violations), 0.0, 0.0)
-    # a degenerate result already carries NaN for R and f
+    branch = np.where(A > 0, "positive-root",
+                      np.where(A < 0, "negative-root", "degenerate"))
+    # a degenerate point already carries NaN for R and f
     write_csv(out / "local_solve.csv",
               ["A", "rho", "R", "f", "residual", "branch"],
-              [grid, rho, [res.R for res in results], [res.f for res in results],
-               residuals, [res.branch or "degenerate" for res in results]])
+              [grid, rho, solved.R, solved.f, solved.residual, branch])
 
 
 def cmd_tile(ns, out: Path, report: RunReport) -> None:

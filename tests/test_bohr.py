@@ -15,6 +15,7 @@ from bohrqed.bohr import (
     SupercriticalCoupling,
     assemble_wavefunction,
     cubic_residual,
+    local_solve_grid,
     local_solve_rho,
     mass_shell_residual,
     roundtrip_consistency,
@@ -372,7 +373,20 @@ def _ref_outcome(grid, e, m, n):
     return _outcome(_ref_local_solve_rho, _ref_cubic_residual, grid, e, m, n)
 
 
-OUTCOMES = [pytest.param(_scalar_outcome, id="scalar")]
+def _kernel_outcome(grid, e, m, n):
+    """The columns of one :func:`local_solve_grid` call, or its error."""
+    try:
+        solved = local_solve_grid(grid, e, m, n)
+    except DomainError as err:
+        return type(err), str(err)
+    columns = [solved.rho, solved.R, solved.f, solved.residual]
+    assert all(col.dtype == np.float64 and col.shape == (len(grid),)
+               for col in columns)
+    return [col.view(np.int64).tolist() for col in columns], {solved.d}
+
+
+OUTCOMES = [pytest.param(_scalar_outcome, id="scalar"),
+            pytest.param(_kernel_outcome, id="kernel")]
 
 #: (grid, e, m, n) whose point-by-point solve fails
 FAILING = {

@@ -17,8 +17,10 @@ and fits as a :class:`~bohrqed.fitting.Sweep`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -118,6 +120,10 @@ class Ensemble:
                 or not np.isfinite(self.boundary).all()):
             raise DomainError(f"{self.kind} boundary {self.boundary.shape} and owner arrays "
                               f"{shapes} must be finite {dim}-d points, one owner each")
+        unknown = self.owners[~np.isin(self.owners, self.ids)]
+        if unknown.size:
+            raise DomainError(f"boundary owners {unknown[:3].tolist()} are not ids "
+                              "of the ensemble's roundels")
         finite("coverage slack c", self.c)
         object.__setattr__(self, "domain", _checked_domain(self.domain, self.kind))
 
@@ -311,10 +317,7 @@ def partition_regions(ensemble: Ensemble, regions_per_axis: int) -> Ensemble:
     flat = np.ravel_multi_index(cell.T, (regions_per_axis,) * len(los))
     ids = ensemble.ids
     by_id = np.argsort(ids)
-    at = np.searchsorted(ids, ensemble.owners, sorter=by_id)
-    owner_at = by_id[np.minimum(at, len(ids) - 1)]
-    if not np.array_equal(ids[owner_at], ensemble.owners):
-        raise KeyError("a boundary point's owner is not a roundel of the ensemble")
+    owner_at = by_id[np.searchsorted(ids, ensemble.owners, sorter=by_id)]
     return replace(ensemble, regions=flat, boundary_regions=flat[owner_at])
 
 
@@ -336,8 +339,9 @@ def total_charge(ensemble: Ensemble, region_id: int | None = None) -> float:
     """Sum of roundel charges, optionally restricted to one region."""
     charges = (ensemble.charges if region_id is None
                else ensemble.charges[ensemble.regions == region_id])
-    # Python's left-to-right sum, which numpy's pairwise sum need not match
-    return float(sum(charges.tolist()))
+    # a left-to-right fold: numpy's pairwise sum need not match it, nor does
+    # sum(), which compensates from Python 3.12 on
+    return float(functools.reduce(operator.add, charges.tolist(), 0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass, replace
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bohrqed import DomainError
 from bohrqed.bohr import BohrInput, solve_bohr
 from bohrqed.ensemble import (
     Ensemble,
@@ -238,6 +241,13 @@ class TestTotalCharge:
     def test_missing_region_contributes_zero(self):
         ens = tile(UNIT_SQUARE, 0.25, kind="pure", charge=0.1)
         assert total_charge(ens, region_id=99) == 0.0
+
+    def test_left_to_right_on_every_python(self):
+        # sum() of floats compensates from Python 3.12 on and read 2.0 here
+        ens = replace(tile(UNIT_SQUARE, 0.25, kind="pure"),
+                      charges=np.array([1.0, 1e100, 1.0, -1e100]))
+        assert total_charge(ens) == 0.0
+        assert total_charge(ens, region_id=0) == 0.0
 
 
 def test_boundary_set_fills_domain():
@@ -606,12 +616,14 @@ class TestBoundaryArrayOracle:
             roundels, grid.domain, boundary, 3)
 
     def test_unknown_owner_raises(self):
+        # the ensemble used to accept them, and partition_regions raised KeyError
         ens = tile(UNIT_SQUARE, 0.25, verify=False)
         for bad in (4, -1, 99):
             owners = ens.owners.copy()
             owners[3] = bad
-            with pytest.raises(KeyError):
-                partition_regions(replace(ens, owners=owners), 2)
+            with pytest.raises(DomainError, match=re.escape(f"boundary owners [{bad}] "
+                                                            "are not ids")):
+                replace(ens, owners=owners)
 
     def test_arrays_are_read_only(self):
         ens = partition_regions(tile(UNIT_SQUARE, 0.25), 2)
@@ -644,10 +656,11 @@ def _ref_region_of(regions, roundel_id):
 def _ref_total_charge(roundels, charges, regions, region_id=None):
     """The loop over ``Roundel.f`` charges, with ``charges[i]`` for ``roundels[i].f``."""
     if region_id is None:
-        return float(sum(charges))
+        return float(functools.reduce(operator.add, charges, 0))
     for rid, members in regions:
         if rid == region_id:
-            return float(sum(f for r, f in zip(roundels, charges) if r.id in members))
+            return float(functools.reduce(
+                operator.add, (f for r, f in zip(roundels, charges) if r.id in members), 0))
     return 0.0
 
 

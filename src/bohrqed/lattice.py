@@ -784,6 +784,15 @@ def write_field(path, obj: LatticeField | ReflectorField) -> None:
                               for site, vals in zip(sites, parts)]))
 
 
+def _header_value(header: dict[str, str], key: str, path, parse):
+    """``parse`` of a header line's value; a :class:`DomainError` naming the
+    field and the file where it is not a number."""
+    try:
+        return parse(header[key])
+    except ValueError:
+        raise DomainError(f"non-numeric {key} {header[key]!r} in {path}") from None
+
+
 def read_field(path) -> LatticeField | ReflectorField:
     """Inverse of :func:`write_field`; ``ValueError`` on a malformed,
     truncated or incomplete file, naming the first missing site."""
@@ -797,10 +806,11 @@ def read_field(path) -> LatticeField | ReflectorField:
         missing = {"kind", "spacing", "extent", "origin", "frame"} - header.keys()
         if missing:
             raise DomainError(f"truncated header: no {', '.join(sorted(missing))}")
-        extent = tuple(int(t) for t in header["extent"].split())
+        extent = _header_value(header, "extent", path, lambda v: tuple(map(int, v.split())))
         lattice = HypercubicLattice(
-            spacing=float(header["spacing"]), extent=extent,
-            origin=tuple(float(t) for t in header["origin"].split()),
+            spacing=_header_value(header, "spacing", path, float), extent=extent,
+            origin=_header_value(header, "origin", path,
+                                 lambda v: tuple(map(float, v.split()))),
             frame=header["frame"])
         kind = header["kind"]
         if kind not in ("reflector", "biquaternion"):

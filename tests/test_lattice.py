@@ -930,6 +930,18 @@ class TestSerialization:
         with pytest.raises(DomainError, match=re.escape(named)):
             read_field(path)
 
+    @pytest.mark.parametrize(("key", "value"), [
+        ("spacing", "banana"), ("extent", "3 3 x 3"), ("origin", "0 0 zero 0")])
+    def test_non_numeric_header_value(self, tmp_path, key, value):
+        # each raised a bare ValueError that named neither the field nor the file
+        path, lines = self.written_lines(tmp_path)
+        (at,) = [i for i, text in enumerate(lines[:6]) if text.startswith(f"{key} ")]
+        lines[at] = f"{key} {value}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError,
+                           match=re.escape(f"non-numeric {key} {value!r} in {path}")):
+            read_field(path)
+
 
 def _write_field_per_value(path, obj):
     """The field writer as it was before it was vectorized: one f-string

@@ -290,8 +290,8 @@ def cmd_local_solve(ns, out: Path, report: RunReport) -> None:
                  1e-10 * ts, mode="at-most")
     report.check("sign-rule-violations", float(sign_violations), 0.0, 0.0)
     report.check("monotonicity-violations", float(monotone_violations), 0.0, 0.0)
-    branch = np.where(A > 0, "positive-root",
-                      np.where(A < 0, "negative-root", "degenerate"))
+    branch = np.full(len(grid), "degenerate", dtype=object)  # three shared strings
+    branch[A > 0], branch[A < 0] = "positive-root", "negative-root"
     # a degenerate point already carries NaN for R and f
     write_csv(out / "local_solve.csv",
               ["A", "rho", "R", "f", "residual", "branch"],

@@ -239,7 +239,8 @@ def _power(a: float, k: int) -> float:
         return math.inf
 
 
-def _solve_columns(A: np.ndarray, e: float, m: float, n: int):
+def _solve_columns(A: np.ndarray, e: float, m: float,
+                   n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """``(rho, R, f, d)`` over the 1-D potentials ``A``; the error names the
     first failing point, as a point-by-point loop would."""
     if A.ndim != 1 or not A.size:
@@ -307,7 +308,7 @@ def local_solve_grid(A: Sequence[float], e: float, m: float, n: int) -> LocalSol
     """:func:`local_solve_rho` and :func:`cubic_residual` at every potential
     of the 1-D grid ``A``, bit for bit, in one pass.  Every point is solved
     before any residual is taken; an error names the first failing A."""
-    A = np.array(A, dtype=float)
+    A = np.asarray(A, dtype=float)
     rho, R, f, d = _solve_columns(A, e, m, n)
     return LocalSolveGrid(rho=rho, R=R, f=f, residual=_residual_column(A, rho, d, e, m),
                           d=d)

@@ -245,10 +245,7 @@ def _solve_columns(A: np.ndarray, e: float, m: float,
     first failing point, as a point-by-point loop would."""
     if A.ndim != 1 or not A.size:
         raise DomainError(f"A must be a non-empty 1-d grid, got shape {A.shape}")
-    a0 = float(A[0])
-    if not (math.isfinite(a0) and math.isfinite(e) and math.isfinite(m)
-            and math.isfinite(n)):
-        raise DomainError(f"A, e, m and n must be finite, got {a0}, {e}, {m}, {n}")
+    finite("A, e, m and n", float(A[0]), e, m, n)
     if m < 0:
         raise NonPositiveMass(f"m must not be negative, got {m}")
     if e * e == 0:
@@ -270,8 +267,7 @@ def _solve_columns(A: np.ndarray, e: float, m: float,
     bad = ~zero & ~(np.isfinite(rho) & (rho != 0))  # a non-finite A fails here too
     if bad.any():
         a = float(A[bad.argmax()])
-        if not math.isfinite(a):
-            raise DomainError(f"A, e, m and n must be finite, got {a}, {e}, {m}, {n}")
+        finite("A, e, m and n", a, e, m, n)  # e, m and n passed: a non-finite A
         raise DomainError(f"the density at A = {a} overflows or underflows")
     rho[zero], R[zero], f[zero] = 0.0, math.nan, math.nan
     return rho, R, f, d

@@ -271,6 +271,7 @@ def cmd_solve_bohr(ns, out: Path, report: RunReport) -> None:
 
 def cmd_local_solve(ns, out: Path, report: RunReport) -> None:
     finite("a-min and a-max", ns.a_min, ns.a_max)
+    finite("the span a-max - a-min", ns.a_max - ns.a_min)  # or linspace gives NaN
     whole("a-count", ns.a_count, 2)
     grid = np.linspace(ns.a_min, ns.a_max, ns.a_count).tolist()
     if ns.include_zero and 0.0 not in grid:

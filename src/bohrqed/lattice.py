@@ -456,33 +456,21 @@ def _maxima(rows, checked: int) -> list[float]:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # raised as typed errors
-def photon_residual(A: LatticeField, J: LatticeField, mode: str = "composed",
-                    collocation: str = "site") -> ResidualReport:
+def photon_residual(A: LatticeField, J: LatticeField,
+                    mode: str = "composed") -> ResidualReport:
     """Max interior residual of the lattice photon equation ``DD A = J``.
 
     The operator acts componentwise (products of the operator reflector
     are diagonal and scalar), so the reflector-form and componentwise
-    residuals coincide.  ``collocation="half-point"`` averages the
-    source over the backward half-interval neighbors instead of reading
-    it at sites.
+    residuals coincide.  The source is read at the sites where the
+    operator acts.
     """
     if A.lattice != J.lattice:
         raise DomainError("fields must live on the same lattice")
-    if collocation not in ("site", "half-point"):
-        raise DomainError(f"unknown collocation {collocation!r}")
     a, j = _planes(A.values), _planes(J.values)
     rows = []
-    for box, (lhs, diff, rhs) in _walk(A.lattice.extent, 3, mode, _WAVE_ORDER):
-        _wave(a, A.lattice.step, mode, box, (lhs, diff))
-        if collocation == "half-point":
-            shifted = np.add(0, _shift(j, box, 0, -1), out=diff)
-            for mu in range(1, 4):
-                shifted += _shift(j, box, mu, -1)
-            shifted /= 4.0
-            np.add(np.multiply(0.5, j[:, box[0]], out=rhs),
-                   np.multiply(0.5, shifted, out=shifted), out=rhs)
-        else:
-            rhs = j[:, box[0]]
+    for box, bufs in _walk(A.lattice.extent, 2, mode, _WAVE_ORDER):
+        lhs, rhs = _wave(a, A.lattice.step, mode, box, bufs), j[:, box[0]]
         scales = _max_norm(rhs, box), _max_norm(lhs, box)
         lhs -= rhs
         rows.append((_max_norm(lhs, box), *scales))

@@ -560,6 +560,11 @@ class TestExitCodes:
         (["local-solve", "--a-min", "1e-80", "--a-max", "1e-79", "--a-count", "3"],
          "equation at A = 1e-80 "),
         (["local-solve", "--e", "1e-160"], "e = 1e-160, m = 1.0"),
+        # a span that overflows: numpy warned and a NaN grid point was named
+        (["local-solve", "--a-min=-1e308", "--a-max", "1e308"],
+         "span a-max - a-min must be finite, got inf"),
+        (["local-solve", "--a-min=-1.7e308", "--a-max", "1.7e308", "--a-count", "3"],
+         "span a-max - a-min must be finite, got inf"),
     ])
     def test_out_of_range_input_named_exit_3(self, tmp_path, capsys, argv, named):
         rc = main(argv + ["--out", str(tmp_path)])

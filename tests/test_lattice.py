@@ -342,18 +342,6 @@ class TestPhotonResidual:
         slope = fit_loglog(spacings, residuals).slope
         assert 0.9 < slope < 1.5
 
-    def test_half_point_collocation_constant_source(self):
-        lat = small_lattice(spacing=0.2)
-        grids = lat.coordinate_grids()
-        vals = np.zeros(lat.extent + (4,), dtype=complex)
-        vals[..., 0] = 1.5 * grids[2] ** 2
-        src = np.zeros_like(vals)
-        src[..., 0] = 3.0
-        a = photon_residual(LatticeField(lat, vals), LatticeField(lat, src))
-        b = photon_residual(LatticeField(lat, vals), LatticeField(lat, src),
-                            collocation="half-point")
-        assert b.max_residual == pytest.approx(a.max_residual, abs=1e-12)
-
 
 class TestDiracResidual:
     def test_potential_on_other_lattice_raises(self):
@@ -1073,17 +1061,9 @@ def _ref_wave_apply(values, lattice, mode="composed"):
     return out
 
 
-def _ref_photon_residual(A, J, mode="composed", collocation="site"):
+def _ref_photon_residual(A, J, mode="composed"):
     lhs = _ref_wave_apply(A.values, A.lattice, mode=mode)
     rhs = J.values
-    if collocation == "half-point":
-        shifted = np.zeros_like(rhs)
-        for mu in range(4):
-            back = np.full_like(rhs, np.nan + 0j)
-            back[_ref_slices(mu, slice(1, None))] = rhs[
-                _ref_slices(mu, slice(None, -1))]
-            shifted = shifted + back
-        rhs = 0.5 * rhs + 0.5 * (shifted / 4.0)
     resid = bq_frobenius_arr(_ref_interior(lhs - rhs, mode))
     scale = float(np.max(bq_frobenius_arr(_ref_interior(rhs, mode))))
     scale = max(scale, float(np.max(bq_frobenius_arr(
@@ -1177,28 +1157,13 @@ class TestInteriorStencilOracle:
                                _ref_wave_apply(vals, self.lattice, mode=mode),
                                mode)
 
-    @pytest.mark.parametrize("collocation", ["site", "half-point"])
     @pytest.mark.parametrize("mode", ["composed", "onesided"])
-    def test_photon_residual(self, mode, collocation):
+    def test_photon_residual(self, mode):
         rng = np.random.default_rng(5)
         A = LatticeField(self.lattice, _random_values(rng, self.lattice))
         J = LatticeField(self.lattice, _random_values(rng, self.lattice, 40.0))
-        assert (photon_residual(A, J, mode=mode, collocation=collocation)
-                == _ref_photon_residual(A, J, mode=mode, collocation=collocation))
-
-    @pytest.mark.parametrize("mode", ["composed", "onesided"])
-    def test_half_point_source_alone(self, mode):
-        # with A = 0 the residual is the largest collocated source value,
-        # so on a lattice of one or a few interior sites every last bit of
-        # the averaged source shows
-        lat = HypercubicLattice(spacing=0.3, extent=(3, 3, 4, 3))
-        zero = LatticeField(lat, np.zeros(lat.extent + (4,), dtype=complex))
-        rng = np.random.default_rng(9)
-        for _ in range(40):
-            J = LatticeField(lat, _random_values(rng, lat))
-            assert (photon_residual(zero, J, mode=mode, collocation="half-point")
-                    == _ref_photon_residual(zero, J, mode=mode,
-                                            collocation="half-point"))
+        assert (photon_residual(A, J, mode=mode)
+                == _ref_photon_residual(A, J, mode=mode))
 
     @pytest.mark.parametrize("Z", [
         LorentzTransform.identity(),
@@ -1219,11 +1184,9 @@ class TestInteriorStencilOracle:
            spacing=st.floats(min_value=1e-3, max_value=10.0),
            seed=st.integers(0, 2**32 - 1),
            first=st.sampled_from(["backward", "forward", "central"]),
-           second=st.sampled_from(["composed", "onesided"]),
-           collocation=st.sampled_from(["site", "half-point"]))
+           second=st.sampled_from(["composed", "onesided"]))
     @settings(max_examples=30, deadline=None)
-    def test_random_lattices(self, extent, spacing, seed, first, second,
-                             collocation):
+    def test_random_lattices(self, extent, spacing, seed, first, second):
         rng = np.random.default_rng(seed)
         lat = HypercubicLattice(spacing=spacing, extent=extent)
         vals = _random_values(rng, lat)
@@ -1239,9 +1202,8 @@ class TestInteriorStencilOracle:
         assert (dirac_residual(phi, pot, e=e, mass=m, mode=first)
                 == _ref_dirac_residual(phi, pot.values, e, m, first))
         A, J = LatticeField(lat, vals), LatticeField(lat, phi.phi2)
-        assert (photon_residual(A, J, mode=second, collocation=collocation)
-                == _ref_photon_residual(A, J, mode=second,
-                                        collocation=collocation))
+        assert (photon_residual(A, J, mode=second)
+                == _ref_photon_residual(A, J, mode=second))
         _, latk, binding = build_lattices(
             a=spacing, R_k=spacing * rng.uniform(0.5, 2.0), extent=extent,
             Z=LorentzTransform.from_parts(rng.normal(size=3), rng.normal(),
@@ -1416,14 +1378,13 @@ class TestSlabOracle:
             assert (dirac_residual(field, pot, e=-0.8, mass=mass, mode=mode)
                     == _ref_dirac_residual(field, values, -0.8, mass, mode))
 
-    @pytest.mark.parametrize("collocation", ["site", "half-point"])
     @pytest.mark.parametrize("mode", ["composed", "onesided"])
-    def test_photon_residual(self, mode, collocation):
+    def test_photon_residual(self, mode):
         a_vals, j_vals = self.fields(6, 2)
         A = LatticeField(self.lattice, a_vals)
         J = LatticeField(self.lattice, j_vals)
-        assert (photon_residual(A, J, mode=mode, collocation=collocation)
-                == _ref_photon_residual(A, J, mode=mode, collocation=collocation))
+        assert (photon_residual(A, J, mode=mode)
+                == _ref_photon_residual(A, J, mode=mode))
 
     @pytest.mark.parametrize("Z", [
         LorentzTransform.identity(),
@@ -1634,9 +1595,8 @@ class TestReciprocalStep:
                                           Z=LorentzTransform.boost([0, 1, 0], 0.5))
         for mode in ("composed", "onesided"):
             A, source = LatticeField(lat, pot), LatticeField(lat, J)
-            for collocation in ("site", "half-point"):
-                assert (photon_residual(A, source, mode, collocation)
-                        == _ref_photon_residual(A, source, mode, collocation))
+            assert (photon_residual(A, source, mode)
+                    == _ref_photon_residual(A, source, mode))
             A_k, J_k = LatticeField(latk, pot), LatticeField(latk, J)
             assert (equivalence_check(binding, A_k, J_k, mode)
                     == _ref_equivalence_check(binding, A_k, J_k, mode))
@@ -1670,6 +1630,15 @@ class TestSlabMemory:
         for A in (pot, Biquaternion(-0.3j)):
             peak, _ = _traced_peak(lambda: dirac_residual(phi, A, e=1.0, mass=1.0))
             assert peak <= 0.5 * phi.phi1.nbytes
+
+    def test_photon_residual(self):
+        # two slab buffers: the source is read in place, never copied
+        lat = HypercubicLattice(spacing=0.05, extent=self.extent)
+        rng = np.random.default_rng(13)
+        A = LatticeField(lat, _random_values(rng, lat))
+        J = LatticeField(lat, _random_values(rng, lat))
+        peak, _ = _traced_peak(lambda: photon_residual(A, J))
+        assert peak <= 0.2 * A.values.nbytes
 
     def test_equivalence_check(self):
         _, latk, binding = build_lattices(

@@ -139,16 +139,24 @@ def write_json(path: Path, payload) -> None:
                     newline="\n")
 
 
+_CSV_ROWS = 4096  # rows formatted per write: the text in memory is one block
+
+
 def write_csv(path: Path, header: list[str], columns) -> None:
-    """One table from one 1-D sequence (or array) per column: a column whose
-    first value is a float is written with 17 significant digits, any other
-    through ``str``."""
-    columns = [col.tolist() if isinstance(col, np.ndarray) else col
-               for col in columns]
-    first = next(zip(*columns), ())
-    row = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first)
-    lines = [",".join(header), *map(row.__mod__, zip(*columns, strict=True))]
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    """One table from one 1-D sequence (or array) per column, all of one
+    length: a column whose first value is a float is written with 17
+    significant digits, any other through ``str``."""
+    columns = [col if isinstance(col, np.ndarray) else np.array(col, dtype=object)
+               for col in columns]  # slices of either give Python values by tolist
+    if len(lengths := {len(col) for col in columns}) > 1:
+        raise ValueError(f"{path}: columns of unequal lengths {sorted(lengths)}")
+    first = next(zip(*[col[:1].tolist() for col in columns]), ())
+    row = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, min(lengths, default=0), _CSV_ROWS):
+            block = [col[start:start + _CSV_ROWS].tolist() for col in columns]
+            fh.write("".join(map(row.__mod__, zip(*block))))
 
 
 # ---------------------------------------------------------------------------

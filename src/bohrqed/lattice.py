@@ -30,6 +30,7 @@ and fits their power laws as a :class:`~bohrqed.fitting.Sweep`.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -781,9 +782,20 @@ def _header_value(header: dict[str, str], key: str, path, parse):
         raise DomainError(f"non-numeric {key} {header[key]!r} in {path}") from None
 
 
+def _bad_row(path, number: int, lines, rows, extent) -> DomainError:
+    """The error of the first bad row of ``lines``, which start at line ``number``."""
+    for number, line in enumerate(lines, number):
+        try:  # a blank line holds no row (and loadtxt would warn)
+            site = line.strip() and tuple(np.loadtxt([line], dtype=rows)["site"].tolist())
+        except ValueError:
+            return DomainError(f"malformed row at line {number} of {path}: {line.strip()!r}")
+        if site and not all(0 <= i < n for i, n in zip(site, extent)):
+            return DomainError(f"site {site} outside extent {extent} at line {number} of {path}")
+
+
 def read_field(path) -> LatticeField | ReflectorField:
-    """Inverse of :func:`write_field`; ``ValueError`` on a malformed,
-    truncated or incomplete file, naming the first missing site."""
+    """Inverse of :func:`write_field`; ``DomainError`` on a malformed,
+    truncated or incomplete file, naming the bad line or the first missing site."""
     with open(path) as fh:
         magic = fh.readline().split()
         if magic[:1] != ["bohrqed-field"]:
@@ -805,19 +817,22 @@ def read_field(path) -> LatticeField | ReflectorField:
             raise DomainError(f"unknown field kind {kind!r} in {path}")
         width = 8 if kind == "reflector" else 4
         rows = np.dtype([("site", np.intp, (4,)), ("values", complex, (width,))])
-        body = fh.read()
-    # loadtxt raises ValueError on a row with the wrong token count
-    table = (np.loadtxt(body.splitlines(), dtype=rows, ndmin=1) if body.strip()
-             else np.empty(0, dtype=rows))
-    flat = np.ravel_multi_index(table["site"].T, extent)  # ValueError outside
-    count = np.bincount(flat, minlength=math.prod(extent))
+        planes = np.empty((width,) + extent, complex)  # sites in order, per component
+        count = np.zeros(math.prod(extent), np.intp)
+        size = planes[0][_slabs(extent)[0]].size  # one slab's lines at a time, from line 7
+        for k, lines in enumerate(iter(lambda: list(itertools.islice(fh, size)), [])):
+            if any(map(str.strip, lines)):  # loadtxt warns on blank lines alone
+                try:  # a wrong token count, a non-numeric token, a site outside
+                    table = np.loadtxt(lines, dtype=rows, ndmin=1)
+                    flat = np.ravel_multi_index(table["site"].T, extent)
+                except ValueError:
+                    raise _bad_row(path, 7 + k * size, lines, rows, extent) from None
+                planes.reshape(width, -1)[:, flat] = table["values"].T
+                count += np.bincount(flat, minlength=count.size)
     for bad, problem in ((count > 1, "duplicate"), (count == 0, "missing")):
         if bad.any():
             site = tuple(int(i) for i in np.unravel_index(bad.argmax(), extent))
             raise DomainError(f"{problem} site {site} in {path}")
-    planes = np.empty((width,) + extent, complex)  # sites in order, per component
-    np.take(table["values"].T, np.argsort(flat), axis=1, mode="clip",
-            out=planes.reshape(width, -1))
     if kind == "reflector":
         return ReflectorField(lattice=lattice, phi1=_Planes(planes[:4]),
                               phi2=_Planes(planes[4:]))

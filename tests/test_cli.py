@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -645,23 +646,58 @@ def tables(draw):
                    for kind in kinds]
 
 
+def _check_per_value(tmp, table, as_arrays):
+    kinds, columns = table
+    header = [f"c{i}" for i in range(len(columns))]
+    rows = [list(row) for row in zip(*columns)]
+    if as_arrays:  # numeric columns as arrays, as the tiling passes them
+        columns = [col if kind == "str" else np.array(col, dtype=kind)
+                   for kind, col in zip(kinds, columns)]
+    write_csv(tmp / "new.csv", header, columns)
+    _write_csv_per_value(tmp / "old.csv", header, rows)
+    assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+
 class TestColumnarCsv:
     @given(table=tables(), as_arrays=st.booleans())
     @settings(max_examples=200, deadline=None)
     def test_bytes_match_per_value_writer(self, tmp_path_factory, table,
                                           as_arrays):
-        kinds, columns = table
-        tmp = tmp_path_factory.mktemp("csv")
-        header = [f"c{i}" for i in range(len(columns))]
-        rows = [list(row) for row in zip(*columns)]
-        if as_arrays:  # numeric columns as arrays, as the tiling passes them
-            columns = [col if kind == "str" else np.array(col, dtype=kind)
-                       for kind, col in zip(kinds, columns)]
-        write_csv(tmp / "new.csv", header, columns)
-        _write_csv_per_value(tmp / "old.csv", header, rows)
-        assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+        _check_per_value(tmp_path_factory.mktemp("csv"), table, as_arrays)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @given(table=tables(), as_arrays=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_match_per_value_writer(self, tmp_path_factory, rows, table,
+                                           as_arrays):
+        # tables of up to 12 rows written a few rows at a time
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_CSV_ROWS", rows)
+            _check_per_value(tmp_path_factory.mktemp("csv"), table, as_arrays)
+
+    def test_unequal_columns_raise_before_the_file(self, tmp_path):
+        with pytest.raises(ValueError, match="equal lengths"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0, 2.0], np.ones(3)])
+        assert not (tmp_path / "t.csv").exists()
 
     def test_empty_table_is_header_only(self, tmp_path):
         write_csv(tmp_path / "t.csv", ["owner", "region", "x1"],
                   [np.empty(0, dtype=int), [], np.empty(0)])
         assert (tmp_path / "t.csv").read_bytes() == b"owner,region,x1\n"
+
+    def test_peak_memory(self, tmp_path):
+        # a table shaped like local-solve's: one block's text in memory at a
+        # time, not the whole table's (4.7 times the file)
+        grid = np.linspace(-2.0, 2.0, 20001)
+        rng = np.random.default_rng(3)
+        branch = np.full(grid.size, "degenerate", dtype=object)
+        branch[grid > 0], branch[grid < 0] = "positive-root", "negative-root"
+        columns = [grid.tolist(), *rng.normal(size=(4, grid.size)), branch]
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "t.csv", ["A", "rho", "R", "f", "residual",
+                                           "branch"], columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (tmp_path / "t.csv").stat().st_size

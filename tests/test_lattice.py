@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bohrqed.algebra import (
     BASIS,
@@ -880,11 +880,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"duplicate site \(0, 0, 1, 1\)"):
             read_field(path)
 
+    # each row error below used to be numpy's bare ValueError, which named
+    # neither the file nor the line
     def test_site_outside_extent(self, tmp_path):
         path, lines = self.written_lines(tmp_path)
         lines[6] = "3" + lines[6][1:]
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match=re.escape(
+                f"site (3, 0, 0, 0) outside extent (3, 3, 3, 3) at line 7 of {path}")):
+            read_field(path)
+
+    def test_negative_site_index(self, tmp_path):
+        path, lines = self.written_lines(tmp_path)
+        tokens = lines[6 + 9].split()  # site (0, 1, 0, 0)
+        tokens[1] = "-1"
+        lines[6 + 9] = " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError, match=re.escape(
+                f"site (0, -1, 0, 0) outside extent (3, 3, 3, 3) at line 16 of {path}")):
             read_field(path)
 
     @pytest.mark.parametrize("edit", [
@@ -896,7 +909,22 @@ class TestSerialization:
         path, lines = self.written_lines(tmp_path)
         lines[6 + 7] = edit(lines[6 + 7])
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError,
+                           match=re.escape(f"malformed row at line 14 of {path}")):
+            read_field(path)
+
+    @pytest.mark.parametrize(("column", "edit"), [
+        (5, lambda token: token[:-1] + "q"),  # a value not complex
+        (0, lambda token: token + ".0"),  # an index not whole
+    ])
+    def test_non_numeric_token(self, tmp_path, column, edit):
+        path, lines = self.written_lines(tmp_path)
+        tokens = lines[6 + 6].split()
+        tokens[column] = edit(tokens[column])
+        lines[6 + 6] = " ".join(tokens)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError,
+                           match=re.escape(f"malformed row at line 13 of {path}")):
             read_field(path)
 
     def test_truncated_header(self, tmp_path):
@@ -968,12 +996,16 @@ EDGE_DOUBLES = st.one_of(
 
 
 class TestFieldTextRoundTrip:
+    slab_bytes = lattice_module._SLAB_BYTES  # one slab at these extents
+
     @given(pool=st.lists(EDGE_DOUBLES, min_size=1, max_size=40),
            seed=st.integers(0, 2**32 - 1), reflector=st.booleans(),
            extent=st.tuples(*[st.integers(3, 4)] * 4),
            spacing=st.floats(min_value=1e-300, max_value=1e300),
            origin=st.tuples(*[EDGE_DOUBLES] * 4))
-    @settings(max_examples=40, deadline=None)
+    # TestFieldBlocks runs it too, from its own instances
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.differing_executors])
     def test_bytes_and_values(self, tmp_path_factory, pool, seed, reflector,
                               extent, spacing, origin):
         # every real and imaginary part is drawn from the pool
@@ -985,14 +1017,60 @@ class TestFieldTextRoundTrip:
         obj = (ReflectorField(lat, vals[..., :4], vals[..., 4:]) if reflector
                else LatticeField(lat, vals))
         tmp = tmp_path_factory.mktemp("roundtrip")
-        write_field(tmp / "new.txt", obj)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice_module, "_SLAB_BYTES", self.slab_bytes)
+            write_field(tmp / "new.txt", obj)
+            back = read_field(tmp / "new.txt")
         _write_field_per_value(tmp / "old.txt", obj)
         assert (tmp / "new.txt").read_bytes() == (tmp / "old.txt").read_bytes()
-        back = read_field(tmp / "new.txt")
         assert back.lattice == lat
         got = (np.concatenate([back.phi1, back.phi2], axis=-1) if reflector
                else back.values)
         assert got.tobytes() == vals.tobytes()
+
+
+class TestFieldBlocks(TestFieldTextRoundTrip):
+    """The text round trip and the body errors with one time slice per slab:
+    ``read_field`` parses one slab of lines at a time, so every file here
+    spans three or four blocks."""
+
+    slab_bytes = 1
+
+    def written_lines(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lattice_module, "_SLAB_BYTES", self.slab_bytes)
+        lat = HypercubicLattice(spacing=0.25, extent=(3, 4, 3, 3))  # 36-line blocks
+        vals = np.random.default_rng(6).normal(size=lat.extent + (4,)) + 0j
+        path = tmp_path / "field.txt"
+        write_field(path, LatticeField(lat, vals))
+        return path, path.read_text().splitlines()
+
+    def test_duplicate_of_a_site_in_another_block(self, tmp_path, monkeypatch):
+        path, lines = self.written_lines(tmp_path, monkeypatch)
+        lines[6 + 80] = lines[6 + 5]  # block 2 repeats a site of block 0
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError,
+                           match=re.escape(f"duplicate site (0, 0, 1, 2) in {path}")):
+            read_field(path)
+
+    def test_site_missing_from_the_last_block(self, tmp_path, monkeypatch):
+        path, lines = self.written_lines(tmp_path, monkeypatch)
+        del lines[6 + 100]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError,
+                           match=re.escape(f"missing site (2, 3, 0, 1) in {path}")):
+            read_field(path)
+
+    @pytest.mark.parametrize(("row", "problem"), [
+        (50, "malformed row"), (107, "site (3, 3, 2, 2) outside extent (3, 4, 3, 3)")])
+    def test_row_error_names_the_file_line(self, tmp_path, monkeypatch, row,
+                                           problem):
+        path, lines = self.written_lines(tmp_path, monkeypatch)
+        lines[6 + row] = ("3" + lines[6 + row][1:] if "site" in problem
+                          else lines[6 + row][:20])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError, match=re.escape(problem)) as err:
+            read_field(path)
+        assert f"at line {7 + row} of {path}" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -1649,6 +1727,15 @@ class TestSlabMemory:
         J = LatticeField(latk, _random_values(rng, latk))
         peak, _ = _traced_peak(lambda: equivalence_check(binding, A, J))
         assert peak <= 0.5 * A.values.nbytes
+
+    def test_read_field(self, tmp_path):
+        # the body is parsed one slab of lines at a time, never held whole
+        lat = HypercubicLattice(spacing=0.05, extent=self.extent)
+        rng = np.random.default_rng(14)
+        write_field(tmp_path / "phi.txt", ReflectorField(
+            lat, _random_values(rng, lat), _random_values(rng, lat)))
+        peak, back = _traced_peak(lambda: read_field(tmp_path / "phi.txt"))
+        assert peak <= 1.6 * (back.phi1.nbytes + back.phi2.nbytes)
 
 
 # ---------------------------------------------------------------------------

@@ -152,11 +152,16 @@ def write_csv(path: Path, header: list[str], columns) -> None:
         raise ValueError(f"{path}: columns of unequal lengths {sorted(lengths)}")
     first = next(zip(*[col[:1].tolist() for col in columns]), ())
     row = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, min(lengths, default=0), _CSV_ROWS):
-            block = [col[start:start + _CSV_ROWS].tolist() for col in columns]
-            fh.write("".join(map(row.__mod__, zip(*block))))
+    fh = open(path, "w", newline="\n")
+    try:  # a failure once the file is open leaves no partial table behind
+        with fh:
+            fh.write(",".join(header) + "\n")
+            for start in range(0, min(lengths, default=0), _CSV_ROWS):
+                block = [col[start:start + _CSV_ROWS].tolist() for col in columns]
+                fh.write("".join(map(row.__mod__, zip(*block))))
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -457,9 +457,8 @@ def _maxima(rows, checked: int) -> list[float]:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # raised as typed errors
-def photon_residual(A: LatticeField, J: LatticeField,
-                    mode: str = "composed") -> ResidualReport:
-    """Max interior residual of the lattice photon equation ``DD A = J``.
+def photon_residual(A: LatticeField, J: LatticeField) -> ResidualReport:
+    """Max interior residual of ``DD A = J`` on the composed 3-point stencil.
 
     The operator acts componentwise (products of the operator reflector
     are diagonal and scalar), so the reflector-form and componentwise
@@ -470,8 +469,8 @@ def photon_residual(A: LatticeField, J: LatticeField,
         raise DomainError("fields must live on the same lattice")
     a, j = _planes(A.values), _planes(J.values)
     rows = []
-    for box, bufs in _walk(A.lattice.extent, 2, mode, _WAVE_ORDER):
-        lhs, rhs = _wave(a, A.lattice.step, mode, box, bufs), j[:, box[0]]
+    for box, bufs in _walk(A.lattice.extent, 2, "composed", _WAVE_ORDER):
+        lhs, rhs = _wave(a, A.lattice.step, "composed", box, bufs), j[:, box[0]]
         scales = _max_norm(rhs, box), _max_norm(lhs, box)
         lhs -= rhs
         rows.append((_max_norm(lhs, box), *scales))
@@ -785,12 +784,17 @@ def _header_value(header: dict[str, str], key: str, path, parse):
 def _bad_row(path, number: int, lines, rows, extent) -> DomainError:
     """The error of the first bad row of ``lines``, which start at line ``number``."""
     for number, line in enumerate(lines, number):
-        try:  # a blank line holds no row (and loadtxt would warn)
-            site = line.strip() and tuple(np.loadtxt([line], dtype=rows)["site"].tolist())
+        if not line.strip():  # a blank line holds no row (and loadtxt would warn)
+            continue
+        try:
+            row = np.loadtxt([line], dtype=rows)
         except ValueError:
             return DomainError(f"malformed row at line {number} of {path}: {line.strip()!r}")
-        if site and not all(0 <= i < n for i, n in zip(site, extent)):
+        site = tuple(row["site"].tolist())
+        if not all(0 <= i < n for i, n in zip(site, extent)):
             return DomainError(f"site {site} outside extent {extent} at line {number} of {path}")
+        if not np.isfinite(row["values"]).all():
+            return DomainError(f"non-finite value at line {number} of {path}: {line.strip()!r}")
 
 
 def read_field(path) -> LatticeField | ReflectorField:
@@ -825,6 +829,8 @@ def read_field(path) -> LatticeField | ReflectorField:
                 try:  # a wrong token count, a non-numeric token, a site outside
                     table = np.loadtxt(lines, dtype=rows, ndmin=1)
                     flat = np.ravel_multi_index(table["site"].T, extent)
+                    if not np.isfinite(table["values"]).all():  # or a non-finite value
+                        raise ValueError
                 except ValueError:
                     raise _bad_row(path, 7 + k * size, lines, rows, extent) from None
                 planes.reshape(width, -1)[:, flat] = table["values"].T

@@ -680,6 +680,18 @@ class TestColumnarCsv:
             write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0, 2.0], np.ones(3)])
         assert not (tmp_path / "t.csv").exists()
 
+    def test_failed_row_leaves_no_file(self, tmp_path):
+        # the header used to stay behind as if it were the whole table
+        with pytest.raises(TypeError):
+            write_csv(tmp_path / "t.csv", ["a"], [[1.5, "x"]])
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_failed_later_block_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CSV_ROWS", 1)
+        with pytest.raises(TypeError):
+            write_csv(tmp_path / "t.csv", ["a"], [[1.5, 2.5, "x"]])
+        assert not (tmp_path / "t.csv").exists()
+
     def test_empty_table_is_header_only(self, tmp_path):
         write_csv(tmp_path / "t.csv", ["owner", "region", "x1"],
                   [np.empty(0, dtype=int), [], np.empty(0)])

@@ -470,11 +470,11 @@ def cmd_scaling_sweep(ns, out: Path, report: RunReport) -> None:
     spacings = np.geomspace(ns.a_min, ns.a_max, ns.a_count)
     exponents = {}
     template = BohrInput(e=ns.e, f=ns.f, n=ns.n, m=ns.m)
-    _record_sweep(ns, out, report, exponents, "roundel",
-                  scaling_sweep(template, radii, T=ns.big_t, kind=ns.kind),
-                  "radii")
-    _record_sweep(ns, out, report, exponents, "lattice",
-                  limit_sweep(ns.p, spacings, n=ns.n, T=ns.big_t), "spacings")
+    # both sweeps before either table: a rejected input leaves no table
+    roundel = scaling_sweep(template, radii, T=ns.big_t, kind=ns.kind)
+    lattice = limit_sweep(ns.p, spacings, n=ns.n, T=ns.big_t)
+    _record_sweep(ns, out, report, exponents, "roundel", roundel, "radii")
+    _record_sweep(ns, out, report, exponents, "lattice", lattice, "spacings")
     write_json(out / "exponents.json", exponents)
 
 

@@ -261,10 +261,10 @@ def build_lattices(a: float, R_k: float, extent, Z: LorentzTransform,
 # Discrete differentials
 # ---------------------------------------------------------------------------
 
-#: Sites without a full stencil at the low and high end of every axis.
+#: Sites without a full stencil at the low and high end of every axis, for
+#: each first-order mode and for the 3-point wave stencil.
 _FIRST_ORDER = {"backward": (1, 0), "forward": (0, 1), "central": (1, 1)}
-_WAVE_ORDER = {"composed": (1, 1), "onesided": (2, 0)}
-_MODES = {**_FIRST_ORDER, **_WAVE_ORDER}
+_WAVE = (1, 1)
 
 
 #: Bytes of one field's slab.  A slab's temporaries are a few times its
@@ -272,33 +272,38 @@ _MODES = {**_FIRST_ORDER, **_WAVE_ORDER}
 _SLAB_BYTES = 1 << 18
 
 
-def _slabs(extent, box=None) -> list[tuple[slice, ...]]:
-    """``box`` (all sites by default) cut along axis 0 into slabs of at most
-    ``_SLAB_BYTES`` of one field on a lattice of ``extent``, or one slice."""
-    box = tuple(slice(0, n) for n in extent[:4]) if box is None else box
+def _margins(mode: str) -> tuple[int, int]:
+    """The first-order ``mode``'s margins; ``DomainError`` for any other."""
+    if mode not in _FIRST_ORDER:
+        raise DomainError(f"unknown difference mode {mode!r}")
+    return _FIRST_ORDER[mode]
+
+
+def _interior(shape, margins) -> tuple[slice, ...]:
+    """The box of sites ``(lo, hi) = margins`` in from the ends of each axis."""
+    return tuple(slice(margins[0], n - margins[1]) for n in shape[:4])
+
+
+def interior_view(values: np.ndarray, mode: str) -> np.ndarray:
+    return values[_interior(values.shape, _margins(mode))]
+
+
+def _slabs(extent, margins=(0, 0)) -> list[tuple[slice, ...]]:
+    """The sites ``margins`` in from the ends of every axis of ``extent`` (all
+    by default), cut along axis 0 into slabs of at most ``_SLAB_BYTES`` of
+    one field on a lattice of ``extent``, or one slice."""
+    box = _interior(extent, margins)
     width = max(1, _SLAB_BYTES // (math.prod(extent[1:4]) * 4 * 16))
     t0, t1 = box[0].start, box[0].stop
     return [(slice(t, min(t + width, t1)),) + box[1:]
             for t in range(t0, t1, width)]
 
 
-def _interior(shape, mode: str, modes=_MODES) -> tuple[slice, ...]:
-    """The box of sites where ``mode``, one of ``modes``, has a full stencil."""
-    if mode not in modes:
-        raise DomainError(f"unknown difference mode {mode!r}")
-    lo, hi = modes[mode]
-    return tuple(slice(lo, n - hi) for n in shape[:4])
-
-
-def interior_view(values: np.ndarray, mode: str) -> np.ndarray:
-    return values[_interior(values.shape, mode)]
-
-
-def _walk(extent, count: int, mode: str | None = None, modes=_MODES) -> list:
-    """The slabs of ``mode``'s interior of ``extent`` (all sites for None),
-    each with ``count`` complex ``(4, *slices)`` buffers of its whole time
-    slices, allocated once for the first (no later one is wider), cut to each."""
-    slabs = _slabs(extent, None if mode is None else _interior(extent, mode, modes))
+def _walk(extent, count: int, margins=(0, 0)) -> list:
+    """The ``_slabs`` of ``extent`` and ``margins``, each with ``count``
+    complex ``(4, *slices)`` buffers of its whole time slices, allocated once
+    for the first (no later one is wider), cut to each."""
+    slabs = _slabs(extent, margins)
     first = slabs[0][0]
     bufs = np.empty((count, 4, first.stop - first.start, *extent[1:]), complex)
     return [(box, bufs[:, :, :box[0].stop - box[0].start]) for box in slabs]
@@ -318,21 +323,20 @@ def _shift(P: np.ndarray, box, axis: int, offset: int) -> np.ndarray:
     return P.reshape(4, -1)[:, start:start + n * size].reshape((4, n) + P.shape[2:])
 
 
-def _stencil(P: np.ndarray, axis: int, step: float, mode: str, box,
+def _stencil(P: np.ndarray, axis: int, step: float, mode: str | None, box,
              out: np.ndarray) -> np.ndarray:
-    """The ``mode`` difference along ``axis`` of the planes ``P`` on ``box``'s
-    time slices into ``out``, each term a ``_shift``; ``composed`` is backward
-    then forward (the 3-point stencil), ``onesided`` backward twice.  Numpy
+    """The first-order ``mode`` difference along ``axis`` of the planes ``P``
+    on ``box``'s time slices into ``out``, or for None the 3-point second
+    difference (backward then forward), each term a ``_shift``.  Numpy
     divides by a real ``h`` as ``(re + im*0) * (1/h)`` (Smith's method), so
     scaling the float view by ``1/h`` differs only in zero signs and NaN."""
     at = functools.partial(_shift, P, box, axis)
-    # offsets -lo..hi, in the order of (a - b) / h, (a - 2b + c) / h²
-    lo, hi = _MODES[mode]
-    if mode in _WAVE_ORDER:
-        np.subtract(at(hi), np.multiply(2.0, at(hi - 1), out=out), out=out)
-        out += at(hi - 2)
+    if mode is None:  # (a - 2b + c) / h²
+        np.subtract(at(1), np.multiply(2.0, at(0), out=out), out=out)
+        out += at(-1)
         scale = 1 / step ** 2
-    else:
+    else:  # (a - b) / h over the offsets -lo..hi
+        lo, hi = _FIRST_ORDER[mode]
         np.subtract(at(hi), at(-lo), out=out)
         scale = 1 / ((lo + hi) * step)
     np.multiply(out.view(float), scale, out=out.view(float))
@@ -365,7 +369,7 @@ def _row(terms, P: np.ndarray, acc: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dirac(P: np.ndarray, step: float, mode: str, box, bufs, dagger: bool = False,
+def _dirac(P: np.ndarray, step: float, box, bufs, mode: str, dagger: bool = False,
            basis: Sequence[Biquaternion] | None = None) -> np.ndarray:
     """``sum_mu basis[mu] * d_mu P`` on ``box``, axis terms in order, added
     into the first of ``bufs`` from zero; the other two buffers hold a
@@ -383,29 +387,28 @@ def _dirac(P: np.ndarray, step: float, mode: str, box, bufs, dagger: bool = Fals
     return out
 
 
-def _wave(P: np.ndarray, step: float, mode: str, box, bufs) -> np.ndarray:
+def _wave(P: np.ndarray, step: float, box, bufs) -> np.ndarray:
     """``-d0² + d1² + d2² + d3²`` of the planes ``P`` on ``box`` into the
     first of ``bufs``; the second holds each axis's difference."""
     out, diff = bufs
-    np.negative(_stencil(P, 0, step, mode, box, out), out=out)
+    np.negative(_stencil(P, 0, step, None, box, out), out=out)
     for mu in range(1, 4):
-        out += _stencil(P, mu, step, mode, box, diff)
+        out += _stencil(P, mu, step, None, box, diff)
     return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite output says it
-def _padded(kernel, values, lattice: HypercubicLattice, mode: str, modes,
-            count: int, *args) -> np.ndarray:
+def _padded(kernel, values, lattice: HypercubicLattice, margins, count: int,
+            *args) -> np.ndarray:
     """``kernel`` applied to raw field values, as C-contiguous planes, on every
-    slab of ``mode``'s interior, with ``count`` buffers; NaN outside it."""
+    slab of the sites ``margins`` in, with ``count`` buffers; NaN elsewhere."""
     if np.shape(values) != lattice.extent + (4,):
         raise DomainError(f"values shape {np.shape(values)} does not match "
                           f"lattice extent {lattice.extent} + (4,)")
     P = np.ascontiguousarray(_planes(values))
     out = np.full((4,) + lattice.extent, np.nan + 0j)
-    for box, bufs in _walk(lattice.extent, count, mode, modes):
-        out[(..., *box)] = _inner(kernel(P, lattice.step, mode, box, bufs, *args),
-                                  box)
+    for box, bufs in _walk(lattice.extent, count, margins):
+        out[(..., *box)] = _inner(kernel(P, lattice.step, box, bufs, *args), box)
     return np.moveaxis(out, 0, -1)
 
 
@@ -414,19 +417,14 @@ def dirac_apply_values(values: np.ndarray, lattice: HypercubicLattice,
                        basis: Sequence[Biquaternion] | None = None,
                        ) -> np.ndarray:
     """Apply ``D`` (or ``D‡``) to raw field values; NaN outside the stencil."""
-    return _padded(_dirac, values, lattice, mode, _FIRST_ORDER, 3, dagger, basis)
+    return _padded(_dirac, values, lattice, _margins(mode), 3, mode, dagger, basis)
 
 
-def wave_apply(values: np.ndarray, lattice: HypercubicLattice,
-               mode: str = "composed") -> np.ndarray:
-    """The scalar second-order operator ``-d0² + d1² + d2² + d3²``; NaN
-    outside the stencil.
-
-    ``composed`` pairs a backward with a forward difference per axis
-    (the 3-point stencil); ``onesided`` repeats the backward difference,
-    which is the fully one-sided variant.
-    """
-    return _padded(_wave, values, lattice, mode, _WAVE_ORDER, 2)
+def wave_apply(values: np.ndarray, lattice: HypercubicLattice) -> np.ndarray:
+    """The scalar second-order operator ``-d0² + d1² + d2² + d3²`` on the
+    3-point stencil, a backward then a forward difference per axis (exact
+    on quadratics); NaN outside the stencil."""
+    return _padded(_wave, values, lattice, _WAVE, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +467,8 @@ def photon_residual(A: LatticeField, J: LatticeField) -> ResidualReport:
         raise DomainError("fields must live on the same lattice")
     a, j = _planes(A.values), _planes(J.values)
     rows = []
-    for box, bufs in _walk(A.lattice.extent, 2, "composed", _WAVE_ORDER):
-        lhs, rhs = _wave(a, A.lattice.step, "composed", box, bufs), j[:, box[0]]
+    for box, bufs in _walk(A.lattice.extent, 2, _WAVE):
+        lhs, rhs = _wave(a, A.lattice.step, box, bufs), j[:, box[0]]
         scales = _max_norm(rhs, box), _max_norm(lhs, box)
         lhs -= rhs
         rows.append((_max_norm(lhs, box), *scales))
@@ -508,7 +506,7 @@ def dirac_residual(phi: ReflectorField, A: LatticeField | Biquaternion, e: float
 
     def row(box, bufs, psi, chi, dagger: bool) -> float:
         """One equation's max on ``box``; ``chi`` is ``psi``'s mass partner."""
-        r = _dirac(psi, step, mode, box, bufs, dagger)
+        r = _dirac(psi, step, box, bufs, mode, dagger)
         prod = bufs[1]  # the difference is spent
         r -= np.multiply(1j * e, bq_mul_planes(a[:, box[0]], psi[:, box[0]],
                                                prod, bufs[2][0]), out=prod)
@@ -518,7 +516,7 @@ def dirac_residual(phi: ReflectorField, A: LatticeField | Biquaternion, e: float
 
     n11, n22 = _maxima([(row(box, bufs, phi2, phi1, False),
                          row(box, bufs, phi1, phi2, True))
-                        for box, bufs in _walk(extent, 3, mode, _FIRST_ORDER)], 2)
+                        for box, bufs in _walk(extent, 3, _margins(mode))], 2)
     scale = _maxima([(_max_norm(phi1[:, box[0]]), _max_norm(phi2[:, box[0]]))
                      for box in _slabs(extent)], 0)
     return ResidualReport(max_residual=max(n11, n22),
@@ -626,13 +624,12 @@ class EquivalenceReport:
 
 @np.errstate(over="ignore", invalid="ignore")  # raised as typed errors
 def equivalence_check(binding: RegionBinding, A_k: LatticeField,
-                      J_k: LatticeField, mode: str = "composed",
-                      ) -> EquivalenceReport:
+                      J_k: LatticeField) -> EquivalenceReport:
     """The photon equation holds on the snapshot lattice iff it holds on
     the compromise lattice.
 
     Scaling both sides by ``(R_k/a)³`` and transforming by ``Z`` commutes
-    exactly with the discrete second-order operator, so the snapshot
+    exactly with the 3-point stencil of :func:`wave_apply`, so the snapshot
     residual field equals the transported compromise residual field;
     ``commutation_residual`` measures that identity relative to the
     operator's own scale.  :class:`~bohrqed.DomainError` if a field is not
@@ -643,8 +640,8 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
         raise DomainError("A_k and J_k must live on binding.lattice_k")
     extent = binding.lattice_k.extent
     a_k, j_k = _planes(A_k.values), _planes(J_k.values)
-    slabs = _walk(extent, 3, mode, _WAVE_ORDER)
-    lo, hi = _WAVE_ORDER[mode]
+    slabs = _walk(extent, 3, _WAVE)
+    lo, hi = _WAVE
     # the snapshot potential on slices start.. of the slab and its axis-0
     # halo; the halo comes over from the last slab, so each slice of A_k is
     # carried once, up to ``done``
@@ -664,7 +661,7 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
     rows = []
     for slab, (resid_k, resid_p, diff) in slabs:
         t0, t1 = slab[0].start, slab[0].stop
-        _wave(a_k, binding.lattice_k.step, mode, slab, (resid_k, diff))
+        _wave(a_k, binding.lattice_k.step, slab, (resid_k, diff))
         resid_k -= j_k[:, slab[0]]
         shift, start = t0 - lo - start, t0 - lo
         for t in range(done - start):  # plane by plane, slice by slice: the
@@ -673,8 +670,8 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
         for t in range(done, t1 + hi):
             carried(a_k[:, t:t + 1], window[:, t - start:t - start + 1], "potential")
         done = t1 + hi
-        _wave(window, binding.lattice_p.step, mode,
-              (slice(lo, lo + t1 - t0),) + slab[1:], (resid_p, diff))
+        _wave(window, binding.lattice_p.step, (slice(lo, lo + t1 - t0),) + slab[1:],
+              (resid_p, diff))
         scale = _max_norm(resid_p, slab)
         resid_p -= carried(j_k[:, slab[0]], diff, "current", slab)
         lp = _max_norm(resid_p, slab)

@@ -262,6 +262,11 @@ class TestScalingSweep:
         ("--a-min", "nan", "spacings must be finite and positive, got nan"),
         ("--a-max", "inf", "spacings must be finite and positive, got inf"),
         ("--p", "nan", "exponent p must be finite and positive, got nan"),
+        # these two, and the two --p cases above, used to leave the roundel
+        # table behind: the lattice sweep ran after it was written
+        ("--p", "0", "exponent p must be finite and positive, got 0.0"),
+        ("--a-min", "1e-300",
+         "spacings must keep the fitted columns finite and positive, got 1e-300"),
         ("--r-min", "-1", "radii must be finite and positive, got -1.0"),
         # the bare charge divides by |e|: a ZeroDivisionError, exit 1
         ("--e", "0", "template charge e must be non-zero, got 0.0"),
@@ -273,6 +278,7 @@ class TestScalingSweep:
         err = capsys.readouterr().err
         assert f"domain error: {message}\n" == err
         assert not (tmp_path / "exponents.json").exists()
+        assert not (tmp_path / "roundel_sweep.csv").exists()
 
     def test_exponent_table(self, tmp_path):
         rc = main(["scaling-sweep", "--out", str(tmp_path)])

@@ -257,28 +257,27 @@ class TestImmutability:
                         + 1j * grids[2] * grids[3] + 2.0 * grids[3])
         inner = dirac_apply_values(vals, lat, dagger=True, mode="backward")
         outer = dirac_apply_values(inner, lat, dagger=False, mode="forward")
-        direct = wave_apply(vals, lat, mode="composed")
-        diff = interior_view(outer - direct, "composed")
-        scale = np.nanmax(bq_frobenius_arr(interior_view(direct, "composed")))
+        direct = wave_apply(vals, lat)
+        diff = _ref_interior(outer - direct, "composed")
+        scale = np.nanmax(bq_frobenius_arr(_ref_interior(direct, "composed")))
         assert np.nanmax(bq_frobenius_arr(diff)) < 1e-12 * max(scale, 1.0)
         # and the result is the exact constant wave of the quadratic
         want = -2.0 * (-0.5) + 2.0 * 1.5
-        assert np.allclose(interior_view(outer, "composed")[..., 0], want,
+        assert np.allclose(_ref_interior(outer, "composed")[..., 0], want,
                            atol=1e-11)
 
 
 class TestWaveOperator:
-    @pytest.mark.parametrize("mode", ["composed", "onesided"])
-    def test_exact_on_quadratics(self, mode):
+    def test_exact_on_quadratics(self):
         lat = small_lattice(spacing=0.17)
         grids = lat.coordinate_grids()
         vals = np.zeros(lat.extent + (4,), dtype=complex)
         vals[..., 0] = (2.0 * grids[1] ** 2 - 0.5 * grids[0] ** 2
                         + grids[3] * 1.0 + 4.0)
-        out = wave_apply(vals, lat, mode=mode)
+        out = wave_apply(vals, lat)
         # -d0^2 + d1^2 applied: -(-1.0) + 4.0 = 5.0
         want = 5.0
-        interior = interior_view(out, mode)
+        interior = _ref_interior(out, "composed")
         assert np.allclose(interior[..., 0], want, atol=1e-11)
 
 
@@ -325,6 +324,18 @@ class TestPhotonResidual:
         J = LatticeField(latk, _random_values(rng, latk, 10.0))
         assert (photon_residual(A, J).max_residual
                 == equivalence_check(binding, A, J).lk_residual)
+
+    def test_equals_wave_apply(self):
+        # the residual is the public operator's: wave_apply(A) - J at its
+        # interior sites, bit for bit
+        rng = np.random.default_rng(41)
+        for extent in ((7, 5, 4, 6), (3, 3, 3, 3), (12, 4, 3, 5)):
+            lat = HypercubicLattice(spacing=0.17, extent=extent)
+            A = LatticeField(lat, _random_values(rng, lat))
+            J = LatticeField(lat, _random_values(rng, lat, 10.0))
+            resid = wave_apply(A.values, lat) - J.values
+            assert (photon_residual(A, J).max_residual
+                    == np.max(bq_frobenius_arr(_ref_interior(resid, "composed"))))
 
     def test_smooth_convergence_order_two(self):
         spacings = [0.2, 0.1, 0.05, 0.025]
@@ -655,8 +666,8 @@ class TestTransformField:
             "current",
             LatticeField(latk, np.nan_to_num(wave_apply(f.values, latk))),
             binding).values
-        sel = interior_view(lhs - rhs, "composed")
-        scale = np.nanmax(bq_frobenius_arr(interior_view(lhs, "composed")))
+        sel = _ref_interior(lhs - rhs, "composed")
+        scale = np.nanmax(bq_frobenius_arr(_ref_interior(lhs, "composed")))
         assert np.nanmax(bq_frobenius_arr(sel)) < 1e-10 * max(scale, 1.0)
 
     def test_operator_covariance_rotation_basis(self):
@@ -695,13 +706,6 @@ class TestEquivalence:
         for pair in ((A_p, J), (A, J_p), (A_p, J_p)):
             with pytest.raises(ValueError, match="lattice_k"):
                 equivalence_check(binding, *pair)
-
-    @pytest.mark.parametrize("mode", ["backward", "bogus"])
-    def test_unknown_mode_raises(self, mode):
-        _, latk, binding = build_lattices(a=0.1, R_k=0.2, extent=(4, 4, 4, 4),
-                                          Z=LorentzTransform.identity())
-        with pytest.raises(ValueError, match="unknown difference mode"):
-            equivalence_check(binding, *self.exact_pair(latk), mode=mode)
 
     @pytest.mark.parametrize("Z", [
         LorentzTransform.identity(),
@@ -1105,7 +1109,7 @@ def _ref_slices(axis, sel):
 
 #: Sites without a full stencil at the low and high end of every axis.
 _MARGINS = {"backward": (1, 0), "forward": (0, 1), "central": (1, 1),
-            "composed": (1, 1), "onesided": (2, 0)}
+            "composed": (1, 1)}
 
 
 def _ref_interior(values, mode):
@@ -1143,13 +1147,12 @@ def _ref_dirac_apply(values, lattice, dagger=False, mode="backward", basis=None)
     return out
 
 
-def _ref_wave_apply(values, lattice, mode="composed"):
+def _ref_wave_apply(values, lattice):
     h2 = lattice.step ** 2
     out = np.zeros(values.shape, dtype=complex)
     for mu in range(4):
         second = np.full_like(values, np.nan + 0j)
-        sel = slice(1, -1) if mode == "composed" else slice(2, None)
-        second[_ref_slices(mu, sel)] = (
+        second[_ref_slices(mu, slice(1, -1))] = (
             values[_ref_slices(mu, slice(2, None))]
             - 2.0 * values[_ref_slices(mu, slice(1, -1))]
             + values[_ref_slices(mu, slice(None, -2))]) / h2
@@ -1184,21 +1187,23 @@ def _ref_dirac_residual(phi, a, e, m_k, mode="backward"):
                           field_scale=scale)
 
 
-def _ref_equivalence_check(binding, A_k, J_k, mode="composed"):
-    lhs_k = _ref_wave_apply(A_k.values, binding.lattice_k, mode=mode)
+def _ref_equivalence_check(binding, A_k, J_k):
+    lhs_k = _ref_wave_apply(A_k.values, binding.lattice_k)
     resid_k = lhs_k - J_k.values
     A_p = transform_field("potential", A_k, binding)
     J_p = transform_field("current", J_k, binding)
-    lhs_p = _ref_wave_apply(A_p.values, binding.lattice_p, mode=mode)
+    lhs_p = _ref_wave_apply(A_p.values, binding.lattice_p)
     resid_p = lhs_p - J_p.values
     factor = (binding.R_k / binding.a) ** 3
     expected_p = factor * binding.Z.apply_array(resid_k)
-    mismatch = bq_frobenius_arr(_ref_interior(resid_p - expected_p, mode))
-    scale = max(float(np.max(bq_frobenius_arr(_ref_interior(lhs_p, mode)))),
+    mismatch = bq_frobenius_arr(_ref_interior(resid_p - expected_p, "composed"))
+    scale = max(float(np.max(bq_frobenius_arr(_ref_interior(lhs_p, "composed")))),
                 1e-300)
     return EquivalenceReport(
-        lk_residual=float(np.max(bq_frobenius_arr(_ref_interior(resid_k, mode)))),
-        lp_residual=float(np.max(bq_frobenius_arr(_ref_interior(resid_p, mode)))),
+        lk_residual=float(np.max(bq_frobenius_arr(
+            _ref_interior(resid_k, "composed")))),
+        lp_residual=float(np.max(bq_frobenius_arr(
+            _ref_interior(resid_p, "composed")))),
         commutation_residual=float(mismatch.max()) / scale,
         scale_factor=factor,
     )
@@ -1246,12 +1251,10 @@ class TestInteriorStencilOracle:
             dirac_apply_values(vals, self.lattice, mode=mode, basis=b),
             _ref_dirac_apply(vals, self.lattice, mode=mode, basis=b), mode)
 
-    @pytest.mark.parametrize("mode", ["composed", "onesided"])
-    def test_wave_apply(self, mode):
+    def test_wave_apply(self):
         vals = _random_values(np.random.default_rng(3), self.lattice)
-        _assert_interior_equal(wave_apply(vals, self.lattice, mode=mode),
-                               _ref_wave_apply(vals, self.lattice, mode=mode),
-                               mode)
+        _assert_interior_equal(wave_apply(vals, self.lattice),
+                               _ref_wave_apply(vals, self.lattice), "composed")
 
     def test_photon_residual(self):
         rng = np.random.default_rng(5)
@@ -1264,23 +1267,21 @@ class TestInteriorStencilOracle:
         LorentzTransform.rotation([0, 0, 1], math.pi / 2),
         LorentzTransform.from_parts([1, 2, 0.5], 0.4, [0, 1, 1], 0.9),
     ])
-    @pytest.mark.parametrize("mode", ["composed", "onesided"])
-    def test_equivalence(self, mode, Z):
+    def test_equivalence(self, Z):
         rng = np.random.default_rng(6)
         _, latk, binding = build_lattices(a=0.1, R_k=0.23, extent=(5, 6, 4, 5),
                                           Z=Z)
         A = LatticeField(latk, _random_values(rng, latk))
         J = LatticeField(latk, _random_values(rng, latk, 10.0))
-        assert (equivalence_check(binding, A, J, mode=mode)
-                == _ref_equivalence_check(binding, A, J, mode=mode))
+        assert (equivalence_check(binding, A, J)
+                == _ref_equivalence_check(binding, A, J))
 
     @given(extent=st.tuples(*[st.integers(3, 7)] * 4),
            spacing=st.floats(min_value=1e-3, max_value=10.0),
            seed=st.integers(0, 2**32 - 1),
-           first=st.sampled_from(["backward", "forward", "central"]),
-           second=st.sampled_from(["composed", "onesided"]))
+           first=st.sampled_from(["backward", "forward", "central"]))
     @settings(max_examples=30, deadline=None)
-    def test_random_lattices(self, extent, spacing, seed, first, second):
+    def test_random_lattices(self, extent, spacing, seed, first):
         rng = np.random.default_rng(seed)
         lat = HypercubicLattice(spacing=spacing, extent=extent)
         vals = _random_values(rng, lat)
@@ -1288,8 +1289,8 @@ class TestInteriorStencilOracle:
             _assert_interior_equal(
                 dirac_apply_values(vals, lat, dagger=dagger, mode=first),
                 _ref_dirac_apply(vals, lat, dagger=dagger, mode=first), first)
-        _assert_interior_equal(wave_apply(vals, lat, mode=second),
-                               _ref_wave_apply(vals, lat, mode=second), second)
+        _assert_interior_equal(wave_apply(vals, lat), _ref_wave_apply(vals, lat),
+                               "composed")
         phi = ReflectorField(lat, vals, _random_values(rng, lat))
         pot = LatticeField(lat, _random_values(rng, lat))
         e, m = rng.normal(), rng.normal()
@@ -1302,8 +1303,8 @@ class TestInteriorStencilOracle:
             Z=LorentzTransform.from_parts(rng.normal(size=3), rng.normal(),
                                           rng.normal(size=3), rng.normal()))
         A_k, J_k = LatticeField(latk, vals), LatticeField(latk, phi.phi2)
-        assert (equivalence_check(binding, A_k, J_k, mode=second)
-                == _ref_equivalence_check(binding, A_k, J_k, mode=second))
+        assert (equivalence_check(binding, A_k, J_k)
+                == _ref_equivalence_check(binding, A_k, J_k))
 
 
 class TestSiteLocalStencils:
@@ -1359,6 +1360,8 @@ class TestSiteLocalStencils:
             assert np.isfinite(got[~outside]).all()
         with pytest.raises(ValueError, match="unknown difference mode"):
             dirac_apply_values(f.values, self.lattice, mode="composed")
+        with pytest.raises(ValueError, match="unknown difference mode"):
+            interior_view(f.values, "composed")
 
 
 # ---------------------------------------------------------------------------
@@ -1427,12 +1430,10 @@ class TestSlabOracle:
             dirac_apply_values(vals, self.lattice, mode=mode, basis=b),
             _ref_dirac_apply(vals, self.lattice, mode=mode, basis=b), mode)
 
-    @pytest.mark.parametrize("mode", ["composed", "onesided"])
-    def test_wave_apply(self, mode):
+    def test_wave_apply(self):
         (vals,) = self.fields(3, 1)
-        _assert_interior_equal(wave_apply(vals, self.lattice, mode=mode),
-                               _ref_wave_apply(vals, self.lattice, mode=mode),
-                               mode)
+        _assert_interior_equal(wave_apply(vals, self.lattice),
+                               _ref_wave_apply(vals, self.lattice), "composed")
 
     @pytest.mark.parametrize("dagger", [False, True])
     @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
@@ -1482,14 +1483,13 @@ class TestSlabOracle:
         LorentzTransform.rotation([0, 0, 1], math.pi / 2),
         LorentzTransform.boost([1, 0, 0], 0.9),
     ], ids=["identity", "rotation", "boost"])
-    @pytest.mark.parametrize("mode", ["composed", "onesided"])
-    def test_equivalence(self, mode, Z):
+    def test_equivalence(self, Z):
         _, latk, binding = build_lattices(a=0.1, R_k=0.23,
                                           extent=self.lattice.extent, Z=Z)
         a_vals, j_vals = self.fields(7, 2)
         A, J = LatticeField(latk, a_vals), LatticeField(latk, j_vals)
-        assert (equivalence_check(binding, A, J, mode=mode)
-                == _ref_equivalence_check(binding, A, J, mode=mode))
+        assert (equivalence_check(binding, A, J)
+                == _ref_equivalence_check(binding, A, J))
 
     @pytest.mark.parametrize("reflector", [False, True])
     def test_write_field(self, tmp_path, reflector):
@@ -1662,16 +1662,15 @@ class TestReciprocalStep:
             want = _ref_unit_dirac(vals, self.lattice, mode)
         assert _reciprocal_differences(got, want, mode)[1] > 0
 
-    @pytest.mark.parametrize("mode", ["composed", "onesided"])
-    def test_wave_apply(self, mode):
+    def test_wave_apply(self):
         rng = np.random.default_rng(22)
         for vals, nan in ((_zero_laden(rng, self.lattice), False),
                           (self.overflowing(rng), True)):
             with np.errstate(all="raise"):
-                got = wave_apply(vals, self.lattice, mode)
+                got = wave_apply(vals, self.lattice)
             with np.errstate(over="ignore", invalid="ignore"):
-                want = _ref_wave_apply(vals, self.lattice, mode)
-            assert (_reciprocal_differences(got, want, mode)[1] > 0) == nan
+                want = _ref_wave_apply(vals, self.lattice)
+            assert (_reciprocal_differences(got, want, "composed")[1] > 0) == nan
 
     def test_residual_reports_unchanged(self):
         rng = np.random.default_rng(23)
@@ -1686,10 +1685,9 @@ class TestReciprocalStep:
                                           Z=LorentzTransform.boost([0, 1, 0], 0.5))
         A, source = LatticeField(lat, pot), LatticeField(lat, J)
         assert photon_residual(A, source) == _ref_photon_residual(A, source)
-        for mode in ("composed", "onesided"):
-            A_k, J_k = LatticeField(latk, pot), LatticeField(latk, J)
-            assert (equivalence_check(binding, A_k, J_k, mode)
-                    == _ref_equivalence_check(binding, A_k, J_k, mode))
+        A_k, J_k = LatticeField(latk, pot), LatticeField(latk, J)
+        assert (equivalence_check(binding, A_k, J_k)
+                == _ref_equivalence_check(binding, A_k, J_k))
 
     def test_infinite_value_leaks_no_warning(self):
         # the division warned "invalid value encountered in divide" at each

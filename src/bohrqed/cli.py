@@ -5,7 +5,9 @@ significant digits, LF endings; JSON reports with sorted keys) into the
 output directory and prints one line per check.  Exit codes: 0 all
 checks pass, 1 a check failed, 2 configuration error, 3 domain error (a
 :class:`~bohrqed.DomainError`, and nothing else), 4 internal error (any
-other exception; its traceback goes to stderr).
+other exception; its traceback goes to stderr).  A run that exits 3 or 4
+once its output directory resolves still writes its report, with the
+exit code and the error's type and message.
 
 Every option may also come from a ``--config`` file of ``key = value``
 lines, parsed as flags before the command line's own, which win;
@@ -574,14 +576,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    report = None  # a run that fails once the output directory resolves has one
     try:
         ns, cfg = parse_args(argv)
         out = resolve_out_dir(ns, cfg)
+        path = out / f"{ns.command.replace('-', '_')}_report.json"
         report = RunReport(ns.command, seed=ns.seed, config_hash=config_hash(ns))
         ns.func(ns, out, report)
         report.print_lines()
-        write_json(out / f"{ns.command.replace('-', '_')}_report.json",
-                   report.as_dict())
+        write_json(path, report.as_dict())
+        return EXIT_OK if report.passed else EXIT_CHECK_FAIL
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     except ConfigError as exc:
@@ -590,12 +594,17 @@ def main(argv=None) -> int:
     except DomainError as exc:
         named = "" if type(exc) is DomainError else f"{type(exc).__name__}: "
         print(f"domain error: {named}{exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except Exception:
+        code, error = EXIT_DOMAIN, exc
+    except Exception as exc:
         traceback.print_exc()
         print("internal error: see the traceback above", file=sys.stderr)
-        return EXIT_INTERNAL
-    return EXIT_OK if report.passed else EXIT_CHECK_FAIL
+        code, error = EXIT_INTERNAL, exc
+    if report is not None:
+        with contextlib.suppress(OSError):  # the exit code still says it
+            write_json(path, {"command": report.command, "metadata": report.meta,
+                              "passed": False, "exit_code": code, "error": {
+                                  "type": type(error).__name__, "message": str(error)}})
+    return code
 
 
 if __name__ == "__main__":

@@ -4,22 +4,23 @@ Two hypercubic lattices: a compromise-frame lattice with half-interval
 ``R_k`` (site separation ``2 R_k``) and a snapshot-frame lattice with
 half-interval ``a``, related by a translation, a scaling ``R_k -> a``
 and a Lorentz transform ``Z``.  First derivatives are one-sided
-backward differences over one full site interval; the second-order wave
-operator composes a backward with a forward difference per axis, giving
-the standard 3-point stencil (exact on quadratics).  A central mode is
-available for convergence studies.
+backward differences over one full site interval, or central ones for
+convergence studies; the second-order wave operator composes a backward
+with a forward difference per axis, giving the standard 3-point stencil
+(exact on quadratics).
 
 Field values are biquaternions seen as ``(*extent, 4)`` complex arrays
 and stored component-major: one C-contiguous ``(4, *extent)`` block of
 component planes per entry.  Wave functions are reflector pairs
 ``(phi1, phi2)``.  The first-order operator is
-``D = i d0 + i1 d1 + i2 d2 + i3 d3`` and ``D‡`` flips the sign of the
-spatial basis elements.  Residuals stream one axis-0 slab of whole time
-slices at a time (as many as fit in ``_SLAB_BYTES`` of one field, at least
-one) through buffers allocated once per call.  One flat kernel forms each
-difference from contiguous ranges of the component planes offset by the
-axis stride, scaled by the step's reciprocal; sites at an edge of axes 1-3
-read wrapped neighbours; norms and finiteness tests run over whole slices,
+``D = i d0 + i1 d1 + i2 d2 + i3 d3``; its ``D‡``, which flips the sign of
+the spatial basis elements, acts only in the Dirac residual's second row.
+Residuals stream one axis-0 slab of whole time slices at a time (as many
+as fit in ``_SLAB_BYTES`` of one field, at least one) through buffers
+allocated once per call.  One flat kernel forms each difference from
+contiguous ranges of the component planes offset by the axis stride,
+scaled by the step's reciprocal; sites at an edge of axes 1-3 read
+wrapped neighbours; norms and finiteness tests run over whole slices,
 and only reductions read the interior (the sites with a full stencil).
 Basis units act by signed permutation (times ``i`` on time); a report,
 the max of per-slab maxima, is the whole-array value.
@@ -263,7 +264,7 @@ def build_lattices(a: float, R_k: float, extent, Z: LorentzTransform,
 
 #: Sites without a full stencil at the low and high end of every axis, for
 #: each first-order mode and for the 3-point wave stencil.
-_FIRST_ORDER = {"backward": (1, 0), "forward": (0, 1), "central": (1, 1)}
+_FIRST_ORDER = {"backward": (1, 0), "central": (1, 1)}
 _WAVE = (1, 1)
 
 
@@ -343,47 +344,33 @@ def _stencil(P: np.ndarray, axis: int, step: float, mode: str | None, box,
     return out
 
 
-@functools.lru_cache(maxsize=64)  # bases only
+@functools.lru_cache(maxsize=8)  # the units of D and D‡
 def _rows(c: Biquaternion) -> tuple:
-    """Left multiplication by ``c`` as rows of ``(source, coefficient)``
-    terms: component k of ``c * b`` sums ``coef * b[source]`` over row k in
-    the order of the Hamilton product, zero coefficients dropped.  A basis
-    unit has one ±1 term per row (±1j for ``I0``): a signed permutation."""
+    """Left multiplication by the basis unit ``c`` as a signed permutation:
+    component k of ``c * b`` is ``coef * b[source]`` for row k's
+    ``(source, coef)``, ``coef`` being ±1, or ±1j for ``I0``."""
     columns = [(c * unit).as_array() for unit in (Biquaternion(1), *BASIS[1:])]
-    return tuple(tuple((i ^ k, columns[i ^ k][k]) for i in range(4)
-                       if columns[i ^ k][k] != 0) for k in range(4))
+    return tuple(next((j, columns[j][k]) for j in range(4) if columns[j][k] != 0)
+                 for k in range(4))
 
 
-def _row(terms, P: np.ndarray, acc: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """One row of ``_rows`` applied to the planes ``P``, term by term: the
-    plane itself for a lone +1 term, else summed in ``acc``; ``tmp`` holds
-    a scaled term after the first."""
-    (j, coef), *rest = terms
-    out = (P[j] if coef == 1 else np.negative(P[j], out=acc) if coef == -1
-           else np.multiply(coef, P[j], out=acc))
-    for j, coef in rest:
-        if coef in (1, -1):
-            out = (np.add if coef == 1 else np.subtract)(out, P[j], out=acc)
-        else:
-            out = np.add(out, np.multiply(coef, P[j], out=tmp), out=acc)
-    return out
-
-
-def _dirac(P: np.ndarray, step: float, box, bufs, mode: str, dagger: bool = False,
-           basis: Sequence[Biquaternion] | None = None) -> np.ndarray:
-    """``sum_mu basis[mu] * d_mu P`` on ``box``, axis terms in order, added
-    into the first of ``bufs`` from zero; the other two buffers hold a
-    difference and scratch planes."""
-    basis = [b.quat_conj() if dagger else b for b in BASIS] if basis is None else basis
+def _dirac(P: np.ndarray, step: float, box, bufs, mode: str,
+           dagger: bool = False) -> np.ndarray:
+    """``D P`` (``D‡ P`` with ``dagger``) on ``box``: each axis's difference
+    permuted by ``_rows`` of its basis unit and added into the first of
+    ``bufs`` from zero, axes in order; the other two buffers hold the
+    difference and a scratch plane for a ±1j term."""
     out, diff, scratch = bufs
     out[...] = 0
-    for mu in range(4):
+    for mu, unit in enumerate(BASIS):
         _stencil(P, mu, step, mode, box, diff)
-        for plane, terms in zip(out, _rows(basis[mu])):
-            if len(terms) == 1 and terms[0][1] == -1:  # subtract: no negated copy
-                plane -= diff[terms[0][0]]
-            elif terms:
-                plane += _row(terms, diff, scratch[0], scratch[1])
+        for plane, (j, coef) in zip(out, _rows(unit.quat_conj() if dagger else unit)):
+            if coef == 1:
+                plane += diff[j]
+            elif coef == -1:  # subtract: no negated copy
+                plane -= diff[j]
+            else:
+                plane += np.multiply(coef, diff[j], out=scratch[0])
     return out
 
 
@@ -413,11 +400,10 @@ def _padded(kernel, values, lattice: HypercubicLattice, margins, count: int,
 
 
 def dirac_apply_values(values: np.ndarray, lattice: HypercubicLattice,
-                       dagger: bool = False, mode: str = "backward",
-                       basis: Sequence[Biquaternion] | None = None,
-                       ) -> np.ndarray:
-    """Apply ``D`` (or ``D‡``) to raw field values; NaN outside the stencil."""
-    return _padded(_dirac, values, lattice, _margins(mode), 3, mode, dagger, basis)
+                       mode: str = "backward") -> np.ndarray:
+    """Apply ``D`` to raw field values with the first-order ``mode``'s
+    differences; NaN outside the stencil."""
+    return _padded(_dirac, values, lattice, _margins(mode), 3, mode)
 
 
 def wave_apply(values: np.ndarray, lattice: HypercubicLattice) -> np.ndarray:

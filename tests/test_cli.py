@@ -22,6 +22,17 @@ def read_all_outputs(outdir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
 
 
+def failed_report(outdir: Path, command: str, code: int, error_type: str) -> dict:
+    """The report of a run of ``command`` that exited ``code`` on an
+    ``error_type`` error, read from ``outdir`` and checked; exits 3 and 4
+    used to leave no report."""
+    report = json.loads((outdir / f"{command.replace('-', '_')}_report.json").read_text())
+    assert report["command"] == command and report["passed"] is False
+    assert report["exit_code"] == code and report["error"]["type"] == error_type
+    assert sorted(report["metadata"]) == ["config_hash", "seed", "version"]
+    return report
+
+
 class TestSolveBohr:
     def test_writes_state_and_passes(self, tmp_path, capsys):
         rc = main(["solve-bohr", "--out", str(tmp_path)])
@@ -171,6 +182,8 @@ class TestTile:
         assert message in err
         assert "InfeasibleCoverage" not in err
         assert not (tmp_path / "boundary_points.csv").exists()
+        assert message in failed_report(tmp_path, "tile", 3,
+                                        "DomainError")["error"]["message"]
 
 
 class TestLatticeVerify:
@@ -209,7 +222,8 @@ class TestLatticeVerify:
         assert rc == 3
         err = capsys.readouterr().err
         assert err == f"domain error: rapidity must be finite, got {rapidity}\n"
-        assert not (tmp_path / "lattice_verify_report.json").exists()
+        report = failed_report(tmp_path, "lattice-verify", 3, "DomainError")
+        assert report["error"]["message"] == f"rapidity must be finite, got {rapidity}"
 
     def test_duplicate_spacings_exit_2(self, tmp_path, capsys):
         # a repeated spacing used to exit 3 with "abscissa has zero span"
@@ -279,6 +293,8 @@ class TestScalingSweep:
         assert f"domain error: {message}\n" == err
         assert not (tmp_path / "exponents.json").exists()
         assert not (tmp_path / "roundel_sweep.csv").exists()
+        report = failed_report(tmp_path, "scaling-sweep", 3, "DomainError")
+        assert report["error"]["message"] == message
 
     def test_exponent_table(self, tmp_path):
         rc = main(["scaling-sweep", "--out", str(tmp_path)])
@@ -601,6 +617,21 @@ class TestExitCodes:
         assert "Traceback" in err and "ValueError: a bug, not an input" in err
         assert "domain error" not in err
         assert err.rstrip().splitlines()[-1].startswith("internal error:")
+        report = failed_report(tmp_path, "solve-bohr", 4, "ValueError")
+        assert report["error"]["message"] == "a bug, not an input"
+
+    def test_internal_error_in_a_subcommand_reported(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # the tiling raises past every check: no artifact, only the report
+        def broken(*args, **kwargs):
+            raise RuntimeError("a bug in the tiling")
+
+        monkeypatch.setattr(cli, "tile", broken)
+        assert main(["tile", "--out", str(tmp_path)]) == 4
+        assert "RuntimeError: a bug in the tiling" in capsys.readouterr().err
+        report = failed_report(tmp_path, "tile", 4, "RuntimeError")
+        assert report["error"]["message"] == "a bug in the tiling"
+        assert [p.name for p in tmp_path.iterdir()] == ["tile_report.json"]
 
     def test_module_runs_the_command_line(self):
         # ``python -m bohrqed`` used to fail: no module bohrqed.__main__

@@ -69,7 +69,7 @@ def partial_values(field, mu, mode="backward"):
     """``d_mu`` of a scalar field (component 0 alone) at every site: component
     ``mu`` of ``D`` on it, whose basis unit on axis ``mu`` is 1 for space and
     ``i`` for time; NaN off the stencil."""
-    component = dirac_apply_values(field.values, field.lattice, mode)[..., mu]
+    component = _kernel_dirac(field.values, field.lattice, mode=mode)[..., mu]
     return -1j * component if mu == 0 else component
 
 
@@ -208,7 +208,7 @@ class TestDiracApply:
         # D‡, the Dirac residual's second row
         lat = small_lattice()
         f = scalar_field(lat, lambda g: g[1])
-        out = _dagger_apply(f.values, lat, "backward")[2, 2, 2, 2]
+        out = _kernel_dirac(f.values, lat, dagger=True)[2, 2, 2, 2]
         assert bq_frobenius_arr(out + I1.as_array()) < 1e-13
 
     def test_plane_wave_converges_to_analytic(self):
@@ -1109,7 +1109,8 @@ def _ref_slices(axis, sel):
 
 
 #: Sites without a full stencil at the low and high end of every axis.
-_MARGINS = {"backward": (1, 0), "central": (1, 1), "composed": (1, 1)}
+_MARGINS = {"backward": (1, 0), "forward": (0, 1), "central": (1, 1),
+            "composed": (1, 1)}
 
 
 def _ref_interior(values, mode):
@@ -1136,24 +1137,71 @@ def _ref_first_diff(values, axis, step, mode):
     return out
 
 
-def _ref_dirac_apply(values, lattice, dagger=False, mode="backward", basis=None):
-    """``sum_mu basis[mu] * d_mu`` (by default ``D``, with ``dagger`` ``D‡``);
-    the reference alone takes another basis or the forward difference."""
+def _ref_dirac_apply(values, lattice, dagger=False, mode="backward", basis=None,
+                     diff=_ref_first_diff):
+    """``sum_mu basis[mu] * d_mu`` (by default ``D``, with ``dagger`` ``D‡``),
+    each ``d_mu`` a ``diff(values, mu, step, mode)``."""
     if basis is None:
         basis = [BASIS[mu].quat_conj() if dagger else BASIS[mu]
                  for mu in range(4)]
     out = np.zeros(values.shape, dtype=complex)
     for mu in range(4):
-        diff = _ref_first_diff(values, mu, lattice.step, mode)
-        out = out + bq_mul_arr(basis[mu].as_array(), diff)
+        out = out + bq_mul_arr(basis[mu].as_array(),
+                               diff(values, mu, lattice.step, mode))
     return out
 
 
-def _dagger_apply(values, lattice, mode):
-    """``D‡`` of raw values through the kernel's private entry, the row the
-    Dirac residual runs, NaN-padded as ``dirac_apply_values`` pads ``D``."""
-    return lattice_module._padded(lattice_module._dirac, values, lattice,
-                                  _MARGINS[mode], 3, mode, True)
+# The kernel in each form the reference takes.  The forward difference is
+# the backward one on the negated mirror image, mirrored back: ``(-a) - (-b)``
+# is ``b - a`` in every bit, so the bytes are those of a forward kernel.
+
+def _mirror(values):
+    """``values`` reflected through the lattice's centre, every axis at once."""
+    return np.flip(values, axis=(0, 1, 2, 3))
+
+
+def _kernel(apply, values, lattice, mode, *args):
+    """``apply(values, lattice, mode, *args)``, a backward or central kernel,
+    with the forward difference taken by the mirror."""
+    if mode != "forward":
+        return apply(values, lattice, mode, *args)
+    return _mirror(apply(-_mirror(values), lattice, "backward", *args))
+
+
+def _kernel_first_diff(values, axis, step, mode):
+    """``_ref_first_diff`` by the kernel's ``_stencil``: the difference planes
+    that ``_dirac`` permutes; NaN off the full stencil."""
+    lattice = HypercubicLattice(spacing=step / 2, extent=values.shape[:4])
+    assert lattice.step == step
+    return _kernel(lambda v, lat, m: lattice_module._padded(
+        lambda P, h, box, bufs: lattice_module._stencil(P, axis, h, m, box, bufs[0]),
+        v, lat, _MARGINS[m], 1), values, lattice, mode)
+
+
+def _kernel_dirac(values, lattice, dagger=False, mode="backward", basis=None):
+    """``_ref_dirac_apply`` by the kernel: ``D`` is ``dirac_apply_values`` and
+    ``D‡`` the private row the Dirac residual runs; another basis contracts
+    the kernel's difference planes as the reference contracts its own."""
+    if basis is not None:
+        return _ref_dirac_apply(values, lattice, mode=mode, basis=basis,
+                                diff=_kernel_first_diff)
+    if not dagger:
+        return _kernel(dirac_apply_values, values, lattice, mode)
+    return _kernel(lambda v, lat, m: lattice_module._padded(
+        lattice_module._dirac, v, lat, _MARGINS[m], 3, m, True), values, lattice, mode)
+
+
+def _kernel_residual(phi, A, e, mass, mode="backward"):
+    """``dirac_residual``; for the forward difference, that of the negated
+    mirror image of ``phi``, the mirror image of a potential field, ``-e``
+    and ``-mass``: each row is the forward one mirrored, up to zero signs,
+    and no norm sees a mirror, a sign or a zero's sign."""
+    if mode != "forward":
+        return dirac_residual(phi, A, e=e, mass=mass, mode=mode)
+    if isinstance(A, LatticeField):
+        A = LatticeField(A.lattice, _mirror(A.values))
+    phi = ReflectorField(phi.lattice, -_mirror(phi.phi1), -_mirror(phi.phi2))
+    return dirac_residual(phi, A, e=-e, mass=-mass, mode="backward")
 
 
 def _ref_wave_apply(values, lattice):
@@ -1223,6 +1271,15 @@ def _random_values(rng, lattice, scale=1.0):
     return scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
+#: Bases with general, ±1, ±1j and zero coefficients.
+CUSTOM_BASES = {
+    "transformed": [LorentzTransform.from_parts([0.3, -1, 2], 0.77,
+                                                [1, 0.5, -0.2], 0.61).apply(b)
+                    for b in BASIS],
+    "mixed": [I1, -I0, Biquaternion(0.5, -1, 0, 2j), Biquaternion(-1j, 1, -1, 1j)],
+}
+
+
 def _assert_interior_equal(got, want, mode):
     assert np.array_equal(np.isfinite(got), np.isfinite(want))
     assert np.array_equal(_ref_interior(got, mode), _ref_interior(want, mode))
@@ -1234,11 +1291,22 @@ class TestInteriorStencilOracle:
     lattice = HypercubicLattice(spacing=0.13, extent=(5, 4, 6, 3),
                                 origin=(0.1, -0.3, 0.2, 0.0))
 
-    @pytest.mark.parametrize("mode", ["backward", "central"])
-    def test_dirac_apply(self, mode):
+    @pytest.mark.parametrize("dagger", [False, True])
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
+    def test_dirac_apply(self, mode, dagger):
         vals = _random_values(np.random.default_rng(1), self.lattice)
-        _assert_interior_equal(dirac_apply_values(vals, self.lattice, mode),
-                               _ref_dirac_apply(vals, self.lattice, mode=mode), mode)
+        _assert_interior_equal(
+            _kernel_dirac(vals, self.lattice, dagger=dagger, mode=mode),
+            _ref_dirac_apply(vals, self.lattice, dagger=dagger, mode=mode), mode)
+
+    @pytest.mark.parametrize("basis", sorted(CUSTOM_BASES))
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
+    def test_dirac_apply_custom_basis(self, mode, basis):
+        vals = _random_values(np.random.default_rng(2), self.lattice)
+        b = CUSTOM_BASES[basis]
+        _assert_interior_equal(
+            _kernel_dirac(vals, self.lattice, mode=mode, basis=b),
+            _ref_dirac_apply(vals, self.lattice, mode=mode, basis=b), mode)
 
     def test_wave_apply(self):
         vals = _random_values(np.random.default_rng(3), self.lattice)
@@ -1268,20 +1336,22 @@ class TestInteriorStencilOracle:
     @given(extent=st.tuples(*[st.integers(3, 7)] * 4),
            spacing=st.floats(min_value=1e-3, max_value=10.0),
            seed=st.integers(0, 2**32 - 1),
-           first=st.sampled_from(["backward", "central"]))
+           first=st.sampled_from(["backward", "forward", "central"]))
     @settings(max_examples=30, deadline=None)
     def test_random_lattices(self, extent, spacing, seed, first):
         rng = np.random.default_rng(seed)
         lat = HypercubicLattice(spacing=spacing, extent=extent)
         vals = _random_values(rng, lat)
-        _assert_interior_equal(dirac_apply_values(vals, lat, first),
-                               _ref_dirac_apply(vals, lat, mode=first), first)
+        for dagger in (False, True):
+            _assert_interior_equal(
+                _kernel_dirac(vals, lat, dagger=dagger, mode=first),
+                _ref_dirac_apply(vals, lat, dagger=dagger, mode=first), first)
         _assert_interior_equal(wave_apply(vals, lat), _ref_wave_apply(vals, lat),
                                "composed")
         phi = ReflectorField(lat, vals, _random_values(rng, lat))
         pot = LatticeField(lat, _random_values(rng, lat))
         e, m = rng.normal(), rng.normal()
-        assert (dirac_residual(phi, pot, e=e, mass=m, mode=first)
+        assert (_kernel_residual(phi, pot, e, m, first)
                 == _ref_dirac_residual(phi, pot.values, e, m, first))
         A, J = LatticeField(lat, vals), LatticeField(lat, phi.phi2)
         assert photon_residual(A, J) == _ref_photon_residual(A, J)
@@ -1305,21 +1375,23 @@ class TestSiteLocalStencils:
         return list(itertools.product(*(sorted({lo, n - hi - 1})
                                         for n in self.lattice.extent)))
 
-    @pytest.mark.parametrize("mode", ["backward", "central"])
-    def test_dirac_apply_matches_array(self, mode):
-        # the scalar algebra's sum_mu BASIS[mu] * d_mu at one site
+    @pytest.mark.parametrize("dagger", [False, True])
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
+    def test_dirac_apply_matches_array(self, mode, dagger):
+        # the scalar algebra's sum_mu basis[mu] * d_mu at one site
         f = LatticeField(self.lattice,
                          _random_values(np.random.default_rng(7), self.lattice))
-        full = dirac_apply_values(f.values, self.lattice, mode)
+        full = _kernel_dirac(f.values, self.lattice, dagger=dagger, mode=mode)
+        basis = [b.quat_conj() if dagger else b for b in BASIS]
         diffs = [_ref_first_diff(f.values, mu, self.lattice.step, mode)
                  for mu in range(4)]
         for site in self.edge_sites(mode):
             want = sum((b * Biquaternion.from_array(d[site])
-                        for b, d in zip(BASIS, diffs)), Biquaternion())
+                        for b, d in zip(basis, diffs)), Biquaternion())
             np.testing.assert_allclose(full[site], want.as_array(),
                                        rtol=1e-14, atol=1e-14)
 
-    @pytest.mark.parametrize("mode", ["backward", "central"])
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
     def test_partial_matches_array(self, mode):
         # each partial of a scalar field is a component of D on it
         f = scalar_field(self.lattice, lambda g: _random_values(
@@ -1330,7 +1402,7 @@ class TestSiteLocalStencils:
             for site in self.edge_sites(mode):
                 assert np.array_equal(got[site], full[site])
 
-    @pytest.mark.parametrize("mode", ["backward", "central"])
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
     def test_outside_interior_is_nan(self, mode):
         # a site lacking any axis's neighbors has no value, even for a
         # component whose difference runs along another axis; a
@@ -1340,7 +1412,7 @@ class TestSiteLocalStencils:
         lo, hi = _MARGINS[mode]
         outside = np.ones(self.lattice.extent, dtype=bool)
         outside[tuple(slice(lo, n - hi) for n in self.lattice.extent)] = False
-        got = dirac_apply_values(f.values, self.lattice, mode)
+        got = _kernel_dirac(f.values, self.lattice, mode=mode)
         assert np.array_equal(np.isnan(got).all(axis=-1), outside)
         assert np.isfinite(got[~outside]).all()
         phi = ReflectorField(self.lattice, f.values, f.values)
@@ -1402,11 +1474,22 @@ class TestSlabOracle:
         assert all(box[1:] == tuple(slice(0, n) for n in self.lattice.extent[1:])
                    for box in slabs)
 
-    @pytest.mark.parametrize("mode", ["backward", "central"])
-    def test_dirac_apply(self, mode):
+    @pytest.mark.parametrize("dagger", [False, True])
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
+    def test_dirac_apply(self, mode, dagger):
         (vals,) = self.fields(1, 1)
-        _assert_interior_equal(dirac_apply_values(vals, self.lattice, mode),
-                               _ref_dirac_apply(vals, self.lattice, mode=mode), mode)
+        _assert_interior_equal(
+            _kernel_dirac(vals, self.lattice, dagger=dagger, mode=mode),
+            _ref_dirac_apply(vals, self.lattice, dagger=dagger, mode=mode), mode)
+
+    @pytest.mark.parametrize("basis", sorted(CUSTOM_BASES))
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
+    def test_dirac_apply_custom_basis(self, mode, basis):
+        (vals,) = self.fields(2, 1)
+        b = CUSTOM_BASES[basis]
+        _assert_interior_equal(
+            _kernel_dirac(vals, self.lattice, mode=mode, basis=b),
+            _ref_dirac_apply(vals, self.lattice, mode=mode, basis=b), mode)
 
     def test_wave_apply(self):
         (vals,) = self.fields(3, 1)
@@ -1414,7 +1497,7 @@ class TestSlabOracle:
                                _ref_wave_apply(vals, self.lattice), "composed")
 
     @pytest.mark.parametrize("dagger", [False, True])
-    @pytest.mark.parametrize("mode", ["backward", "central"])
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
     def test_dirac_residual_one_row(self, mode, dagger):
         # with no mass and one zero entry, the residual is the D row (or,
         # with ``dagger``, the D‡ row) alone
@@ -1423,13 +1506,13 @@ class TestSlabOracle:
         phi = ReflectorField(self.lattice, *((vals, zero) if dagger
                                              else (zero, vals)))
         pot = LatticeField(self.lattice, potential)
-        assert (dirac_residual(phi, pot, e=0.61, mass=0.0, mode=mode)
+        assert (_kernel_residual(phi, pot, 0.61, 0.0, mode)
                 == _ref_dirac_residual(phi, potential, 0.61, 0.0, mode))
 
     @pytest.mark.parametrize("potential", [
         "field", "pair", Biquaternion(-0.2j, 0.1, 0, 0.03), I1, -I0,
         Biquaternion(0)])
-    @pytest.mark.parametrize("mode", ["backward", "central"])
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
     def test_dirac_residual_potentials(self, mode, potential):
         # a field, or a constant with general, ±1, ±1j and zero coefficients;
         # an (upper, lower) pair of fields is no potential form
@@ -1439,7 +1522,7 @@ class TestSlabOracle:
         if potential == "pair":
             field = LatticeField(self.lattice, values)
             with pytest.raises(TypeError):
-                dirac_residual(phi, (field, field), e=-0.8, mass=mass, mode=mode)
+                _kernel_residual(phi, (field, field), -0.8, mass, mode)
             return
         if potential == "field":
             pot = LatticeField(self.lattice, values)
@@ -1447,7 +1530,7 @@ class TestSlabOracle:
             pot = potential
             values = np.broadcast_to(potential.as_array(), phi1.shape)
         for field in (phi, charge_conjugate_field(phi)):
-            assert (dirac_residual(field, pot, e=-0.8, mass=mass, mode=mode)
+            assert (_kernel_residual(field, pot, -0.8, mass, mode)
                     == _ref_dirac_residual(field, values, -0.8, mass, mode))
 
     def test_photon_residual(self):
@@ -1613,23 +1696,20 @@ class TestReciprocalStep:
         vals[1:3, 2, 2, 2, 1], vals[3, 2, 2, 2, 1] = -1e308 + 0j, 1e308 - 0j
         return vals
 
-    @pytest.mark.parametrize("mode", ["backward", "central"])
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
     def test_dirac_apply(self, mode):
         rng = np.random.default_rng(21)
         finite = _zero_laden(rng, self.lattice)
-        for dagger, apply in ((False, dirac_apply_values), (True, _dagger_apply)):
+        for dagger in (False, True):
             with np.errstate(all="raise"):  # and so no warning either
-                got = apply(finite, self.lattice, mode)
+                got = _kernel_dirac(finite, self.lattice, dagger, mode)
             want = _ref_dirac_apply(finite, self.lattice, dagger, mode)
             assert _reciprocal_differences(got, want, mode)[1] == 0
         # the overflowing axis-0 difference through the stencil alone: D
         # takes it times i, and i*inf has a NaN part of its own
         vals = self.overflowing(rng)
         with np.errstate(all="raise"):
-            got = lattice_module._padded(
-                lambda P, step, box, bufs: lattice_module._stencil(
-                    P, 0, step, mode, box, bufs[0]),
-                vals, self.lattice, _MARGINS[mode], 1)
+            got = _kernel_first_diff(vals, 0, self.lattice.step, mode)
         with np.errstate(over="ignore", invalid="ignore"):
             want = _ref_first_diff(vals, 0, self.lattice.step, mode)
         assert _reciprocal_differences(got, want, mode)[1] > 0
@@ -1649,9 +1729,8 @@ class TestReciprocalStep:
         lat = self.lattice
         phi1, phi2, pot, J = (_zero_laden(rng, lat) for _ in range(4))
         phi = ReflectorField(lat, phi1, phi2)
-        for mode in ("backward", "central"):
-            assert (dirac_residual(phi, LatticeField(lat, pot), e=0.7, mass=1.1,
-                                   mode=mode)
+        for mode in ("backward", "forward", "central"):
+            assert (_kernel_residual(phi, LatticeField(lat, pot), 0.7, 1.1, mode)
                     == _ref_dirac_residual(phi, pot, 0.7, 1.1, mode))
         _, latk, binding = build_lattices(a=0.3, R_k=0.37, extent=lat.extent,
                                           Z=LorentzTransform.boost([0, 1, 0], 0.5))
@@ -1725,15 +1804,17 @@ class TestSlabMemory:
 # kernels they replaced, bit for bit
 # ---------------------------------------------------------------------------
 
-def _ref_left_mul_dirac(values, lattice, dagger=False, mode="backward"):
+def _ref_left_mul_dirac(values, lattice, dagger=False, mode="backward", basis=None,
+                        first_diff=_ref_first_diff):
     """The interleaved Dirac kernel the plane kernel replaced: each axis's
-    difference is left-multiplied by its basis element term by term (zero
+    ``first_diff`` is left-multiplied by its basis element term by term (zero
     coefficients skipped, ±1 as an add or a subtract) and added into a
     zero-filled sum; NaN outside the stencil."""
-    basis = [b.quat_conj() if dagger else b for b in BASIS]
+    if basis is None:
+        basis = [b.quat_conj() if dagger else b for b in BASIS]
     total = np.zeros(_ref_interior(values, mode).shape, dtype=complex)
     for mu in range(4):
-        diff = _ref_interior(_ref_first_diff(values, mu, lattice.step, mode), mode)
+        diff = _ref_interior(first_diff(values, mu, lattice.step, mode), mode)
         columns = [(basis[mu] * unit).as_array()
                    for unit in (Biquaternion(1), *BASIS[1:])]
         for k in range(4):
@@ -1774,15 +1855,19 @@ class TestPlaneKernels:
             part[rng.random(vals.shape) < 0.35] = -0.0
         return vals
 
+    @pytest.mark.parametrize("basis", [None, *sorted(CUSTOM_BASES)])
     @pytest.mark.parametrize("dagger", [False, True])
-    @pytest.mark.parametrize("mode", ["backward", "central"])
-    def test_dirac_apply_signed_zeros(self, mode, dagger):
-        # D through the public operator, D‡ through the kernel's private entry
+    @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
+    def test_dirac_apply_signed_zeros(self, mode, dagger, basis):
+        # another basis contracts the kernel's difference planes term by term
         vals = self.signed_zero_values(31)
-        want = _ref_left_mul_dirac(vals, self.lattice, dagger, mode)
-        apply = _dagger_apply if dagger else dirac_apply_values
+        b = None if basis is None else CUSTOM_BASES[basis]
+        want = _ref_left_mul_dirac(vals, self.lattice, dagger, mode, b)
         for layout in (vals, _component_major(vals)):
-            assert apply(layout, self.lattice, mode).tobytes() == want.tobytes()
+            got = (_kernel_dirac(layout, self.lattice, dagger, mode) if b is None
+                   else _ref_left_mul_dirac(layout, self.lattice, dagger, mode, b,
+                                            _kernel_first_diff))
+            assert got.tobytes() == want.tobytes()
 
     def test_max_norm_per_site(self):
         rng = np.random.default_rng(37)

@@ -239,15 +239,6 @@ class LorentzTransform:
         return LorentzTransform(
             Biquaternion(c, 1j * s * n[0], 1j * s * n[1], 1j * s * n[2]))
 
-    @staticmethod
-    def from_parts(rotation_axis, angle: float, boost_axis, rapidity: float,
-                   rotation_first: bool = False) -> "LorentzTransform":
-        """Compose a rotation and a boost; ``rotation_first`` applies the
-        rotation to the input before the boost."""
-        r = LorentzTransform.rotation(rotation_axis, angle)
-        b = LorentzTransform.boost(boost_axis, rapidity)
-        return b.compose(r) if rotation_first else r.compose(b)
-
     def compose(self, inner: "LorentzTransform") -> "LorentzTransform":
         """Transform equal to applying ``inner`` first, then ``self``."""
         return LorentzTransform(self.g * inner.g)

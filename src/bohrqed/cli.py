@@ -317,8 +317,7 @@ def cmd_local_solve(ns, out: Path, report: RunReport) -> None:
 def cmd_tile(ns, out: Path, report: RunReport) -> None:
     domain = [(0.0, ns.side)] * kind_dim(ns.kind)
     ens = tile(domain, ns.radius, kind=ns.kind, c=ns.c or None,
-               boundary_samples=ns.boundary_samples, seed=ns.seed,
-               verify=False)
+               boundary_samples=ns.boundary_samples, seed=ns.seed)
     if ns.regions_per_axis != 1:
         ens = partition_regions(ens, ns.regions_per_axis)
     stats = verify_ensemble(ens)

@@ -2,17 +2,19 @@
 
 A tiling covers a box with circles (pure state, 2-d) or spheres
 (superposition, 3-d) packed on a square/cubic grid of interval twice the
-radius.  Every point of the box must lie within ``c`` radii of some roundel
-boundary, boundary points shared by several roundels are owned by the
+radius.  Boundary points shared by several roundels are owned by the
 lexicographically smallest center, and as radii shrink the boundary set
-fills the box.  An :class:`Ensemble` is read-only arrays, per roundel (id,
-center, radius, charge, region) and per boundary point (point, owning
-roundel, its region).  Ownership, overlap and coverage are found in O(N) through
-a uniform cell list (Allen & Tildesley, *Computer Simulation of Liquids*,
-ch. 5) whose cell side is the largest roundel diameter.  Driving the
-orbit equations while the bare mass and charge scale inversely with the
-radius produces the limit power laws that :func:`scaling_sweep` tabulates
-and fits as a :class:`~bohrqed.fitting.Sweep`.
+fills the box.  :func:`tile` only builds; :func:`verify_ensemble` measures
+overlap and coverage (how many radii from a boundary a point of the box may
+lie), and the caller judges them against the ensemble's ``c``.  An
+:class:`Ensemble` is read-only arrays, per roundel (id, center, radius,
+charge, region) and per boundary point (point, owning roundel, its region).
+Ownership, overlap and coverage are found in O(N) through a uniform cell
+list (Allen & Tildesley, *Computer Simulation of Liquids*, ch. 5) whose
+cell side is the largest roundel diameter.  Driving the orbit equations
+while the bare mass and charge scale inversely with the radius produces
+the limit power laws that :func:`scaling_sweep` tabulates and fits as a
+:class:`~bohrqed.fitting.Sweep`.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "SCALING_EXPONENTS",
 ]
 
-_OVERLAP_TOL = 1e-12
 _BOUNDARY_TOL = 1e-9
 # cell-list cells are this much wider than the largest diameter, so no
 # pair one diameter apart lands two cells apart through rounding
@@ -114,6 +115,11 @@ class Ensemble:
         if not (np.isfinite(self.centers).all() and np.isfinite(self.radii).all()
                 and (self.radii > 0).all()):
             raise DomainError("roundel centers must be finite, radii finite and positive")
+        real = self.charges.dtype.kind in "iuf"
+        if not (real and np.isfinite(self.charges).all()):
+            shown = self.charges[~np.isfinite(self.charges)] if real else self.charges
+            raise DomainError("roundel charges must be finite real numbers, "
+                              f"got {shown[:3].tolist()}")
         n = len(self.boundary)
         shapes = {a.shape for a in (self.owners, self.boundary_regions)}
         if (shapes != {(n,)} or self.boundary.shape != (n, dim)
@@ -198,42 +204,27 @@ def tile(domain: Sequence[tuple[float, float]],
          R: float,
          kind: str = "pure",
          c: float | None = None,
-         charge: float = 0.0,
          boundary_samples: int = 8,
-         seed: int = 0,
-         verify: bool = True) -> Ensemble:
-    """Tile a box with touching roundels of radius ``R`` on a square/cubic packing.
-
-    Raises :class:`InfeasibleCoverage` when the result leaves some sampled
-    point farther than ``c`` radii from every boundary.
-    """
+         seed: int = 0) -> Ensemble:
+    """Tile a box with uncharged touching roundels of radius ``R`` on a
+    square/cubic packing, keeping ``c`` (``sqrt(dim)`` by default) for the
+    caller to judge :func:`verify_ensemble` by.  Raises
+    :class:`InfeasibleCoverage` only when no roundel fits in the domain."""
     dim = kind_dim(kind)
     domain = _checked_domain(domain, kind)
     whole("boundary_samples", boundary_samples, 1)
     if c is None:
         c = math.sqrt(dim)
     finite("coverage slack c", c)  # before the tiling work; Ensemble checks it again
-    finite("roundel charge", charge)
     positive("radius", R)
 
     centers, radii = _grid_cells(domain, float(R))
     ids = np.arange(len(radii))
     pts = _boundary_samples(centers, radii, kind, boundary_samples, seed)
-    ens = Ensemble(ids=ids, centers=centers, radii=radii,
-                   charges=np.full(len(radii), charge, dtype=float),
-                   regions=np.zeros(len(radii), dtype=int), kind=kind, c=c,
-                   boundary=pts, owners=_owners_of(pts, centers, radii, ids),
-                   boundary_regions=np.zeros(len(pts), dtype=int), domain=domain)
-    if verify:
-        report = verify_ensemble(ens)
-        if report["max_overlap"] > _OVERLAP_TOL:
-            raise InfeasibleCoverage(
-                f"tiling overlaps by {report['max_overlap']:.3e}")
-        if report["max_coverage_ratio"] > c:
-            raise InfeasibleCoverage(
-                f"coverage needs c >= {report['max_coverage_ratio']:.6f}, "
-                f"got c = {c}")
-    return ens
+    return Ensemble(ids=ids, centers=centers, radii=radii, charges=np.zeros(len(radii)),
+                    regions=np.zeros(len(radii), dtype=int), kind=kind, c=c,
+                    boundary=pts, owners=_owners_of(pts, centers, radii, ids),
+                    boundary_regions=np.zeros(len(pts), dtype=int), domain=domain)
 
 
 def _grid_cells(domain, R):

@@ -203,7 +203,6 @@ def renormalize_mass(M_global: float, a: float, R_k: float) -> MassTerm:
 class RegionBinding:
     """One region's choice of roundel, compromise frame, and site mapping."""
 
-    region_id: int
     Z: LorentzTransform
     lattice_k: HypercubicLattice
     lattice_p: HypercubicLattice
@@ -237,24 +236,20 @@ class RegionBinding:
 
 
 def build_lattices(a: float, R_k: float, extent, Z: LorentzTransform,
-                   origin=(0.0, 0.0, 0.0, 0.0), region_id: int = 0,
                    ) -> tuple[HypercubicLattice, HypercubicLattice, RegionBinding]:
     """Snapshot lattice, compromise lattice, and the binding tying them.
 
-    Both lattices share the index structure; the binding's site map
-    carries compromise positions onto snapshot positions and sends every
+    Both lattices sit at the origin and share the index structure; the site
+    map carries compromise positions onto snapshot positions and sends every
     neighbor of the center site onto the image center's neighbors.
     """
-    lat_k = HypercubicLattice(spacing=R_k, extent=extent, origin=origin,
-                              frame="compromise")
-    lat_p = HypercubicLattice(spacing=a, extent=lat_k.extent, origin=origin,
-                              frame="snapshot")
+    lat_k = HypercubicLattice(spacing=R_k, extent=extent, frame="compromise")
+    lat_p = HypercubicLattice(spacing=a, extent=lat_k.extent, frame="snapshot")
     center = tuple(e // 2 for e in lat_k.extent)  # extents >= 3: all neighbors exist
     neighbors = [tuple(c + step * (ax == axis) for ax, c in enumerate(center))
                  for axis in range(4) for step in (-1, +1)]
-    binding = RegionBinding(region_id=region_id, Z=Z, lattice_k=lat_k,
-                            lattice_p=lat_p, center_index=center,
-                            neighbor_indices=tuple(neighbors))
+    binding = RegionBinding(Z=Z, lattice_k=lat_k, lattice_p=lat_p,
+                            center_index=center, neighbor_indices=tuple(neighbors))
     return lat_p, lat_k, binding
 
 
@@ -300,14 +295,15 @@ def _slabs(extent, margins=(0, 0)) -> list[tuple[slice, ...]]:
             for t in range(t0, t1, width)]
 
 
-def _walk(extent, count: int, margins=(0, 0)) -> list:
-    """The ``_slabs`` of ``extent`` and ``margins``, each with ``count``
-    complex ``(4, *slices)`` buffers of its whole time slices, allocated once
-    for the first (no later one is wider), cut to each."""
+def _walk(extent, planes, margins=(0, 0)) -> list:
+    """The ``_slabs`` of ``extent`` and ``margins``, each with one complex
+    ``(p, *slices)`` buffer of its whole time slices per ``p`` of ``planes``,
+    allocated once for the first (no later one is wider), cut to each."""
     slabs = _slabs(extent, margins)
     first = slabs[0][0]
-    bufs = np.empty((count, 4, first.stop - first.start, *extent[1:]), complex)
-    return [(box, bufs[:, :, :box[0].stop - box[0].start]) for box in slabs]
+    block = np.empty((sum(planes), first.stop - first.start, *extent[1:]), complex)
+    cuts = np.cumsum(planes)[:-1]
+    return [(box, np.split(block[:, :box[0].stop - box[0].start], cuts)) for box in slabs]
 
 
 def _inner(P: np.ndarray, box) -> np.ndarray:
@@ -358,8 +354,8 @@ def _dirac(P: np.ndarray, step: float, box, bufs, mode: str,
            dagger: bool = False) -> np.ndarray:
     """``D P`` (``D‡ P`` with ``dagger``) on ``box``: each axis's difference
     permuted by ``_rows`` of its basis unit and added into the first of
-    ``bufs`` from zero, axes in order; the other two buffers hold the
-    difference and a scratch plane for a ±1j term."""
+    ``bufs`` from zero, axes in order; the second holds the difference and
+    the third, one plane, a ±1j term."""
     out, diff, scratch = bufs
     out[...] = 0
     for mu, unit in enumerate(BASIS):
@@ -385,16 +381,16 @@ def _wave(P: np.ndarray, step: float, box, bufs) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite output says it
-def _padded(kernel, values, lattice: HypercubicLattice, margins, count: int,
+def _padded(kernel, values, lattice: HypercubicLattice, margins, planes,
             *args) -> np.ndarray:
     """``kernel`` applied to raw field values, as C-contiguous planes, on every
-    slab of the sites ``margins`` in, with ``count`` buffers; NaN elsewhere."""
+    slab of the sites ``margins`` in, with ``_walk(planes)`` buffers; NaN elsewhere."""
     if np.shape(values) != lattice.extent + (4,):
         raise DomainError(f"values shape {np.shape(values)} does not match "
                           f"lattice extent {lattice.extent} + (4,)")
     P = np.ascontiguousarray(_planes(values))
     out = np.full((4,) + lattice.extent, np.nan + 0j)
-    for box, bufs in _walk(lattice.extent, count, margins):
+    for box, bufs in _walk(lattice.extent, planes, margins):
         out[(..., *box)] = _inner(kernel(P, lattice.step, box, bufs, *args), box)
     return np.moveaxis(out, 0, -1)
 
@@ -403,14 +399,14 @@ def dirac_apply_values(values: np.ndarray, lattice: HypercubicLattice,
                        mode: str = "backward") -> np.ndarray:
     """Apply ``D`` to raw field values with the first-order ``mode``'s
     differences; NaN outside the stencil."""
-    return _padded(_dirac, values, lattice, _margins(mode), 3, mode)
+    return _padded(_dirac, values, lattice, _margins(mode), (4, 4, 1), mode)
 
 
 def wave_apply(values: np.ndarray, lattice: HypercubicLattice) -> np.ndarray:
     """The scalar second-order operator ``-d0² + d1² + d2² + d3²`` on the
     3-point stencil, a backward then a forward difference per axis (exact
     on quadratics); NaN outside the stencil."""
-    return _padded(_wave, values, lattice, _WAVE, 2)
+    return _padded(_wave, values, lattice, _WAVE, (4, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +449,7 @@ def photon_residual(A: LatticeField, J: LatticeField) -> ResidualReport:
         raise DomainError("fields must live on the same lattice")
     a, j = _planes(A.values), _planes(J.values)
     rows = []
-    for box, bufs in _walk(A.lattice.extent, 2, _WAVE):
+    for box, bufs in _walk(A.lattice.extent, (4, 4), _WAVE):
         lhs, rhs = _wave(a, A.lattice.step, box, bufs), j[:, box[0]]
         scales = _max_norm(rhs, box), _max_norm(lhs, box)
         lhs -= rhs
@@ -502,7 +498,7 @@ def dirac_residual(phi: ReflectorField, A: LatticeField | Biquaternion, e: float
 
     n11, n22 = _maxima([(row(box, bufs, phi2, phi1, False),
                          row(box, bufs, phi1, phi2, True))
-                        for box, bufs in _walk(extent, 3, _margins(mode))], 2)
+                        for box, bufs in _walk(extent, (4, 4, 1), _margins(mode))], 2)
     scale = _maxima([(_max_norm(phi1[:, box[0]]), _max_norm(phi2[:, box[0]]))
                      for box in _slabs(extent)], 0)
     return ResidualReport(max_residual=max(n11, n22),
@@ -589,7 +585,7 @@ def transform_field(kind: str, field, binding: RegionBinding):
     def carried(values):
         P = _planes(values)
         out = np.empty(P.shape, complex)
-        for box, (mid, scratch) in _walk(P.shape[1:], 2):
+        for box, (mid, scratch) in _walk(P.shape[1:], (4, 1)):
             _transport(P[:, box[0]], binding, power, out[:, box[0]], mid, scratch[0])
         return _Planes(out)
 
@@ -626,7 +622,7 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
         raise DomainError("A_k and J_k must live on binding.lattice_k")
     extent = binding.lattice_k.extent
     a_k, j_k = _planes(A_k.values), _planes(J_k.values)
-    slabs = _walk(extent, 3, _WAVE)
+    slabs = _walk(extent, (4, 4, 4), _WAVE)
     lo, hi = _WAVE
     # the snapshot potential on slices start.. of the slab and its axis-0
     # halo; the halo comes over from the last slab, so each slice of A_k is

@@ -92,8 +92,8 @@ def test_criterion_1_algebra_suite():
             / scale,
             ((a * b).dagger() - b.dagger() * a.dagger()).frobenius() / scale)
         axis, baxis = rng.normal(size=3), rng.normal(size=3)
-        Z1 = LorentzTransform.from_parts(axis, rng.uniform(-np.pi, np.pi),
-                                         baxis, rng.uniform(-3, 3))
+        Z1 = LorentzTransform.rotation(axis, rng.uniform(-np.pi, np.pi)).compose(
+            LorentzTransform.boost(baxis, rng.uniform(-3, 3)))
         Z2 = LorentzTransform.rotation(rng.normal(size=3),
                                        rng.uniform(-np.pi, np.pi))
         q = random_bq(rng)
@@ -214,7 +214,7 @@ def test_criterion_6_ensemble_geometry():
         else:
             k = int(rng.integers(1, 4 if dim == 3 else 6))
             ens = tile([(0.0, side)] * dim, side / (2.0 * k), kind=kind,
-                       boundary_samples=4, verify=False)
+                       boundary_samples=4)
         stats = verify_ensemble(ens, samples_per_axis=7)
         assert stats["max_overlap"] <= 1e-12, f"tiling {i}"
         assert stats["max_coverage_ratio"] <= ens.c + 1e-12, f"tiling {i}"
@@ -241,7 +241,7 @@ def test_criterion_6_ensemble_geometry():
     dists = []
     for kk in range(5):
         ens = tile([(0.0, 1.0)] * 2, 0.25 / 2**kk, kind="pure",
-                   boundary_samples=4, verify=False)
+                   boundary_samples=4)
         dists.append(boundary_fill_distance(ens))
     monotone = all(b < a - 1e-9 for a, b in zip(dists, dists[1:]))
     ok = determinism_ok and monotone

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -12,7 +13,7 @@ from bohrqed import (BohrInput, DomainError, HypercubicLattice, InfeasibleCovera
                      limit_sweep, photon_residual, solve_bohr, tile, transform_field)
 from bohrqed import ensemble
 from bohrqed._domain import finite, positive, whole
-from bohrqed.cli import RunReport
+from bohrqed.cli import RunReport, main
 from bohrqed.ensemble import Ensemble
 from bohrqed.fitting import fit_loglog
 from bohrqed.lattice import bohr_phi_field
@@ -141,7 +142,7 @@ class TestOverflowingInput:
 
     def test_tile_past_intp_roundels(self):
         with pytest.raises(DomainError, match="roundel count at radius 0.25"):
-            tile([(0.0, 1e308)] * 2, 0.25, verify=False)
+            tile([(0.0, 1e308)] * 2, 0.25)
 
     @pytest.mark.parametrize("spacing", [1e300, 1e-300])
     def test_stencil_divisor_out_of_range(self, spacing):
@@ -181,11 +182,15 @@ def _zero_field(lattice):
     return LatticeField(lattice, np.zeros(lattice.extent + (4,), complex))
 
 
-def _overlapping_tile(monkeypatch):
-    """``tile`` on a grid of two radius-0.25 roundels 0.25 apart."""
+def test_overlapping_tile_fails_its_check(monkeypatch, tmp_path):
+    # tile only builds; the tile command judges the overlap it measures
     monkeypatch.setattr(ensemble, "_grid_cells", lambda domain, R: (
         np.array([[0.25, 0.5], [0.5, 0.5]]), np.array([0.25, 0.25])))
-    tile([(0.0, 1.0)] * 2, 0.25)
+    assert main(["tile", "--c", "2", "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "tile_report.json").read_text())
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["non-overlap"]["measured"] == 0.25
+    assert not checks["non-overlap"]["passed"] and checks["coverage-ratio"]["passed"]
 
 
 _, _LAT_K, _BINDING = build_lattices(a=0.1, R_k=0.2, extent=3,
@@ -215,8 +220,6 @@ _, _LAT_K, _BINDING = build_lattices(a=0.1, R_k=0.2, extent=3,
     pytest.param(lambda mp: tile([(0.0, 1.0)] * 3, 0.25),
                  DomainError, "pure tiling needs a 2-d domain, got "
                  "((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))", id="tile-domain"),
-    pytest.param(_overlapping_tile, InfeasibleCoverage,
-                 "tiling overlaps by 2.500e-01", id="tile-overlap"),
     pytest.param(lambda mp: assign_boundary_point((0.0, 0.0), []),
                  DomainError, "need at least one candidate roundel",
                  id="assign_boundary_point-none"),

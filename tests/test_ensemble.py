@@ -56,8 +56,10 @@ class TestTile:
         assert stats["max_coverage_ratio"] >= 1.0 - 1e-9
 
     def test_infeasible_c(self):
-        with pytest.raises(InfeasibleCoverage):
-            tile(UNIT_SQUARE, 0.25, kind="pure", c=0.5)
+        # tile only builds: the caller judges coverage against c
+        ens = tile(UNIT_SQUARE, 0.25, kind="pure", c=0.5)
+        assert ens.c == 0.5
+        assert verify_ensemble(ens)["max_coverage_ratio"] > 0.5
 
     def test_radius_wider_than_domain_is_infeasible(self):
         with pytest.raises(InfeasibleCoverage):
@@ -80,13 +82,6 @@ class TestTile:
             tile(domain, R)
         assert named in str(info.value)
         assert not isinstance(info.value, InfeasibleCoverage)
-
-    @pytest.mark.parametrize("charge", [math.nan, math.inf, -math.inf])
-    def test_non_finite_charge_named(self, charge):
-        # NaN used to give an ensemble whose total charge is NaN
-        with pytest.raises(ValueError) as info:
-            tile(UNIT_SQUARE, 0.25, charge=charge)
-        assert str(info.value) == f"roundel charge must be finite, got {charge}"
 
     @pytest.mark.parametrize("c", [math.nan, math.inf])
     def test_non_finite_c_named(self, c):
@@ -228,18 +223,26 @@ class TestCounts:
             count_interactions(T, 0.25, "pure")
 
 
+def _charged(ens: Ensemble, charge: float) -> Ensemble:
+    """``ens`` with every roundel carrying ``charge``."""
+    return replace(ens, charges=np.full(len(ens.ids), charge))
+
+
 class TestTotalCharge:
+    def test_uncharged_tiling(self):
+        assert total_charge(tile(UNIT_SQUARE, 0.25, kind="pure")) == 0.0
+
     def test_uniform_sum(self):
-        ens = tile(UNIT_SQUARE, 0.25, kind="pure", charge=0.1)
+        ens = _charged(tile(UNIT_SQUARE, 0.25, kind="pure"), 0.1)
         assert total_charge(ens) == pytest.approx(0.4, rel=1e-12)
 
     def test_matches_interaction_count(self):
-        ens = tile([(0.0, 2.0), (0.0, 2.0)], 0.25, kind="pure", charge=0.3)
+        ens = _charged(tile([(0.0, 2.0), (0.0, 2.0)], 0.25, kind="pure"), 0.3)
         nl = count_interactions(2.0, 0.25, "pure")
         assert total_charge(ens) == pytest.approx(nl * 0.3, rel=1e-12)
 
     def test_missing_region_contributes_zero(self):
-        ens = tile(UNIT_SQUARE, 0.25, kind="pure", charge=0.1)
+        ens = _charged(tile(UNIT_SQUARE, 0.25, kind="pure"), 0.1)
         assert total_charge(ens, region_id=99) == 0.0
 
     def test_left_to_right_on_every_python(self):
@@ -255,7 +258,7 @@ def test_boundary_set_fills_domain():
     dists = []
     for k in range(5):
         ens = tile(UNIT_SQUARE, 0.25 / 2**k, kind="pure",
-                   boundary_samples=4, verify=False)
+                   boundary_samples=4)
         dists.append(boundary_fill_distance(ens))
     assert all(b < a - 1e-9 for a, b in zip(dists, dists[1:]))
     assert dists[-1] < 0.02
@@ -440,19 +443,17 @@ class TestCellListOracle:
         ("superposition", 0.25), ("superposition", 1.0 / 12.0)])
     def test_grid_tilings(self, kind, R):
         dim = 2 if kind == "pure" else 3
-        assert_matches_all_pairs(tile([(0.0, 1.0)] * dim, R, kind=kind, seed=3,
-                                      verify=False))
+        assert_matches_all_pairs(tile([(0.0, 1.0)] * dim, R, kind=kind, seed=3))
 
     @pytest.mark.parametrize("R", [0.007, 0.3, 0.45])
     def test_non_dividing_radii(self, R):
         # strips the roundels leave uncovered along the far walls; the one
         # sample per roundel sits where it touches its right neighbour
-        assert_matches_all_pairs(tile(UNIT_SQUARE, R, boundary_samples=1,
-                                      verify=False))
+        assert_matches_all_pairs(tile(UNIT_SQUARE, R, boundary_samples=1))
 
     def test_non_dividing_superposition(self):
-        assert_matches_all_pairs(tile(UNIT_CUBE, 0.07, kind="superposition",
-                                      verify=False), samples_per_axis=9)
+        assert_matches_all_pairs(tile(UNIT_CUBE, 0.07, kind="superposition"),
+                                 samples_per_axis=9)
 
     @pytest.mark.parametrize("field", [
         lambda p: 0.08 + 0.2 * p[0],
@@ -472,18 +473,17 @@ class TestCellListOracle:
     @pytest.mark.parametrize("kind", ["pure", "superposition"])
     def test_single_roundel(self, kind):
         dim = 2 if kind == "pure" else 3
-        ens = tile([(0.0, 1.0)] * dim, 0.5, kind=kind, verify=False)
+        ens = tile([(0.0, 1.0)] * dim, 0.5, kind=kind)
         assert len(ens.ids) == 1
         assert_matches_all_pairs(ens)
 
     def test_partitioned(self):
-        ens = partition_regions(tile(UNIT_SQUARE, 0.03, verify=False), 3)
+        ens = partition_regions(tile(UNIT_SQUARE, 0.03), 3)
         assert len(set(ens.regions.tolist())) == 9
         assert_matches_all_pairs(ens)
 
     def test_off_origin_rectangle(self):
-        assert_matches_all_pairs(tile([(-3.0, -1.0), (2.0, 4.5)], 0.13,
-                                      verify=False))
+        assert_matches_all_pairs(tile([(-3.0, -1.0), (2.0, 4.5)], 0.13))
 
     @given(kind=st.sampled_from(["pure", "superposition"]),
            side=st.floats(0.1, 10.0),
@@ -497,7 +497,7 @@ class TestCellListOracle:
             per_axis = min(per_axis, 5)
         R = side / (2.0 * per_axis) * shrink
         ens = tile([(0.0, side)] * dim, R, kind=kind, seed=seed,
-                   boundary_samples=4, verify=False)
+                   boundary_samples=4)
         assert_matches_all_pairs(ens, samples_per_axis=9)
 
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 40),
@@ -586,7 +586,7 @@ class TestBoundaryArrayOracle:
     def test_grid_tilings(self, kind, R, samples, seed, regions):
         dim = 2 if kind == "pure" else 3
         ens = tile([(0.0, 1.0)] * dim, R, kind=kind, boundary_samples=samples,
-                   seed=seed, verify=False)
+                   seed=seed)
         want = _ref_boundary(_roundels(ens), kind, samples, seed)
         assert _as_objects(ens) == want
         if regions > 1:
@@ -607,7 +607,7 @@ class TestBoundaryArrayOracle:
     def test_ids_not_a_range(self, kind):
         # owner -> region must look ids up, not use them as indices
         dim = 2 if kind == "pure" else 3
-        grid = tile([(0.0, 1.0)] * dim, 0.125, kind=kind, verify=False)
+        grid = tile([(0.0, 1.0)] * dim, 0.125, kind=kind)
         ens = _relabelled(grid, seed=5)
         roundels = _roundels(ens)
         boundary = _ref_boundary(roundels, kind, 4, 1)
@@ -617,7 +617,7 @@ class TestBoundaryArrayOracle:
 
     def test_unknown_owner_raises(self):
         # the ensemble used to accept them, and partition_regions raised KeyError
-        ens = tile(UNIT_SQUARE, 0.25, verify=False)
+        ens = tile(UNIT_SQUARE, 0.25)
         for bad in (4, -1, 99):
             owners = ens.owners.copy()
             owners[3] = bad
@@ -666,6 +666,7 @@ def _ref_total_charge(roundels, charges, regions, region_id=None):
 
 _NOT_FINITE = "roundel centers must be finite, radii finite and positive"
 _BAD_BOUNDARY = "must be finite 2-d points, one owner each"
+_BAD_CHARGES = "roundel charges must be finite real numbers, got "
 
 
 class TestRegionArrayOracle:
@@ -675,7 +676,7 @@ class TestRegionArrayOracle:
     def test_ids_not_a_range(self, kind, R, per_axis):
         dim = 2 if kind == "pure" else 3
         ens = partition_regions(_relabelled(
-            tile([(0.0, 1.0)] * dim, R, kind=kind, verify=False), seed=11), per_axis)
+            tile([(0.0, 1.0)] * dim, R, kind=kind), seed=11), per_axis)
         roundels = _roundels(ens)
         regions = _ref_regions(roundels, _ref_assignment(roundels, ens.domain, per_axis))
         for r in roundels:
@@ -710,9 +711,18 @@ class TestRegionArrayOracle:
         (dict(domain=((0.0, 1.0),)), "pure tiling needs a 2-d domain, got ((0.0, 1.0),)"),
         (dict(domain=((1.0, 0.0), (0.0, 1.0))),
          "positive extent on every axis, got ((1.0, 0.0), (0.0, 1.0))"),
+        # a NaN charge used to give a NaN total, a complex one a TypeError
+        pytest.param(dict(charges=np.full(4, math.nan)), _BAD_CHARGES + "[nan, nan, nan]",
+                     id="charges-nan"),
+        pytest.param(dict(charges=[0.0, math.inf, 0.0, 0.0]), _BAD_CHARGES + "[inf]",
+                     id="charges-inf"),
+        pytest.param(dict(charges=[0.0, 0.0, -math.inf, 1.0]), _BAD_CHARGES + "[-inf]",
+                     id="charges--inf"),
+        pytest.param(dict(charges=np.full(4, 0.5 + 0j)), _BAD_CHARGES + "[(0.5+0j), (0.5+0j)",
+                     id="charges-complex"),
     ])
     def test_ensemble_rejects(self, change, named):
-        ens = tile(UNIT_SQUARE, 0.25, verify=False)
+        ens = tile(UNIT_SQUARE, 0.25)
         with pytest.raises(ValueError, match=re.escape(named)):
             replace(ens, **change)
 
@@ -730,7 +740,7 @@ class TestCellArrayOracle:
     ])
     def test_bitwise_equal_to_cell_lists(self, kind, domain, R):
         dim = 2 if kind == "pure" else 3
-        ens = tile(domain, R, kind=kind, boundary_samples=1, verify=False)
+        ens = tile(domain, R, kind=kind, boundary_samples=1)
         centers, radii = ref_cells(domain, R, dim)
         assert ens.centers.dtype == centers.dtype and ens.radii.dtype == radii.dtype
         assert ens.centers.tobytes() == centers.tobytes()

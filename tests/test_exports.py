@@ -33,10 +33,6 @@ CONTRACT = {
         algebra.LorentzTransform.rotation, dict(axis=[0, 0, 1]), dict(angle=0.5)),
     "LorentzTransform.boost": (
         algebra.LorentzTransform.boost, dict(axis=[1, 0, 0]), dict(rapidity=0.5)),
-    "LorentzTransform.from_parts": (
-        algebra.LorentzTransform.from_parts,
-        dict(rotation_axis=[0, 0, 1], boost_axis=[1, 0, 0]),
-        dict(angle=0.3, rapidity=0.2)),
     "BohrInput": (bohr.BohrInput, dict(n=1), dict(e=1.0, f=-0.5, m=1.0)),
     "assemble_wavefunction": (
         bohr.assemble_wavefunction, dict(state=_STATE), dict(x0=0.2, s=0.3)),
@@ -50,7 +46,7 @@ CONTRACT = {
          if f.name not in ("c", "domain")},
         dict(c=_ENSEMBLE.c, domain=_ENSEMBLE.domain)),
     "tile": (ensemble.tile, {},
-             dict(domain=_UNIT_SQUARE, R=0.25, c=1.5, charge=0.0)),
+             dict(domain=_UNIT_SQUARE, R=0.25, c=1.5)),
     "count_interactions": (
         ensemble.count_interactions, dict(kind="pure"), dict(T=2.0, R=0.5)),
     "scaling_sweep": (

@@ -12,7 +12,6 @@ from .algebra import (
 from .bohr import (
     BohrInput,
     BohrState,
-    LocalSolveResult,
     NonPositiveMass,
     SupercriticalCoupling,
     WaveSample,

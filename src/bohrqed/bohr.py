@@ -13,11 +13,11 @@ Sign conventions (fixed once, used everywhere):
 * the real potential variable of the local solve carries the sign of
   ``-f`` (so ``f = -A*R`` recovers the central charge).
 
-The local solve has one array kernel, :func:`local_solve_grid`, whose
-one-point case is :func:`local_solve_rho` with :func:`cubic_residual`.  It
-takes ``A**3`` and ``A**4`` by Python's float power, point by point, and
-sums the residual as ``(t0 + t1) + t2``, so its bits are the same on every
-Python (``sum()`` of floats compensates from 3.12 on).
+The local solve is one array kernel, :func:`local_solve_rho`, over a 1-D
+grid of potentials.  It takes ``A**3`` and ``A**4`` by Python's float
+power, point by point, and sums the residual as ``(t0 + t1) + t2``, so its
+bits are the same on every Python (``sum()`` of floats compensates from
+3.12 on).
 """
 
 from __future__ import annotations
@@ -38,15 +38,12 @@ __all__ = [
     "NonPositiveMass",
     "BohrInput",
     "BohrState",
-    "LocalSolveResult",
     "LocalSolveGrid",
     "WaveSample",
     "solve_bohr",
     "assemble_wavefunction",
     "mass_shell_residual",
     "local_solve_rho",
-    "cubic_residual",
-    "local_solve_grid",
     "roundtrip_consistency",
 ]
 
@@ -132,29 +129,6 @@ class WaveSample:
     phi1: Biquaternion
     phi2: Biquaternion
     at: tuple[float, float]  # (x0, s)
-
-
-@dataclass(frozen=True)
-class LocalSolveResult:
-    """Solution of the pointwise simultaneous equations.
-
-    ``branch`` is ``"positive-root"`` for A > 0, ``"negative-root"``
-    for A < 0 and ``None`` in the degenerate A = 0 case, where ``R``
-    and ``f`` are undefined (NaN).  ``e`` and ``m`` are the solve's inputs.
-    """
-
-    rho: float
-    A: float
-    R: float
-    f: float
-    branch: str | None
-    d: float
-    e: float
-    m: float
-
-    @property
-    def degenerate(self) -> bool:
-        return self.branch is None
 
 
 @dataclass(frozen=True)
@@ -300,18 +274,9 @@ def _residual_column(A: np.ndarray, rho: np.ndarray, d: float, e: float,
     return residual
 
 
-def local_solve_grid(A: Sequence[float], e: float, m: float, n: int) -> LocalSolveGrid:
-    """:func:`local_solve_rho` and :func:`cubic_residual` at every potential
-    of the 1-D grid ``A``, bit for bit, in one pass.  Every point is solved
-    before any residual is taken; an error names the first failing A."""
-    A = np.asarray(A, dtype=float)
-    rho, R, f, d = _solve_columns(A, e, m, n)
-    return LocalSolveGrid(rho=rho, R=R, f=f, residual=_residual_column(A, rho, d, e, m),
-                          d=d)
-
-
-def local_solve_rho(A: float, e: float, m: float, n: int) -> LocalSolveResult:
-    """Solve the pointwise equations for the charge density at potential A.
+def local_solve_rho(A: Sequence[float], e: float, m: float, n: int) -> LocalSolveGrid:
+    """Solve the pointwise equations for the charge density at every
+    potential of the non-empty 1-D grid ``A``, in one pass.
 
     The density satisfies ``rho²/(d e²) - A³ rho - m² d A⁴ = 0`` with
     ``d = 3/(4 pi n²)``; of the two roots
@@ -319,31 +284,21 @@ def local_solve_rho(A: float, e: float, m: float, n: int) -> LocalSolveResult:
     the branch with ``sign(rho) = sign(A)`` is taken (positive root for
     A > 0, negative root for A < 0), which avoids subtractive
     cancellation on either side.  A = 0 yields the degenerate rho = 0
-    result with radius and central charge flagged undefined.  Raises
-    :class:`NonPositiveMass` for ``m < 0`` (``m = 0`` is the massless limit)
-    and :class:`DomainError` for non-finite input, a ``4m²/e²`` or a density
-    outside the floating-point range.  The one-point case of
-    :func:`local_solve_grid`.
+    point with radius and central charge undefined (NaN) and residual 0.
+    The residual is the relative back-substitution residual of the
+    density equation.
+
+    Raises :class:`NonPositiveMass` for ``m < 0`` (``m = 0`` is the massless
+    limit) and :class:`DomainError` for ``A`` of another shape, non-finite
+    input, a ``4m²/e²`` or a density outside the floating-point range, or a
+    density equation whose largest term is not a normal float.  Every point
+    is solved before any residual is taken; an error names the first
+    failing A.
     """
-    (rho,), (R,), (f,), d = _solve_columns(np.array([A], dtype=float), e, m, n)
-    if A == 0:
-        A, branch = 0.0, None
-    else:
-        branch = "positive-root" if A > 0 else "negative-root"
-    return LocalSolveResult(rho=float(rho), A=A, R=float(R), f=float(f),
-                            branch=branch, d=d, e=e, m=m)
-
-
-def cubic_residual(result: LocalSolveResult) -> float:
-    """Relative back-substitution residual of the density equation at the
-    solve's own ``e`` and ``m``; :class:`DomainError` naming ``A`` unless its
-    largest term is a normal float.  The one-point case of
-    :func:`local_solve_grid`."""
-    if result.degenerate:
-        return 0.0
-    return float(_residual_column(np.array([result.A], dtype=float),
-                                  np.array([result.rho]), result.d, result.e,
-                                  result.m)[0])
+    A = np.asarray(A, dtype=float)
+    rho, R, f, d = _solve_columns(A, e, m, n)
+    return LocalSolveGrid(rho=rho, R=R, f=f, residual=_residual_column(A, rho, d, e, m),
+                          d=d)
 
 
 def roundtrip_consistency(inp: BohrInput) -> float:
@@ -355,10 +310,10 @@ def roundtrip_consistency(inp: BohrInput) -> float:
     state = solve_bohr(inp, allow_repulsive=True)
     A = state.A_signed
     rho = state.rho_signed
-    rec = local_solve_rho(A, inp.e, inp.m, inp.n)
+    rec = local_solve_rho([A], inp.e, inp.m, inp.n)
     devs = (
-        abs(rec.rho - rho) / abs(rho),
-        abs(rec.R - state.R) / state.R,
-        abs(rec.f - inp.f) / abs(inp.f),
+        abs(rec.rho[0] - rho) / abs(rho),
+        abs(rec.R[0] - state.R) / state.R,
+        abs(rec.f[0] - inp.f) / abs(inp.f),
     )
     return max(devs)

@@ -6,8 +6,8 @@ output directory and prints one line per check.  Exit codes: 0 all
 checks pass, 1 a check failed, 2 configuration error, 3 domain error (a
 :class:`~bohrqed.DomainError`, and nothing else), 4 internal error (any
 other exception; its traceback goes to stderr).  A run that exits 3 or 4
-once its output directory resolves still writes its report, with the
-exit code and the error's type and message.
+once its output directory resolves still writes its report: the checks
+made so far, the exit code and the error's type and message.
 
 Every option may also come from a ``--config`` file of ``key = value``
 lines, parsed as flags before the command line's own, which win;
@@ -37,7 +37,6 @@ from ._domain import DomainError, finite, positive, whole
 from .algebra import LorentzTransform, bq_frobenius_arr
 from .bohr import (
     BohrInput,
-    local_solve_grid,
     local_solve_rho,
     mass_shell_residual,
     solve_bohr,
@@ -292,9 +291,9 @@ def cmd_local_solve(ns, out: Path, report: RunReport) -> None:
     if ns.include_zero and 0.0 not in grid:
         grid.append(0.0)
     grid.sort()
-    local_solve_rho(0.0, ns.e, ns.m, ns.n)  # e, m and n alone: no A range
+    local_solve_rho([0.0], ns.e, ns.m, ns.n)  # e, m and n alone: no A range
     try:
-        solved = local_solve_grid(grid, ns.e, ns.m, ns.n)
+        solved = local_solve_rho(grid, ns.e, ns.m, ns.n)
     except DomainError as err:  # a grid point's A: name the range it is from
         raise type(err)(f"{err}, on A from a-min {ns.a_min} to a-max {ns.a_max}"
                         ) from None
@@ -600,9 +599,9 @@ def main(argv=None) -> int:
         code, error = EXIT_INTERNAL, exc
     if report is not None:
         with contextlib.suppress(OSError):  # the exit code still says it
-            write_json(path, {"command": report.command, "metadata": report.meta,
-                              "passed": False, "exit_code": code, "error": {
-                                  "type": type(error).__name__, "message": str(error)}})
+            write_json(path, report.as_dict() | {
+                "passed": False, "exit_code": code,
+                "error": {"type": type(error).__name__, "message": str(error)}})
     return code
 
 

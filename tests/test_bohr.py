@@ -10,12 +10,9 @@ from hypothesis import given, settings, strategies as st
 from bohrqed import DomainError
 from bohrqed.bohr import (
     BohrInput,
-    LocalSolveResult,
     NonPositiveMass,
     SupercriticalCoupling,
     assemble_wavefunction,
-    cubic_residual,
-    local_solve_grid,
     local_solve_rho,
     mass_shell_residual,
     roundtrip_consistency,
@@ -182,53 +179,57 @@ class TestWavefunction:
 
 class TestLocalSolve:
     def test_zero_potential_degenerate(self):
-        res = local_solve_rho(0.0, 1.0, 1.0, 1)
-        assert res.rho == 0.0
-        assert res.degenerate
-        assert math.isnan(res.R) and math.isnan(res.f)
-        assert res.branch is None
+        res = local_solve_rho([0.0], 1.0, 1.0, 1)
+        assert (res.rho.tolist(), res.residual.tolist()) == ([0.0], [0.0])
+        assert math.isnan(res.R[0]) and math.isnan(res.f[0])
 
     def test_massless_reduction(self):
         # with m = 0 the positive branch collapses to rho = A^3 d e^2
-        for A in (0.5, 1.0, 2.0):
-            res = local_solve_rho(A, 1.5, 0.0, 2)
-            assert res.rho == pytest.approx(A**3 * res.d * 1.5**2, rel=1e-14)
+        grid = np.array([0.5, 1.0, 2.0])
+        res = local_solve_rho(grid, 1.5, 0.0, 2)
+        assert res.rho == pytest.approx(grid**3 * res.d * 1.5**2, rel=1e-14)
 
     def test_frozen_example(self):
-        res = local_solve_rho(1.0, 1.0, 1.0, 1)
+        res = local_solve_rho([1.0], 1.0, 1.0, 1)
         assert res.d == pytest.approx(3.0 / (4.0 * math.pi), rel=1e-15)
-        assert res.rho == pytest.approx(FROZEN_RHO_A1, rel=1e-14)
-        assert cubic_residual(res) < 1e-10
+        assert res.rho[0] == pytest.approx(FROZEN_RHO_A1, rel=1e-14)
+        assert res.residual[0] < 1e-10
 
     def test_sign_rules(self):
         rng = np.random.default_rng(127)
-        for _ in range(1000):
-            A = rng.uniform(-5, 5)
-            if A == 0:
-                continue
+        for _ in range(50):
+            A = rng.uniform(-5, 5, 20)
+            A = A[A != 0]
             e = rng.uniform(0.2, 3.0)
             m = rng.uniform(0.0, 5.0)
             res = local_solve_rho(A, e, m, int(rng.integers(1, 5)))
-            assert res.rho * res.A > 0
-            assert res.f * res.A < 0
-            assert res.R > 0
-            assert cubic_residual(res) < 1e-10
+            assert np.all(res.rho * A > 0)
+            assert np.all(res.f * A < 0)
+            assert np.all(res.R > 0)
+            assert np.all(res.residual < 1e-10)
 
     def test_monotone_in_A(self):
         # dρ/dA > 0 on both branches, by finite differences
         e, m, n = 1.3, 0.7, 1
         for grid in (np.linspace(1e-3, 4.0, 500), np.linspace(-4.0, -1e-3, 500)):
-            rho = np.array([local_solve_rho(float(A), e, m, n).rho for A in grid])
-            assert np.all(np.diff(rho) > 0)
+            assert np.all(np.diff(local_solve_rho(grid, e, m, n).rho) > 0)
+
+    @pytest.mark.parametrize("A,shape", [(0.5, "()"), ([[0.5, 1.0]], "(1, 2)"),
+                                         ([], "(0,)")])
+    def test_grid_shape_rejected(self, A, shape):
+        # a scalar A was the one-point call form: it must not solve as a grid
+        with pytest.raises(DomainError, match=re.escape(
+                f"A must be a non-empty 1-d grid, got shape {shape}")):
+            local_solve_rho(A, 1.0, 1.0, 1)
 
     def test_zero_charge_rejected(self):
         with pytest.raises(ValueError):
-            local_solve_rho(1.0, 0.0, 1.0, 1)
+            local_solve_rho([1.0], 0.0, 1.0, 1)
 
     @pytest.mark.parametrize("m", [-1.0, -1e-300])
     def test_negative_mass_rejected(self, m):
         with pytest.raises(NonPositiveMass):
-            local_solve_rho(1.0, 1.0, m, 1)
+            local_solve_rho([1.0], 1.0, m, 1)
 
     @pytest.mark.parametrize("A,e,m", [
         (math.nan, 1.0, 1.0),  # used to take the negative-root branch
@@ -240,55 +241,42 @@ class TestLocalSolve:
     ])
     def test_non_finite_input_rejected(self, A, e, m):
         with pytest.raises(ValueError, match="finite"):
-            local_solve_rho(A, e, m, 1)
+            local_solve_rho([A], e, m, 1)
 
     def test_overflow_rejected(self):
         # used to return rho = inf, R = 0
         with pytest.raises(ValueError, match="overflows"):
-            local_solve_rho(1e200, 1.0, 1.0, 1)
+            local_solve_rho([1e200], 1.0, 1.0, 1)
 
     def test_underflow_rejected(self):
         # A**2 underflows to 0, so rho = 0: used to raise ZeroDivisionError
         with pytest.raises(ValueError, match="underflows"):
-            local_solve_rho(1e-200, 1.0, 1.0, 1)
+            local_solve_rho([1e-200], 1.0, 1.0, 1)
 
     def test_charge_squared_underflow_rejected(self):
         # e*e underflows to 0: used to raise ZeroDivisionError
         with pytest.raises(DomainError, match="got e = 1e-300"):
-            local_solve_rho(1.0, 1e-300, 1.0, 1)
+            local_solve_rho([1.0], 1e-300, 1.0, 1)
 
     @pytest.mark.parametrize("A", [1e100, -1e100, 1e-120, -1e-120])
     def test_residual_out_of_float_range_rejected(self, A):
         # A**4 used to raise OverflowError, a zero largest term
-        # ZeroDivisionError; local_solve_rho itself still solves
-        res = local_solve_rho(A, 1.0, 1.0, 1)
+        # ZeroDivisionError; the density itself is in range
         with pytest.raises(DomainError, match=re.escape(f"equation at A = {A} ")):
-            cubic_residual(res)
+            local_solve_rho([A], 1.0, 1.0, 1)
 
     @pytest.mark.parametrize("A", [1e-78, 1e-80, -1e-80])
     def test_residual_terms_subnormal_rejected(self, A):
         # subnormal terms lose their digits: at A = 1e-80 the residual read
         # 0.00207, a failed check where a domain error belongs
-        res = local_solve_rho(A, 1.0, 1.0, 1)
         with pytest.raises(DomainError, match=re.escape(f"equation at A = {A} ")):
-            cubic_residual(res)
+            local_solve_rho([A], 1.0, 1.0, 1)
 
     @pytest.mark.parametrize("e,m", [(1e-160, 1.0), (1.0, 1e160), (1e-100, 1e100)])
     def test_mass_over_charge_overflow_named(self, e, m):
         # 4 m**2 / e**2 overflows: the message used to name only A
         with pytest.raises(DomainError, match=re.escape(f"e = {e}, m = {m}")):
-            local_solve_rho(-2.0, e, m, 1)
-
-    def test_result_keeps_its_inputs(self):
-        # cubic_residual took e and m apart from the result: a solve at
-        # e = 1 checked with e = inf read 1.64
-        res = local_solve_rho(0.7, 1.3, 0.4, 2)
-        assert (res.A, res.e, res.m) == (0.7, 1.3, 0.4)
-        assert not res.degenerate
-        zero = local_solve_rho(0.0, 1.3, 0.4, 2)
-        assert (zero.degenerate, zero.branch, cubic_residual(zero)) == (True, None, 0.0)
-        with pytest.raises(TypeError):
-            replace(res, degenerate=True)
+            local_solve_rho([-2.0], e, m, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +284,7 @@ class TestLocalSolve:
 # ---------------------------------------------------------------------------
 
 def _ref_local_solve_rho(A, e, m, n):
-    """The scalar ``local_solve_rho`` that the array kernel replaced."""
+    """The scalar solve the array kernel replaced: ``(rho, R, f, d)`` at A."""
     if not (math.isfinite(A) and math.isfinite(e) and math.isfinite(m)
             and math.isfinite(n)):
         raise DomainError(f"A, e, m and n must be finite, got {A}, {e}, {m}, {n}")
@@ -312,25 +300,21 @@ def _ref_local_solve_rho(A, e, m, n):
         raise DomainError(f"4*m**2/e**2 must be finite, got {q} at e = {e}, m = {m}")
     d = 3.0 / (4.0 * math.pi * n * n)
     if A == 0:
-        return LocalSolveResult(rho=0.0, A=0.0, R=math.nan, f=math.nan,
-                                branch=None, d=d, e=e, m=m)
+        return 0.0, math.nan, math.nan, d
     root = math.sqrt(A * A + q)
     sign = 1.0 if A > 0 else -1.0
     rho = (A * A * e * e * d / 2.0) * (A + sign * root)
     if not math.isfinite(rho) or rho == 0:
         raise DomainError(f"the density at A = {A} overflows or underflows")
     R = math.sqrt(3.0 * A / (4.0 * math.pi * rho))
-    f = -A * R
-    branch = "positive-root" if A > 0 else "negative-root"
-    return LocalSolveResult(rho=rho, A=A, R=R, f=f, branch=branch, d=d, e=e, m=m)
+    return rho, R, -A * R, d
 
 
-def _ref_cubic_residual(result):
-    """The scalar ``cubic_residual``, summed as ``(t0 + t1) + t2``: ``sum()``
-    of floats is compensated from Python 3.12 on."""
-    if result.degenerate:
+def _ref_cubic_residual(A, rho, d, e, m):
+    """The scalar residual at a solved A, summed as ``(t0 + t1) + t2``:
+    ``sum()`` of floats is compensated from Python 3.12 on."""
+    if A == 0:
         return 0.0
-    A, rho, d, e, m = result.A, result.rho, result.d, result.e, result.m
     try:
         terms = (rho * rho / (d * e * e), -(A**3) * rho, -(m * m * d * A**4))
     except (OverflowError, ZeroDivisionError):
@@ -351,32 +335,24 @@ def _cli_grid(a_min, a_max, count, include_zero):
     return sorted(grid)
 
 
-def _outcome(solve, residual, grid, e, m, n):
-    """The columns of a point-by-point solve of ``grid``, or the error it
-    raises: every point is solved before any residual is taken."""
+def _ref_outcome(grid, e, m, n):
+    """The columns of a point-by-point reference solve of ``grid``, or the
+    error it raises: every point is solved before any residual is taken."""
     try:
-        results = [solve(A, e, m, n) for A in grid]
-        residuals = [residual(res) for res in results]
+        solved = [_ref_local_solve_rho(A, e, m, n) for A in grid]
+        residuals = [_ref_cubic_residual(A, rho, d, e, m)
+                     for A, (rho, _, _, d) in zip(grid, solved)]
     except DomainError as err:
         return type(err), str(err)
-    columns = [[res.rho for res in results], [res.R for res in results],
-               [res.f for res in results], residuals]
-    return ([np.array(col, dtype=float).view(np.int64).tolist() for col in columns],
-            {res.d for res in results})
-
-
-def _scalar_outcome(grid, e, m, n):
-    return _outcome(local_solve_rho, cubic_residual, grid, e, m, n)
-
-
-def _ref_outcome(grid, e, m, n):
-    return _outcome(_ref_local_solve_rho, _ref_cubic_residual, grid, e, m, n)
+    rho, R, f, d = zip(*solved)
+    return ([np.array(col, dtype=float).view(np.int64).tolist()
+             for col in (rho, R, f, residuals)], set(d))
 
 
 def _kernel_outcome(grid, e, m, n):
-    """The columns of one :func:`local_solve_grid` call, or its error."""
+    """The columns of one :func:`local_solve_rho` call, or its error."""
     try:
-        solved = local_solve_grid(grid, e, m, n)
+        solved = local_solve_rho(grid, e, m, n)
     except DomainError as err:
         return type(err), str(err)
     columns = [solved.rho, solved.R, solved.f, solved.residual]
@@ -385,8 +361,7 @@ def _kernel_outcome(grid, e, m, n):
     return [col.view(np.int64).tolist() for col in columns], {solved.d}
 
 
-OUTCOMES = [pytest.param(_scalar_outcome, id="scalar"),
-            pytest.param(_kernel_outcome, id="kernel")]
+OUTCOMES = [pytest.param(_kernel_outcome, id="kernel")]
 
 #: (grid, e, m, n) whose point-by-point solve fails
 FAILING = {

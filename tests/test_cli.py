@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from bohrqed import cli
 from bohrqed.cli import (build_parser, config_hash, main, parse_args,
                          resolve_out_dir, write_csv)
+from bohrqed.ensemble import tile, verify_ensemble
 
 ALPHA = 1.0 / 137.035999
 
@@ -25,9 +26,11 @@ def read_all_outputs(outdir: Path) -> dict[str, bytes]:
 def failed_report(outdir: Path, command: str, code: int, error_type: str) -> dict:
     """The report of a run of ``command`` that exited ``code`` on an
     ``error_type`` error, read from ``outdir`` and checked; exits 3 and 4
-    used to leave no report."""
+    used to leave no report, then one without the checks made before the
+    error."""
     report = json.loads((outdir / f"{command.replace('-', '_')}_report.json").read_text())
     assert report["command"] == command and report["passed"] is False
+    assert isinstance(report["checks"], list)
     assert report["exit_code"] == code and report["error"]["type"] == error_type
     assert sorted(report["metadata"]) == ["config_hash", "seed", "version"]
     return report
@@ -145,6 +148,16 @@ class TestTile:
         assert rc == 3
         assert "domain error" in capsys.readouterr().err
 
+    def test_infeasible_c_report_keeps_its_checks(self, tmp_path):
+        # the report used to drop the checks, so the measured ratio was only
+        # in the message, rounded to 6 digits
+        assert main(["tile", "--out", str(tmp_path), "--c", "0.5"]) == 3
+        report = failed_report(tmp_path, "tile", 3, "InfeasibleCoverage")
+        coverage = [c for c in report["checks"] if c["name"] == "coverage-ratio"]
+        assert [c["passed"] for c in coverage] == [False]
+        stats = verify_ensemble(tile([(0.0, 1.0)] * 2, 0.25, c=0.5))
+        assert coverage[0]["measured"] == stats["max_coverage_ratio"]
+
     @pytest.mark.parametrize("kind", ["pure", "superposition"])
     def test_radius_wider_than_side_exit_3(self, tmp_path, capsys, kind):
         rc = main(["tile", "--out", str(tmp_path), "--kind", kind,
@@ -182,8 +195,9 @@ class TestTile:
         assert message in err
         assert "InfeasibleCoverage" not in err
         assert not (tmp_path / "boundary_points.csv").exists()
-        assert message in failed_report(tmp_path, "tile", 3,
-                                        "DomainError")["error"]["message"]
+        report = failed_report(tmp_path, "tile", 3, "DomainError")
+        assert message in report["error"]["message"]
+        assert report["checks"] == []  # rejected before any check ran
 
 
 class TestLatticeVerify:

@@ -36,9 +36,8 @@ CONTRACT = {
     "BohrInput": (bohr.BohrInput, dict(n=1), dict(e=1.0, f=-0.5, m=1.0)),
     "assemble_wavefunction": (
         bohr.assemble_wavefunction, dict(state=_STATE), dict(x0=0.2, s=0.3)),
-    "local_solve_rho": (bohr.local_solve_rho, dict(n=1), dict(A=0.5, e=1.0, m=1.0)),
-    "local_solve_grid": (
-        bohr.local_solve_grid, dict(n=1), dict(A=[0.5, 0.0, -1.0], e=1.0, m=1.0)),
+    "local_solve_rho": (
+        bohr.local_solve_rho, dict(n=1), dict(A=[0.5, 0.0, -1.0], e=1.0, m=1.0)),
     "Roundel": (ensemble.Roundel, dict(id=0), dict(center=(0.5, 0.5), R=0.25)),
     "Ensemble": (
         ensemble.Ensemble,
@@ -83,8 +82,7 @@ CONTRACT = {
 #: What the contract skips of the float-annotated parameters: result types
 #: are outputs, ``fit_sweep``'s ``row`` is a callable and its ``expected``
 #: slopes are only stored beside the fits.
-NOT_INPUTS = {"BohrState", "LocalSolveResult", "LocalSolveGrid", "WaveSample",
-              "PowerFit", "Sweep"}
+NOT_INPUTS = {"BohrState", "LocalSolveGrid", "WaveSample", "PowerFit", "Sweep"}
 NOT_WALKED = {"fit_sweep": {"row", "expected"}}
 
 

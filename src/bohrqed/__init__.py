@@ -14,19 +14,14 @@ from .bohr import (
     BohrState,
     NonPositiveMass,
     SupercriticalCoupling,
-    WaveSample,
-    assemble_wavefunction,
     local_solve_rho,
     mass_shell_residual,
-    roundtrip_consistency,
     solve_bohr,
 )
 from .ensemble import (
     Ensemble,
     InfeasibleCoverage,
     NotOnBoundary,
-    Roundel,
-    assign_boundary_point,
     count_interactions,
     partition_regions,
     scaling_sweep,
@@ -47,6 +42,6 @@ from .lattice import (
     renormalize_mass,
     transform_field,
 )
-from .mspace import LPoint, MPoint, RoundelSpec, boundary_points, l_to_m, m_to_l, map_potential
+from .mspace import LPoint, MPoint, RoundelSpec, boundary_points, l_to_m, m_to_l
 
 __version__ = "0.1.0"

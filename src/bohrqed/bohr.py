@@ -17,12 +17,14 @@ The local solve is one array kernel, :func:`local_solve_rho`, over a 1-D
 grid of potentials.  It takes ``A**3`` and ``A**4`` by Python's float
 power, point by point, and sums the residual as ``(t0 + t1) + t2``, so its
 bits are the same on every Python (``sum()`` of floats compensates from
-3.12 on).
+3.12 on).  The point-by-point bispinor and the orbit -> local solve round
+trip are the tests' references (``tests/reference_orbit.py``); the package
+samples the wave function as a field with
+:func:`bohrqed.lattice.bohr_phi_field`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -31,7 +33,6 @@ from typing import Sequence
 import numpy as np
 
 from ._domain import DomainError, finite, positive, whole
-from .algebra import Biquaternion
 
 __all__ = [
     "SupercriticalCoupling",
@@ -39,12 +40,9 @@ __all__ = [
     "BohrInput",
     "BohrState",
     "LocalSolveGrid",
-    "WaveSample",
     "solve_bohr",
-    "assemble_wavefunction",
     "mass_shell_residual",
     "local_solve_rho",
-    "roundtrip_consistency",
 ]
 
 
@@ -111,25 +109,6 @@ class BohrState:
         """Signed potential-energy term ``U = e*f/R`` (negative when bound)."""
         return self.input.e * self.input.f / self.R
 
-    @property
-    def A_signed(self) -> float:
-        """Real potential with the sign of ``-f`` (local-solve convention)."""
-        return -self.input.f / self.R
-
-    @property
-    def rho_signed(self) -> float:
-        """Uniform charge density producing ``A_signed`` at radius R."""
-        return 3.0 * self.A_signed / (4.0 * math.pi * self.R**2)
-
-
-@dataclass(frozen=True)
-class WaveSample:
-    """Wave-function bispinor entries at one point of the orbit space."""
-
-    phi1: Biquaternion
-    phi2: Biquaternion
-    at: tuple[float, float]  # (x0, s)
-
 
 @dataclass(frozen=True)
 class LocalSolveGrid:
@@ -186,22 +165,6 @@ def mass_shell_residual(state: BohrState) -> float:
     lhs = mt * mt
     rhs = (nut - eAt) ** 2 + state.mu**2
     return abs(lhs - rhs) / abs(lhs)
-
-
-def assemble_wavefunction(state: BohrState, x0: float, s: float) -> WaveSample:
-    """Evaluate the closed-form bispinor pair at time ``x0``, arc ``s``.
-
-    ``phi1`` is the unit phase ``exp(i(mu*s - nu*x0))``; ``phi2`` is the
-    constant ``(i*eta + mu*i1)/m`` times the same phase.  The arc axis is
-    housed on the ``i1`` basis element.
-    """
-    finite("x0 and s", x0=x0, s=s)
-    phase = state.mu * s - state.nu * x0
-    p1 = cmath.exp(1j * phase)
-    m = state.input.m
-    phi1 = Biquaternion(p1)
-    phi2 = Biquaternion(1j * state.eta / m, state.mu / m) * phi1
-    return WaveSample(phi1=phi1, phi2=phi2, at=(x0, s))
 
 
 def _power(a: float, k: int) -> float:
@@ -289,31 +252,22 @@ def local_solve_rho(A: Sequence[float], e: float, m: float, n: int) -> LocalSolv
     density equation.
 
     Raises :class:`NonPositiveMass` for ``m < 0`` (``m = 0`` is the massless
-    limit) and :class:`DomainError` for ``A`` of another shape, non-finite
+    limit) and :class:`DomainError` for ``A`` of another shape or of values
+    that are not real numbers (booleans and complex numbers included), non-finite
     input, a ``4m²/e²`` or a density outside the floating-point range, or a
     density equation whose largest term is not a normal float.  Every point
     is solved before any residual is taken; an error names the first
     failing A.
     """
-    A = np.asarray(A, dtype=float)
+    try:
+        grid = np.asarray(A)
+    except ValueError:  # numpy refuses a ragged nesting
+        raise DomainError("A must be a grid of real numbers, got a ragged "
+                          "sequence") from None
+    if grid.dtype.kind not in "iuf":
+        raise DomainError(f"A must be a grid of real numbers, got dtype {grid.dtype}")
+    A = grid.astype(float, copy=False)
     rho, R, f, d = _solve_columns(A, e, m, n)
     return LocalSolveGrid(rho=rho, R=R, f=f, residual=_residual_column(A, rho, d, e, m),
                           d=d)
 
-
-def roundtrip_consistency(inp: BohrInput) -> float:
-    """Close the loop orbit-solve -> (A, rho) -> local solve -> (R, f).
-
-    Returns the maximum relative deviation between the original orbit
-    radius / central charge / density and their recovered values.
-    """
-    state = solve_bohr(inp, allow_repulsive=True)
-    A = state.A_signed
-    rho = state.rho_signed
-    rec = local_solve_rho([A], inp.e, inp.m, inp.n)
-    devs = (
-        abs(rec.rho[0] - rho) / abs(rho),
-        abs(rec.R[0] - state.R) / state.R,
-        abs(rec.f[0] - inp.f) / abs(inp.f),
-    )
-    return max(devs)

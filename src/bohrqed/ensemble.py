@@ -4,7 +4,9 @@ A tiling covers a box with circles (pure state, 2-d) or spheres
 (superposition, 3-d) packed on a square/cubic grid of interval twice the
 radius.  Boundary points shared by several roundels are owned by the
 lexicographically smallest center, and as radii shrink the boundary set
-fills the box.  :func:`tile` only builds; :func:`verify_ensemble` measures
+fills the box.  :func:`_owners_of` applies that rule to every sampled point
+at once; its one-point reference over candidate roundels is in
+``tests/reference_tiling.py``.  :func:`tile` only builds; :func:`verify_ensemble` measures
 overlap and coverage (how many radii from a boundary a point of the box may
 lie), and the caller judges them against the ensemble's ``c``.  An
 :class:`Ensemble` is read-only arrays, per roundel (id, center, radius,
@@ -37,10 +39,8 @@ from .mspace import _boundary_samples, kind_dim
 __all__ = [
     "InfeasibleCoverage",
     "NotOnBoundary",
-    "Roundel",
     "Ensemble",
     "tile",
-    "assign_boundary_point",
     "partition_regions",
     "count_interactions",
     "total_charge",
@@ -62,17 +62,6 @@ class InfeasibleCoverage(DomainError):
 
 class NotOnBoundary(DomainError):
     """A point handed to the ownership rule is not on every candidate boundary."""
-
-
-@dataclass(frozen=True)
-class Roundel:
-    id: int
-    center: tuple[float, ...]  # spatial (x1, x2) or (x1, x2, x3)
-    R: float
-
-    def __post_init__(self):
-        positive("roundel radius", self.R)
-        finite("roundel center", *self.center)
 
 
 def _checked_domain(domain, kind: str) -> tuple[tuple[float, float], ...]:
@@ -112,14 +101,18 @@ class Ensemble:
         if shapes != {(m,)} or self.centers.shape != (m, dim):
             raise DomainError(f"{self.kind} roundel arrays {shapes} mismatch "
                               f"centers {self.centers.shape}")
+        for name in ("centers", "radii", "charges", "boundary"):
+            values = getattr(self, name)
+            if values.dtype.kind not in "iuf":
+                raise DomainError(f"roundel {name} must be finite real numbers, "
+                                  f"got {values.ravel()[:3].tolist()}")
         if not (np.isfinite(self.centers).all() and np.isfinite(self.radii).all()
                 and (self.radii > 0).all()):
             raise DomainError("roundel centers must be finite, radii finite and positive")
-        real = self.charges.dtype.kind in "iuf"
-        if not (real and np.isfinite(self.charges).all()):
-            shown = self.charges[~np.isfinite(self.charges)] if real else self.charges
+        bad = self.charges[~np.isfinite(self.charges)]
+        if bad.size:
             raise DomainError("roundel charges must be finite real numbers, "
-                              f"got {shown[:3].tolist()}")
+                              f"got {bad[:3].tolist()}")
         n = len(self.boundary)
         shapes = {a.shape for a in (self.owners, self.boundary_regions)}
         if (shapes != {(n,)} or self.boundary.shape != (n, dim)
@@ -275,22 +268,6 @@ def boundary_fill_distance(ensemble: Ensemble, samples_per_axis: int = 33) -> fl
                  lambda i, j, d: np.abs(d - radii[j]),
                  lambda far: far - radii.max())
     return float(gap.max(initial=0.0))
-
-
-def assign_boundary_point(point, candidates: Sequence[Roundel]) -> int:
-    """Owner of a shared boundary point: lexicographically smallest center.
-
-    The point must lie on the boundary of every candidate to 1e-9;
-    ordering of the candidate list never affects the result.
-    """
-    if not candidates:
-        raise DomainError("need at least one candidate roundel")
-    point = tuple(float(p) for p in point)
-    for r in candidates:
-        if not abs(math.dist(point, r.center) - r.R) <= _BOUNDARY_TOL:  # NaN is off
-            raise NotOnBoundary(
-                f"point {point} is off the boundary of roundel {r.id}")
-    return min(candidates, key=lambda r: r.center).id
 
 
 def partition_regions(ensemble: Ensemble, regions_per_axis: int) -> Ensemble:

@@ -112,10 +112,6 @@ class HypercubicLattice:
     def axis_coords(self, axis: int) -> np.ndarray:
         return self.origin[axis] + self.step * np.arange(self.extent[axis])
 
-    def site_position(self, index) -> np.ndarray:
-        idx = np.asarray(index, dtype=float)
-        return np.asarray(self.origin) + self.step * idx
-
     def coordinate_grids(self) -> list[np.ndarray]:
         return np.meshgrid(*(self.axis_coords(ax) for ax in range(4)),
                            indexing="ij")
@@ -201,7 +197,10 @@ def renormalize_mass(M_global: float, a: float, R_k: float) -> MassTerm:
 
 @dataclass(frozen=True)
 class RegionBinding:
-    """One region's choice of roundel, compromise frame, and site mapping."""
+    """One region's choice of roundel, compromise frame, and site mapping:
+    translate by the center site, scale ``R_k -> a`` (:attr:`scale`), then
+    ``Z``.  The transports apply it to whole fields; its one-site form is
+    the tests' reference (``tests/reference_lattice.py``)."""
 
     Z: LorentzTransform
     lattice_k: HypercubicLattice
@@ -224,24 +223,15 @@ class RegionBinding:
         """Geometric scale of the site map, ``a / R_k``."""
         return self.a / self.R_k
 
-    def map_position(self, position) -> np.ndarray:
-        """The site bijection: translate, scale ``R_k -> a``, then ``Z``."""
-        x = np.asarray(position, dtype=float)
-        xk = self.lattice_k.site_position(self.center_index)
-        t = self.lattice_p.site_position(self.center_index)
-        return t + self.Z.apply_vec4(self.scale * (x - xk))
-
-    def mapped_site(self, index) -> np.ndarray:
-        return self.map_position(self.lattice_k.site_position(index))
-
 
 def build_lattices(a: float, R_k: float, extent, Z: LorentzTransform,
                    ) -> tuple[HypercubicLattice, HypercubicLattice, RegionBinding]:
     """Snapshot lattice, compromise lattice, and the binding tying them.
 
-    Both lattices sit at the origin and share the index structure; the site
-    map carries compromise positions onto snapshot positions and sends every
-    neighbor of the center site onto the image center's neighbors.
+    Both lattices sit at the origin and share the index structure; the
+    binding's site map carries compromise positions onto snapshot positions
+    and sends every neighbor of the center site onto the image center's
+    neighbors (``tests/reference_lattice.py`` defines it site by site).
     """
     lat_k = HypercubicLattice(spacing=R_k, extent=extent, frame="compromise")
     lat_p = HypercubicLattice(spacing=a, extent=lat_k.extent, frame="snapshot")

@@ -5,8 +5,10 @@ L carries polar coordinates ``(r, theta)`` in the orbital plane with arc
 fixed curve parameter R, so ``s' = (r/R) s``.  Everything else
 (``x0, r, x3``) passes through unchanged.  A potential ``A`` in L maps
 to ``A*r/R`` in M, which is what makes the boundary value of a Coulomb
-field constant on an orbit circle.  :func:`bohrqed.ensemble.tile` samples
-roundel boundaries with the generator behind :func:`boundary_points`.
+field constant on an orbit circle; the tests check that map through their
+reference ``map_potential`` (``tests/reference_orbit.py``).
+:func:`bohrqed.ensemble.tile` samples roundel boundaries with the
+generator behind :func:`boundary_points`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._domain import DomainError, finite, positive, whole
+from ._domain import DomainError, positive, whole
 
 __all__ = [
     "LPoint",
@@ -24,7 +26,6 @@ __all__ = [
     "RoundelSpec",
     "l_to_m",
     "m_to_l",
-    "map_potential",
     "boundary_points",
 ]
 
@@ -103,13 +104,6 @@ def l_to_m(p: LPoint, R: float) -> MPoint:
 def m_to_l(p: MPoint, R: float) -> LPoint:
     positive("curve parameter R", R)
     return LPoint(x0=p.x0, r=p.r, theta=p.s / R, x3=p.x3, turns=p.turns)
-
-
-def map_potential(A_L: float, r: float, R: float) -> float:
-    """Potential in M corresponding to ``A_L`` at radius ``r`` in L."""
-    positive("curve parameter R", R)
-    finite("potential and radius", A_L, r)
-    return A_L * r / R
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,49 @@
 ``bohrqed.ensemble.tile`` packs roundels of one radius.  The cell-list
 oracles also need ensembles with mixed radii, where a point's candidate
 search must widen past its own cells; :func:`ref_ensemble` builds them from
-a radius field by quadtree/octree refinement.
+a radius field by quadtree/octree refinement.  The ownership rule the cell
+list applies to every boundary point at once is defined here one point at a
+time: :func:`assign_boundary_point` picks the lexicographically smallest
+center among :class:`Roundel` candidates, within the package's
+``_BOUNDARY_TOL`` (acceptance C6).
 """
 
 import math
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from bohrqed.ensemble import Ensemble, _owners_of
+from bohrqed._domain import DomainError, finite, positive
+from bohrqed.ensemble import _BOUNDARY_TOL, Ensemble, NotOnBoundary, _owners_of
 from bohrqed.mspace import _boundary_samples
+
+
+@dataclass(frozen=True)
+class Roundel:
+    id: int
+    center: tuple[float, ...]  # spatial (x1, x2) or (x1, x2, x3)
+    R: float
+
+    def __post_init__(self):
+        positive("roundel radius", self.R)
+        finite("roundel center", *self.center)
+
+
+def assign_boundary_point(point, candidates: Sequence[Roundel]) -> int:
+    """Owner of a shared boundary point: lexicographically smallest center.
+
+    The point must lie on the boundary of every candidate to 1e-9;
+    ordering of the candidate list never affects the result.
+    """
+    if not candidates:
+        raise DomainError("need at least one candidate roundel")
+    point = tuple(float(p) for p in point)
+    for r in candidates:
+        if not abs(math.dist(point, r.center) - r.R) <= _BOUNDARY_TOL:  # NaN is off
+            raise NotOnBoundary(
+                f"point {point} is off the boundary of roundel {r.id}")
+    return min(candidates, key=lambda r: r.center).id
 
 
 def _split_cell(center, h, dim):

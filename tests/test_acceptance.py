@@ -22,13 +22,10 @@ from bohrqed.bohr import (
     BohrInput,
     local_solve_rho,
     mass_shell_residual,
-    roundtrip_consistency,
     solve_bohr,
 )
 from bohrqed.cli import main as cli_main
 from bohrqed.ensemble import (
-    Roundel,
-    assign_boundary_point,
     boundary_fill_distance,
     scaling_sweep,
     tile,
@@ -48,7 +45,8 @@ from bohrqed.lattice import (
     photon_residual,
     wave_apply,
 )
-from reference_tiling import ref_ensemble
+from reference_orbit import roundtrip_consistency
+from reference_tiling import Roundel, assign_boundary_point, ref_ensemble
 
 ALPHA = 1.0 / 137.035999
 

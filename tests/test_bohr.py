@@ -12,12 +12,11 @@ from bohrqed.bohr import (
     BohrInput,
     NonPositiveMass,
     SupercriticalCoupling,
-    assemble_wavefunction,
     local_solve_rho,
     mass_shell_residual,
-    roundtrip_consistency,
     solve_bohr,
 )
+from reference_orbit import assemble_wavefunction, roundtrip_consistency
 
 ALPHA = 1.0 / 137.035999
 
@@ -214,12 +213,22 @@ class TestLocalSolve:
         for grid in (np.linspace(1e-3, 4.0, 500), np.linspace(-4.0, -1e-3, 500)):
             assert np.all(np.diff(local_solve_rho(grid, e, m, n).rho) > 0)
 
-    @pytest.mark.parametrize("A,shape", [(0.5, "()"), ([[0.5, 1.0]], "(1, 2)"),
-                                         ([], "(0,)")])
-    def test_grid_shape_rejected(self, A, shape):
+    @pytest.mark.parametrize("A,named", [
         # a scalar A was the one-point call form: it must not solve as a grid
-        with pytest.raises(DomainError, match=re.escape(
-                f"A must be a non-empty 1-d grid, got shape {shape}")):
+        pytest.param(0.5, "a non-empty 1-d grid, got shape ()", id="0.5-()"),
+        pytest.param([[0.5, 1.0]], "a non-empty 1-d grid, got shape (1, 2)",
+                     id="A1-(1, 2)"),
+        pytest.param([], "a non-empty 1-d grid, got shape (0,)", id="A2-(0,)"),
+        # numpy's ValueError or TypeError used to leave, and [True] solved as 1
+        pytest.param([[1.0], [2.0, 3.0]], "a grid of real numbers, got a ragged sequence",
+                     id="ragged"),
+        pytest.param(["a"], "a grid of real numbers, got dtype <U1", id="str"),
+        pytest.param([1 + 1j], "a grid of real numbers, got dtype complex128",
+                     id="complex"),
+        pytest.param([True], "a grid of real numbers, got dtype bool", id="bool"),
+    ])
+    def test_grid_shape_rejected(self, A, named):
+        with pytest.raises(DomainError, match=re.escape(f"A must be {named}")):
             local_solve_rho(A, 1.0, 1.0, 1)
 
     def test_zero_charge_rejected(self):

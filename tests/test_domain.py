@@ -9,8 +9,8 @@ import bohrqed
 from bohrqed import (BohrInput, DomainError, HypercubicLattice, InfeasibleCoverage,
                      LatticeField, LorentzTransform, LPoint, NonPositiveMass,
                      NotOnBoundary, RoundelSpec, SupercriticalCoupling,
-                     assign_boundary_point, build_lattices, count_interactions,
-                     limit_sweep, photon_residual, solve_bohr, tile, transform_field)
+                     build_lattices, count_interactions, limit_sweep,
+                     photon_residual, solve_bohr, tile, transform_field)
 from bohrqed import ensemble
 from bohrqed._domain import finite, positive, whole
 from bohrqed.cli import RunReport, main
@@ -220,9 +220,6 @@ _, _LAT_K, _BINDING = build_lattices(a=0.1, R_k=0.2, extent=3,
     pytest.param(lambda mp: tile([(0.0, 1.0)] * 3, 0.25),
                  DomainError, "pure tiling needs a 2-d domain, got "
                  "((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))", id="tile-domain"),
-    pytest.param(lambda mp: assign_boundary_point((0.0, 0.0), []),
-                 DomainError, "need at least one candidate roundel",
-                 id="assign_boundary_point-none"),
     pytest.param(lambda mp: fit_loglog([1.0, 2.0], [1.0, 2.0, 3.0]),
                  DomainError, "xs and ys must be 1-d arrays of equal length",
                  id="fit_loglog-shape"),

@@ -14,9 +14,7 @@ from bohrqed.ensemble import (
     Ensemble,
     InfeasibleCoverage,
     NotOnBoundary,
-    Roundel,
     _owners_of,
-    assign_boundary_point,
     boundary_fill_distance,
     count_interactions,
     partition_regions,
@@ -26,7 +24,7 @@ from bohrqed.ensemble import (
     verify_ensemble,
 )
 from bohrqed.mspace import _boundary_samples
-from reference_tiling import ref_cells, ref_ensemble
+from reference_tiling import Roundel, assign_boundary_point, ref_cells, ref_ensemble
 
 UNIT_SQUARE = [(0.0, 1.0), (0.0, 1.0)]
 UNIT_CUBE = [(0.0, 1.0)] * 3
@@ -720,6 +718,17 @@ class TestRegionArrayOracle:
                      id="charges--inf"),
         pytest.param(dict(charges=np.full(4, 0.5 + 0j)), _BAD_CHARGES + "[(0.5+0j), (0.5+0j)",
                      id="charges-complex"),
+        # complex geometry used to build, and verify_ensemble to raise a bare
+        # TypeError or pass a complex boundary
+        pytest.param(dict(centers=np.full((4, 2), 0.5 + 1j)),
+                     "roundel centers must be finite real numbers, got [(0.5+1j), (0.5+1j)",
+                     id="centers-complex"),
+        pytest.param(dict(radii=np.full(4, 0.25 + 0j)),
+                     "roundel radii must be finite real numbers, got [(0.25+0j), (0.25+0j)",
+                     id="radii-complex"),
+        pytest.param(dict(boundary=np.full((32, 2), 0.5 + 0j)),
+                     "roundel boundary must be finite real numbers, got [(0.5+0j), (0.5+0j)",
+                     id="boundary-complex"),
     ])
     def test_ensemble_rejects(self, change, named):
         ens = tile(UNIT_SQUARE, 0.25)

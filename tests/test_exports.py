@@ -1,18 +1,84 @@
+import ast
 import dataclasses
 import inspect
 import math
+from pathlib import Path
 
 import pytest
 
 from bohrqed import DomainError, algebra, bohr, ensemble, fitting, lattice, mspace
 
 MODULES = [algebra, bohr, ensemble, fitting, lattice, mspace]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
 def test_all_names_resolve(module):
     # a stale __all__ entry breaks only ``from module import *``
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
+
+
+#: Public names nothing in the package or the benchmark reaches, and why
+#: each stays.  A test-only reference belongs in ``tests/reference_*.py``.
+KEEP = {
+    "Reflector": "the paper's anti-diagonal reflector; test_algebra's TestReflector "
+                 "checks its algebra",
+    "DiagonalMatrix": "the product of two reflectors, checked with Reflector",
+    "reflector_mul": "the one product of two reflectors, checked with Reflector",
+    "total_charge": "the charge of an ensemble or region, a lab quantity "
+                    "test_ensemble checks",
+    "boundary_fill_distance": "acceptance C6: the boundary set fills the box as "
+                              "the radii shrink",
+}
+
+
+def _identifiers(node) -> set[str]:
+    """Every name read and attribute taken under ``node``."""
+    return ({n.id for n in ast.walk(node)
+             if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+
+
+def _assigned(node, target: str):
+    """The literal value of a module-level ``target = ...``, else None."""
+    if isinstance(node, ast.Assign) and [getattr(t, "id", None)
+                                         for t in node.targets] == [target]:
+        return ast.literal_eval(node.value)
+    return None
+
+
+def test_public_names_have_a_caller():
+    # A name counts as used when the package's own module-level code (the
+    # ``python -m bohrqed`` entry included) or a benchmark file reaches it,
+    # directly or through the top-level definitions it reads; a definition
+    # nothing reaches lends its references nothing.  ``__all__`` entries and
+    # ``__init__``'s re-exports are not references.
+    public, uses, reached = set(), {}, set()
+    for path in sorted((ROOT / "src" / "bohrqed").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ImportFrom) and path.name == "__init__.py":
+                public |= {alias.name for alias in node.names}
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                uses.setdefault(node.name, set()).update(_identifiers(node))
+            elif (names := _assigned(node, "__all__")) is not None:
+                public |= set(names)
+            else:
+                reached |= _identifiers(node)
+    layers = set()
+    for path in sorted((ROOT / "benchmarks").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        reached |= _identifiers(tree)
+        for node in tree.body:
+            # a traced name, module-level or the class of a traced method
+            traced = _assigned(node, "LAYERS") or {}
+            layers |= {name.split(".")[0] for names in traced.values() for name in names}
+    todo = list(reached)
+    while todo:
+        for name in uses.pop(todo.pop(), ()):
+            if name not in reached:
+                reached.add(name)
+                todo.append(name)
+    assert sorted(public - reached - layers) == sorted(KEEP)
 
 
 # ---------------------------------------------------------------------------
@@ -34,11 +100,8 @@ CONTRACT = {
     "LorentzTransform.boost": (
         algebra.LorentzTransform.boost, dict(axis=[1, 0, 0]), dict(rapidity=0.5)),
     "BohrInput": (bohr.BohrInput, dict(n=1), dict(e=1.0, f=-0.5, m=1.0)),
-    "assemble_wavefunction": (
-        bohr.assemble_wavefunction, dict(state=_STATE), dict(x0=0.2, s=0.3)),
     "local_solve_rho": (
         bohr.local_solve_rho, dict(n=1), dict(A=[0.5, 0.0, -1.0], e=1.0, m=1.0)),
-    "Roundel": (ensemble.Roundel, dict(id=0), dict(center=(0.5, 0.5), R=0.25)),
     "Ensemble": (
         ensemble.Ensemble,
         {f.name: getattr(_ENSEMBLE, f.name) for f in dataclasses.fields(_ENSEMBLE)
@@ -76,13 +139,12 @@ CONTRACT = {
     "RoundelSpec": (mspace.RoundelSpec, dict(center=_L), dict(R=0.25)),
     "l_to_m": (mspace.l_to_m, dict(p=_L), dict(R=1.0)),
     "m_to_l": (mspace.m_to_l, dict(p=mspace.l_to_m(_L, 1.0)), dict(R=1.0)),
-    "map_potential": (mspace.map_potential, {}, dict(A_L=0.5, r=1.0, R=1.0)),
 }
 
 #: What the contract skips of the float-annotated parameters: result types
 #: are outputs, ``fit_sweep``'s ``row`` is a callable and its ``expected``
 #: slopes are only stored beside the fits.
-NOT_INPUTS = {"BohrState", "LocalSolveGrid", "WaveSample", "PowerFit", "Sweep"}
+NOT_INPUTS = {"BohrState", "LocalSolveGrid", "PowerFit", "Sweep"}
 NOT_WALKED = {"fit_sweep": {"row", "expected"}}
 
 

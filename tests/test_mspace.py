@@ -14,8 +14,8 @@ from bohrqed.mspace import (
     boundary_points,
     l_to_m,
     m_to_l,
-    map_potential,
 )
+from reference_orbit import map_potential
 
 
 class TestBijection:

@@ -31,7 +31,6 @@ from .ensemble import (
 from .lattice import (
     HypercubicLattice,
     LatticeField,
-    MassTerm,
     ReflectorField,
     RegionBinding,
     build_lattices,

@@ -33,6 +33,7 @@ __all__ = [
     "Reflector",
     "DiagonalMatrix",
     "LorentzTransform",
+    "reflector_mul",
     "ONE",
     "I0",
     "I1",
@@ -42,8 +43,6 @@ __all__ = [
     "bq_mul_arr",
     "bq_mul_planes",
     "bq_frobenius_arr",
-    "vec4_to_bq",
-    "bq_to_vec4",
 ]
 
 @dataclass(frozen=True)
@@ -106,24 +105,8 @@ class Biquaternion:
         """The † conjugation: complex conjugation composed with ‡."""
         return self.complex_conj().quat_conj()
 
-    def norm_form(self) -> complex:
-        """Invariant quadratic form ``q q‡ = w² + x² + y² + z²`` (complex)."""
-        return self.w**2 + self.x**2 + self.y**2 + self.z**2
-
-    def frobenius(self) -> float:
-        return float(np.sqrt(abs(self.w) ** 2 + abs(self.x) ** 2
-                             + abs(self.y) ** 2 + abs(self.z) ** 2))
-
-    def vector_part(self) -> "Biquaternion":
-        return Biquaternion(0, self.x, self.y, self.z)
-
     def as_array(self) -> np.ndarray:
         return np.array([self.w, self.x, self.y, self.z], dtype=complex)
-
-    @staticmethod
-    def from_array(arr) -> "Biquaternion":
-        w, x, y, z = np.asarray(arr, dtype=complex)
-        return Biquaternion(w, x, y, z)
 
     def __repr__(self) -> str:
         return (f"Biquaternion(w={self.w:.6g}, x={self.x:.6g}, "
@@ -212,7 +195,8 @@ class LorentzTransform:
     and any composition is again a single ``g``, so composition is just
     the Hamilton product and the inverse is ``g‡``.  Four-vectors are
     housed as ``i*v0 + v1 i1 + v2 i2 + v3 i3``; the sandwich preserves
-    the complex norm form, which restricts to ``-v0² + |v|²`` on them.
+    the complex form ``q q‡ = w² + x² + y² + z²``, which restricts to
+    ``-v0² + |v|²`` on them.
     """
 
     g: Biquaternion
@@ -239,21 +223,11 @@ class LorentzTransform:
         return LorentzTransform(
             Biquaternion(c, 1j * s * n[0], 1j * s * n[1], 1j * s * n[2]))
 
-    def compose(self, inner: "LorentzTransform") -> "LorentzTransform":
-        """Transform equal to applying ``inner`` first, then ``self``."""
-        return LorentzTransform(self.g * inner.g)
-
     def inverse(self) -> "LorentzTransform":
         return LorentzTransform(self.g.quat_conj())
 
     def apply(self, q: Biquaternion) -> Biquaternion:
         return self.g * q * self.g.dagger()
-
-    def apply_vec4(self, v) -> np.ndarray:
-        """Act on a real four-vector ``(v0, v1, v2, v3)``."""
-        q = vec4_to_bq(np.asarray(v, dtype=float))
-        out = self.apply(Biquaternion.from_array(q))
-        return np.real(bq_to_vec4(out.as_array()))
 
     def apply_array(self, values: np.ndarray) -> np.ndarray:
         """Act sitewise on a ``(..., 4)`` complex biquaternion array."""
@@ -304,21 +278,3 @@ def bq_frobenius_arr(a: np.ndarray) -> np.ndarray:
     for k in range(1, 4):
         out += np.square(np.abs(a[..., k], out=term), out=term)
     return np.sqrt(out, out=out)[()]
-
-
-def vec4_to_bq(v: np.ndarray) -> np.ndarray:
-    """Four-vector ``(v0, v1, v2, v3)`` to its biquaternion housing."""
-    v = np.asarray(v)
-    out = np.zeros(v.shape, dtype=complex)
-    out[..., 0] = 1j * v[..., 0]
-    out[..., 1:] = v[..., 1:]
-    return out
-
-
-def bq_to_vec4(q: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`vec4_to_bq` (complex-valued in general)."""
-    q = np.asarray(q, dtype=complex)
-    out = np.empty(q.shape, dtype=complex)
-    out[..., 0] = -1j * q[..., 0]
-    out[..., 1:] = q[..., 1:]
-    return out

@@ -113,13 +113,12 @@ class BohrState:
 @dataclass(frozen=True)
 class LocalSolveGrid:
     """One entry per grid point; a degenerate point (A = 0) has rho = 0,
-    NaN ``R`` and ``f`` and residual 0.  ``d`` is shared by every point."""
+    NaN ``R`` and ``f`` and residual 0."""
 
     rho: np.ndarray
     R: np.ndarray
     f: np.ndarray
     residual: np.ndarray
-    d: float
 
 
 def solve_bohr(inp: BohrInput, allow_repulsive: bool = False) -> BohrState:
@@ -268,6 +267,5 @@ def local_solve_rho(A: Sequence[float], e: float, m: float, n: int) -> LocalSolv
         raise DomainError(f"A must be a grid of real numbers, got dtype {grid.dtype}")
     A = grid.astype(float, copy=False)
     rho, R, f, d = _solve_columns(A, e, m, n)
-    return LocalSolveGrid(rho=rho, R=R, f=f, residual=_residual_column(A, rho, d, e, m),
-                          d=d)
+    return LocalSolveGrid(rho=rho, R=R, f=f, residual=_residual_column(A, rho, d, e, m))
 

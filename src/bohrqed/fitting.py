@@ -23,9 +23,6 @@ class PowerFit:
     """
 
     slope: float
-    intercept: float
-    n_points: int
-    span_decades: float
     low_confidence: bool
 
 
@@ -41,11 +38,9 @@ def fit_loglog(xs, ys) -> PowerFit:
     if xs.min() == xs.max():
         raise DomainError(f"abscissa has zero span, got {xs.min()}")
     lx, ly = np.log(xs), np.log(ys)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    span = float(np.log10(xs.max() / xs.min()))
-    low = len(xs) < 3 or span < 2.0
-    return PowerFit(slope=float(slope), intercept=float(intercept),
-                    n_points=len(xs), span_decades=span, low_confidence=low)
+    slope = np.polyfit(lx, ly, 1)[0]
+    low = len(xs) < 3 or np.log10(xs.max() / xs.min()) < 2.0
+    return PowerFit(slope=float(slope), low_confidence=bool(low))
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -55,7 +56,6 @@ __all__ = [
     "LatticeField",
     "ReflectorField",
     "RegionBinding",
-    "MassTerm",
     "build_lattices",
     "dirac_apply_values",
     "wave_apply",
@@ -173,40 +173,25 @@ class ReflectorField:
                 getattr(self, name), self.lattice, name))
 
 
-@dataclass(frozen=True)
-class MassTerm:
-    """Global mass magnitude and its per-region rescaling ``(a/R_k) * M``."""
-
-    global_magnitude: float
-    a: float
-    R_k: float
-
-    def __post_init__(self):
-        finite("global mass", self.global_magnitude)
-        positive("spacing a", self.a)
-        positive("spacing R_k", self.R_k)
-
-    @property
-    def per_region(self) -> float:
-        return (self.a / self.R_k) * self.global_magnitude
-
-
-def renormalize_mass(M_global: float, a: float, R_k: float) -> MassTerm:
-    return MassTerm(global_magnitude=float(M_global), a=float(a), R_k=float(R_k))
+def renormalize_mass(M_global: float, a: float, R_k: float) -> float:
+    """The per-region mass ``(a/R_k) * M_global`` of a global magnitude."""
+    M_global, a, R_k = float(M_global), float(a), float(R_k)
+    finite("global mass", M_global)
+    positive("spacing a", a)
+    positive("spacing R_k", R_k)
+    return (a / R_k) * M_global
 
 
 @dataclass(frozen=True)
 class RegionBinding:
     """One region's choice of roundel, compromise frame, and site mapping:
-    translate by the center site, scale ``R_k -> a`` (:attr:`scale`), then
-    ``Z``.  The transports apply it to whole fields; its one-site form is
-    the tests' reference (``tests/reference_lattice.py``)."""
+    translate by the center site, scale ``R_k -> a``, then ``Z``.  The
+    transports apply it to whole fields; its one-site form is the tests'
+    reference (``tests/reference_lattice.py``)."""
 
     Z: LorentzTransform
     lattice_k: HypercubicLattice
     lattice_p: HypercubicLattice
-    center_index: tuple[int, int, int, int]
-    neighbor_indices: tuple[tuple[int, int, int, int], ...]
 
     @property
     def R_k(self) -> float:
@@ -217,11 +202,6 @@ class RegionBinding:
     def a(self) -> float:
         """The snapshot half-interval, ``lattice_p.spacing``."""
         return self.lattice_p.spacing
-
-    @property
-    def scale(self) -> float:
-        """Geometric scale of the site map, ``a / R_k``."""
-        return self.a / self.R_k
 
 
 def build_lattices(a: float, R_k: float, extent, Z: LorentzTransform,
@@ -235,12 +215,7 @@ def build_lattices(a: float, R_k: float, extent, Z: LorentzTransform,
     """
     lat_k = HypercubicLattice(spacing=R_k, extent=extent, frame="compromise")
     lat_p = HypercubicLattice(spacing=a, extent=lat_k.extent, frame="snapshot")
-    center = tuple(e // 2 for e in lat_k.extent)  # extents >= 3: all neighbors exist
-    neighbors = [tuple(c + step * (ax == axis) for ax, c in enumerate(center))
-                 for axis in range(4) for step in (-1, +1)]
-    binding = RegionBinding(Z=Z, lattice_k=lat_k, lattice_p=lat_p,
-                            center_index=center, neighbor_indices=tuple(neighbors))
-    return lat_p, lat_k, binding
+    return lat_p, lat_k, RegionBinding(Z=Z, lattice_k=lat_k, lattice_p=lat_p)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +434,7 @@ def dirac_residual(phi: ReflectorField, A: LatticeField | Biquaternion, e: float
     plane product as a zero-stride broadcast of its four coefficients, never
     a field; anything else is a ``TypeError``.
 
-    ``mass`` is a float; a :class:`MassTerm` enters as its ``per_region``.
+    ``mass`` is a float, :func:`renormalize_mass`'s per-region mass for one.
     Component equations (anti-diagonal layout, mass ``m~ = -i m``):
     ``D phi2 - i e A~ phi2 - phi1 (i m) = 0`` and
     ``D‡ phi1 - i e A~ phi1 + phi2 (i m) = 0``.
@@ -768,8 +743,12 @@ def _bad_row(path, number: int, lines, rows, extent) -> DomainError:
 
 def read_field(path) -> LatticeField | ReflectorField:
     """Inverse of :func:`write_field`; ``DomainError`` on a malformed,
-    truncated or incomplete file, naming the bad line or the first missing site."""
-    with open(path) as fh:
+    truncated or incomplete file, naming the bad line or the first missing site.
+
+    An undecodable byte stays in its line as a lone surrogate, so the line
+    fails to parse; a file too short to hold a row per site is parsed
+    without allocating the field."""
+    with open(path, errors="surrogateescape") as fh:
         magic = fh.readline().split()
         if magic[:1] != ["bohrqed-field"]:
             raise DomainError(f"{path} is not a field file")
@@ -778,7 +757,8 @@ def read_field(path) -> LatticeField | ReflectorField:
         header = dict(fh.readline().strip().partition(" ")[::2] for _ in range(5))
         missing = {"kind", "spacing", "extent", "origin", "frame"} - header.keys()
         if missing:
-            raise DomainError(f"truncated header: no {', '.join(sorted(missing))}")
+            raise DomainError(f"truncated header: no {', '.join(sorted(missing))} "
+                              f"in {path}")
         extent = _header_value(header, "extent", path, lambda v: tuple(map(int, v.split())))
         lattice = HypercubicLattice(
             spacing=_header_value(header, "spacing", path, float), extent=extent,
@@ -790,9 +770,15 @@ def read_field(path) -> LatticeField | ReflectorField:
             raise DomainError(f"unknown field kind {kind!r} in {path}")
         width = 8 if kind == "reflector" else 4
         rows = np.dtype([("site", np.intp, (4,)), ("values", complex, (width,))])
-        planes = np.empty((width,) + extent, complex)  # sites in order, per component
-        count = np.zeros(math.prod(extent), np.intp)
-        size = planes[0][_slabs(extent)[0]].size  # one slab's lines at a time, from line 7
+        sites = math.prod(extent)
+        # a row is 4 + width tokens of one character or more, each followed by
+        # a space or a newline (but the file's last): a file too short for a
+        # row per site misses a site, which the parse names without the field
+        short = sites * 2 * (4 + width) - 1 > os.fstat(fh.fileno()).st_size - fh.tell()
+        planes = None if short else np.empty((width,) + extent, complex)
+        seen = []  # the flat index of every row's site
+        first = _slabs(extent)[0][0]  # one slab's lines at a time, from line 7
+        size = (first.stop - first.start) * math.prod(extent[1:])
         for k, lines in enumerate(iter(lambda: list(itertools.islice(fh, size)), [])):
             if any(map(str.strip, lines)):  # loadtxt warns on blank lines alone
                 try:  # a wrong token count, a non-numeric token, a site outside
@@ -802,11 +788,18 @@ def read_field(path) -> LatticeField | ReflectorField:
                         raise ValueError
                 except ValueError:
                     raise _bad_row(path, 7 + k * size, lines, rows, extent) from None
-                planes.reshape(width, -1)[:, flat] = table["values"].T
-                count += np.bincount(flat, minlength=count.size)
-    for bad, problem in ((count > 1, "duplicate"), (count == 0, "missing")):
-        if bad.any():
-            site = tuple(int(i) for i in np.unravel_index(bad.argmax(), extent))
+                if planes is not None:
+                    planes.reshape(width, -1)[:, flat] = table["values"].T
+                seen.append(flat)
+    # every row's site between the ends -1 and ``sites``, sorted: a step of
+    # 0 repeats a site, a step of more than 1 skips one
+    ends = np.concatenate([[-1], *seen, [sites]])
+    ends.sort()
+    step = np.diff(ends)
+    for bad, problem in ((ends[:-1][step == 0], "duplicate"),
+                         (ends[:-1][step > 1] + 1, "missing")):
+        if bad.size:
+            site = tuple(int(i) for i in np.unravel_index(bad[0], extent))
             raise DomainError(f"{problem} site {site} in {path}")
     if kind == "reflector":
         return ReflectorField(lattice=lattice, phi1=_Planes(planes[:4]),

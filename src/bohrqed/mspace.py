@@ -71,11 +71,6 @@ class LPoint:
         object.__setattr__(self, "theta", reduced)
         object.__setattr__(self, "turns", self.turns + extra)
 
-    @property
-    def arc(self) -> float:
-        """The L arc ``s' = r * theta``."""
-        return self.r * self.theta
-
     def to_cartesian(self) -> np.ndarray:
         return np.array([self.r * math.cos(self.theta),
                          self.r * math.sin(self.theta), self.x3])

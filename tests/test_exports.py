@@ -19,7 +19,8 @@ def test_all_names_resolve(module):
 
 
 #: Public names nothing in the package or the benchmark reaches, and why
-#: each stays.  A test-only reference belongs in ``tests/reference_*.py``.
+#: each stays; a member is ``Class.member``.  A test-only reference belongs
+#: in ``tests/reference_*.py``.
 KEEP = {
     "Reflector": "the paper's anti-diagonal reflector; test_algebra's TestReflector "
                  "checks its algebra",
@@ -29,14 +30,25 @@ KEEP = {
                     "test_ensemble checks",
     "boundary_fill_distance": "acceptance C6: the boundary set fills the box as "
                               "the radii shrink",
+    "LorentzTransform.apply": "the paper's sandwich q -> g q g†, and the scalar "
+                              "oracle of the plane transport",
+    "LorentzTransform.inverse": "undoes a transform (g -> g‡); test_algebra "
+                                "checks the round trip",
+    "EquivalenceReport.lp_residual": "acceptance C9: the photon equation holds on "
+                                     "the snapshot lattice",
 }
 
 
-def _identifiers(node) -> set[str]:
-    """Every name read and attribute taken under ``node``."""
-    return ({n.id for n in ast.walk(node)
-             if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
-            | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)})
+def _reads(node) -> set[str]:
+    """Every name ``node`` loads, and every attribute it takes, both as a
+    name (a module's) and as ``.attr`` (a member's)."""
+    names, attrs = set(), set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store):
+            attrs.add(n.attr)
+    return names | attrs | {"." + a for a in attrs}
 
 
 def _assigned(node, target: str):
@@ -47,38 +59,123 @@ def _assigned(node, target: str):
     return None
 
 
-def test_public_names_have_a_caller():
-    # A name counts as used when the package's own module-level code (the
-    # ``python -m bohrqed`` entry included) or a benchmark file reaches it,
-    # directly or through the top-level definitions it reads; a definition
-    # nothing reaches lends its references nothing.  ``__all__`` entries and
-    # ``__init__``'s re-exports are not references.
-    public, uses, reached = set(), {}, set()
-    for path in sorted((ROOT / "src" / "bohrqed").glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.ImportFrom) and path.name == "__init__.py":
+def _members(cls: ast.ClassDef):
+    """``(name, node)`` of the public methods, properties, static methods
+    and annotated fields of ``cls``; the rest of its body is the class's."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            name = node.name
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            name = node.target.id
+        else:
+            continue
+        if not name.startswith("_"):
+            yield name, node
+
+
+def _unused(package: dict[str, str], benchmarks: list[str], keep=()) -> set[str]:
+    """The public names and ``Class.member``s of the ``package`` sources
+    (file name -> text) that neither its module-level code (the
+    ``python -m bohrqed`` entry included) nor the ``benchmarks`` reach,
+    directly or through the definitions they read, nor ``keep``.
+
+    A member counts as reached when reached code takes an attribute of its
+    name; a definition or member body nothing reaches lends its reads
+    nothing.  A keyword argument in a benchmark reaches the field of that
+    name, and a dotted ``LAYERS`` name the member it traces.  ``__all__``
+    entries and ``__init__``'s re-exports are not references.
+    """
+    public, members, uses = set(), set(), {}
+    roots = {"." + name.rpartition(".")[2] if "." in name else name for name in keep}
+    layers = set()
+    for path, text in package.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, ast.ImportFrom) and path == "__init__.py":
                 public |= {alias.name for alias in node.names}
-            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                uses.setdefault(node.name, set()).update(_identifiers(node))
+            elif isinstance(node, ast.FunctionDef):
+                uses.setdefault(node.name, set()).update(_reads(node))
+            elif isinstance(node, ast.ClassDef):
+                inside = dict(_members(node))
+                for name, member in inside.items():
+                    uses.setdefault("." + name, set()).update(_reads(member))
+                    if not node.name.startswith("_"):
+                        members.add(f"{node.name}.{name}")
+                body = [n for n in node.body if n not in inside.values()]
+                uses.setdefault(node.name, set()).update(
+                    *map(_reads, body + node.bases + node.decorator_list))
             elif (names := _assigned(node, "__all__")) is not None:
                 public |= set(names)
             else:
-                reached |= _identifiers(node)
-    layers = set()
-    for path in sorted((ROOT / "benchmarks").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        reached |= _identifiers(tree)
+                roots |= _reads(node)
+    for text in benchmarks:
+        tree = ast.parse(text)
+        roots |= _reads(tree)
+        roots |= {"." + n.arg for n in ast.walk(tree) if isinstance(n, ast.keyword) and n.arg}
         for node in tree.body:
-            # a traced name, module-level or the class of a traced method
-            traced = _assigned(node, "LAYERS") or {}
-            layers |= {name.split(".")[0] for names in traced.values() for name in names}
-    todo = list(reached)
+            for names in (_assigned(node, "LAYERS") or {}).values():
+                for name in names:  # a traced name, or a class and its method
+                    owner, _, member = name.rpartition(".")
+                    layers.add(owner or member)
+                    if owner:
+                        roots.add("." + member)
+    reached, todo = set(roots), list(roots)
     while todo:
         for name in uses.pop(todo.pop(), ()):
             if name not in reached:
                 reached.add(name)
                 todo.append(name)
-    assert sorted(public - reached - layers) == sorted(KEEP)
+    unused = public - reached - layers
+    unused |= {m for m in members if "." + m.partition(".")[2] not in reached}
+    return unused - set(keep)
+
+
+def _sources(folder: str) -> dict[str, str]:
+    return {path.name: path.read_text() for path in sorted((ROOT / folder).glob("*.py"))}
+
+
+def test_public_names_have_a_caller():
+    package = _sources("src/bohrqed")
+    benchmarks = list(_sources("benchmarks").values())
+    assert sorted(_unused(package, benchmarks, KEEP)) == []
+    # every entry is still needed: nothing reaches it but its own reason
+    assert sorted(_unused(package, benchmarks) & set(KEEP)) == sorted(KEEP)
+
+
+#: A class with one member of each kind the guard judges, for its self-test.
+_PLANTED = """
+__all__ = ["Thing"]
+
+@dataclass
+class Thing:
+    tested: int
+    passed: int = 0
+
+    def checked(self):
+        return self.tested
+
+    def inner(self):
+        return 0
+
+class _Caller:
+    def unreached(self, thing):
+        return thing.inner()
+"""
+
+
+def test_guard_flags_members_only_tests_read():
+    # ``tested`` and ``checked`` only tests would read, ``passed`` a benchmark
+    # passes by keyword, and ``inner`` only an unreached method calls
+    assert _unused({"planted.py": _PLANTED}, ["Thing(1, passed=2)"]) == {
+        "Thing.tested", "Thing.checked", "Thing.inner"}
+
+
+def test_sources_parse_as_python_3_10():
+    """The grammar of every source and test file is Python 3.10's, the
+    floor ``pyproject.toml`` declares; this checks syntax only, not the
+    names a file imports or calls."""
+    for folder in ("src", "tests"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +218,6 @@ CONTRACT = {
     "HypercubicLattice": (
         lattice.HypercubicLattice, dict(extent=3),
         dict(spacing=0.1, origin=(0.0, 0.0, 0.0, 0.0))),
-    "MassTerm": (lattice.MassTerm, {}, dict(global_magnitude=1.0, a=0.1, R_k=0.2)),
     "build_lattices": (
         lattice.build_lattices, dict(extent=3, Z=algebra.LorentzTransform.identity()),
         dict(a=0.1, R_k=0.2)),

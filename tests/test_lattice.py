@@ -43,7 +43,7 @@ from bohrqed.lattice import (
     wave_apply,
     write_field,
 )
-from reference_lattice import mapped_site, site_position
+from reference_lattice import center_index, mapped_site, site_position
 from reference_orbit import assemble_wavefunction
 
 ALPHA = 1.0 / 137.035999
@@ -58,8 +58,8 @@ def pairwise_orders(spacings, residuals) -> list[float]:
 
 def boosted_rotation(axis, angle, boost_axis, rapidity) -> LorentzTransform:
     """A boost along ``boost_axis``, then a rotation about ``axis``."""
-    return LorentzTransform.rotation(axis, angle).compose(
-        LorentzTransform.boost(boost_axis, rapidity))
+    return LorentzTransform(LorentzTransform.rotation(axis, angle).g
+                            * LorentzTransform.boost(boost_axis, rapidity).g)
 
 
 def small_lattice(spacing=0.25, extent=(6, 6, 6, 6)):
@@ -201,14 +201,14 @@ class TestDiracApply:
             base = np.zeros(lat.extent + (4,), dtype=complex)
             base[..., 0] = scalar
             ref = dirac_apply_values(base, lat)
-            want = np.stack([Biquaternion.from_array(v) *
+            want = np.stack([Biquaternion(*v) *
                              [Biquaternion(0, 1), Biquaternion(0, 0, 1),
                               Biquaternion(0, 0, 0, 1)][k - 1]
                              for v in interior_view(ref, "backward")
                              .reshape(-1, 4)]).reshape(-1)
             got = np.array([c for q in interior_view(applied, "backward")
                             .reshape(-1, 4)
-                            for c in Biquaternion.from_array(q).as_array()])
+                            for c in Biquaternion(*q).as_array()])
             want_flat = np.array([c for q in want for c in q.as_array()])
             assert np.allclose(got, want_flat, atol=1e-14)
 
@@ -443,9 +443,9 @@ class TestDiracResidual:
         lat = HypercubicLattice(spacing=0.05, extent=(8, 8, 3, 3))
         phi = bohr_phi_field(lat, state)
         pot = bohr_potential_field(lat, state)
-        mt = renormalize_mass(state.input.m, a=0.3, R_k=0.3)
+        mass = renormalize_mass(state.input.m, a=0.3, R_k=0.3)
         direct = dirac_residual(phi, pot, e=state.input.e, mass=state.input.m)
-        viamt = dirac_residual(phi, pot, e=state.input.e, mass=mt.per_region)
+        viamt = dirac_residual(phi, pot, e=state.input.e, mass=mass)
         assert viamt.max_residual == pytest.approx(direct.max_residual)
 
     def test_charge_conjugation_invariance(self):
@@ -530,23 +530,28 @@ class TestBohrFieldSampling:
         assert peak <= 2.05 * phi.phi1.nbytes
 
 
+def neighbors(center) -> list[tuple[int, ...]]:
+    """The eight sites one step from ``center`` along an axis."""
+    return [tuple(c + step * (ax == axis) for ax, c in enumerate(center))
+            for axis in range(4) for step in (-1, +1)]
+
+
 class TestBuildLattices:
     def test_identity_same_spacing_pure_translation(self):
         latp, latk, binding = build_lattices(
             a=0.2, R_k=0.2, extent=(4, 4, 4, 4), Z=LorentzTransform.identity())
-        for idx in binding.neighbor_indices:
-            orig_offset = (site_position(latk, idx)
-                           - site_position(latk, binding.center_index))
-            mapped_offset = (mapped_site(binding, idx)
-                             - mapped_site(binding, binding.center_index))
+        center = center_index(binding)
+        for idx in neighbors(center):
+            orig_offset = site_position(latk, idx) - site_position(latk, center)
+            mapped_offset = mapped_site(binding, idx) - mapped_site(binding, center)
             assert np.allclose(mapped_offset, orig_offset)
 
     def test_scaling_doubles_separation(self):
         latp, latk, binding = build_lattices(
             a=0.4, R_k=0.2, extent=(4, 4, 4, 4), Z=LorentzTransform.identity())
-        idx = binding.neighbor_indices[0]
-        mapped_offset = (mapped_site(binding, idx)
-                         - mapped_site(binding, binding.center_index))
+        center = center_index(binding)
+        mapped_offset = (mapped_site(binding, neighbors(center)[0])
+                         - mapped_site(binding, center))
         assert np.linalg.norm(mapped_offset) == pytest.approx(0.8)
 
     def test_spacings_read_from_the_lattices(self):
@@ -561,14 +566,14 @@ class TestBuildLattices:
     def test_neighbors_inside_region(self):
         _, latk, binding = build_lattices(
             a=0.1, R_k=0.2, extent=(3, 5, 4, 3), Z=LorentzTransform.identity())
-        for idx in binding.neighbor_indices:
+        for idx in neighbors(center_index(binding)):
             assert all(0 <= i < e for i, e in zip(idx, latk.extent))
 
     def test_rotation_moves_neighbor_axis(self):
         Z = LorentzTransform.rotation([0, 0, 1], math.pi / 2)
         _, _, binding = build_lattices(a=0.2, R_k=0.2, extent=(4, 4, 4, 4), Z=Z)
-        center = mapped_site(binding, binding.center_index)
-        idx = list(binding.center_index)
+        center = mapped_site(binding, center_index(binding))
+        idx = list(center_index(binding))
         idx[1] += 1  # +x1 neighbor maps onto the +x2 axis
         offset = mapped_site(binding, tuple(idx)) - center
         assert offset[2] == pytest.approx(0.4, abs=1e-12)
@@ -745,16 +750,13 @@ class TestEquivalence:
 
 class TestMassTerm:
     def test_identity_rescale(self):
-        mt = renormalize_mass(1.7, a=0.3, R_k=0.3)
-        assert mt.per_region == pytest.approx(1.7)
+        assert renormalize_mass(1.7, a=0.3, R_k=0.3) == pytest.approx(1.7)
 
     def test_doubling(self):
-        mt = renormalize_mass(1.0, a=0.4, R_k=0.2)
-        assert mt.per_region == pytest.approx(2.0)
+        assert renormalize_mass(1.0, a=0.4, R_k=0.2) == pytest.approx(2.0)
 
     def test_bookkeeping_tight(self):
-        mt = renormalize_mass(2.5, a=0.1, R_k=0.4)
-        assert abs(mt.per_region - (0.1 / 0.4) * 2.5) < 1e-14
+        assert abs(renormalize_mass(2.5, a=0.1, R_k=0.4) - (0.1 / 0.4) * 2.5) < 1e-14
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -979,6 +981,33 @@ class TestSerialization:
         with pytest.raises(DomainError,
                            match=re.escape(f"non-numeric {key} {value!r} in {path}")):
             read_field(path)
+
+    @pytest.mark.parametrize("line", [2, 6 + 4])  # the spacing, a body row
+    def test_undecodable_byte(self, tmp_path, line):
+        # raised UnicodeDecodeError, which named no file
+        path, lines = self.written_lines(tmp_path)
+        data = [text.encode() for text in lines]
+        data[line] = data[line][:-2] + b"\xff" + data[line][-1:]
+        path.write_bytes(b"\n".join(data) + b"\n")
+        with pytest.raises(DomainError, match=re.escape(str(path))):
+            read_field(path)
+
+    def test_extent_larger_than_the_file(self, tmp_path):
+        # allocated planes for 27e9 sites (1.57 TiB), a MemoryError
+        path, lines = self.written_lines(tmp_path)
+        lines[3] = "extent 3 3 3 1000000000"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError,
+                           match=re.escape(f"missing site (0, 0, 0, 3) in {path}")):
+            read_field(path)
+
+    def test_shortest_rows_fill_the_extent(self, tmp_path):
+        # the size bound admits a file of the shortest rows there are
+        path, lines = self.written_lines(tmp_path)
+        rows = [" ".join(map(str, site)) + " 0 0 0 0"
+                for site in itertools.product(range(3), repeat=4)]
+        path.write_text("\n".join(lines[:6] + rows))
+        assert not read_field(path).values.any()
 
 
 def _write_field_per_value(path, obj):
@@ -1393,7 +1422,7 @@ class TestSiteLocalStencils:
         diffs = [_ref_first_diff(f.values, mu, self.lattice.step, mode)
                  for mu in range(4)]
         for site in self.edge_sites(mode):
-            want = sum((b * Biquaternion.from_array(d[site])
+            want = sum((b * Biquaternion(*d[site])
                         for b, d in zip(basis, diffs)), Biquaternion())
             np.testing.assert_allclose(full[site], want.as_array(),
                                        rtol=1e-14, atol=1e-14)
@@ -1525,7 +1554,7 @@ class TestSlabOracle:
         # an (upper, lower) pair of fields is no potential form
         phi1, phi2, values = self.fields(5, 3)
         phi = ReflectorField(self.lattice, phi1, phi2)
-        mass = renormalize_mass(1.3, a=0.1, R_k=0.2).per_region
+        mass = renormalize_mass(1.3, a=0.1, R_k=0.2)
         if potential == "pair":
             field = LatticeField(self.lattice, values)
             with pytest.raises(TypeError):

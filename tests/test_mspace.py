@@ -22,7 +22,7 @@ class TestBijection:
     def test_fixed_point_at_r_equals_R(self):
         p = LPoint(x0=0.0, r=2.0, theta=1.1, x3=0.0)
         q = l_to_m(p, R=2.0)
-        assert q.s == pytest.approx(p.arc)  # arcs coincide when r = R
+        assert q.s == pytest.approx(p.r * p.theta)  # arcs coincide when r = R
 
     def test_zero_angle(self):
         p = LPoint(x0=0.0, r=3.0, theta=0.0, x3=1.0)
@@ -32,7 +32,7 @@ class TestBijection:
         p = LPoint(x0=0.0, r=2.0, theta=math.pi / 2, x3=0.0)
         q = l_to_m(p, R=1.0)
         assert q.s == pytest.approx(math.pi / 2)      # s = R*theta
-        assert p.arc == pytest.approx(math.pi)        # s' = r*theta = 2 s
+        assert p.r * p.theta == pytest.approx(math.pi)  # s' = r*theta = 2 s
 
     def test_roundtrip_random(self):
         rng = np.random.default_rng(3)

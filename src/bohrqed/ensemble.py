@@ -50,6 +50,7 @@ __all__ = [
     "SCALING_EXPONENTS",
 ]
 
+# a point lies on a roundel's boundary to this fraction of its radius
 _BOUNDARY_TOL = 1e-9
 # cell-list cells are this much wider than the largest diameter, so no
 # pair one diameter apart lands two cells apart through rounding
@@ -183,13 +184,13 @@ def _owners_of(points: np.ndarray, centers: np.ndarray, radii: np.ndarray,
     """Owning roundel id per point; ties go to the smallest center."""
     by_rank = np.lexsort(centers.T[::-1])  # roundel index in center order
     rank = np.argsort(by_rank).astype(float)
-    # a boundary through the point is within max(R) + tol: never widen
+    # a boundary through the point is within max(R) * (1 + tol): never widen
     best = _least(points, centers, radii, lambda i, j, d: np.where(
-        np.abs(d - radii[j]) <= _BOUNDARY_TOL, rank[j], np.inf),
+        np.abs(d - radii[j]) <= _BOUNDARY_TOL * radii[j], rank[j], np.inf),
         lambda far: np.inf)
     if np.isinf(best).any():
         bad = points[np.isinf(best)][0]
-        raise NotOnBoundary(f"point {tuple(bad)} lies on no roundel boundary")
+        raise NotOnBoundary(f"point {tuple(bad.tolist())} lies on no roundel boundary")
     return ids[by_rank[best.astype(int)]]
 
 

@@ -7,7 +7,9 @@ and a Lorentz transform ``Z``.  First derivatives are one-sided
 backward differences over one full site interval, or central ones for
 convergence studies; the second-order wave operator composes a backward
 with a forward difference per axis, giving the standard 3-point stencil
-(exact on quadratics).
+(exact on quadratics).  Site coordinates come as open grids, one
+broadcastable array per axis, so a field built from them allocates only
+its own values.
 
 Field values are biquaternions seen as ``(*extent, 4)`` complex arrays
 and stored component-major: one C-contiguous ``(4, *extent)`` block of
@@ -112,9 +114,13 @@ class HypercubicLattice:
     def axis_coords(self, axis: int) -> np.ndarray:
         return self.origin[axis] + self.step * np.arange(self.extent[axis])
 
-    def coordinate_grids(self) -> list[np.ndarray]:
+    def coordinate_grids(self) -> Sequence[np.ndarray]:
+        """Open site-coordinate grids, one per axis: grid ``k`` has shape
+        ``extent[k]`` on axis ``k`` and 1 on the others, so arithmetic on
+        them broadcasts to the full extent without building it;
+        ``np.broadcast_arrays(*grids)`` gives the dense ones."""
         return np.meshgrid(*(self.axis_coords(ax) for ax in range(4)),
-                           indexing="ij")
+                           indexing="ij", sparse=True)
 
 
 class _Planes(NamedTuple):

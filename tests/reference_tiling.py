@@ -7,7 +7,7 @@ a radius field by quadtree/octree refinement.  The ownership rule the cell
 list applies to every boundary point at once is defined here one point at a
 time: :func:`assign_boundary_point` picks the lexicographically smallest
 center among :class:`Roundel` candidates, within the package's
-``_BOUNDARY_TOL`` (acceptance C6).
+``_BOUNDARY_TOL`` of each radius (acceptance C6).
 """
 
 import math
@@ -35,14 +35,14 @@ class Roundel:
 def assign_boundary_point(point, candidates: Sequence[Roundel]) -> int:
     """Owner of a shared boundary point: lexicographically smallest center.
 
-    The point must lie on the boundary of every candidate to 1e-9;
-    ordering of the candidate list never affects the result.
+    The point must lie on the boundary of every candidate to 1e-9 of its
+    radius; ordering of the candidate list never affects the result.
     """
     if not candidates:
         raise DomainError("need at least one candidate roundel")
     point = tuple(float(p) for p in point)
     for r in candidates:
-        if not abs(math.dist(point, r.center) - r.R) <= _BOUNDARY_TOL:  # NaN is off
+        if not abs(math.dist(point, r.center) - r.R) <= _BOUNDARY_TOL * r.R:  # NaN is off
             raise NotOnBoundary(
                 f"point {point} is off the boundary of roundel {r.id}")
     return min(candidates, key=lambda r: r.center).id

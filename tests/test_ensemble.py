@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import operator
 import re
@@ -28,6 +29,7 @@ from reference_tiling import Roundel, assign_boundary_point, ref_cells, ref_ense
 
 UNIT_SQUARE = [(0.0, 1.0), (0.0, 1.0)]
 UNIT_CUBE = [(0.0, 1.0)] * 3
+SCALES = [1e-12, 1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e8, 1e9, 1e12]
 
 
 class TestTile:
@@ -106,6 +108,26 @@ class TestTile:
             d = math.dist(point, ens.centers[owner])
             assert abs(d - ens.radii[owner]) < 1e-9
 
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_owners_are_scale_free(self, scale):
+        # the boundary tolerance was an absolute 1e-9: from side 1e8 up a
+        # valid packing raised NotOnBoundary, and at side 1e-9 a point
+        # within 1e-9 of a boundary it does not lie on could own it
+        for kind, R in itertools.product(["pure", "superposition"],
+                                         [0.25, 0.1, 1.0 / 24.0]):
+            dim = 2 if kind == "pure" else 3
+            unit = tile([(0.0, 1.0)] * dim, R, kind=kind)
+            scaled = tile([(0.0, scale)] * dim, R * scale, kind=kind)
+            assert scaled.owners.tolist() == unit.owners.tolist(), (kind, R)
+
+    def test_off_boundary_point_named_in_plain_floats(self):
+        # numpy 2 printed the point as (np.float64(0.25), np.float64(0.25))
+        centers = np.array([[0.25, 0.25]])
+        with pytest.raises(NotOnBoundary) as info:
+            _owners_of(centers.copy(), centers, np.array([0.25]), np.array([0]))
+        assert "point (0.25, 0.25) lies on no roundel boundary" in str(info.value)
+        assert "np.float64" not in str(info.value)
+
 
 class TestAssignment:
     def test_smaller_x1_wins(self):
@@ -127,6 +149,16 @@ class TestAssignment:
     def test_single_candidate(self):
         a = Roundel(id=3, center=(0.0, 0.0), R=1.0)
         assert assign_boundary_point((1.0, 0.0), [a]) == 3
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_tolerance_scales_with_radius(self, scale):
+        # a rounding error relative to the radius is on the boundary, and a
+        # point half a radius inside is off it, whatever the radius
+        a = Roundel(id=0, center=(0.0, 0.0), R=scale)
+        b = Roundel(id=1, center=(2.0 * scale, 0.0), R=scale)
+        assert assign_boundary_point((scale * (1.0 + 1e-13), 0.0), [b, a]) == 0
+        with pytest.raises(NotOnBoundary):
+            assign_boundary_point((0.5 * scale, 0.0), [a])
 
     def test_not_on_boundary(self):
         a = Roundel(id=0, center=(0.0, 0.0), R=1.0)

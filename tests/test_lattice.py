@@ -91,6 +91,22 @@ class TestLatticeType:
         assert lat.step == pytest.approx(0.6)
         assert np.allclose(np.diff(lat.axis_coords(2)), 0.6)
 
+    def test_coordinate_grids_are_open(self):
+        lat = HypercubicLattice(spacing=0.3, extent=(5, 3, 4, 6),
+                                origin=(0.5, -1.0, 0.0, 2.0))
+        grids = lat.coordinate_grids()
+        for ax, g in enumerate(grids):
+            assert g.shape == tuple(n if k == ax else 1
+                                    for k, n in enumerate(lat.extent))
+        dense = np.meshgrid(*(lat.axis_coords(ax) for ax in range(4)),
+                            indexing="ij")
+        for got, want in zip(np.broadcast_arrays(*grids), dense, strict=True):
+            assert got.tobytes() == want.tobytes()
+        # dense grids at 16^4 would take 4 x 65,536 x 8 B = 2 MiB
+        peak, _ = _traced_peak(
+            HypercubicLattice(spacing=0.1, extent=16).coordinate_grids)
+        assert peak < 64 * 1024
+
     def test_extent_validation(self):
         with pytest.raises(ValueError):
             HypercubicLattice(spacing=1.0, extent=(2, 4, 4, 4))

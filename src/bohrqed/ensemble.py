@@ -10,7 +10,7 @@ at once; its one-point reference over candidate roundels is in
 overlap and coverage (how many radii from a boundary a point of the box may
 lie), and the caller judges them against the ensemble's ``c``.  An
 :class:`Ensemble` is read-only arrays, per roundel (id, center, radius,
-charge, region) and per boundary point (point, owning roundel, its region).
+charge, region) and per boundary point (point, owning roundel, whose region it takes).
 Ownership, overlap and coverage are found in O(N) through a uniform cell
 list (Allen & Tildesley, *Computer Simulation of Liquids*, ch. 5) whose
 cell side is the largest roundel diameter.  Driving the orbit equations
@@ -88,12 +88,10 @@ class Ensemble:
     c: float
     boundary: np.ndarray  # (N, d) sample points
     owners: np.ndarray  # (N,) id of the roundel owning each point
-    boundary_regions: np.ndarray  # (N,) region id of each point's owner
     domain: tuple[tuple[float, float], ...]
 
     def __post_init__(self):  # every array is a read-only view
-        for name in ("ids", "centers", "radii", "charges", "regions",
-                     "boundary", "owners", "boundary_regions"):
+        for name in ("ids", "centers", "radii", "charges", "regions", "boundary", "owners"):
             view = np.asarray(getattr(self, name)).view()
             view.setflags(write=False)
             object.__setattr__(self, name, view)
@@ -114,8 +112,7 @@ class Ensemble:
         if bad.size:
             raise DomainError("roundel charges must be finite real numbers, "
                               f"got {bad[:3].tolist()}")
-        n = len(self.boundary)
-        shapes = {a.shape for a in (self.owners, self.boundary_regions)}
+        n, shapes = len(self.boundary), {self.owners.shape}
         if (shapes != {(n,)} or self.boundary.shape != (n, dim)
                 or not np.isfinite(self.boundary).all()):
             raise DomainError(f"{self.kind} boundary {self.boundary.shape} and owner arrays "
@@ -130,6 +127,14 @@ class Ensemble:
     @property
     def dim(self) -> int:
         return kind_dim(self.kind)
+
+    @property
+    def boundary_regions(self) -> np.ndarray:
+        """``(N,)`` region id of each point's owner, read-only."""
+        by_id = np.argsort(self.ids)
+        found = self.regions[by_id[np.searchsorted(self.ids, self.owners, sorter=by_id)]]
+        found.setflags(write=False)
+        return found
 
 
 def _distance(p: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -216,9 +221,8 @@ def tile(domain: Sequence[tuple[float, float]],
     ids = np.arange(len(radii))
     pts = _boundary_samples(centers, radii, kind, boundary_samples, seed)
     return Ensemble(ids=ids, centers=centers, radii=radii, charges=np.zeros(len(radii)),
-                    regions=np.zeros(len(radii), dtype=int), kind=kind, c=c,
-                    boundary=pts, owners=_owners_of(pts, centers, radii, ids),
-                    boundary_regions=np.zeros(len(pts), dtype=int), domain=domain)
+                    regions=np.zeros(len(radii), dtype=int), kind=kind, c=c, boundary=pts,
+                    owners=_owners_of(pts, centers, radii, ids), domain=domain)
 
 
 def _grid_cells(domain, R):
@@ -275,7 +279,7 @@ def partition_regions(ensemble: Ensemble, regions_per_axis: int) -> Ensemble:
     """Split the ensemble into an axis-aligned grid of regions.
 
     Each roundel joins the region containing its center; boundary points
-    follow their owning roundel's region.
+    follow their owning roundel's region (:attr:`Ensemble.boundary_regions`).
     """
     los = np.array([lo for lo, _ in ensemble.domain])
     whole("regions_per_axis", regions_per_axis, 1)
@@ -284,10 +288,7 @@ def partition_regions(ensemble: Ensemble, regions_per_axis: int) -> Ensemble:
     frac = (ensemble.centers - los) / (his - los)
     cell = np.clip((frac * regions_per_axis).astype(int), 0, regions_per_axis - 1)
     flat = np.ravel_multi_index(cell.T, (regions_per_axis,) * len(los))
-    ids = ensemble.ids
-    by_id = np.argsort(ids)
-    owner_at = by_id[np.searchsorted(ids, ensemble.owners, sorter=by_id)]
-    return replace(ensemble, regions=flat, boundary_regions=flat[owner_at])
+    return replace(ensemble, regions=flat)
 
 
 def count_interactions(T: float, R: float, kind: str) -> int:

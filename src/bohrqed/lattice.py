@@ -13,8 +13,8 @@ its own values.
 
 Field values are biquaternions seen as ``(*extent, 4)`` complex arrays
 and stored component-major: one C-contiguous ``(4, *extent)`` block of
-component planes per entry.  Wave functions are reflector pairs
-``(phi1, phi2)``.  The first-order operator is
+component planes per entry (a constant: one site's, zero-stride).  Wave
+functions are reflector pairs ``(phi1, phi2)``.  The first-order operator is
 ``D = i d0 + i1 d1 + i2 d2 + i3 d3``; its ``D‡``, which flips the sign of
 the spatial basis elements, acts only in the Dirac residual's second row.
 Residuals stream one axis-0 slab of whole time slices at a time (as many
@@ -124,7 +124,8 @@ class HypercubicLattice:
 
 
 class _Planes(NamedTuple):
-    """Fresh C-contiguous ``(4, *extent)`` complex planes a field adopts."""
+    """Fresh C-contiguous ``(4, *extent)`` complex planes a field adopts, or a
+    constant's one ``(4, 1, 1, 1, 1)`` block broadcast with zero strides."""
 
     array: np.ndarray
 
@@ -431,31 +432,25 @@ def photon_residual(A: LatticeField, J: LatticeField) -> ResidualReport:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # raised as typed errors
-def dirac_residual(phi: ReflectorField, A: LatticeField | Biquaternion, e: float,
+def dirac_residual(phi: ReflectorField, A: LatticeField, e: float,
                    mass: float, mode: str = "backward") -> ResidualReport:
     """Max interior residual of ``(D - i e A) Phi = Phi M`` in reflector form.
 
-    The potential ``A`` is a :class:`LatticeField` on ``phi``'s lattice or a
-    constant :class:`~bohrqed.algebra.Biquaternion`, which enters the same
-    plane product as a zero-stride broadcast of its four coefficients, never
-    a field; anything else is a ``TypeError``.
-
-    ``mass`` is a float, :func:`renormalize_mass`'s per-region mass for one.
+    The potential ``A`` is a :class:`LatticeField` on ``phi``'s lattice
+    (anything else is a ``TypeError``); a constant one, such as
+    :func:`bohr_potential_field`'s, is a zero-stride field.  ``mass`` is a
+    float, :func:`renormalize_mass`'s per-region mass for one.
     Component equations (anti-diagonal layout, mass ``m~ = -i m``):
     ``D phi2 - i e A~ phi2 - phi1 (i m) = 0`` and
     ``D‡ phi1 - i e A~ phi1 + phi2 (i m) = 0``.
     """
     finite("coupling and mass", e=e, mass=mass)
-    extent, step = phi.lattice.extent, phi.lattice.step
-    if isinstance(A, Biquaternion):
-        a = np.broadcast_to(A.as_array().reshape(4, 1, 1, 1, 1), (4,) + extent)
-    elif not isinstance(A, LatticeField):
-        raise TypeError("potential must be a LatticeField or a constant Biquaternion")
-    elif A.lattice != phi.lattice:
+    if not isinstance(A, LatticeField):
+        raise TypeError("potential must be a LatticeField")
+    if A.lattice != phi.lattice:
         raise DomainError("potential must live on the wave function's lattice")
-    else:
-        a = _planes(A.values)
-    phi1, phi2 = _planes(phi.phi1), _planes(phi.phi2)
+    extent, step = phi.lattice.extent, phi.lattice.step
+    a, phi1, phi2 = _planes(A.values), _planes(phi.phi1), _planes(phi.phi2)
 
     def row(box, bufs, psi, chi, dagger: bool) -> float:
         """One equation's max on ``box``; ``chi`` is ``psi``'s mass partner."""
@@ -500,10 +495,12 @@ def bohr_phi_field(lattice: HypercubicLattice, state: BohrState) -> ReflectorFie
 
 def bohr_potential_field(lattice: HypercubicLattice,
                          state: BohrState) -> LatticeField:
-    """Constant orbit-space potential ``A~ = -i f / R`` (scalar entry)."""
-    values = np.zeros((4,) + lattice.extent, dtype=complex)
-    values[0] = -1j * state.input.f / state.R
-    return LatticeField(lattice=lattice, values=_Planes(values), label="potential")
+    """Constant orbit-space potential ``A~ = -i f / R`` (scalar entry), stored
+    as one site's planes broadcast with zero strides: no per-site storage."""
+    block = np.zeros((4, 1, 1, 1, 1), dtype=complex)
+    block[0] = -1j * state.input.f / state.R
+    return LatticeField(lattice=lattice, label="potential", values=_Planes(
+        np.broadcast_to(block, (4,) + lattice.extent)))
 
 
 def charge_conjugate_field(phi: ReflectorField) -> ReflectorField:

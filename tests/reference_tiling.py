@@ -97,5 +97,4 @@ def ref_ensemble(domain, field, kind="pure", boundary_samples=8, seed=0):
     pts = _boundary_samples(centers, radii, kind, boundary_samples, seed)
     return Ensemble(ids=ids, centers=centers, radii=radii, charges=np.zeros(len(radii)),
                     regions=np.zeros(len(radii), dtype=int), kind=kind, c=math.sqrt(dim),
-                    boundary=pts, owners=_owners_of(pts, centers, radii, ids),
-                    boundary_regions=np.zeros(len(pts), dtype=int), domain=domain)
+                    boundary=pts, owners=_owners_of(pts, centers, radii, ids), domain=domain)

@@ -231,6 +231,22 @@ class TestRegions:
                                  ens.boundary_regions.tolist()):
             assert [region] == ens.regions[ens.ids == owner].tolist()
 
+    @pytest.mark.parametrize("kind", ["pure", "superposition"])
+    def test_boundary_regions_follow_any_regions(self, kind):
+        # the regions are derived from the owners, so regions set by
+        # ``replace`` on a tiling with permuted ids move every point along
+        dim = 2 if kind == "pure" else 3
+        ens = partition_regions(_relabelled(tile([(0.0, 1.0)] * dim, 0.125, kind=kind),
+                                            seed=17), 2)
+        regions = np.random.default_rng(19).permutation(len(ens.ids)) + 40
+        for regioned in (ens, replace(ens, regions=regions)):
+            got = regioned.boundary_regions
+            assert got.shape == regioned.owners.shape
+            assert got.tolist() == [regioned.regions[regioned.ids == owner].item()
+                                    for owner in regioned.owners.tolist()]
+            with pytest.raises(ValueError):
+                got[0] = 1
+
 
 class TestCounts:
     def test_pure_count(self):
@@ -543,7 +559,6 @@ class TestCellListOracle:
                        charges=np.zeros(count), regions=np.zeros(count, dtype=int),
                        kind="pure" if dim == 2 else "superposition", c=1.0,
                        boundary=np.empty((0, dim)), owners=np.empty(0, dtype=int),
-                       boundary_regions=np.empty(0, dtype=int),
                        domain=((0.0, spread),) * dim)
         assert_matches_all_pairs(ens, samples_per_axis=7)
         points = _boundary_samples(centers, radii, ens.kind, 6, seed % 7)
@@ -599,7 +614,6 @@ def _relabelled(grid, seed):
                     regions=np.zeros(len(ids), dtype=int), kind=grid.kind, c=1.0,
                     boundary=pts,
                     owners=_owners_of(pts, grid.centers, grid.radii, ids),
-                    boundary_regions=np.zeros(len(pts), dtype=int),
                     domain=grid.domain)
 
 
@@ -734,7 +748,9 @@ class TestRegionArrayOracle:
          _NOT_FINITE),
         # the boundary and the domain used to be taken as given
         (dict(owners=np.zeros(3, dtype=int)), _BAD_BOUNDARY),
-        (dict(boundary_regions=np.zeros(1, dtype=int)), _BAD_BOUNDARY),
+        # a point's region is its owner's, so the owners must be one per point
+        pytest.param(dict(owners=np.zeros((32, 1), dtype=int)), _BAD_BOUNDARY,
+                     id="owners-2d"),
         (dict(boundary=np.full((32, 2), math.nan)),
          "pure boundary (32, 2) and owner arrays {(32,)} must be finite"),
         (dict(boundary=np.full((32, 1), 0.5)), "pure boundary (32, 1) and owner arrays"),

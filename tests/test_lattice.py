@@ -85,6 +85,13 @@ def alpha_state():
     return solve_bohr(BohrInput(e=1.0, f=-ALPHA, n=1, m=1.0))
 
 
+def constant_field(lattice, q: Biquaternion) -> LatticeField:
+    """The constant ``q`` on ``lattice`` as ``bohr_potential_field`` stores its
+    potential: one site's planes broadcast with zero strides."""
+    return LatticeField(lattice, lattice_module._Planes(np.broadcast_to(
+        q.as_array().reshape(4, 1, 1, 1, 1), (4,) + lattice.extent)))
+
+
 class TestLatticeType:
     def test_step_is_twice_spacing(self):
         lat = small_lattice(0.3)
@@ -381,7 +388,8 @@ class TestPhotonResidual:
 class TestDiracResidual:
     def test_potential_on_other_lattice_raises(self):
         # regression: a 5^4 potential against a 4^4 phi returned a residual;
-        # an (upper, lower) pair is no potential form, on any lattice
+        # an (upper, lower) pair is no potential form, on any lattice, and a
+        # constant is a field too
         state = alpha_state()
         lat = HypercubicLattice(spacing=0.1, extent=4)
         phi = bohr_phi_field(lat, state)
@@ -391,16 +399,32 @@ class TestDiracResidual:
             pot = bohr_potential_field(other, state)
             with pytest.raises(ValueError, match="lattice"):
                 dirac_residual(phi, pot, e=1.0, mass=1.0)
-            for A in ((same, pot), (same, same)):
-                with pytest.raises(TypeError, match="LatticeField or a constant"):
+            for A in ((same, pot), (same, same), Biquaternion(-0.3j)):
+                with pytest.raises(TypeError, match="^potential must be a LatticeField$"):
                     dirac_residual(phi, A, e=1.0, mass=1.0)
 
     def test_zero_wavefunction(self):
         lat = HypercubicLattice(spacing=0.1, extent=(6, 6, 3, 3))
         zeros = np.zeros(lat.extent + (4,), dtype=complex)
         phi = ReflectorField(lat, zeros, zeros)
-        rep = dirac_residual(phi, Biquaternion(0), e=1.0, mass=1.0)
+        rep = dirac_residual(phi, constant_field(lat, Biquaternion(0)), e=1.0, mass=1.0)
         assert rep.max_residual == 0.0
+
+    @pytest.mark.parametrize("f", [-ALPHA, -0.1, -0.3])
+    @pytest.mark.parametrize("mode", ["backward", "central"])
+    def test_zero_stride_potential_matches_copied_field(self, mode, f):
+        # the orbit potential stores one site and broadcasts it; a field
+        # holding a copy at every site gives the same report, bit for bit
+        state = solve_bohr(BohrInput(e=1.0, f=f, n=1, m=1.0))
+        lat = HypercubicLattice(spacing=0.05, extent=(12, 12, 3, 3))
+        phi = bohr_phi_field(lat, state)
+        pot = bohr_potential_field(lat, state)
+        assert pot.values.strides[:4] == (0, 0, 0, 0)
+        copied = LatticeField(lat, pot.values)
+        assert np.moveaxis(copied.values, -1, 0).flags.c_contiguous
+        for field, e in ((phi, 1.0), (charge_conjugate_field(phi), -1.0)):
+            assert (dirac_residual(field, pot, e=e, mass=1.0, mode=mode)
+                    == dirac_residual(field, copied, e=e, mass=1.0, mode=mode))
 
     @pytest.mark.parametrize(("e", "mass", "named"), [
         (math.nan, 1.0, "e=nan, mass=1.0"),
@@ -538,6 +562,15 @@ class TestBohrFieldSampling:
         lat = HypercubicLattice(spacing=0.05, extent=(12,) * 4)
         peak, pot = _traced_peak(lambda: bohr_potential_field(lat, alpha_state()))
         assert peak <= 1.05 * pot.values.nbytes
+
+    def test_potential_allocates_no_field(self):
+        # one site's planes broadcast: a 16^4 field would be 4 MiB
+        lat = HypercubicLattice(spacing=0.05, extent=(16,) * 4)
+        state = alpha_state()
+        peak, pot = _traced_peak(lambda: bohr_potential_field(lat, state))
+        assert peak < 64 * 1024
+        assert pot.values.tobytes() == np.broadcast_to(
+            [-1j * state.input.f / state.R, 0, 0, 0], lat.extent + (4,)).tobytes()
 
     def test_charge_conjugate_peak_memory(self):
         lat = HypercubicLattice(spacing=0.05, extent=(12,) * 4)
@@ -1579,7 +1612,7 @@ class TestSlabOracle:
         if potential == "field":
             pot = LatticeField(self.lattice, values)
         else:
-            pot = potential
+            pot = constant_field(self.lattice, potential)
             values = np.broadcast_to(potential.as_array(), phi1.shape)
         for field in (phi, charge_conjugate_field(phi)):
             assert (_kernel_residual(field, pot, -0.8, mass, mode)
@@ -1630,7 +1663,8 @@ class TestSlabOracle:
             with pytest.raises(FloatingPointError):  # and no warning
                 if residual == "dirac":
                     dirac_residual(ReflectorField(self.lattice, base, vals),
-                                   Biquaternion(0.5), e=1.0, mass=1.0)
+                                   constant_field(self.lattice, Biquaternion(0.5)),
+                                   e=1.0, mass=1.0)
                 elif residual == "photon":
                     photon_residual(LatticeField(self.lattice, vals),
                                     LatticeField(self.lattice, base))
@@ -1818,7 +1852,7 @@ class TestSlabMemory:
         phi = ReflectorField(lat, _random_values(rng, lat),
                              _random_values(rng, lat))
         pot = LatticeField(lat, _random_values(rng, lat))
-        for A in (pot, Biquaternion(-0.3j)):
+        for A in (pot, constant_field(lat, Biquaternion(-0.3j))):
             peak, _ = _traced_peak(lambda: dirac_residual(phi, A, e=1.0, mass=1.0))
             assert peak <= 0.19 * phi.phi1.nbytes
 
@@ -1840,6 +1874,23 @@ class TestSlabMemory:
         J = LatticeField(latk, _random_values(rng, latk))
         peak, _ = _traced_peak(lambda: equivalence_check(binding, A, J))
         assert peak <= 0.5 * A.values.nbytes
+
+    def test_zero_stride_potential_in_the_wave_residuals(self):
+        # the orbit potential's broadcast planes are shifted and carried as
+        # views: the same report as a copied field, and no field allocated
+        state = alpha_state()
+        rng = np.random.default_rng(15)
+        _, latk, binding = build_lattices(
+            a=0.1, R_k=0.2, extent=self.extent,
+            Z=LorentzTransform.boost([1, 0, 0], 0.7))
+        pot = bohr_potential_field(latk, state)
+        copied = LatticeField(latk, pot.values)
+        J = LatticeField(latk, _random_values(rng, latk))
+        for residual, bound in ((photon_residual, 0.2), (
+                lambda A, J: equivalence_check(binding, A, J), 0.5)):
+            peak, got = _traced_peak(lambda: residual(pot, J))
+            assert got == residual(copied, J)
+            assert peak <= bound * copied.values.nbytes
 
     def test_read_field(self, tmp_path):
         # the body is parsed one slab of lines at a time, never held whole
@@ -1973,7 +2024,11 @@ class TestPlaneKernels:
             for v in entries:
                 assert v.shape == lat.extent + (4,), name
                 assert v.dtype == complex and not v.flags.writeable, name
-                assert np.moveaxis(v, -1, 0).flags.c_contiguous, name
+                planes = np.moveaxis(v, -1, 0)
+                if name == "bohr_potential_field":  # one site, broadcast
+                    assert planes.strides[1:] == (0, 0, 0, 0), name
+                else:
+                    assert planes.flags.c_contiguous, name
         assert np.array_equal(built["read_field"].values, vals)
         assert np.array_equal(built["read_field-reflector"].phi2, other)
 

@@ -180,8 +180,10 @@ def _unit_axis(axis) -> np.ndarray:
     v = np.asarray(axis, dtype=float)
     if v.shape != (3,):
         raise DomainError(f"axis must be a 3-vector, got {v.tolist()}")
-    with np.errstate(over="ignore"):  # an overflowing norm is rejected below
-        n = np.linalg.norm(v)
+    try:  # an exact sum, no BLAS call: the same bits on every CPU
+        n = math.sqrt(math.fsum(x * x for x in v.tolist()))
+    except OverflowError:  # fsum's intermediate overflow: rejected below
+        n = math.inf
     positive(f"norm of axis {v.tolist()}", n)
     return v / n
 

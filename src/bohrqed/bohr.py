@@ -145,6 +145,7 @@ def solve_bohr(inp: BohrInput, allow_repulsive: bool = False) -> BohrState:
     positive(f"wave number m*v*gamma at m = {inp.m}", mu)
     positive(f"m**2 at m = {inp.m}", inp.m * inp.m)
     R = inp.n / mu
+    finite(f"orbit radius n/(m*v*gamma) at e*f = {ef}", R)  # mu may be subnormal
     A = abs(inp.f) / R
     nu = eta + ef / R
     return BohrState(v=v, R=R, mu=mu, nu=nu, eta=eta, A=A, input=inp)

@@ -11,7 +11,8 @@ made so far, the exit code and the error's type and message.
 
 Every option may also come from a ``--config`` file of ``key = value``
 lines, parsed as flags before the command line's own, which win;
-``true``/``false`` set a bare flag, space-separated values a sequence.
+``true``/``false`` set a bare flag (any other word but 1/yes/on and
+0/no/off is a config error), space-separated values a sequence.
 The output directory resolves in order: ``--out``, ``BOHRQED_OUT``, the
 config file's ``out``, ``./bohrqed-out``.
 """
@@ -217,6 +218,8 @@ def _config_tokens(parser: argparse.ArgumentParser, command: str,
         if action.nargs == 0:
             if value.lower() in ("1", "true", "yes", "on"):
                 tokens.append(flag)
+            elif value.lower() not in ("0", "false", "no", "off"):
+                raise ConfigError(f"config key {key} takes true or false, got {value!r}")
         elif action.nargs == "+":
             tokens += [flag, *value.split()]
         else:

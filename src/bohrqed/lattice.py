@@ -106,9 +106,12 @@ class HypercubicLattice:
 
     @property
     def step(self) -> float:
-        """The site interval; the stencils divide by its square."""
+        """The site interval; the stencils scale by its square's reciprocal,
+        which a subnormal square overflows."""
         step = 2.0 * self.spacing
-        positive(f"(2*spacing)**2 at spacing {self.spacing}", step * step)
+        square = float(step * step)  # a Python float: 1/square overflows silently
+        positive(f"(2*spacing)**2 at spacing {self.spacing}", square)
+        positive(f"1/(2*spacing)**2 at spacing {self.spacing}", 1 / square)
         return step
 
     def axis_coords(self, axis: int) -> np.ndarray:
@@ -763,11 +766,13 @@ def read_field(path) -> LatticeField | ReflectorField:
             raise DomainError(f"truncated header: no {', '.join(sorted(missing))} "
                               f"in {path}")
         extent = _header_value(header, "extent", path, lambda v: tuple(map(int, v.split())))
-        lattice = HypercubicLattice(
-            spacing=_header_value(header, "spacing", path, float), extent=extent,
-            origin=_header_value(header, "origin", path,
-                                 lambda v: tuple(map(float, v.split()))),
-            frame=header["frame"])
+        spacing = _header_value(header, "spacing", path, float)
+        origin = _header_value(header, "origin", path, lambda v: tuple(map(float, v.split())))
+        try:  # values that parse but make no lattice
+            lattice = HypercubicLattice(spacing=spacing, extent=extent, origin=origin,
+                                        frame=header["frame"])
+        except DomainError as err:
+            raise DomainError(f"{err} in {path}") from None
         kind = header["kind"]
         if kind not in ("reflector", "biquaternion"):
             raise DomainError(f"unknown field kind {kind!r} in {path}")

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bohrqed import DomainError, algebra
 from bohrqed.algebra import (
     BASIS,
     I0,
@@ -176,6 +183,17 @@ def random_transform(rng) -> LorentzTransform:
     return LorentzTransform(b.g * r.g if rng.integers(2) else r.g * b.g)
 
 
+#: ``float.hex`` of a rotation's and a boost's ``g`` about 2,000 random axes
+_AXIS_BITS = """
+import numpy as np
+from bohrqed.algebra import LorentzTransform
+rng = np.random.default_rng(31)
+for axis in rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-3, 3, (2000, 1)):
+    for Z in (LorentzTransform.rotation(axis, 0.3), LorentzTransform.boost(axis, 0.7)):
+        print(*(part.hex() for z in Z.g.as_array().tolist() for part in (z.real, z.imag)))
+"""
+
+
 class TestLorentz:
     def test_identity(self):
         q = Biquaternion(1 + 1j, 2, 3, 4)
@@ -211,6 +229,27 @@ class TestLorentz:
         with pytest.raises(ValueError) as info:
             getattr(LorentzTransform, method)(*args)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("axis", [[1.3e154, 1.3e154, 0.0], [1e154, -1e154, 1e154]])
+    def test_axis_norm_past_the_float_range(self, axis):
+        # finite squares whose exact sum overflows
+        with pytest.raises(DomainError, match=r"norm of axis .* got inf"):
+            LorentzTransform.rotation(axis, 0.3)
+
+    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+    def test_axis_bits_do_not_depend_on_the_blas_kernel(self, coretype):
+        # the axis norm went through BLAS ddot, whose last bits follow the
+        # kernel OpenBLAS dispatches; OPENBLAS_CORETYPE forces one in a child
+        here = io.StringIO()
+        with contextlib.redirect_stdout(here):
+            exec(_AXIS_BITS, {})
+        src = str(Path(algebra.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_CORETYPE": coretype, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run([sys.executable, "-c", _AXIS_BITS], capture_output=True,
+                               text=True, env=env, timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == here.getvalue()
 
     def test_roundtrip(self):
         rng = np.random.default_rng(7)

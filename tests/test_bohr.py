@@ -86,6 +86,17 @@ class TestSolve:
         assert mass_shell_residual(solve_bohr(BohrInput(e=1.0, f=-0.1, n=1,
                                                         m=1e-150))) < 1e-12
 
+    @pytest.mark.parametrize(("e", "f", "n"), [(1.0, -1e-310, 1), (1e-200, -1e-110, 1),
+                                              (1.0, -3e-310, 3)])
+    def test_radius_overflow_rejected(self, e, f, n):
+        # the wave number m*v*gamma is subnormal, so n/mu is inf: the state
+        # used to carry R = inf, which bohr_state.json wrote as Infinity
+        ef = e * f
+        with pytest.raises(DomainError, match=re.escape(
+                f"orbit radius n/(m*v*gamma) at e*f = {ef} must be finite, got inf")):
+            solve_bohr(BohrInput(e=e, f=f, n=n, m=1.0))
+        assert solve_bohr(BohrInput(e=e, f=f * 1e10, n=n, m=1.0)).R < math.inf
+
     def test_repulsive_needs_override(self):
         inp = BohrInput(e=1.0, f=0.5, n=1, m=1.0)
         with pytest.raises(ValueError):

@@ -444,6 +444,26 @@ class TestConfigFile:
         assert (tmp_path / "from-env" / "bohr_state.json").exists()
         assert not (tmp_path / "from-config").exists()
 
+    @pytest.mark.parametrize("option", [o for o in _options() if o[1].nargs == 0],
+                             ids=lambda o: f"{o[0]}:{o[1].option_strings[0]}")
+    def test_bare_flag_takes_a_boolean(self, tmp_path, capsys, option):
+        # any value outside the true words used to mean false: a typo of
+        # "true" ran without the flag and exited 0
+        command, action = option
+        key = action.option_strings[0][2:]
+        cfg = tmp_path / "run.cfg"
+        for value in ("0", "false", "No", "OFF"):
+            cfg.write_text(f"{key} = {value}\n")
+            ns, _ = parse_args([command, "--config", str(cfg)])
+            assert getattr(ns, action.dest) is False
+        for value in ("ture", "2", "y", ""):
+            cfg.write_text(f"{key} = {value}\n")
+            rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+            assert rc == 2
+            assert (f"config error: config key {key} takes true or false, got {value!r}"
+                    in capsys.readouterr().err)
+            assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("option", _options(),
                              ids=lambda o: f"{o[0]}:{o[1].option_strings[0]}")
     def test_every_option_from_config(self, tmp_path, monkeypatch, option):
@@ -602,6 +622,14 @@ class TestExitCodes:
          "span a-max - a-min must be finite, got inf"),
         (["local-solve", "--a-min=-1.7e308", "--a-max", "1.7e308", "--a-count", "3"],
          "span a-max - a-min must be finite, got inf"),
+        # a subnormal wave number: the radius overflowed, solve-bohr wrote
+        # "R": Infinity (exit 1) and lattice-verify ran on it (exit 0)
+        (["solve-bohr", "--f=-1e-310"], "radius n/(m*v*gamma) at e*f = -1e-310"),
+        (["lattice-verify", "--f=-1e-310"], "radius n/(m*v*gamma) at e*f = -1e-310"),
+        # a subnormal (2*spacing)**2: FloatingPointError from the photon
+        # residual (exit 4)
+        (["lattice-verify", "--extent", "6", "--spacings", "0.1", "1e-155"],
+         "1/(2*spacing)**2 at spacing 1e-155"),
     ])
     def test_out_of_range_input_named_exit_3(self, tmp_path, capsys, argv, named):
         rc = main(argv + ["--out", str(tmp_path)])

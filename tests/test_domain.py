@@ -144,9 +144,10 @@ class TestOverflowingInput:
         with pytest.raises(DomainError, match="roundel count at radius 0.25"):
             tile([(0.0, 1e308)] * 2, 0.25)
 
-    @pytest.mark.parametrize("spacing", [1e300, 1e-300])
+    @pytest.mark.parametrize("spacing", [1e300, 1e-300, 1e-155])
     def test_stencil_divisor_out_of_range(self, spacing):
-        # the squared site interval raised OverflowError or divided by zero
+        # the squared site interval raised OverflowError or divided by zero,
+        # and a subnormal square's reciprocal overflowed to a FloatingPointError
         lat = HypercubicLattice(spacing=spacing, extent=3)
         field = LatticeField(lat, np.zeros(lat.extent + (4,), complex))
         with pytest.raises(DomainError, match=re.escape(

@@ -1031,6 +1031,20 @@ class TestSerialization:
                            match=re.escape(f"non-numeric {key} {value!r} in {path}")):
             read_field(path)
 
+    @pytest.mark.parametrize(("key", "value", "named"), [
+        ("spacing", "-1", "spacing must be finite and positive, got -1.0"),
+        ("extent", "3 3 3 2", "extent must be an integer >= 3, got 2"),
+        ("origin", "nan 0 0 0", "origin must be finite, got nan, 0.0, 0.0, 0.0"),
+        ("frame", "banana", "unknown lattice frame 'banana'")])
+    def test_header_value_no_lattice_takes(self, tmp_path, key, value, named):
+        # each parsed, and the lattice's error named no file
+        path, lines = self.written_lines(tmp_path)
+        (at,) = [i for i, text in enumerate(lines[:6]) if text.startswith(f"{key} ")]
+        lines[at] = f"{key} {value}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError, match=re.escape(f"{named} in {path}")):
+            read_field(path)
+
     @pytest.mark.parametrize("line", [2, 6 + 4])  # the spacing, a body row
     def test_undecodable_byte(self, tmp_path, line):
         # raised UnicodeDecodeError, which named no file

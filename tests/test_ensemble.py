@@ -669,6 +669,15 @@ class TestBoundaryArrayOracle:
                                                             "are not ids")):
                 replace(ens, owners=owners)
 
+    def test_duplicate_ids_raise(self):
+        # the ensemble used to accept them, and the owner lookup then gave
+        # every point of the second id-0 roundel (region 1) the first's region
+        ens = partition_regions(tile(UNIT_SQUARE, 0.25), 2)
+        assert ens.regions.tolist() == [0, 1, 2, 3]
+        owners = np.where(ens.owners == 1, 0, ens.owners)
+        with pytest.raises(DomainError, match=re.escape("roundel id 0 is repeated")):
+            replace(ens, ids=np.array([0, 0, 2, 3]), owners=owners)
+
     def test_arrays_are_read_only(self):
         ens = partition_regions(tile(UNIT_SQUARE, 0.25), 2)
         for values in (ens.ids, ens.centers, ens.radii, ens.charges, ens.regions,

@@ -100,6 +100,9 @@ class Ensemble:
         if shapes != {(m,)} or self.centers.shape != (m, dim):
             raise DomainError(f"{self.kind} roundel arrays {shapes} mismatch "
                               f"centers {self.centers.shape}")
+        repeats = np.delete(self.ids, np.unique(self.ids, return_index=True)[1])
+        if repeats.size:  # the owner -> region lookup needs one roundel per id
+            raise DomainError(f"roundel id {repeats[0]} is repeated")
         for name in ("centers", "radii", "charges", "boundary"):
             values = getattr(self, name)
             if values.dtype.kind not in "iuf":

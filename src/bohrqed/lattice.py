@@ -13,10 +13,12 @@ its own values.
 
 Field values are biquaternions seen as ``(*extent, 4)`` complex arrays
 and stored component-major: one C-contiguous ``(4, *extent)`` block of
-component planes per entry (a constant: one site's, zero-stride).  Wave
-functions are reflector pairs ``(phi1, phi2)``.  The first-order operator is
-``D = i d0 + i1 d1 + i2 d2 + i3 d3``; its ``D‡``, which flips the sign of
-the spatial basis elements, acts only in the Dirac residual's second row.
+component planes per entry, of length 1 on the axes a field is constant
+along (the orbit's potential, its wave function) and broadcast there with
+zero strides.  Wave functions are reflector pairs ``(phi1, phi2)``.  The
+first-order operator is ``D = i d0 + i1 d1 + i2 d2 + i3 d3``; its ``D‡``,
+which flips the sign of the spatial basis elements, acts only in the Dirac
+residual's second row.
 Residuals stream one axis-0 slab of whole time slices at a time (as many
 as fit in ``_SLAB_BYTES`` of one field, at least one) through buffers
 allocated once per call.  One flat kernel forms each difference from
@@ -127,8 +129,8 @@ class HypercubicLattice:
 
 
 class _Planes(NamedTuple):
-    """Fresh C-contiguous ``(4, *extent)`` complex planes a field adopts, or a
-    constant's one ``(4, 1, 1, 1, 1)`` block broadcast with zero strides."""
+    """A fresh C-contiguous complex block a field adopts as its ``(4, *extent)``
+    planes, broadcast along its axes of length 1 with zero strides."""
 
     array: np.ndarray
 
@@ -138,19 +140,26 @@ def _planes(values) -> np.ndarray:
     return np.moveaxis(values, -1, 0)
 
 
+def _stored(planes: np.ndarray) -> np.ndarray:
+    """The block ``planes`` store: each zero-stride axis cut to length 1."""
+    return planes[tuple(slice(0, 1) if s == 0 else slice(None) for s in planes.strides)]
+
+
 def _field_values(values, lattice: HypercubicLattice, name: str) -> np.ndarray:
     """Read-only finite values of shape ``(*extent, 4)``, fields being
-    immutable snapshots: one C-contiguous ``(4, *extent)`` block of planes
-    seen through ``np.moveaxis``; ``_Planes`` are adopted, the rest copied."""
+    immutable snapshots: ``(4, *extent)`` planes, finite on their stored
+    block, seen through ``np.moveaxis``; ``_Planes`` are broadcast, the rest copied."""
     fresh = isinstance(values, _Planes)
-    planes = values.array if fresh else _planes(np.asarray(values))
+    planes = (np.broadcast_to(values.array, (4,) + lattice.extent) if fresh
+              else _planes(np.asarray(values)))
     if planes.shape != (4,) + lattice.extent:
         raise DomainError(f"{name} shape {planes.shape[1:] + planes.shape[:1]} "
                           f"does not match lattice extent {lattice.extent} + (4,)")
     if not fresh:
         planes = planes.astype(complex, order="C")
+    block = _stored(planes)
     if not all(np.isfinite(plane[box]).all()  # contiguous: no ufunc buffer
-               for plane in planes for box in _slabs(lattice.extent)):
+               for plane in block for box in _slabs(block.shape[1:])):
         raise DomainError(f"{name} values must be finite")
     planes.setflags(write=False)
     return np.moveaxis(planes, 0, -1)
@@ -330,7 +339,12 @@ def _dirac(P: np.ndarray, step: float, box, bufs, mode: str,
     """``D P`` (``D‡ P`` with ``dagger``) on ``box``: each axis's difference
     permuted by ``_rows`` of its basis unit and added into the first of
     ``bufs`` from zero, axes in order; the second holds the difference and
-    the third, one plane, a ±1j term."""
+    the third, one plane, a ±1j term.  The stencils read the slices
+    ``t0-lo .. t1+hi`` of ``P`` as planes ``_shift`` can flatten: a view of
+    C-contiguous planes, one copy of broadcast ones."""
+    lo, hi = _FIRST_ORDER[mode]
+    P = P[:, box[0].start - lo:box[0].stop + hi].reshape(4, -1).reshape((4, -1) + P.shape[2:])
+    box = (slice(lo, P.shape[1] - hi),) + box[1:]
     out, diff, scratch = bufs
     out[...] = 0
     for mu, unit in enumerate(BASIS):
@@ -482,12 +496,13 @@ def bohr_phi_field(lattice: HypercubicLattice, state: BohrState) -> ReflectorFie
     """Sample the closed-form orbit wave function on an orbit-space lattice.
 
     Axes are ``(x0, s, r, x3)``; the phase advances as ``mu*s - nu*x0``
-    and is constant along the radial and x3 axes.
+    and is constant along the radial and x3 axes, so each entry stores one
+    ``(4, T, S, 1, 1)`` block, broadcast along them with zero strides.
     """
     x0 = lattice.axis_coords(0)[:, None]
     s = lattice.axis_coords(1)[None, :]
     phase = np.exp(1j * (state.mu * s - state.nu * x0))[:, :, None, None]
-    phi1 = np.zeros((4,) + lattice.extent, dtype=complex)
+    phi1 = np.zeros((4,) + phase.shape, dtype=complex)
     phi1[0] = phase
     m = state.input.m
     phi2 = np.zeros_like(phi1)
@@ -502,8 +517,7 @@ def bohr_potential_field(lattice: HypercubicLattice,
     as one site's planes broadcast with zero strides: no per-site storage."""
     block = np.zeros((4, 1, 1, 1, 1), dtype=complex)
     block[0] = -1j * state.input.f / state.R
-    return LatticeField(lattice=lattice, label="potential", values=_Planes(
-        np.broadcast_to(block, (4,) + lattice.extent)))
+    return LatticeField(lattice=lattice, label="potential", values=_Planes(block))
 
 
 def charge_conjugate_field(phi: ReflectorField) -> ReflectorField:
@@ -511,12 +525,13 @@ def charge_conjugate_field(phi: ReflectorField) -> ReflectorField:
 
     ``phi1 -> -conj(phi2)``, ``phi2 -> conj(phi1)`` with coefficientwise
     complex conjugation; pairing it with ``e -> -e`` leaves the Dirac
-    residual magnitudes unchanged.
+    residual magnitudes unchanged.  Each entry's stored block is conjugated,
+    so the partner of a broadcast field is broadcast, of a dense one dense.
     """
-    phi1 = np.conj(_planes(phi.phi2))
+    phi1 = np.conj(_stored(_planes(phi.phi2)))
     return ReflectorField(lattice=phi.lattice,
                           phi1=_Planes(np.negative(phi1, out=phi1)),
-                          phi2=_Planes(np.conj(_planes(phi.phi1))))
+                          phi2=_Planes(np.conj(_stored(_planes(phi.phi1)))))
 
 
 # ---------------------------------------------------------------------------

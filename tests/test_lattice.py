@@ -553,10 +553,10 @@ class TestBohrFieldSampling:
         assert not phi.phi1[..., 1:].any() and not phi.phi2[..., 2:].any()
 
     def test_peak_memory(self):
-        # the two entries, which the field adopts uncopied, nothing 4-D more
-        lat = HypercubicLattice(spacing=0.05, extent=(12,) * 4)
-        peak, phi = _traced_peak(lambda: bohr_phi_field(lat, alpha_state()))
-        assert peak <= 2.05 * phi.phi1.nbytes
+        # one (x0, s) block per entry, broadcast: a 16^4 field would be 4 MiB
+        lat = HypercubicLattice(spacing=0.05, extent=(16,) * 4)
+        peak, _ = _traced_peak(lambda: bohr_phi_field(lat, alpha_state()))
+        assert peak < 64 * 1024
 
     def test_potential_peak_memory(self):
         lat = HypercubicLattice(spacing=0.05, extent=(12,) * 4)
@@ -577,6 +577,15 @@ class TestBohrFieldSampling:
         phi = bohr_phi_field(lat, alpha_state())
         peak, _ = _traced_peak(lambda: charge_conjugate_field(phi))
         assert peak <= 2.05 * phi.phi1.nbytes
+
+    def test_charge_conjugate_allocates_no_field(self):
+        # the stored blocks are conjugated, not their broadcast
+        lat = HypercubicLattice(spacing=0.05, extent=(16,) * 4)
+        phi = bohr_phi_field(lat, alpha_state())
+        peak, conj = _traced_peak(lambda: charge_conjugate_field(phi))
+        assert peak < 64 * 1024
+        assert conj.phi1.tobytes() == (-np.conj(phi.phi2)).tobytes()
+        assert conj.phi2.tobytes() == np.conj(phi.phi1).tobytes()
 
 
 def neighbors(center) -> list[tuple[int, ...]]:
@@ -1752,6 +1761,68 @@ class TestSlabOracleNarrowAxes(TestSlabOracle):
                                 origin=(0.1, -0.3, 0.2, 0.0))
 
 
+class TestBroadcastFieldOracle:
+    """The orbit wave function, stored as one ``(x0, s)`` block broadcast
+    along ``r`` and ``x3``, against a dense copy of its values, bitwise, with
+    the slab budget set to each width from one time slice to the extent."""
+
+    extent = (7, 4, 5, 3)
+
+    @pytest.fixture(autouse=True, params=range(1, 8))
+    def width(self, request, monkeypatch):
+        monkeypatch.setattr(lattice_module, "_SLAB_BYTES",
+                            request.param * _slice_bytes(self.extent))
+        return request.param
+
+    def orbit_fields(self, lattice):
+        """The orbit field and its charge conjugate, each with a dense copy."""
+        phi = bohr_phi_field(lattice, alpha_state())
+        pairs = []
+        for field in (phi, charge_conjugate_field(phi)):
+            dense = ReflectorField(lattice, np.array(field.phi1), np.array(field.phi2))
+            for compact, copy in ((field.phi1, dense.phi1), (field.phi2, dense.phi2)):
+                assert np.moveaxis(compact, -1, 0).strides[3:] == (0, 0)
+                assert np.moveaxis(copy, -1, 0).flags.c_contiguous
+            pairs.append((field, dense))
+        return pairs
+
+    @pytest.mark.parametrize("mode", ["backward", "central"])
+    def test_dirac_residual(self, mode):
+        lat = HypercubicLattice(spacing=0.13, extent=self.extent,
+                                origin=(0.1, -0.3, 0.2, 0.0))
+        potentials = (bohr_potential_field(lat, alpha_state()),
+                      LatticeField(lat, _random_values(np.random.default_rng(17), lat)))
+        for field, dense in self.orbit_fields(lat):
+            for pot, e in itertools.product(potentials, (1.0, -0.8)):
+                got, want = (dataclasses.astuple(dirac_residual(f, pot, e, 1.3, mode))
+                             for f in (field, dense))
+                assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+    def test_write_field(self, tmp_path):
+        lat = HypercubicLattice(spacing=0.13, extent=self.extent,
+                                origin=(0.1, -0.3, 0.2, 0.0))
+        for field, dense in self.orbit_fields(lat):
+            write_field(tmp_path / "compact.txt", field)
+            write_field(tmp_path / "dense.txt", dense)
+            assert ((tmp_path / "compact.txt").read_bytes()
+                    == (tmp_path / "dense.txt").read_bytes())
+
+    @pytest.mark.parametrize("kind", ["derivative", "operator"])
+    def test_transform_field(self, kind):
+        _, latk, binding = build_lattices(a=0.1, R_k=0.23, extent=self.extent,
+                                          Z=boosted_rotation([0, 1, 1], 0.4, [1, 0, 0], 0.7))
+        for field, dense in self.orbit_fields(latk):
+            got, want = (transform_field(kind, f, binding) for f in (field, dense))
+            assert got.phi1.tobytes() == want.phi1.tobytes()
+            assert got.phi2.tobytes() == want.phi2.tobytes()
+
+
+class TestBroadcastFieldOracleNarrowAxes(TestBroadcastFieldOracle):
+    """The broadcast oracle with axes 1-3 three sites wide."""
+
+    extent = (7, 3, 3, 3)
+
+
 # ---------------------------------------------------------------------------
 # The reciprocal step: the kernels scale each difference by 1/h where the
 # full-array reference divides it by h
@@ -1869,6 +1940,18 @@ class TestSlabMemory:
         for A in (pot, constant_field(lat, Biquaternion(-0.3j))):
             peak, _ = _traced_peak(lambda: dirac_residual(phi, A, e=1.0, mass=1.0))
             assert peak <= 0.19 * phi.phi1.nbytes
+
+    @pytest.mark.parametrize("mode", ["backward", "central"])
+    def test_dirac_residual_broadcast_wave_function(self, mode):
+        # the orbit field's broadcast planes are copied one window of time
+        # slices at a time for the stencils, never whole
+        lat = HypercubicLattice(spacing=0.05, extent=self.extent)
+        state = alpha_state()
+        phi, pot = bohr_phi_field(lat, state), bohr_potential_field(lat, state)
+        field = math.prod(self.extent) * 4 * np.dtype(complex).itemsize
+        for psi in (phi, charge_conjugate_field(phi)):
+            peak, _ = _traced_peak(lambda: dirac_residual(psi, pot, 1.0, 1.0, mode))
+            assert peak <= 0.4 * field
 
     def test_photon_residual(self):
         # two slab buffers: the source is read in place, never copied
@@ -2022,7 +2105,9 @@ class TestPlaneKernels:
             "public-component-major": LatticeField(lat, _component_major(vals)),
             "internal": LatticeField(lat, lattice_module._Planes(
                 np.ascontiguousarray(np.moveaxis(vals, -1, 0)))),
-            "bohr_phi_field": bohr_phi_field(lat, state),
+            "orbit-bohr_phi_field": bohr_phi_field(lat, state),
+            "orbit-charge_conjugate_field": charge_conjugate_field(
+                bohr_phi_field(lat, state)),
             "bohr_potential_field": bohr_potential_field(lat, state),
             "charge_conjugate_field": charge_conjugate_field(phi),
             "read_field": read_field(tmp_path / "field"),
@@ -2041,6 +2126,10 @@ class TestPlaneKernels:
                 planes = np.moveaxis(v, -1, 0)
                 if name == "bohr_potential_field":  # one site, broadcast
                     assert planes.strides[1:] == (0, 0, 0, 0), name
+                elif name.startswith("orbit"):  # one (x0, s) block, broadcast
+                    assert planes.strides[3:] == (0, 0), name
+                    assert lattice_module._stored(planes).shape == (4, *lat.extent[:2], 1, 1)
+                    assert lattice_module._stored(planes).flags.c_contiguous, name
                 else:
                     assert planes.flags.c_contiguous, name
         assert np.array_equal(built["read_field"].values, vals)

@@ -87,9 +87,8 @@ def alpha_state():
 
 def constant_field(lattice, q: Biquaternion) -> LatticeField:
     """The constant ``q`` on ``lattice`` as ``bohr_potential_field`` stores its
-    potential: one site's planes broadcast with zero strides."""
-    return LatticeField(lattice, lattice_module._Planes(np.broadcast_to(
-        q.as_array().reshape(4, 1, 1, 1, 1), (4,) + lattice.extent)))
+    potential: one site's planes, which the field broadcasts with zero strides."""
+    return LatticeField(lattice, lattice_module._Planes(q.as_array().reshape(4, 1, 1, 1, 1)))
 
 
 class TestLatticeType:

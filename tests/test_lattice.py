@@ -1786,7 +1786,11 @@ class TestBroadcastFieldOracle:
         return pairs
 
     @pytest.mark.parametrize("mode", ["backward", "central"])
-    def test_dirac_residual(self, mode):
+    def test_dirac_residual(self, mode, width, monkeypatch):
+        # the budget in slices of the stored (x0, s) block, so that the walk
+        # over it is cut into slabs too
+        monkeypatch.setattr(lattice_module, "_SLAB_BYTES",
+                            width * _slice_bytes(self.extent[:2] + (1, 1)))
         lat = HypercubicLattice(spacing=0.13, extent=self.extent,
                                 origin=(0.1, -0.3, 0.2, 0.0))
         potentials = (bohr_potential_field(lat, alpha_state()),
@@ -1795,6 +1799,39 @@ class TestBroadcastFieldOracle:
             for pot, e in itertools.product(potentials, (1.0, -0.8)):
                 got, want = (dataclasses.astuple(dirac_residual(f, pot, e, 1.3, mode))
                              for f in (field, dense))
+                assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("mode", ["backward", "central"])
+    def test_dirac_residual_stored_axis(self, mode, axis, width, monkeypatch):
+        # blocks stored with one site on ``axis``, adopted through ``_Planes``
+        # as ``constant_field`` does, against dense copies; the budget is in
+        # slices of the stored block, so the walk over it is cut into slabs
+        shape = tuple(1 if k == axis else n for k, n in enumerate(self.extent))
+        monkeypatch.setattr(lattice_module, "_SLAB_BYTES", width * _slice_bytes(shape))
+        lat = HypercubicLattice(spacing=0.13, extent=self.extent,
+                                origin=(0.1, -0.3, 0.2, 0.0))
+        rng = np.random.default_rng(19 + axis)
+        psi, chi, block = (rng.normal(size=(4,) + shape) + 1j * rng.normal(size=(4,) + shape)
+                           for _ in range(3))
+        zero = np.zeros_like(psi)
+
+        def dense(block):
+            return np.moveaxis(np.broadcast_to(block, (4,) + self.extent), 0, -1)
+
+        potentials = (constant_field(lat, Biquaternion(0.2, -0.4j, 0.1, 0.3j)),
+                      LatticeField(lat, lattice_module._Planes(block)),
+                      LatticeField(lat, _random_values(rng, lat)))
+        # with one entry zero and no mass, one row alone is the report
+        for (phi1, phi2), mass in (((psi, chi), 1.3), ((zero, chi), 0.0), ((psi, zero), 0.0)):
+            field = ReflectorField(lat, lattice_module._Planes(phi1),
+                                   lattice_module._Planes(phi2))
+            copy = ReflectorField(lat, dense(phi1), dense(phi2))
+            assert np.moveaxis(field.phi1, -1, 0).strides[axis + 1] == 0
+            for pot, e in itertools.product(potentials, (1.0, -0.8)):
+                got = dataclasses.astuple(dirac_residual(field, pot, e, mass, mode))
+                want = dataclasses.astuple(dirac_residual(
+                    copy, LatticeField(lat, pot.values), e, mass, mode))
                 assert list(map(float.hex, got)) == list(map(float.hex, want))
 
     def test_write_field(self, tmp_path):
@@ -1942,15 +1979,33 @@ class TestSlabMemory:
 
     @pytest.mark.parametrize("mode", ["backward", "central"])
     def test_dirac_residual_broadcast_wave_function(self, mode):
-        # the orbit field's broadcast planes are copied one window of time
-        # slices at a time for the stencils, never whole
+        # the orbit field's residual walks its stored (x0, s) blocks: the
+        # temporaries are a few such blocks, none the size of a slab
         lat = HypercubicLattice(spacing=0.05, extent=self.extent)
         state = alpha_state()
         phi, pot = bohr_phi_field(lat, state), bohr_potential_field(lat, state)
-        field = math.prod(self.extent) * 4 * np.dtype(complex).itemsize
+        stored = math.prod(self.extent[:2]) * 4 * np.dtype(complex).itemsize
         for psi in (phi, charge_conjugate_field(phi)):
             peak, _ = _traced_peak(lambda: dirac_residual(psi, pot, 1.0, 1.0, mode))
-            assert peak <= 0.4 * field
+            assert peak <= 6 * stored
+
+    @pytest.mark.parametrize("mode", ["backward", "central"])
+    def test_dirac_residual_orbit_cross_section(self, mode):
+        # the r and x3 extents cost nothing: one orbit state on a 3 x 3 and
+        # on a 64 x 64 cross-section gives the same reports and peak
+        state = alpha_state()
+        runs = []
+        for extent in ((8, 8, 3, 3), (8, 8, 64, 64)):
+            lat = HypercubicLattice(spacing=0.05, extent=extent)
+            phi, pot = bohr_phi_field(lat, state), bohr_potential_field(lat, state)
+            fields = (phi, charge_conjugate_field(phi))
+            dirac_residual(phi, pot, 1.0, 1.0, mode)  # the unit rows are cached
+            runs.append(_traced_peak(lambda: [
+                list(map(float.hex, dataclasses.astuple(dirac_residual(psi, pot, e, 1.0, mode))))
+                for psi, e in zip(fields, (1.0, -1.0))]))
+        (small_peak, small), (big_peak, big) = runs
+        assert big == small
+        assert big_peak <= small_peak
 
     def test_photon_residual(self):
         # two slab buffers: the source is read in place, never copied

@@ -21,8 +21,11 @@ which flips the sign of the spatial basis elements, acts only in the Dirac
 residual's second row.
 Residuals stream one axis-0 slab of whole time slices at a time (as many
 as fit in ``_SLAB_BYTES`` of one field, at least one) through buffers
-allocated once per call.  One flat kernel forms each difference from
-contiguous ranges of the component planes offset by the axis stride,
+allocated once per call.  The Dirac residual walks the broadcast shape of
+its operands' stored blocks, one site on an axis they are all constant
+along, whose difference is zero: the orbit field costs its ``(x0, s)``
+sites, a dense one the lattice's.  One flat kernel forms each difference
+from contiguous ranges of the component planes offset by the axis stride,
 scaled by the step's reciprocal; sites at an edge of axes 1-3 read
 wrapped neighbours; norms and finiteness tests run over whole slices,
 and only reductions read the interior (the sites with a full stencil).
@@ -260,8 +263,10 @@ def _margins(mode: str) -> tuple[int, int]:
 
 
 def _interior(shape, margins) -> tuple[slice, ...]:
-    """The box of sites ``(lo, hi) = margins`` in from the ends of each axis."""
-    return tuple(slice(margins[0], n - margins[1]) for n in shape[:4])
+    """The box of sites ``(lo, hi) = margins`` in from the ends of each axis;
+    on an axis of length 1 (a stored block, constant along it) its one site."""
+    return tuple(slice(0, 1) if n == 1 else slice(margins[0], n - margins[1])
+                 for n in shape[:4])
 
 
 def interior_view(values: np.ndarray, mode: str) -> np.ndarray:
@@ -295,32 +300,34 @@ def _inner(P: np.ndarray, box) -> np.ndarray:
     return P[(slice(None), slice(None), *box[1:])]
 
 
-def _shift(P: np.ndarray, box, axis: int, offset: int) -> np.ndarray:
-    """The C-contiguous planes ``P`` on the time slices of ``box`` moved
-    ``offset`` sites along ``axis``, one flat range of each plane: a move
-    across an edge of axes 1-3 wraps, into sites outside the interior."""
-    size, n = math.prod(P.shape[2:]), box[0].stop - box[0].start
-    start = box[0].start * size + offset * math.prod(P.shape[axis + 2:])
-    return P.reshape(4, -1)[:, start:start + n * size].reshape((4, n) + P.shape[2:])
-
-
 def _stencil(P: np.ndarray, axis: int, step: float, mode: str | None, box,
              out: np.ndarray) -> np.ndarray:
-    """The first-order ``mode`` difference along ``axis`` of the planes ``P``
-    on ``box``'s time slices into ``out``, or for None the 3-point second
-    difference (backward then forward), each term a ``_shift``.  Numpy
-    divides by a real ``h`` as ``(re + im*0) * (1/h)`` (Smith's method), so
-    scaling the float view by ``1/h`` differs only in zero signs and NaN."""
-    at = functools.partial(_shift, P, box, axis)
+    """The first-order ``mode`` difference along ``axis`` of the C-contiguous
+    planes ``P`` on ``box``'s time slices into ``out``, or for None the 3-point
+    second difference (backward then forward).  Each term is one flat range
+    of each plane, offset by the axis stride: a move across an edge of axes
+    1-3 wraps, into sites outside the interior, and where ``P`` has no
+    axis-0 halo to wrap into, those sites of ``out`` are left as they were.
+    Numpy divides by a real ``h`` as ``(re + im*0) * (1/h)`` (Smith's
+    method), so scaling the float view by ``1/h`` differs only in zero
+    signs and NaN."""
+    lo, hi = _WAVE if mode is None else _FIRST_ORDER[mode]
+    size, stride = math.prod(P.shape[2:]), math.prod(P.shape[axis + 2:])
+    start, n = box[0].start * size, (box[0].stop - box[0].start) * size
+    first, stop = max(0, lo * stride - start), min(n, P[0].size - start - hi * stride)
+    flat, o = P.reshape(4, -1), out.reshape(4, -1)[:, first:stop]
+
+    def at(offset: int) -> np.ndarray:
+        return flat[:, start + first + offset * stride:start + stop + offset * stride]
+
     if mode is None:  # (a - 2b + c) / h²
-        np.subtract(at(1), np.multiply(2.0, at(0), out=out), out=out)
-        out += at(-1)
+        np.subtract(at(1), np.multiply(2.0, at(0), out=o), out=o)
+        o += at(-1)
         scale = 1 / step ** 2
     else:  # (a - b) / h over the offsets -lo..hi
-        lo, hi = _FIRST_ORDER[mode]
-        np.subtract(at(hi), at(-lo), out=out)
+        np.subtract(at(hi), at(-lo), out=o)
         scale = 1 / ((lo + hi) * step)
-    np.multiply(out.view(float), scale, out=out.view(float))
+    np.multiply(o.view(float), scale, out=o.view(float))
     return out
 
 
@@ -339,15 +346,20 @@ def _dirac(P: np.ndarray, step: float, box, bufs, mode: str,
     """``D P`` (``D‡ P`` with ``dagger``) on ``box``: each axis's difference
     permuted by ``_rows`` of its basis unit and added into the first of
     ``bufs`` from zero, axes in order; the second holds the difference and
-    the third, one plane, a ±1j term.  The stencils read the slices
-    ``t0-lo .. t1+hi`` of ``P`` as planes ``_shift`` can flatten: a view of
-    C-contiguous planes, one copy of broadcast ones."""
-    lo, hi = _FIRST_ORDER[mode]
+    the third, one plane, a ±1j term.  Along an axis where ``P`` has one
+    site, as a stored block has where it is constant, the difference is
+    ``v - v = +0``: it is skipped, which moves at most the sign of a zero
+    part.  The stencils read the slices ``t0-lo .. t1+hi`` of ``P`` (no halo
+    on an axis 0 of one site) as flat planes: a view of C-contiguous planes
+    or a stored block, one copy of planes broadcast to a dense extent."""
+    lo, hi = _FIRST_ORDER[mode] if P.shape[1] > 1 else (0, 0)
     P = P[:, box[0].start - lo:box[0].stop + hi].reshape(4, -1).reshape((4, -1) + P.shape[2:])
     box = (slice(lo, P.shape[1] - hi),) + box[1:]
     out, diff, scratch = bufs
     out[...] = 0
     for mu, unit in enumerate(BASIS):
+        if P.shape[mu + 1] == 1:  # a halo makes a full axis 0 two sites or more
+            continue
         _stencil(P, mu, step, mode, box, diff)
         for plane, (j, coef) in zip(out, _rows(unit.quat_conj() if dagger else unit)):
             if coef == 1:
@@ -457,6 +469,10 @@ def dirac_residual(phi: ReflectorField, A: LatticeField, e: float,
     (anything else is a ``TypeError``); a constant one, such as
     :func:`bohr_potential_field`'s, is a zero-stride field.  ``mass`` is a
     float, :func:`renormalize_mass`'s per-region mass for one.
+    The residual walks the broadcast shape of the stored blocks of
+    ``phi1``, ``phi2`` and ``A``: the full extent if one is dense,
+    ``(T, S, 1, 1)`` for :func:`bohr_phi_field`'s orbit field.  Along an
+    axis all three are constant on, so is the residual.
     Component equations (anti-diagonal layout, mass ``m~ = -i m``):
     ``D phi2 - i e A~ phi2 - phi1 (i m) = 0`` and
     ``D‡ phi1 - i e A~ phi1 + phi2 (i m) = 0``.
@@ -466,8 +482,10 @@ def dirac_residual(phi: ReflectorField, A: LatticeField, e: float,
         raise TypeError("potential must be a LatticeField")
     if A.lattice != phi.lattice:
         raise DomainError("potential must live on the wave function's lattice")
-    extent, step = phi.lattice.extent, phi.lattice.step
-    a, phi1, phi2 = _planes(A.values), _planes(phi.phi1), _planes(phi.phi2)
+    step = phi.lattice.step
+    planes = [_planes(v) for v in (A.values, phi.phi1, phi.phi2)]
+    shape = np.broadcast_shapes(*(_stored(P).shape for P in planes))[1:]
+    a, phi1, phi2 = (P[(slice(None), *map(slice, shape))] for P in planes)
 
     def row(box, bufs, psi, chi, dagger: bool) -> float:
         """One equation's max on ``box``; ``chi`` is ``psi``'s mass partner."""
@@ -481,9 +499,9 @@ def dirac_residual(phi: ReflectorField, A: LatticeField, e: float,
 
     n11, n22 = _maxima([(row(box, bufs, phi2, phi1, False),
                          row(box, bufs, phi1, phi2, True))
-                        for box, bufs in _walk(extent, (4, 4, 1), _margins(mode))], 2)
+                        for box, bufs in _walk(shape, (4, 4, 1), _margins(mode))], 2)
     scale = _maxima([(_max_norm(phi1[:, box[0]]), _max_norm(phi2[:, box[0]]))
-                     for box in _slabs(extent)], 0)
+                     for box in _slabs(shape)], 0)
     return ResidualReport(max_residual=max(n11, n22),
                           field_scale=max(*scale, 1e-300))
 

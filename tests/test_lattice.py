@@ -1816,8 +1816,8 @@ class TestBroadcastFieldOracle:
                            for _ in range(3))
         zero = np.zeros_like(psi)
 
-        def dense(block):
-            return np.moveaxis(np.broadcast_to(block, (4,) + self.extent), 0, -1)
+        def dense(planes):
+            return np.moveaxis(np.broadcast_to(planes, (4,) + self.extent), 0, -1)
 
         potentials = (constant_field(lat, Biquaternion(0.2, -0.4j, 0.1, 0.3j)),
                       LatticeField(lat, lattice_module._Planes(block)),

@@ -5,9 +5,11 @@ significant digits, LF endings; JSON reports with sorted keys) into the
 output directory and prints one line per check.  Exit codes: 0 all
 checks pass, 1 a check failed, 2 configuration error, 3 domain error (a
 :class:`~bohrqed.DomainError`, and nothing else), 4 internal error (any
-other exception; its traceback goes to stderr).  A run that exits 3 or 4
-once its output directory resolves still writes its report: the checks
-made so far, the exit code and the error's type and message.
+other exception; its traceback goes to stderr), 5 out of memory (a
+``MemoryError``, numpy's for an array too big included).  A run that
+exits 3, 4 or 5 once its output directory resolves still writes its
+report: the checks made so far, the exit code and the error's type and
+message.
 
 Every option may also come from a ``--config`` file of ``key = value``
 lines, parsed as flags before the command line's own, which win;
@@ -69,7 +71,8 @@ from .lattice import (
     wave_apply,
 )
 
-EXIT_OK, EXIT_CHECK_FAIL, EXIT_CONFIG, EXIT_DOMAIN, EXIT_INTERNAL = 0, 1, 2, 3, 4
+EXIT_OK, EXIT_CHECK_FAIL, EXIT_CONFIG, EXIT_DOMAIN, EXIT_INTERNAL, EXIT_MEMORY = (
+    0, 1, 2, 3, 4, 5)
 
 SLOPE_TOL = 0.02
 
@@ -596,6 +599,9 @@ def main(argv=None) -> int:
         named = "" if type(exc) is DomainError else f"{type(exc).__name__}: "
         print(f"domain error: {named}{exc}", file=sys.stderr)
         code, error = EXIT_DOMAIN, exc
+    except MemoryError as exc:  # a size the input asks for, not a defect
+        print(f"out of memory: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code, error = EXIT_MEMORY, exc
     except Exception as exc:
         traceback.print_exc()
         print("internal error: see the traceback above", file=sys.stderr)

@@ -33,20 +33,28 @@ Basis units act by signed permutation (times ``i`` on time); a report,
 the max of per-slab maxima, is the whole-array value.
 :func:`limit_sweep` tabulates the bare variables as the spacing shrinks
 and fits their power laws as a :class:`~bohrqed.fitting.Sweep`.
+:func:`write_field` formats its slabs in one contiguous part per CPU
+(one slab's text per process at a time): part 0 here, each later one in
+a ``python -I -S`` child running the stdlib-only ``_rows.py``, with the
+same bytes; one slab or one CPU starts no child.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _rows
 from ._domain import DomainError, finite, positive, whole
 from .algebra import (
     BASIS,
@@ -332,7 +340,7 @@ def _stencil(P: np.ndarray, axis: int, step: float, mode: str | None, box,
 
 
 @functools.lru_cache(maxsize=8)  # the units of D and D‡
-def _rows(c: Biquaternion) -> tuple:
+def _unit_rows(c: Biquaternion) -> tuple:
     """Left multiplication by the basis unit ``c`` as a signed permutation:
     component k of ``c * b`` is ``coef * b[source]`` for row k's
     ``(source, coef)``, ``coef`` being ±1, or ±1j for ``I0``."""
@@ -344,7 +352,7 @@ def _rows(c: Biquaternion) -> tuple:
 def _dirac(P: np.ndarray, step: float, box, bufs, mode: str,
            dagger: bool = False) -> np.ndarray:
     """``D P`` (``D‡ P`` with ``dagger``) on ``box``: each axis's difference
-    permuted by ``_rows`` of its basis unit and added into the first of
+    permuted by ``_unit_rows`` of its basis unit and added into the first of
     ``bufs`` from zero, axes in order; the second holds the difference and
     the third, one plane, a ±1j term.  Along an axis where ``P`` has one
     site, as a stored block has where it is constant, the difference is
@@ -361,7 +369,7 @@ def _dirac(P: np.ndarray, step: float, box, bufs, mode: str,
         if P.shape[mu + 1] == 1:  # a halo makes a full axis 0 two sites or more
             continue
         _stencil(P, mu, step, mode, box, diff)
-        for plane, (j, coef) in zip(out, _rows(unit.quat_conj() if dagger else unit)):
+        for plane, (j, coef) in zip(out, _unit_rows(unit.quat_conj() if dagger else unit)):
             if coef == 1:
                 plane += diff[j]
             elif coef == -1:  # subtract: no negated copy
@@ -726,9 +734,31 @@ def limit_sweep(p: float, spacings: Sequence[float], n: int = 1,
 # Text serialization
 # ---------------------------------------------------------------------------
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
 def write_field(path, obj: LatticeField | ReflectorField) -> None:
     """Flat text format: header, then one line per site with the index
-    quadruple and the complex components (4 per biquaternion entry)."""
+    quadruple and the complex components (4 per biquaternion entry).
+
+    The ``_slabs`` are cut into as many contiguous parts as there are CPUs
+    this process may run on, or slabs if fewer.  This process formats part
+    0 straight into the file.  Each later part is formatted by a fresh
+    ``python -I -S`` child running ``bohrqed/_rows.py``, which imports
+    nothing but the standard library: it reads the part's raw doubles from
+    an unnamed temporary file and writes its rows to another, appended
+    here in order.  Both sides format with ``_rows.rows``, so the bytes do
+    not depend on the split.  One slab or one CPU starts no child.  Each
+    process holds one slab's text at a time.  A child that fails raises a
+    ``RuntimeError`` naming ``path``; on every exit no child is left
+    running and every temporary file is closed, hence gone."""
+    import subprocess  # only here: the package imports without it
+
     lattice = obj.lattice
     reflector = isinstance(obj, ReflectorField)
     header = [
@@ -740,19 +770,41 @@ def write_field(path, obj: LatticeField | ReflectorField) -> None:
         f"frame {lattice.frame}",
     ]
     width = 8 if reflector else 4
-    row = "%d %d %d %d " + " ".join(["%.17g%+.17gj"] * width) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(header) + "\n")
-        for box in _slabs(lattice.extent):
-            block = np.ascontiguousarray(  # so that rows view as floats
-                np.concatenate([obj.phi1[box], obj.phi2[box]], axis=-1)
-                if reflector else obj.values[box])
-            index = np.indices(block.shape[:4])
-            index[0] += box[0].start
-            sites = index.reshape(4, -1).T.tolist()
-            parts = block.reshape(-1, width).view(float).tolist()  # re, im, ...
-            fh.write("".join([row % (*site, *vals)
-                              for site, vals in zip(sites, parts)]))
+    slabs = _slabs(lattice.extent)
+    n = min(_cpus(), len(slabs))
+    parts = [slabs[len(slabs) * k // n:len(slabs) * (k + 1) // n] for k in range(n)]
+
+    def block(box) -> np.ndarray:  # C-contiguous, so that rows view as floats
+        return np.ascontiguousarray(
+            np.concatenate([obj.phi1[box], obj.phi2[box]], axis=-1)
+            if reflector else obj.values[box])
+
+    with open(path, "wb") as fh, contextlib.ExitStack() as stack:
+        fh.write(("\n".join(header) + "\n").encode())
+        children = []
+        for part in parts[1:]:
+            with tempfile.TemporaryFile() as raw:
+                for box in part:
+                    raw.write(block(box))
+                raw.seek(0)
+                text = stack.enter_context(tempfile.TemporaryFile())
+                first, last = part[0][0], part[-1][0]
+                child = stack.enter_context(subprocess.Popen(
+                    [sys.executable, "-I", "-S", _rows.__file__, str(width),
+                     str(first.start), str(last.stop), str(first.stop - first.start),
+                     *map(str, lattice.extent[1:])], stdin=raw, stdout=text))
+                stack.callback(child.kill)  # on an error; runs before the wait
+            children.append((child, text))
+        for box in parts[0]:
+            values = block(box)
+            fh.write(_rows.rows(values.view(float).ravel().tolist(), box[0].start,
+                                values.shape[:4], width).encode())
+        for child, text in children:
+            if child.wait():
+                raise RuntimeError(f"formatting the rows of {path} failed: "
+                                   f"{sys.executable} exited with {child.returncode}")
+            text.seek(0)
+            shutil.copyfileobj(text, fh)
 
 
 def _header_value(header: dict[str, str], key: str, path, parse):

@@ -541,6 +541,10 @@ def _error_lines(err: str) -> list[str]:
             if line.startswith(("domain error:", "config error:"))]
 
 
+def _no_room(*args):
+    raise MemoryError("no room")
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("run", _edge_runs(), ids="{0[0]}:{0[1]}={0[2]}".format)
     def test_edge_value_is_a_known_outcome(self, tmp_path, capsys, run):
@@ -674,6 +678,25 @@ class TestExitCodes:
         report = failed_report(tmp_path, "tile", 4, "RuntimeError")
         assert report["error"]["message"] == "a bug in the tiling"
         assert [p.name for p in tmp_path.iterdir()] == ["tile_report.json"]
+
+    @pytest.mark.parametrize("allocate", [
+        _no_room,
+        # numpy's own error: 568 PiB is past every 64-bit address space, so
+        # the request fails at once and no memory is touched
+        lambda *args: np.empty((10**4,) * 4 + (4,), complex),
+    ], ids=["MemoryError", "numpy"])
+    def test_out_of_memory_exit_5_with_report(self, tmp_path, capsys, monkeypatch,
+                                              allocate):
+        # a size that fits np.intp but not memory used to exit 4 with a traceback
+        with pytest.raises(MemoryError) as info:
+            allocate()
+        error_type, message = type(info.value).__name__, str(info.value)
+        monkeypatch.setattr(cli, "_field", allocate)
+        assert main(["lattice-verify", "--extent", "4", "--spacings", "0.2",
+                     "--out", str(tmp_path)]) == 5
+        assert capsys.readouterr().err == f"out of memory: {error_type}: {message}\n"
+        report = failed_report(tmp_path, "lattice-verify", 5, error_type)
+        assert report["error"]["message"] == message
 
     def test_module_runs_the_command_line(self):
         # ``python -m bohrqed`` used to fail: no module bohrqed.__main__

@@ -1,9 +1,14 @@
 import dataclasses
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +48,7 @@ from bohrqed.lattice import (
     wave_apply,
     write_field,
 )
-from reference_lattice import center_index, mapped_site, site_position
+from reference_lattice import center_index, mapped_site, site_position, write_field_rows
 from reference_orbit import assemble_wavefunction
 
 ALPHA = 1.0 / 137.035999
@@ -1201,6 +1206,107 @@ class TestFieldBlocks(TestFieldTextRoundTrip):
         with pytest.raises(DomainError,
                            match=re.escape(f"non-finite value at line 97 of {path}")):
             read_field(path)
+
+
+#: Doubles whose shortest and 17-digit forms differ, or that sit at the ends
+#: of the range: every row must carry them exactly, split or not.
+WRITER_DOUBLES = [-0.0, 0.0, 5e-324, 1.7976931348623157e308,
+                  -1.7976931348623157e308, 1e16, 1e-5, 0.1, 3.0, -2.0, 1e22]
+
+
+class TestFieldWriterParts:
+    """``write_field`` formats its slabs in one part per CPU, the later ones
+    in child interpreters: the bytes are the one-process writer's, and no
+    child or temporary file outlives a call."""
+
+    extent = (6, 3, 3, 3)  # 1,728 bytes of one field per time slice
+
+    def field(self, reflector: bool):
+        lat = HypercubicLattice(spacing=0.1, extent=self.extent, origin=(0.1, 0, -1e-5, 3))
+        shape = lat.extent + ((8,) if reflector else (4,))
+        rng = np.random.default_rng(23)
+        parts = rng.normal(size=2 * math.prod(shape))
+        parts[:2 * len(WRITER_DOUBLES)] = WRITER_DOUBLES * 2
+        parts[-len(WRITER_DOUBLES):] = WRITER_DOUBLES
+        vals = parts.view(complex).reshape(shape)
+        obj = (ReflectorField(lat, vals[..., :4], vals[..., 4:]) if reflector
+               else LatticeField(lat, vals))
+        return obj, vals
+
+    def popen_spy(self, monkeypatch) -> list:
+        calls = []
+
+        class Spy(subprocess.Popen):
+            def __init__(self, args, **kwargs):
+                calls.append(args)
+                super().__init__(args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "Popen", Spy)
+        return calls
+
+    @pytest.mark.parametrize("reflector", [False, True], ids=["biquaternion", "reflector"])
+    @pytest.mark.parametrize(("slab_bytes", "slabs"), [(1 << 18, 1), (3 * 1728, 2), (1, 6)])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_bytes_match_the_one_process_writer(self, tmp_path, monkeypatch, reflector,
+                                                slab_bytes, slabs, cpus):
+        monkeypatch.setattr(lattice_module, "_SLAB_BYTES", slab_bytes)
+        monkeypatch.setattr(lattice_module, "_cpus", lambda: cpus)
+        calls = self.popen_spy(monkeypatch)
+        obj, vals = self.field(reflector)
+        write_field(tmp_path / "new.txt", obj)
+        write_field_rows(tmp_path / "old.txt", obj)
+        assert len(lattice_module._slabs(self.extent)) == slabs
+        assert len(calls) == min(cpus, slabs) - 1
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+        back = read_field(tmp_path / "new.txt")
+        got = (np.concatenate([back.phi1, back.phi2], axis=-1) if reflector
+               else back.values)
+        assert got.tobytes() == vals.tobytes()
+
+    def test_one_slab_starts_no_child(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lattice_module, "_cpus", lambda: 8)
+        calls = self.popen_spy(monkeypatch)
+        write_field(tmp_path / "f.txt", self.field(True)[0])
+        assert calls == []
+
+    def failed_write(self, tmp_path, monkeypatch) -> pytest.ExceptionInfo:
+        """A write into three parts that fails; its temporary files go to a
+        directory of their own."""
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        monkeypatch.setattr(lattice_module, "_SLAB_BYTES", 1)
+        monkeypatch.setattr(lattice_module, "_cpus", lambda: 3)
+        with pytest.raises(BaseException) as info:
+            write_field(tmp_path / "f.txt", self.field(False)[0])
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+        assert list(scratch.iterdir()) == []
+        return info
+
+    def test_failing_child_names_the_file(self, tmp_path, monkeypatch):
+        stub = tmp_path / "stub.py"
+        stub.write_text("raise SystemExit(1)\n")
+        monkeypatch.setattr(lattice_module._rows, "__file__", str(stub))
+        info = self.failed_write(tmp_path, monkeypatch)
+        assert not isinstance(info.value, DomainError)
+        assert str(tmp_path / "f.txt") in str(info.value)
+        assert "exited with 1" in str(info.value)
+
+    def test_parent_failure_stops_its_children(self, tmp_path, monkeypatch):
+        # the parent fails while the children format: they are killed
+        def broken(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(lattice_module._rows, "rows", broken)
+        assert self.failed_write(tmp_path, monkeypatch).type is KeyboardInterrupt
+
+    def test_the_package_imports_no_subprocess(self):
+        script = "import sys, bohrqed.cli; print('subprocess' in sys.modules)"
+        src = str(Path(lattice_module.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert done.stdout == "False\n", done.stderr
 
 
 # ---------------------------------------------------------------------------

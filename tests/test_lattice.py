@@ -1293,6 +1293,30 @@ class TestFieldWriterParts:
         assert str(tmp_path / "f.txt") in str(info.value)
         assert "exited with 1" in str(info.value)
 
+    @pytest.mark.parametrize("previous", [False, True], ids=["no-file", "previous-file"])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch, previous):
+        # regression: the header and part 0's rows stayed at the path, and
+        # read_field then named a missing site
+        path = tmp_path / "f.txt"
+        if previous:
+            write_field(path, self.field(True)[0])
+        before = path.read_bytes() if previous else None
+        stub = tmp_path / "stub.py"
+        stub.write_text("raise SystemExit(1)\n")
+        monkeypatch.setattr(lattice_module._rows, "__file__", str(stub))
+        self.failed_write(tmp_path, monkeypatch)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["stub.py", "tmp"] + (["f.txt"] if previous else []))
+        assert (path.read_bytes() if previous else None) == before
+
+    def test_new_file_has_the_mode_open_gives(self, tmp_path):
+        # the mode open(path, "wb") gives, not a temporary file's 0600
+        write_field(tmp_path / "f.txt", self.field(False)[0])
+        with open(tmp_path / "plain.txt", "wb"):
+            pass
+        assert ((tmp_path / "f.txt").stat().st_mode
+                == (tmp_path / "plain.txt").stat().st_mode)
+
     def test_parent_failure_stops_its_children(self, tmp_path, monkeypatch):
         # the parent fails while the children format: they are killed
         def broken(*args):

@@ -57,6 +57,7 @@ from .mspace import kind_dim
 from .lattice import (
     HypercubicLattice,
     LatticeField,
+    _replacing,
     bohr_phi_field,
     bohr_potential_field,
     build_lattices,
@@ -150,23 +151,19 @@ _CSV_ROWS = 4096  # rows formatted per write: the text in memory is one block
 def write_csv(path: Path, header: list[str], columns) -> None:
     """One table from one 1-D sequence (or array) per column, all of one
     length: a column whose first value is a float is written with 17
-    significant digits, any other through ``str``."""
+    significant digits, any other through ``str``.  A failed write leaves
+    the previous table at ``path``, or none."""
     columns = [col if isinstance(col, np.ndarray) else np.array(col, dtype=object)
                for col in columns]  # slices of either give Python values by tolist
     if len(lengths := {len(col) for col in columns}) > 1:
         raise ValueError(f"{path}: columns of unequal lengths {sorted(lengths)}")
     first = next(zip(*[col[:1].tolist() for col in columns]), ())
     row = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
-    fh = open(path, "w", newline="\n")
-    try:  # a failure once the file is open leaves no partial table behind
-        with fh:
-            fh.write(",".join(header) + "\n")
-            for start in range(0, min(lengths, default=0), _CSV_ROWS):
-                block = [col[start:start + _CSV_ROWS].tolist() for col in columns]
-                fh.write("".join(map(row.__mod__, zip(*block))))
-    except BaseException:
-        Path(path).unlink(missing_ok=True)
-        raise
+    with _replacing(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, min(lengths, default=0), _CSV_ROWS):
+            block = [col[start:start + _CSV_ROWS].tolist() for col in columns]
+            fh.write("".join(map(row.__mod__, zip(*block))))
 
 
 # ---------------------------------------------------------------------------

@@ -742,6 +742,23 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
+def _replacing(path, mode: str = "wb", **kwargs):
+    """A new file in ``path``'s directory, opened for ``mode`` with the
+    permissions ``open(path, mode)`` gives, that replaces ``path`` when the
+    block ends; on any error it is removed, and ``path`` keeps what it held,
+    or stays absent."""
+    temp = f"{path}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(temp, "x" + mode[1:], **kwargs) as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temp)
+        raise
+
+
 def write_field(path, obj: LatticeField | ReflectorField) -> None:
     """Flat text format: header, then one line per site with the index
     quadruple and the complex components (4 per biquaternion entry).
@@ -756,7 +773,9 @@ def write_field(path, obj: LatticeField | ReflectorField) -> None:
     not depend on the split.  One slab or one CPU starts no child.  Each
     process holds one slab's text at a time.  A child that fails raises a
     ``RuntimeError`` naming ``path``; on every exit no child is left
-    running and every temporary file is closed, hence gone."""
+    running and every temporary file is gone.  The rows go to a new file
+    that replaces ``path`` once complete, so a failed write leaves the
+    previous file, or none."""
     import subprocess  # only here: the package imports without it
 
     lattice = obj.lattice
@@ -779,7 +798,7 @@ def write_field(path, obj: LatticeField | ReflectorField) -> None:
             np.concatenate([obj.phi1[box], obj.phi2[box]], axis=-1)
             if reflector else obj.values[box])
 
-    with open(path, "wb") as fh, contextlib.ExitStack() as stack:
+    with _replacing(path) as fh, contextlib.ExitStack() as stack:
         fh.write(("\n".join(header) + "\n").encode())
         children = []
         for part in parts[1:]:

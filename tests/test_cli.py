@@ -794,6 +794,14 @@ class TestColumnarCsv:
             write_csv(tmp_path / "t.csv", ["a"], [[1.5, 2.5, "x"]])
         assert not (tmp_path / "t.csv").exists()
 
+    def test_failed_write_keeps_the_previous_table(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_CSV_ROWS", 1)
+        write_csv(tmp_path / "t.csv", ["a"], [[0.5]])
+        with pytest.raises(TypeError):
+            write_csv(tmp_path / "t.csv", ["a"], [[1.5, 2.5, "x"]])
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+        assert (tmp_path / "t.csv").read_bytes() == b"a\n0.5\n"
+
     def test_empty_table_is_header_only(self, tmp_path):
         write_csv(tmp_path / "t.csv", ["owner", "region", "x1"],
                   [np.empty(0, dtype=int), [], np.empty(0)])

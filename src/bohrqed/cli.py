@@ -65,7 +65,6 @@ from .lattice import (
     dirac_apply_values,
     dirac_residual,
     equivalence_check,
-    interior_view,
     limit_sweep,
     photon_residual,
     renormalize_mass,
@@ -363,9 +362,9 @@ def cmd_lattice_verify(ns, out: Path, report: RunReport) -> None:
     # stencil exactness on affine and quadratic fields
     lat = HypercubicLattice(spacing=0.25, extent=(6, 6, 6, 6))
     grids = lat.coordinate_grids()
-    applied = dirac_apply_values(_field(lat, grids[1]), lat, mode="backward")
-    err = float(np.max(bq_frobenius_arr(
-        interior_view(applied - _field(lat, 0.0, 1.0), "backward"))))
+    applied = dirac_apply_values(_field(lat, grids[1]), lat)
+    # the sites with a full backward stencil
+    err = float(np.max(bq_frobenius_arr((applied - _field(lat, 0.0, 1.0))[1:, 1:, 1:, 1:])))
     report.check("stencil-affine-exactness", err, 0.0, 1e-12 * ts,
                  mode="at-most")
 

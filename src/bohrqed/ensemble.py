@@ -55,6 +55,9 @@ _BOUNDARY_TOL = 1e-9
 # cell-list cells are this much wider than the largest diameter, so no
 # pair one diameter apart lands two cells apart through rounding
 _CELL_SLACK = 1e-9
+# evenly spaced points per axis of the box that verify_ensemble and
+# boundary_fill_distance sample
+_VERIFY_SAMPLES, _FILL_SAMPLES = 17, 33
 
 
 class InfeasibleCoverage(DomainError):
@@ -245,15 +248,16 @@ def _mesh(axes) -> np.ndarray:
     return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
-def _box_samples(domain, samples_per_axis: int) -> np.ndarray:
-    return _mesh([np.linspace(lo, hi, samples_per_axis) for lo, hi in domain])
+def _box_samples(domain, per_axis: int) -> np.ndarray:
+    return _mesh([np.linspace(lo, hi, per_axis) for lo, hi in domain])
 
 
-def verify_ensemble(ensemble: Ensemble, samples_per_axis: int = 17) -> dict:
+def verify_ensemble(ensemble: Ensemble) -> dict:
     """Measure the two tiling invariants.
 
     Returns ``max_overlap`` (positive means interiors intersect) and
-    ``max_coverage_ratio`` (the least c that would cover the sampled box).
+    ``max_coverage_ratio`` (the least c that would cover the box, sampled
+    at 17 evenly spaced points per axis).
     """
     centers, radii = ensemble.centers, ensemble.radii
     clearance = _least(
@@ -262,17 +266,18 @@ def verify_ensemble(ensemble: Ensemble, samples_per_axis: int = 17) -> dict:
         lambda far: far - (radii + radii.max()))
     # 0 - x rather than -x, so that a touching pair reads 0.0, not -0.0
     max_overlap = float((0.0 - clearance).max()) if len(centers) > 1 else 0.0
-    ratio = _least(_box_samples(ensemble.domain, samples_per_axis), centers, radii,
+    ratio = _least(_box_samples(ensemble.domain, _VERIFY_SAMPLES), centers, radii,
                    lambda i, j, d: np.abs(d - radii[j]) / radii[j],
                    lambda far: far / radii.max() - 1.0)
     return {"max_overlap": max_overlap,
             "max_coverage_ratio": float(ratio.max(initial=0.0))}
 
 
-def boundary_fill_distance(ensemble: Ensemble, samples_per_axis: int = 33) -> float:
-    """Greatest distance from a sampled box point to the union of boundaries."""
+def boundary_fill_distance(ensemble: Ensemble) -> float:
+    """Greatest distance to the union of boundaries from the box, sampled at
+    33 evenly spaced points per axis."""
     centers, radii = ensemble.centers, ensemble.radii
-    gap = _least(_box_samples(ensemble.domain, samples_per_axis), centers, radii,
+    gap = _least(_box_samples(ensemble.domain, _FILL_SAMPLES), centers, radii,
                  lambda i, j, d: np.abs(d - radii[j]),
                  lambda far: far - radii.max())
     return float(gap.max(initial=0.0))
@@ -308,13 +313,11 @@ def count_interactions(T: float, R: float, kind: str) -> int:
     return int(math.floor(cells ** dim + 1e-9))
 
 
-def total_charge(ensemble: Ensemble, region_id: int | None = None) -> float:
-    """Sum of roundel charges, optionally restricted to one region."""
-    charges = (ensemble.charges if region_id is None
-               else ensemble.charges[ensemble.regions == region_id])
+def total_charge(ensemble: Ensemble) -> float:
+    """Sum of the roundel charges."""
     # a left-to-right fold: numpy's pairwise sum need not match it, nor does
     # sum(), which compensates from Python 3.12 on
-    return float(functools.reduce(operator.add, charges.tolist(), 0))
+    return float(functools.reduce(operator.add, ensemble.charges.tolist(), 0))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Two hypercubic lattices: a compromise-frame lattice with half-interval
 ``R_k`` (site separation ``2 R_k``) and a snapshot-frame lattice with
 half-interval ``a``, related by a translation, a scaling ``R_k -> a``
 and a Lorentz transform ``Z``.  First derivatives are one-sided
-backward differences over one full site interval, or central ones for
-convergence studies; the second-order wave operator composes a backward
+backward differences over one full site interval; the Dirac residual
+also takes central ones, for convergence studies.  The second-order wave operator composes a backward
 with a forward difference per axis, giving the standard 3-point stencil
 (exact on quadratics).  Site coordinates come as open grids, one
 broadcastable array per axis, so a field built from them allocates only
@@ -263,22 +263,11 @@ _WAVE = (1, 1)
 _SLAB_BYTES = 1 << 18
 
 
-def _margins(mode: str) -> tuple[int, int]:
-    """The first-order ``mode``'s margins; ``DomainError`` for any other."""
-    if mode not in _FIRST_ORDER:
-        raise DomainError(f"unknown difference mode {mode!r}")
-    return _FIRST_ORDER[mode]
-
-
 def _interior(shape, margins) -> tuple[slice, ...]:
     """The box of sites ``(lo, hi) = margins`` in from the ends of each axis;
     on an axis of length 1 (a stored block, constant along it) its one site."""
     return tuple(slice(0, 1) if n == 1 else slice(margins[0], n - margins[1])
                  for n in shape[:4])
-
-
-def interior_view(values: np.ndarray, mode: str) -> np.ndarray:
-    return values[_interior(values.shape, _margins(mode))]
 
 
 def _slabs(extent, margins=(0, 0)) -> list[tuple[slice, ...]]:
@@ -404,11 +393,10 @@ def _padded(kernel, values, lattice: HypercubicLattice, margins, planes,
     return np.moveaxis(out, 0, -1)
 
 
-def dirac_apply_values(values: np.ndarray, lattice: HypercubicLattice,
-                       mode: str = "backward") -> np.ndarray:
-    """Apply ``D`` to raw field values with the first-order ``mode``'s
-    differences; NaN outside the stencil."""
-    return _padded(_dirac, values, lattice, _margins(mode), (4, 4, 1), mode)
+def dirac_apply_values(values: np.ndarray, lattice: HypercubicLattice) -> np.ndarray:
+    """Apply ``D`` to raw field values with backward differences; NaN
+    outside the stencil."""
+    return _padded(_dirac, values, lattice, _FIRST_ORDER["backward"], (4, 4, 1), "backward")
 
 
 def wave_apply(values: np.ndarray, lattice: HypercubicLattice) -> np.ndarray:
@@ -490,6 +478,8 @@ def dirac_residual(phi: ReflectorField, A: LatticeField, e: float,
         raise TypeError("potential must be a LatticeField")
     if A.lattice != phi.lattice:
         raise DomainError("potential must live on the wave function's lattice")
+    if mode not in _FIRST_ORDER:
+        raise DomainError(f"unknown difference mode {mode!r}")
     step = phi.lattice.step
     planes = [_planes(v) for v in (A.values, phi.phi1, phi.phi2)]
     shape = np.broadcast_shapes(*(_stored(P).shape for P in planes))[1:]
@@ -507,7 +497,7 @@ def dirac_residual(phi: ReflectorField, A: LatticeField, e: float,
 
     n11, n22 = _maxima([(row(box, bufs, phi2, phi1, False),
                          row(box, bufs, phi1, phi2, True))
-                        for box, bufs in _walk(shape, (4, 4, 1), _margins(mode))], 2)
+                        for box, bufs in _walk(shape, (4, 4, 1), _FIRST_ORDER[mode])], 2)
     scale = _maxima([(_max_norm(phi1[:, box[0]]), _max_norm(phi2[:, box[0]]))
                      for box in _slabs(shape)], 0)
     return ResidualReport(max_residual=max(n11, n22),

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from bohrqed import ensemble
 from bohrqed.algebra import (
     I1,
     I2,
@@ -198,7 +199,8 @@ def test_criterion_5_cubic_closure():
     assert sign_ok and monotone_ok
 
 
-def test_criterion_6_ensemble_geometry():
+def test_criterion_6_ensemble_geometry(monkeypatch):
+    monkeypatch.setattr(ensemble, "_VERIFY_SAMPLES", 7)  # 100 tilings: fewer samples
     rng = np.random.default_rng(66)
     # 100 randomized tilings, both kinds: uniform grids, and every fifth a
     # radius field refined by the reference quadtree/octree
@@ -217,7 +219,7 @@ def test_criterion_6_ensemble_geometry():
             k = int(rng.integers(1, 4 if dim == 3 else 6))
             ens = tile([(0.0, side)] * dim, side / (2.0 * k), kind=kind,
                        boundary_samples=4)
-        stats = verify_ensemble(ens, samples_per_axis=7)
+        stats = verify_ensemble(ens)
         assert stats["max_overlap"] <= 1e-12, f"tiling {i}"
         assert stats["max_coverage_ratio"] <= ens.c + 1e-12, f"tiling {i}"
 

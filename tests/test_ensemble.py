@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 import math
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bohrqed import DomainError
+from bohrqed import DomainError, ensemble as ensemble_module
 from bohrqed.bohr import BohrInput, solve_bohr
 from bohrqed.ensemble import (
     Ensemble,
@@ -287,16 +288,11 @@ class TestTotalCharge:
         nl = count_interactions(2.0, 0.25, "pure")
         assert total_charge(ens) == pytest.approx(nl * 0.3, rel=1e-12)
 
-    def test_missing_region_contributes_zero(self):
-        ens = _charged(tile(UNIT_SQUARE, 0.25, kind="pure"), 0.1)
-        assert total_charge(ens, region_id=99) == 0.0
-
     def test_left_to_right_on_every_python(self):
         # sum() of floats compensates from Python 3.12 on and read 2.0 here
         ens = replace(tile(UNIT_SQUARE, 0.25, kind="pure"),
                       charges=np.array([1.0, 1e100, 1.0, -1e100]))
         assert total_charge(ens) == 0.0
-        assert total_charge(ens, region_id=0) == 0.0
 
 
 def test_boundary_set_fills_domain():
@@ -380,7 +376,8 @@ class TestScalingSweep:
             assert len(values) == 5 and min(values) > 0, name
 
 
-def test_randomized_tilings_hold_invariants():
+def test_randomized_tilings_hold_invariants(monkeypatch):
+    monkeypatch.setattr(ensemble_module, "_VERIFY_SAMPLES", 9)
     rng = np.random.default_rng(61)
     for _ in range(25):
         kind = rng.choice(["pure", "superposition"])
@@ -389,7 +386,7 @@ def test_randomized_tilings_hold_invariants():
         k = int(rng.integers(1, 4 if dim == 3 else 5))
         R = side / (2.0 * k)
         ens = tile([(0.0, side)] * dim, R, kind=kind, boundary_samples=4)
-        stats = verify_ensemble(ens, samples_per_axis=9)
+        stats = verify_ensemble(ens)
         assert stats["max_overlap"] <= 1e-12
         assert stats["max_coverage_ratio"] <= ens.c
 
@@ -469,18 +466,28 @@ def _same_bits(a: float, b: float) -> bool:
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
+@contextlib.contextmanager
+def sampling(per_axis: int):
+    """``verify_ensemble`` and ``boundary_fill_distance`` each sampling
+    ``per_axis`` points per axis of the box, inside the block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ensemble_module, "_VERIFY_SAMPLES", per_axis)
+        patch.setattr(ensemble_module, "_FILL_SAMPLES", per_axis)
+        yield
+
+
 def assert_matches_all_pairs(ens, samples_per_axis=17):
     points = ens.boundary
     if len(points):
         assert (ens.owners.tolist()
                 == _all_pairs_owners(points, _roundels(ens)).tolist())
-    got = verify_ensemble(ens, samples_per_axis)
+    with sampling(samples_per_axis):
+        got, fill = verify_ensemble(ens), boundary_fill_distance(ens)
     want = _all_pairs_verify(ens, samples_per_axis)
     assert got.keys() == want.keys()
     for key in want:
         assert _same_bits(got[key], want[key]), (key, got[key], want[key])
-    assert _same_bits(boundary_fill_distance(ens, samples_per_axis),
-                      _all_pairs_fill(ens, samples_per_axis))
+    assert _same_bits(fill, _all_pairs_fill(ens, samples_per_axis))
 
 
 class TestCellListOracle:
@@ -706,15 +713,9 @@ def _ref_region_of(regions, roundel_id):
     raise KeyError(f"roundel {roundel_id} not in any region")
 
 
-def _ref_total_charge(roundels, charges, regions, region_id=None):
+def _ref_total_charge(charges):
     """The loop over ``Roundel.f`` charges, with ``charges[i]`` for ``roundels[i].f``."""
-    if region_id is None:
-        return float(functools.reduce(operator.add, charges, 0))
-    for rid, members in regions:
-        if rid == region_id:
-            return float(functools.reduce(
-                operator.add, (f for r, f in zip(roundels, charges) if r.id in members), 0))
-    return 0.0
+    return float(functools.reduce(operator.add, charges, 0))
 
 
 _NOT_FINITE = "roundel centers must be finite, radii finite and positive"
@@ -737,10 +738,7 @@ class TestRegionArrayOracle:
                     == [_ref_region_of(regions, r.id)])
         for missing in (1001, 0, -7):
             assert ens.regions[ens.ids == missing].tolist() == []
-        for region_id in (None, *range(per_axis**dim), per_axis**dim + 3):
-            assert (total_charge(ens, region_id)
-                    == _ref_total_charge(roundels, ens.charges.tolist(), regions,
-                                         region_id))
+        assert total_charge(ens) == _ref_total_charge(ens.charges.tolist())
 
     @pytest.mark.parametrize(("change", "named"), [
         (dict(radii=np.full(3, 0.25)), "mismatch centers (4, 2)"),

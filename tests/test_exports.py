@@ -18,16 +18,18 @@ def test_all_names_resolve(module):
     assert [name for name in module.__all__ if not hasattr(module, name)] == []
 
 
-#: Public names nothing in the package or the benchmark reaches, and why
-#: each stays; a member is ``Class.member``.  A test-only reference belongs
-#: in ``tests/reference_*.py``.
+#: Public names nothing in the package or the benchmark reaches, and
+#: defaulted parameters nothing there sets, and why each stays; a member is
+#: ``Class.member``, a parameter ``f(p)``, ``Class.method(p)`` or
+#: ``Class(field)``.  A test-only reference belongs in
+#: ``tests/reference_*.py``; a parameter only tests set, nowhere.
 KEEP = {
     "Reflector": "the paper's anti-diagonal reflector; test_algebra's TestReflector "
                  "checks its algebra",
     "DiagonalMatrix": "the product of two reflectors, checked with Reflector",
     "reflector_mul": "the one product of two reflectors, checked with Reflector",
-    "total_charge": "the charge of an ensemble or region, a lab quantity "
-                    "test_ensemble checks",
+    "total_charge": "the net charge of an ensemble, a lab quantity; test_ensemble "
+                    "checks its left-to-right fold",
     "boundary_fill_distance": "acceptance C6: the boundary set fills the box as "
                               "the radii shrink",
     "LorentzTransform.apply": "the paper's sandwich q -> g q g†, and the scalar "
@@ -129,6 +131,81 @@ def _unused(package: dict[str, str], benchmarks: list[str], keep=()) -> set[str]
     return unused - set(keep)
 
 
+def _parameters(package: dict[str, str]):
+    """``(owner, callee, name, position, default)`` of each defaulted
+    parameter of the public functions, methods, static methods and dataclass
+    fields of the ``package`` sources: ``owner`` is ``f``, ``Class.method``
+    or ``Class``, ``position`` the parameter's index among a call's
+    positional arguments (None if it is keyword-only)."""
+    public, found = set(), []
+
+    def signature(prefix: str, node: ast.FunctionDef, bound: bool):
+        args = node.args.posonlyargs + node.args.args
+        given = [None] * (len(args) - len(node.args.defaults)) + node.args.defaults
+        for k, (arg, default) in enumerate(zip(args, given)):
+            if default is not None:
+                found.append((prefix, node.name, arg.arg, k - bound, default))
+        found.extend((prefix, node.name, arg.arg, None, default)
+                     for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                     if default is not None)
+
+    trees = {path: ast.parse(text).body for path, text in package.items()}
+    for path, body in trees.items():
+        for node in body:
+            if isinstance(node, ast.ImportFrom) and path == "__init__.py":
+                public |= {alias.name for alias in node.names}
+            elif (names := _assigned(node, "__all__")) is not None:
+                public |= set(names)
+    for node in (node for body in trees.values() for node in body):
+        if isinstance(node, ast.FunctionDef) and node.name in public:
+            signature(node.name, node, False)
+        elif isinstance(node, ast.ClassDef) and node.name in public:
+            dataclass = any("dataclass" in ast.dump(d) for d in node.decorator_list)
+            fields = [n for n in node.body if isinstance(n, ast.AnnAssign)]
+            for name, member in _members(node):
+                if isinstance(member, ast.FunctionDef):
+                    static = any("staticmethod" in ast.dump(d) for d in member.decorator_list)
+                    signature(f"{node.name}.{name}", member, not static)
+                elif dataclass and member.value is not None:
+                    found.append((node.name, node.name, name, fields.index(member),
+                                  member.value))
+    return found
+
+
+def _same(value, default) -> bool:
+    """Whether the expression ``value`` is the literal ``default``."""
+    try:
+        return ast.literal_eval(value) == ast.literal_eval(default)
+    except ValueError:
+        return False
+
+
+def _unset(package: dict[str, str], benchmarks: list[str], keep=()) -> set[str]:
+    """The defaulted parameters of :func:`_parameters` that no call in the
+    ``package`` or the ``benchmarks`` passes a value other than the default,
+    by keyword, by position or through a ``*`` or ``**`` splat, nor ``keep``.
+    A call is matched by the name it calls, ``f(...)`` or ``x.f(...)``."""
+    calls = {}
+    for text in [*package.values(), *benchmarks]:
+        for n in ast.walk(ast.parse(text)):
+            if isinstance(n, ast.Call):
+                name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                calls.setdefault(name, []).append(n)
+
+    def passes(call, name, position, default) -> bool:
+        for k, arg in enumerate(call.args[:0 if position is None else position + 1]):
+            if isinstance(arg, ast.Starred):
+                return True
+            if k == position:
+                return not _same(arg, default)
+        return any(kw.arg is None or (kw.arg == name and not _same(kw.value, default))
+                   for kw in call.keywords)
+
+    return {f"{owner}({name})" for owner, callee, name, position, default in _parameters(package)
+            if not any(passes(call, name, position, default)
+                       for call in calls.get(callee, ()))} - set(keep)
+
+
 def _sources(folder: str) -> dict[str, str]:
     return {path.name: path.read_text() for path in sorted((ROOT / folder).glob("*.py"))}
 
@@ -137,8 +214,10 @@ def test_public_names_have_a_caller():
     package = _sources("src/bohrqed")
     benchmarks = list(_sources("benchmarks").values())
     assert sorted(_unused(package, benchmarks, KEEP)) == []
+    assert sorted(_unset(package, benchmarks, KEEP)) == []
     # every entry is still needed: nothing reaches it but its own reason
-    assert sorted(_unused(package, benchmarks) & set(KEEP)) == sorted(KEEP)
+    needed = _unused(package, benchmarks) | _unset(package, benchmarks)
+    assert sorted(needed & set(KEEP)) == sorted(KEEP)
 
 
 #: A class with one member of each kind the guard judges, for its self-test.
@@ -149,12 +228,16 @@ __all__ = ["Thing"]
 class Thing:
     tested: int
     passed: int = 0
+    spare: int = 0
 
     def checked(self):
         return self.tested
 
     def inner(self):
         return 0
+
+    def scaled(self, factor=1.0, offset=0.0):
+        return (self.passed + self.spare) * factor + offset
 
 class _Caller:
     def unreached(self, thing):
@@ -165,8 +248,21 @@ class _Caller:
 def test_guard_flags_members_only_tests_read():
     # ``tested`` and ``checked`` only tests would read, ``passed`` a benchmark
     # passes by keyword, and ``inner`` only an unreached method calls
-    assert _unused({"planted.py": _PLANTED}, ["Thing(1, passed=2)"]) == {
+    assert _unused({"planted.py": _PLANTED}, ["Thing(1, passed=2).scaled(2.0)"]) == {
         "Thing.tested", "Thing.checked", "Thing.inner"}
+
+
+@pytest.mark.parametrize(("calls", "unset"), [
+    # ``spare`` only tests would set; ``offset`` is passed its default alone
+    ("Thing(1, passed=2).scaled(factor=3, offset=0.0)", {"Thing(spare)", "Thing.scaled(offset)"}),
+    ("Thing(1, 2, 0).scaled(3.0, 0)", {"Thing(spare)", "Thing.scaled(offset)"}),
+    ("Thing(1, 2, 3).scaled(1.0, -1)", {"Thing.scaled(factor)"}),
+    ("Thing(*fields).scaled(2.0, *rest)", set()),
+    ("Thing(1, **fields).scaled(**options)", set()),
+    ("Thing(1, *fields).scaled(*options)", set()),
+])
+def test_guard_flags_parameters_only_tests_set(calls, unset):
+    assert _unset({"planted.py": _PLANTED}, [calls]) == unset
 
 
 def test_sources_parse_as_python_3_10():

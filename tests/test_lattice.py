@@ -39,7 +39,6 @@ from bohrqed.lattice import (
     dirac_apply_values,
     dirac_residual,
     equivalence_check,
-    interior_view,
     limit_sweep,
     photon_residual,
     read_field,
@@ -231,9 +230,9 @@ class TestDiracApply:
             want = np.stack([Biquaternion(*v) *
                              [Biquaternion(0, 1), Biquaternion(0, 0, 1),
                               Biquaternion(0, 0, 0, 1)][k - 1]
-                             for v in interior_view(ref, "backward")
+                             for v in _ref_interior(ref, "backward")
                              .reshape(-1, 4)]).reshape(-1)
-            got = np.array([c for q in interior_view(applied, "backward")
+            got = np.array([c for q in _ref_interior(applied, "backward")
                             .reshape(-1, 4)
                             for c in Biquaternion(*q).as_array()])
             want_flat = np.array([c for q in want for c in q.as_array()])
@@ -261,7 +260,7 @@ class TestDiracApply:
             want = np.zeros_like(vals)
             want[..., 0] = nu * phase
             want[..., 1] = 1j * mu * phase
-            err = interior_view(got - want, "backward")
+            err = _ref_interior(got - want, "backward")
             errors.append(float(np.max(bq_frobenius_arr(err))))
         orders = pairwise_orders(spacings, errors)
         assert all(o > 0.95 for o in orders)
@@ -721,8 +720,8 @@ class TestTransformField:
             lhs = _ref_first_diff(fp.values, mu, binding.lattice_p.step, "backward")
             rhs = transform_field("derivative", LatticeField(latk, np.nan_to_num(
                 _ref_first_diff(f.values, mu, latk.step, "backward"))), binding).values
-            sel = interior_view(lhs - rhs, "backward")
-            scale = np.max(bq_frobenius_arr(interior_view(lhs, "backward")))
+            sel = _ref_interior(lhs - rhs, "backward")
+            scale = np.max(bq_frobenius_arr(_ref_interior(lhs, "backward")))
             assert np.max(bq_frobenius_arr(sel)) < 1e-10 * max(scale, 1.0)
 
     @pytest.mark.parametrize("Z", [
@@ -758,8 +757,8 @@ class TestTransformField:
         lhs = _ref_dirac_apply(fp.values, binding.lattice_p, basis=basis_p)
         rhs = (binding.R_k / binding.a) ** 2 * Z.apply_array(
             dirac_apply_values(f.values, latk))
-        sel = interior_view(lhs - rhs, "backward")
-        scale = np.nanmax(bq_frobenius_arr(interior_view(lhs, "backward")))
+        sel = _ref_interior(lhs - rhs, "backward")
+        scale = np.nanmax(bq_frobenius_arr(_ref_interior(lhs, "backward")))
         assert np.nanmax(bq_frobenius_arr(sel)) < 1e-10 * max(scale, 1.0)
 
 
@@ -1214,6 +1213,25 @@ WRITER_DOUBLES = [-0.0, 0.0, 5e-324, 1.7976931348623157e308,
                   -1.7976931348623157e308, 1e16, 1e-5, 0.1, 3.0, -2.0, 1e22]
 
 
+class TestCpus:
+    """``_cpus``: the process's affinity set, else the machine's count, else 1."""
+
+    def test_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert lattice_module._cpus() == 3
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert lattice_module._cpus() == 6
+
+    def test_one_when_the_count_is_unknown(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert lattice_module._cpus() == 1
+
+
 class TestFieldWriterParts:
     """``write_field`` formats its slabs in one part per CPU, the later ones
     in child interpreters: the bytes are the one-process writer's, and no
@@ -1416,17 +1434,21 @@ def _kernel_first_diff(values, axis, step, mode):
 
 
 def _kernel_dirac(values, lattice, dagger=False, mode="backward", basis=None):
-    """``_ref_dirac_apply`` by the kernel: ``D`` is ``dirac_apply_values`` and
-    ``D‡`` the private row the Dirac residual runs; another basis contracts
-    the kernel's difference planes as the reference contracts its own."""
+    """``_ref_dirac_apply`` by the kernel: backward ``D`` is
+    ``dirac_apply_values``, central ``D`` and ``D‡`` the private rows the
+    Dirac residual runs; another basis contracts the kernel's difference
+    planes as the reference contracts its own."""
     if basis is not None:
         return _ref_dirac_apply(values, lattice, mode=mode, basis=basis,
                                 diff=_kernel_first_diff)
-    if not dagger:
-        return _kernel(dirac_apply_values, values, lattice, mode)
-    return _kernel(lambda v, lat, m: lattice_module._padded(
-        lattice_module._dirac, v, lat, _MARGINS[m], (4, 4, 1), m, True), values, lattice,
-        mode)
+
+    def apply(v, lat, m):
+        if m == "backward" and not dagger:
+            return dirac_apply_values(v, lat)
+        return lattice_module._padded(lattice_module._dirac, v, lat, _MARGINS[m],
+                                      (4, 4, 1), m, dagger)
+
+    return _kernel(apply, values, lattice, mode)
 
 
 def _kernel_residual(phi, A, e, mass, mode="backward"):
@@ -1655,11 +1677,7 @@ class TestSiteLocalStencils:
         phi = ReflectorField(self.lattice, f.values, f.values)
         for refused in ("composed", "forward"):
             with pytest.raises(DomainError, match="unknown difference mode"):
-                dirac_apply_values(f.values, self.lattice, refused)
-            with pytest.raises(DomainError, match="unknown difference mode"):
                 dirac_residual(phi, f, e=1.0, mass=1.0, mode=refused)
-            with pytest.raises(DomainError, match="unknown difference mode"):
-                interior_view(f.values, refused)
 
 
 # ---------------------------------------------------------------------------

@@ -248,8 +248,8 @@ def _mesh(axes) -> np.ndarray:
     return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
-def _box_samples(domain, per_axis: int) -> np.ndarray:
-    return _mesh([np.linspace(lo, hi, per_axis) for lo, hi in domain])
+def _box_samples(domain, samples_per_axis: int) -> np.ndarray:
+    return _mesh([np.linspace(lo, hi, samples_per_axis) for lo, hi in domain])
 
 
 def verify_ensemble(ensemble: Ensemble) -> dict:

@@ -5,11 +5,11 @@ Two hypercubic lattices: a compromise-frame lattice with half-interval
 half-interval ``a``, related by a translation, a scaling ``R_k -> a``
 and a Lorentz transform ``Z``.  First derivatives are one-sided
 backward differences over one full site interval; the Dirac residual
-also takes central ones, for convergence studies.  The second-order wave operator composes a backward
-with a forward difference per axis, giving the standard 3-point stencil
-(exact on quadratics).  Site coordinates come as open grids, one
-broadcastable array per axis, so a field built from them allocates only
-its own values.
+also takes central ones, for convergence studies.  The second-order
+wave operator composes a backward with a forward difference per axis,
+giving the standard 3-point stencil (exact on quadratics).  Site
+coordinates come as open grids, one broadcastable array per axis, so a
+field built from them allocates only its own values.
 
 Field values are biquaternions seen as ``(*extent, 4)`` complex arrays
 and stored component-major: one C-contiguous ``(4, *extent)`` block of

@@ -132,11 +132,11 @@ def _unused(package: dict[str, str], benchmarks: list[str], keep=()) -> set[str]
 
 
 def _parameters(package: dict[str, str]):
-    """``(owner, callee, name, position, default)`` of each defaulted
-    parameter of the public functions, methods, static methods and dataclass
-    fields of the ``package`` sources: ``owner`` is ``f``, ``Class.method``
-    or ``Class``, ``position`` the parameter's index among a call's
-    positional arguments (None if it is keyword-only)."""
+    """``(owner, name, position, default)`` of each defaulted parameter of
+    the public functions, methods, static methods and dataclass fields of
+    the ``package`` sources: ``owner`` is ``f``, ``Class.method`` or
+    ``Class``, ``position`` the parameter's index among a call's positional
+    arguments (None if it is keyword-only)."""
     public, found = set(), []
 
     def signature(prefix: str, node: ast.FunctionDef, bound: bool):
@@ -144,8 +144,8 @@ def _parameters(package: dict[str, str]):
         given = [None] * (len(args) - len(node.args.defaults)) + node.args.defaults
         for k, (arg, default) in enumerate(zip(args, given)):
             if default is not None:
-                found.append((prefix, node.name, arg.arg, k - bound, default))
-        found.extend((prefix, node.name, arg.arg, None, default)
+                found.append((prefix, arg.arg, k - bound, default))
+        found.extend((prefix, arg.arg, None, default)
                      for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
                      if default is not None)
 
@@ -167,8 +167,7 @@ def _parameters(package: dict[str, str]):
                     static = any("staticmethod" in ast.dump(d) for d in member.decorator_list)
                     signature(f"{node.name}.{name}", member, not static)
                 elif dataclass and member.value is not None:
-                    found.append((node.name, node.name, name, fields.index(member),
-                                  member.value))
+                    found.append((node.name, name, fields.index(member), member.value))
     return found
 
 
@@ -201,9 +200,9 @@ def _unset(package: dict[str, str], benchmarks: list[str], keep=()) -> set[str]:
         return any(kw.arg is None or (kw.arg == name and not _same(kw.value, default))
                    for kw in call.keywords)
 
-    return {f"{owner}({name})" for owner, callee, name, position, default in _parameters(package)
+    return {f"{owner}({name})" for owner, name, position, default in _parameters(package)
             if not any(passes(call, name, position, default)
-                       for call in calls.get(callee, ()))} - set(keep)
+                       for call in calls.get(owner.rpartition(".")[2], ()))} - set(keep)
 
 
 def _sources(folder: str) -> dict[str, str]:

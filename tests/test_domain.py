@@ -8,15 +8,16 @@ import pytest
 import bohrqed
 from bohrqed import (BohrInput, DomainError, HypercubicLattice, InfeasibleCoverage,
                      LatticeField, LorentzTransform, LPoint, NonPositiveMass,
-                     NotOnBoundary, RoundelSpec, SupercriticalCoupling,
-                     build_lattices, count_interactions, limit_sweep,
+                     NotOnBoundary, ReflectorField, RoundelSpec,
+                     SupercriticalCoupling, build_lattices, count_interactions,
+                     dirac_residual, equivalence_check, limit_sweep,
                      photon_residual, solve_bohr, tile, transform_field)
 from bohrqed import ensemble
 from bohrqed._domain import finite, positive, whole
 from bohrqed.cli import RunReport, main
 from bohrqed.ensemble import Ensemble
 from bohrqed.fitting import fit_loglog
-from bohrqed.lattice import bohr_phi_field
+from bohrqed.lattice import bohr_phi_field, charge_conjugate_field, write_field
 from bohrqed.mspace import KINDS, kind_dim
 
 INTP_MAX = np.iinfo(np.intp).max
@@ -198,6 +199,11 @@ _, _LAT_K, _BINDING = build_lattices(a=0.1, R_k=0.2, extent=3,
                                      Z=LorentzTransform.identity())
 
 
+def _zero_reflector(lattice):
+    zeros = np.zeros(lattice.extent + (4,), complex)
+    return ReflectorField(lattice, zeros, zeros)
+
+
 @pytest.mark.parametrize(("call", "error", "message"), [
     pytest.param(lambda mp: photon_residual(
         _zero_field(HypercubicLattice(spacing=0.1, extent=3)),
@@ -211,6 +217,28 @@ _, _LAT_K, _BINDING = build_lattices(a=0.1, R_k=0.2, extent=3,
                                             _BINDING),
                  TypeError, "field must be a LatticeField or ReflectorField",
                  id="transform_field-non-field"),
+    # a field of the wrong kind is a TypeError naming the parameter, not an
+    # AttributeError from deep inside the kernel
+    pytest.param(lambda mp: photon_residual(_zero_field(_LAT_K), _zero_reflector(_LAT_K)),
+                 TypeError, "J must be a LatticeField", id="photon_residual-J-type"),
+    pytest.param(lambda mp: photon_residual(_zero_reflector(_LAT_K), _zero_field(_LAT_K)),
+                 TypeError, "A must be a LatticeField", id="photon_residual-A-type"),
+    pytest.param(lambda mp: equivalence_check(_BINDING, _zero_reflector(_LAT_K),
+                                              _zero_field(_LAT_K)),
+                 TypeError, "A_k must be a LatticeField", id="equivalence_check-A_k-type"),
+    pytest.param(lambda mp: equivalence_check(_BINDING, _zero_field(_LAT_K),
+                                              _zero_reflector(_LAT_K)),
+                 TypeError, "J_k must be a LatticeField", id="equivalence_check-J_k-type"),
+    pytest.param(lambda mp: dirac_residual(_zero_field(_LAT_K), _zero_field(_LAT_K),
+                                           e=1.0, mass=1.0),
+                 TypeError, "phi must be a ReflectorField", id="dirac_residual-phi-type"),
+    pytest.param(lambda mp: charge_conjugate_field(_zero_field(_LAT_K)),
+                 TypeError, "phi must be a ReflectorField",
+                 id="charge_conjugate_field-type"),
+    pytest.param(lambda mp: write_field("no-such-directory/field.txt",
+                                        np.zeros((3,) * 4 + (4,), complex)),
+                 TypeError, "obj must be a LatticeField or ReflectorField",
+                 id="write_field-type"),
     pytest.param(lambda mp: HypercubicLattice(spacing=0.1, extent=(3, 3, 3)),
                  DomainError, "extent and origin must have 4 axes, got (3, 3, 3) "
                  "and (0.0, 0.0, 0.0, 0.0)", id="HypercubicLattice-extent"),

@@ -2191,6 +2191,25 @@ class TestSlabMemory:
             assert got == residual(copied, J)
             assert peak <= bound * copied.values.nbytes
 
+    def test_stored_wave_residuals(self):
+        # fields built from broadcast views of (x0, x1) blocks keep those
+        # blocks, and both wave residuals walk them: construction included,
+        # the peak is a few stored blocks (5 and 8 measured), not the dense
+        # field of 256 blocks a copied view costs
+        _, latk, binding = build_lattices(
+            a=0.1, R_k=0.2, extent=self.extent,
+            Z=LorentzTransform.boost([1, 0, 0], 0.7))
+        rng = np.random.default_rng(16)
+        shape = self.extent[:2] + (1, 1, 4)
+        a, j = (np.broadcast_to(rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                                self.extent + (4,)) for _ in range(2))
+        stored = math.prod(shape) * np.dtype(complex).itemsize
+        for residual in (photon_residual, lambda A, J: equivalence_check(binding, A, J)):
+            residual(LatticeField(latk, a), LatticeField(latk, j))  # caches warm
+            peak, _ = _traced_peak(
+                lambda: residual(LatticeField(latk, a), LatticeField(latk, j)))
+            assert peak <= 10 * stored
+
     def test_read_field(self, tmp_path):
         # the body is parsed one slab of lines at a time, never held whole
         lat = HypercubicLattice(spacing=0.05, extent=self.extent)

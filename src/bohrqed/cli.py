@@ -344,12 +344,12 @@ def cmd_tile(ns, out: Path, report: RunReport) -> None:
 
 
 def _field(lat: HypercubicLattice, *components) -> np.ndarray:
-    """Values on ``lat`` whose leading biquaternion components are
-    ``components`` (arrays or constants), the others zero."""
-    values = np.zeros(lat.extent + (4,), dtype=complex)
+    """A broadcast view of values on ``lat`` whose leading biquaternion
+    components are ``components`` (open grids or constants), the others zero."""
+    values = np.zeros(np.broadcast(*components).shape + (4,), dtype=complex)
     for k, component in enumerate(components):
         values[..., k] = component
-    return values
+    return np.broadcast_to(values, lat.extent + (4,))
 
 
 def cmd_lattice_verify(ns, out: Path, report: RunReport) -> None:
@@ -391,10 +391,10 @@ def cmd_lattice_verify(ns, out: Path, report: RunReport) -> None:
         base = dirac_residual(phi, pot, e=inp.e, mass=inp.m, mode=mode)
         dirac_res.append(base.max_residual)
         g = lat_h.coordinate_grids()
-        smooth = _field(lat_h, np.exp(1j * (0.7 * g[1] - 0.4 * g[0])))
+        smooth = np.exp(1j * (0.7 * g[1] - 0.4 * g[0]))
         photon_res.append(photon_residual(
-            LatticeField(lat_h, smooth),
-            LatticeField(lat_h, (0.4 ** 2 - 0.7 ** 2) * smooth)).max_residual)
+            LatticeField(lat_h, _field(lat_h, smooth)),
+            LatticeField(lat_h, _field(lat_h, (0.4 ** 2 - 0.7 ** 2) * smooth))).max_residual)
     if len(spacings) < 2:
         report.skip("dirac-convergence-order", "needs >= 2 spacings")
         report.skip("photon-convergence-order", "needs >= 2 spacings")

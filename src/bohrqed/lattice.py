@@ -14,17 +14,17 @@ field built from them allocates only its own values.
 Field values are biquaternions seen as ``(*extent, 4)`` complex arrays
 and stored component-major: one C-contiguous ``(4, *extent)`` block of
 component planes per entry, of length 1 on the axes a field is constant
-along (the orbit's potential, its wave function) and broadcast there with
-zero strides.  Wave functions are reflector pairs ``(phi1, phi2)``.  The
-first-order operator is ``D = i d0 + i1 d1 + i2 d2 + i3 d3``; its ``D‡``,
-which flips the sign of the spatial basis elements, acts only in the Dirac
-residual's second row.
-Residuals stream one axis-0 slab of whole time slices at a time (as many
-as fit in ``_SLAB_BYTES`` of one field, at least one) through buffers
-allocated once per call.  The Dirac residual walks the broadcast shape of
-its operands' stored blocks, one site on an axis they are all constant
-along, whose difference is zero: the orbit field costs its ``(x0, s)``
-sites, a dense one the lattice's.  One flat kernel forms each difference
+along (the orbit's potential and wave function, a broadcast view's) and
+broadcast there with zero strides.  Wave functions are reflector pairs
+``(phi1, phi2)``.  The first-order operator is
+``D = i d0 + i1 d1 + i2 d2 + i3 d3``; its ``D‡``, which flips the sign of
+the spatial basis elements, acts only in the Dirac residual's second row.
+Every kernel walks the broadcast shape of its operands' stored blocks,
+one site, its own neighbour, on an axis all are constant along: the orbit
+field costs its ``(x0, s)`` sites, a dense one the lattice's, with the
+same bits.  It streams one axis-0 slab of whole time slices at a time (as
+many as fit in ``_SLAB_BYTES`` of one field, at least one) through
+buffers allocated once per call.  One flat kernel forms each difference
 from contiguous ranges of the component planes offset by the axis stride,
 scaled by the step's reciprocal; sites at an edge of axes 1-3 read
 wrapped neighbours; norms and finiteness tests run over whole slices,
@@ -152,28 +152,26 @@ def _planes(values) -> np.ndarray:
 
 
 def _stored(planes: np.ndarray) -> np.ndarray:
-    """The block ``planes`` store: each zero-stride axis cut to length 1."""
-    return planes[tuple(slice(0, 1) if s == 0 else slice(None) for s in planes.strides)]
+    """The block ``planes`` store: each zero-stride axis but the components' cut to one."""
+    return planes[(slice(None), *(slice(None if s else 1) for s in planes.strides[1:]))]
 
 
 def _field_values(values, lattice: HypercubicLattice, name: str) -> np.ndarray:
     """Read-only finite values of shape ``(*extent, 4)``, fields being
-    immutable snapshots: ``(4, *extent)`` planes, finite on their stored
-    block, seen through ``np.moveaxis``; ``_Planes`` are broadcast, the rest copied."""
+    immutable snapshots: planes broadcast from a stored block, a ``_Planes``
+    array or a C-contiguous copy of the input's, seen through ``np.moveaxis``."""
     fresh = isinstance(values, _Planes)
     planes = (np.broadcast_to(values.array, (4,) + lattice.extent) if fresh
               else _planes(np.asarray(values)))
     if planes.shape != (4,) + lattice.extent:
         raise DomainError(f"{name} shape {planes.shape[1:] + planes.shape[:1]} "
                           f"does not match lattice extent {lattice.extent} + (4,)")
-    if not fresh:
-        planes = planes.astype(complex, order="C")
-    block = _stored(planes)
+    block = values.array if fresh else _stored(planes).astype(complex, order="C")
     if not all(np.isfinite(plane[box]).all()  # contiguous: no ufunc buffer
                for plane in block for box in _slabs(block.shape[1:])):
         raise DomainError(f"{name} values must be finite")
-    planes.setflags(write=False)
-    return np.moveaxis(planes, 0, -1)
+    block.setflags(write=False)
+    return np.moveaxis(np.broadcast_to(block, planes.shape), 0, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,15 +279,18 @@ def _slabs(extent, margins=(0, 0)) -> list[tuple[slice, ...]]:
             for t in range(t0, t1, width)]
 
 
-def _walk(extent, planes, margins=(0, 0)) -> list:
-    """The ``_slabs`` of ``extent`` and ``margins``, each with one complex
+def _walk(operands, planes, margins=(0, 0)) -> tuple[list, list]:
+    """The planes ``operands`` cut to the broadcast shape of their ``_stored``
+    blocks, and that shape's ``_slabs`` of ``margins``, each with one complex
     ``(p, *slices)`` buffer of its whole time slices per ``p`` of ``planes``,
     allocated once for the first (no later one is wider), cut to each."""
-    slabs = _slabs(extent, margins)
+    shape = np.broadcast_shapes(*(_stored(P).shape for P in operands))
+    cut = [P[(slice(None), *map(slice, shape[1:]))] for P in operands]
+    slabs = _slabs(shape[1:], margins)
     first = slabs[0][0]
-    block = np.empty((sum(planes), first.stop - first.start, *extent[1:]), complex)
+    block = np.empty((sum(planes), first.stop - first.start, *shape[2:]), complex)
     cuts = np.cumsum(planes)[:-1]
-    return [(box, np.split(block[:, :box[0].stop - box[0].start], cuts)) for box in slabs]
+    return cut, [(box, np.split(block[:, :box[0].stop - box[0].start], cuts)) for box in slabs]
 
 
 def _inner(P: np.ndarray, box) -> np.ndarray:
@@ -297,19 +298,31 @@ def _inner(P: np.ndarray, box) -> np.ndarray:
     return P[(slice(None), slice(None), *box[1:])]
 
 
+def _window(P: np.ndarray, box, margins) -> tuple[np.ndarray, tuple]:
+    """``box``'s time slices of ``P`` and their ``margins`` halo (none on an
+    axis 0 of one site) as flat planes, a copy only of planes broadcast to a
+    larger extent than they store, and ``box`` within them."""
+    lo, hi = margins if P.shape[1] > 1 else (0, 0)
+    P = P[:, box[0].start - lo:box[0].stop + hi].reshape(4, -1).reshape((4, -1) + P.shape[2:])
+    return P, (slice(lo, P.shape[1] - hi),) + box[1:]
+
+
 def _stencil(P: np.ndarray, axis: int, step: float, mode: str | None, box,
              out: np.ndarray) -> np.ndarray:
-    """The first-order ``mode`` difference along ``axis`` of the C-contiguous
-    planes ``P`` on ``box``'s time slices into ``out``, or for None the 3-point
+    """The first-order ``mode`` difference along ``axis`` of the flat planes
+    ``P`` on ``box``'s time slices into ``out``, or for None the 3-point
     second difference (backward then forward).  Each term is one flat range
     of each plane, offset by the axis stride: a move across an edge of axes
     1-3 wraps, into sites outside the interior, and where ``P`` has no
     axis-0 halo to wrap into, those sites of ``out`` are left as they were.
+    An axis of one site is its own neighbour (stride 0): ``v - v`` or
+    ``(v - 2v) + v``, a dense walk's bits there, overflow included.
     Numpy divides by a real ``h`` as ``(re + im*0) * (1/h)`` (Smith's
     method), so scaling the float view by ``1/h`` differs only in zero
     signs and NaN."""
     lo, hi = _WAVE if mode is None else _FIRST_ORDER[mode]
-    size, stride = math.prod(P.shape[2:]), math.prod(P.shape[axis + 2:])
+    size = math.prod(P.shape[2:])
+    stride = math.prod(P.shape[axis + 2:]) if P.shape[axis + 1] > 1 else 0
     start, n = box[0].start * size, (box[0].stop - box[0].start) * size
     first, stop = max(0, lo * stride - start), min(n, P[0].size - start - hi * stride)
     flat, o = P.reshape(4, -1), out.reshape(4, -1)[:, first:stop]
@@ -340,23 +353,14 @@ def _unit_rows(c: Biquaternion) -> tuple:
 
 def _dirac(P: np.ndarray, step: float, box, bufs, mode: str,
            dagger: bool = False) -> np.ndarray:
-    """``D P`` (``D‡ P`` with ``dagger``) on ``box``: each axis's difference
-    permuted by ``_unit_rows`` of its basis unit and added into the first of
-    ``bufs`` from zero, axes in order; the second holds the difference and
-    the third, one plane, a ±1j term.  Along an axis where ``P`` has one
-    site, as a stored block has where it is constant, the difference is
-    ``v - v = +0``: it is skipped, which moves at most the sign of a zero
-    part.  The stencils read the slices ``t0-lo .. t1+hi`` of ``P`` (no halo
-    on an axis 0 of one site) as flat planes: a view of C-contiguous planes
-    or a stored block, one copy of planes broadcast to a dense extent."""
-    lo, hi = _FIRST_ORDER[mode] if P.shape[1] > 1 else (0, 0)
-    P = P[:, box[0].start - lo:box[0].stop + hi].reshape(4, -1).reshape((4, -1) + P.shape[2:])
-    box = (slice(lo, P.shape[1] - hi),) + box[1:]
+    """``D P`` (``D‡ P`` with ``dagger``) on ``box``, read by ``_window``: each
+    axis's difference permuted by ``_unit_rows`` of its basis unit and added
+    into the first of ``bufs`` from zero, axes in order; the second holds the
+    difference and the third, one plane, a ±1j term."""
+    P, box = _window(P, box, _FIRST_ORDER[mode])
     out, diff, scratch = bufs
     out[...] = 0
     for mu, unit in enumerate(BASIS):
-        if P.shape[mu + 1] == 1:  # a halo makes a full axis 0 two sites or more
-            continue
         _stencil(P, mu, step, mode, box, diff)
         for plane, (j, coef) in zip(out, _unit_rows(unit.quat_conj() if dagger else unit)):
             if coef == 1:
@@ -369,8 +373,9 @@ def _dirac(P: np.ndarray, step: float, box, bufs, mode: str,
 
 
 def _wave(P: np.ndarray, step: float, box, bufs) -> np.ndarray:
-    """``-d0² + d1² + d2² + d3²`` of the planes ``P`` on ``box`` into the
-    first of ``bufs``; the second holds each axis's difference."""
+    """``-d0² + d1² + d2² + d3²`` of ``P`` on ``box``, read by ``_window``,
+    into the first of ``bufs``; the second holds each axis's difference."""
+    P, box = _window(P, box, _WAVE)
     out, diff = bufs
     np.negative(_stencil(P, 0, step, None, box, out), out=out)
     for mu in range(1, 4):
@@ -386,9 +391,9 @@ def _padded(kernel, values, lattice: HypercubicLattice, margins, planes,
     if np.shape(values) != lattice.extent + (4,):
         raise DomainError(f"values shape {np.shape(values)} does not match "
                           f"lattice extent {lattice.extent} + (4,)")
-    P = np.ascontiguousarray(_planes(values))
+    (P,), slabs = _walk((np.ascontiguousarray(_planes(values)),), planes, margins)
     out = np.full((4,) + lattice.extent, np.nan + 0j)
-    for box, bufs in _walk(lattice.extent, planes, margins):
+    for box, bufs in slabs:
         out[(..., *box)] = _inner(kernel(P, lattice.step, box, bufs, *args), box)
     return np.moveaxis(out, 0, -1)
 
@@ -444,9 +449,9 @@ def photon_residual(A: LatticeField, J: LatticeField) -> ResidualReport:
     """
     if A.lattice != J.lattice:
         raise DomainError("fields must live on the same lattice")
-    a, j = _planes(A.values), _planes(J.values)
+    (a, j), slabs = _walk((_planes(A.values), _planes(J.values)), (4, 4), _WAVE)
     rows = []
-    for box, bufs in _walk(A.lattice.extent, (4, 4), _WAVE):
+    for box, bufs in slabs:
         lhs, rhs = _wave(a, A.lattice.step, box, bufs), j[:, box[0]]
         scales = _max_norm(rhs, box), _max_norm(lhs, box)
         lhs -= rhs
@@ -465,10 +470,9 @@ def dirac_residual(phi: ReflectorField, A: LatticeField, e: float,
     (anything else is a ``TypeError``); a constant one, such as
     :func:`bohr_potential_field`'s, is a zero-stride field.  ``mass`` is a
     float, :func:`renormalize_mass`'s per-region mass for one.
-    The residual walks the broadcast shape of the stored blocks of
-    ``phi1``, ``phi2`` and ``A``: the full extent if one is dense,
-    ``(T, S, 1, 1)`` for :func:`bohr_phi_field`'s orbit field.  Along an
-    axis all three are constant on, so is the residual.
+    It walks ``_walk``'s cut of ``phi1``, ``phi2`` and ``A``, with a dense
+    copy's bits: the full extent if one is dense, ``(T, S, 1, 1)`` for
+    :func:`bohr_phi_field`'s orbit field.
     Component equations (anti-diagonal layout, mass ``m~ = -i m``):
     ``D phi2 - i e A~ phi2 - phi1 (i m) = 0`` and
     ``D‡ phi1 - i e A~ phi1 + phi2 (i m) = 0``.
@@ -481,9 +485,8 @@ def dirac_residual(phi: ReflectorField, A: LatticeField, e: float,
     if mode not in _FIRST_ORDER:
         raise DomainError(f"unknown difference mode {mode!r}")
     step = phi.lattice.step
-    planes = [_planes(v) for v in (A.values, phi.phi1, phi.phi2)]
-    shape = np.broadcast_shapes(*(_stored(P).shape for P in planes))[1:]
-    a, phi1, phi2 = (P[(slice(None), *map(slice, shape))] for P in planes)
+    (a, phi1, phi2), slabs = _walk([_planes(v) for v in (A.values, phi.phi1, phi.phi2)],
+                                   (4, 4, 1), _FIRST_ORDER[mode])
 
     def row(box, bufs, psi, chi, dagger: bool) -> float:
         """One equation's max on ``box``; ``chi`` is ``psi``'s mass partner."""
@@ -496,10 +499,9 @@ def dirac_residual(phi: ReflectorField, A: LatticeField, e: float,
         return _max_norm(r, box)
 
     n11, n22 = _maxima([(row(box, bufs, phi2, phi1, False),
-                         row(box, bufs, phi1, phi2, True))
-                        for box, bufs in _walk(shape, (4, 4, 1), _FIRST_ORDER[mode])], 2)
+                         row(box, bufs, phi1, phi2, True)) for box, bufs in slabs], 2)
     scale = _maxima([(_max_norm(phi1[:, box[0]]), _max_norm(phi2[:, box[0]]))
-                     for box in _slabs(shape)], 0)
+                     for box in _slabs(phi1.shape[1:])], 0)
     return ResidualReport(max_residual=max(n11, n22),
                           field_scale=max(*scale, 1e-300))
 
@@ -584,10 +586,10 @@ def transform_field(kind: str, field, binding: RegionBinding):
     except KeyError:
         raise DomainError(f"unknown transform kind {kind!r}") from None
 
-    def carried(values):
-        P = _planes(values)
+    def carried(values):  # the stored block, sitewise
+        (P,), slabs = _walk((_planes(values),), (4, 1))
         out = np.empty(P.shape, complex)
-        for box, (mid, scratch) in _walk(P.shape[1:], (4, 1)):
+        for box, (mid, scratch) in slabs:
             _transport(P[:, box[0]], binding, power, out[:, box[0]], mid, scratch[0])
         return _Planes(out)
 
@@ -622,16 +624,14 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
     """
     if not A_k.lattice == J_k.lattice == binding.lattice_k:
         raise DomainError("A_k and J_k must live on binding.lattice_k")
-    extent = binding.lattice_k.extent
-    a_k, j_k = _planes(A_k.values), _planes(J_k.values)
-    slabs = _walk(extent, (4, 4, 4), _WAVE)
-    lo, hi = _WAVE
+    (a_k, j_k), slabs = _walk((_planes(A_k.values), _planes(J_k.values)), (4, 4, 4), _WAVE)
+    lo, hi = _WAVE if a_k.shape[1] > 1 else (0, 0)  # _window's axis-0 halo
     # the snapshot potential on slices start.. of the slab and its axis-0
     # halo; the halo comes over from the last slab, so each slice of A_k is
     # carried once, up to ``done``
-    window = np.empty((4, slabs[0][0][0].stop + hi) + extent[1:], complex)
+    window = np.empty((4, slabs[0][0][0].stop + hi) + a_k.shape[2:], complex)
     # g P for a transport, and a scratch plane, on up to a slab of slices
-    carry = np.empty((5, slabs[0][0][0].stop - lo) + extent[1:], complex)
+    carry = np.empty((5, slabs[0][0][0].stop - lo) + a_k.shape[2:], complex)
 
     def carried(P, out, kind, box=(slice(None),) * 4):
         """``P`` carried into ``out``, finite on ``box``'s axes 1-3 unless None."""

@@ -91,8 +91,9 @@ def alpha_state():
 
 def constant_field(lattice, q: Biquaternion) -> LatticeField:
     """The constant ``q`` on ``lattice`` as ``bohr_potential_field`` stores its
-    potential: one site's planes, which the field broadcasts with zero strides."""
-    return LatticeField(lattice, lattice_module._Planes(q.as_array().reshape(4, 1, 1, 1, 1)))
+    potential, built from a broadcast view: one site's planes, which the field
+    broadcasts with zero strides."""
+    return LatticeField(lattice, np.broadcast_to(q.as_array(), lattice.extent + (4,)))
 
 
 class TestLatticeType:
@@ -423,7 +424,7 @@ class TestDiracResidual:
         phi = bohr_phi_field(lat, state)
         pot = bohr_potential_field(lat, state)
         assert pot.values.strides[:4] == (0, 0, 0, 0)
-        copied = LatticeField(lat, pot.values)
+        copied = LatticeField(lat, np.array(pot.values))
         assert np.moveaxis(copied.values, -1, 0).flags.c_contiguous
         for field, e in ((phi, 1.0), (charge_conjugate_field(phi), -1.0)):
             assert (dirac_residual(field, pot, e=e, mass=1.0, mode=mode)
@@ -1952,9 +1953,9 @@ class TestBroadcastFieldOracle:
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("mode", ["backward", "central"])
     def test_dirac_residual_stored_axis(self, mode, axis, width, monkeypatch):
-        # blocks stored with one site on ``axis``, adopted through ``_Planes``
-        # as ``constant_field`` does, against dense copies; the budget is in
-        # slices of the stored block, so the walk over it is cut into slabs
+        # blocks stored with one site on ``axis``, built from public broadcast
+        # views as ``constant_field`` is, against dense copies; the budget is
+        # in slices of the stored block, so the walk over it is cut into slabs
         shape = tuple(1 if k == axis else n for k, n in enumerate(self.extent))
         monkeypatch.setattr(lattice_module, "_SLAB_BYTES", width * _slice_bytes(shape))
         lat = HypercubicLattice(spacing=0.13, extent=self.extent,
@@ -1964,22 +1965,21 @@ class TestBroadcastFieldOracle:
                            for _ in range(3))
         zero = np.zeros_like(psi)
 
-        def dense(planes):
+        def view(planes):
             return np.moveaxis(np.broadcast_to(planes, (4,) + self.extent), 0, -1)
 
         potentials = (constant_field(lat, Biquaternion(0.2, -0.4j, 0.1, 0.3j)),
-                      LatticeField(lat, lattice_module._Planes(block)),
+                      LatticeField(lat, view(block)),
                       LatticeField(lat, _random_values(rng, lat)))
         # with one entry zero and no mass, one row alone is the report
         for (phi1, phi2), mass in (((psi, chi), 1.3), ((zero, chi), 0.0), ((psi, zero), 0.0)):
-            field = ReflectorField(lat, lattice_module._Planes(phi1),
-                                   lattice_module._Planes(phi2))
-            copy = ReflectorField(lat, dense(phi1), dense(phi2))
+            field = ReflectorField(lat, view(phi1), view(phi2))
+            copy = ReflectorField(lat, np.array(view(phi1)), np.array(view(phi2)))
             assert np.moveaxis(field.phi1, -1, 0).strides[axis + 1] == 0
             for pot, e in itertools.product(potentials, (1.0, -0.8)):
                 got = dataclasses.astuple(dirac_residual(field, pot, e, mass, mode))
                 want = dataclasses.astuple(dirac_residual(
-                    copy, LatticeField(lat, pot.values), e, mass, mode))
+                    copy, LatticeField(lat, np.array(pot.values)), e, mass, mode))
                 assert list(map(float.hex, got)) == list(map(float.hex, want))
 
     def test_write_field(self, tmp_path):
@@ -1999,6 +1999,85 @@ class TestBroadcastFieldOracle:
             got, want = (transform_field(kind, f, binding) for f in (field, dense))
             assert got.phi1.tobytes() == want.phi1.tobytes()
             assert got.phi2.tobytes() == want.phi2.tobytes()
+
+    # Fields built from public broadcast views of random blocks with one
+    # stored site on the axes ``ones``, each operand stored or a dense copy.
+
+    def views(self, seed, ones, count):
+        """``count`` broadcast views of random blocks, one site on ``ones``."""
+        rng = np.random.default_rng(seed)
+        shape = tuple(1 if k in ones else n for k, n in enumerate(self.extent)) + (4,)
+        return [np.broadcast_to(rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                                self.extent + (4,)) for _ in range(count)]
+
+    def stored_or_dense(self, lattice, views, ones, width, monkeypatch):
+        """Every choice of a stored field or a dense copy per view, with the
+        slab budget in slices of the shape the walk takes: the stored block
+        when all are stored, else the extent."""
+        for stored in itertools.product((True, False), repeat=len(views)):
+            walked = tuple(1 if k in ones and all(stored) else n
+                           for k, n in enumerate(self.extent))
+            monkeypatch.setattr(lattice_module, "_SLAB_BYTES", width * _slice_bytes(walked))
+            fields = [LatticeField(lattice, v if s else np.array(v))
+                      for v, s in zip(views, stored)]
+            for f, s in zip(fields, stored):
+                assert all(np.moveaxis(f.values, -1, 0).strides[k + 1] == 0
+                           for k in ones) == s
+            yield fields
+
+    @pytest.mark.parametrize("ones", [(0,), (1,), (2, 3), (0, 1, 2, 3)],
+                             ids=["axis0", "axis1", "axes23", "scalar"])
+    def test_photon_residual_stored_operands(self, ones, width, monkeypatch):
+        lat = HypercubicLattice(spacing=0.13, extent=self.extent,
+                                origin=(0.1, -0.3, 0.2, 0.0))
+        reports = [list(map(float.hex, dataclasses.astuple(photon_residual(A, J))))
+                   for A, J in self.stored_or_dense(lat, self.views(23, ones, 2), ones,
+                                                    width, monkeypatch)]
+        assert reports == [reports[-1]] * 4
+
+    @pytest.mark.parametrize("ones", [(0,), (1,), (2, 3), (0, 1, 2, 3)],
+                             ids=["axis0", "axis1", "axes23", "scalar"])
+    def test_equivalence_check_stored_operands(self, ones, width, monkeypatch):
+        _, latk, binding = build_lattices(a=0.1, R_k=0.23, extent=self.extent,
+                                          Z=boosted_rotation([0, 1, 1], 0.4, [1, 0, 0], 0.7))
+        reports = [list(map(float.hex, dataclasses.astuple(equivalence_check(binding, A, J))))
+                   for A, J in self.stored_or_dense(latk, self.views(29, ones, 2), ones,
+                                                    width, monkeypatch)]
+        assert reports == [reports[-1]] * 4
+
+    @pytest.mark.parametrize("kind", ["current", "derivative"])
+    @pytest.mark.parametrize("ones", [(0,), (1,), (2, 3), (0, 1, 2, 3)],
+                             ids=["axis0", "axis1", "axes23", "scalar"])
+    def test_transform_field_stored_block(self, ones, kind, width, monkeypatch):
+        # the transport carries the stored block, which stays stored
+        _, latk, binding = build_lattices(a=0.1, R_k=0.23, extent=self.extent,
+                                          Z=boosted_rotation([0, 1, 1], 0.4, [1, 0, 0], 0.7))
+        views = self.views(31, ones, 2)
+        got = [transform_field(kind, f, binding) for f in (
+            LatticeField(latk, views[0]), ReflectorField(latk, *views))]
+        want = [transform_field(kind, f, binding) for f in (
+            LatticeField(latk, np.array(views[0])),
+            ReflectorField(latk, *map(np.array, views)))]
+        for g, w in zip([got[0].values, got[1].phi1, got[1].phi2],
+                        [want[0].values, want[1].phi1, want[1].phi2]):
+            assert all(np.moveaxis(g, -1, 0).strides[k + 1] == 0 for k in ones)
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("residual", ["photon", "equivalence"])
+    def test_overflowing_constant_raises_stored_and_dense(self, residual):
+        # (v - 2v) + v overflows at v = 1e308: a one-site axis reads itself
+        # as its neighbour, so the stored walk raises as the dense one does
+        _, latk, binding = build_lattices(  # R_k = a: transport stays finite
+            a=0.13, R_k=0.13, extent=self.extent, Z=LorentzTransform.identity())
+        big = np.broadcast_to(np.array([1e308, 0, 0, 0], complex), self.extent + (4,))
+        (source,) = self.views(37, (0, 1, 2, 3), 1)
+        for a, j in ((big, source), (np.array(big), np.array(source))):
+            A, J = LatticeField(latk, a), LatticeField(latk, j)
+            with pytest.raises(FloatingPointError):
+                if residual == "photon":
+                    photon_residual(A, J)
+                else:
+                    equivalence_check(binding, A, J)
 
 
 class TestBroadcastFieldOracleNarrowAxes(TestBroadcastFieldOracle):
@@ -2183,7 +2262,7 @@ class TestSlabMemory:
             a=0.1, R_k=0.2, extent=self.extent,
             Z=LorentzTransform.boost([1, 0, 0], 0.7))
         pot = bohr_potential_field(latk, state)
-        copied = LatticeField(latk, pot.values)
+        copied = LatticeField(latk, np.array(pot.values))
         J = LatticeField(latk, _random_values(rng, latk))
         for residual, bound in ((photon_residual, 0.2), (
                 lambda A, J: equivalence_check(binding, A, J), 0.5)):
@@ -2362,6 +2441,22 @@ class TestPlaneKernels:
             field = LatticeField(self.lattice, layout)
             assert not np.shares_memory(field.values, layout)
             assert field.values.tobytes() == vals.tobytes()
+
+    def test_public_constructor_keeps_a_views_stored_block(self):
+        # a broadcast view keeps its stored block, copied and read-only; a
+        # broadcast scalar strides its components by 0 too, and keeps all four
+        extent = self.lattice.extent
+        rng = np.random.default_rng(44)
+        block = rng.normal(size=(5, 1, 6, 1, 4)) + 1j * rng.normal(size=(5, 1, 6, 1, 4))
+        for view, stored in ((np.broadcast_to(block, extent + (4,)), (4, 5, 1, 6, 1)),
+                             (np.broadcast_to(2.5j, extent + (4,)), (4, 1, 1, 1, 1))):
+            pair = ReflectorField(self.lattice, view, view)
+            for values in (LatticeField(self.lattice, view).values, pair.phi1, pair.phi2):
+                planes = lattice_module._stored(np.moveaxis(values, -1, 0))
+                assert planes.shape == stored and planes.flags.c_contiguous
+                assert not values.flags.writeable and not planes.flags.writeable
+                assert not np.shares_memory(values, view)
+                assert values.tobytes() == np.array(view).tobytes()
 
     def test_adopted_planes_are_checked(self):
         planes = np.zeros((4,) + self.lattice.extent, dtype=complex)

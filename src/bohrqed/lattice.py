@@ -201,6 +201,13 @@ class ReflectorField:
                 getattr(self, name), self.lattice, name))
 
 
+def _typed(types: tuple, **values) -> None:
+    """A ``TypeError`` naming the first of ``values`` that is none of ``types``."""
+    for name, value in values.items():
+        if not isinstance(value, types):
+            raise TypeError(f"{name} must be a {' or '.join(t.__name__ for t in types)}")
+
+
 def renormalize_mass(M_global: float, a: float, R_k: float) -> float:
     """The per-region mass ``(a/R_k) * M_global`` of a global magnitude."""
     M_global, a, R_k = float(M_global), float(a), float(R_k)
@@ -447,6 +454,7 @@ def photon_residual(A: LatticeField, J: LatticeField) -> ResidualReport:
     residuals coincide.  The source is read at the sites where the
     operator acts.
     """
+    _typed((LatticeField,), A=A, J=J)
     if A.lattice != J.lattice:
         raise DomainError("fields must live on the same lattice")
     (a, j), slabs = _walk((_planes(A.values), _planes(J.values)), (4, 4), _WAVE)
@@ -478,8 +486,8 @@ def dirac_residual(phi: ReflectorField, A: LatticeField, e: float,
     ``D‡ phi1 - i e A~ phi1 + phi2 (i m) = 0``.
     """
     finite("coupling and mass", e=e, mass=mass)
-    if not isinstance(A, LatticeField):
-        raise TypeError("potential must be a LatticeField")
+    _typed((ReflectorField,), phi=phi)
+    _typed((LatticeField,), potential=A)
     if A.lattice != phi.lattice:
         raise DomainError("potential must live on the wave function's lattice")
     if mode not in _FIRST_ORDER:
@@ -546,6 +554,7 @@ def charge_conjugate_field(phi: ReflectorField) -> ReflectorField:
     residual magnitudes unchanged.  Each entry's stored block is conjugated,
     so the partner of a broadcast field is broadcast, of a dense one dense.
     """
+    _typed((ReflectorField,), phi=phi)
     phi1 = np.conj(_stored(_planes(phi.phi2)))
     return ReflectorField(lattice=phi.lattice,
                           phi1=_Planes(np.negative(phi1, out=phi1)),
@@ -577,8 +586,7 @@ def transform_field(kind: str, field, binding: RegionBinding):
     entries (matrix mode).  :class:`~bohrqed.DomainError` if the field is
     not on ``binding.lattice_k``.
     """
-    if not isinstance(field, (LatticeField, ReflectorField)):
-        raise TypeError("field must be a LatticeField or ReflectorField")
+    _typed((LatticeField, ReflectorField), field=field)
     if field.lattice != binding.lattice_k:
         raise DomainError("the field must live on binding.lattice_k")
     try:
@@ -622,6 +630,7 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
     on ``binding.lattice_k`` or a transported field is not finite,
     ``FloatingPointError`` if a residual is not finite.
     """
+    _typed((LatticeField,), A_k=A_k, J_k=J_k)
     if not A_k.lattice == J_k.lattice == binding.lattice_k:
         raise DomainError("A_k and J_k must live on binding.lattice_k")
     (a_k, j_k), slabs = _walk((_planes(A_k.values), _planes(J_k.values)), (4, 4, 4), _WAVE)
@@ -766,6 +775,7 @@ def write_field(path, obj: LatticeField | ReflectorField) -> None:
     running and every temporary file is gone.  The rows go to a new file
     that replaces ``path`` once complete, so a failed write leaves the
     previous file, or none."""
+    _typed((LatticeField, ReflectorField), obj=obj)
     import subprocess  # only here: the package imports without it
 
     lattice = obj.lattice

@@ -634,7 +634,7 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
     if not A_k.lattice == J_k.lattice == binding.lattice_k:
         raise DomainError("A_k and J_k must live on binding.lattice_k")
     (a_k, j_k), slabs = _walk((_planes(A_k.values), _planes(J_k.values)), (4, 4, 4), _WAVE)
-    lo, hi = _WAVE if a_k.shape[1] > 1 else (0, 0)  # _window's axis-0 halo
+    lo, hi = slabs[0][0][0].start, a_k.shape[1] - slabs[-1][0][0].stop  # axis-0 margins
     # the snapshot potential on slices start.. of the slab and its axis-0
     # halo; the halo comes over from the last slab, so each slice of A_k is
     # carried once, up to ``done``

@@ -1992,7 +1992,10 @@ class TestBroadcastFieldOracle:
                     == (tmp_path / "dense.txt").read_bytes())
 
     @pytest.mark.parametrize("kind", ["derivative", "operator"])
-    def test_transform_field(self, kind):
+    def test_transform_field(self, kind, width, monkeypatch):
+        # the budget in slices of the carried (x0, s) block, as for the residual
+        monkeypatch.setattr(lattice_module, "_SLAB_BYTES",
+                            width * _slice_bytes(self.extent[:2] + (1, 1)))
         _, latk, binding = build_lattices(a=0.1, R_k=0.23, extent=self.extent,
                                           Z=boosted_rotation([0, 1, 1], 0.4, [1, 0, 0], 0.7))
         for field, dense in self.orbit_fields(latk):
@@ -2049,7 +2052,10 @@ class TestBroadcastFieldOracle:
     @pytest.mark.parametrize("ones", [(0,), (1,), (2, 3), (0, 1, 2, 3)],
                              ids=["axis0", "axis1", "axes23", "scalar"])
     def test_transform_field_stored_block(self, ones, kind, width, monkeypatch):
-        # the transport carries the stored block, which stays stored
+        # the transport carries the stored block, which stays stored; the
+        # budget is in slices of that block
+        shape = tuple(1 if k in ones else n for k, n in enumerate(self.extent))
+        monkeypatch.setattr(lattice_module, "_SLAB_BYTES", width * _slice_bytes(shape))
         _, latk, binding = build_lattices(a=0.1, R_k=0.23, extent=self.extent,
                                           Z=boosted_rotation([0, 1, 1], 0.4, [1, 0, 0], 0.7))
         views = self.views(31, ones, 2)

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import re
@@ -12,13 +13,16 @@ from bohrqed import (BohrInput, DomainError, HypercubicLattice, InfeasibleCovera
                      SupercriticalCoupling, build_lattices, count_interactions,
                      dirac_residual, equivalence_check, limit_sweep,
                      photon_residual, solve_bohr, tile, transform_field)
-from bohrqed import ensemble
+from bohrqed import algebra, bohr, ensemble, fitting, lattice, mspace
 from bohrqed._domain import finite, positive, whole
+from bohrqed.algebra import ONE, DiagonalMatrix, Reflector, reflector_mul
 from bohrqed.cli import RunReport, main
 from bohrqed.ensemble import Ensemble
 from bohrqed.fitting import fit_loglog
-from bohrqed.lattice import bohr_phi_field, charge_conjugate_field, write_field
-from bohrqed.mspace import KINDS, kind_dim
+from bohrqed.lattice import (RegionBinding, bohr_phi_field, bohr_potential_field,
+                             charge_conjugate_field, dirac_apply_values, wave_apply,
+                             write_field)
+from bohrqed.mspace import KINDS, boundary_points, kind_dim, l_to_m, m_to_l
 
 INTP_MAX = np.iinfo(np.intp).max
 
@@ -199,6 +203,11 @@ _, _LAT_K, _BINDING = build_lattices(a=0.1, R_k=0.2, extent=3,
                                      Z=LorentzTransform.identity())
 
 
+#: An argument of no package class, and a solved orbit to sample.
+_OBJ = object()
+_ORBIT = solve_bohr(BohrInput(e=1.0, f=-0.5, n=1, m=1.0))
+
+
 def _zero_reflector(lattice):
     zeros = np.zeros(lattice.extent + (4,), complex)
     return ReflectorField(lattice, zeros, zeros)
@@ -265,9 +274,119 @@ def _zero_reflector(lattice):
     pytest.param(lambda mp: RunReport("tile", 0, "").check("c", 1.0, 1.0, 0.0,
                                                            mode="near"),
                  ValueError, "unknown check mode 'near'", id="RunReport.check-mode"),
+    # an argument of the wrong kind is a TypeError naming the parameter;
+    # the id is "<callable>-<parameter>-type"
+    pytest.param(lambda mp: solve_bohr(_OBJ),
+                 TypeError, "inp must be a BohrInput", id="solve_bohr-inp-type"),
+    pytest.param(lambda mp: bohr.mass_shell_residual(_OBJ),
+                 TypeError, "state must be a BohrState", id="mass_shell_residual-state-type"),
+    pytest.param(lambda mp: ensemble.total_charge(_OBJ),
+                 TypeError, "ensemble must be an Ensemble", id="total_charge-ensemble-type"),
+    pytest.param(lambda mp: ensemble.verify_ensemble(_OBJ),
+                 TypeError, "ensemble must be an Ensemble", id="verify_ensemble-ensemble-type"),
+    pytest.param(lambda mp: ensemble.boundary_fill_distance(_OBJ),
+                 TypeError, "ensemble must be an Ensemble", id="boundary_fill_distance-ensemble-type"),
+    pytest.param(lambda mp: ensemble.partition_regions(_OBJ, 2),
+                 TypeError, "ensemble must be an Ensemble", id="partition_regions-ensemble-type"),
+    pytest.param(lambda mp: ensemble.scaling_sweep(_OBJ, [0.1, 0.05], 1.0),
+                 TypeError, "template must be a BohrInput", id="scaling_sweep-template-type"),
+    pytest.param(lambda mp: LatticeField(_OBJ, np.zeros((3,) * 4 + (4,), complex)),
+                 TypeError, "lattice must be a HypercubicLattice", id="LatticeField-lattice-type"),
+    pytest.param(lambda mp: ReflectorField(_OBJ, *[np.zeros((3,) * 4 + (4,), complex)] * 2),
+                 TypeError, "lattice must be a HypercubicLattice", id="ReflectorField-lattice-type"),
+    pytest.param(lambda mp: dirac_apply_values(np.zeros((3,) * 4 + (4,), complex), _OBJ),
+                 TypeError, "lattice must be a HypercubicLattice", id="dirac_apply_values-lattice-type"),
+    pytest.param(lambda mp: wave_apply(np.zeros((3,) * 4 + (4,), complex), _OBJ),
+                 TypeError, "lattice must be a HypercubicLattice", id="wave_apply-lattice-type"),
+    pytest.param(lambda mp: bohr_phi_field(_OBJ, _ORBIT),
+                 TypeError, "lattice must be a HypercubicLattice", id="bohr_phi_field-lattice-type"),
+    pytest.param(lambda mp: bohr_phi_field(_LAT_K, _OBJ),
+                 TypeError, "state must be a BohrState", id="bohr_phi_field-state-type"),
+    pytest.param(lambda mp: bohr_potential_field(_OBJ, _ORBIT),
+                 TypeError, "lattice must be a HypercubicLattice", id="bohr_potential_field-lattice-type"),
+    pytest.param(lambda mp: bohr_potential_field(_LAT_K, _OBJ),
+                 TypeError, "state must be a BohrState", id="bohr_potential_field-state-type"),
+    pytest.param(lambda mp: transform_field("current", _zero_field(_LAT_K), _OBJ),
+                 TypeError, "binding must be a RegionBinding", id="transform_field-binding-type"),
+    pytest.param(lambda mp: equivalence_check(_OBJ, _zero_field(_LAT_K), _zero_field(_LAT_K)),
+                 TypeError, "binding must be a RegionBinding", id="equivalence_check-binding-type"),
+    pytest.param(lambda mp: dirac_residual(_zero_reflector(_LAT_K), _zero_reflector(_LAT_K), e=1.0, mass=1.0),
+                 TypeError, "A must be a LatticeField", id="dirac_residual-A-type"),
+    pytest.param(lambda mp: RegionBinding(_OBJ, _LAT_K, _LAT_K),
+                 TypeError, "Z must be a LorentzTransform", id="RegionBinding-Z-type"),
+    pytest.param(lambda mp: RegionBinding(LorentzTransform.identity(), _OBJ, _LAT_K),
+                 TypeError, "lattice_k must be a HypercubicLattice", id="RegionBinding-lattice_k-type"),
+    pytest.param(lambda mp: RegionBinding(LorentzTransform.identity(), _LAT_K, _OBJ),
+                 TypeError, "lattice_p must be a HypercubicLattice", id="RegionBinding-lattice_p-type"),
+    pytest.param(lambda mp: build_lattices(a=0.1, R_k=0.2, extent=3, Z=_OBJ),
+                 TypeError, "Z must be a LorentzTransform", id="build_lattices-Z-type"),
+    pytest.param(lambda mp: reflector_mul(_OBJ, Reflector(ONE, ONE)),
+                 TypeError, "a must be a Reflector", id="reflector_mul-a-type"),
+    pytest.param(lambda mp: reflector_mul(Reflector(ONE, ONE), _OBJ),
+                 TypeError, "b must be a Reflector", id="reflector_mul-b-type"),
+    pytest.param(lambda mp: Reflector(_OBJ, ONE),
+                 TypeError, "upper must be a Biquaternion", id="Reflector-upper-type"),
+    pytest.param(lambda mp: Reflector(ONE, _OBJ),
+                 TypeError, "lower must be a Biquaternion", id="Reflector-lower-type"),
+    pytest.param(lambda mp: DiagonalMatrix(_OBJ, ONE),
+                 TypeError, "d1 must be a Biquaternion", id="DiagonalMatrix-d1-type"),
+    pytest.param(lambda mp: DiagonalMatrix(ONE, _OBJ),
+                 TypeError, "d2 must be a Biquaternion", id="DiagonalMatrix-d2-type"),
+    pytest.param(lambda mp: LorentzTransform(_OBJ),
+                 TypeError, "g must be a Biquaternion", id="LorentzTransform-g-type"),
+    pytest.param(lambda mp: LorentzTransform.identity().apply(_OBJ),
+                 TypeError, "q must be a Biquaternion", id="LorentzTransform.apply-q-type"),
+    pytest.param(lambda mp: RoundelSpec(center=_OBJ, R=0.25),
+                 TypeError, "center must be a LPoint", id="RoundelSpec-center-type"),
+    pytest.param(lambda mp: l_to_m(_OBJ, 1.0),
+                 TypeError, "p must be a LPoint", id="l_to_m-p-type"),
+    pytest.param(lambda mp: m_to_l(_OBJ, 1.0),
+                 TypeError, "p must be a MPoint", id="m_to_l-p-type"),
+    pytest.param(lambda mp: boundary_points(_OBJ, 4),
+                 TypeError, "spec must be a RoundelSpec", id="boundary_points-spec-type"),
 ])
 def test_input_check_names_the_input(monkeypatch, call, error, message):
     with pytest.raises(Exception) as info:
         call(monkeypatch)
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+#: Parameters annotated with a package class that are no input: the result
+#: types are built by the package from checked inputs.
+TYPED_OUTPUTS = {"BohrState", "LocalSolveGrid", "PowerFit", "Sweep"}
+
+
+def _public_typed_parameters() -> set[tuple[str, str]]:
+    """``(callable, parameter)`` for every parameter whose annotation names a
+    package class, over every ``__all__`` callable and the public methods and
+    static methods of its classes."""
+    modules = (algebra, bohr, ensemble, fitting, lattice, mspace)
+    classes = {name for m in modules for name in m.__all__
+               if inspect.isclass(getattr(m, name))}
+    found = set()
+    for module in modules:
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if name in TYPED_OUTPUTS or (inspect.isclass(obj) and issubclass(obj, Exception)):
+                continue
+            targets = [(name, obj)] if callable(obj) else []
+            if inspect.isclass(obj):
+                targets += [(f"{name}.{key}", getattr(obj, key)) for key, member in vars(obj).items()
+                            if not key.startswith("_")
+                            and (inspect.isfunction(member) or isinstance(member, staticmethod))]
+            for target_name, target in targets:
+                found |= {(target_name, p.name)
+                          for p in inspect.signature(target).parameters.values()
+                          if classes & set(re.findall(r"\w+", str(p.annotation)))}
+    return found
+
+
+def test_every_typed_parameter_has_a_row():
+    # a TypeError row of test_input_check_names_the_input covers the callable
+    # its id starts with and the parameter its message names
+    (mark,) = [m for m in test_input_check_names_the_input.pytestmark
+               if m.name == "parametrize"]
+    rows = {(row.id.split("-")[0], row.values[2].split(" must be ")[0])
+            for row in mark.args[1] if row.values[1] is TypeError}
+    assert _public_typed_parameters() - rows == set()

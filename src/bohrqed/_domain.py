@@ -1,7 +1,9 @@
-"""The input contract: :class:`DomainError` and the three checks that raise it.
+"""The input contract: :class:`DomainError` and the three checks that raise
+it, and :func:`typed`, the check of an argument's kind.
 
 Every input a computation cannot take is reported as a ``DomainError``
-whose message names the value; the CLI exits 3 on exactly these.
+whose message names the value; the CLI exits 3 on exactly these.  An
+argument of the wrong kind is a ``TypeError`` naming the parameter.
 """
 
 import math
@@ -35,3 +37,11 @@ def whole(name: str, value, least: int) -> None:
         raise DomainError(f"{name} must be {wanted}, got {value}")
     if value > _INTP_MAX:
         raise DomainError(f"{name} must be at most {_INTP_MAX}, got {value}")
+
+
+def typed(types: tuple, **values) -> None:
+    """A ``TypeError`` naming the first of ``values`` that is none of ``types``."""
+    for name, value in values.items():
+        if not isinstance(value, types):
+            kinds = " or ".join(t.__name__ for t in types)
+            raise TypeError(f"{name} must be {'an' if kinds[0] in 'AEIOU' else 'a'} {kinds}")

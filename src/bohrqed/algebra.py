@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._domain import DomainError, finite, positive
+from ._domain import DomainError, finite, positive, typed
 
 __all__ = [
     "Biquaternion",
@@ -138,6 +138,9 @@ class DiagonalMatrix:
     d1: Biquaternion
     d2: Biquaternion
 
+    def __post_init__(self):
+        typed((Biquaternion,), d1=self.d1, d2=self.d2)
+
     def __mul__(self, other):
         if isinstance(other, Reflector):
             return Reflector(self.d1 * other.upper, self.d2 * other.lower)
@@ -157,6 +160,9 @@ class Reflector:
     upper: Biquaternion
     lower: Biquaternion
 
+    def __post_init__(self):
+        typed((Biquaternion,), upper=self.upper, lower=self.lower)
+
     def __mul__(self, other):
         if isinstance(other, DiagonalMatrix):
             return Reflector(self.upper * other.d2, self.lower * other.d1)
@@ -165,6 +171,7 @@ class Reflector:
 
 def reflector_mul(a: Reflector, b: Reflector) -> DiagonalMatrix:
     """Product of two reflectors: ``X(a1,b1) X(a2,b2) = diag(a1 b2, b1 a2)``."""
+    typed((Reflector,), a=a, b=b)
     return DiagonalMatrix(a.upper * b.lower, a.lower * b.upper)
 
 
@@ -203,6 +210,9 @@ class LorentzTransform:
 
     g: Biquaternion
 
+    def __post_init__(self):
+        typed((Biquaternion,), g=self.g)
+
     @staticmethod
     def identity() -> "LorentzTransform":
         return LorentzTransform(ONE)
@@ -229,6 +239,7 @@ class LorentzTransform:
         return LorentzTransform(self.g.quat_conj())
 
     def apply(self, q: Biquaternion) -> Biquaternion:
+        typed((Biquaternion,), q=q)
         return self.g * q * self.g.dagger()
 
     def apply_array(self, values: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._domain import DomainError, finite, positive, whole
+from ._domain import DomainError, finite, positive, typed, whole
 
 __all__ = [
     "SupercriticalCoupling",
@@ -130,6 +130,7 @@ def solve_bohr(inp: BohrInput, allow_repulsive: bool = False) -> BohrState:
     rejected unless ``allow_repulsive`` is set; they satisfy the same
     algebra but describe no bound state.
     """
+    typed((BohrInput,), inp=inp)
     ef = inp.e * inp.f
     if ef == 0:
         raise DomainError(f"coupling e*f must be nonzero, got {ef}")
@@ -158,6 +159,7 @@ def mass_shell_residual(state: BohrState) -> float:
     with ``q~ = q/i``; collapsing the i-factors gives the real form
     ``m² = (nu - U)² - mu²``.
     """
+    typed((BohrState,), state=state)
     m = state.input.m
     mt = -1j * m
     nut = -1j * state.nu

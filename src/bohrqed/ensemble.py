@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._domain import DomainError, finite, positive, whole
+from ._domain import DomainError, finite, positive, typed, whole
 from .bohr import BohrInput
 from .fitting import Sweep, fit_sweep
 from .mspace import _boundary_samples, kind_dim
@@ -259,6 +259,7 @@ def verify_ensemble(ensemble: Ensemble) -> dict:
     ``max_coverage_ratio`` (the least c that would cover the box, sampled
     at 17 evenly spaced points per axis).
     """
+    typed((Ensemble,), ensemble=ensemble)
     centers, radii = ensemble.centers, ensemble.radii
     clearance = _least(
         centers, centers, radii,
@@ -276,6 +277,7 @@ def verify_ensemble(ensemble: Ensemble) -> dict:
 def boundary_fill_distance(ensemble: Ensemble) -> float:
     """Greatest distance to the union of boundaries from the box, sampled at
     33 evenly spaced points per axis."""
+    typed((Ensemble,), ensemble=ensemble)
     centers, radii = ensemble.centers, ensemble.radii
     gap = _least(_box_samples(ensemble.domain, _FILL_SAMPLES), centers, radii,
                  lambda i, j, d: np.abs(d - radii[j]),
@@ -289,6 +291,7 @@ def partition_regions(ensemble: Ensemble, regions_per_axis: int) -> Ensemble:
     Each roundel joins the region containing its center; boundary points
     follow their owning roundel's region (:attr:`Ensemble.boundary_regions`).
     """
+    typed((Ensemble,), ensemble=ensemble)
     los = np.array([lo for lo, _ in ensemble.domain])
     whole("regions_per_axis", regions_per_axis, 1)
     whole(f"region count regions_per_axis**{len(los)}", regions_per_axis ** len(los), 1)
@@ -315,6 +318,7 @@ def count_interactions(T: float, R: float, kind: str) -> int:
 
 def total_charge(ensemble: Ensemble) -> float:
     """Sum of the roundel charges."""
+    typed((Ensemble,), ensemble=ensemble)
     # a left-to-right fold: numpy's pairwise sum need not match it, nor does
     # sum(), which compensates from Python 3.12 on
     return float(functools.reduce(operator.add, ensemble.charges.tolist(), 0))
@@ -341,6 +345,7 @@ def scaling_sweep(template: BohrInput, radii: Sequence[float], T: float,
     and the orbital speed radius-independent.  The columns are
     ``R, mB, eB, eBa, f, A, rho, nl``.
     """
+    typed((BohrInput,), template=template)
     dim = kind_dim(kind)
     if template.e == 0:
         raise DomainError(f"template charge e must be non-zero, got {template.e}")

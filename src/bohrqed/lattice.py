@@ -55,7 +55,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import _rows
-from ._domain import DomainError, finite, positive, whole
+from ._domain import DomainError, finite, positive, typed, whole
 from .algebra import (
     BASIS,
     Biquaternion,
@@ -183,6 +183,7 @@ class LatticeField:
     label: str = "field"
 
     def __post_init__(self):
+        typed((HypercubicLattice,), lattice=self.lattice)
         object.__setattr__(self, "values",
                            _field_values(self.values, self.lattice, "field"))
 
@@ -196,16 +197,10 @@ class ReflectorField:
     phi2: np.ndarray
 
     def __post_init__(self):
+        typed((HypercubicLattice,), lattice=self.lattice)
         for name in ("phi1", "phi2"):
             object.__setattr__(self, name, _field_values(
                 getattr(self, name), self.lattice, name))
-
-
-def _typed(types: tuple, **values) -> None:
-    """A ``TypeError`` naming the first of ``values`` that is none of ``types``."""
-    for name, value in values.items():
-        if not isinstance(value, types):
-            raise TypeError(f"{name} must be a {' or '.join(t.__name__ for t in types)}")
 
 
 def renormalize_mass(M_global: float, a: float, R_k: float) -> float:
@@ -227,6 +222,10 @@ class RegionBinding:
     Z: LorentzTransform
     lattice_k: HypercubicLattice
     lattice_p: HypercubicLattice
+
+    def __post_init__(self):
+        typed((LorentzTransform,), Z=self.Z)
+        typed((HypercubicLattice,), lattice_k=self.lattice_k, lattice_p=self.lattice_p)
 
     @property
     def R_k(self) -> float:
@@ -395,6 +394,7 @@ def _padded(kernel, values, lattice: HypercubicLattice, margins, planes,
             *args) -> np.ndarray:
     """``kernel`` applied to raw field values, as C-contiguous planes, on every
     slab of the sites ``margins`` in, with ``_walk(planes)`` buffers; NaN elsewhere."""
+    typed((HypercubicLattice,), lattice=lattice)
     if np.shape(values) != lattice.extent + (4,):
         raise DomainError(f"values shape {np.shape(values)} does not match "
                           f"lattice extent {lattice.extent} + (4,)")
@@ -454,7 +454,7 @@ def photon_residual(A: LatticeField, J: LatticeField) -> ResidualReport:
     residuals coincide.  The source is read at the sites where the
     operator acts.
     """
-    _typed((LatticeField,), A=A, J=J)
+    typed((LatticeField,), A=A, J=J)
     if A.lattice != J.lattice:
         raise DomainError("fields must live on the same lattice")
     (a, j), slabs = _walk((_planes(A.values), _planes(J.values)), (4, 4), _WAVE)
@@ -486,8 +486,8 @@ def dirac_residual(phi: ReflectorField, A: LatticeField, e: float,
     ``D‡ phi1 - i e A~ phi1 + phi2 (i m) = 0``.
     """
     finite("coupling and mass", e=e, mass=mass)
-    _typed((ReflectorField,), phi=phi)
-    _typed((LatticeField,), potential=A)
+    typed((ReflectorField,), phi=phi)
+    typed((LatticeField,), A=A)
     if A.lattice != phi.lattice:
         raise DomainError("potential must live on the wave function's lattice")
     if mode not in _FIRST_ORDER:
@@ -525,6 +525,8 @@ def bohr_phi_field(lattice: HypercubicLattice, state: BohrState) -> ReflectorFie
     and is constant along the radial and x3 axes, so each entry stores one
     ``(4, T, S, 1, 1)`` block, broadcast along them with zero strides.
     """
+    typed((HypercubicLattice,), lattice=lattice)
+    typed((BohrState,), state=state)
     x0 = lattice.axis_coords(0)[:, None]
     s = lattice.axis_coords(1)[None, :]
     phase = np.exp(1j * (state.mu * s - state.nu * x0))[:, :, None, None]
@@ -541,6 +543,8 @@ def bohr_potential_field(lattice: HypercubicLattice,
                          state: BohrState) -> LatticeField:
     """Constant orbit-space potential ``A~ = -i f / R`` (scalar entry), stored
     as one site's planes broadcast with zero strides: no per-site storage."""
+    typed((HypercubicLattice,), lattice=lattice)
+    typed((BohrState,), state=state)
     block = np.zeros((4, 1, 1, 1, 1), dtype=complex)
     block[0] = -1j * state.input.f / state.R
     return LatticeField(lattice=lattice, label="potential", values=_Planes(block))
@@ -554,7 +558,7 @@ def charge_conjugate_field(phi: ReflectorField) -> ReflectorField:
     residual magnitudes unchanged.  Each entry's stored block is conjugated,
     so the partner of a broadcast field is broadcast, of a dense one dense.
     """
-    _typed((ReflectorField,), phi=phi)
+    typed((ReflectorField,), phi=phi)
     phi1 = np.conj(_stored(_planes(phi.phi2)))
     return ReflectorField(lattice=phi.lattice,
                           phi1=_Planes(np.negative(phi1, out=phi1)),
@@ -586,7 +590,8 @@ def transform_field(kind: str, field, binding: RegionBinding):
     entries (matrix mode).  :class:`~bohrqed.DomainError` if the field is
     not on ``binding.lattice_k``.
     """
-    _typed((LatticeField, ReflectorField), field=field)
+    typed((LatticeField, ReflectorField), field=field)
+    typed((RegionBinding,), binding=binding)
     if field.lattice != binding.lattice_k:
         raise DomainError("the field must live on binding.lattice_k")
     try:
@@ -630,7 +635,8 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
     on ``binding.lattice_k`` or a transported field is not finite,
     ``FloatingPointError`` if a residual is not finite.
     """
-    _typed((LatticeField,), A_k=A_k, J_k=J_k)
+    typed((RegionBinding,), binding=binding)
+    typed((LatticeField,), A_k=A_k, J_k=J_k)
     if not A_k.lattice == J_k.lattice == binding.lattice_k:
         raise DomainError("A_k and J_k must live on binding.lattice_k")
     (a_k, j_k), slabs = _walk((_planes(A_k.values), _planes(J_k.values)), (4, 4, 4), _WAVE)
@@ -775,7 +781,7 @@ def write_field(path, obj: LatticeField | ReflectorField) -> None:
     running and every temporary file is gone.  The rows go to a new file
     that replaces ``path`` once complete, so a failed write leaves the
     previous file, or none."""
-    _typed((LatticeField, ReflectorField), obj=obj)
+    typed((LatticeField, ReflectorField), obj=obj)
     import subprocess  # only here: the package imports without it
 
     lattice = obj.lattice

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._domain import DomainError, positive, whole
+from ._domain import DomainError, positive, typed, whole
 
 __all__ = [
     "LPoint",
@@ -92,11 +92,13 @@ class MPoint:
 
 
 def l_to_m(p: LPoint, R: float) -> MPoint:
+    typed((LPoint,), p=p)
     positive("curve parameter R", R)
     return MPoint(x0=p.x0, s=R * p.theta, r=p.r, x3=p.x3, turns=p.turns)
 
 
 def m_to_l(p: MPoint, R: float) -> LPoint:
+    typed((MPoint,), p=p)
     positive("curve parameter R", R)
     return LPoint(x0=p.x0, r=p.r, theta=p.s / R, x3=p.x3, turns=p.turns)
 
@@ -110,6 +112,7 @@ class RoundelSpec:
     kind: str = "pure"  # "pure" | "superposition"
 
     def __post_init__(self):
+        typed((LPoint,), center=self.center)
         positive("roundel radius", self.R)
         kind_dim(self.kind)
 
@@ -142,6 +145,7 @@ def boundary_points(spec: RoundelSpec, count: int, seed: int = 0) -> list[LPoint
     2010); the seed rotates the longitude origin so distinct seeds give
     distinct, reproducible sets.
     """
+    typed((RoundelSpec,), spec=spec)
     whole("count", count, 1)
     c = spec.center.to_cartesian()
     dim = KINDS[spec.kind]

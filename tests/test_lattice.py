@@ -404,7 +404,7 @@ class TestDiracResidual:
             with pytest.raises(ValueError, match="lattice"):
                 dirac_residual(phi, pot, e=1.0, mass=1.0)
             for A in ((same, pot), (same, same), Biquaternion(-0.3j)):
-                with pytest.raises(TypeError, match="^potential must be a LatticeField$"):
+                with pytest.raises(TypeError, match="^A must be a LatticeField$"):
                     dirac_residual(phi, A, e=1.0, mass=1.0)
 
     def test_zero_wavefunction(self):

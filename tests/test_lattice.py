@@ -1450,12 +1450,12 @@ def _assert_equivalence(binding, A_k, J_k):
     assert _hexes(equivalence_check(binding, A_k, J_k)) == _hexes(want)
 
 
-def _signed_zeros(rng, values, share):
-    """``values`` with about ``share`` of the real and of the imaginary parts
-    +0.0 and as many -0.0, in place."""
+def _zero_laden(rng, values):
+    """``values`` with +0.0 or -0.0 in about half the real and half the
+    imaginary parts, in place."""
     for part in (values.real, values.imag):
-        part[rng.random(part.shape) < share] = 0.0
-        part[rng.random(part.shape) < share] = -0.0
+        zero = rng.random(part.shape) < 0.5
+        part[zero] = np.copysign(0.0, rng.normal(size=int(zero.sum())))
     return values
 
 
@@ -1485,7 +1485,7 @@ class TestDefinitionalReference:
         stored = tuple(1 if k in ones else n for k, n in enumerate(extent)) + (4,)
         blocks = [rng.normal(size=stored) + 1j * rng.normal(size=stored) for _ in range(4)]
         if zeros:
-            blocks = [_signed_zeros(rng, b, 0.2) for b in blocks]
+            blocks = [_zero_laden(rng, b) for b in blocks]
         views = [np.broadcast_to(b, extent + (4,)) for b in blocks]
         dense = [np.array(v) for v in views]
         if potential != "field":
@@ -2035,16 +2035,6 @@ class TestBroadcastFieldOracleNarrowAxes(TestBroadcastFieldOracle):
 # the reference does, on signed zeros and on overflowing differences
 # ---------------------------------------------------------------------------
 
-def _zero_laden(rng, lattice):
-    """Random values with +0.0 or -0.0 in about half the real and half the
-    imaginary parts."""
-    vals = _random_values(rng, lattice)
-    for part in (vals.real, vals.imag):
-        zero = rng.random(part.shape) < 0.5
-        part[zero] = np.copysign(0.0, rng.normal(size=int(zero.sum())))
-    return vals
-
-
 class TestReciprocalStep:
     """Scaling by the step's reciprocal keeps the reference's bits, zero
     signs and overflows included; no numpy warning leaks."""
@@ -2055,7 +2045,7 @@ class TestReciprocalStep:
         """Zero-laden values whose axis-0 and axis-1 differences at interior
         sites overflow in every mode: ``1e308 - (-1e308)``, zero imaginary
         parts."""
-        vals = _zero_laden(rng, self.lattice)
+        vals = _zero_laden(rng, _random_values(rng, self.lattice))
         vals[1:3, 2, 2, 2, 1], vals[3, 2, 2, 2, 1] = -1e308 + 0j, 1e308 - 0j
         vals[2, 1, 2, 2, 1], vals[2, 3, 2, 2, 1] = -1e308 + 0j, 1e308 - 0j
         return vals
@@ -2063,7 +2053,7 @@ class TestReciprocalStep:
     @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
     def test_dirac_apply(self, mode):
         rng = np.random.default_rng(21)
-        finite = _zero_laden(rng, self.lattice)
+        finite = _zero_laden(rng, _random_values(rng, self.lattice))
         for dagger in (False, True):
             with np.errstate(all="raise"):  # and so no warning either
                 _assert_dirac(finite, self.lattice, mode, dagger)
@@ -2081,7 +2071,8 @@ class TestReciprocalStep:
 
     def test_wave_apply(self):
         rng = np.random.default_rng(22)
-        for vals in (_zero_laden(rng, self.lattice), self.overflowing(rng)):
+        for vals in (_zero_laden(rng, _random_values(rng, self.lattice)),
+                     self.overflowing(rng)):
             with np.errstate(all="raise"):
                 got = wave_apply(vals, self.lattice)
             with np.errstate(over="ignore", invalid="ignore"):
@@ -2092,7 +2083,7 @@ class TestReciprocalStep:
     def test_residual_reports_unchanged(self):
         rng = np.random.default_rng(23)
         lat = self.lattice
-        phi1, phi2, pot, J = (_zero_laden(rng, lat) for _ in range(4))
+        phi1, phi2, pot, J = (_zero_laden(rng, _random_values(rng, lat)) for _ in range(4))
         phi = ReflectorField(lat, phi1, phi2)
         _assert_refused(lat, "forward")
         for mode in ("backward", "central"):
@@ -2246,12 +2237,12 @@ class TestPlaneKernels:
     @pytest.mark.parametrize("dagger", [False, True])
     @pytest.mark.parametrize("mode", ["backward", "forward", "central"])
     def test_dirac_apply_signed_zeros(self, mode, dagger, basis):
-        # a third of the parts are +0.0 or -0.0, so that differences of
+        # half the parts are +0.0 or -0.0, so that differences of
         # neighbours are often signed zeros
         if mode == "forward" or basis is not None:
             return _assert_refused(self.lattice, mode, basis)
-        vals = _signed_zeros(np.random.default_rng(32),
-                             _random_values(np.random.default_rng(31), self.lattice), 0.35)
+        rng = np.random.default_rng(31)
+        vals = _zero_laden(rng, _random_values(rng, self.lattice))
         for layout in (vals, _component_major(vals)):
             _assert_dirac(layout, self.lattice, mode, dagger)
 

@@ -1884,9 +1884,9 @@ class TestBroadcastFieldOracle:
                       LatticeField(lat, _random_values(np.random.default_rng(17), lat)))
         for field, dense in self.orbit_fields(lat):
             for pot, e in itertools.product(potentials, (1.0, -0.8)):
-                got, want = (dataclasses.astuple(dirac_residual(f, pot, e, 1.3, mode))
+                got, want = (_hexes(dirac_residual(f, pot, e, 1.3, mode))
                              for f in (field, dense))
-                assert list(map(float.hex, got)) == list(map(float.hex, want))
+                assert got == want
 
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("mode", ["backward", "central"])
@@ -1915,10 +1915,10 @@ class TestBroadcastFieldOracle:
             copy = ReflectorField(lat, np.array(view(phi1)), np.array(view(phi2)))
             assert np.moveaxis(field.phi1, -1, 0).strides[axis + 1] == 0
             for pot, e in itertools.product(potentials, (1.0, -0.8)):
-                got = dataclasses.astuple(dirac_residual(field, pot, e, mass, mode))
-                want = dataclasses.astuple(dirac_residual(
+                got = _hexes(dirac_residual(field, pot, e, mass, mode))
+                want = _hexes(dirac_residual(
                     copy, LatticeField(lat, np.array(pot.values)), e, mass, mode))
-                assert list(map(float.hex, got)) == list(map(float.hex, want))
+                assert got == want
 
     def test_write_field(self, tmp_path):
         lat = HypercubicLattice(spacing=0.13, extent=self.extent,
@@ -1971,7 +1971,7 @@ class TestBroadcastFieldOracle:
     def test_photon_residual_stored_operands(self, ones, width, monkeypatch):
         lat = HypercubicLattice(spacing=0.13, extent=self.extent,
                                 origin=(0.1, -0.3, 0.2, 0.0))
-        reports = [list(map(float.hex, dataclasses.astuple(photon_residual(A, J))))
+        reports = [_hexes(photon_residual(A, J))
                    for A, J in self.stored_or_dense(lat, self.views(23, ones, 2), ones,
                                                     width, monkeypatch)]
         assert reports == [reports[-1]] * 4
@@ -1981,7 +1981,7 @@ class TestBroadcastFieldOracle:
     def test_equivalence_check_stored_operands(self, ones, width, monkeypatch):
         _, latk, binding = build_lattices(a=0.1, R_k=0.23, extent=self.extent,
                                           Z=boosted_rotation([0, 1, 1], 0.4, [1, 0, 0], 0.7))
-        reports = [list(map(float.hex, dataclasses.astuple(equivalence_check(binding, A, J))))
+        reports = [_hexes(equivalence_check(binding, A, J))
                    for A, J in self.stored_or_dense(latk, self.views(29, ones, 2), ones,
                                                     width, monkeypatch)]
         assert reports == [reports[-1]] * 4
@@ -2107,7 +2107,6 @@ class TestReciprocalStep:
         assert np.isnan(got[0]).all() and np.isfinite(got[1, 1, 1, 1]).all()
 
 
-
 class TestSlabMemory:
     """At the default slab budget the residuals' temporaries stay under half
     a field; whole-array kernels need about four fields."""
@@ -2148,7 +2147,7 @@ class TestSlabMemory:
             fields = (phi, charge_conjugate_field(phi))
             dirac_residual(phi, pot, 1.0, 1.0, mode)  # the unit rows are cached
             runs.append(_traced_peak(lambda: [
-                list(map(float.hex, dataclasses.astuple(dirac_residual(psi, pot, e, 1.0, mode))))
+                _hexes(dirac_residual(psi, pot, e, 1.0, mode))
                 for psi, e in zip(fields, (1.0, -1.0))]))
         (small_peak, small), (big_peak, big) = runs
         assert big == small

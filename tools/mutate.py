@@ -20,11 +20,10 @@ Run from the repository root::
 
     python tools/mutate.py                 # every mutant, both test files
     python tools/mutate.py --jobs 2        # two mutants at a time
-    python tools/mutate.py --list          # the mutants, run none
     python tools/mutate.py --tests tests/test_lattice.py::TestDefinitionalReference
     python tools/mutate.py --self-check    # one known mutant must be killed
 
-The results go to ``.mutants/`` (``--out``): ``matrix.json`` maps each
+The results go to ``.mutants/``: ``matrix.json`` maps each
 mutant to its status and the test id that killed it, ``kills.json`` maps
 each test function to the mutants it killed first, and ``survivors.json``
 lists the mutants no test killed.  Only the standard library is used.
@@ -58,6 +57,9 @@ TARGETS = {
     "src/bohrqed/algebra.py": ("bq_mul_planes",),
 }
 TESTS = ("tests/test_lattice.py", "tests/test_algebra.py")
+OUT = ROOT / ".mutants"
+#: Seconds a test run may take, raised to 10 times the unmutated run.
+TIMEOUT = 300.0
 
 #: The self-check's mutant (the backward difference read as a forward one)
 #: and the test ids it runs; the mutant must fail them, the original pass.
@@ -194,16 +196,16 @@ def _tree_digest(folder: Path) -> str:
     return digest.hexdigest()
 
 
-def run(selected: list[dict], tests, jobs: int, timeout: float, out: Path) -> dict:
+def run(selected: list[dict], tests, jobs: int, out: Path = OUT) -> dict:
     """Every mutant of ``selected`` against ``tests``, ``jobs`` at a time, each
     worker in its own workspace; the results written to ``out``."""
     works = [_workspace() for _ in range(jobs)]
     try:
         for work in works:  # the unmutated code must pass, or nothing is measured
-            status, first, seconds = run_tests(work, tests, timeout)
+            status, first, seconds = run_tests(work, tests, TIMEOUT)
             if status != "survived":
                 raise SystemExit(f"the tests fail without a mutant: {first}")
-        limit = max(timeout, 10 * seconds)
+        limit = max(TIMEOUT, 10 * seconds)
         results = {}
 
         def one(k: int) -> None:
@@ -244,13 +246,13 @@ def run(selected: list[dict], tests, jobs: int, timeout: float, out: Path) -> di
     return matrix
 
 
-def self_check(timeout: float) -> int:
+def self_check() -> int:
     """The known mutant against ``SELF_CHECK_TESTS``: the original passes, the
     mutant is killed, and ``src/`` is byte for byte what it was."""
     before = _tree_digest(ROOT / "src")
     (mutant,) = [m for m in mutants() if m["id"] == SELF_CHECK_MUTANT]
     with tempfile.TemporaryDirectory(prefix="bohrqed-self-check-") as out:
-        matrix = run([mutant], SELF_CHECK_TESTS, 1, timeout, Path(out))
+        matrix = run([mutant], SELF_CHECK_TESTS, 1, Path(out))
     problems = []
     if matrix[SELF_CHECK_MUTANT]["status"] != "killed":
         problems.append(f"{SELF_CHECK_MUTANT} was not killed")
@@ -265,24 +267,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--tests", nargs="+", default=list(TESTS),
                         help="test files or ids to run against each mutant")
-    parser.add_argument("--only", nargs="+", help="run only these mutant ids")
     parser.add_argument("--jobs", type=int, default=1)
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="seconds per run (at least 10 times the unmutated run)")
-    parser.add_argument("--out", type=Path, default=ROOT / ".mutants")
-    parser.add_argument("--list", action="store_true", help="list the mutants")
     parser.add_argument("--self-check", action="store_true")
     args = parser.parse_args(argv)
     if args.self_check:
-        return self_check(args.timeout)
-    selected = mutants()
-    if args.only:
-        selected = [m for m in selected if m["id"] in set(args.only)]
-    if args.list:
-        for m in selected:
-            print(f"{m['path']}:{m['line']}: {m['id']}")
-        return 0
-    run(selected, args.tests, args.jobs, args.timeout, args.out)
+        return self_check()
+    run(mutants(), args.tests, args.jobs)
     return 0
 
 

@@ -33,10 +33,7 @@ Basis units act by signed permutation (times ``i`` on time); a report,
 the max of per-slab maxima, is the whole-array value.
 :func:`limit_sweep` tabulates the bare variables as the spacing shrinks
 and fits their power laws as a :class:`~bohrqed.fitting.Sweep`.
-:func:`write_field` formats its slabs in one contiguous part per CPU
-(one slab's text per process at a time): part 0 here, each later one in
-a ``python -I -S`` child running the stdlib-only ``_rows.py``, with the
-same bytes; one slab or one CPU starts no child.
+:func:`write_field` formats one slab's text at a time, in this process.
 """
 
 from __future__ import annotations
@@ -46,15 +43,12 @@ import functools
 import itertools
 import math
 import os
-import shutil
 import sys
-import tempfile
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import _rows
 from ._domain import DomainError, finite, positive, typed, whole
 from .algebra import (
     BASIS,
@@ -304,19 +298,19 @@ def _inner(P: np.ndarray, box) -> np.ndarray:
     return P[(slice(None), slice(None), *box[1:])]
 
 
-def _window(P: np.ndarray, box, margins) -> tuple[np.ndarray, tuple]:
-    """``box``'s time slices of ``P`` and their ``margins`` halo (none on an
+def _window(P: np.ndarray, t: slice, margins) -> tuple[np.ndarray, slice]:
+    """The time slices ``t`` of ``P`` and their ``margins`` halo (none on an
     axis 0 of one site) as flat planes, a copy only of planes broadcast to a
-    larger extent than they store, and ``box`` within them."""
+    larger extent than they store, and ``t`` within them."""
     lo, hi = margins if P.shape[1] > 1 else (0, 0)
-    P = P[:, box[0].start - lo:box[0].stop + hi].reshape(4, -1).reshape((4, -1) + P.shape[2:])
-    return P, (slice(lo, P.shape[1] - hi),) + box[1:]
+    P = P[:, t.start - lo:t.stop + hi].reshape(4, -1).reshape((4, -1) + P.shape[2:])
+    return P, slice(lo, P.shape[1] - hi)
 
 
-def _stencil(P: np.ndarray, axis: int, step: float, mode: str | None, box,
+def _stencil(P: np.ndarray, axis: int, step: float, mode: str | None, t: slice,
              out: np.ndarray) -> np.ndarray:
     """The first-order ``mode`` difference along ``axis`` of the flat planes
-    ``P`` on ``box``'s time slices into ``out``, or for None the 3-point
+    ``P`` on their time slices ``t`` into ``out``, or for None the 3-point
     second difference (backward then forward).  Each term is one flat range
     of each plane, offset by the axis stride: a move across an edge of axes
     1-3 wraps, into sites outside the interior, and where ``P`` has no
@@ -329,7 +323,7 @@ def _stencil(P: np.ndarray, axis: int, step: float, mode: str | None, box,
     lo, hi = _WAVE if mode is None else _FIRST_ORDER[mode]
     size = math.prod(P.shape[2:])
     stride = math.prod(P.shape[axis + 2:]) if P.shape[axis + 1] > 1 else 0
-    start, n = box[0].start * size, (box[0].stop - box[0].start) * size
+    start, n = t.start * size, (t.stop - t.start) * size
     first, stop = max(0, lo * stride - start), min(n, P[0].size - start - hi * stride)
     flat, o = P.reshape(4, -1), out.reshape(4, -1)[:, first:stop]
 
@@ -357,17 +351,18 @@ def _unit_rows(c: Biquaternion) -> tuple:
                  for k in range(4))
 
 
-def _dirac(P: np.ndarray, step: float, box, bufs, mode: str,
+def _dirac(P: np.ndarray, step: float, t: slice, bufs, mode: str,
            dagger: bool = False) -> np.ndarray:
-    """``D P`` (``D‡ P`` with ``dagger``) on ``box``, read by ``_window``: each
-    axis's difference permuted by ``_unit_rows`` of its basis unit and added
-    into the first of ``bufs`` from zero, axes in order; the second holds the
-    difference and the third, one plane, a ±1j term."""
-    P, box = _window(P, box, _FIRST_ORDER[mode])
+    """``D P`` (``D‡ P`` with ``dagger``) on the time slices ``t``, read by
+    ``_window``: each axis's difference permuted by ``_unit_rows`` of its
+    basis unit and added into the first of ``bufs`` from zero, axes in
+    order; the second holds the difference and the third, one plane, a
+    ±1j term."""
+    P, t = _window(P, t, _FIRST_ORDER[mode])
     out, diff, scratch = bufs
     out[...] = 0
     for mu, unit in enumerate(BASIS):
-        _stencil(P, mu, step, mode, box, diff)
+        _stencil(P, mu, step, mode, t, diff)
         for plane, (j, coef) in zip(out, _unit_rows(unit.quat_conj() if dagger else unit)):
             if coef == 1:
                 plane += diff[j]
@@ -378,14 +373,15 @@ def _dirac(P: np.ndarray, step: float, box, bufs, mode: str,
     return out
 
 
-def _wave(P: np.ndarray, step: float, box, bufs) -> np.ndarray:
-    """``-d0² + d1² + d2² + d3²`` of ``P`` on ``box``, read by ``_window``,
-    into the first of ``bufs``; the second holds each axis's difference."""
-    P, box = _window(P, box, _WAVE)
+def _wave(P: np.ndarray, step: float, t: slice, bufs) -> np.ndarray:
+    """``-d0² + d1² + d2² + d3²`` of ``P`` on the time slices ``t``, read by
+    ``_window``, into the first of ``bufs``; the second holds each axis's
+    difference."""
+    P, t = _window(P, t, _WAVE)
     out, diff = bufs
-    np.negative(_stencil(P, 0, step, None, box, out), out=out)
+    np.negative(_stencil(P, 0, step, None, t, out), out=out)
     for mu in range(1, 4):
-        out += _stencil(P, mu, step, None, box, diff)
+        out += _stencil(P, mu, step, None, t, diff)
     return out
 
 
@@ -401,7 +397,7 @@ def _padded(kernel, values, lattice: HypercubicLattice, margins, planes,
     (P,), slabs = _walk((np.ascontiguousarray(_planes(values)),), planes, margins)
     out = np.full((4,) + lattice.extent, np.nan + 0j)
     for box, bufs in slabs:
-        out[(..., *box)] = _inner(kernel(P, lattice.step, box, bufs, *args), box)
+        out[(..., *box)] = _inner(kernel(P, lattice.step, box[0], bufs, *args), box)
     return np.moveaxis(out, 0, -1)
 
 
@@ -460,7 +456,7 @@ def photon_residual(A: LatticeField, J: LatticeField) -> ResidualReport:
     (a, j), slabs = _walk((_planes(A.values), _planes(J.values)), (4, 4), _WAVE)
     rows = []
     for box, bufs in slabs:
-        lhs, rhs = _wave(a, A.lattice.step, box, bufs), j[:, box[0]]
+        lhs, rhs = _wave(a, A.lattice.step, box[0], bufs), j[:, box[0]]
         scales = _max_norm(rhs, box), _max_norm(lhs, box)
         lhs -= rhs
         rows.append((_max_norm(lhs, box), *scales))
@@ -498,7 +494,7 @@ def dirac_residual(phi: ReflectorField, A: LatticeField, e: float,
 
     def row(box, bufs, psi, chi, dagger: bool) -> float:
         """One equation's max on ``box``; ``chi`` is ``psi``'s mass partner."""
-        r = _dirac(psi, step, box, bufs, mode, dagger)
+        r = _dirac(psi, step, box[0], bufs, mode, dagger)
         prod = bufs[1]  # the difference is spent
         r -= np.multiply(1j * e, bq_mul_planes(a[:, box[0]], psi[:, box[0]],
                                                prod, bufs[2][0]), out=prod)
@@ -660,7 +656,7 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
     rows = []
     for slab, (resid_k, resid_p, diff) in slabs:
         t0, t1 = slab[0].start, slab[0].stop
-        _wave(a_k, binding.lattice_k.step, slab, (resid_k, diff))
+        _wave(a_k, binding.lattice_k.step, slab[0], (resid_k, diff))
         resid_k -= j_k[:, slab[0]]
         shift, start = t0 - lo - start, t0 - lo
         for t in range(done - start):  # plane by plane, slice by slice: the
@@ -669,8 +665,7 @@ def equivalence_check(binding: RegionBinding, A_k: LatticeField,
         for t in range(done, t1 + hi):
             carried(a_k[:, t:t + 1], window[:, t - start:t - start + 1], "potential")
         done = t1 + hi
-        _wave(window, binding.lattice_p.step, (slice(lo, lo + t1 - t0),) + slab[1:],
-              (resid_p, diff))
+        _wave(window, binding.lattice_p.step, slice(lo, lo + t1 - t0), (resid_p, diff))
         scale = _max_norm(resid_p, slab)
         resid_p -= carried(j_k[:, slab[0]], diff, "current", slab)
         lp = _max_norm(resid_p, slab)
@@ -739,14 +734,6 @@ def limit_sweep(p: float, spacings: Sequence[float], n: int = 1,
 # Text serialization
 # ---------------------------------------------------------------------------
 
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        return os.cpu_count() or 1
-
-
 @contextlib.contextmanager
 def _replacing(path, mode: str = "wb", **kwargs):
     """A new file in ``path``'s directory, opened for ``mode`` with the
@@ -764,26 +751,33 @@ def _replacing(path, mode: str = "wb", **kwargs):
         raise
 
 
+def _rows(block: np.ndarray, start: int) -> str:
+    """The rows of a slab's C-contiguous ``block`` of values, its time slices
+    from ``start``: each site's index quadruple, then its complex components.
+    One ``%`` formats the whole slab."""
+    *shape, width = block.shape
+    sites, stride = block.size // width, 4 + 2 * width
+    args = [0] * (sites * stride)
+    index = np.indices(shape).reshape(4, -1)
+    index[0] += start
+    for axis in range(4):
+        args[axis::stride] = index[axis].tolist()
+    values = block.view(float).ravel().tolist()  # re, im, ... per site
+    for k in range(2 * width):
+        args[4 + k::stride] = values[k::2 * width]
+    row = "%d %d %d %d " + " ".join(["%.17g%+.17gj"] * width) + "\n"
+    return (row * sites) % tuple(args)
+
+
 def write_field(path, obj: LatticeField | ReflectorField) -> None:
     """Flat text format: header, then one line per site with the index
     quadruple and the complex components (4 per biquaternion entry).
 
-    The ``_slabs`` are cut into as many contiguous parts as there are CPUs
-    this process may run on, or slabs if fewer.  This process formats part
-    0 straight into the file.  Each later part is formatted by a fresh
-    ``python -I -S`` child running ``bohrqed/_rows.py``, which imports
-    nothing but the standard library: it reads the part's raw doubles from
-    an unnamed temporary file and writes its rows to another, appended
-    here in order.  Both sides format with ``_rows.rows``, so the bytes do
-    not depend on the split.  One slab or one CPU starts no child.  Each
-    process holds one slab's text at a time.  A child that fails raises a
-    ``RuntimeError`` naming ``path``; on every exit no child is left
-    running and every temporary file is gone.  The rows go to a new file
-    that replaces ``path`` once complete, so a failed write leaves the
+    Each of the ``_slabs`` is formatted by ``_rows`` and written before the
+    next, so one slab's text is in memory at a time.  The rows go to a new
+    file that replaces ``path`` once complete, so a failed write leaves the
     previous file, or none."""
     typed((LatticeField, ReflectorField), obj=obj)
-    import subprocess  # only here: the package imports without it
-
     lattice = obj.lattice
     reflector = isinstance(obj, ReflectorField)
     header = [
@@ -794,42 +788,13 @@ def write_field(path, obj: LatticeField | ReflectorField) -> None:
         "origin " + " ".join(f"{o:.17g}" for o in lattice.origin),
         f"frame {lattice.frame}",
     ]
-    width = 8 if reflector else 4
-    slabs = _slabs(lattice.extent)
-    n = min(_cpus(), len(slabs))
-    parts = [slabs[len(slabs) * k // n:len(slabs) * (k + 1) // n] for k in range(n)]
-
-    def block(box) -> np.ndarray:  # C-contiguous, so that rows view as floats
-        return np.ascontiguousarray(
-            np.concatenate([obj.phi1[box], obj.phi2[box]], axis=-1)
-            if reflector else obj.values[box])
-
-    with _replacing(path) as fh, contextlib.ExitStack() as stack:
+    with _replacing(path) as fh:
         fh.write(("\n".join(header) + "\n").encode())
-        children = []
-        for part in parts[1:]:
-            with tempfile.TemporaryFile() as raw:
-                for box in part:
-                    raw.write(block(box))
-                raw.seek(0)
-                text = stack.enter_context(tempfile.TemporaryFile())
-                first, last = part[0][0], part[-1][0]
-                child = stack.enter_context(subprocess.Popen(
-                    [sys.executable, "-I", "-S", _rows.__file__, str(width),
-                     str(first.start), str(last.stop), str(first.stop - first.start),
-                     *map(str, lattice.extent[1:])], stdin=raw, stdout=text))
-                stack.callback(child.kill)  # on an error; runs before the wait
-            children.append((child, text))
-        for box in parts[0]:
-            values = block(box)
-            fh.write(_rows.rows(values.view(float).ravel().tolist(), box[0].start,
-                                values.shape[:4], width).encode())
-        for child, text in children:
-            if child.wait():
-                raise RuntimeError(f"formatting the rows of {path} failed: "
-                                   f"{sys.executable} exited with {child.returncode}")
-            text.seek(0)
-            shutil.copyfileobj(text, fh)
+        for box in _slabs(lattice.extent):
+            block = np.ascontiguousarray(  # so that rows view as floats
+                np.concatenate([obj.phi1[box], obj.phi2[box]], axis=-1)
+                if reflector else obj.values[box])
+            fh.write(_rows(block, box[0].start).encode())
 
 
 def _header_value(header: dict[str, str], key: str, path, parse):

@@ -33,9 +33,9 @@ site index, :func:`map_position` translates by the center site, scales
 ``R_k -> a`` and applies ``Z`` through :func:`transform_vec4`, and
 :func:`mapped_site` maps a compromise site onto the snapshot frame.
 
-:func:`write_field_rows` is the field writer as it was while one process
-formatted every row: the byte-level reference of
-``bohrqed.lattice.write_field``.
+:func:`write_field_rows` is the field writer one row at a time, a ``%``
+per site: the byte-level reference of ``bohrqed.lattice.write_field``,
+which formats a whole slab with one ``%``.
 """
 
 import numpy as np

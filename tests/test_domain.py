@@ -22,7 +22,7 @@ from bohrqed.fitting import fit_loglog
 from bohrqed.lattice import (RegionBinding, bohr_phi_field, bohr_potential_field,
                              charge_conjugate_field, dirac_apply_values, wave_apply,
                              write_field)
-from bohrqed.mspace import KINDS, boundary_points, kind_dim, l_to_m, m_to_l
+from bohrqed.mspace import KINDS, MPoint, boundary_points, kind_dim, l_to_m, m_to_l
 
 INTP_MAX = np.iinfo(np.intp).max
 
@@ -206,6 +206,10 @@ _, _LAT_K, _BINDING = build_lattices(a=0.1, R_k=0.2, extent=3,
 #: An argument of no package class, and a solved orbit to sample.
 _OBJ = object()
 _ORBIT = solve_bohr(BohrInput(e=1.0, f=-0.5, n=1, m=1.0))
+#: Package objects to pass where another class is asked for.
+_L = LPoint(x0=0.0, r=1.0, theta=0.0, x3=0.0)
+_M = MPoint(x0=0.0, s=0.0, r=1.0, x3=0.0)
+_SPEC = RoundelSpec(center=_L, R=0.25)
 
 
 def _zero_reflector(lattice):
@@ -344,6 +348,77 @@ def _zero_reflector(lattice):
                  TypeError, "p must be a MPoint", id="m_to_l-p-type"),
     pytest.param(lambda mp: boundary_points(_OBJ, 4),
                  TypeError, "spec must be a RoundelSpec", id="boundary_points-spec-type"),
+    # and so is a package object of another class, the id naming its class
+    pytest.param(lambda mp: solve_bohr(_ORBIT),
+                 TypeError, "inp must be a BohrInput", id="solve_bohr-inp-BohrState"),
+    pytest.param(lambda mp: bohr.mass_shell_residual(_ORBIT.input),
+                 TypeError, "state must be a BohrState", id="mass_shell_residual-state-BohrInput"),
+    pytest.param(lambda mp: ensemble.total_charge(_SPEC),
+                 TypeError, "ensemble must be an Ensemble", id="total_charge-ensemble-RoundelSpec"),
+    pytest.param(lambda mp: ensemble.verify_ensemble(_SPEC),
+                 TypeError, "ensemble must be an Ensemble", id="verify_ensemble-ensemble-RoundelSpec"),
+    pytest.param(lambda mp: ensemble.boundary_fill_distance(_SPEC),
+                 TypeError, "ensemble must be an Ensemble", id="boundary_fill_distance-ensemble-RoundelSpec"),
+    pytest.param(lambda mp: ensemble.partition_regions(_SPEC, 2),
+                 TypeError, "ensemble must be an Ensemble", id="partition_regions-ensemble-RoundelSpec"),
+    pytest.param(lambda mp: ensemble.scaling_sweep(_ORBIT, [0.1, 0.05], 1.0),
+                 TypeError, "template must be a BohrInput", id="scaling_sweep-template-BohrState"),
+    pytest.param(lambda mp: LatticeField(_BINDING, np.zeros((3,) * 4 + (4,), complex)),
+                 TypeError, "lattice must be a HypercubicLattice", id="LatticeField-lattice-RegionBinding"),
+    pytest.param(lambda mp: ReflectorField(_BINDING, *[np.zeros((3,) * 4 + (4,), complex)] * 2),
+                 TypeError, "lattice must be a HypercubicLattice", id="ReflectorField-lattice-RegionBinding"),
+    pytest.param(lambda mp: dirac_apply_values(np.zeros((3,) * 4 + (4,), complex), _zero_field(_LAT_K)),
+                 TypeError, "lattice must be a HypercubicLattice", id="dirac_apply_values-lattice-LatticeField"),
+    pytest.param(lambda mp: wave_apply(np.zeros((3,) * 4 + (4,), complex), _zero_field(_LAT_K)),
+                 TypeError, "lattice must be a HypercubicLattice", id="wave_apply-lattice-LatticeField"),
+    pytest.param(lambda mp: bohr_phi_field(_BINDING, _ORBIT),
+                 TypeError, "lattice must be a HypercubicLattice", id="bohr_phi_field-lattice-RegionBinding"),
+    pytest.param(lambda mp: bohr_phi_field(_LAT_K, _ORBIT.input),
+                 TypeError, "state must be a BohrState", id="bohr_phi_field-state-BohrInput"),
+    pytest.param(lambda mp: bohr_potential_field(_BINDING, _ORBIT),
+                 TypeError, "lattice must be a HypercubicLattice", id="bohr_potential_field-lattice-RegionBinding"),
+    pytest.param(lambda mp: bohr_potential_field(_LAT_K, _ORBIT.input),
+                 TypeError, "state must be a BohrState", id="bohr_potential_field-state-BohrInput"),
+    pytest.param(lambda mp: transform_field("current", _LAT_K, _BINDING),
+                 TypeError, "field must be a LatticeField or ReflectorField", id="transform_field-field-HypercubicLattice"),
+    pytest.param(lambda mp: transform_field("current", _zero_field(_LAT_K), _BINDING.Z),
+                 TypeError, "binding must be a RegionBinding", id="transform_field-binding-LorentzTransform"),
+    pytest.param(lambda mp: equivalence_check(_BINDING.Z, _zero_field(_LAT_K), _zero_field(_LAT_K)),
+                 TypeError, "binding must be a RegionBinding", id="equivalence_check-binding-LorentzTransform"),
+    pytest.param(lambda mp: write_field("no-such-directory/field.txt", _LAT_K),
+                 TypeError, "obj must be a LatticeField or ReflectorField", id="write_field-obj-HypercubicLattice"),
+    pytest.param(lambda mp: RegionBinding(ONE, _LAT_K, _LAT_K),
+                 TypeError, "Z must be a LorentzTransform", id="RegionBinding-Z-Biquaternion"),
+    pytest.param(lambda mp: RegionBinding(LorentzTransform.identity(), _zero_field(_LAT_K), _LAT_K),
+                 TypeError, "lattice_k must be a HypercubicLattice", id="RegionBinding-lattice_k-LatticeField"),
+    pytest.param(lambda mp: RegionBinding(LorentzTransform.identity(), _LAT_K, _zero_field(_LAT_K)),
+                 TypeError, "lattice_p must be a HypercubicLattice", id="RegionBinding-lattice_p-LatticeField"),
+    pytest.param(lambda mp: build_lattices(a=0.1, R_k=0.2, extent=3, Z=ONE),
+                 TypeError, "Z must be a LorentzTransform", id="build_lattices-Z-Biquaternion"),
+    pytest.param(lambda mp: reflector_mul(DiagonalMatrix(ONE, ONE), Reflector(ONE, ONE)),
+                 TypeError, "a must be a Reflector", id="reflector_mul-a-DiagonalMatrix"),
+    pytest.param(lambda mp: reflector_mul(Reflector(ONE, ONE), DiagonalMatrix(ONE, ONE)),
+                 TypeError, "b must be a Reflector", id="reflector_mul-b-DiagonalMatrix"),
+    pytest.param(lambda mp: Reflector(DiagonalMatrix(ONE, ONE), ONE),
+                 TypeError, "upper must be a Biquaternion", id="Reflector-upper-DiagonalMatrix"),
+    pytest.param(lambda mp: Reflector(ONE, DiagonalMatrix(ONE, ONE)),
+                 TypeError, "lower must be a Biquaternion", id="Reflector-lower-DiagonalMatrix"),
+    pytest.param(lambda mp: DiagonalMatrix(Reflector(ONE, ONE), ONE),
+                 TypeError, "d1 must be a Biquaternion", id="DiagonalMatrix-d1-Reflector"),
+    pytest.param(lambda mp: DiagonalMatrix(ONE, Reflector(ONE, ONE)),
+                 TypeError, "d2 must be a Biquaternion", id="DiagonalMatrix-d2-Reflector"),
+    pytest.param(lambda mp: LorentzTransform(LorentzTransform.identity()),
+                 TypeError, "g must be a Biquaternion", id="LorentzTransform-g-LorentzTransform"),
+    pytest.param(lambda mp: LorentzTransform.identity().apply(_L),
+                 TypeError, "q must be a Biquaternion", id="LorentzTransform.apply-q-LPoint"),
+    pytest.param(lambda mp: RoundelSpec(center=_M, R=0.25),
+                 TypeError, "center must be a LPoint", id="RoundelSpec-center-MPoint"),
+    pytest.param(lambda mp: l_to_m(_M, 1.0),
+                 TypeError, "p must be a LPoint", id="l_to_m-p-MPoint"),
+    pytest.param(lambda mp: m_to_l(_L, 1.0),
+                 TypeError, "p must be a MPoint", id="m_to_l-p-LPoint"),
+    pytest.param(lambda mp: boundary_points(_L, 4),
+                 TypeError, "spec must be a RoundelSpec", id="boundary_points-spec-LPoint"),
 ])
 def test_input_check_names_the_input(monkeypatch, call, error, message):
     with pytest.raises(Exception) as info:

@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -1241,34 +1240,15 @@ class TestFieldBlocks(TestFieldTextRoundTrip):
 
 
 #: Doubles whose shortest and 17-digit forms differ, or that sit at the ends
-#: of the range: every row must carry them exactly, split or not.
+#: of the range: every row must carry them exactly, in any slab.
 WRITER_DOUBLES = [-0.0, 0.0, 5e-324, 1.7976931348623157e308,
                   -1.7976931348623157e308, 1e16, 1e-5, 0.1, 3.0, -2.0, 1e22]
 
 
-class TestCpus:
-    """``_cpus``: the process's affinity set, else the machine's count, else 1."""
-
-    def test_affinity(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert lattice_module._cpus() == 3
-
-    def test_cpu_count_without_affinity(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 6)
-        assert lattice_module._cpus() == 6
-
-    def test_one_when_the_count_is_unknown(self, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert lattice_module._cpus() == 1
-
-
 class TestFieldWriterParts:
-    """``write_field`` formats its slabs in one part per CPU, the later ones
-    in child interpreters: the bytes are the one-process writer's, and no
-    child or temporary file outlives a call."""
+    """``write_field`` formats one slab at a time in its own process: the
+    bytes are the one-process writer's, and a failed write leaves the
+    previous file, or none, and no temporary file."""
 
     extent = (6, 3, 3, 3)  # 1,728 bytes of one field per time slice
 
@@ -1284,7 +1264,22 @@ class TestFieldWriterParts:
                else LatticeField(lat, vals))
         return obj, vals
 
-    def popen_spy(self, monkeypatch) -> list:
+    @pytest.mark.parametrize("reflector", [False, True], ids=["biquaternion", "reflector"])
+    @pytest.mark.parametrize(("slab_bytes", "slabs"), [(1 << 18, 1), (3 * 1728, 2), (1, 6)])
+    def test_bytes_match_the_one_process_writer(self, tmp_path, monkeypatch, reflector,
+                                                slab_bytes, slabs):
+        monkeypatch.setattr(lattice_module, "_SLAB_BYTES", slab_bytes)
+        obj, vals = self.field(reflector)
+        write_field(tmp_path / "new.txt", obj)
+        write_field_rows(tmp_path / "old.txt", obj)
+        assert len(lattice_module._slabs(self.extent)) == slabs
+        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+        back = read_field(tmp_path / "new.txt")
+        got = (np.concatenate([back.phi1, back.phi2], axis=-1) if reflector
+               else back.values)
+        assert got.tobytes() == vals.tobytes()
+
+    def test_six_slabs_start_no_process(self, tmp_path, monkeypatch):
         calls = []
 
         class Spy(subprocess.Popen):
@@ -1293,72 +1288,43 @@ class TestFieldWriterParts:
                 super().__init__(args, **kwargs)
 
         monkeypatch.setattr(subprocess, "Popen", Spy)
-        return calls
-
-    @pytest.mark.parametrize("reflector", [False, True], ids=["biquaternion", "reflector"])
-    @pytest.mark.parametrize(("slab_bytes", "slabs"), [(1 << 18, 1), (3 * 1728, 2), (1, 6)])
-    @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_bytes_match_the_one_process_writer(self, tmp_path, monkeypatch, reflector,
-                                                slab_bytes, slabs, cpus):
-        monkeypatch.setattr(lattice_module, "_SLAB_BYTES", slab_bytes)
-        monkeypatch.setattr(lattice_module, "_cpus", lambda: cpus)
-        calls = self.popen_spy(monkeypatch)
-        obj, vals = self.field(reflector)
-        write_field(tmp_path / "new.txt", obj)
-        write_field_rows(tmp_path / "old.txt", obj)
-        assert len(lattice_module._slabs(self.extent)) == slabs
-        assert len(calls) == min(cpus, slabs) - 1
-        assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
-        back = read_field(tmp_path / "new.txt")
-        got = (np.concatenate([back.phi1, back.phi2], axis=-1) if reflector
-               else back.values)
-        assert got.tobytes() == vals.tobytes()
-
-    def test_one_slab_starts_no_child(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(lattice_module, "_cpus", lambda: 8)
-        calls = self.popen_spy(monkeypatch)
+        monkeypatch.setattr(lattice_module, "_SLAB_BYTES", 1)
+        assert len(lattice_module._slabs(self.extent)) == 6
         write_field(tmp_path / "f.txt", self.field(True)[0])
         assert calls == []
 
-    def failed_write(self, tmp_path, monkeypatch) -> pytest.ExceptionInfo:
-        """A write into three parts that fails; its temporary files go to a
-        directory of their own."""
-        scratch = tmp_path / "tmp"
-        scratch.mkdir()
-        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
-        monkeypatch.setattr(lattice_module, "_SLAB_BYTES", 1)
-        monkeypatch.setattr(lattice_module, "_cpus", lambda: 3)
-        with pytest.raises(BaseException) as info:
-            write_field(tmp_path / "f.txt", self.field(False)[0])
-        with pytest.raises(ChildProcessError):  # every child was reaped
-            os.waitpid(-1, os.WNOHANG)
-        assert list(scratch.iterdir()) == []
-        return info
+    def failed_write(self, tmp_path, monkeypatch, error: BaseException) -> None:
+        """A six-slab write to ``f.txt`` whose formatter raises ``error`` on
+        its second slab, after the header and the first slab's rows."""
+        rows, calls = lattice_module._rows, []
 
-    def test_failing_child_names_the_file(self, tmp_path, monkeypatch):
-        stub = tmp_path / "stub.py"
-        stub.write_text("raise SystemExit(1)\n")
-        monkeypatch.setattr(lattice_module._rows, "__file__", str(stub))
-        info = self.failed_write(tmp_path, monkeypatch)
-        assert not isinstance(info.value, DomainError)
-        assert str(tmp_path / "f.txt") in str(info.value)
-        assert "exited with 1" in str(info.value)
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise error
+            return rows(*args)
+
+        monkeypatch.setattr(lattice_module, "_SLAB_BYTES", 1)
+        monkeypatch.setattr(lattice_module, "_rows", failing)
+        with pytest.raises(type(error)):
+            write_field(tmp_path / "f.txt", self.field(False)[0])
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("previous", [False, True], ids=["no-file", "previous-file"])
     def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch, previous):
-        # regression: the header and part 0's rows stayed at the path, and
+        # regression: the header and the first rows stayed at the path, and
         # read_field then named a missing site
         path = tmp_path / "f.txt"
         if previous:
             write_field(path, self.field(True)[0])
         before = path.read_bytes() if previous else None
-        stub = tmp_path / "stub.py"
-        stub.write_text("raise SystemExit(1)\n")
-        monkeypatch.setattr(lattice_module._rows, "__file__", str(stub))
-        self.failed_write(tmp_path, monkeypatch)
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            ["stub.py", "tmp"] + (["f.txt"] if previous else []))
+        self.failed_write(tmp_path, monkeypatch, RuntimeError("formatting failed"))
+        assert [p.name for p in tmp_path.iterdir()] == (["f.txt"] if previous else [])
         assert (path.read_bytes() if previous else None) == before
+
+    def test_interrupt_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        self.failed_write(tmp_path, monkeypatch, KeyboardInterrupt())
+        assert list(tmp_path.iterdir()) == []
 
     def test_new_file_has_the_mode_open_gives(self, tmp_path):
         # the mode open(path, "wb") gives, not a temporary file's 0600
@@ -1367,14 +1333,6 @@ class TestFieldWriterParts:
             pass
         assert ((tmp_path / "f.txt").stat().st_mode
                 == (tmp_path / "plain.txt").stat().st_mode)
-
-    def test_parent_failure_stops_its_children(self, tmp_path, monkeypatch):
-        # the parent fails while the children format: they are killed
-        def broken(*args):
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(lattice_module._rows, "rows", broken)
-        assert self.failed_write(tmp_path, monkeypatch).type is KeyboardInterrupt
 
     def test_the_package_imports_no_subprocess(self):
         script = "import sys, bohrqed.cli; print('subprocess' in sys.modules)"
